@@ -57,47 +57,60 @@ let of_root ~pool ~dims ~root ~height ~count = { pool; dims; root; height; count
    test allocate nothing.  The descent itself runs on a preallocated
    per-domain stack (no recursion, no per-node closure); children are
    pushed in entry order and the fresh segment reversed in place, so
-   pages pop in exactly the old recursive preorder. *)
-let stack_key = Domain.DLS.new_key (fun () -> ref (Array.make 64 0))
+   pages pop in exactly the old recursive preorder.
+
+   [f] runs mid-descent, so a query it issues on this domain starts its
+   own descent above [top], the outer descent's stack pointer during the
+   leaf scan, and puts [top] back when it returns: the pages still
+   pending below are left alone.  [ids] is always read through [st],
+   since a nested descent may have grown it. *)
+type stack = { mutable ids : int array; mutable top : int }
+
+let stack_key = Domain.DLS.new_key (fun () -> { ids = Array.make 64 0; top = 0 })
 
 let query t window ~f =
   if Hyperrect.dims window <> t.dims then invalid_arg "Rtree_nd.query: dimension mismatch";
   let stats = { internal_visited = 0; leaf_visited = 0; matched = 0 } in
   let dims = t.dims in
-  let stack = Domain.DLS.get stack_key in
-  let sp = ref 0 in
+  let st = Domain.DLS.get stack_key in
+  let base = st.top in
+  let sp = ref base in
   let push id =
-    (if !sp = Array.length !stack then begin
-       let grown = Array.make (2 * Array.length !stack) 0 in
-       Array.blit !stack 0 grown 0 !sp;
-       stack := grown
+    (if !sp = Array.length st.ids then begin
+       let grown = Array.make (2 * Array.length st.ids) 0 in
+       Array.blit st.ids 0 grown 0 !sp;
+       st.ids <- grown
      end);
-    !stack.(!sp) <- id;
+    st.ids.(!sp) <- id;
     incr sp
   in
   push t.root;
-  while !sp > 0 do
-    decr sp;
-    let buf = Buffer_pool.read t.pool !stack.(!sp) in
-    match Node_nd.page_kind buf with
-    | Node_nd.Leaf ->
-        stats.leaf_visited <- stats.leaf_visited + 1;
-        stats.matched <- stats.matched + Node_nd.iter_rects ~dims buf window ~f
-    | Node_nd.Internal ->
-        stats.internal_visited <- stats.internal_visited + 1;
-        let sp0 = !sp in
-        Node_nd.iter_children ~dims buf window ~f:push;
-        let st = !stack in
-        let i = ref sp0 and j = ref (!sp - 1) in
-        while !i < !j do
-          let tmp = st.(!i) in
-          st.(!i) <- st.(!j);
-          st.(!j) <- tmp;
-          incr i;
-          decr j
-        done
-  done;
-  stats
+  Fun.protect
+    ~finally:(fun () -> st.top <- base)
+    (fun () ->
+      while !sp > base do
+        decr sp;
+        let buf = Buffer_pool.read t.pool st.ids.(!sp) in
+        match Node_nd.page_kind buf with
+        | Node_nd.Leaf ->
+            stats.leaf_visited <- stats.leaf_visited + 1;
+            st.top <- !sp;
+            stats.matched <- stats.matched + Node_nd.iter_rects ~dims buf window ~f
+        | Node_nd.Internal ->
+            stats.internal_visited <- stats.internal_visited + 1;
+            let sp0 = !sp in
+            Node_nd.iter_children ~dims buf window ~f:push;
+            let ids = st.ids in
+            let i = ref sp0 and j = ref (!sp - 1) in
+            while !i < !j do
+              let tmp = ids.(!i) in
+              ids.(!i) <- ids.(!j);
+              ids.(!j) <- tmp;
+              incr i;
+              decr j
+            done
+      done;
+      stats)
 
 let query_list t window =
   let acc = ref [] in

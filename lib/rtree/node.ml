@@ -48,15 +48,12 @@ let decode buf =
   let entries = Array.init count (fun i -> Entry.read buf (header_size + (i * Entry.size))) in
   { kind; entries }
 
-(* --- zero-copy cursors ---
+(* --- in-place page access ---
 
-   The query hot loop used to [decode] a full [Entry.t array] on every
-   node visit; these cursors instead test the window against the packed
-   coordinates in the page bytes and materialize heap values only for
-   what survives the test.  The float comparisons are bit-identical to
-   [Rect.intersects] on the decoded rectangle (both read the same
-   little-endian float64 fields), so results and visit counts are
-   unchanged — only the allocations go away. *)
+   Accessors for an encoded node page, as bytes or inside the mapped
+   index file ({!Prt_storage.View}, addressed by the page's absolute
+   byte offset [base]).  The descent engine in [Rtree] scans the packed
+   entries itself; these read the header. *)
 
 let page_kind buf =
   match Page.get_u8 buf 0 with
@@ -65,53 +62,6 @@ let page_kind buf =
   | k -> invalid_arg (Printf.sprintf "Node.page_kind: bad node kind %d" k)
 
 let page_length buf = Page.get_u16 buf 1
-
-let iter_rects buf window ~f =
-  let wxmin = Rect.xmin window and wymin = Rect.ymin window in
-  let wxmax = Rect.xmax window and wymax = Rect.ymax window in
-  let n = page_length buf in
-  let hits = ref 0 in
-  for i = 0 to n - 1 do
-    let off = header_size + (i * Entry.size) in
-    let exmin = Page.get_f64 buf off in
-    let exmax = Page.get_f64 buf (off + 16) in
-    if exmin <= wxmax && wxmin <= exmax then begin
-      let eymin = Page.get_f64 buf (off + 8) in
-      let eymax = Page.get_f64 buf (off + 24) in
-      if eymin <= wymax && wymin <= eymax then begin
-        incr hits;
-        f (Entry.read buf off)
-      end
-    end
-  done;
-  !hits
-
-let iter_children buf window ~f =
-  let wxmin = Rect.xmin window and wymin = Rect.ymin window in
-  let wxmax = Rect.xmax window and wymax = Rect.ymax window in
-  let n = page_length buf in
-  for i = 0 to n - 1 do
-    let off = header_size + (i * Entry.size) in
-    let exmin = Page.get_f64 buf off in
-    let exmax = Page.get_f64 buf (off + 16) in
-    if exmin <= wxmax && wxmin <= exmax then begin
-      let eymin = Page.get_f64 buf (off + 8) in
-      let eymax = Page.get_f64 buf (off + 24) in
-      if eymin <= wymax && wymin <= eymax then f (Page.get_i32 buf (off + 32))
-    end
-  done
-
-(* --- mapped cursors ---
-
-   The same zero-copy scans over a mapped window of the whole index
-   file ({!Prt_storage.View}), addressed by the page's absolute byte
-   offset.  Float loads come straight out of the mapping (unboxed C
-   stub), so a node visit on the mmap backend costs no syscall, no
-   lock, no copy and no decode — and, for entries that fail the window
-   test, no allocation either.  The comparisons are bit-identical to
-   {!iter_rects}/{!iter_children}: both decode the same little-endian
-   float64 fields, so results and visit counts match the pread path
-   byte for byte. *)
 
 module View = Prt_storage.View
 
@@ -122,56 +72,3 @@ let map_kind m ~base =
   | k -> invalid_arg (Printf.sprintf "Node.map_kind: bad node kind %d" k)
 
 let map_length m ~base = View.get_u16 m (base + 1)
-
-let map_read_entry m off =
-  let xmin = View.get_f64 m off in
-  let ymin = View.get_f64 m (off + 8) in
-  let xmax = View.get_f64 m (off + 16) in
-  let ymax = View.get_f64 m (off + 24) in
-  Entry.make (Rect.make ~xmin ~ymin ~xmax ~ymax) (View.get_i32 m (off + 32))
-
-let map_iter_rects m ~base window ~f =
-  let wxmin = Rect.xmin window and wymin = Rect.ymin window in
-  let wxmax = Rect.xmax window and wymax = Rect.ymax window in
-  let n = map_length m ~base in
-  let hits = ref 0 in
-  for i = 0 to n - 1 do
-    let off = base + header_size + (i * Entry.size) in
-    let exmin = View.get_f64 m off in
-    let exmax = View.get_f64 m (off + 16) in
-    if exmin <= wxmax && wxmin <= exmax then begin
-      let eymin = View.get_f64 m (off + 8) in
-      let eymax = View.get_f64 m (off + 24) in
-      if eymin <= wymax && wymin <= eymax then begin
-        incr hits;
-        f (map_read_entry m off)
-      end
-    end
-  done;
-  !hits
-
-let map_iter_children m ~base window ~f =
-  let wxmin = Rect.xmin window and wymin = Rect.ymin window in
-  let wxmax = Rect.xmax window and wymax = Rect.ymax window in
-  let n = map_length m ~base in
-  for i = 0 to n - 1 do
-    let off = base + header_size + (i * Entry.size) in
-    let exmin = View.get_f64 m off in
-    let exmax = View.get_f64 m (off + 16) in
-    if exmin <= wxmax && wxmin <= exmax then begin
-      let eymin = View.get_f64 m (off + 8) in
-      let eymax = View.get_f64 m (off + 24) in
-      if eymin <= wymax && wymin <= eymax then f (View.get_i32 m (off + 32))
-    end
-  done
-
-let iter_entry_rects buf ~f =
-  let n = page_length buf in
-  for i = 0 to n - 1 do
-    let off = header_size + (i * Entry.size) in
-    let xmin = Page.get_f64 buf off in
-    let ymin = Page.get_f64 buf (off + 8) in
-    let xmax = Page.get_f64 buf (off + 16) in
-    let ymax = Page.get_f64 buf (off + 24) in
-    f (Rect.make ~xmin ~ymin ~xmax ~ymax) (Page.get_i32 buf (off + 32))
-  done

@@ -27,14 +27,16 @@ val encode : page_size:int -> t -> bytes
 val decode : bytes -> t
 (** Raises [Invalid_argument] on a corrupt kind tag. *)
 
-(** {1 Zero-copy cursors}
+(** {1 In-place page access}
 
-    Read-only iteration over an {e encoded} node page, testing the
-    window directly against the packed coordinate bytes and
-    materializing heap values only on a hit — the query hot loop uses
-    these instead of {!decode} so a node visit allocates nothing for
-    entries that fail the window test.  The float comparisons match
-    [Rect.intersects] on the decoded rectangle exactly. *)
+    Accessors for an encoded node page — as [bytes], or inside a
+    mapped window of the whole index file ({!Prt_storage.View})
+    addressed by the page's absolute byte offset [base].  The descent
+    engine in {!Rtree} scans the packed entries in place and
+    uses these for the header. *)
+
+val header_size : int
+(** Bytes before the first packed entry (kind tag + count). *)
 
 val page_kind : bytes -> kind
 (** Kind tag of an encoded page. Raises [Invalid_argument] like
@@ -43,41 +45,5 @@ val page_kind : bytes -> kind
 val page_length : bytes -> int
 (** Entry count of an encoded page. *)
 
-val iter_rects : bytes -> Prt_geom.Rect.t -> f:(Entry.t -> unit) -> int
-(** [iter_rects buf window ~f] calls [f] on each entry of the page whose
-    rectangle intersects [window], materializing the {!Entry.t} only for
-    hits, and returns the number of hits.  Entries are visited in page
-    order (the same order {!decode} yields). *)
-
-val iter_children : bytes -> Prt_geom.Rect.t -> f:(int -> unit) -> unit
-(** [iter_children buf window ~f] calls [f] on the child page id of each
-    entry whose rectangle intersects [window] — the internal-node
-    descent step, with no allocation at all. *)
-
-val iter_entry_rects : bytes -> f:(Prt_geom.Rect.t -> int -> unit) -> unit
-(** Visit every packed entry as a rectangle and payload id without
-    building the entry array — the generic-predicate descent used by
-    {!Query.search}. *)
-
-(** {1 Mapped cursors}
-
-    The same scans over a mapped window of the whole index file
-    ({!Prt_storage.View}), addressed by the page's absolute byte offset
-    [base] — the mmap read backend's node visits.  Float comparisons
-    are bit-identical to the [bytes] cursors, so results and visit
-    counts match the pread path exactly. *)
-
-val header_size : int
-(** Bytes before the first packed entry (kind tag + count). *)
-
 val map_kind : Prt_storage.View.map -> base:int -> kind
 val map_length : Prt_storage.View.map -> base:int -> int
-
-val map_read_entry : Prt_storage.View.map -> int -> Entry.t
-(** Materialize the entry packed at absolute offset [off]. *)
-
-val map_iter_rects :
-  Prt_storage.View.map -> base:int -> Prt_geom.Rect.t -> f:(Entry.t -> unit) -> int
-
-val map_iter_children :
-  Prt_storage.View.map -> base:int -> Prt_geom.Rect.t -> f:(int -> unit) -> unit

@@ -7,27 +7,29 @@
    a preallocated array, so the output is deterministic and ordered by
    query index regardless of scheduling.
 
-   Per-query descent is the domain-safe twin of [Rtree.query]:
+   Per query, each worker runs the one descent engine of [Rtree] on the
+   batch's snapshot:
 
-   - internal nodes come from a {!Prt_storage.Shard_cache} of *decoded*
-     nodes, keyed by (page id, generation), so the hot upper levels are
-     decoded once per generation and then shared read-only by every
-     domain;
-   - leaf pages are read through [Pager.read_shared ~gen] — which
-     bypasses the single-domain buffer pool and serves retained
-     pre-images for pinned generations — and scanned in place with the
-     zero-copy [Node.iter_rects] cursor, so a leaf visit allocates only
-     the matching entries.
+   - on the mmap backend every worker scans the one shared mapping (CRC
+     gate plus the version-store protocol for pinned generations), with
+     no per-domain state and no cache — a mapped internal visit is
+     cheaper than a cache hit;
+   - on pread, internal pages come from a {!Prt_storage.Shard_cache} of
+     page images keyed by (page id, generation), read once per
+     generation and then shared read-only by every domain; leaf pages
+     are read through [Pager.read_shared ~gen], which bypasses the
+     single-domain buffer pool and serves retained pre-images for
+     pinned generations.  Both are scanned in place by the same bytes
+     kernels, so a leaf visit allocates only the matching entries.
 
    Leaf vs internal is decided by depth against the snapshot's tree
    height, so no kind byte needs inspecting before the page is read.
    Each batch runs against a snapshot acquired at batch start (for an
    index file: a pinned superblock generation, making the batch immune
    to concurrent commits; the default provider reads the live tree and
-   requires it to stay read-only for the duration of the batch, the
-   same contract as the zero-copy cursors).  The snapshot is released
-   when the batch ends, and cached nodes below the new pin floor are
-   pruned.
+   requires it to stay read-only for the duration of the batch).  The
+   snapshot is released when the batch ends, and cached pages below the
+   new pin floor are pruned.
 
    Workers record their own telemetry: the [Prt_obs.Metrics] registry
    is striped per domain, so each worker ticks visit/degradation
@@ -35,8 +37,6 @@
    span events on its own [Prt_obs.Flight] ring.  Aggregation happens
    at read time — there is no coordinator-side mirroring left. *)
 
-module Rect = Prt_geom.Rect
-module Pager = Prt_storage.Pager
 module Buffer_pool = Prt_storage.Buffer_pool
 module Shard_cache = Prt_storage.Shard_cache
 module Quarantine = Prt_storage.Quarantine
@@ -56,7 +56,7 @@ type snap = {
 
 type t = {
   tree : Rtree.t;
-  cache : Node.t Shard_cache.t;
+  cache : bytes Shard_cache.t;  (* internal page images, for pread *)
   snapshot : unit -> snap;  (* acquired at each batch start *)
   quarantine : Quarantine.t;
   max_in_flight : int option;  (* admission-control bound, if any *)
@@ -111,91 +111,26 @@ let quarantine t = t.quarantine
 let cache_stats t = Shard_cache.stats t.cache
 let cache_hit_ratio t = Shard_cache.hit_ratio (Shard_cache.stats t.cache)
 
-exception Deadline_exceeded
-
-(* One query, one domain.  [gen]/[root]/[height] come from the snapshot
-   pinned at batch start so every worker descends the same tree.
-
-   Degradation is per subtree, exactly as in [Rtree.query]: the typed
-   catch is scoped to the page read/decode alone, so a failure deeper in
-   the recursion is handled at its own level and a poisoned page can
-   never fail more than its own subtree — let alone the batch.  The
-   worker records its own metrics through [Rtree.record_query_stats]
-   (per-domain stripes) and its own flight-ring events; the quarantine
-   is mutex-guarded and safe to share. *)
-let rec run_query t ~gen ~root ~height ~deadline window =
-  match Rtree.mmap t.tree with
-  | Some _ ->
-      (* The mmap backend: every worker scans the one shared mapping
-         through the common [Rtree] engines (CRC gate + version-store
-         protocol), with no per-domain state and no decoded-node cache —
-         a mapped internal visit is cheaper than a shard-cache hit. *)
-      let sv = { Rtree.sv_gen = gen; sv_root = root; sv_height = height } in
-      let acc = ref [] in
-      let stats =
-        Rtree.query_unrecorded ~quarantine:t.quarantine ~deadline ~snapshot:sv t.tree window
-          ~f:(fun e -> acc := e :: !acc)
-      in
-      (List.rev !acc, stats)
-  | None -> run_query_pread t ~gen ~root ~height ~deadline window
-
-and run_query_pread t ~gen ~root ~height ~deadline window =
-  let pgr = Rtree.pager t.tree in
-  let stats = Rtree.fresh_stats () in
+(* One query, one domain.  The snapshot pinned at batch start makes
+   every worker descend the same tree; degradation is per subtree, as
+   in [Rtree.query] (the quarantine is mutex-guarded and safe to
+   share). *)
+let run_query t src pol snapshot window =
   let acc = ref [] in
-  let skip id =
-    stats.Rtree.skipped_subtrees <- stats.Rtree.skipped_subtrees + 1;
-    if not (List.mem id stats.Rtree.skipped_pages) then
-      stats.Rtree.skipped_pages <- id :: stats.Rtree.skipped_pages
-  in
-  let poison id reason =
-    Quarantine.add t.quarantine id reason;
-    skip id
-  in
-  let rec visit id depth =
-    if Deadline.expired deadline then begin
-      stats.Rtree.timed_out <- true;
-      Prt_obs.Flight.point "resilience.deadline_expired" ~arg:id;
-      raise_notrace Deadline_exceeded
-    end;
-    if Quarantine.mem t.quarantine id then skip id
-    else if depth = height then begin
-      match Pager.read_shared ~gen pgr id with
-      | exception Pager.Corrupt_page _ -> poison id Quarantine.Corrupt
-      | exception Pager.Io_error _ -> poison id Quarantine.Io_failed
-      | buf ->
-          stats.Rtree.leaf_visited <- stats.Rtree.leaf_visited + 1;
-          stats.Rtree.matched <-
-            stats.Rtree.matched + Node.iter_rects buf window ~f:(fun e -> acc := e :: !acc)
-    end
-    else
-      match
-        Shard_cache.find_or_add t.cache ~gen id (fun () ->
-            Node.decode (Pager.read_shared ~gen pgr id))
-      with
-      | exception Pager.Corrupt_page _ -> poison id Quarantine.Corrupt
-      | exception Pager.Io_error _ -> poison id Quarantine.Io_failed
-      | node ->
-          stats.Rtree.internal_visited <- stats.Rtree.internal_visited + 1;
-          Array.iter
-            (fun e ->
-              if Rect.intersects (Entry.rect e) window then visit (Entry.id e) (depth + 1))
-            (Node.entries node)
-  in
-  (try visit root 1 with Deadline_exceeded -> ());
+  let stats = Rtree.descend_iter t.tree src pol snapshot window ~f:(fun e -> acc := e :: !acc) in
   (List.rev !acc, stats)
 
 (* One query on whatever domain the work-stealing loop runs it: a
    flight span bracketing the descent, and — while collection is on —
    the same [query.*] counters/latency histogram as the single-domain
    path, recorded into this domain's stripe. *)
-let run_query_recorded t ~gen ~root ~height ~deadline i window =
+let run_query_recorded t src pol snapshot i window =
   Prt_obs.Flight.begin_span "qexec.query" ~arg:i;
   let r =
-    if not (Prt_obs.Metrics.collecting ()) then run_query t ~gen ~root ~height ~deadline window
+    if not (Prt_obs.Metrics.collecting ()) then run_query t src pol snapshot window
     else begin
       let t0 = Unix.gettimeofday () in
-      let ((_, stats) as r) = run_query t ~gen ~root ~height ~deadline window in
+      let ((_, stats) as r) = run_query t src pol snapshot window in
       let latency_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
       Rtree.record_query_stats ~latency_us stats;
       r
@@ -230,7 +165,7 @@ let run ?jobs ?(deadline = Deadline.none) t queries =
     match jobs with Some j -> max 1 j | None -> Parallel.default_domains ()
   in
   let snap = t.snapshot () in
-  (* Drop the pin whatever happens, then prune cached nodes below the
+  (* Drop the pin whatever happens, then prune cached pages below the
      new pin floor.  The floor only rises, and the CAS makes exactly one
      releasing batch prune to any given floor — concurrent batches
      racing on release never double-count invalidations. *)
@@ -249,8 +184,15 @@ let run ?jobs ?(deadline = Deadline.none) t queries =
   Prt_obs.Trace.with_span "qexec.batch"
     ~args:Prt_obs.Trace.[ ("queries", Int n); ("jobs", Int jobs) ]
     (fun () ->
-      let gen = snap.snap_gen in
-      let root = snap.snap_root and height = snap.snap_height in
+      let snapshot =
+        Some { Rtree.sv_gen = snap.snap_gen; sv_root = snap.snap_root; sv_height = snap.snap_height }
+      in
+      let src =
+        match Rtree.page_source t.tree snapshot with
+        | Rtree.Mapped _ as s -> s
+        | Rtree.Pool | Rtree.Shared _ -> Rtree.Shared (Some t.cache)
+      in
+      let pol = { (Rtree.policy Rtree.Window) with quarantine = Some t.quarantine; deadline } in
       let results = Array.make n ([], Rtree.fresh_stats ()) in
       Prt_obs.Metrics.tick (Lazy.force m_batches);
       Prt_obs.Metrics.add (Lazy.force m_queries) n;
@@ -262,7 +204,7 @@ let run ?jobs ?(deadline = Deadline.none) t queries =
           let start = Atomic.fetch_and_add next chunk in
           if start < n then begin
             for i = start to min n (start + chunk) - 1 do
-              results.(i) <- run_query_recorded t ~gen ~root ~height ~deadline i queries.(i)
+              results.(i) <- run_query_recorded t src pol snapshot i queries.(i)
             done;
             loop ()
           end

@@ -10,12 +10,15 @@
     start.  For an index file the provider pins the current committed
     superblock generation ({!Index_file.executor}), so the whole batch
     descends that generation's page images even while a writer commits
-    new ones — writers never block readers.  Internal nodes are served
-    decoded from a {!Prt_storage.Shard_cache} keyed by
-    (page id, generation); leaf pages are read through
-    [Pager.read_shared ~gen] and scanned in place with the zero-copy
-    [Node.iter_rects] cursor.  The single-domain buffer pool is only
-    touched by the default (live-tree) provider, which requires the
+    new ones — writers never block readers.  Every worker runs the one
+    descent engine ({!Rtree.descend_iter}) on the batch's snapshot.  On
+    the mmap backend the workers scan the shared file mapping, guarded
+    by the CRC gate and, at a pinned generation, the version-store
+    protocol.  On pread, internal pages are served as page images from
+    a {!Prt_storage.Shard_cache} keyed by (page id, generation), and
+    leaf pages are read through [Pager.read_shared ~gen]; both are
+    scanned in place.  The single-domain buffer pool is only touched by
+    the default (live-tree) provider, which flushes it and requires the
     tree to stay unmodified for the duration of the batch. *)
 
 type t
@@ -26,7 +29,7 @@ type snap = {
   snap_height : int;
   snap_release : unit -> int;
       (** drop the pin (idempotent); returns the new pin floor, below
-          which cached nodes are pruned *)
+          which cached pages are pruned *)
 }
 (** One batch's pinned view of the tree, produced by the snapshot
     provider passed to {!create}. *)
@@ -50,12 +53,13 @@ val create :
     the tree's buffer pool and reads the live tree unpinned (generation
     0) — correct only for trees not modified during a batch; executors
     over an {!Index_file} get a pinning provider instead.
-    [shards]/[capacity] are passed to
-    {!Prt_storage.Shard_cache.create}.  [quarantine] shares a damage
-    registry with the rest of the serving stack (an {!Index_file} passes
-    its own); a private one is created otherwise.  [max_in_flight]
-    bounds the queries admitted concurrently across {!run} calls
-    (default unbounded); see {!Overloaded}. *)
+    [shards]/[capacity] are passed to {!Prt_storage.Shard_cache.create}
+    for the cache of internal page images the pread backend uses.
+    [quarantine] shares a damage registry with the rest of the serving
+    stack (an {!Index_file} passes its own); a private one is created
+    otherwise.  [max_in_flight] bounds the queries admitted
+    concurrently across {!run} calls (default unbounded); see
+    {!Overloaded}. *)
 
 val tree : t -> Rtree.t
 

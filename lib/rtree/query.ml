@@ -1,181 +1,37 @@
 (* Query forms beyond the plain window query: point stabbing,
    containment / enclosure variants, and an early-exit existence test.
-   All share the R-tree descent and report the same per-level visit
-   statistics as [Rtree.query]. *)
+   Each is a policy for the one descent engine in [Rtree], on the page
+   source a plain query would use, so they report the same per-level
+   visit statistics as [Rtree.query]. *)
 
 module Rect = Prt_geom.Rect
-module View = Prt_storage.View
-module Mmap_pager = Prt_storage.Mmap_pager
-module Buffer_pool = Prt_storage.Buffer_pool
 
-(* The descent stack: page ids still to visit, preallocated per domain
-   and reused across searches, so the descent itself performs no
-   per-node allocation and no recursion.  Children are pushed in entry
-   order and the freshly pushed segment is reversed in place, so pages
-   pop in exactly the order the old recursive descent visited them —
-   visit counts and result order are unchanged. *)
-let stack_key = Domain.DLS.new_key (fun () -> ref (Array.make 256 0))
+let run tree form window ~f =
+  Rtree.descend_iter tree (Rtree.page_source tree None) (Rtree.policy form) None window ~f
 
-(* Generic filtered descent: visit children passing [down], report
-   entries passing [hit].  Pages are scanned in place — through the
-   shared file mapping when the index has a usable mmap backend (no
-   syscall, no lock, no copy), through the zero-copy {!Node} cursors on
-   the buffer pool otherwise — and each packed entry is materialized as
-   a rectangle for the predicate, with an [Entry.t] allocated only for
-   reported hits. *)
-let search tree ~down ~hit ~f =
-  let stats = Rtree.fresh_stats () in
-  let stack = Domain.DLS.get stack_key in
-  let mm =
-    match Rtree.mmap tree with
-    | Some _ as s when Buffer_pool.is_clean (Rtree.pool tree) -> s
-    | _ -> None
-  in
-  let ps = Rtree.page_size tree in
-  let sp = ref 0 in
-  let push id =
-    (if !sp = Array.length !stack then begin
-       let grown = Array.make (2 * Array.length !stack) 0 in
-       Array.blit !stack 0 grown 0 !sp;
-       stack := grown
-     end);
-    !stack.(!sp) <- id;
-    incr sp
-  in
-  (* Reverse the just-pushed children [from, !sp) so they pop in entry
-     order (the recursive preorder). *)
-  let reverse_pushed from =
-    let st = !stack in
-    let i = ref from and j = ref (!sp - 1) in
-    while !i < !j do
-      let tmp = st.(!i) in
-      st.(!i) <- st.(!j);
-      st.(!j) <- tmp;
-      incr i;
-      decr j
-    done
-  in
-  let scan_bytes id =
-    let buf = Rtree.read_page tree id in
-    match Node.page_kind buf with
-    | Node.Leaf ->
-        stats.Rtree.leaf_visited <- stats.Rtree.leaf_visited + 1;
-        Node.iter_entry_rects buf ~f:(fun r eid ->
-            if hit r then begin
-              stats.Rtree.matched <- stats.Rtree.matched + 1;
-              f (Entry.make r eid)
-            end)
-    | Node.Internal ->
-        stats.Rtree.internal_visited <- stats.Rtree.internal_visited + 1;
-        let sp0 = !sp in
-        Node.iter_entry_rects buf ~f:(fun r cid -> if down r then push cid);
-        reverse_pushed sp0
-  in
-  let scan_mapped mmp w id =
-    Mmap_pager.served mmp;
-    let m = Mmap_pager.map w in
-    let base = id * ps in
-    let n = Node.map_length m ~base in
-    match Node.map_kind m ~base with
-    | Node.Leaf ->
-        stats.Rtree.leaf_visited <- stats.Rtree.leaf_visited + 1;
-        for i = 0 to n - 1 do
-          let off = base + Node.header_size + (i * Entry.size) in
-          let r =
-            Rect.make ~xmin:(View.get_f64 m off)
-              ~ymin:(View.get_f64 m (off + 8))
-              ~xmax:(View.get_f64 m (off + 16))
-              ~ymax:(View.get_f64 m (off + 24))
-          in
-          if hit r then begin
-            stats.Rtree.matched <- stats.Rtree.matched + 1;
-            f (Entry.make r (View.get_i32 m (off + 32)))
-          end
-        done
-    | Node.Internal ->
-        stats.Rtree.internal_visited <- stats.Rtree.internal_visited + 1;
-        let sp0 = !sp in
-        for i = 0 to n - 1 do
-          let off = base + Node.header_size + (i * Entry.size) in
-          let r =
-            Rect.make ~xmin:(View.get_f64 m off)
-              ~ymin:(View.get_f64 m (off + 8))
-              ~xmax:(View.get_f64 m (off + 16))
-              ~ymax:(View.get_f64 m (off + 24))
-          in
-          if down r then push (View.get_i32 m (off + 32))
-        done;
-        reverse_pushed sp0
-  in
-  push (Rtree.root tree);
-  (match mm with
-  | None ->
-      while !sp > 0 do
-        decr sp;
-        scan_bytes !stack.(!sp)
-      done
-  | Some mmp ->
-      let w = Mmap_pager.window mmp in
-      let npages = Mmap_pager.pages w in
-      while !sp > 0 do
-        decr sp;
-        let id = !stack.(!sp) in
-        if id >= 0 && id < npages && Mmap_pager.verified mmp w id then
-          scan_mapped mmp w id
-        else begin
-          Mmap_pager.fell_back mmp;
-          scan_bytes id
-        end
-      done);
-  stats
-
-(* Entries whose rectangle contains the point (stabbing query). A
-   node can only hold such entries if its box contains the point. *)
-let stabbing tree ~x ~y ~f =
-  let contains r = Rect.contains_point r x y in
-  search tree ~down:contains ~hit:contains ~f
-
-let stabbing_list tree ~x ~y =
+let to_list run =
   let acc = ref [] in
-  let stats = stabbing tree ~x ~y ~f:(fun e -> acc := e :: !acc) in
+  let stats = run ~f:(fun e -> acc := e :: !acc) in
   (List.rev !acc, stats)
 
-(* Entries fully enclosed by the window. Descend on intersection (an
-   enclosed entry may sit in a node whose box pokes out of the
-   window). *)
-let enclosed tree window ~f =
-  search tree
-    ~down:(fun r -> Rect.intersects r window)
-    ~hit:(fun r -> Rect.contains window r)
-    ~f
+(* Entries whose rectangle contains the point: covering the degenerate
+   window at the point. *)
+let stabbing tree ~x ~y ~f = run tree Rtree.Covering (Rect.point x y) ~f
+let stabbing_list tree ~x ~y = to_list (stabbing tree ~x ~y)
 
-let enclosed_list tree window =
-  let acc = ref [] in
-  let stats = enclosed tree window ~f:(fun e -> acc := e :: !acc) in
-  (List.rev !acc, stats)
+(* Entries fully enclosed by the window.  The descent follows
+   intersection: an enclosed entry may sit in a node whose box pokes
+   out of the window. *)
+let enclosed tree window ~f = run tree Rtree.Enclosed window ~f
+let enclosed_list tree window = to_list (enclosed tree window)
 
-(* Entries whose rectangle fully covers the window. Only nodes whose
+(* Entries whose rectangle fully covers the window.  Only nodes whose
    box covers the window can hold one. *)
-let covering tree window ~f =
-  search tree
-    ~down:(fun r -> Rect.contains r window)
-    ~hit:(fun r -> Rect.contains r window)
-    ~f
+let covering tree window ~f = run tree Rtree.Covering window ~f
+let covering_list tree window = to_list (covering tree window)
 
-let covering_list tree window =
-  let acc = ref [] in
-  let stats = covering tree window ~f:(fun e -> acc := e :: !acc) in
-  (List.rev !acc, stats)
-
-exception Found
-
-(* Does anything intersect the window? Stops at the first hit. *)
+(* Does anything intersect the window?  Stops at the first hit. *)
 let exists tree window =
-  try
-    ignore
-      (search tree
-         ~down:(fun r -> Rect.intersects r window)
-         ~hit:(fun r -> Rect.intersects r window)
-         ~f:(fun _ -> raise Found));
-    false
-  with Found -> true
+  let pol = { (Rtree.policy Rtree.Window) with first_hit = true } in
+  (Rtree.descend_iter tree (Rtree.page_source tree None) pol None window ~f:ignore).Rtree.matched
+  > 0

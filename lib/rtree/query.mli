@@ -1,15 +1,5 @@
-(** Query forms beyond the plain window query, sharing its descent and
-    statistics. *)
-
-val search :
-  Rtree.t ->
-  down:(Prt_geom.Rect.t -> bool) ->
-  hit:(Prt_geom.Rect.t -> bool) ->
-  f:(Entry.t -> unit) ->
-  Rtree.query_stats
-(** Generic filtered descent: follow children whose box passes [down],
-    report entries whose rectangle passes [hit]. The building block of
-    the queries below (exposed for custom predicates). *)
+(** Query forms beyond the plain window query, sharing its descent
+    engine ({!Rtree.descend_iter}) and statistics. *)
 
 val stabbing : Rtree.t -> x:float -> y:float -> f:(Entry.t -> unit) -> Rtree.query_stats
 (** All stored rectangles containing the point. *)
@@ -27,5 +17,5 @@ val covering : Rtree.t -> Prt_geom.Rect.t -> f:(Entry.t -> unit) -> Rtree.query_
 val covering_list : Rtree.t -> Prt_geom.Rect.t -> Entry.t list * Rtree.query_stats
 
 val exists : Rtree.t -> Prt_geom.Rect.t -> bool
-(** Does any stored rectangle intersect the window? Early-exits on the
-    first hit. *)
+(** Does any stored rectangle intersect the window? Stops the descent
+    at the first hit. *)

@@ -1,5 +1,5 @@
 (* The paged R-tree: a handle over pages in a buffer pool, with the
-   standard recursive window query and a structural validator.
+   window-query descent engine and a structural validator.
 
    The tree itself is bulk-loading-agnostic — every loader (packed
    Hilbert, 4-D Hilbert, STR, TGS, PR) produces this same structure, and
@@ -11,19 +11,26 @@ module Rect = Prt_geom.Rect
 module Pager = Prt_storage.Pager
 module Page = Prt_storage.Page
 module Buffer_pool = Prt_storage.Buffer_pool
+module Shard_cache = Prt_storage.Shard_cache
 module Quarantine = Prt_storage.Quarantine
 module View = Prt_storage.View
 module Mmap_pager = Prt_storage.Mmap_pager
 module Deadline = Prt_util.Deadline
+
+(* Where the descent reads its pages from (see the engine below). *)
+type source =
+  | Pool
+  | Shared of bytes Shard_cache.t option
+  | Mapped of Mmap_pager.t
 
 type t = {
   pool : Buffer_pool.t;
   mutable root : int;
   mutable height : int; (* 1 = the root is a leaf *)
   mutable count : int;  (* data entries stored *)
-  mutable mm : Mmap_pager.t option;
-      (* the mmap read backend, when the index file is mapped — query
-         descent then scans node pages directly in the mapping *)
+  mutable mapped : source;
+      (* [Mapped mm] while the mmap read backend is attached, [Pool]
+         otherwise — held here so choosing it allocates nothing *)
 }
 
 type query_stats = {
@@ -106,13 +113,6 @@ let set_count t count = t.count <- count
 
 let read_node t id = Node.decode (Buffer_pool.read t.pool id)
 
-(* The encoded page straight from the buffer pool — the zero-copy query
-   paths scan it in place.  The buffer is the pool's cached copy: safe
-   to hold across further *reads* (eviction never mutates an evicted
-   buffer), but not across writes to the same page, so the cursor-based
-   traversals require a read-only tree for their duration. *)
-let read_page t id = Buffer_pool.read t.pool id
-
 let free_node t id = Buffer_pool.free t.pool id
 
 let write_node t id node =
@@ -127,12 +127,11 @@ let create_empty pool =
   let page_size = Pager.page_size (Buffer_pool.pager pool) in
   let root = Buffer_pool.alloc pool in
   Buffer_pool.write pool root (Node.encode ~page_size (Node.make Node.Leaf [||]));
-  { pool; root; height = 1; count = 0; mm = None }
+  { pool; root; height = 1; count = 0; mapped = Pool }
 
-let of_root ~pool ~root ~height ~count = { pool; root; height; count; mm = None }
+let of_root ~pool ~root ~height ~count = { pool; root; height; count; mapped = Pool }
 
-let set_mmap t mm = t.mm <- mm
-let mmap t = t.mm
+let set_mmap t mm = t.mapped <- (match mm with Some mm -> Mapped mm | None -> Pool)
 
 (* Query metrics.  The registry stripes per domain, so these are ticked
    from whichever domain ran the descent — the single-domain path here
@@ -159,190 +158,149 @@ let record_query_stats ?latency_us stats =
   if stats.timed_out then Prt_obs.Metrics.tick m_timed_out;
   if stats.skipped_subtrees > 0 || stats.timed_out then Prt_obs.Metrics.tick m_degraded
 
-exception Deadline_exceeded
-(* Local unwind for deadline expiry: the partial accumulator built so
-   far is kept (results land through [f] as they match). *)
-
 (* A pinned generation's tree, as produced by [Index_file.snapshot_view]:
    which committed generation to read pages at, and the root/height of
    that generation's tree (the live [t.root]/[t.height] may already
    belong to a newer commit). *)
 type snapshot_view = { sv_gen : int; sv_root : int; sv_height : int }
 
-(* Snapshot descent: committed page images of generation [sv_gen] via
-   [Pager.read_shared ~gen], bypassing the single-domain buffer pool —
-   safe on reader domains while a writer mutates the live tree through
-   the pool.  Leaf vs internal is decided by depth against the
-   snapshot's height (the page's kind byte would describe the *live*
-   page, which may have been reallocated into another role).  Metrics
-   for this path are recorded by the [query] wrapper — the striped
-   registry is domain-safe, so reader domains tick their own stripes. *)
-let query_snapshot ?quarantine ?deadline sv t window ~f =
-  let pgr = pager t in
-  let stats = fresh_stats () in
-  let dl = Option.value deadline ~default:Deadline.none in
-  let skip_subtree id =
-    stats.skipped_subtrees <- stats.skipped_subtrees + 1;
-    if not (List.mem id stats.skipped_pages) then
-      stats.skipped_pages <- id :: stats.skipped_pages
-  in
-  let poison id reason =
-    (match quarantine with Some q -> Quarantine.add q id reason | None -> ());
-    skip_subtree id
-  in
-  let rec visit id depth =
-    if Deadline.expired dl then begin
-      stats.timed_out <- true;
-      Prt_obs.Flight.point "resilience.deadline_expired" ~arg:id;
-      raise_notrace Deadline_exceeded
-    end;
-    if (match quarantine with Some q -> Quarantine.mem q id | None -> false) then
-      skip_subtree id
-    else
-      match Pager.read_shared ~gen:sv.sv_gen pgr id with
-      | exception Pager.Corrupt_page _ when quarantine <> None -> poison id Quarantine.Corrupt
-      | exception Pager.Io_error _ when quarantine <> None -> poison id Quarantine.Io_failed
-      | buf ->
-          if depth = sv.sv_height then begin
-            stats.leaf_visited <- stats.leaf_visited + 1;
-            stats.matched <- stats.matched + Node.iter_rects buf window ~f
-          end
-          else begin
-            stats.internal_visited <- stats.internal_visited + 1;
-            Node.iter_children buf window ~f:(fun cid -> visit cid (depth + 1))
-          end
-  in
-  (try visit sv.sv_root 1 with Deadline_exceeded -> ());
-  stats
+let snapshot_gen = function Some sv -> sv.sv_gen | None -> 0
 
-(* Window query: recursively visit every node whose bounding box (as
-   recorded in its parent) intersects the query.  The root is always
-   visited.  The descent is zero-copy: each page is scanned in place
-   through the {!Node} cursors, so only matching entries are
-   materialized and no per-visit entry array is built.
+(* --- the descent engine ---
 
-   Without [quarantine]/[deadline] the historical fail-stop contract
-   holds: a [Corrupt_page] propagates (no silent wrong answers).  With a
-   [quarantine], damage degrades instead: the failing subtree is skipped
-   and recorded, its page id quarantined so later queries do not
-   re-touch the device, and the result is tagged via {!completeness}.
-   The per-subtree catch is scoped to the page read alone — a failure
-   deeper in the recursion is handled at its own level, never absorbed
-   by an ancestor. *)
-let pread_unrecorded ?quarantine ?deadline ?snapshot t window ~f =
-  match snapshot with
-  | Some sv -> query_snapshot ?quarantine ?deadline sv t window ~f
-  | None ->
-  let stats = fresh_stats () in
-  match (quarantine, deadline) with
-  | None, None ->
-      let rec visit id =
-        let buf = read_page t id in
-        match Node.page_kind buf with
-        | Node.Leaf ->
-            stats.leaf_visited <- stats.leaf_visited + 1;
-            stats.matched <- stats.matched + Node.iter_rects buf window ~f
-        | Node.Internal ->
-            stats.internal_visited <- stats.internal_visited + 1;
-            Node.iter_children buf window ~f:visit
-      in
-      visit t.root;
-      stats
-  | _ ->
-      let dl = Option.value deadline ~default:Deadline.none in
-      let skip_subtree id =
-        stats.skipped_subtrees <- stats.skipped_subtrees + 1;
-        if not (List.mem id stats.skipped_pages) then
-          stats.skipped_pages <- id :: stats.skipped_pages
-      in
-      let poison id reason =
-        (match quarantine with Some q -> Quarantine.add q id reason | None -> ());
-        skip_subtree id
-      in
-      let rec visit id =
-        if Deadline.expired dl then begin
-          stats.timed_out <- true;
-          Prt_obs.Flight.point "resilience.deadline_expired" ~arg:id;
-          raise_notrace Deadline_exceeded
-        end;
-        if (match quarantine with Some q -> Quarantine.mem q id | None -> false) then
-          skip_subtree id
-        else
-          match read_page t id with
-          | exception Pager.Corrupt_page _ -> poison id Quarantine.Corrupt
-          | exception Pager.Io_error _ -> poison id Quarantine.Io_failed
-          | buf -> (
-              match Node.page_kind buf with
-              | Node.Leaf ->
-                  stats.leaf_visited <- stats.leaf_visited + 1;
-                  stats.matched <- stats.matched + Node.iter_rects buf window ~f
-              | Node.Internal ->
-                  stats.internal_visited <- stats.internal_visited + 1;
-                  Node.iter_children buf window ~f:visit)
-      in
-      (try visit t.root with Deadline_exceeded -> ());
-      stats
+   Every 2-D paged query runs this one explicit-stack preorder descent:
+   the window forms, {!Query}'s forms, {!Qexec}'s workers and
+   [query_profile].  It takes a page source and a policy.
 
-(* --- the mmap read path ---
+   The source is where pages come from:
+   - [Pool]: the live tree through [Buffer_pool.read];
+   - [Shared cache]: a pinned generation through [Pager.read_shared
+     ~gen], bypassing the single-domain pool — internal pages through
+     the shard cache of page images when one is given;
+   - [Mapped mm]: the shared file mapping, scanned in place.
 
-   Two engines over the shared file mapping (see {!Mmap_pager}):
+   The policy is the query form, an optional quarantine and deadline, a
+   per-level visit counter (profiles) and a stop at the first hit
+   ([Query.exists]).
 
-   [mapped_fast] — the live read path (gen 0, no quarantine, no
-   deadline, clean buffer pool).  Strictly allocation-free until a hit
-   materializes: an explicit preallocated int stack replaces the
-   recursion, cursors are flat offsets into the mapping, rect floats
-   load unboxed straight from the mapped bytes, and hits append into a
-   caller-supplied growable buffer.  The descent visits nodes in
-   exactly the recursive preorder (children are pushed in reverse
-   entry order), so visit counts and result order are byte-identical
-   to the pread path.  A page that fails its CRC gate aborts to the
-   pread engine — at generation zero on a clean pool that means
-   genuine damage, and pread owns the fail-stop/quarantine contract.
+   The stack lives in the hits buffer and holds (page id, depth) pairs;
+   it grows only when a node pushes past its end.  Children are pushed
+   in reverse entry order, so pages pop in exactly the recursive
+   preorder: visit counts and result order do not depend on the source.
+   Under a snapshot, leaf vs internal is decided by depth against the
+   pinned height (the kind byte describes the *live* page, which may
+   have been reallocated into another role); on the live tree by the
+   kind byte.
 
-   [mapped_guarded] — everything else on the mapping: snapshot reads
-   at a pinned generation, quarantine routing, deadlines.  Allocation
-   is permitted here; what matters is MVCC soundness under concurrent
-   overwrite.  Protocol, per node: probe the version store first (a
-   hit means the page was overwritten after our generation — serve the
-   retained image through [Pager.read_shared ~gen] exactly as the
-   pread path does); on a miss, scan the mapped page with its effects
-   buffered, then re-probe.  Because {!Pager} retains the pre-image
-   *before* the physical overwrite lands, a second miss proves the
-   mapped bytes we scanned were the committed image for our
+   Per node: one deadline check, then the quarantine skip, then the
+   page.  A read raising [Corrupt_page]/[Io_error] quarantines the page
+   and skips its subtree when a quarantine is given, and propagates
+   otherwise (fail-stop: no silent wrong answers).  The catch is scoped
+   to the page read alone, so a poisoned page fails only its own
+   subtree.
+
+   On the mapping, a page is scanned in place only if it lies in the
+   mapped window, passes its CRC gate ([Mmap_pager.verified]) and — at
+   a pinned generation — the version store holds no newer image of it;
+   the store is probed again after the scan.  Because {!Pager} retains
+   a pre-image *before* the physical overwrite lands, a second miss
+   proves the scanned bytes were the committed image for the pinned
    generation; a hit means the scan may have raced the overwrite, so
-   the buffered effects are rolled back and the node is redone from
-   the retained image.  A mapped page failing its CRC gate mid-flight
-   (a torn frame under an in-progress overwrite, or damage) serves
-   that one node through pread, which re-runs the same live-then-probe
-   protocol under the pager lock. *)
+   the node's hits or pushes are rolled back (hit count and stack
+   pointer reset) and the node is redone from the retained image.  The
+   scans only copy coordinates out — entries are built after the
+   descent — so torn bytes cannot fail a scan before the re-probe.
+   Every node the mapping does not serve goes through [read_shared
+   ~gen] and counts one [Mmap_pager.fell_back]. *)
 
+type form = Window | Enclosed | Covering
+
+type policy = {
+  form : form;
+  quarantine : Quarantine.t option;
+  deadline : Deadline.t;
+  levels : int array option;
+  first_hit : bool;
+}
+
+let policy form =
+  { form; quarantine = None; deadline = Deadline.none; levels = None; first_hit = false }
+
+let plain_window = policy Window
+
+(* Built once, so a query without quarantine or deadline allocates no
+   policy. *)
+let window_policy quarantine deadline =
+  match (quarantine, deadline) with
+  | None, None -> plain_window
+  | _ -> { plain_window with quarantine; deadline = Option.value deadline ~default:Deadline.none }
+
+(* The mapping when it is attached and either a generation is pinned or
+   the pool is clean (a staged write would make the on-disk image
+   stale); else a pinned generation through [read_shared]; else the
+   live tree through the pool. *)
+let page_source t snapshot =
+  match t.mapped with
+  | Mapped _ as s when snapshot_gen snapshot > 0 || Buffer_pool.is_clean t.pool -> s
+  | _ -> if Option.is_none snapshot then Pool else Shared None
+
+(* Hits are stored unboxed — four coordinates in a float array, the id
+   in an int array — so recording one neither allocates nor runs the
+   write barrier (storing a fresh [Entry.t] into a long-lived array
+   costs both); [hits_get] builds the entry, with the same [Rect.make]
+   as [Entry.read]. *)
 type hits = {
-  mutable h_entries : Entry.t array;
+  mutable h_rects : Float.Array.t; (* xmin, ymin, xmax, ymax per hit *)
+  mutable h_ids : int array;
   mutable h_len : int;
-  mutable h_stack : int array; (* descent scratch: pending page ids *)
+  mutable h_stack : int array; (* pending (page id, depth) pairs *)
+  h_bounds : Float.Array.t; (* the query form as per-axis bounds, see [set_bounds] *)
   h_stats : query_stats; (* reused across queries; valid until the next one *)
 }
 
 let hits_make () =
-  { h_entries = [||]; h_len = 0; h_stack = Array.make 256 0; h_stats = fresh_stats () }
+  {
+    h_rects = Float.Array.create 0;
+    h_ids = [||];
+    h_len = 0;
+    h_stack = Array.make 256 0;
+    h_bounds = Float.Array.make 16 0.0;
+    h_stats = fresh_stats ();
+  }
 
 let hits_length h = h.h_len
 let hits_stats h = h.h_stats
 
 let hits_get h i =
   if i < 0 || i >= h.h_len then invalid_arg "Rtree.hits_get";
-  Array.unsafe_get h.h_entries i
+  let r = h.h_rects and k = 4 * i in
+  Entry.make
+    (Rect.make ~xmin:(Float.Array.unsafe_get r k)
+       ~ymin:(Float.Array.unsafe_get r (k + 1))
+       ~xmax:(Float.Array.unsafe_get r (k + 2))
+       ~ymax:(Float.Array.unsafe_get r (k + 3)))
+    (Array.unsafe_get h.h_ids i)
 
 let hits_clear h = h.h_len <- 0
 
-let hits_push h e =
-  (if h.h_len = Array.length h.h_entries then begin
-     let grown = Array.make (max 16 (2 * h.h_len)) e in
-     Array.blit h.h_entries 0 grown 0 h.h_len;
-     h.h_entries <- grown
-   end);
-  Array.unsafe_set h.h_entries h.h_len e;
-  h.h_len <- h.h_len + 1
+let grow_hits h =
+  let cap = max 16 (2 * h.h_len) in
+  let rects = Float.Array.create (4 * cap) and ids = Array.make cap 0 in
+  Float.Array.blit h.h_rects 0 rects 0 (4 * h.h_len);
+  Array.blit h.h_ids 0 ids 0 h.h_len;
+  h.h_rects <- rects;
+  h.h_ids <- ids
+
+let[@inline] hit h xmin ymin xmax ymax id =
+  if h.h_len = Array.length h.h_ids then grow_hits h;
+  let k = 4 * h.h_len in
+  Float.Array.unsafe_set h.h_rects k xmin;
+  Float.Array.unsafe_set h.h_rects (k + 1) ymin;
+  Float.Array.unsafe_set h.h_rects (k + 2) xmax;
+  Float.Array.unsafe_set h.h_rects (k + 3) ymax;
+  Array.unsafe_set h.h_ids h.h_len id;
+  h.h_len <- h.h_len + 1;
+  h.h_stats.matched <- h.h_stats.matched + 1
 
 let reset_stats s =
   s.internal_visited <- 0;
@@ -351,14 +309,6 @@ let reset_stats s =
   s.skipped_subtrees <- 0;
   s.skipped_pages <- [];
   s.timed_out <- false
-
-let blit_stats ~src ~dst =
-  dst.internal_visited <- src.internal_visited;
-  dst.leaf_visited <- src.leaf_visited;
-  dst.matched <- src.matched;
-  dst.skipped_subtrees <- src.skipped_subtrees;
-  dst.skipped_pages <- src.skipped_pages;
-  dst.timed_out <- src.timed_out
 
 let copy_stats s =
   {
@@ -370,275 +320,301 @@ let copy_stats s =
     timed_out = s.timed_out;
   }
 
-exception Mapped_fallback
+let skip_subtree s id =
+  s.skipped_subtrees <- s.skipped_subtrees + 1;
+  if not (List.mem id s.skipped_pages) then s.skipped_pages <- id :: s.skipped_pages
 
-(* The hot loops are top-level recursive functions, not local closures:
-   a local [let rec] capturing its environment would allocate the
-   closure on every query.  The window bounds are read by direct field
-   access on the all-float record ([window.Rect.xmax]), not through the
-   [Rect.xmax] accessors: without flambda a cross-module accessor call
-   boxes its float return, which would cost two minor words per rect
-   test; the field load feeds the comparison unboxed. *)
+let poison pol s id reason =
+  (match pol.quarantine with Some q -> Quarantine.add q id reason | None -> ());
+  skip_subtree s id
 
-let rec fast_scan_leaf h m base window i n =
-  if i < n then begin
-    let off = base + Node.header_size + (i * Entry.size) in
-    if
-      View.get_f64 m off <= window.Rect.xmax
-      && window.Rect.xmin <= View.get_f64 m (off + 16)
-      && View.get_f64 m (off + 8) <= window.Rect.ymax
-      && window.Rect.ymin <= View.get_f64 m (off + 24)
-    then begin
-      h.h_stats.matched <- h.h_stats.matched + 1;
-      hits_push h (Node.map_read_entry m off)
-    end;
-    fast_scan_leaf h m base window (i + 1) n
+(* Room for [n] more (page id, depth) pairs above [sp]. *)
+let reserve h sp n =
+  if sp + (2 * n) > Array.length h.h_stack then begin
+    let grown = Array.make (max (2 * Array.length h.h_stack) (sp + (2 * n))) 0 in
+    Array.blit h.h_stack 0 grown 0 sp;
+    h.h_stack <- grown
   end
 
-let rec fast_push_children h m base window i sp =
-  if i < 0 then sp
-  else
-    let off = base + Node.header_size + (i * Entry.size) in
-    if
-      View.get_f64 m off <= window.Rect.xmax
-      && window.Rect.xmin <= View.get_f64 m (off + 16)
-      && View.get_f64 m (off + 8) <= window.Rect.ymax
-      && window.Rect.ymin <= View.get_f64 m (off + 24)
-    then begin
-      Array.unsafe_set h.h_stack sp (View.get_i32 m (off + 32));
-      fast_push_children h m base window (i - 1) (sp + 1)
-    end
-    else fast_push_children h m base window (i - 1) sp
+let count_visit pol s ~leaf depth =
+  if leaf then s.leaf_visited <- s.leaf_visited + 1
+  else s.internal_visited <- s.internal_visited + 1;
+  match pol.levels with Some a -> a.(depth - 1) <- a.(depth - 1) + 1 | None -> ()
 
-let rec fast_loop mm w m h npages ps window sp =
-  if sp > 0 then begin
-    let sp = sp - 1 in
-    let id = Array.unsafe_get h.h_stack sp in
-    if id < 0 || id >= npages || not (Mmap_pager.verified mm w id) then begin
-      Mmap_pager.fell_back mm;
-      raise_notrace Mapped_fallback
-    end;
+(* The query form, compiled once per descent into per-axis bounds: an
+   entry's [lo, hi] on an axis passes when
+   [lo <= b.(k) && b.(k+1) <= hi && b.(k+2) <= lo && hi <= b.(k+3)],
+   so the kernels test every form the same way, with no dispatch per
+   entry.  Infinities switch a comparison off, and a NaN coordinate
+   fails every comparison, as it does in [Rect]'s tests, so each form
+   matches its [Rect] counterpart bit for bit: [Window] is
+   [Rect.intersects], [Enclosed] reports [Rect.contains window r],
+   [Covering] is [Rect.contains r window] (stabbing is covering a
+   point, since [Rect.contains_point r x y] equals
+   [Rect.contains r (Rect.point x y)]).  The report test sits at 0 (x)
+   and 4 (y), the child test at 8 and 12.  The window bounds are read
+   by direct field access on the all-float record ([w.Rect.xmax]), not
+   through the [Rect.xmax] accessors: without flambda a cross-module
+   accessor call boxes its float return. *)
+let[@inline] set_axis b k lo_max hi_min lo_min hi_max =
+  Float.Array.unsafe_set b k lo_max;
+  Float.Array.unsafe_set b (k + 1) hi_min;
+  Float.Array.unsafe_set b (k + 2) lo_min;
+  Float.Array.unsafe_set b (k + 3) hi_max
+
+let set_bounds b form w =
+  (match form with
+  | Window | Enclosed ->
+      set_axis b 8 w.Rect.xmax w.Rect.xmin neg_infinity infinity;
+      set_axis b 12 w.Rect.ymax w.Rect.ymin neg_infinity infinity
+  | Covering ->
+      set_axis b 8 w.Rect.xmin w.Rect.xmax neg_infinity infinity;
+      set_axis b 12 w.Rect.ymin w.Rect.ymax neg_infinity infinity);
+  match form with
+  | Window | Covering -> Float.Array.blit b 8 b 0 8
+  | Enclosed ->
+      set_axis b 0 infinity neg_infinity w.Rect.xmin w.Rect.xmax;
+      set_axis b 4 infinity neg_infinity w.Rect.ymin w.Rect.ymax
+
+let[@inline] get_f64 buf off = Int64.float_of_bits (Bytes.get_int64_le buf off)
+
+(* Does the entry at [off] pass the bounds at [k]?  A coordinate is
+   loaded only when the test reaches it (a load from the mapping is a C
+   call). *)
+let[@inline] image_passes b k buf off =
+  let xlo = get_f64 buf off in
+  xlo <= Float.Array.unsafe_get b k
+  &&
+  let xhi = get_f64 buf (off + 16) in
+  Float.Array.unsafe_get b (k + 1) <= xhi
+  && Float.Array.unsafe_get b (k + 2) <= xlo
+  && xhi <= Float.Array.unsafe_get b (k + 3)
+  &&
+  let ylo = get_f64 buf (off + 8) in
+  ylo <= Float.Array.unsafe_get b (k + 4)
+  &&
+  let yhi = get_f64 buf (off + 24) in
+  Float.Array.unsafe_get b (k + 5) <= yhi
+  && Float.Array.unsafe_get b (k + 6) <= ylo
+  && yhi <= Float.Array.unsafe_get b (k + 7)
+
+let[@inline] mapped_passes b k m off =
+  let xlo = View.get_f64 m off in
+  xlo <= Float.Array.unsafe_get b k
+  &&
+  let xhi = View.get_f64 m (off + 16) in
+  Float.Array.unsafe_get b (k + 1) <= xhi
+  && Float.Array.unsafe_get b (k + 2) <= xlo
+  && xhi <= Float.Array.unsafe_get b (k + 3)
+  &&
+  let ylo = View.get_f64 m (off + 8) in
+  ylo <= Float.Array.unsafe_get b (k + 4)
+  &&
+  let yhi = View.get_f64 m (off + 24) in
+  Float.Array.unsafe_get b (k + 5) <= yhi
+  && Float.Array.unsafe_get b (k + 6) <= ylo
+  && yhi <= Float.Array.unsafe_get b (k + 7)
+
+(* The four kernels: leaf scan and child push, over a page image and
+   over the mapping.  They are top-level recursive functions, not local
+   closures — a local [let rec] capturing its environment would
+   allocate a closure on every node.  [off] walks the packed entries; a
+   leaf scan records hits in [h], a child push lands (page id, depth)
+   pairs on the stack from the last entry down to [first], so the first
+   entry pops first.  The caller reserves the stack room. *)
+
+let rec scan_image h buf off stop =
+  if off < stop then begin
+    if image_passes h.h_bounds 0 buf off then
+      hit h (get_f64 buf off)
+        (get_f64 buf (off + 8))
+        (get_f64 buf (off + 16))
+        (get_f64 buf (off + 24))
+        (Page.get_i32 buf (off + 32));
+    scan_image h buf (off + Entry.size) stop
+  end
+
+let rec push_image h buf off first depth sp =
+  if off < first then sp
+  else if image_passes h.h_bounds 8 buf off then begin
+    Array.unsafe_set h.h_stack sp (Page.get_i32 buf (off + 32));
+    Array.unsafe_set h.h_stack (sp + 1) depth;
+    push_image h buf (off - Entry.size) first depth (sp + 2)
+  end
+  else push_image h buf (off - Entry.size) first depth sp
+
+let rec scan_mapped h m off stop =
+  if off < stop then begin
+    if mapped_passes h.h_bounds 0 m off then
+      hit h (View.get_f64 m off)
+        (View.get_f64 m (off + 8))
+        (View.get_f64 m (off + 16))
+        (View.get_f64 m (off + 24))
+        (View.get_i32 m (off + 32));
+    scan_mapped h m (off + Entry.size) stop
+  end
+
+let rec push_mapped h m off first depth sp =
+  if off < first then sp
+  else if mapped_passes h.h_bounds 8 m off then begin
+    Array.unsafe_set h.h_stack sp (View.get_i32 m (off + 32));
+    Array.unsafe_set h.h_stack (sp + 1) depth;
+    push_mapped h m (off - Entry.size) first depth (sp + 2)
+  end
+  else push_mapped h m (off - Entry.size) first depth sp
+
+(* One node from its page image; returns the new stack pointer. *)
+let visit_image pol h buf ~leaf_depth depth sp =
+  let leaf = if leaf_depth > 0 then depth = leaf_depth else Node.page_kind buf = Node.Leaf in
+  let first = Node.header_size and n = Node.page_length buf in
+  count_visit pol h.h_stats ~leaf depth;
+  if leaf then begin
+    scan_image h buf first (first + (n * Entry.size));
+    sp
+  end
+  else begin
+    reserve h sp n;
+    push_image h buf (first + ((n - 1) * Entry.size)) first (depth + 1) sp
+  end
+
+let read_image t src ~gen ~leaf_depth id depth =
+  match src with
+  | Pool -> Buffer_pool.read t.pool id
+  | Shared (Some cache) when depth < leaf_depth ->
+      Shard_cache.find_or_add cache ~gen id (fun () -> Pager.read_shared ~gen (pager t) id)
+  | Shared _ | Mapped _ -> Pager.read_shared ~gen (pager t) id
+
+let fetch_and_visit t src pol h ~gen ~leaf_depth id depth sp =
+  match read_image t src ~gen ~leaf_depth id depth with
+  | buf -> visit_image pol h buf ~leaf_depth depth sp
+  | exception Pager.Corrupt_page _ when Option.is_some pol.quarantine ->
+      poison pol h.h_stats id Quarantine.Corrupt;
+      sp
+  | exception Pager.Io_error _ when Option.is_some pol.quarantine ->
+      poison pol h.h_stats id Quarantine.Io_failed;
+      sp
+
+(* Was page [id] overwritten after the pinned generation [gen]? *)
+let overwritten t ~gen id = gen > 0 && Option.is_some (Pager.version_probe (pager t) id ~gen)
+
+let visit_mapped t mm pol h ~gen ~leaf_depth id depth sp =
+  let mw = Mmap_pager.window mm in
+  if
+    id < 0
+    || id >= Mmap_pager.pages mw
+    || overwritten t ~gen id
+    || not (Mmap_pager.verified mm mw id)
+  then begin
+    Mmap_pager.fell_back mm;
+    fetch_and_visit t (Shared None) pol h ~gen ~leaf_depth id depth sp
+  end
+  else begin
     Mmap_pager.served mm;
-    let base = id * ps in
-    let n = Node.map_length m ~base in
-    match View.get_u8 m base with
-    | 0 ->
-        h.h_stats.leaf_visited <- h.h_stats.leaf_visited + 1;
-        fast_scan_leaf h m base window 0 n;
-        fast_loop mm w m h npages ps window sp
-    | 1 ->
-        h.h_stats.internal_visited <- h.h_stats.internal_visited + 1;
-        (if sp + n > Array.length h.h_stack then begin
-           let grown = Array.make (max (2 * Array.length h.h_stack) (sp + n)) 0 in
-           Array.blit h.h_stack 0 grown 0 sp;
-           h.h_stack <- grown
-         end);
-        let sp = fast_push_children h m base window (n - 1) sp in
-        fast_loop mm w m h npages ps window sp
-    | k -> invalid_arg (Printf.sprintf "Rtree: bad node kind %d in mapped page %d" k id)
-  end
-
-let mapped_fast t mm window h =
-  let w = Mmap_pager.window mm in
-  let m = Mmap_pager.map w in
-  let npages = Mmap_pager.pages w in
-  let ps = page_size t in
-  Array.unsafe_set h.h_stack 0 t.root;
-  fast_loop mm w m h npages ps window 1
-
-let mapped_guarded ?quarantine ?deadline ~gen ~root ~sheight t mm window (h : hits) =
-  let pgr = pager t in
-  let stats = h.h_stats in
-  let dl = Option.value deadline ~default:Deadline.none in
-  let w = Mmap_pager.window mm in
-  let m = Mmap_pager.map w in
-  let npages = Mmap_pager.pages w in
-  let ps = page_size t in
-  let skip_subtree id =
-    stats.skipped_subtrees <- stats.skipped_subtrees + 1;
-    if not (List.mem id stats.skipped_pages) then
-      stats.skipped_pages <- id :: stats.skipped_pages
-  in
-  let poison id reason =
-    (match quarantine with Some q -> Quarantine.add q id reason | None -> ());
-    skip_subtree id
-  in
-  let push_hit e = hits_push h e in
-  (* Leaf vs internal: by depth against the snapshot height when one is
-     pinned (the live kind byte may describe a reallocated page), by
-     the page's own kind byte on the live path. *)
-  let leaf_mapped base depth =
-    match sheight with
-    | Some sh -> depth = sh
-    | None -> Node.map_kind m ~base = Node.Leaf
-  in
-  let leaf_bytes buf depth =
-    match sheight with
-    | Some sh -> depth = sh
-    | None -> Node.page_kind buf = Node.Leaf
-  in
-  let rec visit id depth =
-    if Deadline.expired dl then begin
-      stats.timed_out <- true;
-      Prt_obs.Flight.point "resilience.deadline_expired" ~arg:id;
-      raise_notrace Deadline_exceeded
-    end;
-    if (match quarantine with Some q -> Quarantine.mem q id | None -> false) then
-      skip_subtree id
-    else if id < 0 || id >= npages then
-      (* Beyond the mapped window (the file grew since the last remap):
-         serve through pread. *)
-      visit_pread id depth
-    else if gen > 0 && Pager.version_probe pgr id ~gen <> None then
-      (* Overwritten after our generation: read_shared serves the
-         retained image. *)
-      visit_pread id depth
-    else if not (Mmap_pager.verified mm w id) then begin
-      (* Torn under an in-progress overwrite, or genuine damage: the
-         pread protocol (live read under the pager lock, trailer
-         verification, version-store check) sorts it out. *)
-      Mmap_pager.fell_back mm;
-      visit_pread id depth
-    end
-    else begin
-      Mmap_pager.served mm;
-      let base = id * ps in
-      if leaf_mapped base depth then begin
-        let h0 = h.h_len and m0 = stats.matched in
-        let found = Node.map_iter_rects m ~base window ~f:push_hit in
-        if gen > 0 && Pager.version_probe pgr id ~gen <> None then begin
-          (* The overwrite landed mid-scan; the mapped bytes may have
-             been torn under us.  Discard the buffered hits and redo
-             this node from the retained image. *)
-          h.h_len <- h0;
-          stats.matched <- m0;
-          Mmap_pager.fell_back mm;
-          visit_pread id depth
-        end
-        else begin
-          stats.leaf_visited <- stats.leaf_visited + 1;
-          stats.matched <- m0 + found
-        end
+    let m = Mmap_pager.map mw in
+    let page_size = Mmap_pager.page_size mm in
+    let base = id * page_size in
+    let leaf = if leaf_depth > 0 then depth = leaf_depth else Node.map_kind m ~base = Node.Leaf in
+    (* A torn count must not walk the scan off the page. *)
+    let n = min (Node.map_length m ~base) (Node.capacity ~page_size) in
+    let first = base + Node.header_size in
+    let hits0 = h.h_len and matched0 = h.h_stats.matched in
+    let sp' =
+      if leaf then begin
+        scan_mapped h m first (first + (n * Entry.size));
+        sp
       end
       else begin
-        (* Buffer the matching children, then re-probe before recursing
-           into any of them. *)
-        let acc = ref [] in
-        Node.map_iter_children m ~base window ~f:(fun cid -> acc := cid :: !acc);
-        if gen > 0 && Pager.version_probe pgr id ~gen <> None then begin
-          Mmap_pager.fell_back mm;
-          visit_pread id depth
-        end
-        else begin
-          stats.internal_visited <- stats.internal_visited + 1;
-          List.iter (fun cid -> visit cid (depth + 1)) (List.rev !acc)
-        end
+        reserve h sp n;
+        push_mapped h m (first + ((n - 1) * Entry.size)) first (depth + 1) sp
       end
+    in
+    if overwritten t ~gen id then begin
+      h.h_len <- hits0;
+      h.h_stats.matched <- matched0;
+      Mmap_pager.fell_back mm;
+      fetch_and_visit t (Shared None) pol h ~gen ~leaf_depth id depth sp
     end
-  and visit_pread id depth =
-    match Pager.read_shared ~gen pgr id with
-    | exception Pager.Corrupt_page _ when quarantine <> None -> poison id Quarantine.Corrupt
-    | exception Pager.Io_error _ when quarantine <> None -> poison id Quarantine.Io_failed
-    | buf ->
-        if leaf_bytes buf depth then begin
-          stats.leaf_visited <- stats.leaf_visited + 1;
-          stats.matched <- stats.matched + Node.iter_rects buf window ~f:push_hit
-        end
-        else begin
-          stats.internal_visited <- stats.internal_visited + 1;
-          Node.iter_children buf window ~f:(fun cid -> visit cid (depth + 1))
-        end
-  in
-  try visit root 1 with Deadline_exceeded -> ()
+    else begin
+      count_visit pol h.h_stats ~leaf depth;
+      sp'
+    end
+  end
 
-(* Is the mapped path usable for a read at [gen]?  Live reads (gen 0)
-   additionally require a clean pool — a staged write would make the
-   on-disk image stale — while snapshot reads at a committed generation
-   are covered by the version store whatever the pool holds.  Returns
-   [t.mm] itself, so the check allocates nothing. *)
-let mapped_usable t ~gen =
-  match t.mm with
-  | None -> None
-  | Some _ as s -> if gen > 0 || Buffer_pool.is_clean t.pool then s else None
+(* The per-node gate every source shares: one deadline check, then the
+   quarantine skip.  [false]: do not read the page. *)
+let admit pol s id =
+  if Deadline.expired pol.deadline then begin
+    s.timed_out <- true;
+    Prt_obs.Flight.point "resilience.deadline_expired" ~arg:id;
+    false
+  end
+  else
+    match pol.quarantine with
+    | Some q when Quarantine.mem q id ->
+        skip_subtree s id;
+        false
+    | _ -> true
 
-let snapshot_gen = function Some sv -> sv.sv_gen | None -> 0
+let rec loop t src pol h ~gen ~leaf_depth sp =
+  if sp > 0 && (not h.h_stats.timed_out) && not (pol.first_hit && h.h_len > 0) then begin
+    let sp = sp - 2 in
+    let id = Array.unsafe_get h.h_stack sp and depth = Array.unsafe_get h.h_stack (sp + 1) in
+    let sp =
+      if not (admit pol h.h_stats id) then sp
+      else
+        match src with
+        | Mapped mm -> visit_mapped t mm pol h ~gen ~leaf_depth id depth sp
+        | Pool | Shared _ -> fetch_and_visit t src pol h ~gen ~leaf_depth id depth sp
+    in
+    loop t src pol h ~gen ~leaf_depth sp
+  end
 
-(* The pread engines behind the buffer API — only reached on fallback,
-   so the closure they allocate is off the hot path. *)
-let query_into_pread ?quarantine ?deadline ?snapshot t window h =
+let descend t src pol snapshot window h =
   hits_clear h;
   reset_stats h.h_stats;
-  let stats =
-    pread_unrecorded ?quarantine ?deadline ?snapshot t window ~f:(fun e -> hits_push h e)
-  in
-  blit_stats ~src:stats ~dst:h.h_stats
+  set_bounds h.h_bounds pol.form window;
+  h.h_stack.(0) <- (match snapshot with Some sv -> sv.sv_root | None -> t.root);
+  h.h_stack.(1) <- 1;
+  let leaf_depth = match snapshot with Some sv -> sv.sv_height | None -> 0 in
+  loop t src pol h ~gen:(snapshot_gen snapshot) ~leaf_depth 2
+
+(* The callback form: descend into a scratch buffer of this domain, and
+   only then call [f] on the results.  Each nesting level has its own
+   buffer, so a query [f] issues on this domain descends into the next
+   one and leaves the results being replayed alone. *)
+type scratch = { mutable bufs : hits array; mutable depth : int }
+
+let scratch_key = Domain.DLS.new_key (fun () -> { bufs = [||]; depth = 0 })
+
+let descend_iter t src pol snapshot window ~f =
+  let s = Domain.DLS.get scratch_key in
+  let d = s.depth in
+  if d = Array.length s.bufs then s.bufs <- Array.append s.bufs [| hits_make () |];
+  let h = s.bufs.(d) in
+  descend t src pol snapshot window h;
+  s.depth <- d + 1;
+  Fun.protect
+    ~finally:(fun () -> s.depth <- d)
+    (fun () ->
+      for i = 0 to h.h_len - 1 do
+        f (hits_get h i)
+      done);
+  copy_stats h.h_stats
 
 (* Caller-supplied-buffer window query: results append into [into]
    and the descent statistics land in [hits_stats into] (both valid
    until the next query with the same buffer).  On the mmap backend's
    live path this is the allocation-free entry point: after warm-up (a
-   first query sizes the internal stack), a miss-only query allocates
-   zero minor words. *)
-let query_into ?quarantine ?deadline ?snapshot t window ~into:h =
-  hits_clear h;
-  reset_stats h.h_stats;
-  let gen = snapshot_gen snapshot in
-  (match mapped_usable t ~gen with
-  | None -> query_into_pread ?quarantine ?deadline ?snapshot t window h
-  | Some mm -> (
-      match (snapshot, quarantine, deadline) with
-      | None, None, None -> (
-          try mapped_fast t mm window h
-          with Mapped_fallback -> query_into_pread ?quarantine ?deadline ?snapshot t window h)
-      | _ ->
-          let root, sheight =
-            match snapshot with
-            | Some sv -> (sv.sv_root, Some sv.sv_height)
-            | None -> (t.root, None)
-          in
-          mapped_guarded ?quarantine ?deadline ~gen ~root ~sheight t mm window h));
-  if Prt_obs.Metrics.collecting () then record_query_stats h.h_stats
-
-(* Per-domain scratch for routing the callback-style API through the
-   mapped engines. *)
-let scratch_key = Domain.DLS.new_key hits_make
+   first query sizes the stack and the hit array), a miss-only query
+   allocates zero minor words. *)
+let query_into ?quarantine ?deadline ?snapshot t window ~into =
+  descend t (page_source t snapshot) (window_policy quarantine deadline) snapshot window into;
+  if Prt_obs.Metrics.collecting () then record_query_stats into.h_stats
 
 let query_unrecorded ?quarantine ?deadline ?snapshot t window ~f =
-  let gen = snapshot_gen snapshot in
-  match mapped_usable t ~gen with
-  | None -> pread_unrecorded ?quarantine ?deadline ?snapshot t window ~f
-  | Some mm -> (
-      let h = Domain.DLS.get scratch_key in
-      hits_clear h;
-      reset_stats h.h_stats;
-      let ran_mapped =
-        match (snapshot, quarantine, deadline) with
-        | None, None, None -> (
-            match mapped_fast t mm window h with
-            | () -> true
-            | exception Mapped_fallback -> false)
-        | _ ->
-            let root, sheight =
-              match snapshot with
-              | Some sv -> (sv.sv_root, Some sv.sv_height)
-              | None -> (t.root, None)
-            in
-            mapped_guarded ?quarantine ?deadline ~gen ~root ~sheight t mm window h;
-            true
-      in
-      if not ran_mapped then pread_unrecorded ?quarantine ?deadline ?snapshot t window ~f
-      else begin
-        (* Detach results from the scratch before replaying: [f] may
-           legally issue further queries on this domain. *)
-        let stats = copy_stats h.h_stats in
-        let entries = Array.sub h.h_entries 0 h.h_len in
-        hits_clear h;
-        Array.iter f entries;
-        stats
-      end)
+  descend_iter t (page_source t snapshot) (window_policy quarantine deadline) snapshot window ~f
 
-(* All query paths (fast, resilient, snapshot) funnel through here so
-   the same counters and latency histogram are recorded whichever
+(* The recorded form: the same counters and latency histogram whichever
    domain runs the descent.  The wall clock is read only while
    collection is on — an uninstrumented query pays two atomic loads. *)
 let query ?quarantine ?deadline ?snapshot t window ~f =
@@ -660,17 +636,19 @@ let query_list ?quarantine ?deadline ?snapshot t window =
 let query_count ?quarantine ?deadline ?snapshot t window =
   query ?quarantine ?deadline ?snapshot t window ~f:(fun _ -> ())
 
-(* Profiled window query: same traversal as [query], but additionally
-   records how many nodes were visited on each level and what the
-   storage stack did on the tree's behalf (pager I/Os, pool hits and
-   misses) between entry and exit.  The plain [query] stays untouched so
-   profiling costs nothing unless asked for. *)
+(* Profiled window query: the engine on the source a plain query would
+   use, with its per-level counter on, plus what the storage stack did
+   on the tree's behalf (pager I/Os, pool hits and misses, mapped pages
+   served and fallbacks) between entry and exit. *)
 
 type profile = {
   pf_levels : int array; (* nodes visited per level; index 0 = root *)
   pf_internal : int;
   pf_leaves : int;
   pf_matched : int;
+  pf_backend : string;
+  pf_mapped : int;
+  pf_fallbacks : int;
   pf_reads : int;
   pf_writes : int;
   pf_hits : int;
@@ -678,41 +656,31 @@ type profile = {
   pf_seconds : float;
 }
 
+let mapped_counters = function
+  | Mapped mm -> Mmap_pager.counters mm
+  | Pool | Shared _ ->
+      { Mmap_pager.c_windows_served = 0; c_crc_skipped = 0; c_crc_verified = 0; c_fallbacks = 0 }
+
 let query_profile t window ~f =
   Prt_obs.Trace.with_span "rtree.query" (fun () ->
       let levels = Array.make (max 1 t.height) 0 in
-      let stats = fresh_stats () in
+      let src = page_source t None in
       let before = Pager.snapshot (pager t) in
       let hits0 = Buffer_pool.hits t.pool and misses0 = Buffer_pool.misses t.pool in
+      let mapped0 = mapped_counters src in
       let t0 = Unix.gettimeofday () in
-      let rec visit id depth =
-        let node = read_node t id in
-        levels.(depth - 1) <- levels.(depth - 1) + 1;
-        match Node.kind node with
-        | Node.Leaf ->
-            stats.leaf_visited <- stats.leaf_visited + 1;
-            Array.iter
-              (fun e ->
-                if Rect.intersects (Entry.rect e) window then begin
-                  stats.matched <- stats.matched + 1;
-                  f e
-                end)
-              (Node.entries node)
-        | Node.Internal ->
-            stats.internal_visited <- stats.internal_visited + 1;
-            Array.iter
-              (fun e ->
-                if Rect.intersects (Entry.rect e) window then visit (Entry.id e) (depth + 1))
-              (Node.entries node)
-      in
-      visit t.root 1;
+      let stats = descend_iter t src { plain_window with levels = Some levels } None window ~f in
       let seconds = Unix.gettimeofday () -. t0 in
+      let mapped1 = mapped_counters src in
       let d = Pager.diff ~before ~after:(Pager.snapshot (pager t)) in
       {
         pf_levels = levels;
         pf_internal = stats.internal_visited;
         pf_leaves = stats.leaf_visited;
         pf_matched = stats.matched;
+        pf_backend = (match src with Mapped _ -> "mmap" | Pool | Shared _ -> "pool");
+        pf_mapped = mapped1.c_windows_served - mapped0.c_windows_served;
+        pf_fallbacks = mapped1.c_fallbacks - mapped0.c_fallbacks;
         pf_reads = d.Pager.s_reads;
         pf_writes = d.Pager.s_writes;
         pf_hits = Buffer_pool.hits t.pool - hits0;
@@ -726,6 +694,8 @@ let pp_profile ppf p =
     (fun i n -> Format.fprintf ppf "level %d: %d node%s@," i n (if n = 1 then "" else "s"))
     p.pf_levels;
   Format.fprintf ppf "internal=%d leaves=%d matched=%d@," p.pf_internal p.pf_leaves p.pf_matched;
+  Format.fprintf ppf "backend: %s  mapped=%d fallbacks=%d@," p.pf_backend p.pf_mapped
+    p.pf_fallbacks;
   Format.fprintf ppf "pager: reads=%d writes=%d  pool: hits=%d misses=%d@," p.pf_reads p.pf_writes
     p.pf_hits p.pf_misses;
   Format.fprintf ppf "time: %.6fs@]" p.pf_seconds
@@ -854,5 +824,5 @@ let load_meta pool ~meta_page =
     root = Page.get_i32 buf 4;
     height = Page.get_i32 buf 8;
     count = Page.get_i32 buf 12;
-    mm = None;
+    mapped = Pool;
   }

@@ -58,14 +58,12 @@ val of_root :
 
 val set_mmap : t -> Prt_storage.Mmap_pager.t option -> unit
 (** Attach (or detach) the mmap read backend.  While attached and
-    usable, window queries scan node pages directly in the mapping —
-    no syscall, no lock, no copy, no decode — falling back to the
-    pread path per page or per query when the mapping cannot be
-    trusted (dirty pool, torn page, pinned generation overwritten).
-    Owned by [Index_file]; the writer must {!Prt_storage.Mmap_pager.refresh}
-    it after every commit. *)
-
-val mmap : t -> Prt_storage.Mmap_pager.t option
+    usable (see {!page_source}), queries scan node pages directly in
+    the mapping — no syscall, no lock, no copy, no decode — and serve
+    single nodes through pread when the mapping cannot be trusted
+    (torn page, pinned generation overwritten).  Owned by
+    [Index_file]; the writer must {!Prt_storage.Mmap_pager.refresh} it
+    after every commit. *)
 
 val pool : t -> Prt_storage.Buffer_pool.t
 val pager : t -> Prt_storage.Pager.t
@@ -78,12 +76,6 @@ val capacity : t -> int
 (** Node capacity [B] implied by the page size (113 at 4 KB). *)
 
 val read_node : t -> int -> Node.t
-
-val read_page : t -> int -> bytes
-(** The encoded node page straight from the buffer pool, for the
-    zero-copy {!Node} cursors.  The buffer is the pool's cached copy:
-    treat it as read-only, and do not write to the tree while scanning
-    it. *)
 
 val write_node : t -> int -> Node.t -> unit
 val alloc_node : t -> Node.t -> int
@@ -124,11 +116,17 @@ val query :
     supplied.
 
     With [~snapshot] the descent reads the committed page images of the
-    pinned generation ([Pager.read_shared ~gen]), bypassing the buffer
-    pool entirely: safe to run from any domain while a writer mutates
-    the live tree, and the result is exactly the pinned commit's answer.
-    The snapshot path composes with [quarantine]/[deadline] but never
-    ticks [Prt_obs] metrics (the registry is single-domain). *)
+    pinned generation (the mapping under the version-store protocol, or
+    [Pager.read_shared ~gen]), bypassing the buffer pool entirely: safe
+    to run from any domain while a writer mutates the live tree, and
+    the result is exactly the pinned commit's answer.  The snapshot
+    path composes with [quarantine]/[deadline].
+
+    The descent completes before [f] sees the first entry (results are
+    collected in a scratch buffer of this domain, one per nesting
+    level), so [f] may issue further queries.  Every path records the shared metrics while
+    {!Prt_obs.Metrics.collecting} is on; the registry is striped per
+    domain. *)
 
 val query_unrecorded :
   ?quarantine:Prt_storage.Quarantine.t ->
@@ -139,18 +137,19 @@ val query_unrecorded :
   f:(Entry.t -> unit) ->
   query_stats
 (** Exactly {!query}, but never ticks the shared metrics — for callers
-    (the {!Qexec} workers) that account for their descents themselves
-    through {!record_query_stats}. *)
+    that account for their descents themselves through
+    {!record_query_stats}. *)
 
 (** {1 Allocation-free queries}
 
     A reusable query buffer: results append into it and the descent
     statistics are written into a record it owns, so a query performs
-    no per-call allocation of its own.  On the mmap backend's live
-    path the whole descent is allocation-free — after one warm-up
-    query has sized the internal stack, a miss-only window query
-    allocates zero minor words (proved by a [Gc.minor_words] test in
-    [@mmap-smoke]). *)
+    no per-call allocation of its own.  Hits are stored unboxed and
+    built into entries by {!hits_get}.  On the mmap backend's live path
+    the whole descent is allocation-free — after one warm-up query has
+    sized the stack and the hit buffer, a window query allocates zero
+    minor words whatever it visits and matches (proved by
+    [Gc.minor_words] checks in [@mmap-smoke]). *)
 
 type hits
 
@@ -159,8 +158,8 @@ val hits_length : hits -> int
 
 val hits_get : hits -> int -> Entry.t
 (** [hits_get h i] is the [i]-th result of the last query, in the same
-    order the callback API delivers them.  Raises [Invalid_argument]
-    out of bounds. *)
+    order the callback API delivers them, built fresh on each call.
+    Raises [Invalid_argument] out of bounds. *)
 
 val hits_clear : hits -> unit
 
@@ -196,15 +195,79 @@ val query_count :
   Prt_geom.Rect.t ->
   query_stats
 
+(** {1 The descent engine}
+
+    Every query above, {!Query}'s forms, {!Qexec}'s workers and
+    {!query_profile} run one explicit-stack preorder descent, given a
+    page {!source} and a {!policy}; {!descend_iter} is its callback
+    form.  Children are pushed in reverse entry order, so pages pop in the
+    recursive preorder and visit counts and result order are the same
+    on every source.  Under a snapshot, leaf vs internal is decided by
+    depth against the pinned height; on the live tree by the page's
+    kind byte. *)
+
+type form =
+  | Window  (** descend and report on intersection *)
+  | Enclosed  (** descend on intersection, report entries inside the window *)
+  | Covering  (** descend and report where the entry covers the window *)
+
+type source =
+  | Pool  (** the live tree through {!Prt_storage.Buffer_pool.read} *)
+  | Shared of bytes Prt_storage.Shard_cache.t option
+      (** the snapshot's generation through [Pager.read_shared ~gen];
+          internal pages through the cache of page images when given *)
+  | Mapped of Prt_storage.Mmap_pager.t
+      (** the shared file mapping, scanned in place.  A page outside
+          the mapped window, failing its CRC gate, or (at a pinned
+          generation) overwritten since — probed before and after the
+          scan, rolling the node back on a late hit — is served
+          through [Pager.read_shared ~gen] instead and counted as one
+          fallback. *)
+
+type policy = {
+  form : form;
+  quarantine : Prt_storage.Quarantine.t option;
+      (** skip quarantined pages; quarantine and skip pages whose read
+          fails.  Without one, [Corrupt_page] propagates. *)
+  deadline : Prt_util.Deadline.t;  (** checked once per node *)
+  levels : int array option;  (** per-level visit counter, index 0 = root *)
+  first_hit : bool;  (** stop once an entry has been reported *)
+}
+
+val policy : form -> policy
+(** [form] with no quarantine, no deadline, no level counter, run to
+    completion. *)
+
+val page_source : t -> snapshot_view option -> source
+(** The source a query would use: the mapping when it is attached and
+    either a generation is pinned or the buffer pool is clean; else a
+    pinned generation through [read_shared] ([Shared None]); else
+    [Pool]. *)
+
+val descend_iter :
+  t ->
+  source ->
+  policy ->
+  snapshot_view option ->
+  Prt_geom.Rect.t ->
+  f:(Entry.t -> unit) ->
+  query_stats
+(** Run the descent from the snapshot's root (or the live root) into a
+    scratch buffer of this domain, then call [f] on each result in
+    delivery order; [f] may query again.  Records no metrics. *)
+
 (** Per-query I/O profile, collected by {!query_profile}: the node count
     per level (root = index 0), the classic visit/match counts, the
-    pager and buffer-pool activity attributable to the query, and its
-    wall-clock time. *)
+    backend that served the pages, the mapping, pager and buffer-pool
+    activity attributable to the query, and its wall-clock time. *)
 type profile = {
   pf_levels : int array;  (** nodes visited on each level; index 0 = root *)
   pf_internal : int;
   pf_leaves : int;
   pf_matched : int;  (** the paper's output size [T] *)
+  pf_backend : string;  (** ["mmap"] or ["pool"]: the {!page_source} used *)
+  pf_mapped : int;  (** pages scanned in the mapping during the query *)
+  pf_fallbacks : int;  (** mapped visits served through pread instead *)
   pf_reads : int;  (** pager reads during the query *)
   pf_writes : int;
   pf_hits : int;  (** buffer-pool hits during the query *)
@@ -213,10 +276,9 @@ type profile = {
 }
 
 val query_profile : t -> Prt_geom.Rect.t -> f:(Entry.t -> unit) -> profile
-(** Same traversal and same results as {!query}, but returns a full
-    {!profile}. Emits an ["rtree.query"] span when tracing is installed.
-    The plain {!query} path is untouched, so profiling costs nothing
-    unless requested. *)
+(** Same descent, same page source and same results as {!query}, with
+    the engine's per-level counter on; returns a full {!profile}.
+    Emits an ["rtree.query"] span when tracing is installed. *)
 
 val pp_profile : Format.formatter -> profile -> unit
 

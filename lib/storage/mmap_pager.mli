@@ -18,7 +18,7 @@ type counters = {
   c_windows_served : int;  (** mapped page scans served *)
   c_crc_skipped : int;  (** verifications skipped via the per-generation memo *)
   c_crc_verified : int;  (** CRC sweeps actually run *)
-  c_fallbacks : int;  (** descents that fell back to the pread path *)
+  c_fallbacks : int;  (** node visits served through pread instead of the mapping *)
 }
 
 val attach : path:string -> page_size:int -> gen:int -> t option

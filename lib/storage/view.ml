@@ -45,18 +45,20 @@ let get_i32 (m : map) off =
 
 (* CRC-32C over a mapped window, bit-identical to {!Page.crc32c} —
    verified equal in the test suite.  Used to validate a mapped page
-   once per (page, generation); after that the mapping is trusted. *)
+   once per (page, generation); after that the mapping is trusted.  The
+   table is built at module initialization, not lazily: reader domains
+   verify pages concurrently, and forcing one lazy value from two
+   domains at once raises [CamlinternalLazy.Undefined]. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32c (m : map) ~pos ~len =
-  let table = Lazy.force crc_table in
+  let table = crc_table in
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
     c :=

@@ -14,7 +14,16 @@
        [Gc.minor_words] across 1000 queries must not move.  This is
        the property that makes the mapped read path mechanically
        different from pread: no syscall, no lock, no copy, no decode,
-       and no garbage.
+       and no garbage;
+     - descending windows: the miss window is rejected at the root,
+       so it proves a single node visit.  1000 windows of 1e-8 to 1e-2
+       of the area over 83.5k TIGER-like rectangles descend the whole
+       tree (several internal nodes and up to a few hundred leaves
+       each).  Hits are recorded unboxed, so these descents too must
+       allocate nothing — an engine that allocates per visited node or
+       per hit fails — and reading the hits back as entries costs at
+       most 16 minor words each (the entry, its rectangle and four
+       boxed floats).
 
    Exits non-zero on any violation, printing one line per offence. *)
 
@@ -27,6 +36,8 @@ module Index_file = Prt_rtree.Index_file
 module Qexec = Prt_rtree.Qexec
 module Mmap_pager = Prt_storage.Mmap_pager
 module Prtree = Prt_prtree.Prtree
+module Tiger = Prt_workloads.Tiger
+module Queries = Prt_workloads.Queries
 
 let violations = ref 0
 
@@ -200,9 +211,73 @@ let zero_allocation () =
   Printf.printf "zero-alloc: %d miss queries, %.0f minor words total\n%!" rounds
     (w1 -. w0)
 
+(* --- allocation on descending windows --- *)
+
+let descending_windows () =
+  with_temp @@ fun path ->
+  let entries = Tiger.eastern ~scale:0.5 ~seed:31 in
+  let idx =
+    Index_file.create ~page_size:4096 ~backend:`Mmap path ~build:(fun pool ->
+        Prtree.load pool entries)
+  in
+  Fun.protect ~finally:(fun () -> Index_file.close idx) @@ fun () ->
+  if Index_file.read_backend idx <> "mmap" then fail "mmap did not activate";
+  let tree = Index_file.tree idx in
+  let world = Queries.world_of entries in
+  let windows =
+    Array.concat
+      (List.init 7 (fun k ->
+           Queries.squares ~count:143 ~area_fraction:(10.0 ** float_of_int (k - 8)) ~world
+             ~seed:(40 + k)))
+  in
+  let windows = Array.sub windows 0 1000 in
+  let n = Array.length windows in
+  let hits = Rtree.hits_make () in
+  (* Warm-up: the whole-world query sizes the hit buffer for any answer
+     and verifies every page's CRC once. *)
+  Rtree.query_into tree everything ~into:hits;
+  Array.iter (fun w -> Rtree.query_into tree w ~into:hits) windows;
+  (* Per-query figures land in preallocated arrays: the loop itself
+     must allocate nothing. *)
+  let found = Array.make n 0 and leaves = Array.make n 0 and internal = Array.make n 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    Rtree.query_into tree (Array.unsafe_get windows i) ~into:hits;
+    let s = Rtree.hits_stats hits in
+    found.(i) <- Rtree.hits_length hits;
+    leaves.(i) <- s.Rtree.leaf_visited;
+    internal.(i) <- s.Rtree.internal_visited
+  done;
+  let descent_words = Gc.minor_words () -. w0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    Rtree.query_into tree (Array.unsafe_get windows i) ~into:hits;
+    for j = 0 to Rtree.hits_length hits - 1 do
+      ignore (Rtree.hits_get hits j)
+    done
+  done;
+  let read_words = Gc.minor_words () -. w0 in
+  let total_hits = Array.fold_left ( + ) 0 found in
+  let per_hit = read_words /. float_of_int (max 1 total_hits) in
+  if descent_words <> 0.0 then
+    fail "descending windows allocate %.0f minor words in the descent" descent_words;
+  if read_words > 16.0 *. float_of_int total_hits then
+    fail "reading hits back allocates %.1f minor words per hit (limit 16)" per_hit;
+  (match Index_file.mmap_counters idx with
+  | Some c when c.Mmap_pager.c_fallbacks > 0 ->
+      fail "descending windows fell back to pread %d times" c.Mmap_pager.c_fallbacks
+  | _ -> ());
+  let range a = (Array.fold_left min max_int a, Array.fold_left max 0 a) in
+  let lmin, lmax = range leaves and imin, imax = range internal in
+  Printf.printf
+    "descending: %d windows, %d hits, leaves %d-%d, internal %d-%d: %.0f minor words in the \
+     descents, %.2f per hit read back\n%!"
+    n total_hits lmin lmax imin imax descent_words per_hit
+
 let () =
   backend_matrix ();
   zero_allocation ();
+  descending_windows ();
   if !violations > 0 then begin
     Printf.printf "mmap smoke: %d violation(s)\n%!" !violations;
     exit 1

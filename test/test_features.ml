@@ -239,6 +239,44 @@ let test_exists () =
       (Query.exists tree window)
   done
 
+(* A query issued from inside a query's callback must not disturb the
+   descent that called it: each callback on tree [a] runs the same form
+   on tree [b], and the outer answer — entries in delivery order and
+   visit counts — must equal the plain one.  The callback-count guard
+   turns a clobbered stack into a failure rather than a hang. *)
+let test_reentrant_forms () =
+  let a = Prt_prtree.Prtree.load (Helpers.small_pool ()) (Helpers.random_entries ~n:2000 ~seed:60) in
+  let b = Prt_prtree.Prtree.load (Helpers.small_pool ()) (Helpers.random_entries ~n:2000 ~seed:61) in
+  let rng = Rng.create 62 in
+  let forms =
+    [
+      ("window", fun tree w ~f -> Rtree.query tree w ~f);
+      ("stabbing", fun tree w ~f -> Query.stabbing tree ~x:(Rect.xmin w) ~y:(Rect.ymin w) ~f);
+      ("enclosed", fun tree w ~f -> Query.enclosed tree w ~f);
+      ("covering", fun tree w ~f -> Query.covering tree w ~f);
+    ]
+  in
+  for _ = 1 to 20 do
+    let w = Helpers.random_rect rng in
+    List.iter
+      (fun (name, run) ->
+        let plain = ref [] in
+        let plain_stats = run a w ~f:(fun e -> plain := e :: !plain) in
+        let limit = List.length !plain in
+        let seen = ref [] and calls = ref 0 in
+        let stats =
+          run a w ~f:(fun e ->
+              incr calls;
+              if !calls > limit then
+                Alcotest.failf "%s: callback ran more often than the answer has entries" name;
+              seen := e :: !seen;
+              ignore (run b w ~f:ignore))
+        in
+        Alcotest.(check bool) (name ^ ": outer answer") true (!seen = !plain);
+        Alcotest.(check bool) (name ^ ": outer stats") true (stats = plain_stats))
+      forms
+  done
+
 (* --- external STR --- *)
 
 let test_ext_str () =
@@ -363,6 +401,7 @@ let suite =
     Alcotest.test_case "query: enclosed" `Quick test_enclosed;
     Alcotest.test_case "query: covering" `Quick test_covering;
     Alcotest.test_case "query: exists" `Quick test_exists;
+    Alcotest.test_case "query: from a query callback" `Quick test_reentrant_forms;
     Alcotest.test_case "ext-str: correct" `Quick test_ext_str;
     Alcotest.test_case "rstar reinsert: correct" `Quick test_rstar_reinsert_correct;
     Alcotest.test_case "rstar reinsert: quality" `Quick test_rstar_reinsert_improves_or_matches;

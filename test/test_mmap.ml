@@ -260,8 +260,10 @@ let test_query_into_agrees () =
         (Rtree.hits_stats h).Rtree.leaf_visited)
     (Array.append [| everything |] (Helpers.random_queries ~n:20 ~seed:92))
 
-(* The filtered descents (stabbing/enclosed/covering/exists) share the
-   mapped scan; spot-check them against the pread backend. *)
+(* The filtered descents (stabbing/enclosed/covering/exists) run the
+   same engine on the mapping and on the pool: full result lists in
+   delivery order and their visit statistics must agree, so a changed
+   visit order or visit count fails, not just a changed answer. *)
 let test_query_forms_agree () =
   with_temp @@ fun path ->
   let entries = Helpers.random_entries ~n:350 ~seed:137 in
@@ -272,14 +274,36 @@ let test_query_forms_agree () =
     Fun.protect ~finally:(fun () -> Index_file.close idx) @@ fun () ->
     let tree = Index_file.tree idx in
     let windows = Helpers.random_queries ~n:15 ~seed:138 in
-    Array.to_list windows
-    |> List.map (fun w ->
-           ( Helpers.ids_of (fst (Query.enclosed_list tree w)),
-             Helpers.ids_of (fst (Query.covering_list tree w)),
-             Helpers.ids_of (fst (Query.stabbing_list tree ~x:(Rect.xmin w) ~y:(Rect.ymin w))),
-             Query.exists tree w ))
+    let results =
+      Array.to_list windows
+      |> List.map (fun w ->
+             ( Query.enclosed_list tree w,
+               Query.covering_list tree w,
+               Query.stabbing_list tree ~x:(Rect.xmin w) ~y:(Rect.ymin w),
+               Query.exists tree w ))
+    in
+    (match Index_file.mmap_counters idx with
+    | Some c ->
+        Alcotest.(check bool) "the mapping served the forms" true (c.Mmap_pager.c_windows_served > 0)
+    | None -> Alcotest.(check bool) "pread has no mapping" true (backend = `Pread));
+    results
   in
-  Alcotest.(check bool) "query forms agree across backends" true (run `Mmap = run `Pread)
+  let mapped = run `Mmap and pread = run `Pread in
+  List.iteri
+    (fun i ((e1, c1, s1, x1), (e2, c2, s2, x2)) ->
+      let same name (l1, st1) (l2, st2) =
+        Alcotest.(check bool) (Printf.sprintf "window %d: %s results in order" i name) true (l1 = l2);
+        Alcotest.(check bool) (Printf.sprintf "window %d: %s query_stats" i name) true (st1 = st2)
+      in
+      same "enclosed" e1 e2;
+      same "covering" c1 c2;
+      same "stabbing" s1 s2;
+      Alcotest.(check bool) (Printf.sprintf "window %d: exists" i) x1 x2)
+    (List.combine mapped pread);
+  (* The forms must visit something on this tree, or the statistics
+     comparison above proves nothing. *)
+  Alcotest.(check bool) "enclosed descends" true
+    (List.exists (fun ((_, st), _, _, _) -> st.Rtree.leaf_visited > 0) mapped)
 
 (* --- degradation on the mapped path --- *)
 

@@ -154,6 +154,33 @@ let test_bound_3d_flavour () =
     true
     (visited * 2 < total)
 
+(* A query issued from inside a query's callback must not disturb the
+   descent that called it: each callback on tree [a] queries tree [b],
+   and the outer answer must equal the plain one.  The callback-count
+   guard turns a clobbered stack into a failure rather than a hang. *)
+let test_reentrant_query () =
+  let dims = 3 in
+  let a = Prtree_nd.load ~dims (small_pool ()) (random_entries ~dims ~n:2000 ~seed:60) in
+  let b = Prtree_nd.load ~dims (small_pool ()) (random_entries ~dims ~n:2000 ~seed:61) in
+  let rng = Rng.create 62 in
+  for _ = 1 to 20 do
+    let window = random_box ~dims rng in
+    let plain, plain_stats = Rtree_nd.query_list a window in
+    let limit = List.length plain in
+    let seen = ref [] and calls = ref 0 in
+    let stats =
+      Rtree_nd.query a window ~f:(fun e ->
+          incr calls;
+          if !calls > limit then failwith "callback ran more often than the answer has entries";
+          seen := Entry_nd.id e :: !seen;
+          ignore (Rtree_nd.query_count b window))
+    in
+    Alcotest.(check (list int)) "outer answer" (List.map Entry_nd.id plain) (List.rev !seen);
+    Alcotest.(check int) "outer leaves" plain_stats.Rtree_nd.leaf_visited stats.Rtree_nd.leaf_visited;
+    Alcotest.(check int) "outer internal" plain_stats.Rtree_nd.internal_visited
+      stats.Rtree_nd.internal_visited
+  done
+
 let suite =
   [
     Alcotest.test_case "entry codec across dims" `Quick test_entry_codec;
@@ -166,4 +193,5 @@ let suite =
     Alcotest.test_case "dimension mismatch" `Quick test_dimension_mismatch;
     Alcotest.test_case "leaves on one level" `Quick test_leaves_same_level;
     Alcotest.test_case "3d bound flavour" `Quick test_bound_3d_flavour;
+    Alcotest.test_case "query from a query callback" `Quick test_reentrant_query;
   ]

@@ -255,14 +255,8 @@ let test_zero_overhead_off () =
 
 (* --- query_profile agrees with query --- *)
 
-let test_query_profile () =
-  let pool = Helpers.small_pool () in
-  let entries = Helpers.random_entries ~n:300 ~seed:21 in
-  let tree = Prt_prtree.Prtree.load pool entries in
-  let q = Prt_geom.Rect.make ~xmin:0.2 ~ymin:0.2 ~xmax:0.6 ~ymax:0.6 in
+let check_profile tree q p =
   let plain = Rtree.query_count tree q in
-  let acc = ref [] in
-  let p = Rtree.query_profile tree q ~f:(fun e -> acc := Prt_rtree.Entry.id e :: !acc) in
   Alcotest.(check int) "matched agrees" plain.Rtree.matched p.Rtree.pf_matched;
   Alcotest.(check int) "leaves agree" plain.Rtree.leaf_visited p.Rtree.pf_leaves;
   Alcotest.(check int) "internal agree" plain.Rtree.internal_visited p.Rtree.pf_internal;
@@ -271,8 +265,41 @@ let test_query_profile () =
   Alcotest.(check int) "per-level sum = nodes visited"
     (plain.Rtree.leaf_visited + plain.Rtree.internal_visited)
     (Array.fold_left ( + ) 0 p.Rtree.pf_levels);
-  Alcotest.(check int) "root level holds one node" 1 p.Rtree.pf_levels.(0);
-  Alcotest.(check int) "callback saw every match" plain.Rtree.matched (List.length !acc)
+  Alcotest.(check int) "root level holds one node" 1 p.Rtree.pf_levels.(0)
+
+let test_query_profile () =
+  let pool = Helpers.small_pool () in
+  let entries = Helpers.random_entries ~n:300 ~seed:21 in
+  let tree = Prt_prtree.Prtree.load pool entries in
+  let q = Prt_geom.Rect.make ~xmin:0.2 ~ymin:0.2 ~xmax:0.6 ~ymax:0.6 in
+  let acc = ref [] in
+  let p = Rtree.query_profile tree q ~f:(fun e -> acc := Prt_rtree.Entry.id e :: !acc) in
+  check_profile tree q p;
+  Alcotest.(check string) "pool backend" "pool" p.Rtree.pf_backend;
+  Alcotest.(check int) "nothing mapped" 0 p.Rtree.pf_mapped;
+  Alcotest.(check int) "callback saw every match" p.Rtree.pf_matched (List.length !acc);
+  (* The same profile on an mmap-backed index file comes from the
+     mapping, as a plain query does: every visited node is a mapped
+     page served, none a pool read. *)
+  let path = Filename.temp_file "prt_obs_profile" ".idx" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
+  let idx =
+    Prt_rtree.Index_file.create ~page_size:Helpers.small_page_size ~backend:`Mmap path
+      ~build:(fun pool -> Prt_prtree.Prtree.load pool entries)
+  in
+  Fun.protect ~finally:(fun () -> Prt_rtree.Index_file.close idx) @@ fun () ->
+  let ftree = Prt_rtree.Index_file.tree idx in
+  let fpool = Rtree.pool ftree in
+  let hits0 = Buffer_pool.hits fpool and misses0 = Buffer_pool.misses fpool in
+  let p = Rtree.query_profile ftree q ~f:ignore in
+  check_profile ftree q p;
+  Alcotest.(check string) "mmap backend" "mmap" p.Rtree.pf_backend;
+  Alcotest.(check int) "per-level sum = mapped pages served"
+    (Array.fold_left ( + ) 0 p.Rtree.pf_levels)
+    p.Rtree.pf_mapped;
+  Alcotest.(check int) "no fallbacks" 0 p.Rtree.pf_fallbacks;
+  Alcotest.(check int) "no pool hits" hits0 (Buffer_pool.hits fpool);
+  Alcotest.(check int) "no pool misses" misses0 (Buffer_pool.misses fpool)
 
 let suite =
   [

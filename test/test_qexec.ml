@@ -1,7 +1,8 @@
 (* The batched multicore query executor and its supporting layers: the
-   sharded node cache (generation keying, pruning, eviction, stats), the
-   zero-copy node cursors, executor-vs-sequential equivalence, and the
-   buffer pool's one-miss-per-logical-read accounting. *)
+   sharded page cache (generation keying, pruning, eviction, stats), the
+   descent engine's page-image kernels, executor-vs-sequential
+   equivalence, and the buffer pool's one-miss-per-logical-read
+   accounting. *)
 
 module Rect = Prt_geom.Rect
 module Pager = Prt_storage.Pager
@@ -99,27 +100,44 @@ let test_cache_concurrent_decode_once () =
   let s = Shard_cache.stats c in
   Alcotest.(check int) "misses = distinct ids" ids s.Shard_cache.st_misses
 
-(* --- zero-copy cursors --- *)
+(* --- the engine's page-image kernels --- *)
 
+(* The leaf scan and the child push over a page image must agree with
+   [Node.decode]: one 13-entry leaf as the root, and a root over 13
+   one-entry leaves (child i holds entry i under entry i's rectangle),
+   read through the pool and through a Qexec's cache of page images. *)
 let test_iter_rects_matches_decode () =
   let entries = Helpers.random_entries ~n:13 ~seed:7 in
   let page_size = Helpers.small_page_size in
   let buf = Node.encode ~page_size (Node.make Node.Leaf entries) in
+  let pool = Helpers.small_pool () in
+  let scratch = Rtree.create_empty pool in
+  let leaf = Rtree.alloc_node scratch (Node.decode buf) in
+  let one = Rtree.of_root ~pool ~root:leaf ~height:1 ~count:13 in
+  let kids =
+    Array.map
+      (fun e -> Entry.make (Entry.rect e) (Rtree.alloc_node scratch (Node.make Node.Leaf [| e |])))
+      entries
+  in
+  let two =
+    Rtree.of_root ~pool ~root:(Rtree.alloc_node scratch (Node.make Node.Internal kids)) ~height:2
+      ~count:13
+  in
   let windows = Helpers.random_queries ~n:30 ~seed:8 in
-  Array.iter
-    (fun w ->
+  let batch = Qexec.run ~jobs:1 (Qexec.create two) windows in
+  Array.iteri
+    (fun i w ->
       let expected =
         Array.to_list entries |> List.filter (fun e -> Rect.intersects (Entry.rect e) w)
       in
-      let got = ref [] in
-      let hits = Node.iter_rects buf w ~f:(fun e -> got := e :: !got) in
-      Alcotest.(check int) "hit count" (List.length expected) hits;
-      Alcotest.(check bool) "same entries in page order" true (List.rev !got = expected);
-      (* The child-id cursor agrees on which entries intersect. *)
-      let kids = ref [] in
-      Node.iter_children buf w ~f:(fun id -> kids := id :: !kids);
-      Alcotest.(check (list int))
-        "children ids" (List.map Entry.id expected) (List.rev !kids))
+      let got, stats = Rtree.query_list one w in
+      Alcotest.(check int) "hit count" (List.length expected) stats.Rtree.matched;
+      Alcotest.(check bool) "same entries in page order" true (got = expected);
+      let got, stats = Rtree.query_list two w in
+      Alcotest.(check bool) "children pop in entry order" true (got = expected);
+      Alcotest.(check int)
+        "one leaf per intersecting child" (List.length expected) stats.Rtree.leaf_visited;
+      Alcotest.(check bool) "cached page images agree" true (fst batch.(i) = expected))
     windows;
   Alcotest.(check int) "page_length" 13 (Node.page_length buf);
   Alcotest.(check bool) "page_kind" true (Node.page_kind buf = Node.Leaf)
