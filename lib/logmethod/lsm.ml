@@ -23,7 +23,6 @@
 
 module Rect = Prt_geom.Rect
 module Pager = Prt_storage.Pager
-module Buffer_pool = Prt_storage.Buffer_pool
 module Failpoint = Prt_storage.Failpoint
 module Fsops = Prt_storage.Fsops
 module Wal = Prt_storage.Wal
@@ -34,9 +33,9 @@ module Rtree = Prt_rtree.Rtree
 module Qexec = Prt_rtree.Qexec
 module Index_file = Prt_rtree.Index_file
 module Prtree = Prt_prtree.Prtree
-module Ext_build = Prt_prtree.Ext_build
 module Metrics = Prt_obs.Metrics
 module Flight = Prt_obs.Flight
+module Ids = Set.Make (Int)
 
 type wal_sync = [ `Always | `Never ]
 
@@ -74,15 +73,14 @@ type t = {
   page_size : int;
   cache_pages : int;
   wal_sync : wal_sync;
-  ext_threshold : int;
-  mem_records : int;
   fsops : Fsops.t;
   retry : Retry.t;
   mu : Mutex.t;
   cond : Condition.t;
   buffer : (int, Entry.t) Hashtbl.t;
   mutable sealed : (int, Entry.t) Hashtbl.t option;
-  tombstones : (int, unit) Hashtbl.t;
+  mutable tombstones : Ids.t;
+      (* immutable: a query snapshots it by reading the field, no copy *)
   mutable comps : comp list;  (* sorted by c_level ascending *)
   mutable wal : Wal.t;
   mutable wal_seq : int;
@@ -190,13 +188,14 @@ let apply_record ~buffer ~deletes ~replayed payload =
       else Hashtbl.replace deletes id e;
       incr replayed
 
-(* Is [e] physically stored in some component?  An unreadable component
-   answers "maybe" — the conservative side for a deferred delete. *)
-let stored_in_comps comps e =
+(* Is [e] physically stored in some component?  [unreadable] answers
+   for a component that failed to open: "maybe" is the conservative
+   side for a deferred delete at replay, "no" for a live delete. *)
+let stored_in_comps ~unreadable comps e =
   List.exists
     (fun c ->
       match c.c_state with
-      | Failed _ -> true
+      | Failed _ -> unreadable
       | Live idx ->
           let tree = Index_file.tree idx in
           let found = ref false in
@@ -244,9 +243,8 @@ let reclaim_orphans ~dir (m : Manifest.t) ~chosen =
   !reclaimed
 
 let make ?(buffer_capacity = 1024) ?(page_size = Pager.default_page_size)
-    ?(cache_pages = 4096) ?(wal_sync = `Always) ?(ext_threshold = 50_000)
-    ?(mem_records = 18_000) ?retry_policy ?faults ?crash ?(background = false)
-    ~fresh dirname =
+    ?(cache_pages = 4096) ?(wal_sync = `Always) ?retry_policy ?faults ?crash
+    ?(background = false) ~fresh dirname =
   if buffer_capacity < 1 then invalid_arg "Lsm: buffer_capacity must be >= 1";
   let fsops = Fsops.create ?faults () in
   let retry =
@@ -279,10 +277,7 @@ let make ?(buffer_capacity = 1024) ?(page_size = Pager.default_page_size)
       | None -> failwith ("Lsm.open_: no valid manifest in " ^ dirname)
   in
   let buffer = Hashtbl.create (2 * buffer_capacity) in
-  let tombstones = Hashtbl.create 64 in
-  List.iter
-    (fun id -> Hashtbl.replace tombstones id ())
-    manifest.Manifest.m_tombstones;
+  let tombstones = ref (Ids.of_list manifest.Manifest.m_tombstones) in
   let comps =
     List.sort
       (fun a b -> compare a.c_level b.c_level)
@@ -333,8 +328,8 @@ let make ?(buffer_capacity = 1024) ?(page_size = Pager.default_page_size)
   (* Resolve the deferred deletes against the opened components. *)
   Hashtbl.iter
     (fun id e ->
-      if not (Hashtbl.mem buffer id) && stored_in_comps comps e then
-        Hashtbl.replace tombstones id ())
+      if not (Hashtbl.mem buffer id) && stored_in_comps ~unreadable:true comps e
+      then tombstones := Ids.add id !tombstones)
     deletes;
   if !replayed > 0 then begin
     Metrics.add m_replayed !replayed;
@@ -350,15 +345,13 @@ let make ?(buffer_capacity = 1024) ?(page_size = Pager.default_page_size)
       page_size;
       cache_pages;
       wal_sync;
-      ext_threshold;
-      mem_records;
       fsops;
       retry;
       mu = Mutex.create ();
       cond = Condition.create ();
       buffer;
       sealed = None;
-      tombstones;
+      tombstones = !tombstones;
       comps;
       wal;
       wal_seq;
@@ -393,7 +386,7 @@ let count_locked t =
   List.fold_left (fun acc c -> acc + c.c_count) 0 t.comps
   + Hashtbl.length t.buffer
   + (match t.sealed with Some s -> Hashtbl.length s | None -> 0)
-  - Hashtbl.length t.tombstones
+  - Ids.cardinal t.tombstones
 
 let count t = with_lock t (fun () -> count_locked t)
 
@@ -432,7 +425,7 @@ let collect_entries ~sealed ~participants ~tomb =
   let acc = ref [] and resolved = ref [] in
   let keep e =
     let id = Entry.id e in
-    if Hashtbl.mem tomb id then resolved := id :: !resolved
+    if Ids.mem id tomb then resolved := id :: !resolved
     else acc := e :: !acc
   in
   Hashtbl.iter (fun _ e -> keep e) sealed;
@@ -451,24 +444,16 @@ let collect_entries ~sealed ~participants ~tomb =
     participants;
   (Array.of_list !acc, !resolved)
 
+(* In memory however large the merge: [collect_entries] already holds
+   every entry in one array, so the external loader would bound no
+   memory here (see lsm.mli). *)
 let build_component t ~seq ~entries =
   let tmp = Filename.concat t.dir (comp_file seq ^ ".tmp") in
   let final = Filename.concat t.dir (comp_file seq) in
-  let n = Array.length entries in
   let idx =
     Index_file.create ~page_size:t.page_size ~cache_pages:t.cache_pages
       ?crash:(Fsops.crash t.fsops) tmp
-      ~build:(fun pool ->
-        if n <= t.ext_threshold then Prtree.load pool entries
-        else begin
-          (* The external loader: stream the input through an entry
-             record file in the component's own pager, so the sort and
-             distribution passes are I/O-efficient and I/O-counted. *)
-          let file = Entry.File.of_array (Buffer_pool.pager pool) entries in
-          let tree = Ext_build.load ~mem_records:t.mem_records pool file in
-          Entry.File.destroy file;
-          tree
-        end)
+      ~build:(fun pool -> Prtree.load pool entries)
   in
   let pages = (Pager.snapshot (Index_file.pager idx)).Pager.s_writes in
   (try
@@ -503,7 +488,7 @@ let merge_attempt t ~compact_all ~floor_seq =
         let sealed =
           match t.sealed with Some s -> Hashtbl.copy s | None -> Hashtbl.create 1
         in
-        let tomb = Hashtbl.copy t.tombstones in
+        let tomb = t.tombstones in
         let target =
           if compact_all then begin
             let live =
@@ -552,7 +537,8 @@ let merge_attempt t ~compact_all ~floor_seq =
   in
   (* Publish: one manifest swap under the lock, then commit in memory. *)
   with_lock t (fun () ->
-      List.iter (fun id -> Hashtbl.remove t.tombstones id) resolved;
+      t.tombstones <-
+        List.fold_left (fun s id -> Ids.remove id s) t.tombstones resolved;
       let keep = List.filter (fun c -> not (List.memq c participants)) t.comps in
       let new_comp =
         Option.map
@@ -572,6 +558,16 @@ let merge_attempt t ~compact_all ~floor_seq =
           (fun a b -> compare a.c_level b.c_level)
           (match new_comp with Some c -> c :: keep | None -> keep)
       in
+      (* A tombstone on an id that a mid-merge seal coalesced (sealed,
+         but not in this merge's copy) stays in memory for the next
+         merge to resolve.  Its delete record lies above the new floor
+         with the insert it cancels on replay; a manifest copy would
+         outlive both and tombstone nothing. *)
+      let still_sealed id =
+        match t.sealed with
+        | Some s -> Hashtbl.mem s id && not (Hashtbl.mem sealed id)
+        | None -> false
+      in
       let m =
         {
           Manifest.m_seq = t.manifest_seq + 1;
@@ -588,7 +584,8 @@ let merge_attempt t ~compact_all ~floor_seq =
                 })
               comps';
           m_tombstones =
-            Hashtbl.fold (fun id () acc -> id :: acc) t.tombstones [];
+            Ids.elements
+              (Ids.filter (fun id -> not (still_sealed id)) t.tombstones);
           m_last_merge = outcome;
         }
       in
@@ -614,9 +611,8 @@ let merge_attempt t ~compact_all ~floor_seq =
              state; at a kill point, leave the disk exactly as it is. *)
           (match e with
           | Pager.Io_error _ -> (
-              List.iter
-                (fun id -> Hashtbl.replace t.tombstones id ())
-                resolved;
+              t.tombstones <-
+                List.fold_left (fun s id -> Ids.add id s) t.tombstones resolved;
               match built with
               | Some (idx, _) ->
                   Index_file.close idx;
@@ -821,20 +817,20 @@ let rec worker_loop t =
 let start_worker t =
   if t.background then t.worker <- Some (Domain.spawn (fun () -> worker_loop t))
 
-let create ?buffer_capacity ?page_size ?cache_pages ?wal_sync ?ext_threshold
-    ?mem_records ?retry_policy ?faults ?crash ?background dirname =
+let create ?buffer_capacity ?page_size ?cache_pages ?wal_sync ?retry_policy
+    ?faults ?crash ?background dirname =
   let t =
-    make ?buffer_capacity ?page_size ?cache_pages ?wal_sync ?ext_threshold
-      ?mem_records ?retry_policy ?faults ?crash ?background ~fresh:true dirname
+    make ?buffer_capacity ?page_size ?cache_pages ?wal_sync ?retry_policy
+      ?faults ?crash ?background ~fresh:true dirname
   in
   start_worker t;
   t
 
-let open_ ?buffer_capacity ?page_size ?cache_pages ?wal_sync ?ext_threshold
-    ?mem_records ?retry_policy ?faults ?crash ?background dirname =
+let open_ ?buffer_capacity ?page_size ?cache_pages ?wal_sync ?retry_policy
+    ?faults ?crash ?background dirname =
   let t =
-    make ?buffer_capacity ?page_size ?cache_pages ?wal_sync ?ext_threshold
-      ?mem_records ?retry_policy ?faults ?crash ?background ~fresh:false dirname
+    make ?buffer_capacity ?page_size ?cache_pages ?wal_sync ?retry_policy
+      ?faults ?crash ?background ~fresh:false dirname
   in
   start_worker t;
   t
@@ -872,7 +868,7 @@ let insert t e =
            both hide the new entry from queries and drop it at the next
            merge while the dead copy resurrects.  Reject until a merge
            resolves the tombstone (flush/compact forces that). *)
-        if Hashtbl.mem t.tombstones id then
+        if Ids.mem id t.tombstones then
           invalid_arg "Lsm.insert: id has an unresolved tombstone";
         (* Background mode: a full buffer on top of an unmerged seal
            waits here rather than growing without bound. *)
@@ -921,87 +917,57 @@ let finish_query t =
       t.active_queries <- t.active_queries - 1;
       drain_retired_locked t)
 
-(* Does the entry exist in the sealed buffer or some component?  The
-   exact rectangle confines the probe to one window query per
-   component, on the snapshot path.  Registered as a query: a
+(* Is [e] stored in some component?  Registered as a query: a
    concurrent merge commit may retire the captured handles, and only
    the active_queries count keeps drain_retired_locked from closing
    them under our feet. *)
 let mem_stored t e =
-  let id = Entry.id e in
-  let sealed_hit, comps =
+  let comps =
     with_lock t (fun () ->
         t.active_queries <- t.active_queries + 1;
-        ( (match t.sealed with
-          | Some s -> (
-              match Hashtbl.find_opt s id with
-              | Some e' -> Entry.equal e e'
-              | None -> false)
-          | None -> false),
-          t.comps ))
+        t.comps)
   in
   Fun.protect
     ~finally:(fun () -> finish_query t)
-    (fun () ->
-      sealed_hit
-      || List.exists
-           (fun c ->
-             match c.c_state with
-             | Failed _ -> false
-             | Live idx ->
-                 let tree = Index_file.tree idx in
-                 let found = ref false in
-                 Index_file.with_snapshot idx (fun view ->
-                     ignore
-                       (Rtree.query_unrecorded ~snapshot:view tree
-                          (Entry.rect e) ~f:(fun hit ->
-                            if Entry.id hit = id && Entry.equal hit e then
-                              found := true)));
-                 !found)
-           comps)
+    (fun () -> stored_in_comps ~unreadable:false comps e)
 
-let rec delete t e =
-  let buffered =
+(* One lock hold decides whatever needs no component read: a buffered
+   entry is dropped, and a sealed one (left behind by an aborted merge)
+   is tombstoned for the merge that absorbs the sealed set to resolve.
+   Only a component-resident entry needs the unlocked probe, after
+   which the decision is retaken under the lock: a concurrent insert
+   may have re-buffered the id meanwhile, and an id-keyed tombstone
+   would kill that acknowledged insert too. *)
+let delete t e =
+  let id = Entry.id e in
+  let decide ~stored =
     with_lock t (fun () ->
         check_usable t;
-        let id = Entry.id e in
+        let sealed_hit () =
+          match Option.bind t.sealed (fun s -> Hashtbl.find_opt s id) with
+          | Some e' -> Entry.equal e e'
+          | None -> false
+        in
         if Hashtbl.mem t.buffer id then begin
           log_record t 1 e;
           Hashtbl.remove t.buffer id;
           Metrics.tick m_deletes;
-          Some true
+          `Deleted
         end
-        else if Hashtbl.mem t.tombstones id then Some false
-        else None)
+        else if Ids.mem id t.tombstones then `Absent
+        else if stored || sealed_hit () then begin
+          log_record t 1 e;
+          t.tombstones <- Ids.add id t.tombstones;
+          Metrics.tick m_deletes;
+          Metrics.tick m_tombstones;
+          `Deleted
+        end
+        else `Probe)
   in
-  match buffered with
-  | Some r -> r
-  | None ->
-      if mem_stored t e then begin
-        let landed =
-          with_lock t (fun () ->
-              check_usable t;
-              let id = Entry.id e in
-              (* The probe ran unlocked: a concurrent insert may have
-                 re-buffered this id in the window (legal — the
-                 tombstone doesn't exist yet).  An id-keyed tombstone
-                 would kill that acknowledged insert too, so restart
-                 and let the buffered-delete path handle it. *)
-              if
-                Hashtbl.mem t.buffer id
-                || match t.sealed with Some s -> Hashtbl.mem s id | None -> false
-              then false
-              else begin
-                log_record t 1 e;
-                Hashtbl.replace t.tombstones id ();
-                Metrics.tick m_deletes;
-                Metrics.tick m_tombstones;
-                true
-              end)
-        in
-        if landed then true else delete t e
-      end
-      else false
+  match decide ~stored:false with
+  | `Deleted -> true
+  | `Absent -> false
+  | `Probe -> mem_stored t e && decide ~stored:true = `Deleted
 
 let flush t =
   with_lock t (fun () ->
@@ -1025,8 +991,7 @@ let wait_merges t =
 
 (* --- queries --- *)
 
-let is_dead tomb e =
-  match tomb with None -> false | Some tbl -> Hashtbl.mem tbl (Entry.id e)
+let is_dead tomb e = Ids.mem (Entry.id e) tomb
 
 let query ?deadline t window ~f =
   (* Capture a consistent view for the fan-out: buffer/sealed matches,
@@ -1036,10 +1001,7 @@ let query ?deadline t window ~f =
     with_lock t (fun () ->
         check_usable t;
         t.active_queries <- t.active_queries + 1;
-        let tomb =
-          if Hashtbl.length t.tombstones = 0 then None
-          else Some (Hashtbl.copy t.tombstones)
-        in
+        let tomb = t.tombstones in
         let acc = ref [] in
         let scan tbl =
           Hashtbl.iter
@@ -1102,10 +1064,7 @@ let query_batch ?jobs ?deadline t windows =
     with_lock t (fun () ->
         check_usable t;
         t.active_queries <- t.active_queries + 1;
-        let tomb =
-          if Hashtbl.length t.tombstones = 0 then None
-          else Some (Hashtbl.copy t.tombstones)
-        in
+        let tomb = t.tombstones in
         let acc = ref [] in
         Hashtbl.iter (fun _ e -> acc := e :: !acc) t.buffer;
         (match t.sealed with
@@ -1196,7 +1155,7 @@ let stats t =
             t.comps;
         s_buffer = Hashtbl.length t.buffer;
         s_sealed = (match t.sealed with Some s -> Hashtbl.length s | None -> 0);
-        s_tombstones = Hashtbl.length t.tombstones;
+        s_tombstones = Ids.cardinal t.tombstones;
         s_wal_bytes =
           Wal.size t.wal
           + List.fold_left (fun a (_, _, b) -> a + b) 0 t.old_segments;

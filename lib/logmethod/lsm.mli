@@ -15,8 +15,10 @@
 
     When the buffer fills, it is sealed and merged — together with
     every live component below the first slot that fits — into a fresh
-    component built by PR-tree bulk loading (the external loader above
-    [ext_threshold] entries), then published by one manifest swap.
+    component, then published by one manifest swap.  The merge holds
+    every entry it absorbs in one array and bulk-loads the component
+    from it in memory: the external loader would bound no memory there,
+    and its sort scratch pages would only inflate the component file.
     Merges run under the shared {!Prt_storage.Retry} engine: transient
     faults are retried with backoff, a breaker guards against a broken
     device, and an exhausted budget aborts cleanly — the half-built
@@ -31,10 +33,11 @@
 
     Queries fan out across the buffer, the sealed buffer and every
     component — snapshot-pinned per component, so reader domains never
-    touch the single-domain buffer pool — and merge per-component
-    completeness labels into one honest combined label: a component
-    that fails to open degrades only its own contribution
-    ([Partial]), never the store. *)
+    touch the single-domain buffer pool — filter the tombstone set as
+    it stood when they started (an immutable set, captured without a
+    copy), and merge per-component completeness labels into one honest
+    combined label: a component that fails to open degrades only its
+    own contribution ([Partial]), never the store. *)
 
 type t
 
@@ -45,8 +48,6 @@ val create :
   ?page_size:int ->
   ?cache_pages:int ->
   ?wal_sync:wal_sync ->
-  ?ext_threshold:int ->
-  ?mem_records:int ->
   ?retry_policy:Prt_storage.Retry.policy ->
   ?faults:Prt_storage.Failpoint.t ->
   ?crash:Prt_storage.Failpoint.t ->
@@ -58,8 +59,8 @@ val create :
 
     [buffer_capacity] (default 1024) is M0: slot [i] holds up to
     [buffer_capacity * 2^i] entries.  [wal_sync] (default [`Always])
-    controls per-insert fsync.  [ext_threshold] (default 50_000) is the
-    merge size above which the external bulk loader is used.  [faults]
+    controls per-insert fsync.  A merge holds every entry of the
+    component it builds in memory.  [faults]
     injects {!Prt_storage.Pager.Io_error}s into WAL/manifest/rename
     file operations (absorbed by the retry engine, aborting merges when
     exhausted).  [crash] is the kill-point budget, shared across
@@ -72,8 +73,6 @@ val open_ :
   ?page_size:int ->
   ?cache_pages:int ->
   ?wal_sync:wal_sync ->
-  ?ext_threshold:int ->
-  ?mem_records:int ->
   ?retry_policy:Prt_storage.Retry.policy ->
   ?faults:Prt_storage.Failpoint.t ->
   ?crash:Prt_storage.Failpoint.t ->
@@ -99,11 +98,11 @@ val insert : t -> Prt_rtree.Entry.t -> unit
     resolves its tombstone ({!flush}/{!compact} forces that). *)
 
 val delete : t -> Prt_rtree.Entry.t -> bool
-(** Remove a buffered entry or tombstone a component-resident one
-    (matched by id and rectangle), WAL-logged either way.  Tombstones
-    persist in the manifest until a merge resolves them, and block
-    re-insertion of the id meanwhile (see {!insert}).  [false] if
-    absent. *)
+(** Remove a buffered entry or tombstone a sealed or component-resident
+    one (matched by id and rectangle), WAL-logged either way.  A
+    tombstone lasts until a merge resolves it (in the WAL or manifest),
+    and blocks re-insertion of the id meanwhile (see {!insert}).
+    [false] if absent. *)
 
 val flush : t -> unit
 (** Seal the buffer and merge now, raising on failure

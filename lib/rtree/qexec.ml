@@ -72,9 +72,9 @@ let () =
         Some (Printf.sprintf "Qexec.Overloaded: %d queries in flight, limit %d" in_flight limit)
     | _ -> None)
 
-let m_batches = lazy (Prt_obs.Metrics.counter "qexec.batches")
-let m_queries = lazy (Prt_obs.Metrics.counter "qexec.queries")
-let m_rejected = lazy (Prt_obs.Metrics.counter "resilience.batches_rejected")
+let m_batches = Prt_obs.Metrics.counter "qexec.batches"
+let m_queries = Prt_obs.Metrics.counter "qexec.queries"
+let m_rejected = Prt_obs.Metrics.counter "resilience.batches_rejected"
 
 let create ?shards ?capacity ?snapshot ?quarantine ?max_in_flight tree =
   (match max_in_flight with
@@ -151,7 +151,7 @@ let run ?jobs ?(deadline = Deadline.none) t queries =
       let before = Atomic.fetch_and_add t.in_flight n in
       if before + n > limit then begin
         ignore (Atomic.fetch_and_add t.in_flight (-n));
-        Prt_obs.Metrics.tick (Lazy.force m_rejected);
+        Prt_obs.Metrics.tick m_rejected;
         raise (Overloaded { in_flight = before; limit })
       end
   | None -> ());
@@ -194,8 +194,8 @@ let run ?jobs ?(deadline = Deadline.none) t queries =
       in
       let pol = { (Rtree.policy Rtree.Window) with quarantine = Some t.quarantine; deadline } in
       let results = Array.make n ([], Rtree.fresh_stats ()) in
-      Prt_obs.Metrics.tick (Lazy.force m_batches);
-      Prt_obs.Metrics.add (Lazy.force m_queries) n;
+      Prt_obs.Metrics.tick m_batches;
+      Prt_obs.Metrics.add m_queries n;
       Prt_obs.Flight.begin_span "qexec.batch" ~arg:n;
       let next = Atomic.make 0 in
       let chunk = max 1 (n / (jobs * 8)) in

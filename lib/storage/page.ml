@@ -57,18 +57,18 @@ let payload_size page_size =
 
 (* CRC-32C (Castagnoli), table-driven, reflected polynomial 0x82F63B78 —
    the checksum used by iSCSI and ext4 metadata.  Plain OCaml ints hold
-   the 32-bit state on 64-bit platforms. *)
+   the 32-bit state on 64-bit platforms.  The table is built eagerly, as
+   in {!View}: pread workers verify pages from several domains at once. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32c buf ~pos ~len =
-  let table = Lazy.force crc_table in
+  let table = crc_table in
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
     c := Array.unsafe_get table ((!c lxor Char.code (Bytes.unsafe_get buf i)) land 0xFF)

@@ -17,7 +17,7 @@ type t = {
   mutable added_total : int;  (* monotonic: every add of a new id *)
 }
 
-let m_quarantined = lazy (Prt_obs.Metrics.counter "resilience.pages_quarantined")
+let m_quarantined = Prt_obs.Metrics.counter "resilience.pages_quarantined"
 
 let create () = { mu = Mutex.create (); pages = Hashtbl.create 16; added_total = 0 }
 
@@ -38,7 +38,7 @@ let add t id reason =
         end)
   in
   if added then begin
-    Prt_obs.Metrics.tick (Lazy.force m_quarantined);
+    Prt_obs.Metrics.tick m_quarantined;
     Prt_obs.Flight.point "resilience.quarantine_add" ~arg:id ~note:(reason_to_string reason)
   end
 

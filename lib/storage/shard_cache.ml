@@ -30,10 +30,10 @@
    {!Prt_obs} registry under [shard_cache.*], so a trace span over a
    multicore batch carries the cache traffic as counter deltas. *)
 
-let m_hits = lazy (Prt_obs.Metrics.counter "shard_cache.hits")
-let m_misses = lazy (Prt_obs.Metrics.counter "shard_cache.misses")
-let m_invalidations = lazy (Prt_obs.Metrics.counter "shard_cache.invalidations")
-let m_evictions = lazy (Prt_obs.Metrics.counter "shard_cache.evictions")
+let m_hits = Prt_obs.Metrics.counter "shard_cache.hits"
+let m_misses = Prt_obs.Metrics.counter "shard_cache.misses"
+let m_invalidations = Prt_obs.Metrics.counter "shard_cache.invalidations"
+let m_evictions = Prt_obs.Metrics.counter "shard_cache.evictions"
 
 type 'v shard = {
   lock : Mutex.t;
@@ -101,7 +101,7 @@ let evict_one s =
         if Hashtbl.mem s.tbl key then begin
           Hashtbl.remove s.tbl key;
           s.evictions <- s.evictions + 1;
-          Prt_obs.Metrics.tick (Lazy.force m_evictions)
+          Prt_obs.Metrics.tick m_evictions
         end
         else go ()
   in
@@ -114,11 +114,11 @@ let find_or_add t ~gen id decode =
       match Hashtbl.find_opt s.tbl key with
       | Some value ->
           s.hits <- s.hits + 1;
-          Prt_obs.Metrics.tick (Lazy.force m_hits);
+          Prt_obs.Metrics.tick m_hits;
           value
       | None ->
           s.misses <- s.misses + 1;
-          Prt_obs.Metrics.tick (Lazy.force m_misses);
+          Prt_obs.Metrics.tick m_misses;
           let value = decode () in
           if Hashtbl.length s.tbl >= s.capacity then evict_one s;
           Hashtbl.replace s.tbl key value;
@@ -131,7 +131,7 @@ let find t ~gen id =
       match Hashtbl.find_opt s.tbl (id, gen) with
       | Some value ->
           s.hits <- s.hits + 1;
-          Prt_obs.Metrics.tick (Lazy.force m_hits);
+          Prt_obs.Metrics.tick m_hits;
           Some value
       | None -> None)
 
@@ -147,7 +147,7 @@ let prune t ~older_than =
           List.iter (Hashtbl.remove s.tbl) stale;
           let n = List.length stale in
           s.invalidations <- s.invalidations + n;
-          Prt_obs.Metrics.add (Lazy.force m_invalidations) n;
+          Prt_obs.Metrics.add m_invalidations n;
           total + n))
     0 t.shards
 

@@ -4,8 +4,9 @@
    exactly once joined — and a flight-recorder round-trip: a multicore
    query batch with per-domain recording, dumped to a Chrome trace file
    that must parse back with balanced per-track spans, plus a recorded
-   failure that must appear in the autodump.  Exits 1 on any
-   violation. *)
+   failure that must appear in the autodump.  First of all it checks
+   that the counters worker domains tick are registered before any of
+   their modules is used.  Exits 1 on any violation. *)
 
 module Json = Prt_obs.Json
 module Metrics = Prt_obs.Metrics
@@ -138,7 +139,22 @@ let flight_roundtrip () =
       Printf.printf "flight round-trip: %d events, per-tid spans balanced\n%!"
         (List.length events))
 
+(* --- eager registration --- *)
+
+(* Counters first ticked on worker domains must be registered at module
+   initialization: forcing one lazy value from two domains at once
+   raises [CamlinternalLazy.Undefined].  Runs first, before any cache,
+   quarantine or executor exists in this process. *)
+let eager_registration () =
+  let registered = List.map fst (Metrics.snapshot_counters ()) in
+  List.iter
+    (fun name -> check (name ^ " registered at start-up") (List.mem name registered))
+    [ "shard_cache.hits"; "resilience.pages_quarantined"; "qexec.batches" ];
+  Printf.printf "eager registration: %d counters listed at start-up\n%!"
+    (List.length registered)
+
 let () =
+  eager_registration ();
   metrics_matrix ();
   flight_roundtrip ();
   if !failures > 0 then begin

@@ -4,9 +4,11 @@
    matrix (reopen after a simulated death at EVERY fsops / page-write
    kill point must yield exactly the acknowledged-operation set, give
    or take the single in-flight operation), the mid-merge
-   abort -> reopen -> retry lifecycle, background merges, and a qcheck
-   differential against an in-memory oracle under random
-   insert/delete/query/flush/reopen/fault schedules. *)
+   abort -> reopen -> retry lifecycle, deleting an id that an aborted
+   merge left sealed or that a seal added during a merge, background
+   merges, a qcheck differential against an in-memory oracle under
+   random insert/delete/query/flush/reopen/fault schedules, one merge
+   past 50k entries, and a query's uncopied tombstone snapshot. *)
 
 module Rect = Prt_geom.Rect
 module Rng = Prt_util.Rng
@@ -458,43 +460,47 @@ let test_crash_matrix () =
 
 (* --- mid-merge abort -> reopen -> retry --- *)
 
+(* A lossy device: moderate fault rate with a high consecutive cap, and
+   only 2 attempts per operation — WAL appends are retried by the caller
+   below, merges abort.  Returns the open store and the acknowledged
+   entries, in insertion order; aborted merges leave a sealed backlog. *)
+let lossy_backlog dir =
+  let faults =
+    Failpoint.create (Failpoint.uniform ~seed:7 ~max_consecutive:4 0.3)
+  in
+  let policy = { Retry.default_policy with Retry.attempts = 2 } in
+  (* With only 2 attempts against a 30% fault rate, even [create]'s
+     initial manifest write can exhaust its budget: retry it at this
+     level, like every other acknowledged operation below. *)
+  let rec make tries =
+    match
+      Lsm.create ~buffer_capacity:8 ~page_size:Helpers.small_page_size
+        ~faults ~retry_policy:policy dir
+    with
+    | t -> t
+    | exception Prt_storage.Pager.Io_error _ when tries > 0 ->
+        rm_rf dir;
+        make (tries - 1)
+  in
+  let t = make 20 in
+  let entries = Helpers.random_entries ~n:40 ~seed:101 in
+  let acked = ref [] in
+  Array.iter
+    (fun e ->
+      let rec go tries =
+        match Lsm.insert t e with
+        | () -> acked := e :: !acked
+        | exception Prt_storage.Pager.Io_error _ when tries > 0 ->
+            go (tries - 1)
+        | exception Prt_storage.Pager.Io_error _ -> ()
+      in
+      go 20)
+    entries;
+  (t, Array.of_list (List.rev !acked))
+
 let test_abort_reopen_retry () =
   with_temp_dir (fun dir ->
-      (* A lossy device: moderate fault rate with a high consecutive
-         cap, and only 2 attempts per operation — WAL appends are
-         retried by the caller below, merges abort. *)
-      let faults =
-        Failpoint.create (Failpoint.uniform ~seed:7 ~max_consecutive:4 0.3)
-      in
-      let policy = { Retry.default_policy with Retry.attempts = 2 } in
-      (* With only 2 attempts against a 30% fault rate, even [create]'s
-         initial manifest write can exhaust its budget: retry it at
-         this level, like every other acknowledged operation below. *)
-      let rec make tries =
-        match
-          Lsm.create ~buffer_capacity:8 ~page_size:Helpers.small_page_size
-            ~faults ~retry_policy:policy dir
-        with
-        | t -> t
-        | exception Prt_storage.Pager.Io_error _ when tries > 0 ->
-            rm_rf dir;
-            make (tries - 1)
-      in
-      let t = make 20 in
-      let entries = Helpers.random_entries ~n:40 ~seed:101 in
-      let acked = ref [] in
-      Array.iter
-        (fun e ->
-          let rec go tries =
-            match Lsm.insert t e with
-            | () -> acked := e :: !acked
-            | exception Prt_storage.Pager.Io_error _ when tries > 0 ->
-                go (tries - 1)
-            | exception Prt_storage.Pager.Io_error _ -> ()
-          in
-          go 20)
-        entries;
-      let acked = Array.of_list (List.rev !acked) in
+      let t, acked = lossy_backlog dir in
       Alcotest.(check int) "every insert eventually acked" 40 (Array.length acked);
       (* Merges aborted under the fault storm, but every acknowledged
          insert stays queryable throughout. *)
@@ -513,6 +519,198 @@ let test_abort_reopen_retry () =
       Alcotest.(check int) "backlog drained" 0 (Lsm.buffer_size t);
       check_slots ~buffer_capacity:8 t;
       Lsm.validate t;
+      Lsm.close t)
+
+(* An id left in the sealed set by an aborted merge is deleted at once:
+   tombstoned under the lock that finds it sealed, and resolved by the
+   merge that absorbs the backlog. *)
+let test_delete_sealed () =
+  with_temp_dir (fun dir ->
+      let t, acked = lossy_backlog dir in
+      let st = Lsm.stats t in
+      (* Inline merges absorb the whole sealed set, so the components
+         hold the oldest acknowledged inserts, the sealed set the next
+         ones, and the active buffer the newest. *)
+      let stored = List.fold_left (fun a (_, n) -> a + n) 0 (Lsm.components t) in
+      Alcotest.(check int) "components + sealed + buffer" (Array.length acked)
+        (stored + st.Lsm.s_sealed + st.Lsm.s_buffer);
+      Alcotest.(check bool) "sealed backlog" true (st.Lsm.s_sealed > 0);
+      let victim = acked.(stored) in
+      (* A failed WAL append logs nothing, so the caller retries. *)
+      let rec delete tries =
+        match Lsm.delete t victim with
+        | r -> r
+        | exception Prt_storage.Pager.Io_error _ when tries > 0 ->
+            delete (tries - 1)
+      in
+      Alcotest.(check bool) "delete of a sealed id" true (delete 20);
+      Alcotest.(check bool) "second delete finds nothing" false (delete 20);
+      let survivors =
+        Array.of_list
+          (List.filter (fun e -> Entry.id e <> Entry.id victim) (Array.to_list acked))
+      in
+      let check_state msg t =
+        Alcotest.(check int) (msg ^ ": count") (Array.length survivors) (Lsm.count t);
+        check_oracle ~msg t survivors everything;
+        check_oracle ~msg t survivors (Entry.rect victim)
+      in
+      check_state "after delete" t;
+      (* The device is still lossy: the merge may abort again, and the
+         deleted id must stay gone either way. *)
+      (try Lsm.flush t with Prt_storage.Pager.Io_error _ -> ());
+      check_state "after flush" t;
+      Lsm.close t;
+      let t =
+        Lsm.open_ ~buffer_capacity:8 ~page_size:Helpers.small_page_size dir
+      in
+      check_state "after reopen" t;
+      Lsm.flush t;
+      check_state "after a healthy flush" t;
+      Lsm.validate t;
+      Lsm.close t)
+
+(* A delete of an id that a mid-merge seal coalesced: the running merge
+   did not copy that id, so its commit must not persist the tombstone.
+   The delete record lies above the new WAL floor with the insert it
+   cancels; a manifest copy would survive the replay and tombstone
+   nothing, leaving the count one short and the id uninsertable.  A
+   second domain runs the merge, paused at its first component page
+   write while this one seals a second batch and deletes from it. *)
+let test_delete_mid_merge_seal () =
+  with_temp_dir (fun dir ->
+      let entries = Helpers.random_entries ~n:16 ~seed:141 in
+      let first = Array.sub entries 0 8 and second = Array.sub entries 8 8 in
+      let victim = second.(3) in
+      (* 0: idle, 1: armed, 2: merge paused, 3: resumed. *)
+      let phase = Atomic.make 0 in
+      let building () =
+        Array.exists
+          (fun n -> Filename.check_suffix n ".idx.tmp")
+          (Sys.readdir dir)
+      in
+      let hook _ =
+        if Atomic.get phase = 1 && building () && Atomic.compare_and_set phase 1 2
+        then
+          while Atomic.get phase = 2 do
+            Domain.cpu_relax ()
+          done
+      in
+      let crash =
+        Failpoint.create { Failpoint.default with phys_write_hook = Some hook }
+      in
+      let t =
+        Lsm.create ~buffer_capacity:8 ~page_size:Helpers.small_page_size
+          ~wal_sync:`Never ~crash dir
+      in
+      Array.iter (Lsm.insert t) (Array.sub first 0 7);
+      Atomic.set phase 1;
+      (* The eighth insert seals the first batch and merges it inline. *)
+      let merger = Domain.spawn (fun () -> Lsm.insert t first.(7)) in
+      while Atomic.get phase <> 2 do
+        Domain.cpu_relax ()
+      done;
+      Array.iter (Lsm.insert t) second;
+      Alcotest.(check int) "both batches sealed" 16 (Lsm.stats t).Lsm.s_sealed;
+      Alcotest.(check bool) "delete of a coalesced id" true (Lsm.delete t victim);
+      Atomic.set phase 3;
+      Domain.join merger;
+      Alcotest.(check (list (pair int int))) "the merge took the first batch"
+        [ (0, 8) ] (Lsm.components t);
+      let survivors =
+        Array.of_list
+          (List.filter
+             (fun e -> Entry.id e <> Entry.id victim)
+             (Array.to_list entries))
+      in
+      let check_state msg t =
+        Alcotest.(check int) (msg ^ ": count") 15 (Lsm.count t);
+        check_oracle ~msg t survivors everything
+      in
+      check_state "after the merge" t;
+      Lsm.close t;
+      let t =
+        Lsm.open_ ~buffer_capacity:8 ~page_size:Helpers.small_page_size dir
+      in
+      check_state "after reopen" t;
+      Alcotest.(check int) "no tombstone survives the replay" 0
+        (Lsm.stats t).Lsm.s_tombstones;
+      Lsm.flush t;
+      check_state "after flush" t;
+      Lsm.insert t victim;
+      Alcotest.(check int) "re-inserted" 16 (Lsm.count t);
+      check_oracle t entries everything;
+      Lsm.validate t;
+      Lsm.close t)
+
+(* --- a merge past 50k entries --- *)
+
+(* Every merge bulk-loads in memory, however large.  The compacted
+   component must answer like brute force and stay close to its live
+   payload: an external sort's scratch pages left in the file would
+   make it several times larger. *)
+let test_large_merge () =
+  with_temp_dir (fun dir ->
+      let n = 60_000 in
+      let entries = Helpers.random_entries ~n ~seed:131 in
+      let t = Lsm.create ~wal_sync:`Never dir in
+      Array.iter (Lsm.insert t) entries;
+      Lsm.compact t;
+      Alcotest.(check (list (pair int int))) "one component" [ (6, n) ]
+        (Lsm.components t);
+      Array.iter
+        (fun q -> check_oracle t entries q)
+        (Helpers.random_queries ~n:20 ~seed:132);
+      let bytes =
+        Array.fold_left
+          (fun acc name ->
+            if Filename.check_suffix name ".idx" then
+              acc + (Unix.stat (Filename.concat dir name)).Unix.st_size
+            else acc)
+          0 (Sys.readdir dir)
+      in
+      let payload = n * Entry.size in
+      Alcotest.(check bool)
+        (Printf.sprintf "component file %d B <= 2 x payload %d B" bytes payload)
+        true
+        (bytes <= 2 * payload);
+      Lsm.validate t;
+      Lsm.close t)
+
+(* A query reads the tombstone set as it stood when it started without
+   copying it: 2,000 tombstones must not add to what a query
+   allocates.  A per-query copy allocated ~80 KB here, and its forced
+   minor collections made most of ingest-mixed's query time. *)
+let test_query_tombstone_snapshot () =
+  with_temp_dir (fun dir ->
+      let entries = Helpers.random_entries ~n:3_000 ~seed:141 in
+      let t = Lsm.create ~wal_sync:`Never dir in
+      Array.iter (Lsm.insert t) entries;
+      Lsm.flush t;
+      let window = Rect.make ~xmin:0.4 ~ymin:0.4 ~xmax:0.45 ~ymax:0.45 in
+      let per_query () =
+        (* Counters are exact only with the minor heap empty. *)
+        let queries = 100 in
+        Gc.minor ();
+        let a0 = Gc.allocated_bytes () in
+        for _ = 1 to queries do
+          ignore (Lsm.query t window ~f:ignore)
+        done;
+        Gc.minor ();
+        (Gc.allocated_bytes () -. a0) /. float_of_int queries
+      in
+      ignore (per_query ());
+      let before = per_query () in
+      for i = 0 to 1_999 do
+        Alcotest.(check bool) "delete stored" true (Lsm.delete t entries.(i))
+      done;
+      Alcotest.(check int) "tombstones" 2_000 (Lsm.stats t).Lsm.s_tombstones;
+      let after = per_query () in
+      Alcotest.(check bool)
+        (Printf.sprintf "bytes per query: %.0f, then %.0f with 2,000 tombstones"
+           before after)
+        true
+        (after -. before < 512.0);
+      check_oracle t (Array.sub entries 2_000 1_000) window;
       Lsm.close t)
 
 (* --- background merges --- *)
@@ -699,4 +897,12 @@ let suite =
     Alcotest.test_case "background merge domain" `Quick test_background;
     Helpers.qcheck_case qcheck_differential;
     Helpers.qcheck_case qcheck_differential_faulty;
+    Alcotest.test_case "delete of a sealed id after an aborted merge" `Quick
+      test_delete_sealed;
+    Alcotest.test_case "delete of an id sealed during a merge" `Quick
+      test_delete_mid_merge_seal;
+    Alcotest.test_case "merge past 50k entries loads in memory" `Quick
+      test_large_merge;
+    Alcotest.test_case "query reads tombstones without a copy" `Quick
+      test_query_tombstone_snapshot;
   ]
