@@ -107,8 +107,24 @@ let report_recovery r =
   if r.Superblock.rec_slot_repaired then
     Printf.eprintf "recovery: repaired damaged superblock slot\n"
 
+(* An index that cannot be opened at all — missing, unreadable, or not
+   an index file — is reported as such and exits 2, a code no
+   subcommand uses for anything else. *)
+let cannot_open path reason =
+  Printf.eprintf "prt: cannot open index %s: %s\n%!" path reason;
+  exit 2
+
+let index_exits =
+  Cmd.Exit.info 2 ~doc:"the index file could not be opened: missing, unreadable, or not an index."
+  :: Cmd.Exit.defaults
+
 let with_index ?backend path f =
-  let idx = Index_file.open_ ?backend path in
+  let idx =
+    match Index_file.open_ ?backend path with
+    | idx -> idx
+    | exception Unix.Unix_error (e, _, _) -> cannot_open path (Unix.error_message e)
+    | exception (Failure reason | Invalid_argument reason) -> cannot_open path reason
+  in
   report_recovery (Index_file.recovery idx);
   Fun.protect ~finally:(fun () -> Index_file.close idx) (fun () -> f idx)
 
@@ -260,6 +276,9 @@ let query_cmd =
   in
   Cmd.v
     (Cmd.info "query"
+       ~exits:
+         (Cmd.Exit.info 3 ~doc:"the answer is partial (damage skipped or deadline expired)."
+         :: index_exits)
        ~doc:
          "Run a window query against an index file. Damaged pages degrade the query instead of \
           failing it; any partiality is reported on the status line and through exit code 3.")
@@ -287,7 +306,8 @@ let insert_cmd =
         Printf.printf "inserted #%d; index now holds %d rectangles\n" id (Rtree.count tree))
   in
   Cmd.v
-    (Cmd.info "insert" ~doc:"Insert a rectangle into an index file (Guttman insertion).")
+    (Cmd.info "insert" ~exits:index_exits
+       ~doc:"Insert a rectangle into an index file (Guttman insertion).")
     Term.(const run $ index $ window $ id)
 
 let delete_cmd =
@@ -308,7 +328,7 @@ let delete_cmd =
         else Printf.printf "no such entry\n")
   in
   Cmd.v
-    (Cmd.info "delete" ~doc:"Delete a rectangle from an index file.")
+    (Cmd.info "delete" ~exits:index_exits ~doc:"Delete a rectangle from an index file.")
     Term.(const run $ index $ window $ id)
 
 let compare_cmd =
@@ -375,7 +395,7 @@ let knn_cmd =
         Printf.printf "%d neighbours; %d nodes read\n" (List.length results) stats.Knn.nodes_read)
   in
   Cmd.v
-    (Cmd.info "knn" ~doc:"Find the k nearest rectangles to a point.")
+    (Cmd.info "knn" ~exits:index_exits ~doc:"Find the k nearest rectangles to a point.")
     Term.(const run $ index $ point $ k)
 
 (* --- the LSM ingestion tier --- *)
@@ -594,7 +614,7 @@ let stats_cmd =
             (Obs.Metrics.percentile lat 99.0) (Obs.Metrics.histogram_count lat))
   in
   Cmd.v
-    (Cmd.info "stats"
+    (Cmd.info "stats" ~exits:index_exits
        ~doc:
          "Print per-level structure and quality metrics of an index — or, given an LSM \
           store directory, its ingestion health: components per level, WAL bytes pending \
@@ -650,7 +670,7 @@ let flightrec_cmd =
         Printf.printf "%d trace event(s) -> %s\n" n out)
   in
   Cmd.v
-    (Cmd.info "flightrec"
+    (Cmd.info "flightrec" ~exits:index_exits
        ~doc:
          "Run a multicore query batch with the flight recorder on and dump the merged Chrome \
           trace (batch span + per-domain query spans and resilience events). Load the output in \
@@ -717,7 +737,7 @@ let profile_cmd =
             end))
   in
   Cmd.v
-    (Cmd.info "profile"
+    (Cmd.info "profile" ~exits:index_exits
        ~doc:
          "Profile a window query: nodes visited per level, pager and buffer-pool activity, \
           wall-clock time, and optionally a Chrome trace.")
@@ -737,7 +757,8 @@ let validate_cmd =
           (100.0 *. s.Rtree.utilization))
   in
   Cmd.v
-    (Cmd.info "validate" ~doc:"Check the structural invariants of an index file.")
+    (Cmd.info "validate" ~exits:index_exits
+       ~doc:"Check the structural invariants of an index file.")
     Term.(const run $ index)
 
 let audit_cmd =
@@ -764,7 +785,7 @@ let audit_cmd =
         if not (Audit.ok report) then exit 1)
   in
   Cmd.v
-    (Cmd.info "audit"
+    (Cmd.info "audit" ~exits:(Cmd.Exit.info 1 ~doc:"the audit found violations." :: index_exits)
        ~doc:
          "Run the full invariant audit on an index file: MBR containment and tightness, uniform \
           leaf depth, fill bounds, entry counts, and page leaks. Exits 1 on any violation.")
@@ -820,7 +841,7 @@ let scrub_cmd =
         end)
   in
   Cmd.v
-    (Cmd.info "scrub"
+    (Cmd.info "scrub" ~exits:(Cmd.Exit.info 1 ~doc:"unrepaired damage remains." :: index_exits)
        ~doc:
          "Verify every page checksum of an index file. With $(b,--online), additionally heal \
           damaged pages in place from the post-image shadow chain and maintain the quarantine — \
@@ -841,6 +862,10 @@ let fsck_cmd =
              PR-tree index at $(docv) — the last resort when no valid superblock survives.")
   in
   let run index rebuild =
+    (match (Unix.stat index).Unix.st_kind with
+    | Unix.S_REG -> ()
+    | _ -> cannot_open index "not a regular file"
+    | exception Unix.Unix_error (e, _, _) -> cannot_open index (Unix.error_message e));
     let rebuild =
       Option.map (fun out -> (out, fun pool entries -> Prtree.load pool entries)) rebuild
     in
@@ -849,7 +874,7 @@ let fsck_cmd =
     if not (Index_file.fsck_clean report) then exit 1
   in
   Cmd.v
-    (Cmd.info "fsck"
+    (Cmd.info "fsck" ~exits:(Cmd.Exit.info 1 ~doc:"the check reported a finding." :: index_exits)
        ~doc:
          "Check and repair an index file: tolerate a torn final write, pick the newest valid \
           superblock, roll back an interrupted transaction from the pre-image journal, repair a \
@@ -958,7 +983,7 @@ let serve_cmd =
         Printf.printf "%s\n" (Format.asprintf "%a" Serve.Server.pp_report report))
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits:index_exits
        ~doc:
          "Serve window queries over a Unix-domain or TCP socket (length-prefixed CRC'd binary \
           frames, see DESIGN.md). Per-client token-bucket quotas, bounded-queue load shedding \

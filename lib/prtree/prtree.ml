@@ -51,12 +51,11 @@ let load ?priority_size ?(domains = 1) pool entries =
         Trace.with_span "prtree.stage"
           ~args:[ ("level", Trace.Int (height - 1)); ("n", Trace.Int (Array.length current)) ]
           (fun () ->
-            let pseudo =
+            let leaves =
               Trace.with_span "prtree.pseudo" (fun () ->
-                  Pseudo.build ~b:cap ?priority_size ~domains current)
+                  Pseudo.build_leaves ~b:cap ?priority_size ~domains current)
             in
-            Trace.with_span "prtree.write_level" (fun () ->
-                write_level pool ~kind (Pseudo.leaves pseudo)))
+            Trace.with_span "prtree.write_level" (fun () -> write_level pool ~kind leaves))
         |> fun level -> stage (Array.of_list level) ~kind:Node.Internal ~height:(height + 1)
       end
     in

@@ -12,7 +12,9 @@ val load :
   Prt_storage.Buffer_pool.t ->
   Prt_rtree.Entry.t array ->
   Prt_rtree.Rtree.t
-(** In-memory staged construction (expected O(N log N) work). For the
+(** In-memory staged construction (expected O(N log N) work): each
+    stage writes the leaves {!Pseudo.build_leaves} gives for the
+    previous level's boxes, with no pseudo-PR-tree in between. For the
     I/O-efficient external construction see {!Ext_build}.
     [priority_size] is the ablation knob of {!Pseudo.build}; [domains]
     forks independent kd subtrees onto OCaml domains (identical

@@ -17,7 +17,22 @@
    Construction here is in-memory and selection-based: priority leaves
    are peeled off with expected-linear quickselect, and the median split
    is a selection too, so building is O(N log N) expected.  The
-   I/O-efficient external construction lives in {!Ext_build}. *)
+   selection runs over unboxed data: the input's four coordinates are
+   copied once into [Float.Array] columns, and the kernel permutes an
+   int array of indices into them.  Its quickselect is
+   {!Prt_util.Select.partition_at} specialised to one key column and a
+   direction: the same pivots and the same Hoare scan, comparing keys
+   inline and reading the rest of [Entry.compare_dim]'s order (the
+   rectangle, then the id) from the columns only on equal keys.  Every
+   comparison therefore has [Entry.compare_dim]'s outcome, the
+   permutation moves exactly as [Select.partition_at] moves an entry
+   array under that order, and every leaf — and the entry order inside
+   it — is fixed by that order and the pivot rule.  This is what keeps
+   index files byte-identical to a build with [Entry.compare_dim]
+   closures.  {!build_leaves} hands the leaves straight to the
+   PR-tree's stages; {!build} wraps them in the tree for Lemma 2, the
+   audit and the ablation.  The I/O-efficient external construction
+   lives in {!Ext_build}. *)
 
 module Rect = Prt_geom.Rect
 module Select = Prt_util.Select
@@ -37,26 +52,98 @@ let mbr = function Leaf { mbr; _ } -> mbr | Node { mbr; _ } -> mbr
 let extreme_cmp dim =
   if dim < 2 then Entry.compare_dim dim else fun a b -> Entry.compare_dim dim b a
 
-let leaf ?priority entries =
-  Leaf { mbr = Rect.union_map ~f:Entry.rect entries; entries; priority }
+(* --- the selection kernel --- *)
 
-(* Peel the priority leaves off [arr.(lo..hi)]: for each direction in
-   order, move the [size] most extreme remaining entries to the front
-   and emit them as a leaf. Returns the new [lo] and the reversed leaf
-   list. *)
-let extract_priority_leaves ~size arr lo hi =
-  let acc = ref [] and lo = ref lo in
-  let dim = ref 0 in
-  while !dim < 4 && !lo < hi && size > 0 do
-    let k = min size (hi - !lo) in
-    Select.smallest_to_front ~cmp:(extreme_cmp !dim) arr !lo hi k;
-    acc := leaf ~priority:!dim (Array.sub arr !lo k) :: !acc;
-    lo := !lo + k;
-    incr dim
-  done;
-  (!lo, !acc)
+type columns = {
+  xmin : Float.Array.t;
+  ymin : Float.Array.t;
+  xmax : Float.Array.t;
+  ymax : Float.Array.t;
+  ids : int array;
+}
 
-let build ?(b = 113) ?priority_size ?(domains = 1) entries =
+let columns entries =
+  let col f = Float.Array.init (Array.length entries) (fun i -> f (Entry.rect entries.(i))) in
+  {
+    xmin = col Rect.xmin;
+    ymin = col Rect.ymin;
+    xmax = col Rect.xmax;
+    ymax = col Rect.ymax;
+    ids = Array.map Entry.id entries;
+  }
+
+let key c dim = match dim with 0 -> c.xmin | 1 -> c.ymin | 2 -> c.xmax | _ -> c.ymax
+
+let[@inline] fcmp col x y =
+  Float.compare (Float.Array.unsafe_get col x) (Float.Array.unsafe_get col y)
+
+(* [Entry.compare_dim]'s tie-break from the columns: the rectangles in
+   [Rect.compare] order (xmin, ymin, xmax, ymax), then the ids. *)
+let tie_break c x y =
+  let r = fcmp c.xmin x y in
+  if r <> 0 then r
+  else
+    let r = fcmp c.ymin x y in
+    if r <> 0 then r
+    else
+      let r = fcmp c.xmax x y in
+      if r <> 0 then r
+      else
+        let r = fcmp c.ymax x y in
+        if r <> 0 then r else Int.compare (Array.unsafe_get c.ids x) (Array.unsafe_get c.ids y)
+
+(* [Entry.compare_dim dim] of element [x] against the pivot [p], whose
+   key in column [key] (that of [dim]) is [kp].  The float comparisons
+   decide unless the keys are equal (or NaN, which [Float.compare]
+   orders as [Entry.compare_dim] does). *)
+let[@inline] compare_to c key x p kp =
+  let kx = Float.Array.unsafe_get key x in
+  if kx < kp then -1
+  else if kx > kp then 1
+  else
+    let r = Float.compare kx kp in
+    if r <> 0 then r else tie_break c x p
+
+let[@inline] swap (perm : int array) i j =
+  let tmp = Array.unsafe_get perm i in
+  Array.unsafe_set perm i (Array.unsafe_get perm j);
+  Array.unsafe_set perm j tmp
+
+(* [Select.partition_at] on [perm.(lo..hi)] under [sign] times
+   [Entry.compare_dim] on [key]'s dimension ([sign] -1 puts the largest
+   first): the same pivot rule and the same Hoare scan, so it makes the
+   swaps [Select.partition_at] makes on the entries themselves. *)
+let rec partition c key sign perm lo hi n =
+  if hi - lo > 1 then begin
+    swap perm (Select.pivot_index lo hi) lo;
+    let p = perm.(lo) in
+    let kp = Float.Array.get key p in
+    let i = ref (lo + 1) and j = ref (hi - 1) in
+    while !i <= !j do
+      while !i <= !j && sign * compare_to c key (Array.unsafe_get perm !i) p kp < 0 do
+        incr i
+      done;
+      while !i <= !j && sign * compare_to c key (Array.unsafe_get perm !j) p kp > 0 do
+        decr j
+      done;
+      if !i < !j then begin
+        swap perm !i !j;
+        incr i;
+        decr j
+      end
+      else if !i = !j then incr i
+    done;
+    let mid = !j in
+    swap perm lo mid;
+    if n < mid then partition c key sign perm lo mid n
+    else if n > mid then partition c key sign perm (mid + 1) hi n
+  end
+
+(* Run the construction, calling [leaf ~priority entries] for each leaf
+   in construction order and [node children] for each internal node.
+   A leaf's range of [perm] is final when it is handed out: later
+   selections touch only the ranges after it. *)
+let kernel ~b ?priority_size ~domains ~leaf ~node entries =
   if b < 1 then invalid_arg "Pseudo.build: b must be >= 1";
   (* Priority leaves default to full size b (the paper's choice); 0
      disables them entirely, degenerating to a plain 4-D kd-tree — the
@@ -66,40 +153,72 @@ let build ?(b = 113) ?priority_size ?(domains = 1) entries =
   if priority_size < 0 || priority_size > b then
     invalid_arg "Pseudo.build: priority_size outside [0, b]";
   if Array.length entries = 0 then invalid_arg "Pseudo.build: empty input";
-  let arr = Array.copy entries in
+  let c = columns entries in
+  let perm = Array.init (Array.length entries) Fun.id in
+  let leaf ?priority lo hi =
+    leaf ~priority (Array.init (hi - lo) (fun k -> entries.(perm.(lo + k))))
+  in
+  (* Peel the priority leaves off [perm.(lo..hi)]: for each direction in
+     order, move the [priority_size] most extreme remaining entries to
+     the front and emit them as a leaf. Returns the new [lo] and the
+     reversed leaf list. *)
+  let extract_priority_leaves lo hi =
+    let acc = ref [] and lo = ref lo and dim = ref 0 in
+    while !dim < 4 && !lo < hi && priority_size > 0 do
+      let k = min priority_size (hi - !lo) in
+      if !lo + k < hi then
+        partition c (key c !dim) (if !dim < 2 then 1 else -1) perm !lo hi (!lo + k - 1);
+      acc := leaf ~priority:!dim !lo (!lo + k) :: !acc;
+      lo := !lo + k;
+      incr dim
+    done;
+    (!lo, !acc)
+  in
   (* [budget] is how many extra domains this subtree may still spawn;
-     the two kd halves work on disjoint ranges of [arr], so forking is
-     safe and the result is identical to the sequential build. *)
+     the two kd halves work on disjoint ranges of [perm] and only read
+     the columns, so forking is safe and the result is identical to the
+     sequential build. *)
   let rec go lo hi depth budget =
-    if hi - lo <= b then leaf (Array.sub arr lo (hi - lo))
+    if hi - lo <= b then leaf lo hi
     else begin
-      let box = Rect.union_map ~lo ~hi ~f:Entry.rect arr in
-      let lo', rev_leaves = extract_priority_leaves ~size:priority_size arr lo hi in
-      let children =
-        if lo' >= hi then List.rev rev_leaves
-        else if hi - lo' <= b then
-          (* The remainder fits a single leaf: no kd split needed. *)
-          List.rev_append rev_leaves [ leaf (Array.sub arr lo' (hi - lo')) ]
-        else begin
-          (* kd median split of the remainder, cycling the dimension. *)
-          let dim = depth mod 4 in
-          let mid = lo' + ((hi - lo') / 2) in
-          Select.partition_at ~cmp:(Entry.compare_dim dim) arr lo' hi mid;
-          (* [mid] itself goes right so both sides are non-empty. *)
-          let parallel = budget > 1 && hi - lo' > 8192 in
-          let sub = if parallel then budget / 2 else budget in
-          let left, right =
-            Prt_util.Parallel.both ~parallel
-              (fun () -> go lo' mid (depth + 1) sub)
-              (fun () -> go mid hi (depth + 1) (budget - sub))
-          in
-          List.rev_append rev_leaves [ left; right ]
-        end
-      in
-      Node { mbr = box; children }
+      let lo', rev_leaves = extract_priority_leaves lo hi in
+      if lo' >= hi then node (List.rev rev_leaves)
+      else if hi - lo' <= b then
+        (* The remainder fits a single leaf: no kd split needed. *)
+        node (List.rev_append rev_leaves [ leaf lo' hi ])
+      else begin
+        (* kd median split of the remainder, cycling the dimension. *)
+        let dim = depth mod 4 in
+        let mid = lo' + ((hi - lo') / 2) in
+        partition c (key c dim) 1 perm lo' hi mid;
+        (* [mid] itself goes right so both sides are non-empty. *)
+        let parallel = budget > 1 && hi - lo' > 8192 in
+        let sub = if parallel then budget / 2 else budget in
+        let left, right =
+          Prt_util.Parallel.both ~parallel
+            (fun () -> go lo' mid (depth + 1) sub)
+            (fun () -> go mid hi (depth + 1) (budget - sub))
+        in
+        node (List.rev_append rev_leaves [ left; right ])
+      end
     end
   in
-  go 0 (Array.length arr) 0 (max 1 domains)
+  go 0 (Array.length entries) 0 (max 1 domains)
+
+let build ?(b = 113) ?priority_size ?(domains = 1) entries =
+  kernel ~b ?priority_size ~domains entries
+    ~leaf:(fun ~priority entries ->
+      Leaf { mbr = Rect.union_map ~f:Entry.rect entries; entries; priority })
+    ~node:(fun children ->
+      let box =
+        List.fold_left (fun acc c -> Rect.union acc (mbr c)) (mbr (List.hd children)) children
+      in
+      Node { mbr = box; children })
+
+let build_leaves ?(b = 113) ?priority_size ?(domains = 1) entries =
+  kernel ~b ?priority_size ~domains entries
+    ~leaf:(fun ~priority:_ entries -> [ entries ])
+    ~node:List.concat
 
 let rec fold_leaves t ~init ~f =
   match t with

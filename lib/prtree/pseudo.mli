@@ -6,7 +6,12 @@
     ymin, maximal xmax, maximal ymax), each drawn from what the previous
     priority leaves left behind. Window queries visit
     [O(sqrt(N/b) + T/b)] nodes (Lemma 2). The real {!Prtree} is built
-    from the {e leaves} of pseudo-PR-trees, one stage per level. *)
+    from the {e leaves} of pseudo-PR-trees, one stage per level.
+
+    One construction kernel serves both forms: quickselect over four
+    unboxed coordinate columns and an int permutation, specialised by
+    key dimension and direction. {!build_leaves} returns its leaves as
+    they are; {!build} wraps them in the tree. *)
 
 type t =
   | Leaf of {
@@ -21,7 +26,10 @@ type t =
 val build : ?b:int -> ?priority_size:int -> ?domains:int -> Prt_rtree.Entry.t array -> t
 (** [build ~b entries] constructs the pseudo-PR-tree with leaf capacity
     [b] (default 113, the 4 KB-page fanout). Expected O(N log N) via
-    quickselect; the input array is not modified. Raises
+    quickselect over unboxed coordinate columns and an int permutation;
+    the input array is not modified. Every leaf, and the entry order
+    inside it, is determined by {!Prt_rtree.Entry.compare_dim}'s total
+    order and the quickselect's fixed pivot rule. Raises
     [Invalid_argument] on empty input or [b < 1].
 
     [priority_size] (default [b]) sets how many extreme rectangles each
@@ -32,6 +40,18 @@ val build : ?b:int -> ?priority_size:int -> ?domains:int -> Prt_rtree.Entry.t ar
 
     [domains] (default 1) allows forking independent kd subtrees onto
     OCaml domains; the result is identical to the sequential build. *)
+
+val build_leaves :
+  ?b:int ->
+  ?priority_size:int ->
+  ?domains:int ->
+  Prt_rtree.Entry.t array ->
+  Prt_rtree.Entry.t array list
+(** [build_leaves ~b entries] is [leaves (build ~b entries)] — the same
+    leaf entry-sets in the same order — straight from the construction,
+    without the tree or its bounding boxes: what {!Prtree.load} and
+    {!Ext_build} keep of each pseudo-PR-tree. Same arguments and
+    exceptions as {!build}. *)
 
 val mbr : t -> Prt_geom.Rect.t
 

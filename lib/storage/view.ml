@@ -44,25 +44,38 @@ let get_i32 (m : map) off =
   (w lsl s) asr s
 
 (* CRC-32C over a mapped window, bit-identical to {!Page.crc32c} —
-   verified equal in the test suite.  Used to validate a mapped page
-   once per (page, generation); after that the mapping is trusted.  The
-   table is built at module initialization, not lazily: reader domains
-   verify pages concurrently, and forcing one lazy value from two
-   domains at once raises [CamlinternalLazy.Undefined]. *)
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+   verified against a bytewise reference in the test suite — and
+   computed the same way, slicing-by-8 over {!Page.crc_tables}.  Used
+   to validate a mapped page once per (page, generation); after that
+   the mapping is trusted. *)
+external get32u : map -> int -> int32 = "%caml_bigstring_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external big_endian : unit -> bool = "%big_endian"
+
+let[@inline] word (m : map) i =
+  let w = get32u m i in
+  Int32.to_int (if big_endian () then swap32 w else w) land 0xFFFFFFFF
 
 let crc32c (m : map) ~pos ~len =
-  let table = crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
+  if pos < 0 || len < 0 || pos > length m - len then invalid_arg "View.crc32c";
+  let t = Page.crc_tables in
+  let c = ref 0xFFFFFFFF and i = ref pos in
+  let stop8 = pos + (len land lnot 7) in
+  while !i < stop8 do
+    let lo = word m !i lxor !c and hi = word m (!i + 4) in
     c :=
-      Array.unsafe_get table ((!c lxor get_u8 m i) land 0xFF) lxor (!c lsr 8)
+      Array.unsafe_get t (1792 + (lo land 0xFF))
+      lxor Array.unsafe_get t (1536 + ((lo lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (1280 + ((lo lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (1024 + (lo lsr 24))
+      lxor Array.unsafe_get t (768 + (hi land 0xFF))
+      lxor Array.unsafe_get t (512 + ((hi lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = stop8 to pos + len - 1 do
+    c := Array.unsafe_get t ((!c lxor get_u8 m j) land 0xFF) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 

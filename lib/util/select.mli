@@ -5,6 +5,13 @@
     pseudo-PR-tree construction: priority-leaf extraction and kd median
     splits. *)
 
+val pivot_index : int -> int -> int
+(** [pivot_index lo hi] is the pivot position {!partition_at} picks for
+    the range [\[lo, hi)] (requires [lo < hi]): a deterministic
+    scramble of the bounds, so runs are reproducible and crafted inputs
+    do not go quadratic.  Exposed so a specialised selection can move
+    its array exactly as [partition_at] would. *)
+
 val partition_at : cmp:('a -> 'a -> int) -> 'a array -> int -> int -> int -> unit
 (** [partition_at ~cmp arr lo hi n] permutes [\[lo, hi)] so that the
     element at index [n] is the one a full sort would put there, every

@@ -34,4 +34,5 @@ let () =
       ("mmap", Test_mmap.suite);
       ("serve", Test_serve.suite);
       ("ingest", Test_ingest.suite);
+      ("pseudo-kernel", Test_pseudo_kernel.suite);
     ]

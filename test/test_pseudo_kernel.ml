@@ -1,0 +1,192 @@
+(* The pseudo-PR-tree's columnar selection kernel against a
+   closure-based construction, reduced to its leaf list: quickselect
+   over boxed entries, comparing through [Entry.compare_dim] closures.
+   For every input and every parameter the kernel must give the same
+   leaves in the same order, with the same entries in the same order
+   inside each leaf, and the same priority directions; that is what
+   keeps PR-tree files byte-identical to those of the closure-based
+   build. *)
+
+module Rect = Prt_geom.Rect
+module Entry = Prt_rtree.Entry
+module Select = Prt_util.Select
+module Pseudo = Prt_prtree.Pseudo
+
+let extreme_cmp dim =
+  if dim < 2 then Entry.compare_dim dim else fun a b -> Entry.compare_dim dim b a
+
+(* (priority, entries) for every leaf, in construction order. *)
+let oracle_leaves ~b ~priority_size entries =
+  let arr = Array.copy entries in
+  let out = ref [] in
+  let emit ?priority lo hi = out := (priority, Array.sub arr lo (hi - lo)) :: !out in
+  let rec go lo hi depth =
+    if hi - lo <= b then emit lo hi
+    else begin
+      let lo = ref lo and dim = ref 0 in
+      while !dim < 4 && !lo < hi && priority_size > 0 do
+        let k = min priority_size (hi - !lo) in
+        Select.smallest_to_front ~cmp:(extreme_cmp !dim) arr !lo hi k;
+        emit ~priority:!dim !lo (!lo + k);
+        lo := !lo + k;
+        incr dim
+      done;
+      let lo = !lo in
+      if lo >= hi then ()
+      else if hi - lo <= b then emit lo hi
+      else begin
+        let dim = depth mod 4 in
+        let mid = lo + ((hi - lo) / 2) in
+        Select.partition_at ~cmp:(Entry.compare_dim dim) arr lo hi mid;
+        go lo mid (depth + 1);
+        go mid hi (depth + 1)
+      end
+    end
+  in
+  go 0 (Array.length arr) 0;
+  List.rev !out
+
+(* --- inputs, the tie-heavy ones included --- *)
+
+let rect_at rng ~snap =
+  let coord () =
+    let v = Random.State.float rng 1.0 in
+    if snap then Float.round (v *. 8.0) /. 8.0 else v
+  in
+  let x0 = coord () and x1 = coord () and y0 = coord () and y1 = coord () in
+  Rect.of_corners (x0, y0) (x1, y1)
+
+let make n f = Array.init n (fun i -> Entry.make (f i) i)
+
+let datasets n =
+  let rng = Random.State.make [| n; 17 |] in
+  let random = make n (fun _ -> rect_at rng ~snap:false) in
+  (* Every rectangle three times, under distinct ids. *)
+  let repeated = make n (fun i -> Entry.rect random.(i / 3)) in
+  let shared_xmin =
+    make n (fun i ->
+        let r = Entry.rect random.(i) in
+        Rect.make ~xmin:0.0 ~ymin:(Rect.ymin r) ~xmax:(Rect.xmax r) ~ymax:(Rect.ymax r))
+  in
+  let points =
+    make n (fun _ -> Rect.point (Random.State.float rng 1.0) (Random.State.float rng 1.0))
+  in
+  (* Horizontal and vertical segments on a coarse grid: many equal
+     keys in every dimension. *)
+  let segments =
+    make n (fun i ->
+        let r = rect_at rng ~snap:true in
+        let xmax = if i mod 2 = 0 then Rect.xmax r else Rect.xmin r in
+        let ymax = if i mod 2 = 0 then Rect.ymin r else Rect.ymax r in
+        Rect.make ~xmin:(Rect.xmin r) ~ymin:(Rect.ymin r) ~xmax ~ymax)
+  in
+  (* -0.0 beside 0.0: equal under every comparison, distinct bits. *)
+  let zeros =
+    make n (fun _ ->
+        let z () = if Random.State.bool rng then -0.0 else 0.0 in
+        let hi () = if Random.State.int rng 4 = 0 then z () else Random.State.float rng 1.0 in
+        Rect.make ~xmin:(z ()) ~ymin:(z ()) ~xmax:(hi ()) ~ymax:(hi ()))
+  in
+  [
+    ("random", random);
+    ("repeated", repeated);
+    ("shared xmin", shared_xmin);
+    ("points", points);
+    ("segments", segments);
+    ("signed zeros", zeros);
+  ]
+
+(* --- the comparison --- *)
+
+let ids leaves = List.map (fun (_, es) -> Array.to_list (Array.map Entry.id es)) leaves
+
+(* Physical identity: the kernel hands out the input's own entries, so
+   an equal-looking entry in the wrong place (-0.0 for 0.0) fails. *)
+let same_entries a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (_, x) (_, y) -> Array.length x = Array.length y && Array.for_all2 ( == ) x y)
+       a b
+
+let check_against_oracle ~label ~b ~priority_size ~domains entries =
+  let expected = oracle_leaves ~b ~priority_size entries in
+  let tree =
+    Pseudo.fold_leaves
+      (Pseudo.build ~b ~priority_size ~domains entries)
+      ~init:[]
+      ~f:(fun acc ~entries ~priority -> (priority, entries) :: acc)
+    |> List.rev
+  in
+  let flat =
+    List.map (fun es -> (None, es)) (Pseudo.build_leaves ~b ~priority_size ~domains entries)
+  in
+  let label =
+    Printf.sprintf "%s b=%d priority_size=%d domains=%d" label b priority_size domains
+  in
+  Alcotest.(check (list (list int))) (label ^ ": build leaves") (ids expected) (ids tree);
+  Alcotest.(check bool) (label ^ ": build entries") true (same_entries expected tree);
+  Alcotest.(check (list (option int)))
+    (label ^ ": priority directions") (List.map fst expected) (List.map fst tree);
+  Alcotest.(check (list (list int))) (label ^ ": build_leaves") (ids expected) (ids flat);
+  Alcotest.(check bool) (label ^ ": build_leaves entries") true (same_entries expected flat)
+
+let priority_sizes b = List.sort_uniq Int.compare [ 0; 1; b / 2; b ]
+
+let test_small_inputs () =
+  List.iter
+    (fun (label, entries) ->
+      List.iter
+        (fun b ->
+          List.iter
+            (fun priority_size ->
+              List.iter
+                (fun domains -> check_against_oracle ~label ~b ~priority_size ~domains entries)
+                [ 1; 4 ])
+            (priority_sizes b))
+        [ 1; 2; 14; 113 ])
+    (datasets 700)
+
+(* Large enough that four domains really fork kd subtrees (above 8,192
+   entries per split). *)
+let test_forked_inputs () =
+  List.iter
+    (fun (label, entries) ->
+      List.iter
+        (fun b ->
+          List.iter
+            (fun priority_size -> check_against_oracle ~label ~b ~priority_size ~domains:4 entries)
+            [ 0; b ])
+        [ 2; 113 ])
+    (List.filter
+       (fun (l, _) -> List.mem l [ "random"; "repeated"; "signed zeros" ])
+       (datasets 20_000))
+
+let test_invalid_arguments () =
+  let entries = Helpers.random_entries ~n:50 ~seed:1 in
+  let raises name f =
+    Alcotest.(check bool) name true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun (kind, build) ->
+      raises (kind ^ ": b < 1") (fun () -> build ~b:0 ?priority_size:None entries);
+      raises (kind ^ ": priority_size < 0") (fun () ->
+          build ~b:14 ?priority_size:(Some (-1)) entries);
+      raises (kind ^ ": priority_size > b") (fun () ->
+          build ~b:14 ?priority_size:(Some 15) entries);
+      raises (kind ^ ": empty input") (fun () -> build ~b:14 ?priority_size:None [||]))
+    [
+      ("build", fun ~b ?priority_size es -> ignore (Pseudo.build ~b ?priority_size es));
+      ( "build_leaves",
+        fun ~b ?priority_size es -> ignore (Pseudo.build_leaves ~b ?priority_size es) );
+    ]
+
+let suite =
+  [
+    Alcotest.test_case "kernel equals the closure build (700 entries)" `Quick test_small_inputs;
+    Alcotest.test_case "kernel equals the closure build (20k, forked)" `Quick test_forked_inputs;
+    Alcotest.test_case "kernel rejects invalid arguments" `Quick test_invalid_arguments;
+  ]
