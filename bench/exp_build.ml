@@ -260,7 +260,7 @@ let fig11 ~scale ~seed =
   note "paper shape: TGS cost varies up to ~4x across distributions (4.6-16.4x";
   note "  PR's I/Os); PR's cost is essentially distribution-independent."
 
-(* Checksum overhead: format v2 stamps a CRC-32C trailer into every
+(* Checksum overhead: the on-disk format stamps a CRC-32C trailer into every
    page write and verifies it on every file-backend read.  This is not
    a paper figure; it guards the robustness PR's budget — the trailer
    must stay well under 10% of in-memory bulk-load time.  The CRC share

@@ -31,14 +31,22 @@ let write_data path entries =
   ignore file;
   Pager.close pager
 
-let read_data path =
+let read_data_file path =
   let pager = Pager.open_file path in
   Fun.protect
     ~finally:(fun () -> Pager.close pager)
     (fun () ->
+      (* Dataset pages carry the storage format epoch like every page;
+         one of another format is named, not reported as damage. *)
+      (match Page.check (Pager.read_raw pager 0) with
+      | Page.Stale_epoch e ->
+          failwith
+            (Printf.sprintf
+               "dataset format %d; this build reads format %d: regenerate it with prt gen" e
+               Page.format_epoch)
+      | Page.Fresh | Page.Valid _ | Page.Torn -> ());
       let header = Pager.read pager 0 in
-      if Page.get_i32 header 0 <> data_magic then
-        failwith (path ^ ": not a prt dataset file");
+      if Page.get_i32 header 0 <> data_magic then failwith "not a prt dataset file";
       let count = Page.get_i32 header 4 in
       let per_page = Pager.payload_size pager / Entry.size in
       let out = ref [] in
@@ -53,6 +61,41 @@ let read_data path =
         incr page
       done;
       Array.of_list (List.rev !out))
+
+(* --- typed input errors ---
+
+   An input that cannot be opened — a dataset file, an index, an LSM
+   store: missing, unreadable, of another format, or not that kind of
+   file at all — is reported by name and exits 2, a code no subcommand
+   uses for anything else.  Exceptions that do not describe the input
+   are bugs and propagate. *)
+
+let input_failure = function
+  | Unix.Unix_error (e, _, _) -> Some (Unix.error_message e)
+  | Failure reason | Invalid_argument reason | Pager.Corrupt_page reason -> Some reason
+  | Superblock.Unsupported_format found -> Some (Superblock.unsupported_format_message found)
+  | _ -> None
+
+let refuse what path reason =
+  Printf.eprintf "prt: cannot %s %s: %s\n%!" what path reason;
+  exit 2
+
+let opening what path f =
+  match f () with
+  | v -> v
+  | exception e -> (
+      match input_failure e with Some reason -> refuse what path reason | None -> raise e)
+
+let read_data path = opening "read dataset" path (fun () -> read_data_file path)
+
+let exits_2 doc = Cmd.Exit.info 2 ~doc :: Cmd.Exit.defaults
+
+let dataset_exits =
+  exits_2 "the dataset file could not be read: missing, unreadable, or not a dataset."
+
+let lsm_exits =
+  exits_2
+    "the LSM store could not be opened: no manifest, unreadable, or written by another format."
 
 (* --- dataset generation --- *)
 
@@ -107,24 +150,15 @@ let report_recovery r =
   if r.Superblock.rec_slot_repaired then
     Printf.eprintf "recovery: repaired damaged superblock slot\n"
 
-(* An index that cannot be opened at all — missing, unreadable, or not
-   an index file — is reported as such and exits 2, a code no
-   subcommand uses for anything else. *)
-let cannot_open path reason =
-  Printf.eprintf "prt: cannot open index %s: %s\n%!" path reason;
-  exit 2
+let cannot_open path reason = refuse "open index" path reason
 
 let index_exits =
-  Cmd.Exit.info 2 ~doc:"the index file could not be opened: missing, unreadable, or not an index."
-  :: Cmd.Exit.defaults
+  exits_2
+    "the index file could not be opened: missing, unreadable, not an index, or written by \
+     another format."
 
 let with_index ?backend path f =
-  let idx =
-    match Index_file.open_ ?backend path with
-    | idx -> idx
-    | exception Unix.Unix_error (e, _, _) -> cannot_open path (Unix.error_message e)
-    | exception (Failure reason | Invalid_argument reason) -> cannot_open path reason
-  in
+  let idx = opening "open index" path (fun () -> Index_file.open_ ?backend path) in
   report_recovery (Index_file.recovery idx);
   Fun.protect ~finally:(fun () -> Index_file.close idx) (fun () -> f idx)
 
@@ -195,7 +229,8 @@ let build_cmd =
   in
   let run variant input output shadow = build_index ~variant ~input ~output ~shadow in
   Cmd.v
-    (Cmd.info "build" ~doc:"Bulk-load a persistent index from a dataset file.")
+    (Cmd.info "build" ~exits:dataset_exits
+       ~doc:"Bulk-load a persistent index from a dataset file.")
     Term.(const run $ variant $ input $ output $ shadow)
 
 let window_conv =
@@ -361,7 +396,8 @@ let compare_cmd =
       rows
   in
   Cmd.v
-    (Cmd.info "compare" ~doc:"Build every index variant over a dataset and compare quality.")
+    (Cmd.info "compare" ~exits:dataset_exits
+       ~doc:"Build every index variant over a dataset and compare quality.")
     Term.(const run $ input)
 
 let knn_cmd =
@@ -476,8 +512,9 @@ let ingest_cmd =
       else Array.map (fun e -> Entry.make (Entry.rect e) (Entry.id e + id_base)) entries
     in
     let t =
-      (if is_lsm_dir dir then Lsm.open_ else Lsm.create)
-        ~buffer_capacity:buffer ~page_size ~wal_sync ~background dir
+      opening "open LSM store" dir (fun () ->
+          (if is_lsm_dir dir then Lsm.open_ else Lsm.create)
+            ~buffer_capacity:buffer ~page_size ~wal_sync ~background dir)
     in
     Fun.protect
       ~finally:(fun () -> Lsm.close t)
@@ -494,6 +531,7 @@ let ingest_cmd =
   in
   Cmd.v
     (Cmd.info "ingest"
+       ~exits:(exits_2 "the dataset file could not be read, or the LSM store could not be opened.")
        ~doc:
          "Stream a dataset into a crash-safe LSM store (a directory of immutable PR-tree \
           components under a CRC'd manifest, WAL-acknowledged inserts, logarithmic-method \
@@ -510,7 +548,9 @@ let compact_cmd =
       & info [ "buffer" ] ~docv:"N" ~doc:"Buffer capacity (slot sizing; match the ingest).")
   in
   let run dir buffer page_size =
-    let t = Lsm.open_ ~buffer_capacity:buffer ~page_size dir in
+    let t =
+      opening "open LSM store" dir (fun () -> Lsm.open_ ~buffer_capacity:buffer ~page_size dir)
+    in
     Fun.protect
       ~finally:(fun () -> Lsm.close t)
       (fun () ->
@@ -523,7 +563,7 @@ let compact_cmd =
         print_ingest_stats (Lsm.stats t))
   in
   Cmd.v
-    (Cmd.info "compact"
+    (Cmd.info "compact" ~exits:lsm_exits
        ~doc:
          "Merge every live component of an LSM store into a single PR-tree component, \
           resolving all reachable tombstones, via one atomic manifest swap.")
@@ -536,7 +576,7 @@ let stats_cmd =
       & info [ "i"; "index" ] ~docv:"FILE" ~doc:"Index file or LSM store directory.")
   in
   let lsm_stats dir =
-    let t = Lsm.open_ dir in
+    let t = opening "open LSM store" dir (fun () -> Lsm.open_ dir) in
     Fun.protect
       ~finally:(fun () -> Lsm.close t)
       (fun () ->
@@ -614,7 +654,8 @@ let stats_cmd =
             (Obs.Metrics.percentile lat 99.0) (Obs.Metrics.histogram_count lat))
   in
   Cmd.v
-    (Cmd.info "stats" ~exits:index_exits
+    (Cmd.info "stats"
+       ~exits:(exits_2 "the index file or LSM store could not be opened.")
        ~doc:
          "Print per-level structure and quality metrics of an index — or, given an LSM \
           store directory, its ingestion health: components per level, WAL bytes pending \

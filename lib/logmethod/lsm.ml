@@ -27,6 +27,7 @@ module Failpoint = Prt_storage.Failpoint
 module Fsops = Prt_storage.Fsops
 module Wal = Prt_storage.Wal
 module Manifest = Prt_storage.Manifest
+module Superblock = Prt_storage.Superblock
 module Retry = Prt_storage.Retry
 module Entry = Prt_rtree.Entry
 module Rtree = Prt_rtree.Rtree
@@ -152,11 +153,15 @@ let decode_record b =
 
 (* --- opening --- *)
 
+(* A component that fails to open degrades only its own slice — except
+   one of another on-disk format: then every component is, and the
+   store is refused by name rather than opened with nothing readable. *)
 let open_component ~page_size ~cache_pages ~dir (mc : Manifest.component) =
   let path = Filename.concat dir mc.Manifest.mc_file in
   let state =
     match Index_file.open_ ~page_size ~cache_pages path with
     | idx -> Live idx
+    | exception (Superblock.Unsupported_format _ as e) -> raise e
     | exception e ->
         Flight.failure ~note:mc.Manifest.mc_file "ingest.component_failed";
         Failed (Printexc.to_string e)
@@ -279,11 +284,18 @@ let make ?(buffer_capacity = 1024) ?(page_size = Pager.default_page_size)
   let buffer = Hashtbl.create (2 * buffer_capacity) in
   let tombstones = ref (Ids.of_list manifest.Manifest.m_tombstones) in
   let comps =
-    List.sort
-      (fun a b -> compare a.c_level b.c_level)
-      (List.map
-         (open_component ~page_size ~cache_pages ~dir:dirname)
-         manifest.Manifest.m_components)
+    let opened = ref [] in
+    match
+      List.iter
+        (fun mc -> opened := open_component ~page_size ~cache_pages ~dir:dirname mc :: !opened)
+        manifest.Manifest.m_components
+    with
+    | () -> List.sort (fun a b -> compare a.c_level b.c_level) (List.rev !opened)
+    | exception e ->
+        List.iter
+          (fun c -> match c.c_state with Live idx -> Index_file.close idx | Failed _ -> ())
+          !opened;
+        raise e
   in
   (* Replay WAL segments at or above the floor, oldest first; the
      newest becomes the active segment again. *)

@@ -84,7 +84,9 @@ val open_ :
     WAL segments at or above the floor, reclaim orphans.  [crash] is
     armed only after recovery completes, so it sweeps the next
     operation's kill points.  Raises [Failure] when no valid manifest
-    survives. *)
+    survives, and {!Prt_storage.Superblock.Unsupported_format} when a
+    component was written by another on-disk format (a store of
+    format-2 components, say: none of them could be read). *)
 
 val insert : t -> Prt_rtree.Entry.t -> unit
 (** Append to the WAL, add to the buffer, trigger an absorb when full.

@@ -1,8 +1,10 @@
 (* An R-tree entry: a rectangle plus a 32-bit payload.  In a leaf the
    payload identifies the data object; in an internal node it is the page
-   id of the child whose subtree the rectangle bounds.  The on-disk
-   encoding is the paper's 36-byte record: four 8-byte coordinates and a
-   4-byte pointer, giving fanout 113 with 4 KB pages. *)
+   id of the child whose subtree the rectangle bounds.  The record
+   encoding (dataset files, WAL records, sorted runs) is the paper's
+   36-byte record: four 8-byte coordinates and a 4-byte pointer.  Node
+   pages keep the same 36 bytes per entry as columns ([Node]), giving
+   fanout 113 with 4 KB pages. *)
 
 module Rect = Prt_geom.Rect
 module Page = Prt_storage.Page

@@ -1,9 +1,11 @@
 (** R-tree entries: a rectangle plus a 32-bit payload (data id in
     leaves, child page id in internal nodes).
 
-    The byte encoding is the paper's 36-byte record — four 8-byte
-    coordinates and a 4-byte pointer — which yields the paper's fanout of
-    113 on 4 KB pages. *)
+    The byte encoding ({!write}, {!read}: dataset files, WAL records,
+    sorted runs) is the paper's 36-byte record — four 8-byte coordinates
+    and a 4-byte pointer.  Node pages store the same 36 bytes per entry
+    as columns ({!Node}), which yields the paper's fanout of 113 on 4 KB
+    pages. *)
 
 type t = { rect : Prt_geom.Rect.t; id : int }
 

@@ -442,14 +442,23 @@ type fsck_report = {
 let describe_slot = function
   | Superblock.Slot_valid st -> Printf.sprintf "valid (commit %d)" st.Superblock.commit
   | Superblock.Slot_empty -> "empty (never flipped)"
+  | Superblock.Slot_stale e -> Printf.sprintf "bad: stale format epoch %d" e
   | Superblock.Slot_bad msg -> "bad: " ^ msg
 
 (* Salvage every checksummed-valid leaf entry from the device, skipping
-   the superblock pair and free pages.  Pre-image journal copies can
-   duplicate a live leaf, so entries are deduplicated by (id, rect);
-   note that salvage can resurrect entries whose delete was the very
-   operation that crashed — it is a disaster-recovery sweep, not a
-   transaction log. *)
+   the superblock pair and free pages.  A page counts as a leaf by
+   [Node]'s own reading of its header, so salvage follows the page
+   format; the header trails the columns, where a directory page of the
+   journal or the shadow chain may hold any bytes, hence the zero-tail
+   test.  Pre-image journal copies can duplicate a live leaf, so entries
+   are deduplicated by (id, rect); note that salvage can resurrect
+   entries whose delete was the very operation that crashed — it is a
+   disaster-recovery sweep, not a transaction log. *)
+let salvageable_leaf buf ~cap =
+  match Node.page_kind buf with
+  | Node.Leaf -> Node.page_length buf <= cap && Node.page_tail_zero buf
+  | Node.Internal | (exception Invalid_argument _) -> false
+
 let salvage_entries pager =
   let page_size = Pager.page_size pager in
   let cap = Node.capacity ~page_size in
@@ -460,7 +469,7 @@ let salvage_entries pager =
     if not (Pager.is_free pager id) then begin
       let buf = Pager.read_raw pager id in
       match Page.check buf with
-      | Page.Valid _ when Page.get_u8 buf 0 = 0 && Page.get_u16 buf 1 <= cap -> (
+      | Page.Valid _ when salvageable_leaf buf ~cap -> (
           match Node.decode buf with
           | node when Node.kind node = Node.Leaf ->
               Array.iter
@@ -498,6 +507,8 @@ let fsck ?(page_size = Pager.default_page_size) ?rebuild path =
         match Superblock.open_ pager with
         | sb, recovery -> Ok (sb, recovery)
         | exception (Failure msg | Invalid_argument msg) -> Error msg
+        | exception Superblock.Unsupported_format e ->
+            Error (Superblock.unsupported_format_message e)
         | exception Pager.Corrupt_page msg -> Error ("corrupt page during recovery: " ^ msg)
       in
       let fsck_recovery, fsck_commit, fsck_error, tree_state =

@@ -1,10 +1,27 @@
-(* On-page R-tree node format.
+(* On-page R-tree node format (format v3).
 
-   Layout: byte 0 the node kind, bytes 1-2 the entry count (LE), then
-   [count] packed 36-byte entries, all within the page payload (the
-   storage layer reserves a 16-byte integrity trailer at the end of
-   every page).  With the default 4 KB page this leaves room for
-   (4096 - 16 - 3) / 36 = 113 entries — the paper's fanout. *)
+   A node page of capacity c holds, from byte 0 of the payload:
+
+     [0, 8c)        c xmin      float64 LE
+     [8c, 16c)      c ymin
+     [16c, 24c)     c xmax
+     [24c, 32c)     c ymax
+     [32c, 36c)     c ids       int32 LE (child page id or data id)
+     36c            kind        u8 (0 leaf, 1 internal)
+     [36c+1, 36c+3) count       u16 LE
+
+   all within the page payload (the storage layer reserves a 16-byte
+   integrity trailer at the end of every page).  Entry [i] is the [i]-th
+   slot of every column.  The capacity is still (payload - 3) / 36 — with
+   the default 4 KB page (4096 - 16 - 3) / 36 = 113 entries, the paper's
+   fanout — since an entry still takes 36 bytes.
+
+   Columns put every coordinate on an 8-byte boundary of the page, so
+   the mapped descent kernels in [Rtree] load it inline from a float64
+   view of the file.  The 3-byte header trails the columns because a
+   leading one would push them off that boundary, and padding it to 8
+   bytes would cost a slot at small page sizes (128-byte pages would
+   hold 2 entries instead of 3). *)
 
 module Rect = Prt_geom.Rect
 module Page = Prt_storage.Page
@@ -16,6 +33,15 @@ type t = { kind : kind; entries : Entry.t array }
 let header_size = 3
 
 let capacity ~page_size = (Page.payload_size page_size - header_size) / Entry.size
+
+type coord = Xmin | Ymin | Xmax | Ymax
+
+let column = function Xmin -> 0 | Ymin -> 1 | Xmax -> 2 | Ymax -> 3
+
+let coord_offset ~page_size i c = 8 * ((column c * capacity ~page_size) + i)
+let id_offset ~page_size i = (32 * capacity ~page_size) + (4 * i)
+let kind_offset ~page_size = 36 * capacity ~page_size
+let count_offset ~page_size = kind_offset ~page_size + 1
 
 let kind t = t.kind
 let entries t = t.entries
@@ -30,45 +56,64 @@ let mbr t =
   Rect.union_map ~f:Entry.rect t.entries
 
 let encode ~page_size t =
-  if length t > capacity ~page_size then invalid_arg "Node.encode: node exceeds page capacity";
+  let cap = capacity ~page_size in
+  if length t > cap then invalid_arg "Node.encode: node exceeds page capacity";
   let buf = Page.create page_size in
-  Page.set_u8 buf 0 (match t.kind with Leaf -> 0 | Internal -> 1);
-  Page.set_u16 buf 1 (length t);
-  Array.iteri (fun i e -> Entry.write buf (header_size + (i * Entry.size)) e) t.entries;
+  Array.iteri
+    (fun i e ->
+      let r = Entry.rect e in
+      Page.set_f64 buf (8 * i) (Rect.xmin r);
+      Page.set_f64 buf (8 * (cap + i)) (Rect.ymin r);
+      Page.set_f64 buf (8 * ((2 * cap) + i)) (Rect.xmax r);
+      Page.set_f64 buf (8 * ((3 * cap) + i)) (Rect.ymax r);
+      Page.set_i32 buf ((32 * cap) + (4 * i)) (Entry.id e))
+    t.entries;
+  Page.set_u8 buf (36 * cap) (match t.kind with Leaf -> 0 | Internal -> 1);
+  Page.set_u16 buf ((36 * cap) + 1) (length t);
   buf
-
-let decode buf =
-  let kind =
-    match Page.get_u8 buf 0 with
-    | 0 -> Leaf
-    | 1 -> Internal
-    | k -> invalid_arg (Printf.sprintf "Node.decode: bad node kind %d" k)
-  in
-  let count = Page.get_u16 buf 1 in
-  let entries = Array.init count (fun i -> Entry.read buf (header_size + (i * Entry.size))) in
-  { kind; entries }
 
 (* --- in-place page access ---
 
    Accessors for an encoded node page, as bytes or inside the mapped
    index file ({!Prt_storage.View}, addressed by the page's absolute
-   byte offset [base]).  The descent engine in [Rtree] scans the packed
-   entries itself; these read the header. *)
+   byte offset [base]).  The descent engine in [Rtree] scans the
+   columns itself; these read the header. *)
 
-let page_kind buf =
-  match Page.get_u8 buf 0 with
+let kind_of_byte ctx = function
   | 0 -> Leaf
   | 1 -> Internal
-  | k -> invalid_arg (Printf.sprintf "Node.page_kind: bad node kind %d" k)
+  | k -> invalid_arg (Printf.sprintf "Node.%s: bad node kind %d" ctx k)
 
-let page_length buf = Page.get_u16 buf 1
+let page_kind buf =
+  kind_of_byte "page_kind" (Page.get_u8 buf (kind_offset ~page_size:(Bytes.length buf)))
+
+let page_length buf = Page.get_u16 buf (count_offset ~page_size:(Bytes.length buf))
+
+let page_tail_zero buf =
+  let page_size = Bytes.length buf in
+  let rec zero i = i >= Page.payload_size page_size || (Bytes.get buf i = '\000' && zero (i + 1)) in
+  zero (count_offset ~page_size + 2)
+
+let decode buf =
+  let page_size = Bytes.length buf in
+  let cap = capacity ~page_size in
+  let kind = kind_of_byte "decode" (Page.get_u8 buf (kind_offset ~page_size)) in
+  let count = page_length buf in
+  if count > cap then
+    invalid_arg (Printf.sprintf "Node.decode: count %d exceeds capacity %d" count cap);
+  let entries =
+    Array.init count (fun i ->
+        let xmin = Page.get_f64 buf (8 * i)
+        and ymin = Page.get_f64 buf (8 * (cap + i))
+        and xmax = Page.get_f64 buf (8 * ((2 * cap) + i))
+        and ymax = Page.get_f64 buf (8 * ((3 * cap) + i)) in
+        Entry.make (Rect.make ~xmin ~ymin ~xmax ~ymax) (Page.get_i32 buf ((32 * cap) + (4 * i))))
+  in
+  { kind; entries }
 
 module View = Prt_storage.View
 
-let map_kind m ~base =
-  match View.get_u8 m base with
-  | 0 -> Leaf
-  | 1 -> Internal
-  | k -> invalid_arg (Printf.sprintf "Node.map_kind: bad node kind %d" k)
+let map_kind m ~page_size ~base =
+  kind_of_byte "map_kind" (View.get_u8 m (base + kind_offset ~page_size))
 
-let map_length m ~base = View.get_u16 m (base + 1)
+let map_length m ~page_size ~base = View.get_u16 m (base + count_offset ~page_size)

@@ -1,14 +1,19 @@
-(** On-page R-tree node codec.
+(** On-page R-tree node codec (format v3).
 
-    A node is a kind tag plus packed {!Entry} records; with the default
-    4 KB page the capacity is 113 entries, as in the paper. *)
+    A node is a kind tag plus {!Entry} records, stored as columns: all
+    [xmin]s, then all [ymin]s, [xmax]s and [ymax]s (float64), then the
+    int32 ids, then the kind byte and the u16 entry count.  Each
+    coordinate sits on an 8-byte boundary, so the mapped descent loads
+    it inline.  An entry takes 36 bytes as in the paper, so with the
+    default 4 KB page the capacity is 113 entries. *)
 
 type kind = Leaf | Internal
 
 type t
 
 val capacity : page_size:int -> int
-(** Maximum entries per node for a given page size. *)
+(** Maximum entries per node for a given page size:
+    [(Page.payload_size page_size - 3) / 36]. *)
 
 val make : kind -> Entry.t array -> t
 (** The array is owned by the node afterwards. *)
@@ -25,25 +30,52 @@ val encode : page_size:int -> t -> bytes
 (** Raises [Invalid_argument] if the node exceeds the page capacity. *)
 
 val decode : bytes -> t
-(** Raises [Invalid_argument] on a corrupt kind tag. *)
+(** Raises [Invalid_argument] on a corrupt kind tag, a count beyond the
+    page's capacity or an inverted rectangle. *)
+
+(** {1 Page layout}
+
+    Byte offsets inside an encoded node page of [page_size] bytes.
+    They are the only description of the layout outside this module:
+    anything that reads or patches node bytes in place goes through
+    them. *)
+
+type coord = Xmin | Ymin | Xmax | Ymax
+
+val coord_offset : page_size:int -> int -> coord -> int
+(** [coord_offset ~page_size i c]: coordinate [c] of entry [i],
+    [8 * (column * capacity + i)] with columns in [coord] order. *)
+
+val id_offset : page_size:int -> int -> int
+(** The int32 id of entry [i]: [32 * capacity + 4 * i]. *)
+
+val kind_offset : page_size:int -> int
+(** The kind byte: [36 * capacity], right after the id column. *)
+
+val count_offset : page_size:int -> int
+(** The u16 entry count, after the kind byte. *)
 
 (** {1 In-place page access}
 
-    Accessors for an encoded node page — as [bytes], or inside a
+    Header accessors for an encoded node page — as [bytes], or inside a
     mapped window of the whole index file ({!Prt_storage.View})
     addressed by the page's absolute byte offset [base].  The descent
-    engine in {!Rtree} scans the packed entries in place and
-    uses these for the header. *)
-
-val header_size : int
-(** Bytes before the first packed entry (kind tag + count). *)
+    engine in {!Rtree} scans the columns in place and uses these for
+    the header. *)
 
 val page_kind : bytes -> kind
 (** Kind tag of an encoded page. Raises [Invalid_argument] like
     {!decode} on a corrupt tag. *)
 
 val page_length : bytes -> int
-(** Entry count of an encoded page. *)
+(** Entry count of an encoded page (as stored: not clamped to the
+    capacity). *)
 
-val map_kind : Prt_storage.View.map -> base:int -> kind
-val map_length : Prt_storage.View.map -> base:int -> int
+val page_tail_zero : bytes -> bool
+(** Are the payload bytes after the header zero, as {!encode} leaves
+    them?  A page of another kind (a journal or shadow directory) that
+    happens to carry a plausible kind byte and count almost never
+    passes this too. *)
+
+val map_kind : Prt_storage.View.map -> page_size:int -> base:int -> kind
+val map_length : Prt_storage.View.map -> page_size:int -> base:int -> int

@@ -378,39 +378,45 @@ let set_bounds b form w =
 
 let[@inline] get_f64 buf off = Int64.float_of_bits (Bytes.get_int64_le buf off)
 
-(* Does the entry at [off] pass the bounds at [k]?  A coordinate is
-   loaded only when the test reaches it (a load from the mapping is a C
-   call). *)
-let[@inline] image_passes b k buf off =
+(* The kernels read a node page's columns in place ({!Node}'s format
+   v3): entry [i]'s [xmin], [ymin], [xmax] and [ymax] sit one column
+   apart, then its id in the int32 column.  Over a page image the
+   stride is [col = 8 * capacity] bytes; over the float64 mapping it is
+   [cap = capacity] words, and a coordinate is one inline
+   [Bigarray.Array1.unsafe_get] — no call, no box.  Each test
+   short-circuits, [xmin] first, and loads a coordinate only when it
+   gets to it. *)
+
+let[@inline] image_passes b k buf off col =
   let xlo = get_f64 buf off in
   xlo <= Float.Array.unsafe_get b k
   &&
-  let xhi = get_f64 buf (off + 16) in
+  let xhi = get_f64 buf (off + (2 * col)) in
   Float.Array.unsafe_get b (k + 1) <= xhi
   && Float.Array.unsafe_get b (k + 2) <= xlo
   && xhi <= Float.Array.unsafe_get b (k + 3)
   &&
-  let ylo = get_f64 buf (off + 8) in
+  let ylo = get_f64 buf (off + col) in
   ylo <= Float.Array.unsafe_get b (k + 4)
   &&
-  let yhi = get_f64 buf (off + 24) in
+  let yhi = get_f64 buf (off + (3 * col)) in
   Float.Array.unsafe_get b (k + 5) <= yhi
   && Float.Array.unsafe_get b (k + 6) <= ylo
   && yhi <= Float.Array.unsafe_get b (k + 7)
 
-let[@inline] mapped_passes b k m off =
-  let xlo = View.get_f64 m off in
+let[@inline] mapped_passes b k (m : View.map) w cap =
+  let xlo = Bigarray.Array1.unsafe_get m w in
   xlo <= Float.Array.unsafe_get b k
   &&
-  let xhi = View.get_f64 m (off + 16) in
+  let xhi = Bigarray.Array1.unsafe_get m (w + (2 * cap)) in
   Float.Array.unsafe_get b (k + 1) <= xhi
   && Float.Array.unsafe_get b (k + 2) <= xlo
   && xhi <= Float.Array.unsafe_get b (k + 3)
   &&
-  let ylo = View.get_f64 m (off + 8) in
+  let ylo = Bigarray.Array1.unsafe_get m (w + cap) in
   ylo <= Float.Array.unsafe_get b (k + 4)
   &&
-  let yhi = View.get_f64 m (off + 24) in
+  let yhi = Bigarray.Array1.unsafe_get m (w + (3 * cap)) in
   Float.Array.unsafe_get b (k + 5) <= yhi
   && Float.Array.unsafe_get b (k + 6) <= ylo
   && yhi <= Float.Array.unsafe_get b (k + 7)
@@ -418,63 +424,68 @@ let[@inline] mapped_passes b k m off =
 (* The four kernels: leaf scan and child push, over a page image and
    over the mapping.  They are top-level recursive functions, not local
    closures — a local [let rec] capturing its environment would
-   allocate a closure on every node.  [off] walks the packed entries; a
-   leaf scan records hits in [h], a child push lands (page id, depth)
-   pairs on the stack from the last entry down to [first], so the first
-   entry pops first.  The caller reserves the stack room. *)
+   allocate a closure on every node.  [off] (bytes) or [w] (words) walks
+   the [xmin] column, and on the mapping [id] walks the id column beside
+   it; a leaf scan records hits in [h], a child push lands (page id,
+   depth) pairs on the stack from the last entry down to [first], so the
+   first entry pops first.  The caller reserves the stack room. *)
 
-let rec scan_image h buf off stop =
+let rec scan_image h buf off stop col =
   if off < stop then begin
-    if image_passes h.h_bounds 0 buf off then
+    if image_passes h.h_bounds 0 buf off col then
       hit h (get_f64 buf off)
-        (get_f64 buf (off + 8))
-        (get_f64 buf (off + 16))
-        (get_f64 buf (off + 24))
-        (Page.get_i32 buf (off + 32));
-    scan_image h buf (off + Entry.size) stop
+        (get_f64 buf (off + col))
+        (get_f64 buf (off + (2 * col)))
+        (get_f64 buf (off + (3 * col)))
+        (Page.get_i32 buf ((4 * col) + (off lsr 1)));
+    scan_image h buf (off + 8) stop col
   end
 
-let rec push_image h buf off first depth sp =
+let rec push_image h buf off first col depth sp =
   if off < first then sp
-  else if image_passes h.h_bounds 8 buf off then begin
-    Array.unsafe_set h.h_stack sp (Page.get_i32 buf (off + 32));
+  else if image_passes h.h_bounds 8 buf off col then begin
+    Array.unsafe_set h.h_stack sp (Page.get_i32 buf ((4 * col) + (off lsr 1)));
     Array.unsafe_set h.h_stack (sp + 1) depth;
-    push_image h buf (off - Entry.size) first depth (sp + 2)
+    push_image h buf (off - 8) first col depth (sp + 2)
   end
-  else push_image h buf (off - Entry.size) first depth sp
+  else push_image h buf (off - 8) first col depth sp
 
-let rec scan_mapped h m off stop =
-  if off < stop then begin
-    if mapped_passes h.h_bounds 0 m off then
-      hit h (View.get_f64 m off)
-        (View.get_f64 m (off + 8))
-        (View.get_f64 m (off + 16))
-        (View.get_f64 m (off + 24))
-        (View.get_i32 m (off + 32));
-    scan_mapped h m (off + Entry.size) stop
+let rec scan_mapped h (m : View.map) w stop cap id =
+  if w < stop then begin
+    if mapped_passes h.h_bounds 0 m w cap then
+      hit h (Bigarray.Array1.unsafe_get m w)
+        (Bigarray.Array1.unsafe_get m (w + cap))
+        (Bigarray.Array1.unsafe_get m (w + (2 * cap)))
+        (Bigarray.Array1.unsafe_get m (w + (3 * cap)))
+        (View.get_i32 m id);
+    scan_mapped h m (w + 1) stop cap (id + 4)
   end
 
-let rec push_mapped h m off first depth sp =
-  if off < first then sp
-  else if mapped_passes h.h_bounds 8 m off then begin
-    Array.unsafe_set h.h_stack sp (View.get_i32 m (off + 32));
+let rec push_mapped h m w first cap id depth sp =
+  if w < first then sp
+  else if mapped_passes h.h_bounds 8 m w cap then begin
+    Array.unsafe_set h.h_stack sp (View.get_i32 m id);
     Array.unsafe_set h.h_stack (sp + 1) depth;
-    push_mapped h m (off - Entry.size) first depth (sp + 2)
+    push_mapped h m (w - 1) first cap (id - 4) depth (sp + 2)
   end
-  else push_mapped h m (off - Entry.size) first depth sp
+  else push_mapped h m (w - 1) first cap (id - 4) depth sp
 
 (* One node from its page image; returns the new stack pointer. *)
 let visit_image pol h buf ~leaf_depth depth sp =
   let leaf = if leaf_depth > 0 then depth = leaf_depth else Node.page_kind buf = Node.Leaf in
-  let first = Node.header_size and n = Node.page_length buf in
+  let cap = Node.capacity ~page_size:(Bytes.length buf) and n = Node.page_length buf in
+  (* A verified image whose count overruns its columns is corrupt:
+     fail like [Node.decode] rather than scan the next column. *)
+  if n > cap then invalid_arg "Rtree: node count exceeds the page capacity";
+  let col = 8 * cap in
   count_visit pol h.h_stats ~leaf depth;
   if leaf then begin
-    scan_image h buf first (first + (n * Entry.size));
+    scan_image h buf 0 (8 * n) col;
     sp
   end
   else begin
     reserve h sp n;
-    push_image h buf (first + ((n - 1) * Entry.size)) first (depth + 1) sp
+    push_image h buf (8 * (n - 1)) 0 col (depth + 1) sp
   end
 
 let read_image t src ~gen ~leaf_depth id depth =
@@ -513,19 +524,22 @@ let visit_mapped t mm pol h ~gen ~leaf_depth id depth sp =
     let m = Mmap_pager.map mw in
     let page_size = Mmap_pager.page_size mm in
     let base = id * page_size in
-    let leaf = if leaf_depth > 0 then depth = leaf_depth else Node.map_kind m ~base = Node.Leaf in
+    let leaf =
+      if leaf_depth > 0 then depth = leaf_depth else Node.map_kind m ~page_size ~base = Node.Leaf
+    in
+    let cap = Node.capacity ~page_size in
     (* A torn count must not walk the scan off the page. *)
-    let n = min (Node.map_length m ~base) (Node.capacity ~page_size) in
-    let first = base + Node.header_size in
+    let n = min (Node.map_length m ~page_size ~base) cap in
+    let w0 = base lsr 3 and ids = base + (32 * cap) in
     let hits0 = h.h_len and matched0 = h.h_stats.matched in
     let sp' =
       if leaf then begin
-        scan_mapped h m first (first + (n * Entry.size));
+        scan_mapped h m w0 (w0 + n) cap ids;
         sp
       end
       else begin
         reserve h sp n;
-        push_mapped h m (first + ((n - 1) * Entry.size)) first (depth + 1) sp
+        push_mapped h m (w0 + n - 1) w0 cap (ids + (4 * (n - 1))) (depth + 1) sp
       end
     in
     if overwritten t ~gen id then begin

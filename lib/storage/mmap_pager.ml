@@ -1,11 +1,17 @@
 (* Read-only mmap backend for query serving.
 
-   The whole index file is mapped once ([Unix.map_file] → a char
-   bigarray, advised MADV_RANDOM); query descent then tests rect
-   predicates directly against the mapping — no syscall, no
-   [shared_lock] mutex, no page copy, no decode.  All domains share the
-   one mapping: the kernel's page cache is the only buffer, and
-   concurrent readers need no per-domain state.
+   The whole index file is mapped once, as a float64 bigarray
+   ([Unix.map_file] → {!View.map}, advised MADV_RANDOM); query descent
+   then tests rect predicates directly against the mapping — no
+   syscall, no [shared_lock] mutex, no page copy, no decode.  Format v3
+   node pages keep their coordinates in 8-byte-aligned columns, so the
+   descent kernels load each one inline; every other field is cut out
+   of its 64-bit word ({!View}).  One mapping of one kind serves every
+   reader: a second, byte-typed mapping of the same file would add
+   resident memory only to spare those few loads their word
+   extraction.  All domains share the mapping: the
+   kernel's page cache is the only buffer, and concurrent readers need
+   no per-domain state.
 
    Integrity: a mapped page is CRC-verified once per (page, committed
    generation) and then trusted.  The memo is a byte-per-page bitmap
@@ -20,8 +26,9 @@
    safe — the old mapping stays valid until its bigarray is GC'd — and
    serves pages beyond its cached bound through the pread path.
 
-   Failure to map at all (empty file, exotic platform) is not an
-   error: {!attach} returns [None] and the caller stays on pread. *)
+   Failure to map at all (empty file, a page size that is not a
+   multiple of 8, a big-endian host, exotic platform) is not an error:
+   {!attach} returns [None] and the caller stays on pread. *)
 
 type window = { w_map : View.map; w_pages : int }
 
@@ -56,14 +63,18 @@ let m_attach = Prt_obs.Metrics.counter "mmap.attach"
 let m_remap = Prt_obs.Metrics.counter "mmap.remap"
 let m_fallback = Prt_obs.Metrics.counter "mmap.fallbacks"
 
+(* The window is whole float64 words, so every page must start on a
+   word; the words are read little-endian. *)
+let mappable page_size = page_size land 7 = 0 && not Sys.big_endian
+
 let map_window fd page_size =
   let size = (Unix.LargeFile.fstat fd).Unix.LargeFile.st_size in
   let pages = Int64.to_int (Int64.div size (Int64.of_int page_size)) in
   if pages = 0 then None
   else
-    let bytes = pages * page_size in
+    let words = pages * page_size / 8 in
     let g =
-      Unix.map_file fd Bigarray.char Bigarray.c_layout true [| bytes |]
+      Unix.map_file fd Bigarray.float64 Bigarray.c_layout true [| words |]
     in
     let m = Bigarray.array1_of_genarray g in
     View.madvise_random m;
@@ -73,27 +84,29 @@ let attach ~path ~page_size ~gen =
   (* The fd must be open read-write: [Unix.map_file ~shared:true] maps
      PROT_READ|PROT_WRITE so that writes through the ordinary pager fd
      stay visible in the mapping.  Nothing here ever stores through it. *)
-  match Unix.openfile path [ Unix.O_RDWR ] 0o644 with
-  | exception Unix.Unix_error _ -> None
-  | fd -> (
-      match map_window fd page_size with
-      | None | (exception _) ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          None
-      | Some w ->
-          Prt_obs.Metrics.tick m_attach;
-          Some
-            {
-              fd;
-              page_size;
-              win = Atomic.make w;
-              crc = Atomic.make { cgen = gen; bits = Bytes.make w.w_pages '\000' };
-              windows_served = Atomic.make 0;
-              crc_skipped = Atomic.make 0;
-              crc_verified = Atomic.make 0;
-              fallbacks = Atomic.make 0;
-              closed = false;
-            })
+  if not (mappable page_size) then None
+  else
+    match Unix.openfile path [ Unix.O_RDWR ] 0o644 with
+    | exception Unix.Unix_error _ -> None
+    | fd -> (
+        match map_window fd page_size with
+        | None | (exception _) ->
+            (try Unix.close fd with Unix.Unix_error _ -> ());
+            None
+        | Some w ->
+            Prt_obs.Metrics.tick m_attach;
+            Some
+              {
+                fd;
+                page_size;
+                win = Atomic.make w;
+                crc = Atomic.make { cgen = gen; bits = Bytes.make w.w_pages '\000' };
+                windows_served = Atomic.make 0;
+                crc_skipped = Atomic.make 0;
+                crc_verified = Atomic.make 0;
+                fallbacks = Atomic.make 0;
+                closed = false;
+              })
 
 let page_size t = t.page_size
 let window t = Atomic.get t.win

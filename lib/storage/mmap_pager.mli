@@ -1,8 +1,9 @@
 (** Read-only mmap backend for query serving.
 
-    One shared mapping of the whole index file; query descent reads
-    rect floats straight out of it through {!View} with no syscall, no
-    lock, no copy and no decode.  Mapped pages are CRC-verified once
+    One shared float64 mapping of the whole index file; query descent
+    loads rect floats straight out of it, inline, with no syscall, no
+    lock, no copy and no decode, and reads the other fields through
+    {!View}.  Mapped pages are CRC-verified once
     per (page, committed generation) and then trusted; the writer swaps
     the verification memo on every commit ({!refresh}) so stale
     verifications never survive an overwrite.  See DESIGN.md "Storage
@@ -24,8 +25,9 @@ type counters = {
 val attach : path:string -> page_size:int -> gen:int -> t option
 (** Map [path] read-only for serving.  [gen] is the currently committed
     generation (tags the initial verification memo).  [None] when the
-    file cannot be mapped (empty, or the platform refuses); callers
-    then stay on the pread backend. *)
+    file cannot be mapped (empty, a page size that is not a multiple of
+    8, a big-endian host, or the platform refuses); callers then stay
+    on the pread backend. *)
 
 val refresh : t -> gen:int -> unit
 (** Writer-side, after a commit is durable: remap if the file grew and

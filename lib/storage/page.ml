@@ -1,13 +1,13 @@
 (* Fixed-size page buffers and the little-endian field codecs used by
    every on-page format in the repository (R-tree nodes, sorted-run
-   records).  Keeping the codec in one place makes the 36-byte record
-   layout of the paper's experiments (4 x float64 + int32) auditable.
+   records).  Keeping the codec in one place keeps each layout built
+   on it — the 36-byte record of the paper's experiments (4 x float64 +
+   int32), the columnar node page of [Node] — auditable.
 
-   Format v2 additionally reserves a 16-byte trailer at the end of every
-   page:
+   Every page ends in a 16-byte trailer:
 
      [page_size-16 .. page_size-9]   page LSN (int64 LE, monotonic per device)
-     [page_size-8  .. page_size-7]   format epoch (u16 LE; 2 = this format)
+     [page_size-8  .. page_size-7]   format epoch (u16 LE; 3 = this format)
      [page_size-6  .. page_size-5]   reserved (zero)
      [page_size-4  .. page_size-1]   CRC-32C over bytes [0, page_size-4)
 
@@ -15,7 +15,10 @@
    and {!Pager.read} verifies it, while node and record codecs confine
    themselves to the first [payload_size] bytes.  An epoch of zero marks
    a page that was never stamped; such a page is only legitimate when it
-   is all zeros (a freshly allocated page). *)
+   is all zeros (a freshly allocated page).  The epoch names the format
+   of everything the payload holds: format 3 replaced format 2's row
+   node pages with columns, and a page of another epoch is refused
+   ([Stale_epoch]) rather than decoded. *)
 
 type t = bytes
 
@@ -45,10 +48,10 @@ let set_u8 page off v =
 
 let get_u8 page off = Bytes.get_uint8 page off
 
-(* --- the v2 integrity trailer --- *)
+(* --- the integrity trailer --- *)
 
 let trailer_size = 16
-let format_epoch = 2
+let format_epoch = 3
 
 let payload_size page_size =
   if page_size <= trailer_size then

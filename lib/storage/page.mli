@@ -3,9 +3,9 @@
     All on-disk structures (R-tree nodes, external-sort runs) are encoded
     through this module so the byte layout is defined in one place.
 
-    Format v2 reserves a {!trailer_size}-byte integrity trailer at the
-    end of every page: a page LSN (int64), a format epoch (u16) and a
-    CRC-32C over everything before the checksum field.  The trailer is
+    Every page ends in a {!trailer_size}-byte integrity trailer: a page
+    LSN (int64), a format epoch (u16) and a CRC-32C over everything
+    before the checksum field.  The trailer is
     stamped by [Pager.write] and verified by [Pager.read] on the file
     backend; codecs must confine themselves to the first
     [payload_size page_size] bytes. *)
@@ -31,13 +31,15 @@ val get_u16 : t -> int -> int
 val set_u8 : t -> int -> int -> unit
 val get_u8 : t -> int -> int
 
-(** {1 Integrity trailer (format v2)} *)
+(** {1 Integrity trailer (format v3)} *)
 
 val trailer_size : int
 (** 16 bytes: LSN (8) + epoch (2) + reserved (2) + CRC-32C (4). *)
 
 val format_epoch : int
-(** The epoch stamped into freshly written pages; 2 for this format. *)
+(** The epoch stamped into freshly written pages; 3 for this format
+    (columnar node pages).  Format 2's row node pages carry epoch 2 and
+    are refused, never decoded. *)
 
 val payload_size : int -> int
 (** [payload_size page_size] is the number of bytes available to codecs:

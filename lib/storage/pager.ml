@@ -16,7 +16,7 @@
    shares the inner pager's counters, so with an all-zero policy it is
    observationally identical to the pager it wraps.
 
-   Format v2 integrity: every page written through the public [write]
+   Format v3 integrity: every page written through the public [write]
    path is stamped with the {!Page} trailer (monotonic device LSN,
    format epoch, CRC-32C), and [read] on the file backend verifies the
    trailer, raising {!Corrupt_page} on mismatch.  The stamping/verifying
@@ -84,6 +84,9 @@ and t = {
   (* --- MVCC generation snapshots (see read_shared) --- *)
   mvcc_lock : Mutex.t;  (* guards versions + gc_frees, never held across I/O *)
   versions : (int, version list) Hashtbl.t;  (* per page, newest first *)
+  retained : int Atomic.t;
+      (* pages with a retained version: [Hashtbl.length versions], set
+         under [mvcc_lock] at every change, read without it *)
   mutable retain_gen : int;  (* generation the running txn will commit; -1 = off *)
   mutable gc_frees : (int * int list) list;  (* commit generation -> parked frees *)
 }
@@ -131,6 +134,7 @@ let mk ~page_size ~backend ~stats ~free_set =
     journal = None;
     mvcc_lock = Mutex.create ();
     versions = Hashtbl.create 64;
+    retained = Atomic.make 0;
     retain_gen = -1;
     gc_frees = [];
   }
@@ -381,6 +385,9 @@ let park_frees t ~gen =
     Mutex.protect b.mvcc_lock (fun () -> b.gc_frees <- (gen, ids) :: b.gc_frees)
   end
 
+(* Every change to [versions] ends here, under [mvcc_lock]. *)
+let note_versions_locked b = Atomic.set b.retained (Hashtbl.length b.versions)
+
 let drop_versions_locked b ~upto =
   let stale =
     Hashtbl.fold
@@ -393,7 +400,8 @@ let drop_versions_locked b ~upto =
       match List.filter (fun v -> v.v_gen_end > upto) vs with
       | [] -> Hashtbl.remove b.versions id
       | vs' -> Hashtbl.replace b.versions id vs')
-    stale
+    stale;
+  note_versions_locked b
 
 let collect t ~upto =
   let b = base t in
@@ -431,7 +439,8 @@ let set_free_list t ids =
   b.pending <- [];
   Mutex.protect b.mvcc_lock (fun () ->
       b.gc_frees <- [];
-      Hashtbl.reset b.versions)
+      Hashtbl.reset b.versions;
+      note_versions_locked b)
 
 let truncate t ~used =
   let b = base t in
@@ -454,7 +463,8 @@ let truncate t ~used =
           b.gc_frees;
       Hashtbl.iter
         (fun id _ -> if not (keep id) then Hashtbl.remove b.versions id)
-        (Hashtbl.copy b.versions));
+        (Hashtbl.copy b.versions);
+      note_versions_locked b);
   Hashtbl.iter (fun id () -> if not (keep id) then Hashtbl.remove b.free_set id) (Hashtbl.copy b.free_set)
 
 (* Fraction -> byte prefix that survives a torn write / short read:
@@ -544,6 +554,16 @@ let find_version b id ~gen =
   | Some vs ->
       List.fold_left (fun acc v -> if v.v_gen_end > gen then Some v.v_img else acc) None vs
 
+(* [find_version] from a reader.  A zero [retained] count answers the
+   miss without the lock.  That is safe because a writer retains a page
+   (and raises the count, under the lock) before its overwrite lands:
+   a reader whose bytes could have come from an overwrite sees the count
+   raised, as it would have seen the table entry under the lock, and
+   versions are dropped only once no pin can need them. *)
+let lookup_version b id ~gen =
+  if Atomic.get b.retained = 0 then None
+  else Mutex.protect b.mvcc_lock (fun () -> find_version b id ~gen)
+
 let read_shared ?(gen = 0) ?scratch t id =
   let b = base t in
   check_open b "read_shared";
@@ -576,7 +596,7 @@ let read_shared ?(gen = 0) ?scratch t id =
        this page by a newer generation — the race where the writer lands
        between the two steps resolves to the retained image. *)
     let live_page = match live () with buf -> Ok buf | exception e -> Error e in
-    match Mutex.protect b.mvcc_lock (fun () -> find_version b id ~gen) with
+    match lookup_version b id ~gen with
     | Some img ->
         (* Version images were captured raw; serve-time verification
            mirrors the live read's contract on the file backend. *)
@@ -589,13 +609,15 @@ let read_shared ?(gen = 0) ?scratch t id =
    serving [gen], if any, without touching the live page.  The mapped
    snapshot protocol probes before scanning a mapped page and re-checks
    after — a miss on the post-scan probe proves the scan predated any
-   overwrite, because retention always precedes the physical write. *)
+   overwrite, because retention always precedes the physical write.
+   The miss is lock-free while nothing is retained (see
+   [lookup_version]), so a pinned descent over a quiet store takes no
+   lock and allocates nothing per page. *)
 let version_probe t id ~gen =
   let b = base t in
   check_open b "version_probe";
   check_id b "version_probe" id;
-  if gen <= 0 then None
-  else Mutex.protect b.mvcc_lock (fun () -> find_version b id ~gen)
+  if gen <= 0 then None else lookup_version b id ~gen
 
 (* --- pre-image journal ---
 
@@ -683,7 +705,8 @@ and retain_version b id img =
         | Some (v :: _) when v.v_gen_end >= b.retain_gen -> ()
         | vs ->
             Hashtbl.replace b.versions id
-              ({ v_gen_end = b.retain_gen; v_img = copy } :: Option.value vs ~default:[]))
+              ({ v_gen_end = b.retain_gen; v_img = copy } :: Option.value vs ~default:[]);
+            note_versions_locked b)
   end
 
 and journal_copy b j id =

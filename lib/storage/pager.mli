@@ -7,7 +7,7 @@
     algorithms, not the host filesystem); the file backend persists
     indexes for the CLI.
 
-    Format v2 integrity: {!write} stamps every page with the {!Page}
+    Format v3 integrity: {!write} stamps every page with the {!Page}
     trailer (device LSN, format epoch, CRC-32C) and {!read} verifies the
     trailer on the file backend, raising {!Corrupt_page} on damage.  The
     module also provides the mechanisms {!Superblock} builds atomic
@@ -170,7 +170,8 @@ val version_probe : t -> int -> gen:int -> bytes option
     Does not read the live page.  The mmap backend's snapshot protocol
     brackets each mapped-page scan with this probe: because retention
     precedes the physical overwrite, a post-scan miss proves the scan
-    saw the committed image for [gen]. *)
+    saw the committed image for [gen].  While the pager retains no
+    version at all, the miss takes no lock and allocates nothing. *)
 
 (** {1 MVCC: generation snapshots}
 

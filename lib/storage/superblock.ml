@@ -161,7 +161,18 @@ let decode page =
     end
   end
 
-type slot = Slot_valid of state | Slot_empty | Slot_bad of string
+type slot = Slot_valid of state | Slot_empty | Slot_stale of int | Slot_bad of string
+
+exception Unsupported_format of int
+
+let unsupported_format_message found =
+  Printf.sprintf "index format %d; this build reads format %d: rebuild it from its dataset" found
+    Page.format_epoch
+
+let () =
+  Printexc.register_printer (function
+    | Unsupported_format found -> Some ("Superblock: " ^ unsupported_format_message found)
+    | _ -> None)
 
 let inspect_slot pager id =
   if id >= Pager.num_pages pager then Slot_bad "missing (file too short)"
@@ -170,7 +181,7 @@ let inspect_slot pager id =
     match Page.check page with
     | Page.Fresh -> Slot_empty
     | Page.Torn -> Slot_bad "torn (checksum mismatch)"
-    | Page.Stale_epoch e -> Slot_bad (Printf.sprintf "stale format epoch %d" e)
+    | Page.Stale_epoch e -> Slot_stale e
     | Page.Valid _ -> (
         match decode page with Ok st -> Slot_valid st | Error e -> Slot_bad e)
 
@@ -215,14 +226,20 @@ let open_ pager =
   let live =
     match (slots.(0), slots.(1)) with
     | Slot_valid a, Slot_valid b -> Some (if a.commit >= b.commit then a else b)
-    | Slot_valid a, (Slot_empty | Slot_bad _) -> Some a
-    | (Slot_empty | Slot_bad _), Slot_valid b -> Some b
-    | (Slot_empty | Slot_bad _), (Slot_empty | Slot_bad _) -> None
+    | Slot_valid a, (Slot_empty | Slot_stale _ | Slot_bad _) -> Some a
+    | (Slot_empty | Slot_stale _ | Slot_bad _), Slot_valid b -> Some b
+    | (Slot_empty | Slot_stale _ | Slot_bad _), (Slot_empty | Slot_stale _ | Slot_bad _) -> None
   in
   match live with
-  | None ->
-      failwith
-        "Superblock.open_: no valid superblock copy (both slots damaged); run fsck --rebuild"
+  | None -> (
+      (* A checksummed slot of another epoch is no damage: the file was
+         written by another format, whose every page this build refuses,
+         so salvage could take nothing from it either. *)
+      match (slots.(0), slots.(1)) with
+      | Slot_stale e, _ | _, Slot_stale e -> raise (Unsupported_format e)
+      | _ ->
+          failwith
+            "Superblock.open_: no valid superblock copy (both slots damaged); run fsck --rebuild")
   | Some st ->
       let recovered =
         if st.journal >= 0 then begin
@@ -263,10 +280,10 @@ let open_ pager =
          if it ever has to take over. *)
       let repaired =
         match slots.(1 - (st.commit mod 2)) with
-        | Slot_bad _ when st.commit >= 1 ->
+        | (Slot_bad _ | Slot_stale _) when st.commit >= 1 ->
             write_slot pager { st with commit = st.commit - 1 };
             true
-        | Slot_valid _ | Slot_empty | Slot_bad _ -> false
+        | Slot_valid _ | Slot_empty | Slot_bad _ | Slot_stale _ -> false
       in
       let t =
         {

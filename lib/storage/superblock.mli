@@ -42,10 +42,22 @@ val format : Pager.t -> meta:bytes -> t
     switches the pager to deferred frees.  Raises [Invalid_argument] if
     the device is not fresh or the blob exceeds {!meta_capacity}. *)
 
+exception Unsupported_format of int
+(** The device was written by another on-disk format: its superblock
+    slots are intact but carry this format epoch, not
+    {!Page.format_epoch}. *)
+
+val unsupported_format_message : int -> string
+(** ["index format 2; this build reads format 3: rebuild it from its
+    dataset"] for a format-2 file: what to tell an operator. *)
+
 val open_ : Pager.t -> t * recovery
 (** Open a formatted device, running crash recovery as needed (see
-    above).  Raises [Failure] if neither slot holds a valid superblock —
-    only [fsck --rebuild] salvage remains in that case. *)
+    above).  Raises {!Unsupported_format} if no slot is valid and one
+    is a checksummed slot of another format epoch — every page of such
+    a file is refused, so salvage could rebuild nothing from it.
+    Raises [Failure] if neither slot holds a valid superblock otherwise
+    — only [fsck --rebuild] salvage remains in that case. *)
 
 val meta : t -> bytes
 (** The metadata blob of the last committed state (a copy). *)
@@ -130,7 +142,11 @@ type state = {
   free : int list;
 }
 
-type slot = Slot_valid of state | Slot_empty | Slot_bad of string
+type slot =
+  | Slot_valid of state
+  | Slot_empty
+  | Slot_stale of int  (** checksummed, but by another format epoch *)
+  | Slot_bad of string
 
 val inspect : Pager.t -> slot array
 (** Classify both superblock slots without opening the device (raw

@@ -2,18 +2,14 @@
 
     The mapped half of the Page_view abstraction: the accessors
     {!Page} provides over [bytes], but over a mapped window of the
-    whole index file, addressed by absolute byte offset.  All reads are
-    allocation-free; the float load is a C stub returning an unboxed
-    float so the rect-overlap inner loop never touches the heap. *)
+    whole index file, addressed by absolute byte offset.  The window is
+    a float64 Bigarray, so an 8-byte-aligned coordinate is one inline
+    [Bigarray.Array1.unsafe_get]; the narrower loads below cut their
+    field out of the 64-bit word that holds it.  All reads are
+    allocation-free. *)
 
-type map =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-external get_f64 : map -> (int[@untagged]) -> (float[@unboxed])
-  = "prt_view_get_f64_byte" "prt_view_get_f64_native"
-[@@noalloc]
-(** [get_f64 m off] loads the little-endian float64 at absolute byte
-    offset [off].  No alignment requirement; no bounds check. *)
+type map = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Word [k] holds bytes [8k .. 8k+7] of the file. *)
 
 external madvise_random : map -> unit = "prt_view_madvise_random" [@@noalloc]
 (** Advise the kernel that access will be random (MADV_RANDOM where
@@ -36,5 +32,6 @@ val crc32c : map -> pos:int -> len:int -> int
 
 val page_valid : map -> base:int -> page_size:int -> bool
 (** Integrity check of the mapped page at absolute offset [base]: the
-    mapped analogue of {!Page.check}.  [true] for a valid v2 trailer or
-    an all-zero (never-written) page; [false] for torn or stale. *)
+    mapped analogue of {!Page.check}.  [true] for a valid trailer of
+    this build's {!Page.format_epoch} or an all-zero (never-written)
+    page; [false] for torn or stale. *)

@@ -1,10 +1,4 @@
-/* C stubs for the mmap read path.
- *
- * prt_view_get_f64: unaligned little-endian float64 load from a mapped
- * Bigarray.  Node entries sit at offset 3 + 36*i inside the page, so
- * the float fields are never 8-byte aligned; a memcpy-based load is
- * the portable way to read them, and the [@unboxed] external keeps the
- * result out of the heap on the native path.
+/* C stub for the mmap read path.
  *
  * prt_view_madvise_random: best-effort MADV_RANDOM advice on the
  * mapping.  Query descent touches pages in index order, not file
@@ -12,32 +6,12 @@
  * platform lacks madvise or MADV_RANDOM.
  */
 
-#include <string.h>
-#include <stdint.h>
-
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
-#include <caml/alloc.h>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
 #endif
-
-double prt_view_get_f64_native(value vmap, intnat off)
-{
-  double d;
-  uint64_t bits;
-  memcpy(&bits, (const char *)Caml_ba_data_val(vmap) + off, 8);
-  /* The on-page format is little-endian; OCaml's supported native
-     targets are all little-endian, so the raw copy is the decode. */
-  memcpy(&d, &bits, 8);
-  return d;
-}
-
-CAMLprim value prt_view_get_f64_byte(value vmap, value voff)
-{
-  return caml_copy_double(prt_view_get_f64_native(vmap, Long_val(voff)));
-}
 
 CAMLprim value prt_view_madvise_random(value vmap)
 {

@@ -28,6 +28,27 @@ let qcheck_case ?(long = false) test =
   ignore long;
   QCheck_alcotest.to_alcotest test
 
+(* Restamp the stamped pages of the file at [path] (only the page ids
+   in [only], when given) with format [epoch] and a valid CRC, as a
+   build of that on-disk format would have left them. *)
+let restamp_epoch ~page_size ?only path ~epoch =
+  let ic = open_in_bin path in
+  let data = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
+  close_in ic;
+  for id = 0 to (Bytes.length data / page_size) - 1 do
+    let p = Bytes.sub data (id * page_size) page_size in
+    if Option.fold ~none:true ~some:(List.mem id) only && Bytes.get_uint16_le p (page_size - 8) <> 0
+    then begin
+      Bytes.set_uint16_le p (page_size - 8) epoch;
+      let crc = Prt_storage.Page.crc32c p ~pos:0 ~len:(page_size - 4) in
+      Bytes.set_int32_le p (page_size - 4) (Int32.of_int crc);
+      Bytes.blit p 0 data (id * page_size) page_size
+    end
+  done;
+  let oc = open_out_bin path in
+  output_bytes oc data;
+  close_out oc
+
 (* --- fault injection --- *)
 
 (* Seeded fault schedule shared by the fault suites: every operation

@@ -11,10 +11,12 @@
      - zero allocation: on the mmap backend, after one warm-up query
        has sized the reusable descent stack and hit buffer, a
        miss-only window query performs no minor allocation at all —
-       [Gc.minor_words] across 1000 queries must not move.  This is
-       the property that makes the mapped read path mechanically
-       different from pread: no syscall, no lock, no copy, no decode,
-       and no garbage;
+       [Gc.minor_words] across 1000 queries must not move, live and at
+       a pinned generation (where each mapped page is bracketed by two
+       version-store probes, lock-free while nothing is retained).
+       This is the property that makes the mapped read path
+       mechanically different from pread: no syscall, no lock, no copy,
+       no decode, and no garbage;
      - descending windows: the miss window is rejected at the root,
        so it proves a single node visit.  1000 windows of 1e-8 to 1e-2
        of the area over 83.5k TIGER-like rectangles descend the whole
@@ -209,7 +211,36 @@ let zero_allocation () =
       if c.Mmap_pager.c_fallbacks > 0 then
         fail "miss loop fell back to pread %d times" c.Mmap_pager.c_fallbacks);
   Printf.printf "zero-alloc: %d miss queries, %.0f minor words total\n%!" rounds
-    (w1 -. w0)
+    (w1 -. w0);
+  (* The same miss at a pinned generation, the path every executor
+     batch and LSM query takes.  Each mapped page is bracketed by two
+     version-store probes; with no version retained they answer without
+     the MVCC lock and allocate nothing.  The snapshot option is built
+     once, outside the loop: the call's own [Some] is the caller's. *)
+  let live_versions () =
+    (Prt_storage.Pager.mvcc_stats (Index_file.pager idx)).Prt_storage.Pager.live_versions
+  in
+  Index_file.with_snapshot idx @@ fun view ->
+  let snapshot = Some view in
+  Rtree.query_into ?snapshot tree miss ~into:hits;
+  if live_versions () <> 0 then fail "pinned miss: %d versions retained" (live_versions ());
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    Rtree.query_into ?snapshot tree miss ~into:hits
+  done;
+  Gc.minor ();
+  let words = Gc.minor_words () -. w0 in
+  if words <> 0.0 then
+    fail "pinned mapped miss descent allocates %.1f minor words per query"
+      (words /. float_of_int rounds);
+  if Rtree.hits_length hits <> 0 then
+    fail "pinned miss loop matched %d entries" (Rtree.hits_length hits);
+  (match Index_file.mmap_counters idx with
+  | Some c when c.Mmap_pager.c_fallbacks > 0 ->
+      fail "pinned miss loop fell back to pread %d times" c.Mmap_pager.c_fallbacks
+  | _ -> ());
+  Printf.printf "zero-alloc: %d pinned miss queries, %.0f minor words total\n%!" rounds words
 
 (* --- allocation on descending windows --- *)
 

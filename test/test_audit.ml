@@ -10,10 +10,9 @@
    the buffer pool, which is dropped first so the cache cannot mask the
    damage) and assert the audit reports the *specific* invariant that
    byte broke, by its stable label — never a crash, never a clean
-   report.  The page layout being poked: byte 0 kind, bytes 1-2 count
-   (LE u16), then 36-byte entries at offset 3 (xmin/ymin/xmax/ymax as
-   LE f64 at +0/+8/+16/+24, child page id or payload as LE i32 at
-   +32). *)
+   report.  The bytes being poked are found through [Node]'s layout
+   offsets (kind byte, count, coordinate [i] of a column, id [i]), so
+   the mutations follow the page format. *)
 
 module Rng = Prt_util.Rng
 module Pager = Prt_storage.Pager
@@ -164,7 +163,10 @@ let corrupt pool id f =
   f buf;
   Pager.write pager id buf
 
-let entry_off i field = 3 + (i * 36) + field
+(* Node bytes are addressed through [Node]'s layout offsets only, so
+   the mutations follow the page format wherever it puts a field. *)
+let coord_off buf i c = Node.coord_offset ~page_size:(Bytes.length buf) i c
+let id_off buf i = Node.id_offset ~page_size:(Bytes.length buf) i
 let get_f64 buf off = Int64.float_of_bits (Bytes.get_int64_le buf off)
 let set_f64 buf off v = Bytes.set_int64_le buf off (Int64.bits_of_float v)
 
@@ -176,36 +178,39 @@ let rec first_leaf tree id =
 
 let test_mutation_decode_error () =
   let pool, tree = build_victim () in
-  corrupt pool (Rtree.root tree) (fun buf -> Bytes.set buf 0 '\007');
+  corrupt pool (Rtree.root tree) (fun buf ->
+      Bytes.set buf (Node.kind_offset ~page_size:(Bytes.length buf)) '\007');
   assert_flags tree "decode-error"
 
 let test_mutation_count_mismatch () =
   let pool, tree = build_victim () in
   let leaf = first_leaf tree (Rtree.root tree) in
   corrupt pool leaf (fun buf ->
-      Bytes.set_uint16_le buf 1 (Bytes.get_uint16_le buf 1 - 1));
+      let off = Node.count_offset ~page_size:(Bytes.length buf) in
+      Bytes.set_uint16_le buf off (Bytes.get_uint16_le buf off - 1));
   assert_flags tree "count-mismatch"
 
 let test_mutation_mbr_not_tight () =
   let pool, tree = build_victim () in
   corrupt pool (Rtree.root tree) (fun buf ->
-      let off = entry_off 0 16 in
+      let off = coord_off buf 0 Node.Xmax in
       set_f64 buf off (get_f64 buf off +. 1.0));
   assert_flags tree "mbr-not-tight"
 
 let test_mutation_mbr_not_contained () =
   let pool, tree = build_victim () in
   corrupt pool (Rtree.root tree) (fun buf ->
-      let xmin = get_f64 buf (entry_off 0 0) and xmax = get_f64 buf (entry_off 0 16) in
+      let xmin = get_f64 buf (coord_off buf 0 Node.Xmin)
+      and xmax = get_f64 buf (coord_off buf 0 Node.Xmax) in
       (* Shrink the recorded box: it was tight, so the child's exact box
          now escapes it. *)
-      set_f64 buf (entry_off 0 16) ((xmin +. xmax) /. 2.0));
+      set_f64 buf (coord_off buf 0 Node.Xmax) ((xmin +. xmax) /. 2.0));
   assert_flags tree "mbr-not-contained"
 
 let test_mutation_page_shared () =
   let pool, tree = build_victim () in
   corrupt pool (Rtree.root tree) (fun buf ->
-      Bytes.set_int32_le buf (entry_off 1 32) (Bytes.get_int32_le buf (entry_off 0 32)));
+      Bytes.set_int32_le buf (id_off buf 1) (Bytes.get_int32_le buf (id_off buf 0)));
   assert_flags tree "page-shared"
 
 let test_mutation_leaf_depth () =
@@ -214,7 +219,7 @@ let test_mutation_leaf_depth () =
   (* Point a root entry straight at a grandchild leaf: it now sits at
      depth 2 in a height-3 tree. *)
   corrupt pool (Rtree.root tree) (fun buf ->
-      Bytes.set_int32_le buf (entry_off 0 32) (Int32.of_int leaf));
+      Bytes.set_int32_le buf (id_off buf 0) (Int32.of_int leaf));
   assert_flags tree "leaf-depth"
 
 let test_mutation_page_leaked () =

@@ -355,6 +355,69 @@ let test_older_slot_damage_is_repaired () =
       Pager.close pager;
       Alcotest.(check bool) "both slots valid after repair" true both_valid)
 
+(* --- another on-disk format ---
+
+   A file written by format 2 (row node pages) has intact,
+   checksummed pages of epoch 2.  It is refused by name, not reported
+   as damage, and salvage takes nothing from it: a page of another
+   epoch is never decoded. *)
+
+let format_2_message =
+  Printf.sprintf "index format 2; this build reads format %d: rebuild it from its dataset"
+    Page.format_epoch
+
+let test_format_2_refused () =
+  let entries = Helpers.random_entries ~n:300 ~seed:12 in
+  with_temp2 (fun path out ->
+      make_pristine path entries;
+      let refused what =
+        match Index_file.open_ ~page_size path with
+        | idx ->
+            Index_file.close idx;
+            Alcotest.failf "%s: a format-2 index opened" what
+        | exception Superblock.Unsupported_format found ->
+            Alcotest.(check int) (what ^ ": the format found") 2 found;
+            Alcotest.(check string) (what ^ ": the message") format_2_message
+              (Superblock.unsupported_format_message found)
+      in
+      Helpers.restamp_epoch ~page_size ~only:[ 0; 1 ] path ~epoch:2;
+      refused "both superblock slots";
+      Helpers.restamp_epoch ~page_size path ~epoch:2;
+      refused "every page";
+      let report =
+        Index_file.fsck ~page_size ~rebuild:(out, fun pool es -> Prtree.load pool es) path
+      in
+      Alcotest.(check (option string)) "fsck names the format" (Some format_2_message)
+        report.Index_file.fsck_error;
+      match report.Index_file.fsck_salvaged with
+      | Some (n, _) -> Alcotest.(check int) "salvage takes no page" 0 n
+      | None -> Alcotest.fail "fsck --rebuild did not run")
+
+(* fsck --rebuild of an intact file takes back every entry: salvage
+   reads each page's kind and count where the node format puts them. *)
+let test_salvage_intact () =
+  let entries = Helpers.random_entries ~n:3000 ~seed:14 in
+  let expected = Array.to_list entries |> List.map Entry.id |> List.sort Int.compare in
+  List.iter
+    (fun page_size ->
+      with_temp2 (fun path out ->
+          let idx =
+            Index_file.create ~page_size path ~build:(fun pool -> Prtree.load pool entries)
+          in
+          Index_file.close idx;
+          let report =
+            Index_file.fsck ~page_size ~rebuild:(out, fun pool es -> Prtree.load pool es) path
+          in
+          let what = Printf.sprintf "page size %d" page_size in
+          (match report.Index_file.fsck_salvaged with
+          | Some (n, _) -> Alcotest.(check int) (what ^ ": entries salvaged") 3000 n
+          | None -> Alcotest.fail "fsck --rebuild did not run");
+          let idx = Index_file.open_ ~page_size out in
+          Alcotest.(check (list int)) (what ^ ": the same ids") expected
+            (ids (Index_file.tree idx));
+          Index_file.close idx))
+    [ page_size; Pager.default_page_size ]
+
 (* --- single-bit corruption never yields a silent wrong answer --- *)
 
 let test_bit_flip_never_wrong_answer () =
@@ -442,4 +505,8 @@ let suite =
     Alcotest.test_case "corruption: no silent wrong answers" `Quick
       test_bit_flip_never_wrong_answer;
     Helpers.qcheck_case crash_property;
+    Alcotest.test_case "format: a format-2 index is refused by name" `Quick
+      test_format_2_refused;
+    Alcotest.test_case "salvage: fsck --rebuild of an intact index takes every entry" `Quick
+      test_salvage_intact;
   ]

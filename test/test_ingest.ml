@@ -219,6 +219,29 @@ let test_torn_wal_tail () =
       check_oracle t entries everything;
       Lsm.close t)
 
+(* A store whose components were written by format 2 is refused by
+   name: none of them could be read, so opening it with every component
+   failed would serve nothing. *)
+let test_format_2_store_refused () =
+  with_temp_dir (fun dir ->
+      let page_size = Helpers.small_page_size in
+      let t = Lsm.create ~buffer_capacity:4 ~page_size dir in
+      Array.iter (Lsm.insert t) (Helpers.random_entries ~n:20 ~seed:72);
+      Lsm.flush t;
+      Alcotest.(check bool) "components written" true (Lsm.components t <> []);
+      Lsm.close t;
+      Array.iter
+        (fun name ->
+          if Filename.check_suffix name ".idx" then
+            Helpers.restamp_epoch ~page_size (Filename.concat dir name) ~epoch:2)
+        (Sys.readdir dir);
+      match Lsm.open_ ~page_size dir with
+      | t ->
+          Lsm.close t;
+          Alcotest.fail "a store of format-2 components opened"
+      | exception Prt_storage.Superblock.Unsupported_format found ->
+          Alcotest.(check int) "the format found" 2 found)
+
 (* --- deletes and tombstones --- *)
 
 let test_deletes_and_compact () =
@@ -905,4 +928,6 @@ let suite =
       test_large_merge;
     Alcotest.test_case "query reads tombstones without a copy" `Quick
       test_query_tombstone_snapshot;
+    Alcotest.test_case "a store of format-2 components is refused" `Quick
+      test_format_2_store_refused;
   ]

@@ -57,10 +57,18 @@ let reference_crc32c b ~pos ~len =
   done;
   !c lxor 0xFFFFFFFF
 
+(* The bytes as a mapped window: float64 words, little-endian, the
+   last one zero-padded. *)
+let map_of_bytes b =
+  let words = (Bytes.length b + 7) / 8 in
+  let padded = Bytes.extend b 0 ((8 * words) - Bytes.length b) in
+  Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout words (fun k ->
+      Int64.float_of_bits (Bytes.get_int64_le padded (8 * k)))
+
 let test_crc_parity () =
   let rng = Random.State.make [| 987 |] in
   let b = Bytes.init 4096 (fun _ -> Char.chr (Random.State.int rng 256)) in
-  let m = Bigarray.Array1.init Bigarray.char Bigarray.c_layout (Bytes.length b) (Bytes.get b) in
+  let m = map_of_bytes b in
   let check ~pos ~len =
     let expected = reference_crc32c b ~pos ~len in
     Alcotest.(check int)
@@ -87,20 +95,24 @@ let test_crc_parity () =
     [ 0l; 1l; -1l; Int32.max_int; Int32.min_int; 0x40000000l; 0x7D3CC132l;
       0x80000001l; 0xC0000000l; 0x12345678l ]
   in
+  (* Every byte position of a word, the ones whose field crosses into
+     the next word included. *)
   List.iter
     (fun v ->
-      let b = Bytes.create 4 in
-      Bytes.set_int32_le b 0 v;
-      let m =
-        Bigarray.Array1.init Bigarray.char Bigarray.c_layout 4 (Bytes.get b)
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "get_i32 parity for %ld" v)
-        (Int32.to_int v) (View.get_i32 m 0);
-      Alcotest.(check int)
-        (Printf.sprintf "get_u16 parity for %ld" v)
-        (Char.code (Bytes.get b 0) lor (Char.code (Bytes.get b 1) lsl 8))
-        (View.get_u16 m 0))
+      for off = 0 to 8 do
+        let b = Bytes.make 16 '\000' in
+        Bytes.set_int32_le b off v;
+        let m = map_of_bytes b in
+        Alcotest.(check int)
+          (Printf.sprintf "get_i32 parity for %ld at %d" v off)
+          (Int32.to_int v) (View.get_i32 m off);
+        Alcotest.(check int)
+          (Printf.sprintf "get_u16 parity for %ld at %d" v off)
+          (Bytes.get_uint16_le b off) (View.get_u16 m off);
+        Alcotest.(check int)
+          (Printf.sprintf "get_u8 parity for %ld at %d" v off)
+          (Bytes.get_uint8 b off) (View.get_u8 m off)
+      done)
     probes
 
 (* --- cross-backend equivalence --- *)

@@ -17,17 +17,17 @@ let with_temp_file f =
 
 (* --- corruption detection --- *)
 
-let test_corrupt_kind_byte () =
+(* Smash one header field of the root in the pager, bypassing the
+   cache: a cold pool must refuse the page, never answer from it. *)
+let check_corrupt_root_refused mutate =
   let pool = Helpers.small_pool () in
   let entries = Helpers.random_entries ~n:100 ~seed:1 in
   let tree = Prt_prtree.Prtree.load pool entries in
-  (* Smash the root's kind byte in the pager, bypassing the cache. *)
   Buffer_pool.flush pool;
   let pager = Buffer_pool.pager pool in
   let buf = Pager.read pager (Rtree.root tree) in
-  Page.set_u8 buf 0 7;
+  mutate buf;
   Pager.write pager (Rtree.root tree) buf;
-  (* A cold pool must refuse to decode it. *)
   let cold = Buffer_pool.create ~capacity:8 pager in
   let reopened =
     Rtree.of_root ~pool:cold ~root:(Rtree.root tree) ~height:(Rtree.height tree)
@@ -38,6 +38,16 @@ let test_corrupt_kind_byte () =
        ignore (Rtree.query_count reopened (Rect.point 0.5 0.5));
        false
      with Invalid_argument _ -> true)
+
+let test_corrupt_kind_byte () =
+  check_corrupt_root_refused (fun buf ->
+      Page.set_u8 buf (Node.kind_offset ~page_size:(Bytes.length buf)) 7)
+
+(* A count past the capacity would walk the scan into the next column. *)
+let test_corrupt_count () =
+  check_corrupt_root_refused (fun buf ->
+      let page_size = Bytes.length buf in
+      Page.set_u16 buf (Node.count_offset ~page_size) (Node.capacity ~page_size + 1))
 
 let test_corrupt_child_pointer_detected () =
   let pool = Helpers.small_pool () in
@@ -204,4 +214,5 @@ let suite =
     Alcotest.test_case "file-backed tree roundtrip" `Quick test_file_backed_tree_roundtrip;
     Alcotest.test_case "file-backed updates persist" `Quick test_file_backed_updates_persist;
     Alcotest.test_case "extsort with page slack" `Quick test_extsort_odd_record_size;
+    Alcotest.test_case "corrupt entry count detected" `Quick test_corrupt_count;
   ]

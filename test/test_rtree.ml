@@ -64,6 +64,68 @@ let test_node_bad_kind () =
        false
      with Invalid_argument _ -> true)
 
+(* Format v3's codec at every page size the suites use: the capacity
+   is (payload - 3) / 36 (113 at 4 KB, 3 at 128 bytes), [decode]
+   returns the encoded node bit for bit — signed zeros, infinities and
+   subnormals included, ids over the whole int32 range — nothing lands
+   in the integrity trailer, and the payload after the header is zero
+   (what salvage tells a node page by). *)
+let prop_node_codec =
+  let page_sizes = [ 64; 128; 512; 4096 ] in
+  let special = [| 0.0; -0.0; infinity; neg_infinity; 5e-324; -1e300 |] in
+  let coord = QCheck.Gen.(frequency [ (4, float_range (-1e6) 1e6); (1, oneofa special) ]) in
+  let entry =
+    QCheck.Gen.(
+      let* a = coord and* b = coord and* c = coord and* d = coord in
+      let* id = int_range (Int32.to_int Int32.min_int) (Int32.to_int Int32.max_int) in
+      (* Ordered pairs, so [Rect.make] accepts them. *)
+      return
+        (Entry.make
+           (Rect.make ~xmin:(Float.min a c) ~ymin:(Float.min b d) ~xmax:(Float.max a c)
+              ~ymax:(Float.max b d))
+           id))
+  in
+  let gen =
+    QCheck.Gen.(
+      let* page_size = oneofl page_sizes in
+      let* kind = oneofl [ Node.Leaf; Node.Internal ] in
+      let* n = int_range 0 (Node.capacity ~page_size) in
+      let* entries = array_repeat n entry in
+      return (page_size, kind, entries))
+  in
+  let print (page_size, _, entries) =
+    Printf.sprintf "page_size %d, %d entries" page_size (Array.length entries)
+  in
+  let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let same_entry a b =
+    let r = Entry.rect a and r' = Entry.rect b in
+    Entry.id a = Entry.id b
+    && same_bits (Rect.xmin r) (Rect.xmin r')
+    && same_bits (Rect.ymin r) (Rect.ymin r')
+    && same_bits (Rect.xmax r) (Rect.xmax r')
+    && same_bits (Rect.ymax r) (Rect.ymax r')
+  in
+  QCheck.Test.make ~count:300 ~name:"node: v3 codec round-trips at every page size"
+    (QCheck.make ~print gen) (fun (page_size, kind, entries) ->
+      let payload = Prt_storage.Page.payload_size page_size in
+      if Node.capacity ~page_size <> (payload - 3) / 36 then
+        QCheck.Test.fail_reportf "capacity %d at page size %d" (Node.capacity ~page_size) page_size;
+      let buf = Node.encode ~page_size (Node.make kind entries) in
+      let node = Node.decode buf in
+      if Bytes.length buf <> page_size then QCheck.Test.fail_report "page size changed";
+      let trailer = Bytes.sub_string buf payload (page_size - payload) in
+      if trailer <> String.make (page_size - payload) '\000' then
+        QCheck.Test.fail_report "the codec wrote into the trailer";
+      let poked = Bytes.copy buf in
+      Bytes.set poked (payload - 1) '\001';
+      Node.page_tail_zero buf
+      && (not (Node.page_tail_zero poked))
+      && Node.kind node = kind
+      && Node.length node = Array.length entries
+      && Array.for_all2 same_entry entries (Node.entries node)
+      && Node.page_kind buf = kind
+      && Node.page_length buf = Array.length entries)
+
 (* --- loaders --- *)
 
 let loaders =
@@ -222,6 +284,7 @@ let suite =
     Alcotest.test_case "node: codec roundtrip" `Quick test_node_codec_roundtrip;
     Alcotest.test_case "node: overflow" `Quick test_node_overflow;
     Alcotest.test_case "node: bad kind" `Quick test_node_bad_kind;
+    Helpers.qcheck_case prop_node_codec;
     Alcotest.test_case "tree: empty queries" `Quick test_empty_tree_queries;
     Alcotest.test_case "tree: stats count every node" `Quick test_query_stats_leaf_counts;
     Alcotest.test_case "tree: packed utilization" `Quick test_packed_utilization;
