@@ -937,6 +937,19 @@ let port_arg =
 let host_arg =
   Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc:"TCP host address.")
 
+(* [--socket] or [--port]: neither, or a port out of range, is a
+   command-line fault, reported through cmdliner's usage-error path
+   (exit 124). *)
+let endpoint_term ~verb =
+  Term.(
+    ret
+      (const (fun socket port ->
+           match (socket, port) with
+           | None, None -> `Error (true, "need --socket PATH or --port PORT to " ^ verb)
+           | _, Some p when p < 0 || p > 0xFFFF -> `Error (true, "--port must be in 0..65535")
+           | _ -> `Ok (socket, port))
+      $ socket_arg $ port_arg))
+
 let serve_cmd =
   let index =
     Arg.(required & opt (some string) None & info [ "i"; "index" ] ~docv:"FILE" ~doc:"Index file.")
@@ -986,10 +999,8 @@ let serve_cmd =
       & opt float Serve.Server.default_config.Serve.Server.drain_deadline_ms
       & info [ "drain-deadline-ms" ] ~docv:"MS" ~doc:"Budget for graceful drain on shutdown.")
   in
-  let run index socket port host quota_rate quota_burst max_in_flight max_queue max_conns jobs
+  let run index (socket, port) host quota_rate quota_burst max_in_flight max_queue max_conns jobs
       write_timeout drain_deadline backend =
-    if socket = None && port = None then
-      failwith "serve: need --socket PATH or --port PORT to listen on";
     with_index ~backend index (fun idx ->
         let config =
           {
@@ -1007,12 +1018,13 @@ let serve_cmd =
         let srv = Serve.Server.create ~config idx in
         (match socket with
         | Some path ->
-            Serve.Server.listen_unix srv path;
+            opening "listen on unix socket" path (fun () -> Serve.Server.listen_unix srv path);
             Printf.printf "prt serve: listening on unix socket %s\n%!" path
         | None -> ());
         (match port with
         | Some port ->
-            Serve.Server.listen_tcp ~host srv port;
+            opening "listen on" (Printf.sprintf "%s:%d" host port) (fun () ->
+                Serve.Server.listen_tcp ~host srv port);
             Printf.printf "prt serve: listening on %s:%d\n%!" host port
         | None -> ());
         (* SIGTERM/SIGINT begin a graceful drain: stop accepting, finish
@@ -1024,21 +1036,26 @@ let serve_cmd =
         Printf.printf "%s\n" (Format.asprintf "%a" Serve.Server.pp_report report))
   in
   Cmd.v
-    (Cmd.info "serve" ~exits:index_exits
+    (Cmd.info "serve"
+       ~exits:
+         (exits_2
+            "the index file could not be opened (missing, unreadable, not an index, or written \
+             by another format), or the server could not listen on the socket or port.")
        ~doc:
          "Serve window queries over a Unix-domain or TCP socket (length-prefixed CRC'd binary \
           frames, see DESIGN.md). Per-client token-bucket quotas, bounded-queue load shedding \
           with retry-after hints, per-request deadlines, slow-client cutoffs, and graceful drain \
           on SIGTERM/SIGINT.")
     Term.(
-      const run $ index $ socket_arg $ port_arg $ host_arg $ quota_rate $ quota_burst
+      const run $ index $ endpoint_term ~verb:"listen on" $ host_arg $ quota_rate $ quota_burst
       $ max_in_flight $ max_queue $ max_conns $ jobs $ write_timeout $ drain_deadline
       $ backend_arg)
 
 let load_cmd =
   let workload =
     Arg.(
-      value & opt string "skewed"
+      value
+      & opt (enum [ ("skewed", `Skewed); ("cluster", `Cluster); ("uniform", `Uniform) ]) `Skewed
       & info [ "workload" ] ~docv:"KIND" ~doc:"Query workload: skewed, cluster or uniform.")
   in
   let queries =
@@ -1068,22 +1085,22 @@ let load_cmd =
       & info [ "drain" ] ~doc:"Send a drain request once the replay finishes (shuts the server \
                                down gracefully).")
   in
-  let run socket port host workload queries concurrency batch deadline retries seed drain_after =
+  let run (socket, port) host workload queries concurrency batch deadline retries seed drain_after
+      =
     let connect () =
       match (socket, port) with
       | Some path, _ -> Serve.Client.connect_unix path
       | None, Some port -> Serve.Client.connect_tcp ~host port
-      | None, None -> failwith "load: need --socket PATH or --port PORT to connect to"
+      | None, None -> assert false (* [endpoint_term] refuses it *)
     in
     let windows =
       match workload with
-      | "skewed" -> Queries.skewed_squares ~count:queries ~area_fraction:0.0001 ~c:5 ~seed
-      | "cluster" -> Queries.cluster_strips ~count:queries ~seed
-      | "uniform" ->
+      | `Skewed -> Queries.skewed_squares ~count:queries ~area_fraction:0.0001 ~c:5 ~seed
+      | `Cluster -> Queries.cluster_strips ~count:queries ~seed
+      | `Uniform ->
           Queries.squares ~count:queries ~area_fraction:0.0001
             ~world:(Rect.make ~xmin:0.0 ~ymin:0.0 ~xmax:1.0 ~ymax:1.0)
             ~seed
-      | other -> failwith ("unknown workload: " ^ other ^ " (skewed|cluster|uniform)")
     in
     let cfg =
       {
@@ -1110,13 +1127,14 @@ let load_cmd =
   in
   Cmd.v
     (Cmd.info "load"
+       ~exits:(Cmd.Exit.info 1 ~doc:"some reply was a protocol error." :: Cmd.Exit.defaults)
        ~doc:
          "Replay a query workload against a running $(b,prt serve) instance from concurrent \
           worker domains, with bounded jittered-backoff retries on overload/quota rejections. \
           Prints matched counts, rejection/retry tallies, p50/p99 latency and QPS.")
     Term.(
-      const run $ socket_arg $ port_arg $ host_arg $ workload $ queries $ concurrency $ batch
-      $ deadline $ retries $ seed_arg $ drain_after)
+      const run $ endpoint_term ~verb:"connect to" $ host_arg $ workload $ queries $ concurrency
+      $ batch $ deadline $ retries $ seed_arg $ drain_after)
 
 let () =
   (* A client hanging up mid-reply must surface as EPIPE on that

@@ -7,6 +7,13 @@
    a preallocated array, so the output is deterministic and ordered by
    query index regardless of scheduling.
 
+   One skeleton runs every batch — admission, the snapshot pin and its
+   release, the page source and policy, the work-stealing loop — and a
+   slot function says what a query leaves behind: [run_into] descends
+   into the caller's [Rtree.hits] buffer for slot [i] (unboxed hits, no
+   allocation per hit), [run] into the worker's scratch buffer and then
+   builds the entry list.
+
    Per query, each worker runs the one descent engine of [Rtree] on the
    batch's snapshot:
 
@@ -20,7 +27,7 @@
      are read through [Pager.read_shared ~gen], which bypasses the
      single-domain buffer pool and serves retained pre-images for
      pinned generations.  Both are scanned in place by the same bytes
-     kernels, so a leaf visit allocates only the matching entries.
+     kernels.
 
    Leaf vs internal is decided by depth against the snapshot's tree
    height, so no kind byte needs inspecting before the page is read.
@@ -111,35 +118,32 @@ let quarantine t = t.quarantine
 let cache_stats t = Shard_cache.stats t.cache
 let cache_hit_ratio t = Shard_cache.hit_ratio (Shard_cache.stats t.cache)
 
-(* One query, one domain.  The snapshot pinned at batch start makes
-   every worker descend the same tree; degradation is per subtree, as
-   in [Rtree.query] (the quarantine is mutex-guarded and safe to
-   share). *)
-let run_query t src pol snapshot window =
-  let acc = ref [] in
-  let stats = Rtree.descend_iter t.tree src pol snapshot window ~f:(fun e -> acc := e :: !acc) in
-  (List.rev !acc, stats)
-
-(* One query on whatever domain the work-stealing loop runs it: a
-   flight span bracketing the descent, and — while collection is on —
-   the same [query.*] counters/latency histogram as the single-domain
-   path, recorded into this domain's stripe. *)
-let run_query_recorded t src pol snapshot i window =
+(* Query [i] on whatever domain the work-stealing loop runs it: a
+   flight span bracketing [descend ()], and — while collection is on —
+   the same [query.*] counters and latency histogram as the
+   single-domain path, recorded into this domain's stripe. *)
+let recorded i descend =
   Prt_obs.Flight.begin_span "qexec.query" ~arg:i;
-  let r =
-    if not (Prt_obs.Metrics.collecting ()) then run_query t src pol snapshot window
+  let stats =
+    if not (Prt_obs.Metrics.collecting ()) then descend ()
     else begin
       let t0 = Unix.gettimeofday () in
-      let ((_, stats) as r) = run_query t src pol snapshot window in
+      let stats = descend () in
       let latency_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
       Rtree.record_query_stats ~latency_us stats;
-      r
+      stats
     end
   in
   Prt_obs.Flight.end_span "qexec.query" ~arg:i;
-  r
+  stats
 
-let run ?jobs ?(deadline = Deadline.none) t queries =
+(* The batch skeleton both forms share: admission, the snapshot pin and
+   its release, the page source and policy, and the work-stealing loop.
+   [slot src pol snapshot i window] runs query [i]; the snapshot pinned
+   at batch start makes every worker descend the same tree, and
+   degradation is per subtree, as in [Rtree.query] (the quarantine is
+   safe to share). *)
+let batch ?jobs ?(deadline = Deadline.none) t queries ~slot =
   let n = Array.length queries in
   (* Admission control: shed the whole batch up front rather than queue
      unboundedly — the caller gets a typed [Overloaded] (with the load
@@ -193,7 +197,6 @@ let run ?jobs ?(deadline = Deadline.none) t queries =
         | Rtree.Pool | Rtree.Shared _ -> Rtree.Shared (Some t.cache)
       in
       let pol = { (Rtree.policy Rtree.Window) with quarantine = Some t.quarantine; deadline } in
-      let results = Array.make n ([], Rtree.fresh_stats ()) in
       Prt_obs.Metrics.tick m_batches;
       Prt_obs.Metrics.add m_queries n;
       Prt_obs.Flight.begin_span "qexec.batch" ~arg:n;
@@ -204,7 +207,7 @@ let run ?jobs ?(deadline = Deadline.none) t queries =
           let start = Atomic.fetch_and_add next chunk in
           if start < n then begin
             for i = start to min n (start + chunk) - 1 do
-              results.(i) <- run_query_recorded t src pol snapshot i queries.(i)
+              slot src pol snapshot i queries.(i)
             done;
             loop ()
           end
@@ -220,8 +223,28 @@ let run ?jobs ?(deadline = Deadline.none) t queries =
       (* Workers recorded everything on their own stripes and rings —
          after the joins the aggregated registry already holds the
          batch's totals exactly. *)
-      Prt_obs.Flight.end_span "qexec.batch" ~arg:n;
-      results)
+      Prt_obs.Flight.end_span "qexec.batch" ~arg:n)
+
+let run_into ?jobs ?deadline t queries ~into =
+  if Array.length into < Array.length queries then
+    invalid_arg "Qexec.run_into: fewer hit buffers than windows";
+  batch ?jobs ?deadline t queries ~slot:(fun src pol snapshot i window ->
+      let h = into.(i) in
+      ignore
+        (recorded i (fun () ->
+             Rtree.descend_into t.tree src pol snapshot window ~into:h;
+             Rtree.hits_stats h)))
+
+let run ?jobs ?deadline t queries =
+  let results = Array.make (Array.length queries) ([], Rtree.fresh_stats ()) in
+  batch ?jobs ?deadline t queries ~slot:(fun src pol snapshot i window ->
+      let acc = ref [] in
+      let stats =
+        recorded i (fun () ->
+            Rtree.descend_iter t.tree src pol snapshot window ~f:(fun e -> acc := e :: !acc))
+      in
+      results.(i) <- (List.rev !acc, stats));
+  results
 
 let total_stats results =
   let t = Rtree.fresh_stats () in

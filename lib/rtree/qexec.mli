@@ -5,13 +5,22 @@
     exactly what [Rtree.query_list tree queries.(i)] returns, whatever
     the domain count or scheduling.
 
+    {!run_into} is the executor: slot [i]'s hits and statistics land in
+    a caller-owned {!Rtree.hits} buffer, unboxed, so a batch allocates
+    nothing per hit and the buffers are reused batch after batch (the
+    server writes its replies straight from them).  {!run} is the list
+    form over the same batch skeleton — admission, snapshot pin and
+    release, page source and policy, work-stealing — for callers that
+    want entries.
+
     Domain safety and snapshot isolation: each batch runs against a
     {!snap} acquired from the executor's snapshot provider at batch
     start.  For an index file the provider pins the current committed
     superblock generation ({!Index_file.executor}), so the whole batch
     descends that generation's page images even while a writer commits
     new ones — writers never block readers.  Every worker runs the one
-    descent engine ({!Rtree.descend_iter}) on the batch's snapshot.  On
+    descent engine ({!Rtree.descend_into}, or its callback form for
+    {!run}) on the batch's snapshot.  On
     the mmap backend the workers scan the shared file mapping, guarded
     by the CRC gate and, at a pinned generation, the version-store
     protocol.  On pread, internal pages are served as page images from
@@ -35,7 +44,7 @@ type snap = {
     provider passed to {!create}. *)
 
 exception Overloaded of { in_flight : int; limit : int }
-(** Raised by {!run} when admission control rejects a batch: admitting
+(** Raised by {!run_into} and {!run} when admission control rejects a batch: admitting
     it would push the executor past [max_in_flight] queries.  Shedding
     load beats queueing it unboundedly — the caller knows immediately
     and can back off. *)
@@ -58,7 +67,7 @@ val create :
     [quarantine] shares a damage registry with the rest of the serving
     stack (an {!Index_file} passes its own); a private one is created
     otherwise.  [max_in_flight] bounds the queries admitted
-    concurrently across {!run} calls (default unbounded); see
+    concurrently across batches (default unbounded); see
     {!Overloaded}. *)
 
 val tree : t -> Rtree.t
@@ -66,12 +75,13 @@ val tree : t -> Rtree.t
 val quarantine : t -> Prt_storage.Quarantine.t
 (** The executor's damage registry (shared or private). *)
 
-val run :
+val run_into :
   ?jobs:int ->
   ?deadline:Prt_util.Deadline.t ->
   t ->
   Prt_geom.Rect.t array ->
-  (Entry.t list * Rtree.query_stats) array
+  into:Rtree.hits array ->
+  unit
 (** Execute the batch on [jobs] domains (default
     [Parallel.default_domains ()]; the coordinating domain is one of
     them). Emits a ["qexec.batch"] span plus per-domain flight-recorder
@@ -87,7 +97,22 @@ val run :
     applies to the batch: each query checks it per node visit and
     returns [Timed_out] partial results past expiry (queries scheduled
     after expiry return empty [Timed_out] results).  Raises only
-    {!Overloaded} (admission) — device damage never escapes. *)
+    {!Overloaded} (admission) — device damage never escapes.
+
+    Query [i]'s results and statistics land in [into.(i)] (see
+    {!Rtree.query_into}); [into] may be longer than the batch, and
+    slots past it are left alone.  Raises [Invalid_argument] when it
+    is shorter. *)
+
+val run :
+  ?jobs:int ->
+  ?deadline:Prt_util.Deadline.t ->
+  t ->
+  Prt_geom.Rect.t array ->
+  (Entry.t list * Rtree.query_stats) array
+(** {!run_into}'s list form: slot [i] is query [i]'s entries, in the
+    order {!Rtree.query_list} returns them, and its statistics. Same
+    admission, snapshot, telemetry and resilience contract. *)
 
 val total_stats : (Entry.t list * Rtree.query_stats) array -> Rtree.query_stats
 (** Sum the per-query visit counts of a batch result. *)

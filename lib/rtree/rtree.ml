@@ -281,6 +281,11 @@ let hits_get h i =
        ~ymax:(Float.Array.unsafe_get r (k + 3)))
     (Array.unsafe_get h.h_ids i)
 
+let hits_id h i =
+  if i < 0 || i >= h.h_len then invalid_arg "Rtree.hits_id";
+  Array.unsafe_get h.h_ids i
+
+let hits_coords h = h.h_rects
 let hits_clear h = h.h_len <- 0
 
 let grow_hits h =
@@ -583,7 +588,7 @@ let rec loop t src pol h ~gen ~leaf_depth sp =
     loop t src pol h ~gen ~leaf_depth sp
   end
 
-let descend t src pol snapshot window h =
+let descend_into t src pol snapshot window ~into:h =
   hits_clear h;
   reset_stats h.h_stats;
   set_bounds h.h_bounds pol.form window;
@@ -605,7 +610,7 @@ let descend_iter t src pol snapshot window ~f =
   let d = s.depth in
   if d = Array.length s.bufs then s.bufs <- Array.append s.bufs [| hits_make () |];
   let h = s.bufs.(d) in
-  descend t src pol snapshot window h;
+  descend_into t src pol snapshot window ~into:h;
   s.depth <- d + 1;
   Fun.protect
     ~finally:(fun () -> s.depth <- d)
@@ -622,7 +627,7 @@ let descend_iter t src pol snapshot window ~f =
    first query sizes the stack and the hit array), a miss-only query
    allocates zero minor words. *)
 let query_into ?quarantine ?deadline ?snapshot t window ~into =
-  descend t (page_source t snapshot) (window_policy quarantine deadline) snapshot window into;
+  descend_into t (page_source t snapshot) (window_policy quarantine deadline) snapshot window ~into;
   if Prt_obs.Metrics.collecting () then record_query_stats into.h_stats
 
 let query_unrecorded ?quarantine ?deadline ?snapshot t window ~f =

@@ -161,6 +161,16 @@ val hits_get : hits -> int -> Entry.t
     order the callback API delivers them, built fresh on each call.
     Raises [Invalid_argument] out of bounds. *)
 
+val hits_id : hits -> int -> int
+(** [hits_id h i] is the id of the [i]-th result, without building the
+    entry.  Raises [Invalid_argument] out of bounds. *)
+
+val hits_coords : hits -> Float.Array.t
+(** The buffer's coordinate column: result [i]'s [xmin], [ymin],
+    [xmax] and [ymax] sit at [4i] to [4i + 3], for [i] below
+    {!hits_length}; the array may be longer.  A later query into the
+    buffer may replace the array, so fetch it after the query. *)
+
 val hits_clear : hits -> unit
 
 val hits_stats : hits -> query_stats
@@ -199,8 +209,8 @@ val query_count :
 
     Every query above, {!Query}'s forms, {!Qexec}'s workers and
     {!query_profile} run one explicit-stack preorder descent, given a
-    page {!source} and a {!policy}; {!descend_iter} is its callback
-    form.  Children are pushed in reverse entry order, so pages pop in the
+    page {!source} and a {!policy}; {!descend_into} is the engine
+    itself, {!descend_iter} its callback form.  Children are pushed in reverse entry order, so pages pop in the
     recursive preorder and visit counts and result order are the same
     on every source.  Under a snapshot, leaf vs internal is decided by
     depth against the pinned height; on the live tree by the page's
@@ -243,6 +253,12 @@ val page_source : t -> snapshot_view option -> source
     either a generation is pinned or the buffer pool is clean; else a
     pinned generation through [read_shared] ([Shared None]); else
     [Pool]. *)
+
+val descend_into :
+  t -> source -> policy -> snapshot_view option -> Prt_geom.Rect.t -> into:hits -> unit
+(** Run the descent from the snapshot's root (or the live root), with
+    the results and statistics landing in [into] as in {!query_into}.
+    Records no metrics. *)
 
 val descend_iter :
   t ->

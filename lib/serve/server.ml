@@ -6,11 +6,24 @@
 
    Request lifecycle: bytes -> Wire.Reader -> a bounded global FIFO of
    parsed requests (arrival order, so per-connection replies stay in
-   request order) -> execute -> reply frames on the connection's output
-   queue -> non-blocking flush.  Every shed path is a typed Wire.Error
-   with a retry-after hint; every connection failure mode (EOF
-   mid-frame, EPIPE on reply, injected chaos) is absorbed by closing
-   that connection only. *)
+   request order) -> execute -> reply frames appended to the
+   connection's output buffer -> non-blocking flush.  Every shed path
+   is a typed Wire.Error with a retry-after hint; every connection
+   failure mode (EOF mid-frame, EPIPE on reply, injected chaos) is
+   absorbed by closing that connection only.
+
+   The reply path writes each answer once.  The server owns one array
+   of [Rtree.hits] buffers, grown to the largest batch it has seen and
+   kept at its high-water capacity; [Qexec.run_into] fills slot [i]
+   with window [i]'s unboxed hits, and [Wire.Out.add_results] writes
+   the results frame from them into the connection's [Wire.Out]
+   buffer before the next batch reuses them.  The payload size is
+   known before a byte is written, so a reply over [max_payload] is
+   refused with a typed [E_too_large] instead of a frame the client
+   would reject as oversized.  Past warm-up, a request costs the same
+   few hundred words of allocation however many hits it returns
+   (checked by [@serve-smoke]).  A flush hands every pending byte to
+   one write. *)
 
 module Rect = Prt_geom.Rect
 module Deadline = Prt_util.Deadline
@@ -112,7 +125,7 @@ type conn = {
   reader : Wire.Reader.t;
   quota : Quota.t option;
   peer : string;
-  outq : (bytes * int ref) Queue.t;
+  out : Wire.Out.t;  (* pending reply frames, written front first *)
   mutable last_progress : float;  (* Deadline.now () of the last write progress *)
   mutable alive : bool;
   mutable closing : bool;  (* stop reading; close once the output drains *)
@@ -142,6 +155,7 @@ type t = {
   mutable drain_deadline : Deadline.t;
   mutable finished : bool;
   scratch : bytes;
+  mutable hits : Rtree.hits array;  (* one per window of the largest batch so far *)
 }
 
 (* A client that hangs up mid-reply must surface as EPIPE on its write,
@@ -172,27 +186,35 @@ let create ?chaos ?(config = default_config) idx =
     drain_deadline = Deadline.none;
     finished = false;
     scratch = Bytes.create 65536;
+    hits = [||];
   }
 
 let report t = t.rep
 let draining t = t.draining
 let request_drain t = Atomic.set t.drain_flag true
 
+(* A socket that cannot be bound is closed before the error propagates. *)
+let add_listener t fd setup =
+  (try
+     setup ();
+     Unix.listen fd 64;
+     Unix.set_nonblock fd
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  t.listeners <- fd :: t.listeners
+
 let listen_unix t path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  Unix.set_nonblock fd;
-  t.listeners <- fd :: t.listeners
+  add_listener t fd (fun () ->
+      (try Unix.unlink path with Unix.Unix_error _ -> ());
+      Unix.bind fd (Unix.ADDR_UNIX path))
 
 let listen_tcp ?(host = "127.0.0.1") t port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen fd 64;
-  Unix.set_nonblock fd;
-  t.listeners <- fd :: t.listeners
+  add_listener t fd (fun () ->
+      Unix.setsockopt fd Unix.SO_REUSEADDR true;
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port)))
 
 let inject t fd =
   Mutex.lock t.inject_lock;
@@ -217,7 +239,7 @@ let make_conn t ?(peer = "?") fd =
     reader = Wire.Reader.create ~max_payload:t.cfg.max_payload ();
     quota;
     peer;
-    outq = Queue.create ();
+    out = Wire.Out.create ();
     last_progress = Deadline.now ();
     alive = true;
     closing = false;
@@ -243,41 +265,35 @@ let close_conn t conn reason =
     | Peer_gone | Drained -> ())
   end
 
+(* Pending output starts the slow-client clock when it stops being
+   empty. *)
+let start_output conn =
+  if Wire.Out.is_empty conn.out then conn.last_progress <- Deadline.now ()
+
 let send_reply conn reply =
   if conn.alive then begin
-    let frame = Wire.encode (Wire.Reply reply) in
-    if Queue.is_empty conn.outq then conn.last_progress <- Deadline.now ();
-    Queue.add (frame, ref 0) conn.outq
+    start_output conn;
+    Wire.Out.add conn.out (Wire.Reply reply)
   end
 
 (* Flush as much pending output as the socket (and the chaos policy)
-   accepts.  A zero-byte write is a stall: no progress, no error — the
-   slow-client timeout decides its fate. *)
-let rec flush_conn t conn =
-  if conn.alive && not (Queue.is_empty conn.outq) then begin
-    let buf, pos = Queue.peek conn.outq in
-    let len = Bytes.length buf - !pos in
-    match Chaos.write conn.stream buf !pos len with
+   accepts, in one write of every pending byte.  A zero-byte write is a
+   stall: no progress, no error — the slow-client timeout decides its
+   fate. *)
+let flush_conn t conn =
+  let out = conn.out in
+  if conn.alive && not (Wire.Out.is_empty out) then begin
+    match Chaos.write conn.stream (Wire.Out.bytes out) (Wire.Out.pos out) (Wire.Out.length out) with
     | 0 -> ()
     | n ->
-        pos := !pos + n;
-        conn.last_progress <- Deadline.now ();
-        if !pos = Bytes.length buf then begin
-          ignore (Queue.pop conn.outq);
-          flush_conn t conn
-        end
+        Wire.Out.drop out n;
+        conn.last_progress <- Deadline.now ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn t conn Io_error
   end;
-  if conn.alive && conn.closing && Queue.is_empty conn.outq then close_conn t conn Drained
+  if conn.alive && conn.closing && Wire.Out.is_empty out then close_conn t conn Drained
 
 (* --- request handling --- *)
-
-let completeness_of_stats stats =
-  match Rtree.completeness stats with
-  | Rtree.Complete -> Wire.C_complete
-  | Rtree.Partial { skipped_subtrees; _ } -> Wire.C_partial { skipped = skipped_subtrees }
-  | Rtree.Timed_out { skipped_subtrees; _ } -> Wire.C_timed_out { skipped = skipped_subtrees }
 
 let breaker_wire t =
   match Retry.breaker_health (Buffer_pool.retry_engine (Index_file.pool t.idx)) with
@@ -326,24 +342,44 @@ let shed t conn ~id ~code ~retry_after_ms detail =
       Metrics.tick m_malformed);
   send_reply conn (Wire.Error { id; code; retry_after_ms; detail })
 
+(* The hit buffers for an [n]-window batch: the array grows to the
+   largest batch seen and is reused, so a batch's answer must be written
+   out before the next batch runs. *)
+let hits_for t n =
+  let have = Array.length t.hits in
+  if n > have then begin
+    let old = t.hits in
+    t.hits <- Array.init n (fun i -> if i < have then old.(i) else Rtree.hits_make ())
+  end;
+  t.hits
+
 let run_query t conn ~id ~deadline windows =
   let t0 = Unix.gettimeofday () in
-  match Qexec.run ~jobs:(max 1 t.cfg.jobs) ?deadline t.exec windows with
-  | results ->
-      let wire_results =
-        Array.map
-          (fun (hits, stats) ->
-            t.rep.matched <- t.rep.matched + stats.Rtree.matched;
-            Metrics.add m_matched stats.Rtree.matched;
-            { Wire.qr_completeness = completeness_of_stats stats; qr_hits = hits })
-          results
-      in
-      t.rep.served <- t.rep.served + 1;
-      t.rep.windows <- t.rep.windows + Array.length windows;
-      Metrics.tick m_served;
-      Metrics.add m_windows (Array.length windows);
-      Metrics.observe m_request_us (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
-      send_reply conn (Wire.Results { id; results = wire_results })
+  let n = Array.length windows in
+  let hits = hits_for t n in
+  match Qexec.run_into ~jobs:(max 1 t.cfg.jobs) ?deadline t.exec windows ~into:hits with
+  | () ->
+      let size = Wire.results_payload_size hits n in
+      if size > t.cfg.max_payload then
+        shed t conn ~id ~code:Wire.E_too_large ~retry_after_ms:0.0
+          (Printf.sprintf "a reply of %d payload bytes exceeds the frame cap of %d" size
+             t.cfg.max_payload)
+      else begin
+        for i = 0 to n - 1 do
+          let matched = (Rtree.hits_stats hits.(i)).Rtree.matched in
+          t.rep.matched <- t.rep.matched + matched;
+          Metrics.add m_matched matched
+        done;
+        t.rep.served <- t.rep.served + 1;
+        t.rep.windows <- t.rep.windows + n;
+        Metrics.tick m_served;
+        Metrics.add m_windows n;
+        Metrics.observe m_request_us (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
+        if conn.alive then begin
+          start_output conn;
+          Wire.Out.add_results conn.out ~id hits n
+        end
+      end
   | exception Qexec.Overloaded { in_flight; limit } ->
       shed t conn ~id ~code:Wire.E_overloaded ~retry_after_ms:t.cfg.overload_retry_ms
         (Printf.sprintf "admission control: %d in flight, limit %d" in_flight limit)
@@ -535,7 +571,7 @@ let finish t ~forced =
   List.iter
     (fun conn ->
       if conn.alive then
-        close_conn t conn (if forced && not (Queue.is_empty conn.outq) then Forced else Drained))
+        close_conn t conn (if forced && not (Wire.Out.is_empty conn.out) then Forced else Drained))
     t.conns;
   t.conns <- [];
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listeners;
@@ -551,7 +587,7 @@ let check_slow t =
     (fun conn ->
       if
         conn.alive
-        && (not (Queue.is_empty conn.outq))
+        && (not (Wire.Out.is_empty conn.out))
         && t.cfg.write_timeout_ms > 0.0
         && (now -. conn.last_progress) *. 1000.0 > t.cfg.write_timeout_ms
       then close_conn t conn Slow)
@@ -570,7 +606,7 @@ let step t ~timeout =
     in
     let wfds =
       List.filter_map
-        (fun c -> if c.alive && not (Queue.is_empty c.outq) then Some (Chaos.fd c.stream) else None)
+        (fun c -> if c.alive && not (Wire.Out.is_empty c.out) then Some (Chaos.fd c.stream) else None)
         t.conns
     in
     let readable, writable =
@@ -593,14 +629,14 @@ let step t ~timeout =
     done;
     List.iter
       (fun conn ->
-        if conn.alive && (List.mem (Chaos.fd conn.stream) writable || not (Queue.is_empty conn.outq))
+        if conn.alive && (List.mem (Chaos.fd conn.stream) writable || not (Wire.Out.is_empty conn.out))
         then flush_conn t conn)
       t.conns;
     check_slow t;
     t.conns <- List.filter (fun c -> c.alive) t.conns;
     if t.draining && t.drain_started then begin
       let idle =
-        Queue.is_empty t.queue && List.for_all (fun c -> Queue.is_empty c.outq) t.conns
+        Queue.is_empty t.queue && List.for_all (fun c -> Wire.Out.is_empty c.out) t.conns
       in
       if idle then finish t ~forced:false
       else if Deadline.expired t.drain_deadline then finish t ~forced:true

@@ -21,6 +21,13 @@
     - {b Slow clients}: a connection whose pending replies make no
       write progress for [write_timeout_ms] is closed — one stalled
       reader cannot pin the server's memory.
+    - {b Reply path}: a batch runs through
+      {!Prt_rtree.Qexec.run_into} into hit buffers the server owns and
+      reuses, and its results frame is written from them into the
+      connection's {!Wire.Out} buffer before the next batch runs; a
+      reply over [max_payload] is refused with [E_too_large].  Past
+      warm-up a request allocates the same few hundred words whatever
+      its hit count.
     - {b Graceful drain}: {!request_drain} (domain-safe; the CLI wires
       SIGTERM/SIGINT to it, clients can send [Drain]) stops accepting
       and reading, finishes every already-parsed request, flushes
@@ -45,7 +52,9 @@ type config = {
   max_queue : int;  (** parsed-but-unexecuted requests across all connections *)
   max_conns : int;
   max_windows : int;  (** per-request window cap ([E_too_large] past it) *)
-  max_payload : int;  (** frame payload cap (oversized frames are malformed) *)
+  max_payload : int;
+      (** frame payload cap: a larger request frame is malformed, and a
+          reply that would be larger is refused with [E_too_large] *)
   write_timeout_ms : float;  (** slow-client cutoff *)
   drain_deadline_ms : float;
   max_deadline_ms : float;  (** cap on client-supplied deadline budgets *)
@@ -68,7 +77,7 @@ type report = {
   mutable shed_quota : int;
   mutable shed_deadline : int;
   mutable shed_draining : int;
-  mutable too_large : int;
+  mutable too_large : int;  (** requests over [max_windows], replies over [max_payload] *)
   mutable malformed : int;
   mutable slow_closed : int;
   mutable io_closed : int;

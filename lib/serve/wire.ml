@@ -11,6 +11,7 @@
 
 module Rect = Prt_geom.Rect
 module Entry = Prt_rtree.Entry
+module Rtree = Prt_rtree.Rtree
 module Page = Prt_storage.Page
 
 let version = 1
@@ -104,97 +105,234 @@ let error_code_label = function
   | E_draining -> "draining"
   | E_too_large -> "too-large"
 
-(* --- payload writer --- *)
+(* --- frame writer ---
 
-let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
-let add_u16 b v = Buffer.add_uint16_le b (v land 0xFFFF)
-let add_u32 b v = Buffer.add_int32_le b (Int32.of_int (v land 0xFFFFFFFF))
-let add_i64 b v = Buffer.add_int64_le b (Int64.of_int v)
-let add_f64 b v = Buffer.add_int64_le b (Int64.bits_of_float v)
+   Every frame is written in place: the header with a zero length, then
+   each field with [Bytes.set_*] at a running offset, then the payload
+   length and the CRC are patched in ([seal]).  [encode] runs the
+   writer over a buffer of exactly the frame's size, [Out.add] over the
+   free end of a connection's output buffer, and [Out.add_results]
+   writes a results reply straight from the executor's hit buffers.
+   There is no intermediate [Buffer] and no payload copy.  The [put_*]
+   helpers return the next offset; they are inlined, so no float or
+   int64 field is boxed on the way. *)
 
-let add_rect b r =
-  add_f64 b (Rect.xmin r);
-  add_f64 b (Rect.ymin r);
-  add_f64 b (Rect.xmax r);
-  add_f64 b (Rect.ymax r)
+let[@inline] put_u8 b p v =
+  Bytes.set_uint8 b p (v land 0xFF);
+  p + 1
 
-let add_string16 b s =
-  let s = if String.length s > 0xFFFF then String.sub s 0 0xFFFF else s in
-  add_u16 b (String.length s);
-  Buffer.add_string b s
+let[@inline] put_u16 b p v =
+  Bytes.set_uint16_le b p (v land 0xFFFF);
+  p + 2
 
-let payload_of_msg m =
-  let b = Buffer.create 64 in
-  (match m with
+let[@inline] put_u32 b p v =
+  Bytes.set_int32_le b p (Int32.of_int (v land 0xFFFFFFFF));
+  p + 4
+
+let[@inline] put_i64 b p v =
+  Bytes.set_int64_le b p (Int64.of_int v);
+  p + 8
+
+let[@inline] put_f64 b p v =
+  Bytes.set_int64_le b p (Int64.bits_of_float v);
+  p + 8
+
+(* Direct field access: a cross-module accessor would box its float. *)
+let put_rect b p (r : Rect.t) =
+  let p = put_f64 b p r.Rect.xmin in
+  let p = put_f64 b p r.Rect.ymin in
+  let p = put_f64 b p r.Rect.xmax in
+  put_f64 b p r.Rect.ymax
+
+let string16_length s = min (String.length s) 0xFFFF
+
+let put_string16 b p s =
+  let n = string16_length s in
+  let p = put_u16 b p n in
+  Bytes.blit_string s 0 b p n;
+  p + n
+
+let put_completeness b p = function
+  | C_complete -> put_u32 b (put_u8 b p 0) 0
+  | C_partial { skipped } -> put_u32 b (put_u8 b p 1) skipped
+  | C_timed_out { skipped } -> put_u32 b (put_u8 b p 2) skipped
+
+let put_breaker b p = function
+  | B_closed -> put_u32 b (put_u8 b p 0) 0
+  | B_open { cooldown_left } -> put_u32 b (put_u8 b p 1) cooldown_left
+  | B_half_open -> put_u32 b (put_u8 b p 2) 0
+
+(* A results slot is 9 bytes of completeness and count, then 40 per
+   hit; a health reply is fixed-size. *)
+let slot_size = 9
+let hit_size = 40
+let health_size = 55
+
+let payload_size = function
+  | Request (Query { windows; _ }) -> 12 + (32 * Array.length windows)
+  | Request (Health_check _ | Drain _) -> 4
+  | Reply (Results { results; _ }) ->
+      Array.fold_left
+        (fun acc { qr_hits; _ } -> acc + slot_size + (hit_size * List.length qr_hits))
+        8 results
+  | Reply (Health_status _) -> health_size
+  | Reply (Error { detail; _ }) -> 15 + string16_length detail
+
+let put_header b base kind =
+  Bytes.set_int32_le b base 0l;
+  Bytes.set_uint8 b (base + 4) version;
+  Bytes.set_uint8 b (base + 5) kind;
+  Bytes.set_uint16_le b (base + 6) 0;
+  base + header_size
+
+(* Close the frame that starts at [base] and whose payload ends at
+   [stop]: patch in the length, append the CRC; returns the frame's end. *)
+let seal b base stop =
+  let plen = stop - base - header_size in
+  Bytes.set_int32_le b base (Int32.of_int plen);
+  let crc = Page.crc32c b ~pos:(base + 4) ~len:(header_size - 4 + plen) in
+  Bytes.set_int32_le b stop (Int32.of_int (crc land 0xFFFFFFFF));
+  stop + trailer_size
+
+let rec put_entries b p = function
+  | [] -> p
+  | (e : Entry.t) :: tl -> put_entries b (put_rect b (put_i64 b p e.Entry.id) e.Entry.rect) tl
+
+let put_payload b p = function
   | Request (Query { id; deadline_ms; windows }) ->
-      add_u32 b id;
-      add_u32 b deadline_ms;
-      add_u32 b (Array.length windows);
-      Array.iter (add_rect b) windows
-  | Request (Health_check { id }) -> add_u32 b id
-  | Request (Drain { id }) -> add_u32 b id
+      let p = put_u32 b p id in
+      let p = put_u32 b p deadline_ms in
+      let p = ref (put_u32 b p (Array.length windows)) in
+      for i = 0 to Array.length windows - 1 do
+        p := put_rect b !p windows.(i)
+      done;
+      !p
+  | Request (Health_check { id } | Drain { id }) -> put_u32 b p id
   | Reply (Results { id; results }) ->
-      add_u32 b id;
-      add_u32 b (Array.length results);
-      Array.iter
-        (fun { qr_completeness; qr_hits } ->
-          (match qr_completeness with
-          | C_complete ->
-              add_u8 b 0;
-              add_u32 b 0
-          | C_partial { skipped } ->
-              add_u8 b 1;
-              add_u32 b skipped
-          | C_timed_out { skipped } ->
-              add_u8 b 2;
-              add_u32 b skipped);
-          add_u32 b (List.length qr_hits);
-          List.iter
-            (fun e ->
-              add_i64 b (Entry.id e);
-              add_rect b (Entry.rect e))
-            qr_hits)
-        results
+      let p = put_u32 b p id in
+      let p = ref (put_u32 b p (Array.length results)) in
+      for i = 0 to Array.length results - 1 do
+        let { qr_completeness; qr_hits } = results.(i) in
+        let q = put_completeness b !p qr_completeness in
+        p := put_entries b (put_u32 b q (List.length qr_hits)) qr_hits
+      done;
+      !p
   | Reply (Health_status { id; health }) ->
-      add_u32 b id;
-      add_u32 b health.h_conns;
-      add_u8 b (if health.h_draining then 1 else 0);
-      add_i64 b health.h_generation;
-      (match health.h_breaker with
-      | B_closed ->
-          add_u8 b 0;
-          add_u32 b 0
-      | B_open { cooldown_left } ->
-          add_u8 b 1;
-          add_u32 b cooldown_left
-      | B_half_open ->
-          add_u8 b 2;
-          add_u32 b 0);
-      add_f64 b health.h_quota_tokens;
-      add_u8 b (if health.h_backend = "mmap" then 1 else 0);
-      add_i64 b health.h_mmap_served;
-      add_i64 b health.h_mmap_crc_skipped;
-      add_i64 b health.h_mmap_fallbacks
+      let p = put_u32 b p id in
+      let p = put_u32 b p health.h_conns in
+      let p = put_u8 b p (if health.h_draining then 1 else 0) in
+      let p = put_i64 b p health.h_generation in
+      let p = put_breaker b p health.h_breaker in
+      let p = put_f64 b p health.h_quota_tokens in
+      let p = put_u8 b p (if health.h_backend = "mmap" then 1 else 0) in
+      let p = put_i64 b p health.h_mmap_served in
+      let p = put_i64 b p health.h_mmap_crc_skipped in
+      put_i64 b p health.h_mmap_fallbacks
   | Reply (Error { id; code; retry_after_ms; detail }) ->
-      add_u32 b id;
-      add_u8 b (code_byte code);
-      add_f64 b retry_after_ms;
-      add_string16 b detail);
-  Buffer.to_bytes b
+      let p = put_u32 b p id in
+      let p = put_u8 b p (code_byte code) in
+      let p = put_f64 b p retry_after_ms in
+      put_string16 b p detail
+
+let put_frame b base m = seal b base (put_payload b (put_header b base (kind_of_msg m)) m)
+let frame_size m = payload_size m + envelope
 
 let encode m =
-  let payload = payload_of_msg m in
-  let plen = Bytes.length payload in
-  let frame = Bytes.create (plen + envelope) in
-  Bytes.set_int32_le frame 0 (Int32.of_int plen);
-  Bytes.set frame 4 (Char.chr version);
-  Bytes.set frame 5 (Char.chr (kind_of_msg m));
-  Bytes.set frame 6 '\000';
-  Bytes.set frame 7 '\000';
-  Bytes.blit payload 0 frame header_size plen;
-  let crc = Page.crc32c frame ~pos:4 ~len:(header_size - 4 + plen) in
-  Bytes.set_int32_le frame (header_size + plen) (Int32.of_int (crc land 0xFFFFFFFF));
+  let frame = Bytes.create (frame_size m) in
+  ignore (put_frame frame 0 m);
   frame
+
+(* A results reply read straight from hit buffers: slot [i] is
+   [hits.(i)], its completeness the label [Rtree.completeness] gives the
+   buffer's statistics (without sorting the skipped pages; a complete
+   slot allocates nothing), its hits from the coordinate column and
+   [Rtree.hits_id].  Loops and a local [ref], not local recursive
+   functions: those would allocate closures. *)
+
+let completeness_of_stats (s : Rtree.query_stats) =
+  if s.Rtree.timed_out then C_timed_out { skipped = s.Rtree.skipped_subtrees }
+  else if s.Rtree.skipped_subtrees > 0 then C_partial { skipped = s.Rtree.skipped_subtrees }
+  else C_complete
+
+let results_payload_size hits n =
+  let size = ref 8 in
+  for i = 0 to n - 1 do
+    size := !size + slot_size + (hit_size * Rtree.hits_length hits.(i))
+  done;
+  !size
+
+let put_hits_slot b p h =
+  let p = put_completeness b p (completeness_of_stats (Rtree.hits_stats h)) in
+  let len = Rtree.hits_length h in
+  let c = Rtree.hits_coords h in
+  let p = ref (put_u32 b p len) in
+  for j = 0 to len - 1 do
+    let k = 4 * j in
+    let q = put_i64 b !p (Rtree.hits_id h j) in
+    let q = put_f64 b q (Float.Array.get c k) in
+    let q = put_f64 b q (Float.Array.get c (k + 1)) in
+    let q = put_f64 b q (Float.Array.get c (k + 2)) in
+    p := put_f64 b q (Float.Array.get c (k + 3))
+  done;
+  !p
+
+let put_hits_results b base ~id hits n =
+  let p = put_u32 b (put_header b base kind_results) id in
+  let p = ref (put_u32 b p n) in
+  for i = 0 to n - 1 do
+    p := put_hits_slot b !p hits.(i)
+  done;
+  seal b base !p
+
+module Out = struct
+  type t = {
+    mutable buf : bytes;
+    mutable pos : int;  (* first pending byte *)
+    mutable fill : int;  (* one past the last pending byte *)
+  }
+
+  let create () = { buf = Bytes.create 4096; pos = 0; fill = 0 }
+  let length o = o.fill - o.pos
+  let is_empty o = o.fill = o.pos
+  let bytes o = o.buf
+  let pos o = o.pos
+
+  let drop o n =
+    if n < 0 || n > length o then invalid_arg "Wire.Out.drop";
+    o.pos <- o.pos + n;
+    if o.pos = o.fill then begin
+      o.pos <- 0;
+      o.fill <- 0
+    end
+
+  (* Room for [n] more bytes at [fill]: slide the pending bytes to the
+     front, then double until they fit.  The buffer keeps its
+     high-water capacity. *)
+  let reserve o n =
+    if o.fill + n > Bytes.length o.buf then begin
+      let live = length o in
+      if live + n > Bytes.length o.buf then begin
+        let cap = ref (2 * Bytes.length o.buf) in
+        while live + n > !cap do
+          cap := 2 * !cap
+        done;
+        let buf = Bytes.create !cap in
+        Bytes.blit o.buf o.pos buf 0 live;
+        o.buf <- buf
+      end
+      else Bytes.blit o.buf o.pos o.buf 0 live;
+      o.pos <- 0;
+      o.fill <- live
+    end
+
+  let add o m =
+    reserve o (frame_size m);
+    o.fill <- put_frame o.buf o.fill m
+
+  let add_results o ~id hits n =
+    reserve o (results_payload_size hits n + envelope);
+    o.fill <- put_hits_results o.buf o.fill ~id hits n
+end
 
 (* --- payload reader --- *)
 

@@ -18,7 +18,16 @@
     hostile byte stream can at worst earn itself a typed error reply and
     a closed connection.  Requests and replies share one frame space
     (the kind byte distinguishes them), so both ends run the same
-    decoder. *)
+    decoder.
+
+    One writer produces every frame, in place: the header, then each
+    field at a running offset, then the payload length and the CRC
+    patched in — no intermediate buffer, no payload copy, no boxed
+    field.  {!encode} runs it over a buffer of exactly the frame's
+    size; {!Out} appends frames to a connection's growable output
+    buffer, and {!Out.add_results} writes a results reply straight from
+    the executor's {!Prt_rtree.Rtree.hits} buffers, byte-identical to
+    {!encode} of the same answer. *)
 
 module Rect = Prt_geom.Rect
 module Entry = Prt_rtree.Entry
@@ -37,7 +46,9 @@ type error_code =
   | E_deadline  (** the request's deadline expired before execution *)
   | E_malformed  (** unparseable frame; the connection will close *)
   | E_draining  (** the server is shutting down gracefully *)
-  | E_too_large  (** more windows than the server accepts per request *)
+  | E_too_large
+      (** more windows than the server accepts per request, or a reply
+          larger than its frame cap *)
 
 (** Wire form of {!Prt_rtree.Rtree.completeness} — partiality is typed
     end to end, never inferred from a smaller result. *)
@@ -94,8 +105,49 @@ type proto_error =
   | Bad_payload of string
 
 val msg_id : msg -> int
+
 val encode : msg -> bytes
-(** A complete frame. *)
+(** A complete frame, in a buffer of exactly its size. *)
+
+val results_payload_size : Prt_rtree.Rtree.hits array -> int -> int
+(** [results_payload_size hits n] is the payload size, in bytes, of a
+    [Results] reply whose [n] slots are [hits.(0)] to [hits.(n-1)] —
+    known before anything is written, so a caller can refuse a reply
+    over its frame cap. *)
+
+(** A growable output buffer: frames are appended at its end, and the
+    pending bytes [[pos, pos + length)] of {!bytes} leave from its
+    front.  It keeps its high-water capacity. *)
+module Out : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+  (** Pending bytes. *)
+
+  val is_empty : t -> bool
+
+  val bytes : t -> bytes
+  (** The backing store; replaced when an append grows it. *)
+
+  val pos : t -> int
+  (** Offset of the first pending byte in {!bytes}. *)
+
+  val drop : t -> int -> unit
+  (** [drop o n] consumes the first [n] pending bytes (written out).
+      Raises [Invalid_argument] when fewer are pending. *)
+
+  val add : t -> msg -> unit
+  (** Append one frame: {!encode}'s bytes, written in place. *)
+
+  val add_results : t -> id:int -> Prt_rtree.Rtree.hits array -> int -> unit
+  (** [add_results o ~id hits n] appends the frame of
+      [Reply (Results { id; results })] where slot [i < n] holds
+      [hits.(i)]'s entries, in {!Prt_rtree.Rtree.hits_get} order, and
+      its completeness: [C_timed_out] if the descent timed out, else
+      [C_partial] if it skipped subtrees, else [C_complete], with the
+      skipped-subtree count. *)
+end
 
 val decode :
   ?max_payload:int ->

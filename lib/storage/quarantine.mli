@@ -9,9 +9,13 @@
     removes them.
 
     Domain-safe (mutex-guarded): multicore query workers add to it
-    mid-batch.  Carries no observability hooks of its own — the metrics
-    registry is single-domain, so coordinators mirror {!added_total}
-    deltas into counters after workers join. *)
+    mid-batch.  {!mem}, which a degrading descent calls on every node it
+    visits, takes the lock only while some page is quarantined: an
+    atomic count, stored under the lock by every {!add}, {!remove} and
+    {!clear}, answers [false] for an empty registry.  A page added
+    before the call (on any domain, ordered by a join or a lock) is
+    always seen; an add racing the call may or may not be, as with the
+    locked check. *)
 
 type reason =
   | Corrupt  (** Trailer verification failed: damage is on the platter. *)
@@ -28,7 +32,9 @@ val add : t -> int -> reason -> unit
 val mem : t -> int -> bool
 val find : t -> int -> reason option
 val remove : t -> int -> unit
+
 val count : t -> int
+(** Quarantined ids right now (the atomic count; no lock). *)
 
 val added_total : t -> int
 (** Monotonic count of distinct additions (never decremented by

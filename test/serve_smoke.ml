@@ -2,23 +2,28 @@
    under @runtest-long; the bench half of the alias runs the serve
    experiment against its committed baseline in bench/dune).
 
-   Four sections, every one ending with a no-leaked-pins check:
+   Five sections, every one ending with a no-leaked-pins check:
 
    - chaos matrix: servers under a seeded Failpoint schedule (peer
      resets, short reads, stalled and torn writes) driven over injected
      socketpairs by scripted clients — queries, health checks, a
      garbage frame, a mid-frame disconnect.  Nothing may escape a
      connection, and a drain must always terminate.
-   - kill-point sweep: a crash budget of 0..5 physical socket writes;
-     the simulated process death mid-reply must leave no snapshot pins
-     and an index that still answers oracle-correct queries.
+   - kill-point sweep: a crash budget of 0..5 physical socket writes,
+     one reply per write; the simulated process death mid-reply must
+     leave no snapshot pins and an index that still answers
+     oracle-correct queries.
    - drain under load: a real Unix-socket server on its own domain,
      drained while a multi-domain load generator is mid-replay; every
      client request must be accounted for (answered, retried away, or
      typed-rejected) with zero protocol errors.
    - quota retries: a refilling per-connection bucket small enough that
      every batch but the first is rejected at least once; the load
-     generator's hint-driven backoff must land every request. *)
+     generator's hint-driven backoff must land every request.
+   - allocation bound: after warm-up, the [Server.step] calls that
+     answer one request allocate the same number of minor words for a
+     miss-only request as for one with at least 100 hits, and fewer
+     than 1,000 (client send and receive excluded). *)
 
 module Rect = Prt_geom.Rect
 module Rng = Prt_util.Rng
@@ -196,13 +201,15 @@ let kill_sweep () =
     let srv = Server.create ~chaos idx in
     let c = connect srv in
     let qs = make_windows ~n:3 ~seed:21 in
-    for i = 1 to 6 do
-      send c (Wire.encode (Wire.Request (Wire.Query { id = i; deadline_ms = 0; windows = qs })))
-    done;
+    (* One request at a time: pipelined replies would leave in a single
+       write, and budget [k] must find [k] writes before the crash. *)
     (try
-       for _ = 1 to 100 do
-         ignore (Server.step srv ~timeout:0.0);
-         poll c
+       for i = 1 to 6 do
+         send c (Wire.encode (Wire.Request (Wire.Query { id = i; deadline_ms = 0; windows = qs })));
+         for _ = 1 to 20 do
+           ignore (Server.step srv ~timeout:0.0);
+           poll c
+         done
        done
      with Failpoint.Simulated_crash _ ->
        incr crashes;
@@ -299,6 +306,65 @@ let quota_retries () =
   Printf.printf "  quota retries: %d batches all admitted after %d hint-driven retries (%d shed)\n%!"
     stats.Load_gen.ok stats.Load_gen.retries report.Server.shed_quota
 
+(* --- 5. allocation bound --- *)
+
+let alloc_words_limit = 1_000.0
+
+let allocation_bound () =
+  with_index ~n:2_000 ~seed:3 @@ fun idx es ->
+  let srv = Server.create idx in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Server.inject srv a;
+  let client = Client.of_fd b in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  let miss = Array.make 8 (Rect.make ~xmin:5.0 ~ymin:5.0 ~xmax:6.0 ~ymax:6.0) in
+  let hot = make_windows ~n:8 ~seed:51 in
+  let expected =
+    Array.fold_left
+      (fun acc w ->
+        acc + Array.fold_left (fun n e -> if Rect.intersects (Entry.rect e) w then n + 1 else n) 0 es)
+      0 hot
+  in
+  if expected < 100 then fail "allocation bound: the hot request matches only %d entries" expected;
+  (* Minor words across the steps that answer one request; [Gc.minor]
+     before each reading, or the counter moves in whole minor heaps. *)
+  let words windows =
+    Client.send client (Wire.Query { id = 1; deadline_ms = 0; windows });
+    let served = (Server.report srv).Server.served in
+    let total = ref 0.0 and steps = ref 0 in
+    while (Server.report srv).Server.served = served do
+      if !steps = 100 then fail "allocation bound: the server did not answer";
+      incr steps;
+      Gc.minor ();
+      let w0 = Gc.minor_words () in
+      ignore (Server.step srv ~timeout:0.0);
+      Gc.minor ();
+      total := !total +. (Gc.minor_words () -. w0)
+    done;
+    match Client.recv client with
+    | Ok (Wire.Results { results; _ }) ->
+        (!total, Array.fold_left (fun n r -> n + List.length r.Wire.qr_hits) 0 results)
+    | _ -> fail "allocation bound: expected a results reply"
+  in
+  for _ = 1 to 20 do
+    ignore (words miss);
+    ignore (words hot)
+  done;
+  let miss_words, miss_hits = words miss and hot_words, hot_hits = words hot in
+  if miss_hits <> 0 || hot_hits <> expected then
+    fail "allocation bound: %d and %d hits (expected 0 and %d)" miss_hits hot_hits expected;
+  if Index_file.read_backend idx <> "mmap" then
+    Printf.printf "  allocation bound: skipped on the %s backend\n%!" (Index_file.read_backend idx)
+  else begin
+    if miss_words <> hot_words then
+      fail "allocation bound: %.0f words for a miss-only request, %.0f for %d hits" miss_words
+        hot_words hot_hits;
+    if hot_words >= alloc_words_limit then
+      fail "allocation bound: %.0f words per request (limit %.0f)" hot_words alloc_words_limit;
+    Printf.printf "  allocation bound: %.0f minor words per request, with 0 or %d hits\n%!"
+      hot_words hot_hits
+  end
+
 let () =
   Printf.printf "== serve smoke: chaos matrix over the network query tier ==\n%!";
   List.iter (fun rate -> List.iter (fun seed -> chaos_case ~seed ~rate) [ 1; 2; 3; 4 ])
@@ -306,4 +372,5 @@ let () =
   kill_sweep ();
   drain_under_load ();
   quota_retries ();
+  allocation_bound ();
   Printf.printf "serve smoke: ok\n%!"

@@ -155,6 +155,30 @@ let batch_equal tree exec ~jobs queries =
     queries;
   true
 
+(* Hit buffers every [run_into] check shares: each batch reuses
+   buffers that batches of other sizes, on other trees, filled. *)
+let shared_hits = ref [||]
+
+let hits_for n =
+  let have = Array.length !shared_hits in
+  if n > have then
+    shared_hits := Array.append !shared_hits (Array.init (n - have) (fun _ -> Rtree.hits_make ()));
+  !shared_hits
+
+let into_equal tree exec ~jobs queries =
+  let into = hits_for (Array.length queries) in
+  Qexec.run_into ~jobs exec queries ~into;
+  Array.iteri
+    (fun i w ->
+      let seq_hits, seq_stats = Rtree.query_list tree w in
+      let h = into.(i) in
+      if List.init (Rtree.hits_length h) (Rtree.hits_get h) <> seq_hits then
+        failwith (Printf.sprintf "run_into slot %d: hits differ" i);
+      if Rtree.hits_stats h <> seq_stats then
+        failwith (Printf.sprintf "run_into slot %d: stats differ" i))
+    queries;
+  true
+
 let qcheck_executor_matches_sequential =
   QCheck.Test.make ~name:"qexec batch identical to sequential query loop" ~count:25
     (QCheck.pair
@@ -166,7 +190,9 @@ let qcheck_executor_matches_sequential =
       let tree = Prtree.load (Helpers.small_pool ()) entries in
       let queries = Helpers.random_queries ~n:20 ~seed:(seed + 1) in
       let exec = Qexec.create tree in
-      batch_equal tree exec ~jobs queries)
+      batch_equal tree exec ~jobs queries
+      && into_equal tree exec ~jobs queries
+      && into_equal tree exec ~jobs (Array.sub queries 0 (1 + (seed mod 20))))
 
 let test_executor_deterministic_across_jobs () =
   let entries = Helpers.random_entries ~n:3_000 ~seed:21 in

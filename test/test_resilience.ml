@@ -257,6 +257,43 @@ let test_quarantine_registry () =
   Quarantine.clear q;
   Alcotest.(check int) "cleared" 0 (Quarantine.count q)
 
+(* [mem] skips the lock while the registry's atomic count reads zero:
+   after every add, remove and clear of a random sequence, [mem] must
+   agree with [pages] on every id in play and [count] with its length. *)
+let qcheck_quarantine_count =
+  QCheck.Test.make ~name:"quarantine: mem and count agree with pages after every step" ~count:200
+    (Helpers.arbitrary_scenario ~max_size:60 ())
+    (fun sc ->
+      let rng = Prt_util.Rng.create sc.Helpers.sc_seed in
+      let q = Quarantine.create () in
+      let agrees () =
+        let pages = Quarantine.pages q in
+        Quarantine.count q = List.length pages
+        && List.for_all (fun id -> Quarantine.mem q id = List.mem id pages) (List.init 8 Fun.id)
+      in
+      List.for_all
+        (fun _ ->
+          let id = Prt_util.Rng.int rng 8 in
+          (match Prt_util.Rng.int rng 5 with
+          | 0 | 1 -> Quarantine.add q id Quarantine.Corrupt
+          | 2 -> Quarantine.add q id Quarantine.Io_failed
+          | 3 -> Quarantine.remove q id
+          | _ -> if Prt_util.Rng.int rng 4 = 0 then Quarantine.clear q);
+          agrees ())
+        (List.init sc.Helpers.sc_size Fun.id))
+
+(* A page a worker domain quarantines is seen by the next [mem] after
+   the join, on the lock-free path's first use too. *)
+let test_quarantine_cross_domain () =
+  let q = Quarantine.create () in
+  Alcotest.(check bool) "empty registry: not a member" false (Quarantine.mem q 3);
+  Domain.join (Domain.spawn (fun () -> Quarantine.add q 3 Quarantine.Corrupt));
+  Alcotest.(check bool) "added on another domain: seen after the join" true (Quarantine.mem q 3);
+  Alcotest.(check bool) "other ids still absent" false (Quarantine.mem q 4);
+  Domain.join (Domain.spawn (fun () -> Quarantine.remove q 3));
+  Alcotest.(check bool) "removed on another domain: gone after the join" false
+    (Quarantine.mem q 3)
+
 (* --- the full lifecycle on a shadowed index file --- *)
 
 let corrupt_page_on_disk path ~page_size id =
@@ -380,6 +417,19 @@ let test_qexec_poisoned_batch () =
         results;
       Alcotest.(check bool) "victim in shared quarantine" true
         (Quarantine.mem (Index_file.quarantine idx) victim);
+      (* The hit-buffer form degrades the same slots the same way. *)
+      let into = Array.init 12 (fun _ -> Rtree.hits_make ()) in
+      let same_as_run ?deadline () =
+        Qexec.run_into ~jobs:3 ?deadline exec windows ~into;
+        Array.iteri
+          (fun i (hits, stats) ->
+            let h = into.(i) in
+            Alcotest.(check bool) "run_into slot = run slot" true
+              (List.init (Rtree.hits_length h) (Rtree.hits_get h) = hits
+              && Rtree.hits_stats h = stats))
+          (Qexec.run ~jobs:3 ?deadline exec windows)
+      in
+      same_as_run ();
       (* Expired batch deadline: every slot labelled, still no raise. *)
       let results = Qexec.run ~jobs:2 ~deadline:(Deadline.at 0.0) exec windows in
       Array.iter
@@ -387,6 +437,7 @@ let test_qexec_poisoned_batch () =
           Alcotest.(check bool) "timed out" true stats.Rtree.timed_out;
           Alcotest.(check (list int)) "no partial garbage" [] (Helpers.ids_of hits))
         results;
+      same_as_run ~deadline:(Deadline.at 0.0) ();
       Index_file.close idx)
 
 let test_qexec_admission_control () =
@@ -398,6 +449,12 @@ let test_qexec_admission_control () =
   | exception Qexec.Overloaded { in_flight; limit } ->
       Alcotest.(check int) "limit reported" 4 limit;
       Alcotest.(check int) "load reported" 0 in_flight);
+  (match
+     Qexec.run_into ~jobs:1 exec (Array.make 5 unit_square)
+       ~into:(Array.init 5 (fun _ -> Rtree.hits_make ()))
+   with
+  | () -> Alcotest.fail "expected Overloaded from run_into"
+  | exception Qexec.Overloaded { limit; _ } -> Alcotest.(check int) "run_into: limit reported" 4 limit);
   (* The rejected batch released its slots: an admissible batch runs,
      repeatedly. *)
   for _ = 1 to 3 do
@@ -420,6 +477,8 @@ let suite =
     Alcotest.test_case "Corrupt_page is never retried" `Quick test_corrupt_page_never_retried;
     Alcotest.test_case "default policy never trips" `Quick test_default_policy_breaker_disabled;
     Alcotest.test_case "quarantine registry" `Quick test_quarantine_registry;
+    Helpers.qcheck_case qcheck_quarantine_count;
+    Alcotest.test_case "quarantine adds cross domains" `Quick test_quarantine_cross_domain;
     Alcotest.test_case "corrupt -> degrade -> scrub -> heal" `Quick test_corrupt_degrade_scrub_heal;
     Alcotest.test_case "scrub without shadow quarantines" `Quick
       test_scrub_without_shadow_quarantines;

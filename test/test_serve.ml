@@ -20,11 +20,13 @@ module Failpoint = Prt_storage.Failpoint
 module Retry = Prt_storage.Retry
 module Superblock = Prt_storage.Superblock
 module Entry = Prt_rtree.Entry
+module Rtree = Prt_rtree.Rtree
 module Index_file = Prt_rtree.Index_file
 module Prtree = Prt_prtree.Prtree
 module Wire = Prt_serve.Wire
 module Quota = Prt_serve.Quota
 module Server = Prt_serve.Server
+module Client = Prt_serve.Client
 
 (* --- wire codec --- *)
 
@@ -99,6 +101,82 @@ let sample_msgs =
   ]
 
 let test_wire_roundtrip () = List.iter roundtrip sample_msgs
+
+(* --- golden frames: the exact bytes of one frame per message kind --- *)
+
+let hex_of_bytes b =
+  String.concat "" (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+let golden_rect = Rect.make ~xmin:(-1.5) ~ymin:0.0 ~xmax:3.0 ~ymax:1e-3
+
+let golden_frames =
+  [
+    ( Wire.(Request (Query { id = 7; deadline_ms = 250; windows = [| sample_rect; golden_rect |] })),
+      "4c0000000101000007000000fa00000002000000000000000000c03f000000000000d03f000000000000e03f"
+      ^ "000000000000ec3f000000000000f8bf00000000000000000000000000000840fca9f1d24d62503ffd55f912"
+    );
+    (Wire.(Request (Health_check { id = 8 })), "040000000102000008000000dbf556e3");
+    (Wire.(Request (Drain { id = 9 })), "040000000103000009000000ab731056");
+    ( Wire.(
+        Reply
+          (Results
+             {
+               id = 10;
+               results =
+                 [|
+                   {
+                     qr_completeness = C_complete;
+                     qr_hits = [ Entry.make sample_rect 1; Entry.make golden_rect 2 ];
+                   };
+                   { qr_completeness = C_partial { skipped = 3 }; qr_hits = [] };
+                   { qr_completeness = C_timed_out { skipped = 4 }; qr_hits = [ Entry.make golden_rect 5 ] };
+                 |];
+             })),
+      "9b000000011000000a000000030000000000000000020000000100000000000000000000000000c03f0000"
+      ^ "00000000d03f000000000000e03f000000000000ec3f0200000000000000000000000000f8bf0000000000"
+      ^ "0000000000000000000840fca9f1d24d62503f0103000000000000000204000000010000000500000000"
+      ^ "000000000000000000f8bf00000000000000000000000000000840fca9f1d24d62503fb902360f" );
+    ( Wire.(
+        Reply
+          (Health_status
+             {
+               id = 11;
+               health =
+                 {
+                   h_conns = 2;
+                   h_draining = false;
+                   h_generation = 5;
+                   h_breaker = B_open { cooldown_left = 3 };
+                   h_quota_tokens = 12.5;
+                   h_backend = "mmap";
+                   h_mmap_served = 100;
+                   h_mmap_crc_skipped = 90;
+                   h_mmap_fallbacks = 1;
+                 };
+             })),
+      "37000000011100000b00000002000000000500000000000000010300000000000000000029400164000000"
+      ^ "000000005a0000000000000001000000000000005e9ac8c7" );
+    ( Wire.(
+        Reply (Error { id = 12; code = E_quota; retry_after_ms = 2.5; detail = "token bucket empty" })),
+      "21000000011200000c0000000200000000000004401200746f6b656e206275636b657420656d707479261168c6"
+    );
+  ]
+
+(* Protocol version 1's bytes, pinned: [encode] and an output buffer
+   write them exactly, and they decode back to the message. *)
+let test_wire_golden () =
+  List.iter
+    (fun (msg, hex) ->
+      let name = Printf.sprintf "golden frame of message %d" (Wire.msg_id msg) in
+      Alcotest.(check string) (name ^ ": encode") hex (hex_of_bytes (Wire.encode msg));
+      let o = Wire.Out.create () in
+      Wire.Out.add o msg;
+      Alcotest.(check string) (name ^ ": output buffer") hex
+        (hex_of_bytes (Bytes.sub (Wire.Out.bytes o) (Wire.Out.pos o) (Wire.Out.length o)));
+      match Wire.decode_all (Wire.encode msg) with
+      | Ok m -> Alcotest.(check bool) (name ^ ": decodes back") true (m = msg)
+      | Error e -> Alcotest.failf "%s: %a" name Wire.pp_proto_error e)
+    golden_frames
 
 (* A random message drawn entirely from the scenario seed, covering
    every constructor; finite coordinates only (the codec rejects the
@@ -196,6 +274,64 @@ let qcheck_wire_corruption =
       Bytes.set frame pos (Char.chr (Char.code (Bytes.get frame pos) lxor flip));
       match Wire.decode frame ~pos:0 ~len:(Bytes.length frame) with
       | `Msg _ | `Need _ | `Error _ -> true)
+
+(* The results writer reads an answer straight from hit buffers: its
+   bytes must equal [encode] of the same answer as entry lists, for
+   complete, partial, timed-out and empty slots.  Buffers are reused
+   across cases of every size, and the output buffer already holds
+   part of a frame, so appends past pending bytes are covered. *)
+let writer_hits = ref [||]
+let miss_window = Rect.make ~xmin:2.0 ~ymin:2.0 ~xmax:3.0 ~ymax:3.0
+
+let qcheck_results_writer =
+  QCheck.Test.make ~name:"wire: results written from hit buffers equal encode of their entries"
+    ~count:150
+    (Helpers.arbitrary_scenario ~max_size:300 ())
+    (fun sc ->
+      let seed = sc.Helpers.sc_seed in
+      let rng = Rng.create seed in
+      let tree =
+        Prtree.load (Helpers.small_pool ()) (Helpers.random_entries ~n:sc.Helpers.sc_size ~seed)
+      in
+      let n = Rng.int rng 9 in
+      if Array.length !writer_hits < n + 2 then
+        writer_hits := Array.init (n + 2) (fun i ->
+            if i < Array.length !writer_hits then !writer_hits.(i) else Rtree.hits_make ());
+      let hits = !writer_hits in
+      let windows = Helpers.random_queries ~n ~seed:(seed + 1) in
+      let results =
+        Array.init n (fun i ->
+            let kind = Rng.int rng 4 in
+            Rtree.query_into tree (if kind = 3 then miss_window else windows.(i)) ~into:hits.(i);
+            let s = Rtree.hits_stats hits.(i) in
+            if kind = 1 then s.Rtree.skipped_subtrees <- 1 + Rng.int rng 50;
+            if kind = 2 then begin
+              s.Rtree.timed_out <- true;
+              s.Rtree.skipped_subtrees <- Rng.int rng 3
+            end;
+            let qr_completeness =
+              match Rtree.completeness s with
+              | Rtree.Complete -> Wire.C_complete
+              | Rtree.Partial { skipped_subtrees; _ } -> Wire.C_partial { skipped = skipped_subtrees }
+              | Rtree.Timed_out { skipped_subtrees; _ } ->
+                  Wire.C_timed_out { skipped = skipped_subtrees }
+            in
+            {
+              Wire.qr_completeness;
+              qr_hits = List.init (Rtree.hits_length hits.(i)) (Rtree.hits_get hits.(i));
+            })
+      in
+      let id = Rng.int rng 0xFFFFFF in
+      let expected = Wire.encode (Wire.Reply (Wire.Results { id; results })) in
+      let o = Wire.Out.create () in
+      let lead = Wire.encode (Wire.Request (Wire.Health_check { id = 1 })) in
+      Wire.Out.add o (Wire.Request (Wire.Health_check { id = 1 }));
+      Wire.Out.drop o (Rng.int rng (Bytes.length lead));
+      let before = Wire.Out.length o in
+      Wire.Out.add_results o ~id hits n;
+      let got = Bytes.sub (Wire.Out.bytes o) (Wire.Out.pos o + before) (Wire.Out.length o - before) in
+      Bytes.equal got expected
+      && Wire.results_payload_size hits n + 12 = Bytes.length expected)
 
 let reseal frame =
   (* Recompute the trailer CRC after an intentional header/payload edit,
@@ -530,6 +666,59 @@ let test_server_too_large () =
   | _ -> Alcotest.fail "expected two replies");
   Alcotest.(check int) "too_large counted" 1 (Server.report srv).Server.too_large
 
+(* A reply over the frame cap is refused before anything is written: a
+   typed E_too_large naming both sizes, counted, and the connection
+   stays usable.  The server runs on its own domain behind a Unix
+   socket, so the blocking [Client] sees exactly what a remote client
+   would. *)
+let test_server_reply_cap () =
+  let config = { Server.default_config with Server.max_payload = 4096 } in
+  with_server ~config @@ fun srv _idx entries ->
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "prt_test_cap_%d.sock" (Unix.getpid ()))
+  in
+  Server.listen_unix srv path;
+  let dom = Domain.spawn (fun () -> Server.run ~step_timeout:0.005 srv) in
+  let client = Client.connect_unix path in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close client;
+      Server.request_drain srv;
+      ignore (Domain.join dom);
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let everything = Rect.make ~xmin:0.0 ~ymin:0.0 ~xmax:1.0 ~ymax:1.0 in
+  Alcotest.(check bool) "the big query matches at least 200 entries" true
+    (List.length (Helpers.brute_force entries everything) >= 200);
+  (match Client.query client [| everything |] with
+  | Error (Client.Rejected { code = Wire.E_too_large; retry_after_ms; detail }) ->
+      Alcotest.(check (float 0.0)) "retrying cannot help" 0.0 retry_after_ms;
+      let size = 8 + 9 + (40 * List.length (Helpers.brute_force entries everything)) in
+      let mentions n =
+        let s = string_of_int n in
+        let rec at i =
+          i + String.length s <= String.length detail
+          && (String.sub detail i (String.length s) = s || at (i + 1))
+        in
+        at 0
+      in
+      Alcotest.(check bool) ("detail names both sizes: " ^ detail) true (mentions size && mentions 4096)
+  | Error f -> Alcotest.failf "expected E_too_large, got %a" Client.pp_failure f
+  | Ok _ -> Alcotest.fail "a reply over the frame cap must be refused");
+  let small = (Helpers.random_queries ~n:1 ~seed:14).(0) in
+  (match Client.query client [| small |] with
+  | Ok [| r |] ->
+      Alcotest.(check (list int))
+        "the connection still answers" (Helpers.brute_force entries small)
+        (Helpers.ids_of r.Wire.qr_hits)
+  | Ok _ -> Alcotest.fail "expected one result"
+  | Error f -> Alcotest.failf "small query after E_too_large: %a" Client.pp_failure f);
+  let r = Server.report srv in
+  Alcotest.(check int) "too_large counted" 1 r.Server.too_large;
+  Alcotest.(check int) "only the small query served" 1 r.Server.served;
+  Alcotest.(check int) "no connection lost" 0 r.Server.io_closed
+
 let test_server_quota () =
   Deadline.install_virtual ();
   Fun.protect ~finally:Deadline.uninstall_virtual @@ fun () ->
@@ -800,6 +989,8 @@ let qcheck_server_chaos =
 let suite =
   [
     Alcotest.test_case "wire: representative messages round-trip" `Quick test_wire_roundtrip;
+    Alcotest.test_case "wire: golden frames, one per message kind" `Quick test_wire_golden;
+    Helpers.qcheck_case qcheck_results_writer;
     Helpers.qcheck_case qcheck_wire_roundtrip;
     Helpers.qcheck_case qcheck_wire_corruption;
     Alcotest.test_case "wire: adversarial frames yield typed errors" `Quick test_wire_adversarial;
@@ -810,6 +1001,8 @@ let suite =
     Alcotest.test_case "serve: queries match the oracle" `Quick test_server_query_oracle;
     Alcotest.test_case "serve: pipelined replies stay in order" `Quick test_server_pipelining;
     Alcotest.test_case "serve: window cap is a typed rejection" `Quick test_server_too_large;
+    Alcotest.test_case "serve: reply over the frame cap is a typed rejection" `Quick
+      test_server_reply_cap;
     Alcotest.test_case "serve: quota rejections carry exact hints" `Quick test_server_quota;
     Alcotest.test_case "serve: admission control sheds with a hint" `Quick test_server_overload;
     Alcotest.test_case "serve: full queue sheds newest first" `Quick test_server_queue_shed;
