@@ -1,9 +1,9 @@
 (* Smoke verifier for the bench emitters (the @bench-smoke alias): each
    argument must be a well-formed JSON file.  A Chrome trace file (an
    object with "traceEvents") must have globally monotone timestamps
-   (the writer merges tracks with a stable sort), B/E span events that
-   balance *per track* (tid) — flight-recorder tracks interleave with
-   the trace sink's — and "X" complete events with a non-negative dur;
+   (the writer merges the per-domain tracks with a stable sort), B/E
+   span events that balance *per track* (tid), and "X" complete events
+   with a non-negative dur;
    a BENCH_*.json must carry a non-empty "rows" array of objects.
    Exits 1 with a message on any violation, so the dune rule fails
    loudly. *)

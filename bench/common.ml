@@ -15,6 +15,7 @@ module Ext_build = Prt_prtree.Ext_build
 module Table = Prt_util.Table
 module Stats = Prt_util.Stats
 module Trace = Prt_obs.Trace
+module Json = Prt_obs.Json
 module Obs_metrics = Prt_obs.Metrics
 
 (* Per-query distributions, visible in `prt-bench` runs under PRT_TRACE
@@ -112,7 +113,7 @@ type build_cost = { ios : int; seconds : float; tree : Rtree.t }
    construction is counted. *)
 let measure_build variant ~scale entries =
   Trace.with_span "bench.build"
-    ~args:[ ("variant", Trace.Str (name variant)); ("n", Trace.Int (Array.length entries)) ]
+    ~args:[ ("variant", Json.Str (name variant)); ("n", Json.Int (Array.length entries)) ]
   @@ fun () ->
   let pool = fresh_pool () in
   let pager = Buffer_pool.pager pool in
@@ -141,7 +142,7 @@ let measure_queries tree queries =
   if n = 0 then invalid_arg "Common.measure_queries: no queries";
   let leaves = ref 0 and matched = ref 0 in
   Trace.with_span "bench.queries"
-    ~args:[ ("queries", Trace.Int n) ]
+    ~args:[ ("queries", Json.Int n) ]
     (fun () ->
       Array.iter
         (fun q ->

@@ -5,10 +5,12 @@
 
 open Cmdliner
 module Trace = Prt_obs.Trace
+module Flight = Prt_obs.Flight
 
-(* PRT_TRACE=out.json records every span of the run (builds, sorts,
-   merges, query batches) into a Chrome trace-event file loadable in
-   Perfetto / about:tracing, plus a span summary table on stdout. *)
+(* PRT_TRACE=out.json writes the flight recorder's rings at the end of
+   the run — every span (builds, sorts, merges, query batches) with its
+   counter deltas — as a Chrome trace-event file loadable in Perfetto /
+   about:tracing, plus a span summary table on stdout. *)
 let trace_out = Sys.getenv_opt "PRT_TRACE"
 
 (* Each experiment runs inside its own span and JSON row collector, so a
@@ -19,7 +21,7 @@ let instrumented name f ~scale ~seed =
       Trace.with_span ("exp." ^ name) (fun () -> f ~scale ~seed))
 
 let span_report () =
-  let stats = Trace.summary (Trace.events ()) in
+  let stats = Trace.summary () in
   if stats <> [] then begin
     Printf.printf "\n== span summary ==\n";
     let rows =
@@ -107,20 +109,16 @@ let () =
   let info = Cmd.info "prt-bench" ~version:"1.0.0" ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   let cmds = all_cmd :: List.map (fun (n, _, f) -> run_named n f) experiments in
-  let root =
-    match trace_out with
-    | None -> None
-    | Some _ ->
-        Trace.install (Trace.memory_sink ~capacity:(1 lsl 20) ());
-        Some (Trace.span_begin "bench")
-  in
-  let code = Cmd.eval (Cmd.group ~default info cmds) in
-  (match (trace_out, root) with
-  | Some path, Some root ->
-      Trace.span_end root;
+  let eval () = Cmd.eval (Cmd.group ~default info cmds) in
+  match trace_out with
+  | None -> exit (eval ())
+  | Some path ->
+      (* Spans carry counter deltas while collection is on, and this
+         domain's ring holds the whole run. *)
+      Prt_obs.Metrics.set_collecting true;
+      Flight.reserve (1 lsl 20);
+      let code = Trace.with_span "bench" eval in
       span_report ();
-      let n = Trace.write_chrome path in
+      let n = Flight.dump path in
       Printf.printf "\nwrote %d trace events to %s\n" n path;
-      Trace.uninstall ()
-  | _ -> ());
-  exit code
+      exit code

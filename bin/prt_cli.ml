@@ -1,7 +1,7 @@
 (* prt — command-line tooling around the library: generate datasets,
    bulk-load persistent (file-backed) indexes, query and validate them.
 
-     prt gen --dataset tiger --n 50000 -o roads.dat
+     prt gen --dataset tiger -n 50000 -o roads.dat
      prt build --variant pr -i roads.dat -o roads.idx
      prt query -i roads.idx --window 0.2,0.2,0.3,0.3
      prt validate -i roads.idx
@@ -62,13 +62,13 @@ let read_data_file path =
       done;
       Array.of_list (List.rev !out))
 
-(* --- typed input errors ---
+(* --- typed input and output errors ---
 
    An input that cannot be opened — a dataset file, an index, an LSM
    store: missing, unreadable, of another format, or not that kind of
-   file at all — is reported by name and exits 2, a code no subcommand
-   uses for anything else.  Exceptions that do not describe the input
-   are bugs and propagate. *)
+   file at all — and an output file that cannot be created are reported
+   by name and exit 2, a code no subcommand uses for anything else.
+   Exceptions that do not describe the file are bugs and propagate. *)
 
 let input_failure = function
   | Unix.Unix_error (e, _, _) -> Some (Unix.error_message e)
@@ -99,18 +99,26 @@ let lsm_exits =
 
 (* --- dataset generation --- *)
 
+let dataset_kinds =
+  [
+    ("uniform", `Uniform);
+    ("tiger", `Tiger);
+    ("size", `Size);
+    ("aspect", `Aspect);
+    ("skewed", `Skewed);
+    ("cluster", `Cluster);
+  ]
+
 let generate ~dataset ~n ~seed ~param =
   match dataset with
-  | "uniform" -> Datasets.uniform_points ~n ~seed
-  | "tiger" -> Tiger.generate (Tiger.default_params ~n ~seed)
-  | "size" -> Datasets.size ~n ~max_side:(Option.value param ~default:0.01) ~seed
-  | "aspect" -> Datasets.aspect ~n ~a:(Option.value param ~default:10.0) ~seed
-  | "skewed" ->
-      Datasets.skewed ~n ~c:(int_of_float (Option.value param ~default:5.0)) ~seed
-  | "cluster" ->
+  | `Uniform -> Datasets.uniform_points ~n ~seed
+  | `Tiger -> Tiger.generate (Tiger.default_params ~n ~seed)
+  | `Size -> Datasets.size ~n ~max_side:(Option.value param ~default:0.01) ~seed
+  | `Aspect -> Datasets.aspect ~n ~a:(Option.value param ~default:10.0) ~seed
+  | `Skewed -> Datasets.skewed ~n ~c:(int_of_float (Option.value param ~default:5.0)) ~seed
+  | `Cluster ->
       let clusters = max 1 (int_of_float (sqrt (float_of_int n))) in
       Datasets.cluster ~n_clusters:clusters ~per_cluster:(max 1 (n / clusters)) ~seed
-  | other -> failwith ("unknown dataset kind: " ^ other)
 
 (* --- index files --- *)
 
@@ -123,15 +131,13 @@ let variant_loaders =
     ("str", Bulk.Str.load);
   ]
 
-let build_index ~variant ~input ~output ~shadow =
-  let load =
-    match List.assoc_opt variant variant_loaders with
-    | Some f -> f
-    | None -> failwith ("unknown variant: " ^ variant ^ " (pr|h|h4|tgs|str)")
-  in
+let build_index ~variant:(variant, load) ~input ~output ~shadow =
   let entries = read_data input in
   let t0 = Unix.gettimeofday () in
-  let idx = Index_file.create ~shadow output ~build:(fun pool -> load pool entries) in
+  let idx =
+    opening "create index" output (fun () ->
+        Index_file.create ~shadow output ~build:(fun pool -> load pool entries))
+  in
   let tree = Index_file.tree idx in
   Printf.printf "built %s index over %d rectangles in %.2fs: height %d, %d pages%s\n" variant
     (Rtree.count tree) (Unix.gettimeofday () -. t0) (Rtree.height tree)
@@ -183,9 +189,9 @@ let gen_cmd =
   let dataset =
     Arg.(
       value
-      & opt string "uniform"
+      & opt (enum dataset_kinds) `Uniform
       & info [ "dataset"; "d" ] ~docv:"KIND"
-          ~doc:"Dataset kind: uniform, tiger, size, aspect, skewed, cluster.")
+          ~doc:("Dataset kind: " ^ doc_alts_enum dataset_kinds ^ "."))
   in
   let n = Arg.(value & opt int 100_000 & info [ "n" ] ~docv:"N" ~doc:"Number of rectangles.") in
   let param =
@@ -200,18 +206,22 @@ let gen_cmd =
   in
   let run dataset n param seed output =
     let entries = generate ~dataset ~n ~seed ~param in
-    write_data output entries;
+    opening "write dataset" output (fun () -> write_data output entries);
     Printf.printf "wrote %d rectangles to %s\n" (Array.length entries) output
   in
   Cmd.v
-    (Cmd.info "gen" ~doc:"Generate a dataset file.")
+    (Cmd.info "gen" ~exits:(exits_2 "the output file could not be created.")
+       ~doc:"Generate a dataset file.")
     Term.(const run $ dataset $ n $ param $ seed_arg $ output)
 
 let build_cmd =
+  let variants = List.map (fun (name, load) -> (name, (name, load))) variant_loaders in
   let variant =
     Arg.(
-      value & opt string "pr"
-      & info [ "variant"; "v" ] ~docv:"VARIANT" ~doc:"Index variant: pr, h, h4, tgs, str.")
+      value
+      & opt (enum variants) (List.assoc "pr" variants)
+      & info [ "variant"; "v" ] ~docv:"VARIANT"
+          ~doc:("Index variant: " ^ doc_alts_enum variants ^ "."))
   in
   let input =
     Arg.(required & opt (some string) None & info [ "i"; "input" ] ~docv:"FILE" ~doc:"Dataset file.")
@@ -229,7 +239,11 @@ let build_cmd =
   in
   let run variant input output shadow = build_index ~variant ~input ~output ~shadow in
   Cmd.v
-    (Cmd.info "build" ~exits:dataset_exits
+    (Cmd.info "build"
+       ~exits:
+         (exits_2
+            "the dataset file could not be read (missing, unreadable, or not a dataset), or the \
+             index file could not be created.")
        ~doc:"Bulk-load a persistent index from a dataset file.")
     Term.(const run $ variant $ input $ output $ shadow)
 
@@ -287,7 +301,7 @@ let query_cmd =
              end event carries the counter deltas (pager I/O, node
              visits), so one query's footprint reads off the dump. *)
           Obs.Trace.with_span "query"
-            ~args:Obs.Trace.[ ("jobs", Int (Option.value jobs ~default:1)) ]
+            ~args:[ ("jobs", Obs.Json.Int (Option.value jobs ~default:1)) ]
             (fun () ->
               match jobs with
               | None ->
@@ -679,7 +693,8 @@ let flightrec_cmd =
       value
       & opt (some window_conv) None
       & info [ "window"; "w" ] ~docv:"X0,Y0,X1,Y1"
-          ~doc:"Query window (defaults to the tree's bounding box).")
+          ~doc:"Query window (defaults to the tree's bounding box, or the unit square when the \
+                tree is empty).")
   in
   let repeat =
     Arg.(value & opt int 8 & info [ "repeat"; "n" ] ~docv:"N" ~doc:"Queries in the batch.")
@@ -688,22 +703,21 @@ let flightrec_cmd =
     with_index index (fun idx ->
         let tree = Index_file.tree idx in
         let window =
-          match window with
-          | Some w -> w
-          | None -> (
-              match Rtree.mbr tree with
-              | Some box -> box
-              | None -> failwith "flightrec: empty index and no --window given")
+          match (window, Rtree.mbr tree) with
+          | Some w, _ | None, Some w -> w
+          | None, None -> Rect.make ~xmin:0.0 ~ymin:0.0 ~xmax:1.0 ~ymax:1.0
         in
-        (* Trace spans + per-domain flight events land in one merged
-           dump: the batch span on tid 1, each worker's query spans and
-           resilience events on its own domain track. *)
-        Obs.Trace.install (Obs.Trace.memory_sink ());
+        (* The dump holds the batch span, with its counter deltas, on
+           this domain's track, and each worker's query spans and
+           resilience events on its own.  This domain runs queries too,
+           so its ring is grown to keep a large batch's span. *)
+        Obs.Metrics.set_collecting true;
+        Obs.Flight.reserve (1 lsl 16);
         let exec = Index_file.executor idx in
         let queries = Array.make (max 1 repeat) window in
         let results = Qexec.run ~jobs exec queries in
         let matched = Array.fold_left (fun acc (_, s) -> acc + s.Rtree.matched) 0 results in
-        let n = Obs.Trace.write_chrome out in
+        let n = Obs.Flight.dump out in
         Printf.printf "%d queries over %d domain(s): %d matches\n" (Array.length queries) jobs
           matched;
         Printf.printf "flight recorder: %d event(s) recorded, %d dropped\n"
@@ -713,9 +727,9 @@ let flightrec_cmd =
   Cmd.v
     (Cmd.info "flightrec" ~exits:index_exits
        ~doc:
-         "Run a multicore query batch with the flight recorder on and dump the merged Chrome \
-          trace (batch span + per-domain query spans and resilience events). Load the output in \
-          Perfetto or about:tracing.")
+         "Run a multicore query batch and dump the flight recorder's rings as a Chrome trace \
+          (the batch span on this domain's track, each worker's query spans and resilience \
+          events on its own). Load the output in Perfetto or about:tracing.")
     Term.(const run $ index $ out $ jobs $ window $ repeat)
 
 let profile_cmd =
@@ -743,13 +757,18 @@ let profile_cmd =
   let run index window repeat trace =
     with_index index (fun idx ->
         let tree = Index_file.tree idx in
-        if trace <> None then Obs.Trace.install (Obs.Trace.memory_sink ());
+        (* Spans carry counter deltas while collection is on. *)
+        let was_collecting = Obs.Metrics.collecting () in
+        if trace <> None then begin
+          Obs.Metrics.set_collecting true;
+          Obs.Flight.reserve (1 lsl 16)
+        end;
         Fun.protect
           ~finally:(fun () ->
             match trace with
             | Some path ->
-                let n = Obs.Trace.write_chrome path in
-                Obs.Trace.uninstall ();
+                let n = Obs.Flight.dump path in
+                Obs.Metrics.set_collecting was_collecting;
                 Printf.printf "wrote %d trace events to %s\n" n path
             | None -> ())
           (fun () ->
@@ -767,7 +786,7 @@ let profile_cmd =
             Printf.printf "pool totals: hits=%d misses=%d evictions=%d\n" (Buffer_pool.hits pool)
               (Buffer_pool.misses pool) (Buffer_pool.evictions pool);
             if trace <> None then begin
-              let stats = Obs.Trace.summary (Obs.Trace.events ()) in
+              let stats = Obs.Trace.summary () in
               List.iter
                 (fun s ->
                   Printf.printf "span %-24s calls=%d total=%.0fus%s\n" s.Obs.Trace.span_name
@@ -1140,15 +1159,15 @@ let () =
   (* A client hanging up mid-reply must surface as EPIPE on that
      connection, never kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (* PRT_TRACE=out.json traces any subcommand end to end: spans plus
-     the flight recorder's per-domain events, merged on one time axis
-     (same contract as the bench harness). *)
+  (* PRT_TRACE=out.json traces any subcommand end to end: spans carry
+     counter deltas, this domain's ring holds the whole run, and the
+     rings are dumped at exit (same contract as the bench harness). *)
   (match Sys.getenv_opt "PRT_TRACE" with
   | Some path when path <> "" ->
       Obs.Metrics.set_collecting true;
-      Obs.Trace.install (Obs.Trace.memory_sink ~capacity:(1 lsl 18) ());
+      Obs.Flight.reserve (1 lsl 18);
       at_exit (fun () ->
-          let n = Obs.Trace.write_chrome path in
+          let n = Obs.Flight.dump path in
           Printf.eprintf "trace: %d event(s) -> %s\n%!" n path)
   | _ -> ());
   let doc = "Priority R-tree spatial index tooling" in

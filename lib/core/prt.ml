@@ -101,10 +101,11 @@ module Fsops = Prt_storage.Fsops
 module Wal = Prt_storage.Wal
 module Manifest = Prt_storage.Manifest
 
-(* Observability: span tracing (Chrome trace-event export), the
-   domain-striped metrics registry, the always-on per-domain flight
-   recorder, and the minimal JSON used by all three.  [Metrics] above
-   is the R-tree *quality* metrics module; this is runtime telemetry. *)
+(* Observability: the domain-striped metrics registry, the always-on
+   per-domain flight recorder (the one event store and Chrome
+   trace-event writer), spans on its rings, and the minimal JSON used
+   by all three.  [Metrics] above is the R-tree *quality* metrics
+   module; this is runtime telemetry. *)
 module Obs = struct
   module Metrics = Prt_obs.Metrics
   module Trace = Prt_obs.Trace

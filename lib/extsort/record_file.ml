@@ -15,6 +15,7 @@ module Page = Prt_storage.Page
 module Pqueue = Prt_util.Pqueue
 module Metrics = Prt_obs.Metrics
 module Trace = Prt_obs.Trace
+module Json = Prt_obs.Json
 
 (* Phase-level observability for the external sort: one span per run
    formation and per k-way merge, so a trace of a bulk load shows where
@@ -195,7 +196,7 @@ module Make (R : RECORD) = struct
 
   let merge_runs pager cmp runs =
     Trace.with_span "extsort.merge"
-      ~args:[ ("fan_in", Trace.Int (List.length runs)) ]
+      ~args:[ ("fan_in", Json.Int (List.length runs)) ]
       (fun () ->
         Metrics.tick m_merges;
         let out = create pager in
@@ -251,7 +252,7 @@ module Make (R : RECORD) = struct
       | None -> flush_chunk ()
     in
     Trace.with_span "extsort.run_formation"
-      ~args:[ ("records", Trace.Int t.count) ]
+      ~args:[ ("records", Json.Int t.count) ]
       (fun () ->
         Metrics.add m_records_sorted t.count;
         read_phase ());

@@ -6,10 +6,11 @@
 module Buffer_pool = Prt_storage.Buffer_pool
 module Pager = Prt_storage.Pager
 module Trace = Prt_obs.Trace
+module Json = Prt_obs.Json
 
 let load ~dims pool entries =
   Trace.with_span "prtree_nd.load"
-    ~args:[ ("n", Trace.Int (Array.length entries)); ("dims", Trace.Int dims) ]
+    ~args:[ ("n", Json.Int (Array.length entries)); ("dims", Json.Int dims) ]
   @@ fun () ->
   let page_size = Pager.page_size (Buffer_pool.pager pool) in
   let cap = Node_nd.capacity ~page_size ~dims in
@@ -31,7 +32,7 @@ let load ~dims pool entries =
       else begin
         let level =
           Trace.with_span "prtree_nd.stage"
-            ~args:[ ("level", Trace.Int (height - 1)); ("n", Trace.Int (Array.length current)) ]
+            ~args:[ ("level", Json.Int (height - 1)); ("n", Json.Int (Array.length current)) ]
             (fun () ->
               let pseudo = Pseudo_nd.build ~b:cap ~dims current in
               List.rev (List.rev_map (write kind) (Pseudo_nd.leaves pseudo)))

@@ -1,14 +1,16 @@
-(* Always-on flight recorder: a fixed-size per-domain ring of recent
-   events, kept cheap enough to leave enabled in production.
+(* The event recorder: a fixed-size per-domain ring of recent events,
+   kept cheap enough to leave on, and the only event store of the
+   observability layer.
 
-   Unlike {!Trace} — an opt-in firehose into one single-domain sink —
-   the recorder is on by default and every domain writes only its own
-   ring (reached through [Domain.DLS]), so recording is lock-free and
-   allocation per event is one small record.  When something fails
-   ([failure]: a [Corrupt_page], a kill-point crash, an fsck salvage)
-   the rings hold the last few thousand events of every domain — spans,
-   retries, breaker trips, quarantine adds, commit publishes — and can
-   be dumped as a Chrome-trace JSON postmortem.
+   Every domain writes only its own ring (reached through
+   [Domain.DLS]), so recording is lock-free and one event costs one
+   small record.  Spans ({!Trace} and [begin_span]/[end_span]), points
+   and failures share the rings.  When something fails ([failure]: a
+   [Corrupt_page], a kill-point crash, an fsck salvage) the rings hold
+   the last few thousand events of every domain — spans, retries,
+   breaker trips, quarantine adds, commit publishes — and can be dumped
+   as a Chrome-trace JSON postmortem; a traced run dumps them the same
+   way when it ends.
 
    Ring lifecycle: a domain's ring is created on its first event and
    parked in a dead-ring queue when the domain exits.  The most recent
@@ -16,7 +18,9 @@
    needs exactly the history of workers that just finished — and a new
    domain only recycles the oldest dead ring once the queue exceeds
    that bound, so memory stays bounded across the many short-lived
-   domains a Qexec workload spawns without erasing fresh history.
+   domains a Qexec workload spawns without erasing fresh history.  A
+   ring holds [capacity] events unless its domain [reserve]s more: a
+   traced run does so for the domain that drives it.
 
    Dump-on-failure is off unless a dump path is configured (the
    [PRT_FLIGHTREC] environment variable, or [set_dump_path]); a
@@ -28,44 +32,37 @@ type kind = Begin | End | Point | Fail
 type event = {
   fe_kind : kind;
   fe_name : string;
-  fe_ts : float; (* microseconds since process start *)
+  fe_ts : int; (* microseconds since process start; an int keeps the record unboxed *)
   fe_arg : int; (* integer payload (page id, attempt, generation); min_int = none *)
   fe_note : string; (* short free-form detail; "" = none *)
+  fe_args : (string * Json.t) list; (* span arguments on a Begin, counter deltas on an End *)
 }
 
 let no_arg = min_int
 
 type ring = {
   mutable r_dom : int;
-  r_ev : event array;
-  r_cap : int;
+  mutable r_ev : event array; (* its length is the capacity; replaced only under [lock] *)
   mutable r_pos : int; (* next write index *)
   mutable r_len : int; (* valid events *)
   mutable r_total : int; (* events ever written to this ring *)
 }
 
-let dummy = { fe_kind = Point; fe_name = ""; fe_ts = 0.0; fe_arg = no_arg; fe_note = "" }
+let dummy =
+  { fe_kind = Point; fe_name = ""; fe_ts = 0; fe_arg = no_arg; fe_note = ""; fe_args = [] }
 
-(* One wall-clock epoch for the whole process, shared with {!Trace} so
-   recorder events and trace spans land on the same time axis. *)
+(* One wall-clock epoch for the whole process, so every domain's events
+   land on the same time axis. *)
 let epoch = Unix.gettimeofday ()
-let now_us () = (Unix.gettimeofday () -. epoch) *. 1e6
-
-let enabled_flag = Atomic.make true
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
+let now_us () = int_of_float ((Unix.gettimeofday () -. epoch) *. 1e6)
 
 let lock = Mutex.create ()
-let default_capacity = ref 2048
+let capacity = 2048
 let rings : ring list ref = ref [] (* every ring: live domains + dead *)
 let dead : ring Queue.t = Queue.create () (* exited domains' rings, oldest first *)
 
 (* Dead rings kept intact before the oldest gets recycled. *)
 let retain_dead = 8
-
-let set_capacity n =
-  if n < 8 then invalid_arg "Flight.set_capacity: capacity must be >= 8";
-  Mutex.protect lock (fun () -> default_capacity := n)
 
 (* Autodump target: [failure] writes a postmortem here when set. *)
 let dump_to : string option ref = ref (Sys.getenv_opt "PRT_FLIGHTREC")
@@ -88,9 +85,8 @@ let ring_key =
               r
             end
             else begin
-              let cap = !default_capacity in
               let r =
-                { r_dom = dom; r_ev = Array.make cap dummy; r_cap = cap; r_pos = 0; r_len = 0; r_total = 0 }
+                { r_dom = dom; r_ev = Array.make capacity dummy; r_pos = 0; r_len = 0; r_total = 0 }
               in
               rings := r :: !rings;
               r
@@ -99,18 +95,37 @@ let ring_key =
       Domain.at_exit (fun () -> Mutex.protect lock (fun () -> Queue.push r dead));
       r)
 
-let push kind name arg note =
+(* The ring's events, oldest first.  Indices are taken modulo the
+   length of the array read here, so a racy read never leaves it. *)
+let ring_events r =
+  let ev = r.r_ev in
+  let cap = Array.length ev in
+  let len = min r.r_len cap in
+  let start = (r.r_pos - len + cap) mod cap in
+  List.init len (fun i -> ev.((start + i) mod cap))
+
+let reserve n =
   let r = Domain.DLS.get ring_key in
-  r.r_ev.(r.r_pos) <- { fe_kind = kind; fe_name = name; fe_ts = now_us (); fe_arg = arg; fe_note = note };
-  r.r_pos <- (r.r_pos + 1) mod r.r_cap;
-  if r.r_len < r.r_cap then r.r_len <- r.r_len + 1;
+  if n > Array.length r.r_ev then begin
+    let ev = Array.make n dummy in
+    List.iteri (fun i e -> ev.(i) <- e) (ring_events r);
+    Mutex.protect lock (fun () ->
+        r.r_ev <- ev;
+        r.r_pos <- r.r_len)
+  end
+
+let push kind name arg note args =
+  let r = Domain.DLS.get ring_key in
+  let ev = r.r_ev in
+  ev.(r.r_pos) <-
+    { fe_kind = kind; fe_name = name; fe_ts = now_us (); fe_arg = arg; fe_note = note; fe_args = args };
+  r.r_pos <- (r.r_pos + 1) mod Array.length ev;
+  if r.r_len < Array.length ev then r.r_len <- r.r_len + 1;
   r.r_total <- r.r_total + 1
 
-let begin_span ?(arg = no_arg) name = if Atomic.get enabled_flag then push Begin name arg ""
-let end_span ?(arg = no_arg) name = if Atomic.get enabled_flag then push End name arg ""
-
-let point ?(arg = no_arg) ?(note = "") name =
-  if Atomic.get enabled_flag then push Point name arg note
+let begin_span ?(arg = no_arg) ?(args = []) name = push Begin name arg "" args
+let end_span ?(arg = no_arg) ?(args = []) name = push End name arg "" args
+let point ?(arg = no_arg) ?(note = "") name = push Point name arg note []
 
 (* --- reading the rings --- *)
 
@@ -119,12 +134,8 @@ let point ?(arg = no_arg) ?(note = "") name =
    postmortem tool); a torn read can only misreport the ~1 newest event
    of a still-running domain, never corrupt memory. *)
 let events () =
-  let snap r =
-    let start = (r.r_pos - r.r_len + r.r_cap * 2) mod r.r_cap in
-    (r.r_dom, List.init r.r_len (fun i -> r.r_ev.((start + i) mod r.r_cap)))
-  in
   Mutex.protect lock (fun () ->
-      List.rev_map snap (List.filter (fun r -> r.r_len > 0) !rings))
+      List.rev_map (fun r -> (r.r_dom, ring_events r)) (List.filter (fun r -> r.r_len > 0) !rings))
 
 let total_recorded () =
   Mutex.protect lock (fun () -> List.fold_left (fun acc r -> acc + r.r_total) 0 !rings)
@@ -144,48 +155,36 @@ let clear () =
 (* --- Chrome trace-event export --- *)
 
 (* Begin/End pairs within one ring become "X" complete events (a
-   duration bar on the domain's track); unmatched halves — the partner
-   fell off the ring, or the span never finished before a crash — and
-   Point/Fail events become instants.  "X" events carry no stack
-   discipline, so a multi-domain dump stays a valid trace no matter how
-   the rings interleave. *)
-let base_args arg note =
-  (if arg = no_arg then [] else [ ("arg", Json.Int arg) ])
-  @ if note = "" then [] else [ ("note", Json.Str note) ]
-
-let instant_json ?(cat = "flight") ?(extra = []) dom e =
+   duration bar on the domain's track) carrying the values of both
+   halves; unmatched halves — the partner fell off the ring, or the
+   span never finished before a crash — and Point/Fail events become
+   instants.  "X" events carry no stack discipline, so a multi-domain
+   dump stays a valid trace no matter how the rings interleave. *)
+let event_json ~ph ~cat ?dur ?(extra = []) dom e =
+  let args =
+    (if e.fe_arg = no_arg then [] else [ ("arg", Json.Int e.fe_arg) ])
+    @ (if e.fe_note = "" then [] else [ ("note", Json.Str e.fe_note) ])
+    @ e.fe_args @ extra
+  in
   Json.Obj
     ([
        ("name", Json.Str e.fe_name);
        ("cat", Json.Str cat);
-       ("ph", Json.Str "i");
-       ("ts", Json.Float e.fe_ts);
-       ("pid", Json.Int 1);
-       ("tid", Json.Int dom);
-       ("s", Json.Str "t");
+       ("ph", Json.Str ph);
+       ("ts", Json.Float (float_of_int e.fe_ts));
      ]
-    @
-    match base_args e.fe_arg e.fe_note @ extra with
-    | [] -> []
-    | args -> [ ("args", Json.Obj args) ])
-
-let complete_json dom name ts dur arg =
-  Json.Obj
-    ([
-       ("name", Json.Str name);
-       ("cat", Json.Str "flight");
-       ("ph", Json.Str "X");
-       ("ts", Json.Float ts);
-       ("dur", Json.Float dur);
-       ("pid", Json.Int 1);
-       ("tid", Json.Int dom);
-     ]
-    @ match base_args arg "" with [] -> [] | args -> [ ("args", Json.Obj args) ])
+    @ (match dur with Some d -> [ ("dur", Json.Float (float_of_int d)) ] | None -> [])
+    @ [ ("pid", Json.Int 1); ("tid", Json.Int dom) ]
+    @ (if ph = "i" then [ ("s", Json.Str "t") ] else [])
+    @ match args with [] -> [] | args -> [ ("args", Json.Obj args) ])
 
 (* (ts, json) pairs for one ring's events, pairing spans with a stack. *)
 let ring_chrome dom evs =
   let out = ref [] in
   let stack = ref [] in
+  let unmatched half e =
+    out := (e.fe_ts, event_json ~ph:"i" ~cat:"flight" ~extra:[ ("unmatched", Json.Str half) ] dom e) :: !out
+  in
   List.iter
     (fun e ->
       match e.fe_kind with
@@ -194,41 +193,36 @@ let ring_chrome dom evs =
           match !stack with
           | b :: rest when b.fe_name = e.fe_name ->
               stack := rest;
-              out := (b.fe_ts, complete_json dom b.fe_name b.fe_ts (e.fe_ts -. b.fe_ts) b.fe_arg) :: !out
-          | _ -> out := (e.fe_ts, instant_json ~extra:[ ("unmatched", Json.Str "end") ] dom e) :: !out)
-      | Point -> out := (e.fe_ts, instant_json dom e) :: !out
-      | Fail -> out := (e.fe_ts, instant_json ~cat:"failure" dom e) :: !out)
+              out :=
+                ( b.fe_ts,
+                  event_json ~ph:"X" ~cat:"flight" ~dur:(e.fe_ts - b.fe_ts) ~extra:e.fe_args dom b )
+                :: !out
+          | _ -> unmatched "end" e)
+      | Point -> out := (e.fe_ts, event_json ~ph:"i" ~cat:"flight" dom e) :: !out
+      | Fail -> out := (e.fe_ts, event_json ~ph:"i" ~cat:"failure" dom e) :: !out)
     evs;
   (* Spans still open (crash, or End fell off the ring): keep them
      visible as instants at their begin time. *)
-  List.iter
-    (fun b -> out := (b.fe_ts, instant_json ~extra:[ ("unmatched", Json.Str "begin") ] dom b) :: !out)
-    !stack;
+  List.iter (unmatched "begin") !stack;
   !out
 
 let chrome_events () =
   let per_ring = List.concat_map (fun (dom, evs) -> ring_chrome dom evs) (events ()) in
-  List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) per_ring
+  List.map snd (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) per_ring)
 
-let chrome_json () =
-  Json.Obj
-    [
-      ("traceEvents", Json.List (List.map snd (chrome_events ())));
-      ("displayTimeUnit", Json.Str "ms");
-    ]
+let document evs = Json.Obj [ ("traceEvents", Json.List evs); ("displayTimeUnit", Json.Str "ms") ]
+let chrome_json () = document (chrome_events ())
 
 let dump path =
   let evs = chrome_events () in
-  Json.to_file path (Json.Obj [ ("traceEvents", Json.List (List.map snd evs)); ("displayTimeUnit", Json.Str "ms") ]);
+  Json.to_file path (document evs);
   List.length evs
 
 (* A failure is recorded like any event, then triggers the autodump if
    a path is configured.  Dump errors are swallowed: the recorder must
    never turn a failing operation into a different failure. *)
 let failure ?(arg = no_arg) ?(note = "") name =
-  if Atomic.get enabled_flag then begin
-    push Fail name arg note;
-    match !dump_to with
-    | None -> ()
-    | Some path -> ( try ignore (dump path : int) with _ -> ())
-  end
+  push Fail name arg note [];
+  match !dump_to with
+  | None -> ()
+  | Some path -> ( try ignore (dump path : int) with _ -> ())

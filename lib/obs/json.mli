@@ -1,7 +1,7 @@
 (** Minimal JSON tree, emitter and strict parser.
 
     Backs every machine-readable surface of the observability layer:
-    Chrome trace-event files ({!Trace.write_chrome}), the metrics export
+    Chrome trace-event files ({!Flight.dump}), the metrics export
     ({!Metrics.to_json}), and the benchmark harness's [BENCH_*.json]
     result files.  Ints and floats are distinct constructors so counter
     values round-trip exactly. *)

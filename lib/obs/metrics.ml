@@ -9,9 +9,9 @@
       paper's figures — they must not move).
    2. Near-zero cost when off: every mutator is gated on one atomic
       flag, so an uninstrumented run pays a load and a branch per call
-      site and nothing else.  [collecting] is flipped on by
-      {!Trace.install} or explicitly by a surface that wants metrics
-      without tracing.
+      site and nothing else.  [collecting] is flipped on by a traced
+      run (its spans then carry counter deltas) or by a surface that
+      wants metrics without tracing.
    3. Domain safety without contention: each domain owns a private
       stripe (plain int arrays reached through [Domain.DLS]); a mutator
       writes only its own stripe, so there is no shared mutable cell two

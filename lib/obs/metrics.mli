@@ -1,6 +1,6 @@
 (** Process-wide registry of named counters, gauges and log-bucketed
     histograms — the quantitative half of the observability layer
-    (spans and sinks are {!Trace}, the postmortem ring is {!Flight}).
+    (events and spans live on the {!Flight} rings, see {!Trace}).
 
     Every mutator ({!add}, {!tick}, {!set_gauge}, {!observe}) is a no-op
     while collection is off, so instrumented hot paths pay one atomic
@@ -28,8 +28,8 @@ type histogram
 val collecting : unit -> bool
 
 val set_collecting : bool -> unit
-(** Master switch. {!Trace.install} flips it on alongside tracing;
-    surfaces that want metrics without spans set it directly. *)
+(** Master switch.  While it is on, {!Trace} spans carry counter
+    deltas; a traced run flips it on. *)
 
 val counter : string -> counter
 (** Find-or-create. Raises [Invalid_argument] if the name is already

@@ -1,224 +1,40 @@
-(* Hierarchical span tracing with pluggable sinks.
+(* Spans on the flight recorder's rings.
 
-   A span is a begin/end pair around a phase of work — a bulk-loading
-   stage, an external-sort merge pass, a query.  At span begin the
-   current values of every registered {!Metrics} counter are snapshotted;
-   at span end the non-zero deltas are attached to the end event, so
-   every span carries exactly the I/O (pager reads/writes/allocs, cache
-   hits/misses, ...) that happened inside it — the phase-attributed
-   accounting behind the paper's Figures 9-11.
+   [with_span] records a Begin carrying the span's arguments and an End
+   on the calling domain's ring.  While metrics collection is on it
+   snapshots the dense counter array at the begin and attaches the
+   non-zero deltas to the end, so every span carries exactly the I/O
+   (pager reads/writes/allocs, cache hits/misses, ...) that happened
+   inside it.  Each domain owns its ring, so spans may be opened on any
+   domain. *)
 
-   Sinks:
-   - [Null]: tracing disabled.  [with_span] reduces to one flag check
-     and a direct call, so instrumentation is free when off.
-   - [Memory]: a bounded ring buffer of events (oldest dropped first);
-     the substrate for Chrome-trace export and span summaries.
-   - [Text]: human-readable begin/end lines with nesting indentation,
-     printed as they happen.
+let enabled () = Metrics.collecting ()
 
-   Timestamps are wall-clock microseconds on the process-wide epoch
-   shared with {!Flight}, the unit of the Chrome trace-event format
-   (load the exported file in chrome://tracing or
-   https://ui.perfetto.dev) — sharing the axis lets [write_chrome]
-   merge flight-recorder events into the same file.
+let finish name since =
+  match since with
+  | None -> Flight.end_span name
+  | Some since ->
+      let deltas =
+        List.filter_map
+          (fun (k, d) -> if d = 0 then None else Some (k, Json.Int d))
+          (Metrics.counter_deltas ~since)
+      in
+      Flight.end_span ~args:deltas name
 
-   The sink machinery is single-domain by design: spans and instants
-   are emitted by the coordinating domain (bulk loads, the Qexec
-   coordinator, the CLI).  Worker domains record through the
-   domain-safe {!Metrics} stripes and {!Flight} rings instead; their
-   numbers reach the trace as span-boundary counter deltas and merged
-   flight events. *)
-
-type value = Int of int | Float of float | Str of string | Bool of bool
-
-type phase = B | E | I
-
-type event = {
-  ev_phase : phase;
-  ev_name : string;
-  ev_cat : string;
-  ev_ts : float; (* microseconds since trace start *)
-  ev_args : (string * value) list;
-}
-
-type ring = {
-  ev : event array;
-  capacity : int;
-  mutable head : int; (* index of the oldest event *)
-  mutable len : int;
-  mutable dropped : int;
-}
-
-type sink = Null | Memory of ring | Text of Format.formatter
-
-let dummy_event = { ev_phase = I; ev_name = ""; ev_cat = ""; ev_ts = 0.0; ev_args = [] }
-
-let null_sink = Null
-
-let memory_sink ?(capacity = 1 lsl 16) () =
-  if capacity < 1 then invalid_arg "Trace.memory_sink: capacity must be positive";
-  Memory { ev = Array.make capacity dummy_event; capacity; head = 0; len = 0; dropped = 0 }
-
-let text_sink ppf = Text ppf
-
-(* --- global trace state --- *)
-
-let current : sink ref = ref Null
-let enabled_flag = ref false
-let text_depth = ref 0
-
-let enabled () = !enabled_flag
-
-let now_us () = Flight.now_us ()
-
-let pp_args ppf args =
-  if args <> [] then begin
-    Format.fprintf ppf " {";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Format.fprintf ppf ", ";
-        match v with
-        | Int n -> Format.fprintf ppf "%s=%d" k n
-        | Float f -> Format.fprintf ppf "%s=%g" k f
-        | Str s -> Format.fprintf ppf "%s=%s" k s
-        | Bool b -> Format.fprintf ppf "%s=%b" k b)
-      args;
-    Format.fprintf ppf "}"
-  end
-
-let ring_push r e =
-  if r.len < r.capacity then begin
-    r.ev.((r.head + r.len) mod r.capacity) <- e;
-    r.len <- r.len + 1
-  end
-  else begin
-    r.ev.(r.head) <- e;
-    r.head <- (r.head + 1) mod r.capacity;
-    r.dropped <- r.dropped + 1
-  end
-
-let emit e =
-  match !current with
-  | Null -> ()
-  | Memory r -> ring_push r e
-  | Text ppf ->
-      (match e.ev_phase with
-      | B ->
-          Format.fprintf ppf "[%10.1fus] %s> %s%a@." e.ev_ts
-            (String.make (2 * !text_depth) ' ')
-            e.ev_name pp_args e.ev_args;
-          incr text_depth
-      | E ->
-          if !text_depth > 0 then decr text_depth;
-          Format.fprintf ppf "[%10.1fus] %s< %s%a@." e.ev_ts
-            (String.make (2 * !text_depth) ' ')
-            e.ev_name pp_args e.ev_args
-      | I ->
-          Format.fprintf ppf "[%10.1fus] %s! %s%a@." e.ev_ts
-            (String.make (2 * !text_depth) ' ')
-            e.ev_name pp_args e.ev_args)
-
-let install sink =
-  current := sink;
-  text_depth := 0;
-  (match sink with
-  | Null -> enabled_flag := false
-  | Memory _ | Text _ ->
-      enabled_flag := true;
-      (* Spans attribute counter deltas, so tracing implies collection. *)
-      Metrics.set_collecting true)
-
-let uninstall () =
-  current := Null;
-  enabled_flag := false;
-  Metrics.set_collecting false
-
-let events () =
-  match !current with
-  | Memory r -> List.init r.len (fun i -> r.ev.((r.head + i) mod r.capacity))
-  | Null | Text _ -> []
-
-let dropped () = match !current with Memory r -> r.dropped | Null | Text _ -> 0
-
-(* --- spans --- *)
-
-type span = { sp_name : string; sp_live : bool; sp_base : int array }
-
-let dead_span = { sp_name = ""; sp_live = false; sp_base = [||] }
-
-let span_begin ?(cat = "") ?(args = []) name =
-  if not !enabled_flag then dead_span
-  else begin
-    let base = Metrics.counter_values () in
-    emit { ev_phase = B; ev_name = name; ev_cat = cat; ev_ts = now_us (); ev_args = args };
-    { sp_name = name; sp_live = true; sp_base = base }
-  end
-
-let span_end ?(args = []) sp =
-  if sp.sp_live && !enabled_flag then begin
-    let deltas =
-      List.filter_map
-        (fun (n, d) -> if d = 0 then None else Some (n, Int d))
-        (Metrics.counter_deltas ~since:sp.sp_base)
-    in
-    emit
-      { ev_phase = E; ev_name = sp.sp_name; ev_cat = ""; ev_ts = now_us (); ev_args = args @ deltas }
-  end
-
-let with_span ?cat ?args name f =
-  if not !enabled_flag then f ()
-  else begin
-    let sp = span_begin ?cat ?args name in
-    (* Exception safety: the end event is emitted on any exit, so traces
-       stay balanced even when a phase raises (e.g. an injected
-       Io_error surviving the retry budget). *)
-    Fun.protect ~finally:(fun () -> span_end sp) f
-  end
-
-let instant ?(args = []) name =
-  if !enabled_flag then
-    emit { ev_phase = I; ev_name = name; ev_cat = ""; ev_ts = now_us (); ev_args = args }
-
-(* --- Chrome trace-event export --- *)
-
-let value_to_json = function
-  | Int i -> Json.Int i
-  | Float f -> Json.Float f
-  | Str s -> Json.Str s
-  | Bool b -> Json.Bool b
-
-let event_to_json e =
-  let ph = match e.ev_phase with B -> "B" | E -> "E" | I -> "i" in
-  Json.Obj
-    ([ ("name", Json.Str e.ev_name) ]
-    @ (if e.ev_cat = "" then [] else [ ("cat", Json.Str e.ev_cat) ])
-    @ [ ("ph", Json.Str ph); ("ts", Json.Float e.ev_ts); ("pid", Json.Int 1); ("tid", Json.Int 1) ]
-    @ (match e.ev_phase with I -> [ ("s", Json.Str "t") ] | B | E -> [])
-    @
-    if e.ev_args = [] then []
-    else [ ("args", Json.Obj (List.map (fun (k, v) -> (k, value_to_json v)) e.ev_args)) ])
-
-let chrome_json evs =
-  Json.Obj
-    [
-      ("traceEvents", Json.List (List.map event_to_json evs));
-      ("displayTimeUnit", Json.Str "ms");
-    ]
-
-(* Merge span events with the flight-recorder rings onto one time axis:
-   trace events keep tid 1, flight events sit on their domain's track.
-   The sort is stable, so the monotone trace stream keeps its relative
-   order on timestamp ties. *)
-let write_chrome ?(flight = true) path =
-  let trace_evs = List.map (fun e -> (e.ev_ts, event_to_json e)) (events ()) in
-  let flight_evs = if flight then Flight.chrome_events () else [] in
-  let all =
-    List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) (trace_evs @ flight_evs)
-  in
-  Json.to_file path
-    (Json.Obj
-       [ ("traceEvents", Json.List (List.map snd all)); ("displayTimeUnit", Json.Str "ms") ]);
-  List.length all
+let with_span ?(args = []) name f =
+  let since = if Metrics.collecting () then Some (Metrics.counter_values ()) else None in
+  Flight.begin_span ~args name;
+  match f () with
+  | v ->
+      finish name since;
+      v
+  | exception e ->
+      (* The end event is recorded on any exit, so spans stay balanced
+         even when a phase raises (e.g. an injected Io_error surviving
+         the retry budget). *)
+      let bt = Printexc.get_raw_backtrace () in
+      finish name since;
+      Printexc.raise_with_backtrace e bt
 
 (* --- span summaries --- *)
 
@@ -226,13 +42,12 @@ type span_stats = {
   span_name : string;
   calls : int;
   total_us : float;
-  io : (string * int) list; (* summed end-event integer args, inclusive of children *)
+  io : (string * int) list; (* summed end-event integer values, inclusive of children *)
 }
 
-let summary evs =
+let summary () =
   let order = ref [] in
   let agg : (string, span_stats ref) Hashtbl.t = Hashtbl.create 16 in
-  let stack = ref [] in
   let record name dur args =
     let cell =
       match Hashtbl.find_opt agg name with
@@ -243,7 +58,7 @@ let summary evs =
           order := name :: !order;
           c
     in
-    let ints = List.filter_map (fun (k, v) -> match v with Int n -> Some (k, n) | _ -> None) args in
+    let ints = List.filter_map (fun (k, v) -> match v with Json.Int n -> Some (k, n) | _ -> None) args in
     let io =
       List.fold_left
         (fun io (k, n) ->
@@ -257,18 +72,23 @@ let summary evs =
     cell := { !cell with calls = !cell.calls + 1; total_us = !cell.total_us +. dur; io }
   in
   List.iter
-    (fun e ->
-      match e.ev_phase with
-      | B -> stack := (e.ev_name, e.ev_ts) :: !stack
-      | E -> (
-          match !stack with
-          | (name, ts) :: rest when name = e.ev_name ->
-              stack := rest;
-              record name (e.ev_ts -. ts) e.ev_args
-          | _ ->
-              (* Unpaired end (ring overflow ate the begin): count the
-                 call, attribute no time. *)
-              record e.ev_name 0.0 e.ev_args)
-      | I -> ())
-    evs;
+    (fun (_, evs) ->
+      (* One ring is one domain, so its spans nest. *)
+      let stack = ref [] in
+      List.iter
+        (fun e ->
+          match e.Flight.fe_kind with
+          | Flight.Begin -> stack := e :: !stack
+          | Flight.End -> (
+              match !stack with
+              | b :: rest when b.Flight.fe_name = e.Flight.fe_name ->
+                  stack := rest;
+                  record e.fe_name (float_of_int (e.fe_ts - b.fe_ts)) e.fe_args
+              | _ ->
+                  (* Unpaired end (ring overflow ate the begin): count
+                     the call, attribute no time. *)
+                  record e.fe_name 0.0 e.fe_args)
+          | Flight.Point | Flight.Fail -> ())
+        evs)
+    (Flight.events ());
   List.rev_map (fun name -> !(Hashtbl.find agg name)) !order

@@ -1,96 +1,34 @@
-(** Hierarchical span tracing with pluggable sinks and Chrome
-    trace-event export.
+(** Spans: named phases of work — a bulk-loading stage, an
+    external-sort pass, a query batch — recorded on the {!Flight}
+    rings.
 
-    Spans capture wall-clock time and, at their boundaries, the deltas of
-    every registered {!Metrics} counter — so a span over a bulk-loading
-    phase carries exactly the pager reads/writes, cache hits/misses and
-    sort passes that happened inside it.  With the null sink installed
-    (the default) every entry point reduces to one flag check; the
-    instrumented libraries are free when tracing is off. *)
+    A span is a begin/end pair on the calling domain's ring.  While
+    {!Metrics} collection is on, the end event also carries the
+    non-zero deltas of every registered counter across the span, so a
+    span over a bulk-loading phase carries exactly the pager
+    reads/writes, cache hits/misses and sort passes that happened
+    inside it — the phase-attributed accounting behind the paper's
+    Figures 9-11.  The deltas are process-wide sums over every
+    domain's stripe.  {!Flight.dump} writes spans as Chrome ["X"]
+    events on their domain's track. *)
 
-type value = Int of int | Float of float | Str of string | Bool of bool
-
-type phase = B | E | I  (** span begin, span end, instant *)
-
-type event = {
-  ev_phase : phase;
-  ev_name : string;
-  ev_cat : string;
-  ev_ts : float;  (** microseconds since process start ({!Flight.now_us}) *)
-  ev_args : (string * value) list;
-}
-
-type sink
-
-val null_sink : sink
-(** Discards everything; installing it disables tracing. *)
-
-val memory_sink : ?capacity:int -> unit -> sink
-(** Bounded ring buffer (default 65536 events); when full the oldest
-    events are dropped and counted ({!dropped}). *)
-
-val text_sink : Format.formatter -> sink
-(** Prints one indented line per event as it happens. *)
-
-val install : sink -> unit
-(** Make a sink current.  A non-null sink enables tracing and turns on
-    {!Metrics} collection (spans need counter snapshots).  Timestamps
-    run on the process-wide epoch shared with {!Flight}.
-
-    The sink is single-domain: emit spans from the coordinating domain
-    only — worker domains record through {!Metrics} and {!Flight}. *)
-
-val uninstall : unit -> unit
-(** Back to the null sink; also turns {!Metrics} collection off. *)
+val with_span : ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
+(** [with_span ~args name f] runs [f] inside a span whose begin event
+    carries [args].  The end event is recorded however [f] exits, so
+    spans stay balanced when it raises. *)
 
 val enabled : unit -> bool
-
-val events : unit -> event list
-(** Buffered events of the current memory sink, oldest first; [[]] for
-    other sinks. *)
-
-val dropped : unit -> int
-(** Events lost to ring overflow in the current memory sink. *)
-
-type span
-
-val span_begin : ?cat:string -> ?args:(string * value) list -> string -> span
-(** Open a span: emits a begin event and snapshots all counters.  A
-    dead no-op span is returned while tracing is disabled. *)
-
-val span_end : ?args:(string * value) list -> span -> unit
-(** Close a span: emits an end event carrying [args] plus the non-zero
-    counter deltas since {!span_begin}. *)
-
-val with_span : ?cat:string -> ?args:(string * value) list -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] runs [f] inside a span.  The end event is emitted
-    even when [f] raises, so traces stay balanced under exceptions.
-    When tracing is off this is exactly [f ()]. *)
-
-val instant : ?args:(string * value) list -> string -> unit
-(** A zero-duration marker event. *)
-
-val event_to_json : event -> Json.t
-
-val chrome_json : event list -> Json.t
-(** The Chrome trace-event document ([{"traceEvents": [...]}]) —
-    loadable in chrome://tracing and Perfetto. *)
-
-val write_chrome : ?flight:bool -> string -> int
-(** Write the current memory sink's events — merged, unless
-    [~flight:false], with the {!Flight} recorder's per-domain events on
-    one sorted time axis — as a Chrome trace file, returning how many
-    events were written.  Trace spans sit on tid 1; flight events on
-    their domain's tid. *)
+(** Whether spans carry counter deltas, i.e. {!Metrics.collecting}. *)
 
 type span_stats = {
   span_name : string;
   calls : int;
   total_us : float;  (** inclusive of child spans *)
-  io : (string * int) list;  (** summed integer end-args (counter deltas) *)
+  io : (string * int) list;  (** summed integer end values (counter deltas) *)
 }
 
-val summary : event list -> span_stats list
-(** Aggregate balanced begin/end pairs per span name, in first-seen
-    order — the span-aware report printed by the bench harness and
-    [prt profile]. *)
+val summary : unit -> span_stats list
+(** Every span on the rings, aggregated per name in first-seen order:
+    each ring's balanced begin/end pairs, plus ends whose begin fell off
+    the ring (a call with no time).  The span-aware report printed by
+    the bench harness and [prt profile]. *)

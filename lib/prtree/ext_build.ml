@@ -35,6 +35,7 @@ module Entry = Prt_rtree.Entry
 module Node = Prt_rtree.Node
 module Rtree = Prt_rtree.Rtree
 module Trace = Prt_obs.Trace
+module Json = Prt_obs.Json
 
 (* --- the in-memory top-levels structure --- *)
 
@@ -182,7 +183,7 @@ let rec pseudo_leaves pager ~cap ~mem_records ~emit_leaf files n =
     (* Filtering pass: fill the priority buffers. *)
     let absorbed = Hashtbl.create (8 * cap * ncells) in
     Trace.with_span "prtree.ext.filter"
-      ~args:[ ("n", Trace.Int n); ("cells", Trace.Int ncells) ]
+      ~args:[ ("n", Json.Int n); ("cells", Json.Int ncells) ]
       (fun () ->
         Entry.File.iter files.(0) (fun e -> filter_record ~absorbed root e);
         iter_priority_buffers root ~f:emit_leaf);
@@ -192,7 +193,7 @@ let rec pseudo_leaves pager ~cap ~mem_records ~emit_leaf files n =
     in
     let counts = Array.make ncells 0 in
     Trace.with_span "prtree.ext.distribute"
-      ~args:[ ("cells", Trace.Int ncells) ]
+      ~args:[ ("cells", Json.Int ncells) ]
       (fun () ->
         Array.iteri
           (fun dim file ->
@@ -215,7 +216,7 @@ let rec pseudo_leaves pager ~cap ~mem_records ~emit_leaf files n =
 
 let load ?(mem_records = 18_000) pool file =
   Trace.with_span "prtree.ext.load"
-    ~args:[ ("n", Trace.Int (Entry.File.length file)) ]
+    ~args:[ ("n", Json.Int (Entry.File.length file)) ]
   @@ fun () ->
   let pager = Buffer_pool.pager pool in
   let page_size = Pager.page_size pager in
@@ -244,7 +245,7 @@ let load ?(mem_records = 18_000) pool file =
         let next = Entry.File.create pager in
         let emit_leaf entries = Entry.File.append next (write_node kind entries) in
         Trace.with_span "prtree.ext.stage"
-          ~args:[ ("level", Trace.Int (height - 1)); ("n", Trace.Int n) ]
+          ~args:[ ("level", Json.Int (height - 1)); ("n", Json.Int n) ]
           (fun () ->
             if n <= mem_records then begin
               (* Small levels skip the sorted lists entirely. *)

@@ -17,6 +17,7 @@ module Entry = Prt_rtree.Entry
 module Node = Prt_rtree.Node
 module Rtree = Prt_rtree.Rtree
 module Trace = Prt_obs.Trace
+module Json = Prt_obs.Json
 
 let write_level pool ~kind entry_sets =
   let page_size = Pager.page_size (Buffer_pool.pager pool) in
@@ -31,7 +32,7 @@ let write_level pool ~kind entry_sets =
 
 let load ?priority_size ?(domains = 1) pool entries =
   Trace.with_span "prtree.load"
-    ~args:[ ("n", Trace.Int (Array.length entries)) ]
+    ~args:[ ("n", Json.Int (Array.length entries)) ]
   @@ fun () ->
   let page_size = Pager.page_size (Buffer_pool.pager pool) in
   let cap = Node.capacity ~page_size in
@@ -49,7 +50,7 @@ let load ?priority_size ?(domains = 1) pool entries =
       end
       else begin
         Trace.with_span "prtree.stage"
-          ~args:[ ("level", Trace.Int (height - 1)); ("n", Trace.Int (Array.length current)) ]
+          ~args:[ ("level", Json.Int (height - 1)); ("n", Json.Int (Array.length current)) ]
           (fun () ->
             let leaves =
               Trace.with_span "prtree.pseudo" (fun () ->

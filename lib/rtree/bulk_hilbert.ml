@@ -11,6 +11,7 @@ module Rect = Prt_geom.Rect
 module Hilbert2d = Prt_hilbert.Hilbert2d
 module Hilbert_nd = Prt_hilbert.Hilbert_nd
 module Trace = Prt_obs.Trace
+module Json = Prt_obs.Json
 
 let order_2d = 24 (* fine enough that micro-clusters (1e-5 wide) still
                      get within-cluster Hilbert locality *)
@@ -69,7 +70,7 @@ let sort_by_key ?(domains = 1) ~key entries =
    accrue. *)
 let load_with ~name ~key ?domains pool entries =
   Trace.with_span name
-    ~args:[ ("n", Trace.Int (Array.length entries)) ]
+    ~args:[ ("n", Json.Int (Array.length entries)) ]
     (fun () ->
       let ordered =
         Trace.with_span "hilbert.sort" (fun () -> sort_by_key ?domains ~key entries)

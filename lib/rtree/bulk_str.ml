@@ -38,7 +38,7 @@ let order ~capacity entries =
 
 let load pool entries =
   Prt_obs.Trace.with_span "str.load"
-    ~args:[ ("n", Prt_obs.Trace.Int (Array.length entries)) ]
+    ~args:[ ("n", Prt_obs.Json.Int (Array.length entries)) ]
     (fun () ->
       let page_size = Prt_storage.Pager.page_size (Prt_storage.Buffer_pool.pager pool) in
       let capacity = Node.capacity ~page_size in

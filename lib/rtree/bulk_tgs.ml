@@ -74,7 +74,7 @@ let rec partition ~unit set groups =
 
 let load pool entries =
   Prt_obs.Trace.with_span "tgs.build"
-    ~args:[ ("n", Prt_obs.Trace.Int (Array.length entries)) ]
+    ~args:[ ("n", Prt_obs.Json.Int (Array.length entries)) ]
   @@ fun () ->
   let page_size = Pager.page_size (Buffer_pool.pager pool) in
   let cap = Node.capacity ~page_size in

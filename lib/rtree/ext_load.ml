@@ -20,6 +20,7 @@ module Rect = Prt_geom.Rect
 module Buffer_pool = Prt_storage.Buffer_pool
 module Pager = Prt_storage.Pager
 module Trace = Prt_obs.Trace
+module Json = Prt_obs.Json
 
 let world_of_file file =
   let world = ref None in
@@ -69,7 +70,7 @@ let hilbert_cmp key world a b =
 let load_hilbert ~variant pool ~mem_records file =
   let name = match variant with `H -> "ext.load_h" | `H4 -> "ext.load_h4" in
   Trace.with_span name
-    ~args:[ ("n", Trace.Int (Entry.File.length file)) ]
+    ~args:[ ("n", Json.Int (Entry.File.length file)) ]
     (fun () ->
       let key =
         match variant with `H -> Bulk_hilbert.hilbert2d_key | `H4 -> Bulk_hilbert.hilbert4d_key
@@ -104,7 +105,7 @@ let center_y_cmp a b =
    in-memory loader. *)
 let load_str pool ~mem_records file =
   Trace.with_span "ext.load_str"
-    ~args:[ ("n", Trace.Int (Entry.File.length file)) ]
+    ~args:[ ("n", Json.Int (Entry.File.length file)) ]
   @@ fun () ->
   let pager = Buffer_pool.pager pool in
   let page_size = Pager.page_size pager in
@@ -231,7 +232,7 @@ let split_files pager ~dim ~cut files =
 
 let load_tgs pool ~mem_records file =
   Trace.with_span "ext.load_tgs"
-    ~args:[ ("n", Trace.Int (Entry.File.length file)) ]
+    ~args:[ ("n", Json.Int (Entry.File.length file)) ]
   @@ fun () ->
   let pager = Buffer_pool.pager pool in
   let page_size = Pager.page_size pager in

@@ -186,7 +186,7 @@ let batch ?jobs ?(deadline = Deadline.none) t queries ~slot =
   in
   Fun.protect ~finally:release_snap @@ fun () ->
   Prt_obs.Trace.with_span "qexec.batch"
-    ~args:Prt_obs.Trace.[ ("queries", Int n); ("jobs", Int jobs) ]
+    ~args:Prt_obs.Json.[ ("queries", Int n); ("jobs", Int jobs) ]
     (fun () ->
       let snapshot =
         Some { Rtree.sv_gen = snap.snap_gen; sv_root = snap.snap_root; sv_height = snap.snap_height }
@@ -199,7 +199,6 @@ let batch ?jobs ?(deadline = Deadline.none) t queries ~slot =
       let pol = { (Rtree.policy Rtree.Window) with quarantine = Some t.quarantine; deadline } in
       Prt_obs.Metrics.tick m_batches;
       Prt_obs.Metrics.add m_queries n;
-      Prt_obs.Flight.begin_span "qexec.batch" ~arg:n;
       let next = Atomic.make 0 in
       let chunk = max 1 (n / (jobs * 8)) in
       let worker () =
@@ -214,16 +213,15 @@ let batch ?jobs ?(deadline = Deadline.none) t queries ~slot =
         in
         loop ()
       in
+      (* Workers record on their own stripes and rings.  The span ends
+         after the joins, so its counter deltas hold the batch's totals
+         exactly. *)
       if jobs = 1 || n <= 1 then worker ()
       else begin
         let spawned = Array.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
         worker ();
         Array.iter Domain.join spawned
-      end;
-      (* Workers recorded everything on their own stripes and rings —
-         after the joins the aggregated registry already holds the
-         batch's totals exactly. *)
-      Prt_obs.Flight.end_span "qexec.batch" ~arg:n)
+      end)
 
 let run_into ?jobs ?deadline t queries ~into =
   if Array.length into < Array.length queries then

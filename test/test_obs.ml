@@ -1,26 +1,36 @@
-(* The observability layer: span balance (including under exceptions),
-   Chrome trace-event well-formedness, histogram bucketing, span-level
-   I/O attribution, and — most load-bearing — the zero-overhead-off
-   property: instrumentation must not perturb the repository's I/O
-   accounting or query results in any way. *)
+(* The observability layer: span balance on the flight recorder's
+   rings (including under exceptions), Chrome trace-event
+   well-formedness, histogram bucketing, span-level I/O attribution,
+   and — most load-bearing — the zero-overhead-off property:
+   instrumentation must not perturb the repository's I/O accounting or
+   query results in any way. *)
 
 module Json = Prt_obs.Json
 module Metrics = Prt_obs.Metrics
 module Trace = Prt_obs.Trace
+module Flight = Prt_obs.Flight
 module Pager = Prt_storage.Pager
 module Buffer_pool = Prt_storage.Buffer_pool
 module Rtree = Prt_rtree.Rtree
 
-(* Every test must leave the global trace/metrics state as it found it:
-   null sink installed, collection off. *)
+(* Every test starts from empty rings and must leave metrics collection
+   off, as it found it. *)
 let with_clean_trace f =
-  Fun.protect ~finally:(fun () -> Trace.uninstall ()) f
+  Flight.clear ();
+  Fun.protect ~finally:(fun () -> Metrics.set_collecting false) f
+
+(* The calling domain's ring, oldest event first. *)
+let my_events () =
+  Option.value ~default:[] (List.assoc_opt (Domain.self () :> int) (Flight.events ()))
 
 let phases_and_names evs =
   List.map
     (fun e ->
-      ( (match e.Trace.ev_phase with Trace.B -> "B" | Trace.E -> "E" | Trace.I -> "i"),
-        e.Trace.ev_name ))
+      ( (match e.Flight.fe_kind with
+        | Flight.Begin -> "B"
+        | Flight.End -> "E"
+        | Flight.Point | Flight.Fail -> "i"),
+        e.Flight.fe_name ))
     evs
 
 (* --- JSON emitter/parser --- *)
@@ -109,14 +119,13 @@ let test_registry () =
 
 let test_span_balance () =
   with_clean_trace (fun () ->
-      Trace.install (Trace.memory_sink ());
       (try
          Trace.with_span "outer" (fun () ->
              Trace.with_span "inner-ok" (fun () -> ());
              Trace.with_span "inner-raise" (fun () -> raise Exit))
        with Exit -> ());
-      Trace.instant "marker";
-      let evs = Trace.events () in
+      Flight.point "marker";
+      let evs = my_events () in
       Alcotest.(check (list (pair string string)))
         "events balanced under exceptions"
         [
@@ -132,13 +141,13 @@ let test_span_balance () =
       (* Timestamps are monotone non-decreasing. *)
       let rec mono = function
         | a :: (b :: _ as rest) ->
-            Alcotest.(check bool) "monotone ts" true (a.Trace.ev_ts <= b.Trace.ev_ts);
+            Alcotest.(check bool) "monotone ts" true (a.Flight.fe_ts <= b.Flight.fe_ts);
             mono rest
         | _ -> ()
       in
       mono evs;
       (* The summary pairs them up: each span appears once with one call. *)
-      let s = Trace.summary evs in
+      let s = Trace.summary () in
       Alcotest.(check (list (pair string int)))
         "summary calls"
         [ ("inner-ok", 1); ("inner-raise", 1); ("outer", 1) ]
@@ -148,67 +157,77 @@ let test_span_balance () =
 
 let test_chrome_json () =
   with_clean_trace (fun () ->
-      Trace.install (Trace.memory_sink ());
-      Trace.with_span "tricky \"name\" with \\ and \n"
-        ~args:[ ("note", Trace.Str "arg with \"quotes\" and \xc3\xa9") ]
+      let tricky = "tricky \"name\" with \\ and \n" in
+      let note = "arg with \"quotes\" and \xc3\xa9" in
+      Trace.with_span tricky
+        ~args:[ ("note", Json.Str note) ]
         (fun () -> Trace.with_span "child" (fun () -> ()));
-      let doc = Trace.chrome_json (Trace.events ()) in
+      let doc = Flight.chrome_json () in
       let parsed = Json.of_string (Json.to_string doc) in
       let events =
         match Json.member "traceEvents" parsed with
         | Some (Json.List l) -> l
         | _ -> Alcotest.fail "no traceEvents"
       in
-      Alcotest.(check int) "event count" 4 (List.length events);
-      (* Replay the B/E stack from the parsed document. *)
-      let stack = ref [] in
+      (* Each span is one "X" complete event. *)
+      Alcotest.(check int) "event count" 2 (List.length events);
       List.iter
         (fun e ->
-          let name =
-            match Json.member "name" e with Some (Json.Str s) -> s | _ -> Alcotest.fail "no name"
-          in
-          match Json.member "ph" e with
-          | Some (Json.Str "B") -> stack := name :: !stack
-          | Some (Json.Str "E") -> (
-              match !stack with
-              | top :: rest ->
-                  Alcotest.(check string) "E matches B" top name;
-                  stack := rest
-              | [] -> Alcotest.fail "E without B")
-          | _ -> Alcotest.fail "bad ph")
+          if Json.member "ph" e <> Some (Json.Str "X") then Alcotest.fail "bad ph")
         events;
-      Alcotest.(check int) "stack drained" 0 (List.length !stack))
+      let span name =
+        match List.find_opt (fun e -> Json.member "name" e = Some (Json.Str name)) events with
+        | Some e -> e
+        | None -> Alcotest.failf "no span %S" name
+      in
+      let num k e =
+        match Option.bind (Json.member k e) Json.to_number with
+        | Some v -> v
+        | None -> Alcotest.failf "no numeric %s" k
+      in
+      let outer = span tricky and child = span "child" in
+      Alcotest.(check (option string))
+        "args round-trip" (Some note)
+        (Option.bind (Json.member "args" outer) (fun a -> Option.bind (Json.member "note" a) Json.to_str));
+      (* The child closes inside the span open around it, on its track. *)
+      let slack = 0.01 in
+      Alcotest.(check bool) "child begins inside outer" true (num "ts" child >= num "ts" outer -. slack);
+      Alcotest.(check bool) "E matches B" true
+        (num "ts" child -. num "ts" outer +. num "dur" child <= num "dur" outer +. slack);
+      Alcotest.(check bool) "same track" true (num "tid" child = num "tid" outer))
 
 (* --- span-attributed I/O sums to the pager totals --- *)
 
 let arg_int name args =
-  match List.assoc_opt name args with Some (Trace.Int n) -> n | _ -> 0
+  match List.assoc_opt name args with Some (Json.Int n) -> n | _ -> 0
 
 let test_span_io_attribution () =
   with_clean_trace (fun () ->
-      Trace.install (Trace.memory_sink ());
-      let sp = Trace.span_begin "root" in
-      let pool = Helpers.small_pool () in
-      let pager = Buffer_pool.pager pool in
-      let entries = Helpers.random_entries ~n:400 ~seed:7 in
-      let tree = Prt_prtree.Prtree.load pool entries in
-      Buffer_pool.flush pool;
-      ignore (Rtree.query_count tree (Prt_geom.Rect.make ~xmin:0.0 ~ymin:0.0 ~xmax:1.0 ~ymax:1.0));
-      let stats = Pager.snapshot pager in
-      Trace.span_end sp;
+      Metrics.set_collecting true;
+      let stats =
+        Trace.with_span "root" (fun () ->
+            let pool = Helpers.small_pool () in
+            let pager = Buffer_pool.pager pool in
+            let entries = Helpers.random_entries ~n:400 ~seed:7 in
+            let tree = Prt_prtree.Prtree.load pool entries in
+            Buffer_pool.flush pool;
+            ignore
+              (Rtree.query_count tree (Prt_geom.Rect.make ~xmin:0.0 ~ymin:0.0 ~xmax:1.0 ~ymax:1.0));
+            Pager.snapshot pager)
+      in
       let root_end =
         List.find
-          (fun e -> e.Trace.ev_phase = Trace.E && e.Trace.ev_name = "root")
-          (Trace.events ())
+          (fun e -> e.Flight.fe_kind = Flight.End && e.Flight.fe_name = "root")
+          (my_events ())
       in
       (* The root span wraps the pool's whole life, so its counter deltas
          must equal the pager's own statistics exactly. *)
       Alcotest.(check int) "span reads = pager reads" stats.Pager.s_reads
-        (arg_int "pager.reads" root_end.Trace.ev_args);
+        (arg_int "pager.reads" root_end.Flight.fe_args);
       Alcotest.(check int) "span writes = pager writes" stats.Pager.s_writes
-        (arg_int "pager.writes" root_end.Trace.ev_args);
+        (arg_int "pager.writes" root_end.Flight.fe_args);
       Alcotest.(check int) "span allocs = pager allocs" stats.Pager.s_allocs
-        (arg_int "pager.allocs" root_end.Trace.ev_args))
+        (arg_int "pager.allocs" root_end.Flight.fe_args))
 
 (* --- the zero-overhead-off property --- *)
 
@@ -232,26 +251,27 @@ let run_workload () =
 
 let test_zero_overhead_off () =
   with_clean_trace (fun () ->
-      (* Baseline: no sink was ever installed in this run of the workload. *)
-      Trace.uninstall ();
+      (* Baseline: collection was never on in this run of the workload;
+         its spans reach the rings without counter deltas. *)
       let base = run_workload () in
-      (* Explicit null sink. *)
-      Trace.install Trace.null_sink;
-      let with_null = run_workload () in
-      (* Full tracing into a memory sink. *)
-      Trace.install (Trace.memory_sink ());
-      let with_mem = run_workload () in
-      Trace.uninstall ();
+      (* Collection switched on and off again, as a traced run leaves it. *)
+      Metrics.set_collecting true;
+      Metrics.set_collecting false;
+      let switched_off = run_workload () in
+      (* Full tracing: every span snapshots the counters at both ends. *)
+      Metrics.set_collecting true;
+      let traced = run_workload () in
+      Metrics.set_collecting false;
       let io (x, _, _, _) = x and res (_, _, _, r) = r in
       let hits (_, h, _, _) = h and misses (_, _, m, _) = m in
-      Alcotest.(check (triple int int int)) "null sink: pager identical" (io base) (io with_null);
-      Alcotest.(check (triple int int int)) "memory sink: pager identical" (io base) (io with_mem);
-      Alcotest.(check int) "null sink: hits identical" (hits base) (hits with_null);
-      Alcotest.(check int) "memory sink: hits identical" (hits base) (hits with_mem);
-      Alcotest.(check int) "null sink: misses identical" (misses base) (misses with_null);
-      Alcotest.(check int) "memory sink: misses identical" (misses base) (misses with_mem);
-      Alcotest.(check (list int)) "null sink: results identical" (res base) (res with_null);
-      Alcotest.(check (list int)) "memory sink: results identical" (res base) (res with_mem))
+      Alcotest.(check (triple int int int)) "off: pager identical" (io base) (io switched_off);
+      Alcotest.(check (triple int int int)) "traced: pager identical" (io base) (io traced);
+      Alcotest.(check int) "off: hits identical" (hits base) (hits switched_off);
+      Alcotest.(check int) "traced: hits identical" (hits base) (hits traced);
+      Alcotest.(check int) "off: misses identical" (misses base) (misses switched_off);
+      Alcotest.(check int) "traced: misses identical" (misses base) (misses traced);
+      Alcotest.(check (list int)) "off: results identical" (res base) (res switched_off);
+      Alcotest.(check (list int)) "traced: results identical" (res base) (res traced))
 
 (* --- query_profile agrees with query --- *)
 

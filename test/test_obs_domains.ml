@@ -11,6 +11,7 @@
 module Json = Prt_obs.Json
 module Metrics = Prt_obs.Metrics
 module Flight = Prt_obs.Flight
+module Trace = Prt_obs.Trace
 module Rect = Prt_geom.Rect
 module Pager = Prt_storage.Pager
 module Buffer_pool = Prt_storage.Buffer_pool
@@ -208,6 +209,60 @@ let test_cross_mode_accounting () =
       Alcotest.(check (triple int int int))
         "leaf/internal/matched counters identical across modes" seq par)
 
+(* --- spans live on their own domain's ring --- *)
+
+let named name events = List.filter (fun e -> Json.member "name" e = Some (Json.Str name)) events
+let tid e = Option.bind (Json.member "tid" e) Json.to_int
+let self () = (Domain.self () :> int)
+
+let test_spans_on_own_track () =
+  Flight.clear ();
+  (* Both spans are open at once: each side waits inside its span until
+     the other is inside its own. *)
+  let inside = Atomic.make 0 in
+  let meet () =
+    Atomic.incr inside;
+    while Atomic.get inside < 2 do Domain.cpu_relax () done
+  in
+  let spawned =
+    Trace.with_span "test.span.main" (fun () ->
+        let d =
+          Domain.spawn (fun () ->
+              Trace.with_span "test.span.spawned" meet;
+              self ())
+        in
+        meet ();
+        Domain.join d)
+  in
+  let events = check_chrome_doc (Json.of_string (Json.to_string (Flight.chrome_json ()))) in
+  List.iter
+    (fun (name, track) ->
+      match named name events with
+      | [ e ] ->
+          Alcotest.(check (option string)) (name ^ " is an X event") (Some "X")
+            (Option.bind (Json.member "ph" e) Json.to_str);
+          Alcotest.(check (option int)) (name ^ " on its domain's track") (Some track) (tid e)
+      | l -> Alcotest.failf "%s: %d events, expected exactly one" name (List.length l))
+    [ ("test.span.main", self ()); ("test.span.spawned", spawned) ]
+
+let test_one_batch_span () =
+  let pool = Helpers.small_pool () in
+  let tree = Prtree.load pool (Helpers.random_entries ~n:1_000 ~seed:3) in
+  let queries = Helpers.random_queries ~n:8 ~seed:4 in
+  Flight.clear ();
+  with_collecting (fun () -> ignore (Qexec.run ~jobs:2 (Qexec.create tree) queries));
+  let events = check_chrome_doc (Json.of_string (Json.to_string (Flight.chrome_json ()))) in
+  match named "qexec.batch" events with
+  | [ e ] ->
+      Alcotest.(check (option string)) "an X event" (Some "X")
+        (Option.bind (Json.member "ph" e) Json.to_str);
+      Alcotest.(check (option int)) "on the calling domain's track" (Some (self ())) (tid e);
+      let arg k = Option.bind (Json.member "args" e) (fun a -> Option.bind (Json.member k a) Json.to_int) in
+      Alcotest.(check (option int)) "carries its queries" (Some 8) (arg "queries");
+      Alcotest.(check (option int)) "carries its jobs" (Some 2) (arg "jobs");
+      Alcotest.(check (option int)) "carries its counter deltas" (Some 1) (arg "qexec.batches")
+  | l -> Alcotest.failf "%d qexec.batch events, expected exactly one" (List.length l)
+
 let suite =
   [
     Helpers.qcheck_case test_concurrent_metrics;
@@ -218,4 +273,8 @@ let suite =
       test_crash_autodump;
     Alcotest.test_case "sequential and qexec tick identical visit counters" `Quick
       test_cross_mode_accounting;
+    Alcotest.test_case "spans opened at once land on their own domain's track" `Quick
+      test_spans_on_own_track;
+    Alcotest.test_case "a multi-domain batch is one span on the calling domain" `Quick
+      test_one_batch_span;
   ]
