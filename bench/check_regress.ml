@@ -6,10 +6,10 @@
    regression the unit tests cannot see (a packing change that doubles
    I/Os still builds a valid tree).
 
-   Only *deterministic* metrics are gated.  Wall-clock fields (seconds,
-   qps, speedup, efficiency, ratio, ...) vary with the machine and CI
-   load; gating them would make the alias flaky, so they are ignored
-   entirely.  The tracked set:
+   Only *deterministic* metrics are gated.  Wall-clock fields (the
+   figures' seconds, the metrics-overhead ratio, ...) vary with the
+   machine and CI load; gating them would make the alias flaky, so they
+   are ignored entirely.  The tracked set:
 
      metric          direction   tolerance   rationale
      ios             lower       5%          pager I/O is deterministic

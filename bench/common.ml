@@ -106,6 +106,34 @@ let build_ext variant pool ~mem_records file =
   | TGS -> Ext_load.load_tgs pool ~mem_records file
   | STR -> invalid_arg "Common.build_ext: no external STR loader"
 
+(* One pass of [queries] over the index file at [path], reopened under
+   [backend] ([bname] must be the backend that attaches): the summed
+   match count and the mapped windows served and pread fallbacks the
+   pass produced, both deterministic for a fixed tree and batch. *)
+let backend_pass path (backend, bname) queries =
+  let module Index_file = Prt_rtree.Index_file in
+  let module Mmap_pager = Prt_storage.Mmap_pager in
+  let idx = Index_file.open_ ~page_size ~backend path in
+  Fun.protect ~finally:(fun () -> Index_file.close idx) @@ fun () ->
+  if Index_file.read_backend idx <> bname then
+    failwith (Printf.sprintf "backend %s did not activate" bname);
+  let tree = Index_file.tree idx and hits = Rtree.hits_make () in
+  let counters () =
+    match Index_file.mmap_counters idx with
+    | Some c -> (c.Mmap_pager.c_windows_served, c.Mmap_pager.c_fallbacks)
+    | None -> (0, 0)
+  in
+  let s0, f0 = counters () in
+  let matched =
+    Array.fold_left
+      (fun acc w ->
+        Rtree.query_into tree w ~into:hits;
+        acc + Rtree.hits_length hits)
+      0 queries
+  in
+  let s1, f1 = counters () in
+  (matched, s1 - s0, f1 - f0)
+
 type build_cost = { ios : int; seconds : float; tree : Rtree.t }
 
 (* Measure an external bulk load: the input file is written first

@@ -13,15 +13,13 @@ open Common
 
 (* Read-backend comparison (not a paper figure): the PR-tree built
    file-backed, then reopened and queried under each read backend —
-   pread (page cache + decode through the buffer pool) vs mmap (rect
-   tests straight against the shared file mapping, allocation-free
-   descent).  The match counts must be byte-identical; the mapped
-   window/fallback counters are deterministic (fixed tree, fixed query
-   batch) and gated by check_regress, while the cold/warm seconds and
-   the speedup row are wall-clock and only reported. *)
+   pread (page cache through the buffer pool) vs mmap (rect tests
+   straight against the shared file mapping, allocation-free descent).
+   The match counts must be byte-identical; the mapped window/fallback
+   counters are deterministic (fixed tree, fixed query batch) and gated
+   by check_regress.  Backend timings are perfbench's. *)
 let backend_rows ~scale ~seed (dname, entries) =
   let module Index_file = Prt_rtree.Index_file in
-  let module Mmap_pager = Prt_storage.Mmap_pager in
   let module Queries = Prt_workloads.Queries in
   let n = Array.length entries in
   let batch = max 32 (int_of_float (500.0 *. scale)) in
@@ -36,41 +34,7 @@ let backend_rows ~scale ~seed (dname, entries) =
   in
   Index_file.close idx;
   let run backend bname =
-    let idx = Index_file.open_ ~page_size ~backend path in
-    Fun.protect ~finally:(fun () -> Index_file.close idx) @@ fun () ->
-    if Index_file.read_backend idx <> bname then
-      failwith (Printf.sprintf "backend %s did not activate" bname);
-    let tree = Index_file.tree idx in
-    let hits = Rtree.hits_make () in
-    let pass () =
-      let matched = ref 0 in
-      Array.iter
-        (fun w ->
-          Rtree.query_into tree w ~into:hits;
-          matched := !matched + Rtree.hits_length hits)
-        queries;
-      !matched
-    in
-    (* First pass is the cold one (empty buffer pool resp. unverified
-       CRC memo) and doubles as the counted pass: the mapped-window
-       deltas it produces are deterministic. *)
-    let counters () =
-      match Index_file.mmap_counters idx with
-      | Some c -> (c.Mmap_pager.c_windows_served, c.Mmap_pager.c_fallbacks)
-      | None -> (0, 0)
-    in
-    let s0, f0 = counters () in
-    let t0 = Unix.gettimeofday () in
-    let matched = pass () in
-    let cold_s = Unix.gettimeofday () -. t0 in
-    let s1, f1 = counters () in
-    let warm_s = ref infinity in
-    for _ = 1 to 5 do
-      let t0 = Unix.gettimeofday () in
-      ignore (pass ());
-      let s = Unix.gettimeofday () -. t0 in
-      if s < !warm_s then warm_s := s
-    done;
+    let matched, served, fallbacks = backend_pass path (backend, bname) queries in
     Bench_json.(
       row
         [
@@ -80,43 +44,18 @@ let backend_rows ~scale ~seed (dname, entries) =
           ("queries", int batch);
           ("entries", int n);
           ("matched", int matched);
-          ("windows_served", int (s1 - s0));
-          ("fallbacks", int (f1 - f0));
-          ("cold_seconds", flt cold_s);
-          ("seconds", flt !warm_s);
+          ("windows_served", int served);
+          ("fallbacks", int fallbacks);
         ]);
-    (matched, s1 - s0, f1 - f0, cold_s, !warm_s)
+    (matched, served, fallbacks)
   in
-  let pm, _, _, pcold, pwarm = run `Pread "pread" in
-  let mm, served, fb, mcold, mwarm = run `Mmap "mmap" in
+  let pm, _, _ = run `Pread "pread" in
+  let mm, served, fb = run `Mmap "mmap" in
   if pm <> mm then
     failwith (Printf.sprintf "%s: pread matched %d, mmap matched %d" dname pm mm);
-  Bench_json.(
-    row
-      [
-        ("dataset", str dname);
-        ("mode", str "mmap-speedup");
-        ("queries", int batch);
-        ("entries", int n);
-        ("seconds_pread", flt pwarm);
-        ("seconds_mmap", flt mwarm);
-        ("speedup", flt (pwarm /. mwarm));
-      ]);
   Table.print
-    ~header:
-      [ "backend"; "matched"; "windows served"; "fallbacks"; "cold s"; "warm s"; "speedup" ]
-    [
-      [ "pread"; commas pm; "-"; "-"; f2 pcold; f2 pwarm; "1.00" ];
-      [
-        "mmap";
-        commas mm;
-        commas served;
-        commas fb;
-        f2 mcold;
-        f2 mwarm;
-        f2 (pwarm /. mwarm);
-      ];
-    ]
+    ~header:[ "backend"; "matched"; "windows served"; "fallbacks" ]
+    [ [ "pread"; commas pm; "-"; "-" ]; [ "mmap"; commas mm; commas served; commas fb ] ]
 
 (* Figure 9: bulk-loading cost on the TIGER Western/Eastern datasets.
    Paper (I/Os, millions): Western H/H4 1.2, PR 3.1, TGS 14.7;
@@ -172,7 +111,7 @@ let fig9 ~scale ~seed =
         ~header:[ "variant"; "I/Os"; "seconds"; "I/O ratio vs H"; "paper ratio"; "entries" ]
         rows)
     datasets;
-  section "Read backends: pread vs mmap query cost on the file-backed PR-tree";
+  section "Read backends: pread vs mmap answers on the file-backed PR-tree";
   List.iter (fun d -> backend_rows ~scale ~seed d) datasets
 
 (* Figure 10: bulk-loading I/Os as the Eastern dataset grows.

@@ -1,6 +1,6 @@
-(* Crash-safe LSM ingestion: sustained insert rate, write
-   amplification, and recovery cost of the persistent logarithmic
-   method.
+(* Crash-safe LSM ingestion: write amplification, merge scheduling and
+   recovery of the persistent logarithmic method, each counted
+   exactly.
 
    Three phases over a fresh on-disk store (lib/logmethod/lsm.ml):
 
@@ -11,7 +11,7 @@
      per-level histogram, merge count, write amplification
      (WAL bytes + component pages written / payload bytes acked) — are
      identical across sync modes and gated against the committed
-     baseline; inserts/sec is the wall-clock headline.
+     baseline.
 
    - concurrent: the same ingest with background merges while reader
      domains run window queries the whole time.  Every sampled result
@@ -23,7 +23,10 @@
    - replay: the `Never store is closed with its tail still buffered
      (durable only in the WAL), then reopened.  The replayed-record
      count, reclaimed-orphan count (zero: clean shutdown leaves no
-     debris) and recovered entry count gate exactly. *)
+     debris) and recovered entry count gate exactly.
+
+   Insert and query rates are perfbench's ingest-mixed workload (see
+   perfbench/README.md). *)
 
 module Rect = Prt_geom.Rect
 module Entry = Prt_rtree.Entry
@@ -61,7 +64,7 @@ let write_amp st =
 let ingest ~scale ~seed =
   let n = max 2_000 (int_of_float (50_000.0 *. scale)) in
   let buffer = max 256 (n / 16) in
-  Printf.printf "== ingest: LSM insert rate, write amplification, replay (%d entries) ==\n%!" n;
+  Printf.printf "== ingest: LSM write amplification, merges, replay (%d entries) ==\n%!" n;
   let entries = Datasets.uniform_points ~n ~seed in
   let world = Queries.world_of entries in
   let windows = Queries.squares ~count:64 ~area_fraction:0.01 ~world ~seed:(seed + 1) in
@@ -75,11 +78,8 @@ let ingest ~scale ~seed =
       Lsm.create ~buffer_capacity:buffer ~page_size:Common.page_size
         ~wal_sync:sync dir
     in
-    let t0 = Unix.gettimeofday () in
     Array.iter (Lsm.insert t) entries;
-    let seconds = Unix.gettimeofday () -. t0 in
     let st = Lsm.stats t in
-    let rate = float_of_int n /. seconds in
     let count = Lsm.count t in
     if count <> n then
       failwith (Printf.sprintf "ingest bench: %d of %d entries live" count n);
@@ -91,8 +91,6 @@ let ingest ~scale ~seed =
           ("n", int n);
           ("buffer", int buffer);
           ("levels", str (levels_label st));
-          ("seconds", flt seconds);
-          ("inserts_per_sec", flt rate);
           ("entries", int count);
           ("components", int (List.length st.Lsm.s_components));
           ("merges", int st.Lsm.s_merges);
@@ -102,7 +100,6 @@ let ingest ~scale ~seed =
     tab
       [
         "ingest/" ^ label;
-        Printf.sprintf "%.0f" rate;
         string_of_int (List.length st.Lsm.s_components);
         string_of_int st.Lsm.s_merges;
         Printf.sprintf "%.2f" (write_amp st);
@@ -119,9 +116,7 @@ let ingest ~scale ~seed =
      tail of the workload still buffered, reopen, and measure what
      recovery replays. -- *)
   Lsm.close t;
-  let t0 = Unix.gettimeofday () in
   let t = Lsm.open_ ~buffer_capacity:buffer ~page_size:Common.page_size dir in
-  let seconds = Unix.gettimeofday () -. t0 in
   let st = Lsm.stats t in
   let count = Lsm.count t in
   if count <> n then
@@ -134,7 +129,6 @@ let ingest ~scale ~seed =
         ("n", int n);
         ("buffer", int buffer);
         ("levels", str (levels_label st));
-        ("seconds", flt seconds);
         ("replayed", int st.Lsm.s_replayed);
         ("orphans", int st.Lsm.s_orphans_reclaimed);
         ("entries", int count);
@@ -143,7 +137,6 @@ let ingest ~scale ~seed =
   tab
     [
       "replay";
-      Printf.sprintf "%.4fs" seconds;
       string_of_int (List.length st.Lsm.s_components);
       "-";
       "-";
@@ -176,10 +169,8 @@ let ingest ~scale ~seed =
     (!done_, !bad)
   in
   let domains = List.init readers (fun _ -> Domain.spawn reader) in
-  let t0 = Unix.gettimeofday () in
   Array.iter (Lsm.insert t) entries;
   Lsm.wait_merges t;
-  let seconds = Unix.gettimeofday () -. t0 in
   Atomic.set stop true;
   let queries, bad =
     List.fold_left
@@ -193,8 +184,6 @@ let ingest ~scale ~seed =
   let count = Lsm.count t in
   if count <> n then
     failwith (Printf.sprintf "ingest bench: %d of %d live after background run" count n);
-  let rate = float_of_int n /. seconds in
-  let qps = float_of_int queries /. seconds in
   Bench_json.(
     row
       [
@@ -202,22 +191,18 @@ let ingest ~scale ~seed =
         ("readers", int readers);
         ("n", int n);
         ("buffer", int buffer);
-        ("seconds", flt seconds);
-        ("inserts_per_sec", flt rate);
         ("reader_queries", int queries);
-        ("reader_qps", flt qps);
         ("entries", int count);
       ]);
   tab
     [
       Printf.sprintf "concurrent/%dr" readers;
-      Printf.sprintf "%.0f" rate;
       "-";
       "-";
       "-";
-      Printf.sprintf "%.0f reader QPS" qps;
+      Printf.sprintf "%d reader queries" queries;
     ];
   Lsm.close t;
   Table.print
-    ~header:[ "phase"; "inserts/s"; "comps"; "merges"; "write amp"; "notes" ]
+    ~header:[ "phase"; "comps"; "merges"; "write amp"; "notes" ]
     (List.rev !rows)

@@ -1,19 +1,21 @@
-(* MVCC snapshot-read throughput: do writers actually never block
-   readers?
+(* MVCC snapshot reads under commits: do writers leave every pinned
+   reader a consistent generation?
 
    An on-disk index file is queried by snapshot-pinning reader domains
-   in two phases of equal wall-clock length: quiesced (no writer), and
-   during-commit (the main domain commits a continuous insert+delete
-   churn for the whole phase).  Each phase reports reader QPS; the
-   headline column is the during-commit throughput as a fraction of the
-   quiesced baseline — copy-on-write generations predict a ratio near
-   1.0, a lock-based design would crater it.  Every sampled result is
-   checked against the committed oracle for its pinned generation, so
-   the bench doubles as a correctness probe. *)
+   while the main domain commits a continuous insert+delete churn of
+   one rectangle.  Before the churn starts, each window's committed
+   answer [base] is counted.  Every generation a reader can pin holds
+   the churn rectangle or does not, so a pinned read must match
+   [base w], or [base w + 1] when the churn rectangle intersects [w],
+   and be labelled Complete; anything else fails the experiment.  Once
+   the readers drain, the churn must leave no retained versions or
+   parked pages behind.
+
+   Reader throughput during commits is not timed here: wall-clock
+   numbers come from perfbench/ (see perfbench/README.md). *)
 
 module Rect = Prt_geom.Rect
 module Pager = Prt_storage.Pager
-module Superblock = Prt_storage.Superblock
 module Entry = Prt_rtree.Entry
 module Rtree = Prt_rtree.Rtree
 module Dynamic = Prt_rtree.Dynamic
@@ -32,7 +34,7 @@ let churn_entry =
 let mvcc ~scale ~seed =
   let n = max 2_000 (int_of_float (100_000.0 *. scale)) in
   let duration = Float.max 0.15 (1.5 *. scale) in
-  Printf.printf "== mvcc: reader QPS during commits vs quiesced, %d rectangles ==\n%!" n;
+  Printf.printf "== mvcc: checked snapshot reads during commits, %d rectangles ==\n%!" n;
   let entries = Datasets.uniform_points ~n ~seed in
   let world = Queries.world_of entries in
   let windows = Queries.squares ~count:64 ~area_fraction:0.01 ~world ~seed:(seed + 1) in
@@ -44,70 +46,78 @@ let mvcc ~scale ~seed =
         Prtree.load pool entries)
   in
   Fun.protect ~finally:(fun () -> Index_file.close idx) @@ fun () ->
-  let cores = Domain.recommended_domain_count () in
-  (* A reader loop: snapshot-pinned queries over the window set until
-     told to stop; returns the number of completed queries. *)
-  let reader stop () =
-    let done_ = ref 0 in
-    while not (Atomic.get stop) do
-      let w = windows.(!done_ mod Array.length windows) in
-      Index_file.with_snapshot idx (fun sv ->
-          ignore (Rtree.query_count ~snapshot:sv (Index_file.tree idx) w));
-      incr done_
-    done;
-    !done_
+  let base =
+    Array.map (fun w -> (Rtree.query_count (Index_file.tree idx) w).Rtree.matched) windows
   in
-  (* One phase: [readers] domains querying for [duration] seconds while
-     the main domain either churns commits or sleeps.  Returns
-     (queries, seconds, commits). *)
-  let phase ~readers ~churn =
+  let hits_churn = Array.map (Rect.intersects (Entry.rect churn_entry)) windows in
+  (* A reader loop: snapshot-pinned queries over the window set until
+     told to stop, each checked; returns the number of reads and how
+     many of them saw the churn entry. *)
+  let reader stop () =
+    let reads = ref 0 and saw_churn = ref 0 in
+    while not (Atomic.get stop) do
+      let i = !reads mod Array.length windows in
+      let stats =
+        Index_file.with_snapshot idx (fun sv ->
+            Rtree.query_count ~snapshot:sv (Index_file.tree idx) windows.(i))
+      in
+      let m = stats.Rtree.matched and b = base.(i) in
+      let saw = hits_churn.(i) && m = b + 1 in
+      if not (Rtree.complete stats && (m = b || saw)) then
+        failwith
+          (Printf.sprintf
+             "mvcc bench: pinned read of window %d matched %d (%s); expected %s, complete" i m
+             (Format.asprintf "%a" Rtree.pp_completeness (Rtree.completeness stats))
+             (if hits_churn.(i) then Printf.sprintf "%d or %d" b (b + 1) else string_of_int b));
+      if saw then incr saw_churn;
+      incr reads
+    done;
+    (!reads, !saw_churn)
+  in
+  (* [readers] domains query for [duration] seconds while the main
+     domain commits the churn; returns (reads, reads that saw the churn
+     entry, commits). *)
+  let churn ~readers =
     let stop = Atomic.make false in
     let domains = List.init readers (fun _ -> Domain.spawn (reader stop)) in
     let commits = ref 0 in
     let t0 = Unix.gettimeofday () in
     while Unix.gettimeofday () -. t0 < duration do
-      if churn then begin
-        Index_file.update idx (fun tree -> Dynamic.insert tree churn_entry);
-        Index_file.update idx (fun tree -> ignore (Dynamic.delete tree churn_entry));
-        commits := !commits + 2
-      end
-      else Unix.sleepf 0.005
+      Index_file.update idx (fun tree -> Dynamic.insert tree churn_entry);
+      Index_file.update idx (fun tree -> ignore (Dynamic.delete tree churn_entry));
+      commits := !commits + 2
     done;
     Atomic.set stop true;
-    let queries = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
-    let seconds = Unix.gettimeofday () -. t0 in
-    (queries, seconds, !commits)
+    let reads, saw_churn =
+      List.fold_left
+        (fun (r, s) d ->
+          let r', s' = Domain.join d in
+          (r + r', s + s'))
+        (0, 0) domains
+    in
+    (reads, saw_churn, !commits)
   in
-  let rows = ref [] in
-  List.iter
-    (fun readers ->
-      let q0, s0, _ = phase ~readers ~churn:false in
-      let q1, s1, commits = phase ~readers ~churn:true in
-      let quiesced_qps = float_of_int q0 /. s0 in
-      let during_qps = float_of_int q1 /. s1 in
-      let ratio = during_qps /. quiesced_qps in
-      Bench_json.(
-        row
-          [
-            ("readers", int readers);
-            ("cores", int cores);
-            ("entries", int n);
-            ("seconds", flt s1);
-            ("quiesced_qps", flt quiesced_qps);
-            ("during_commit_qps", flt during_qps);
-            ("commits", int commits);
-            ("ratio", flt ratio);
-          ]);
-      rows :=
+  let rows =
+    List.map
+      (fun readers ->
+        let reads, saw_churn, commits = churn ~readers in
+        Bench_json.(
+          row
+            [
+              ("readers", int readers);
+              ("entries", int n);
+              ("commits", int commits);
+              ("reads", int reads);
+              ("churn_reads", int saw_churn);
+            ]);
         [
           string_of_int readers;
-          Printf.sprintf "%.0f" quiesced_qps;
-          Printf.sprintf "%.0f" during_qps;
           string_of_int commits;
-          Printf.sprintf "%.2f" ratio;
-        ]
-        :: !rows)
-    reader_counts;
+          Common.commas reads;
+          Common.commas saw_churn;
+        ])
+      reader_counts
+  in
   (* The churn leaves no deferred state behind once readers drain. *)
   Index_file.update idx (fun tree -> Dynamic.insert tree churn_entry);
   let st = Pager.mvcc_stats (Index_file.pager idx) in
@@ -115,7 +125,6 @@ let mvcc ~scale ~seed =
     failwith
       (Printf.sprintf "mvcc bench leaked deferred state: %d versions, %d parked pages"
          st.Pager.live_versions st.Pager.parked_pages);
-  Printf.printf "(detected cores: %d)\n" cores;
   Table.print
-    ~header:[ "readers"; "quiesced QPS"; "during-commit QPS"; "commits"; "ratio" ]
-    (List.rev !rows)
+    ~header:[ "readers"; "commits"; "checked reads"; "saw churn entry" ]
+    rows

@@ -1,6 +1,6 @@
-(* The serving tier under load: QPS and tail latency vs client
-   concurrency over a real Unix-domain socket, plus two deterministic
-   shedding columns (quota and overload) the regression gate can pin
+(* The serving tier end to end: a real Unix-domain socket server driven
+   by the multi-domain load generator, with every answer checked and
+   three deterministic outcome columns the regression gate pins
    exactly.
 
    Three modes share one row shape:
@@ -8,16 +8,18 @@
    - qps: per workload (SKEWED, CLUSTER), the server (no quotas, no
      admission cap) is driven by 1/2/4 load-generator domains; matched
      counts are cross-checked against a local oracle computed before
-     the server starts, so the bench doubles as an end-to-end
-     correctness probe.  p50/p99/qps are wall-clock (not gated);
-     matched / ok / shed are deterministic and gated exactly.
+     the server starts, and matched / ok / shed are gated exactly.
    - quota: one serial client against a server whose per-connection
      bucket holds exactly 4 batches and never refills — request 5 on
      is rejected [E_quota]; the server-side [quota_rejected] count is
      exact.
    - overload: batch size above the executor's [max_in_flight], so
      every request (and its one retry) is shed [E_overloaded]; the
-     server-side [shed] count is exact. *)
+     server-side [shed] count is exact.
+
+   Serving latency and throughput are perfbench's serve-point workload
+   (see perfbench/README.md): a dozen requests with the server on its
+   own domain measure cross-domain wake-ups more than the server. *)
 
 module Rect = Prt_geom.Rect
 module Superblock = Prt_storage.Superblock
@@ -67,10 +69,6 @@ let with_server ~config idx drive =
       ignore (finally ());
       raise e
 
-let p_of stats p =
-  let v = Load_gen.percentile stats.Load_gen.latencies_us p in
-  if Float.is_nan v then 0.0 else v
-
 let emit_row ~mode ~workload ~concurrency ~entries ~queries ~(stats : Load_gen.stats)
     ~(report : Server.report) =
   Bench_json.(
@@ -89,16 +87,12 @@ let emit_row ~mode ~workload ~concurrency ~entries ~queries ~(stats : Load_gen.s
         ("quota_rejected", int report.Server.shed_quota);
         ("retries", int stats.Load_gen.retries);
         ("gave_up", int stats.Load_gen.gave_up);
-        ("p50_us", flt (p_of stats 50.0));
-        ("p99_us", flt (p_of stats 99.0));
-        ("qps", flt (Load_gen.qps stats));
-        ("seconds", flt stats.Load_gen.elapsed_s);
       ])
 
 let serve ~scale ~seed =
   let n = max 2_000 (int_of_float (50_000.0 *. scale)) in
   let count = 96 in
-  Printf.printf "== serve: network tier QPS, quotas and shedding, %d rectangles ==\n%!" n;
+  Printf.printf "== serve: network tier answers, quotas and shedding, %d rectangles ==\n%!" n;
   let workloads =
     [
       ( "SKEWED",
@@ -166,9 +160,7 @@ let serve ~scale ~seed =
               string_of_int concurrency;
               string_of_int stats.Load_gen.ok;
               Common.commas stats.Load_gen.matched;
-              Printf.sprintf "%.0f" (p_of stats 50.0);
-              Printf.sprintf "%.0f" (p_of stats 99.0);
-              Printf.sprintf "%.0f" (Load_gen.qps stats);
+              "-";
             ]
             :: !table)
         results;
@@ -214,8 +206,6 @@ let serve ~scale ~seed =
       "1";
       string_of_int stats.Load_gen.ok;
       Common.commas stats.Load_gen.matched;
-      "-";
-      "-";
       Printf.sprintf "rejected=%d" report.Server.shed_quota;
     ]
     :: !table;
@@ -248,13 +238,11 @@ let serve ~scale ~seed =
       "1";
       string_of_int stats.Load_gen.ok;
       Common.commas stats.Load_gen.matched;
-      "-";
-      "-";
       Printf.sprintf "shed=%d" report.Server.shed_overload;
     ]
     :: !table;
   if stats.Load_gen.ok <> 0 || report.Server.shed_overload <> 2 * stats.Load_gen.sent then
     failwith "serve bench: overload column did not shed every attempt";
   Table.print
-    ~header:[ "workload"; "mode"; "clients"; "ok"; "matched"; "p50 us"; "p99 us"; "qps / shed" ]
+    ~header:[ "workload"; "mode"; "clients"; "ok"; "matched"; "shed" ]
     (List.rev !table)

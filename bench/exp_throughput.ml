@@ -1,16 +1,16 @@
-(* Batched query throughput: single-thread QPS vs the multicore batched
-   executor (Qexec) at increasing domain counts.
+(* Batched query execution, checked end to end: the sequential query
+   loop against the file backends (pread, mmap) and the multicore
+   batched executor (Qexec) at increasing job counts.
 
    A PR-tree over uniform points is queried with a fixed batch of square
-   windows (1% of the world each).  The sequential baseline is the plain
-   [Rtree.query] loop; each executor row reports queries per second,
-   speedup over the baseline, and scaling efficiency (speedup / domains).
+   windows (1% of the world each).  Every row's summed match count must
+   equal the sequential loop's, and the mapped backend's window and
+   fallback counters are deterministic; check_regress gates both.
 
-   Domains beyond the machine's core count cannot help — on a
-   single-core host every speedup is ~1.0 by construction (the executor
-   then only proves its overhead is small); the scaling claim needs a
-   multicore host, so the detected core count is recorded in every
-   row. *)
+   One timing stays: the metrics-overhead row, the sequential loop with
+   the metrics registry off and on, which bounds what always-on
+   telemetry costs a query.  Query throughput is measured by
+   perfbench/ (see perfbench/README.md), with repetitions and spread. *)
 
 module Rect = Prt_geom.Rect
 module Pager = Prt_storage.Pager
@@ -27,7 +27,7 @@ let job_counts = [ 1; 2; 4; 8 ]
 let throughput ~scale ~seed =
   let n = max 1_000 (int_of_float (200_000.0 *. scale)) in
   let batch = max 64 (int_of_float (2_000.0 *. scale)) in
-  Printf.printf "== batched query throughput: %d queries over %d rectangles ==\n%!" batch n;
+  Printf.printf "== batched query execution: %d queries over %d rectangles ==\n%!" batch n;
   let entries = Datasets.uniform_points ~n ~seed in
   (* A bare in-memory pager: [Pager.read_shared] (the executor's leaf
      path) has no fault-absorbing retry loop, so the degraded-mode
@@ -36,51 +36,40 @@ let throughput ~scale ~seed =
   let tree = Prtree.load pool entries in
   let world = Queries.world_of entries in
   let queries = Queries.squares ~count:batch ~area_fraction:0.01 ~world ~seed:(seed + 1) in
-  let cores = Domain.recommended_domain_count () in
-  (* Warm the buffer pool (decodes aside, the dataset fits in cache). *)
-  ignore (Rtree.query_count tree world);
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
+  (* The sequential query loop: its summed match count is what every
+     other row must reproduce. *)
+  let seq_loop () =
+    Array.fold_left (fun acc w -> acc + (Rtree.query_count tree w).Rtree.matched) 0 queries
   in
-  (* Sequential baseline: the plain query loop, summed match count as a
-     cross-check against the executor rows. *)
-  let baseline_matched, baseline_s =
-    time (fun () ->
-        Array.fold_left
-          (fun acc w -> acc + (Rtree.query_count tree w).Rtree.matched)
-          0 queries)
+  let baseline_matched = seq_loop () in
+  let check what matched =
+    if matched <> baseline_matched then
+      failwith
+        (Printf.sprintf "%s matched %d, sequential matched %d" what matched baseline_matched)
   in
-  let baseline_qps = float_of_int batch /. baseline_s in
   Bench_json.(
     row
       [
         ("mode", str "sequential");
         ("jobs", int 1);
-        ("cores", int cores);
         ("queries", int batch);
         ("entries", int n);
         ("matched", int baseline_matched);
-        ("seconds", flt baseline_s);
-        ("qps", flt baseline_qps);
-        ("speedup", flt 1.0);
-        ("efficiency", flt 1.0);
       ]);
+  let table = ref [ [ "sequential"; "-"; "1"; Common.commas baseline_matched; "-"; "-" ] ] in
   (* Always-on telemetry overhead: the same sequential loop timed with
      the metrics registry off and on (per-domain striped counters plus
      the latency histogram observed by every query).  Best-of-5 each
      way so scheduler noise doesn't drown the few-percent effect; the
      ratio is wall-clock and therefore reported, not gated. *)
+  let cores = Domain.recommended_domain_count () in
   let was_collecting = Prt_obs.Metrics.collecting () in
-  let seq_loop () =
-    Array.fold_left (fun acc w -> acc + (Rtree.query_count tree w).Rtree.matched) 0 queries
-  in
   let best_of k f =
     let best = ref infinity in
     for _ = 1 to k do
-      let _, s = time f in
-      if s < !best then best := s
+      let t0 = Unix.gettimeofday () in
+      ignore (f ());
+      best := Float.min !best (Unix.gettimeofday () -. t0)
     done;
     !best
   in
@@ -105,128 +94,62 @@ let throughput ~scale ~seed =
         ("seconds_off", flt off_s);
         ("ratio", flt (on_s /. off_s));
       ]);
-  (* Read-backend comparison on the same workload, file-backed: the
-     index is committed to disk once, then reopened under the pread and
-     mmap backends and the full batch replayed through the
-     allocation-free [query_into] entry point, best of 5.  Matched
-     counts must equal the in-memory baseline (same tree, same
-     queries); the mapped window/fallback counters are deterministic
-     and gated, the seconds and speedup are wall-clock and only
-     reported. *)
+  (* The file backends: the index committed to disk once, then reopened
+     under pread and mmap and the batch replayed through the
+     allocation-free [query_into] entry point. *)
   let module Index_file = Prt_rtree.Index_file in
-  let module Mmap_pager = Prt_storage.Mmap_pager in
   let path = Filename.temp_file "prt_bench_tp" ".idx" in
-  let backend_results =
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        let idx =
-          Index_file.create ~page_size:Common.page_size path ~build:(fun pool ->
-              Prtree.load pool entries)
-        in
-        Index_file.close idx;
-        List.map
-          (fun (backend, bname) ->
-            let idx = Index_file.open_ ~page_size:Common.page_size ~backend path in
-            Fun.protect ~finally:(fun () -> Index_file.close idx) @@ fun () ->
-            if Index_file.read_backend idx <> bname then
-              failwith (Printf.sprintf "backend %s did not activate" bname);
-            let ftree = Index_file.tree idx in
-            let hits = Rtree.hits_make () in
-            let pass () =
-              Array.fold_left
-                (fun acc w ->
-                  Rtree.query_into ftree w ~into:hits;
-                  acc + Rtree.hits_length hits)
-                0 queries
-            in
-            let counters () =
-              match Index_file.mmap_counters idx with
-              | Some c -> (c.Mmap_pager.c_windows_served, c.Mmap_pager.c_fallbacks)
-              | None -> (0, 0)
-            in
-            let s0, f0 = counters () in
-            let matched = pass () in
-            let s1, f1 = counters () in
-            if matched <> baseline_matched then
-              failwith
-                (Printf.sprintf "%s backend matched %d, baseline matched %d" bname matched
-                   baseline_matched);
-            let seconds = best_of 5 (fun () -> ignore (pass ())) in
-            Bench_json.(
-              row
-                [
-                  ("mode", str "file-sequential");
-                  ("backend", str bname);
-                  ("jobs", int 1);
-                  ("cores", int cores);
-                  ("queries", int batch);
-                  ("entries", int n);
-                  ("matched", int matched);
-                  ("windows_served", int (s1 - s0));
-                  ("fallbacks", int (f1 - f0));
-                  ("seconds", flt seconds);
-                  ("qps", flt (float_of_int batch /. seconds));
-                ]);
-            (bname, seconds))
-          [ (`Pread, "pread"); (`Mmap, "mmap") ])
-  in
-  (match backend_results with
-  | [ (_, pread_s); (_, mmap_s) ] ->
-      Bench_json.(
-        row
-          [
-            ("mode", str "mmap-vs-pread");
-            ("jobs", int 1);
-            ("cores", int cores);
-            ("queries", int batch);
-            ("entries", int n);
-            ("seconds_pread", flt pread_s);
-            ("seconds_mmap", flt mmap_s);
-            ("speedup", flt (pread_s /. mmap_s));
-          ]);
-      Printf.printf "file backends: pread %.4fms, mmap %.4fms (%.2fx)\n%!" (pread_s *. 1e3)
-        (mmap_s *. 1e3) (pread_s /. mmap_s)
-  | _ -> ());
-  let rows = ref [ [ "sequential"; "-"; Printf.sprintf "%.0f" baseline_qps; "1.00"; "-" ] ] in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let idx =
+        Index_file.create ~page_size:Common.page_size path ~build:(fun pool ->
+            Prtree.load pool entries)
+      in
+      Index_file.close idx;
+      List.iter
+        (fun (backend, bname) ->
+          let matched, served, fallbacks = Common.backend_pass path (backend, bname) queries in
+          check (bname ^ " backend") matched;
+          Bench_json.(
+            row
+              [
+                ("mode", str "file-sequential");
+                ("backend", str bname);
+                ("jobs", int 1);
+                ("queries", int batch);
+                ("entries", int n);
+                ("matched", int matched);
+                ("windows_served", int served);
+                ("fallbacks", int fallbacks);
+              ]);
+          table :=
+            [
+              "file-sequential";
+              bname;
+              "1";
+              Common.commas matched;
+              Common.commas served;
+              Common.commas fallbacks;
+            ]
+            :: !table)
+        [ (`Pread, "pread"); (`Mmap, "mmap") ]);
   List.iter
     (fun jobs ->
-      let exec = Qexec.create tree in
-      (* Populate the shard cache outside the timed region, like the
-         buffer-pool warmup above. *)
-      ignore (Qexec.run ~jobs exec queries);
-      let results, seconds = time (fun () -> Qexec.run ~jobs exec queries) in
+      let results = Qexec.run ~jobs (Qexec.create tree) queries in
       let matched = (Qexec.total_stats results).Rtree.matched in
-      if matched <> baseline_matched then
-        failwith
-          (Printf.sprintf "qexec(jobs=%d) matched %d, sequential matched %d" jobs matched
-             baseline_matched);
-      let qps = float_of_int batch /. seconds in
-      let speedup = qps /. baseline_qps in
-      let efficiency = speedup /. float_of_int jobs in
+      check (Printf.sprintf "qexec(jobs=%d)" jobs) matched;
       Bench_json.(
         row
           [
             ("mode", str "qexec");
             ("jobs", int jobs);
-            ("cores", int cores);
             ("queries", int batch);
             ("entries", int n);
             ("matched", int matched);
-            ("seconds", flt seconds);
-            ("qps", flt qps);
-            ("speedup", flt speedup);
-            ("efficiency", flt efficiency);
           ]);
-      rows :=
-        [
-          "qexec";
-          string_of_int jobs;
-          Printf.sprintf "%.0f" qps;
-          Printf.sprintf "%.2f" speedup;
-          Printf.sprintf "%.2f" efficiency;
-        ]
-        :: !rows)
+      table := [ "qexec"; "-"; string_of_int jobs; Common.commas matched; "-"; "-" ] :: !table)
     job_counts;
-  Printf.printf "(detected cores: %d)\n" cores;
-  Table.print ~header:[ "mode"; "jobs"; "QPS"; "speedup"; "efficiency" ] (List.rev !rows)
+  Table.print
+    ~header:[ "mode"; "backend"; "jobs"; "matched"; "windows served"; "fallbacks" ]
+    (List.rev !table)

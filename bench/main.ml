@@ -1,7 +1,6 @@
 (* The experiment harness: one subcommand per table/figure of the paper
-   (see DESIGN.md's experiment index), plus the extension experiments
-   and bechamel micro-benchmarks. `all` runs everything in paper
-   order. *)
+   (see DESIGN.md's experiment index), plus the extension experiments.
+   `all` runs everything in paper order. *)
 
 open Cmdliner
 module Trace = Prt_obs.Trace
@@ -69,21 +68,18 @@ let experiments =
     ("join", "Spatial join across index variants", Exp_ablate.join);
     ("ablate", "Ablations: priority-leaf size, memory, cache, Hilbert order", Exp_ablate.ablate);
     ( "throughput",
-      "Batched multicore query throughput: QPS, speedup, scaling efficiency",
+      "Batched and file-backed query answers against the sequential loop; telemetry overhead",
       Exp_throughput.throughput );
     ( "resilience",
       "Degraded-query coverage and deadline cutoffs on an unreliable disk",
       Exp_query.resilience );
-    ( "mvcc",
-      "Snapshot-read throughput during commits vs quiesced (writers never block readers)",
-      Exp_mvcc.mvcc );
+    ("mvcc", "Checked snapshot reads during commits (writers never block readers)", Exp_mvcc.mvcc);
     ( "serve",
-      "Network serving tier: QPS vs client concurrency, quota and overload shedding",
+      "Network serving tier: oracle-checked answers, quota and overload shedding",
       Exp_serve.serve );
     ( "ingest",
-      "Crash-safe LSM ingestion: insert rate, write amplification, WAL replay",
+      "Crash-safe LSM ingestion: write amplification, merges, WAL replay",
       Exp_ingest.ingest );
-    ("micro", "Bechamel wall-clock micro-benchmarks", Micro.run);
   ]
 
 let run_named name f =

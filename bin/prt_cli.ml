@@ -97,6 +97,34 @@ let lsm_exits =
   exits_2
     "the LSM store could not be opened: no manifest, unreadable, or written by another format."
 
+(* A value outside the range an option accepts is a usage error, refused
+   where the command line is parsed: cmdliner reports it with the
+   accepted range and exits 124, before any file is touched. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d" s lo))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let non_negative_ms =
+  let parse s =
+    match float_of_string_opt s with
+    | Some ms when ms >= 0.0 -> Ok ms
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected milliseconds >= 0" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+(* [exits] with cmdliner's default 124 entry replaced by one that names
+   the command's own usage errors. *)
+let usage_exit doc exits =
+  List.map
+    (fun i ->
+      if Cmd.Exit.info_code i = Cmd.Exit.cli_error then Cmd.Exit.info Cmd.Exit.cli_error ~doc
+      else i)
+    exits
+
 (* --- dataset generation --- *)
 
 let dataset_kinds =
@@ -193,26 +221,49 @@ let gen_cmd =
       & info [ "dataset"; "d" ] ~docv:"KIND"
           ~doc:("Dataset kind: " ^ doc_alts_enum dataset_kinds ^ "."))
   in
-  let n = Arg.(value & opt int 100_000 & info [ "n" ] ~docv:"N" ~doc:"Number of rectangles.") in
+  let n =
+    Arg.(value & opt (int_at_least 0) 100_000 & info [ "n" ] ~docv:"N" ~doc:"Number of rectangles.")
+  in
   let param =
     Arg.(
       value
       & opt (some float) None
       & info [ "param"; "p" ] ~docv:"P"
-          ~doc:"Family parameter: max_side for size, a for aspect, c for skewed.")
+          ~doc:
+            "Family parameter: max_side in [0, 1] for size, a in [1, 1e6] for aspect (the \
+             longer side of a rectangle of area 1e-6 fits the unit square), c >= 1 for skewed \
+             (truncated to an integer).")
+  in
+  (* The parameter's range depends on the dataset kind, so it is checked
+     on the pair. *)
+  let dataset_param =
+    let check dataset param =
+      let bad name range = `Error (true, Printf.sprintf "--param (%s) must be in %s" name range) in
+      match (dataset, param) with
+      | `Size, Some p when not (p >= 0.0 && p <= 1.0) -> bad "max_side" "[0, 1]"
+      | `Aspect, Some a when not (a >= 1.0 && a <= 1e6) -> bad "a" "[1, 1e6]"
+      | `Skewed, Some c when not (c >= 1.0) -> bad "c" "[1, inf)"
+      | _ -> `Ok (dataset, param)
+    in
+    Term.(ret (const check $ dataset $ param))
   in
   let output =
     Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file.")
   in
-  let run dataset n param seed output =
+  let run (dataset, param) n seed output =
     let entries = generate ~dataset ~n ~seed ~param in
     opening "write dataset" output (fun () -> write_data output entries);
     Printf.printf "wrote %d rectangles to %s\n" (Array.length entries) output
   in
   Cmd.v
-    (Cmd.info "gen" ~exits:(exits_2 "the output file could not be created.")
+    (Cmd.info "gen"
+       ~exits:
+         (usage_exit
+            "on command line errors, among them a negative $(b,-n) or a $(b,--param) outside \
+             the range its $(b,--dataset) accepts."
+            (exits_2 "the output file could not be created."))
        ~doc:"Generate a dataset file.")
-    Term.(const run $ dataset $ n $ param $ seed_arg $ output)
+    Term.(const run $ dataset_param $ n $ seed_arg $ output)
 
 let build_cmd =
   let variants = List.map (fun (name, load) -> (name, (name, load))) variant_loaders in
@@ -283,11 +334,11 @@ let query_cmd =
   let deadline_ms =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some non_negative_ms) None
       & info [ "deadline-ms" ] ~docv:"MS"
           ~doc:
-            "Time budget for the query: expiry is checked at every node visit and the results \
-             matched before the cutoff are returned, labelled $(b,timed out).")
+            "Time budget for the query, at least 0: expiry is checked at every node visit and \
+             the results matched before the cutoff are returned, labelled $(b,timed out).")
   in
   let run index window quiet jobs deadline_ms backend =
     with_index ~backend index (fun idx ->
@@ -326,8 +377,9 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query"
        ~exits:
-         (Cmd.Exit.info 3 ~doc:"the answer is partial (damage skipped or deadline expired)."
-         :: index_exits)
+         (usage_exit "on command line errors, among them a negative $(b,--deadline-ms)."
+            (Cmd.Exit.info 3 ~doc:"the answer is partial (damage skipped or deadline expired)."
+            :: index_exits))
        ~doc:
          "Run a window query against an index file. Damaged pages degrade the query instead of \
           failing it; any partiality is reported on the status line and through exit code 3.")
@@ -430,7 +482,9 @@ let knn_cmd =
     Arg.(
       required & opt (some point_conv) None & info [ "at"; "p" ] ~docv:"X,Y" ~doc:"Query point.")
   in
-  let k = Arg.(value & opt int 5 & info [ "k" ] ~docv:"K" ~doc:"Number of neighbours.") in
+  let k =
+    Arg.(value & opt (int_at_least 0) 5 & info [ "k" ] ~docv:"K" ~doc:"Number of neighbours.")
+  in
   let run index (x, y) k =
     with_index index (fun idx ->
         let tree = Index_file.tree idx in
@@ -445,7 +499,9 @@ let knn_cmd =
         Printf.printf "%d neighbours; %d nodes read\n" (List.length results) stats.Knn.nodes_read)
   in
   Cmd.v
-    (Cmd.info "knn" ~exits:index_exits ~doc:"Find the k nearest rectangles to a point.")
+    (Cmd.info "knn"
+       ~exits:(usage_exit "on command line errors, among them a negative $(b,-k)." index_exits)
+       ~doc:"Find the k nearest rectangles to a point.")
     Term.(const run $ index $ point $ k)
 
 (* --- the LSM ingestion tier --- *)
@@ -497,9 +553,11 @@ let ingest_cmd =
   in
   let buffer =
     Arg.(
-      value & opt int 8192
-      & info [ "buffer" ] ~docv:"N" ~doc:"In-memory buffer capacity (M0 of the logarithmic \
-                                          method; only used when creating the store).")
+      value & opt (int_at_least 1) 8192
+      & info [ "buffer" ] ~docv:"N"
+          ~doc:
+            "In-memory buffer capacity, at least 1 (M0 of the logarithmic method; only used \
+             when creating the store).")
   in
   let wal_sync =
     Arg.(
@@ -545,7 +603,9 @@ let ingest_cmd =
   in
   Cmd.v
     (Cmd.info "ingest"
-       ~exits:(exits_2 "the dataset file could not be read, or the LSM store could not be opened.")
+       ~exits:
+         (usage_exit "on command line errors, among them a $(b,--buffer) below 1."
+            (exits_2 "the dataset file could not be read, or the LSM store could not be opened."))
        ~doc:
          "Stream a dataset into a crash-safe LSM store (a directory of immutable PR-tree \
           components under a CRC'd manifest, WAL-acknowledged inserts, logarithmic-method \
@@ -558,8 +618,9 @@ let ingest_cmd =
 let compact_cmd =
   let buffer =
     Arg.(
-      value & opt int 8192
-      & info [ "buffer" ] ~docv:"N" ~doc:"Buffer capacity (slot sizing; match the ingest).")
+      value & opt (int_at_least 1) 8192
+      & info [ "buffer" ] ~docv:"N"
+          ~doc:"Buffer capacity, at least 1 (slot sizing; match the ingest).")
   in
   let run dir buffer page_size =
     let t =
@@ -577,7 +638,8 @@ let compact_cmd =
         print_ingest_stats (Lsm.stats t))
   in
   Cmd.v
-    (Cmd.info "compact" ~exits:lsm_exits
+    (Cmd.info "compact"
+       ~exits:(usage_exit "on command line errors, among them a $(b,--buffer) below 1." lsm_exits)
        ~doc:
          "Merge every live component of an LSM store into a single PR-tree component, \
           resolving all reachable tombstones, via one atomic manifest swap.")
@@ -866,8 +928,9 @@ let scrub_cmd =
   in
   let pages =
     Arg.(
-      value & opt int 64
-      & info [ "pages" ] ~docv:"N" ~doc:"Page budget per scrub increment (online mode).")
+      value & opt (int_at_least 1) 64
+      & info [ "pages" ] ~docv:"N"
+          ~doc:"Page budget per scrub increment (online mode), at least 1.")
   in
   let run index online pages =
     with_index index (fun idx ->
@@ -901,7 +964,10 @@ let scrub_cmd =
         end)
   in
   Cmd.v
-    (Cmd.info "scrub" ~exits:(Cmd.Exit.info 1 ~doc:"unrepaired damage remains." :: index_exits)
+    (Cmd.info "scrub"
+       ~exits:
+         (usage_exit "on command line errors, among them a $(b,--pages) below 1."
+            (Cmd.Exit.info 1 ~doc:"unrepaired damage remains." :: index_exits))
        ~doc:
          "Verify every page checksum of an index file. With $(b,--online), additionally heal \
           damaged pages in place from the post-image shadow chain and maintain the quarantine — \
@@ -1078,13 +1144,18 @@ let load_cmd =
       & info [ "workload" ] ~docv:"KIND" ~doc:"Query workload: skewed, cluster or uniform.")
   in
   let queries =
-    Arg.(value & opt int 256 & info [ "queries"; "n" ] ~docv:"N" ~doc:"Query windows to replay.")
+    Arg.(
+      value & opt (int_at_least 0) 256
+      & info [ "queries"; "n" ] ~docv:"N" ~doc:"Query windows to replay.")
   in
   let concurrency =
-    Arg.(value & opt int 1 & info [ "concurrency"; "c" ] ~docv:"N" ~doc:"Client worker domains.")
+    Arg.(
+      value & opt (int_at_least 1) 1
+      & info [ "concurrency"; "c" ] ~docv:"N" ~doc:"Client worker domains.")
   in
   let batch =
-    Arg.(value & opt int 8 & info [ "batch"; "b" ] ~docv:"N" ~doc:"Windows per request.")
+    Arg.(
+      value & opt (int_at_least 1) 8 & info [ "batch"; "b" ] ~docv:"N" ~doc:"Windows per request.")
   in
   let deadline =
     Arg.(
@@ -1146,7 +1217,11 @@ let load_cmd =
   in
   Cmd.v
     (Cmd.info "load"
-       ~exits:(Cmd.Exit.info 1 ~doc:"some reply was a protocol error." :: Cmd.Exit.defaults)
+       ~exits:
+         (usage_exit
+            "on command line errors, among them a negative $(b,-n), or a $(b,-c) or $(b,-b) \
+             below 1."
+            (Cmd.Exit.info 1 ~doc:"some reply was a protocol error." :: Cmd.Exit.defaults))
        ~doc:
          "Replay a query workload against a running $(b,prt serve) instance from concurrent \
           worker domains, with bounded jittered-backoff retries on overload/quota rejections. \

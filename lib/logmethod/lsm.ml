@@ -72,7 +72,6 @@ type t = {
   dir : string;
   buffer_capacity : int;
   page_size : int;
-  cache_pages : int;
   wal_sync : wal_sync;
   fsops : Fsops.t;
   retry : Retry.t;
@@ -156,10 +155,10 @@ let decode_record b =
 (* A component that fails to open degrades only its own slice — except
    one of another on-disk format: then every component is, and the
    store is refused by name rather than opened with nothing readable. *)
-let open_component ~page_size ~cache_pages ~dir (mc : Manifest.component) =
+let open_component ~page_size ~dir (mc : Manifest.component) =
   let path = Filename.concat dir mc.Manifest.mc_file in
   let state =
-    match Index_file.open_ ~page_size ~cache_pages path with
+    match Index_file.open_ ~page_size path with
     | idx -> Live idx
     | exception (Superblock.Unsupported_format _ as e) -> raise e
     | exception e ->
@@ -248,7 +247,7 @@ let reclaim_orphans ~dir (m : Manifest.t) ~chosen =
   !reclaimed
 
 let make ?(buffer_capacity = 1024) ?(page_size = Pager.default_page_size)
-    ?(cache_pages = 4096) ?(wal_sync = `Always) ?retry_policy ?faults ?crash
+    ?(wal_sync = `Always) ?retry_policy ?faults ?crash
     ?(background = false) ~fresh dirname =
   if buffer_capacity < 1 then invalid_arg "Lsm: buffer_capacity must be >= 1";
   let fsops = Fsops.create ?faults () in
@@ -287,7 +286,7 @@ let make ?(buffer_capacity = 1024) ?(page_size = Pager.default_page_size)
     let opened = ref [] in
     match
       List.iter
-        (fun mc -> opened := open_component ~page_size ~cache_pages ~dir:dirname mc :: !opened)
+        (fun mc -> opened := open_component ~page_size ~dir:dirname mc :: !opened)
         manifest.Manifest.m_components
     with
     | () -> List.sort (fun a b -> compare a.c_level b.c_level) (List.rev !opened)
@@ -355,7 +354,6 @@ let make ?(buffer_capacity = 1024) ?(page_size = Pager.default_page_size)
       dir = dirname;
       buffer_capacity;
       page_size;
-      cache_pages;
       wal_sync;
       fsops;
       retry;
@@ -463,8 +461,7 @@ let build_component t ~seq ~entries =
   let tmp = Filename.concat t.dir (comp_file seq ^ ".tmp") in
   let final = Filename.concat t.dir (comp_file seq) in
   let idx =
-    Index_file.create ~page_size:t.page_size ~cache_pages:t.cache_pages
-      ?crash:(Fsops.crash t.fsops) tmp
+    Index_file.create ~page_size:t.page_size ?crash:(Fsops.crash t.fsops) tmp
       ~build:(fun pool -> Prtree.load pool entries)
   in
   let pages = (Pager.snapshot (Index_file.pager idx)).Pager.s_writes in
@@ -829,19 +826,19 @@ let rec worker_loop t =
 let start_worker t =
   if t.background then t.worker <- Some (Domain.spawn (fun () -> worker_loop t))
 
-let create ?buffer_capacity ?page_size ?cache_pages ?wal_sync ?retry_policy
+let create ?buffer_capacity ?page_size ?wal_sync ?retry_policy
     ?faults ?crash ?background dirname =
   let t =
-    make ?buffer_capacity ?page_size ?cache_pages ?wal_sync ?retry_policy
+    make ?buffer_capacity ?page_size ?wal_sync ?retry_policy
       ?faults ?crash ?background ~fresh:true dirname
   in
   start_worker t;
   t
 
-let open_ ?buffer_capacity ?page_size ?cache_pages ?wal_sync ?retry_policy
+let open_ ?buffer_capacity ?page_size ?wal_sync ?retry_policy
     ?faults ?crash ?background dirname =
   let t =
-    make ?buffer_capacity ?page_size ?cache_pages ?wal_sync ?retry_policy
+    make ?buffer_capacity ?page_size ?wal_sync ?retry_policy
       ?faults ?crash ?background ~fresh:false dirname
   in
   start_worker t;

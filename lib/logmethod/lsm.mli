@@ -46,7 +46,6 @@ type wal_sync = [ `Always  (** fsync per insert: acknowledged = durable *) | `Ne
 val create :
   ?buffer_capacity:int ->
   ?page_size:int ->
-  ?cache_pages:int ->
   ?wal_sync:wal_sync ->
   ?retry_policy:Prt_storage.Retry.policy ->
   ?faults:Prt_storage.Failpoint.t ->
@@ -71,7 +70,6 @@ val create :
 val open_ :
   ?buffer_capacity:int ->
   ?page_size:int ->
-  ?cache_pages:int ->
   ?wal_sync:wal_sync ->
   ?retry_policy:Prt_storage.Retry.policy ->
   ?faults:Prt_storage.Failpoint.t ->

@@ -30,7 +30,7 @@ let write_level pool ~kind entry_sets =
          Entry.make (Node.mbr node) id)
        entry_sets)
 
-let load ?priority_size ?(domains = 1) pool entries =
+let load ?priority_size pool entries =
   Trace.with_span "prtree.load"
     ~args:[ ("n", Json.Int (Array.length entries)) ]
   @@ fun () ->
@@ -54,7 +54,7 @@ let load ?priority_size ?(domains = 1) pool entries =
           (fun () ->
             let leaves =
               Trace.with_span "prtree.pseudo" (fun () ->
-                  Pseudo.build_leaves ~b:cap ?priority_size ~domains current)
+                  Pseudo.build_leaves ~b:cap ?priority_size current)
             in
             Trace.with_span "prtree.write_level" (fun () -> write_level pool ~kind leaves))
         |> fun level -> stage (Array.of_list level) ~kind:Node.Internal ~height:(height + 1)

@@ -7,15 +7,9 @@
     pseudo-PR-tree built on the previous level's bounding boxes. *)
 
 val load :
-  ?priority_size:int ->
-  ?domains:int ->
-  Prt_storage.Buffer_pool.t ->
-  Prt_rtree.Entry.t array ->
-  Prt_rtree.Rtree.t
+  ?priority_size:int -> Prt_storage.Buffer_pool.t -> Prt_rtree.Entry.t array -> Prt_rtree.Rtree.t
 (** In-memory staged construction (expected O(N log N) work): each
     stage writes the leaves {!Pseudo.build_leaves} gives for the
     previous level's boxes, with no pseudo-PR-tree in between. For the
     I/O-efficient external construction see {!Ext_build}.
-    [priority_size] is the ablation knob of {!Pseudo.build}; [domains]
-    forks independent kd subtrees onto OCaml domains (identical
-    result). *)
+    [priority_size] is the ablation knob of {!Pseudo.build}. *)

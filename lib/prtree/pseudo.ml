@@ -143,7 +143,7 @@ let rec partition c key sign perm lo hi n =
    in construction order and [node children] for each internal node.
    A leaf's range of [perm] is final when it is handed out: later
    selections touch only the ranges after it. *)
-let kernel ~b ?priority_size ~domains ~leaf ~node entries =
+let kernel ~b ?priority_size ~leaf ~node entries =
   if b < 1 then invalid_arg "Pseudo.build: b must be >= 1";
   (* Priority leaves default to full size b (the paper's choice); 0
      disables them entirely, degenerating to a plain 4-D kd-tree — the
@@ -174,11 +174,7 @@ let kernel ~b ?priority_size ~domains ~leaf ~node entries =
     done;
     (!lo, !acc)
   in
-  (* [budget] is how many extra domains this subtree may still spawn;
-     the two kd halves work on disjoint ranges of [perm] and only read
-     the columns, so forking is safe and the result is identical to the
-     sequential build. *)
-  let rec go lo hi depth budget =
+  let rec go lo hi depth =
     if hi - lo <= b then leaf lo hi
     else begin
       let lo', rev_leaves = extract_priority_leaves lo hi in
@@ -192,21 +188,16 @@ let kernel ~b ?priority_size ~domains ~leaf ~node entries =
         let mid = lo' + ((hi - lo') / 2) in
         partition c (key c dim) 1 perm lo' hi mid;
         (* [mid] itself goes right so both sides are non-empty. *)
-        let parallel = budget > 1 && hi - lo' > 8192 in
-        let sub = if parallel then budget / 2 else budget in
-        let left, right =
-          Prt_util.Parallel.both ~parallel
-            (fun () -> go lo' mid (depth + 1) sub)
-            (fun () -> go mid hi (depth + 1) (budget - sub))
-        in
+        let left = go lo' mid (depth + 1) in
+        let right = go mid hi (depth + 1) in
         node (List.rev_append rev_leaves [ left; right ])
       end
     end
   in
-  go 0 (Array.length entries) 0 (max 1 domains)
+  go 0 (Array.length entries) 0
 
-let build ?(b = 113) ?priority_size ?(domains = 1) entries =
-  kernel ~b ?priority_size ~domains entries
+let build ?(b = 113) ?priority_size entries =
+  kernel ~b ?priority_size entries
     ~leaf:(fun ~priority entries ->
       Leaf { mbr = Rect.union_map ~f:Entry.rect entries; entries; priority })
     ~node:(fun children ->
@@ -215,8 +206,8 @@ let build ?(b = 113) ?priority_size ?(domains = 1) entries =
       in
       Node { mbr = box; children })
 
-let build_leaves ?(b = 113) ?priority_size ?(domains = 1) entries =
-  kernel ~b ?priority_size ~domains entries
+let build_leaves ?(b = 113) ?priority_size entries =
+  kernel ~b ?priority_size entries
     ~leaf:(fun ~priority:_ entries -> [ entries ])
     ~node:List.concat
 

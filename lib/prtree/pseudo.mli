@@ -23,7 +23,7 @@ type t =
     }
   | Node of { mbr : Prt_geom.Rect.t; children : t list }
 
-val build : ?b:int -> ?priority_size:int -> ?domains:int -> Prt_rtree.Entry.t array -> t
+val build : ?b:int -> ?priority_size:int -> Prt_rtree.Entry.t array -> t
 (** [build ~b entries] constructs the pseudo-PR-tree with leaf capacity
     [b] (default 113, the 4 KB-page fanout). Expected O(N log N) via
     quickselect over unboxed coordinate columns and an int permutation;
@@ -36,17 +36,10 @@ val build : ?b:int -> ?priority_size:int -> ?domains:int -> Prt_rtree.Entry.t ar
     priority leaf holds: [b] is the paper's choice, [1] the structure of
     its reference [2], and [0] disables priority leaves entirely (a
     plain 4-D kd-tree) — exposed for the ablation benchmarks. Raises
-    [Invalid_argument] outside [0, b].
-
-    [domains] (default 1) allows forking independent kd subtrees onto
-    OCaml domains; the result is identical to the sequential build. *)
+    [Invalid_argument] outside [0, b]. *)
 
 val build_leaves :
-  ?b:int ->
-  ?priority_size:int ->
-  ?domains:int ->
-  Prt_rtree.Entry.t array ->
-  Prt_rtree.Entry.t array list
+  ?b:int -> ?priority_size:int -> Prt_rtree.Entry.t array -> Prt_rtree.Entry.t array list
 (** [build_leaves ~b entries] is [leaves (build ~b entries)] — the same
     leaf entry-sets in the same order — straight from the construction,
     without the tree or its bounding boxes: what {!Prtree.load} and

@@ -59,25 +59,23 @@ let compare_keyed a b =
   let c = Int.compare a.key b.key in
   if c <> 0 then c else Entry.compare_dim 0 a.entry b.entry
 
-let sort_by_key ?(domains = 1) ~key entries =
+let sort_by_key ~key entries =
   let world = world_of entries in
   let keyed = Array.map (fun e -> { key = key ~world e; entry = e }) entries in
-  Prt_util.Parallel.sort ~domains ~cmp:compare_keyed keyed;
+  Array.sort compare_keyed keyed;
   Array.map (fun k -> k.entry) keyed
 
 (* Each loader traces its two phases separately: key-sort (CPU-bound)
    and leaf packing (write-bound), so a trace shows where build I/Os
    accrue. *)
-let load_with ~name ~key ?domains pool entries =
+let load_with ~name ~key pool entries =
   Trace.with_span name
     ~args:[ ("n", Json.Int (Array.length entries)) ]
     (fun () ->
       let ordered =
-        Trace.with_span "hilbert.sort" (fun () -> sort_by_key ?domains ~key entries)
+        Trace.with_span "hilbert.sort" (fun () -> sort_by_key ~key entries)
       in
       Trace.with_span "hilbert.pack" (fun () -> Pack.build_from_ordered pool ordered))
 
-let load_h ?domains pool entries = load_with ~name:"hilbert.load_h" ~key:hilbert2d_key ?domains pool entries
-
-let load_h4 ?domains pool entries =
-  load_with ~name:"hilbert.load_h4" ~key:hilbert4d_key ?domains pool entries
+let load_h pool entries = load_with ~name:"hilbert.load_h" ~key:hilbert2d_key pool entries
+let load_h4 pool entries = load_with ~name:"hilbert.load_h4" ~key:hilbert4d_key pool entries

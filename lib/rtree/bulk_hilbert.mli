@@ -9,9 +9,9 @@ val hilbert4d_key : world:Prt_geom.Rect.t -> Entry.t -> int
 (** 4-D Hilbert value of the entry's [(xmin, ymin, xmax, ymax)] point on
     a [2^15]-per-axis grid over the bounding square. *)
 
-val load_h : ?domains:int -> Prt_storage.Buffer_pool.t -> Entry.t array -> Rtree.t
+val load_h : Prt_storage.Buffer_pool.t -> Entry.t array -> Rtree.t
 (** Packed Hilbert R-tree: sort by {!hilbert2d_key}, pack bottom-up. *)
 
-val load_h4 : ?domains:int -> Prt_storage.Buffer_pool.t -> Entry.t array -> Rtree.t
+val load_h4 : Prt_storage.Buffer_pool.t -> Entry.t array -> Rtree.t
 (** Four-dimensional Hilbert R-tree: sort by {!hilbert4d_key}, pack
     bottom-up. *)

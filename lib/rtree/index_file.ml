@@ -38,7 +38,8 @@ type t = {
   mutable closed : bool;
 }
 
-let default_cache_pages = 4096
+(* Buffer-pool pages per open file. *)
+let cache_pages = 4096
 
 (* Tree metadata blob stored in the superblock: magic "PRTR", then
    root / height / count, and (format extension, PR 5) the head of the
@@ -261,7 +262,7 @@ let commit_meta t =
   end
   else encode_meta t.tree
 
-let create ?(page_size = Pager.default_page_size) ?(cache_pages = default_cache_pages) ?crash
+let create ?(page_size = Pager.default_page_size) ?crash
     ?(shadow = false) ?(backend = `Auto) path ~build =
   let pager = Pager.create_file ~page_size path in
   guarding pager (fun () ->
@@ -291,7 +292,7 @@ let create ?(page_size = Pager.default_page_size) ?(cache_pages = default_cache_
       install_backend t backend ~crash ~path;
       t)
 
-let open_ ?(page_size = Pager.default_page_size) ?(cache_pages = default_cache_pages) ?crash
+let open_ ?(page_size = Pager.default_page_size) ?crash
     ?shadow ?(backend = `Auto) path =
   let pager = Pager.open_file ~page_size path in
   guarding pager (fun () ->
@@ -379,8 +380,8 @@ let with_snapshot t f =
    pruning.  The executor shares the file's quarantine, so damage found
    by single-domain queries, batches, and the scrub all land in one
    registry. *)
-let executor ?shards ?capacity ?max_in_flight t =
-  Qexec.create ?shards ?capacity ?max_in_flight ~quarantine:t.quarantine
+let executor ?max_in_flight t =
+  Qexec.create ?max_in_flight ~quarantine:t.quarantine
     ~snapshot:(fun () ->
       let s = snapshot t in
       let v = snapshot_view s in
@@ -518,7 +519,7 @@ let fsck ?(page_size = Pager.default_page_size) ?rebuild path =
             ( Some recovery,
               Some (Superblock.commit_count sb),
               None,
-              let pool = Buffer_pool.create ~capacity:default_cache_pages (Superblock.pager sb) in
+              let pool = Buffer_pool.create ~capacity:cache_pages (Superblock.pager sb) in
               match decode_meta pool (Superblock.meta sb) with
               | tree -> Ok tree
               | exception Invalid_argument msg -> Error msg ))

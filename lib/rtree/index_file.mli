@@ -25,7 +25,6 @@ type backend = [ `Auto | `Mmap | `Pread ]
 
 val create :
   ?page_size:int ->
-  ?cache_pages:int ->
   ?crash:Prt_storage.Failpoint.t ->
   ?shadow:bool ->
   ?backend:backend ->
@@ -41,7 +40,6 @@ val create :
 
 val open_ :
   ?page_size:int ->
-  ?cache_pages:int ->
   ?crash:Prt_storage.Failpoint.t ->
   ?shadow:bool ->
   ?backend:backend ->
@@ -121,7 +119,7 @@ val with_snapshot : t -> (Rtree.snapshot_view -> 'a) -> 'a
 (** [with_snapshot t f] pins, runs [f] on the view, and releases
     (also on exceptions). *)
 
-val executor : ?shards:int -> ?capacity:int -> ?max_in_flight:int -> t -> Qexec.t
+val executor : ?max_in_flight:int -> t -> Qexec.t
 (** A batched query executor over this file's tree.  Each batch pins
     the committed generation at batch start and descends its page
     images, so batches are immune to concurrent commits; the

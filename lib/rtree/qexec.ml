@@ -83,7 +83,7 @@ let m_batches = Prt_obs.Metrics.counter "qexec.batches"
 let m_queries = Prt_obs.Metrics.counter "qexec.queries"
 let m_rejected = Prt_obs.Metrics.counter "resilience.batches_rejected"
 
-let create ?shards ?capacity ?snapshot ?quarantine ?max_in_flight tree =
+let create ?snapshot ?quarantine ?max_in_flight tree =
   (match max_in_flight with
   | Some l when l < 1 -> invalid_arg "Qexec.create: max_in_flight must be >= 1"
   | _ -> ());
@@ -105,7 +105,7 @@ let create ?shards ?capacity ?snapshot ?quarantine ?max_in_flight tree =
   in
   {
     tree;
-    cache = Shard_cache.create ?shards ?capacity ();
+    cache = Shard_cache.create ();
     snapshot;
     quarantine = (match quarantine with Some q -> q | None -> Quarantine.create ());
     max_in_flight;

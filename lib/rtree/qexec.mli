@@ -50,8 +50,6 @@ exception Overloaded of { in_flight : int; limit : int }
     and can back off. *)
 
 val create :
-  ?shards:int ->
-  ?capacity:int ->
   ?snapshot:(unit -> snap) ->
   ?quarantine:Prt_storage.Quarantine.t ->
   ?max_in_flight:int ->
@@ -62,8 +60,6 @@ val create :
     the tree's buffer pool and reads the live tree unpinned (generation
     0) — correct only for trees not modified during a batch; executors
     over an {!Index_file} get a pinning provider instead.
-    [shards]/[capacity] are passed to {!Prt_storage.Shard_cache.create}
-    for the cache of internal page images the pread backend uses.
     [quarantine] shares a damage registry with the rest of the serving
     stack (an {!Index_file} passes its own); a private one is created
     otherwise.  [max_in_flight] bounds the queries admitted

@@ -807,7 +807,7 @@ let mbr t =
 
 (* Debug rendering: one line per node, indented by depth, with page id,
    fanout and bounding box — small trees only (tests, troubleshooting). *)
-let dump ?(max_depth = max_int) t ppf =
+let dump t ppf =
   let rec visit id depth =
     let node = read_node t id in
     let indent = String.make (2 * (depth - 1)) ' ' in
@@ -816,7 +816,7 @@ let dump ?(max_depth = max_int) t ppf =
     else
       Format.fprintf ppf "%s%s #%d [%d] %a@." indent kind id (Node.length node) Rect.pp
         (Node.mbr node);
-    if depth < max_depth && Node.kind node = Node.Internal then
+    if Node.kind node = Node.Internal then
       Array.iter (fun e -> visit (Entry.id e) (depth + 1)) (Node.entries node)
   in
   visit t.root 1

@@ -324,7 +324,7 @@ val validate : t -> structure
 val mbr : t -> Prt_geom.Rect.t option
 (** Bounding box of the whole dataset ([None] when empty). *)
 
-val dump : ?max_depth:int -> t -> Format.formatter -> unit
+val dump : t -> Format.formatter -> unit
 (** Debug rendering: one line per node (page id, fanout, MBR), indented
     by depth. Intended for small trees. *)
 

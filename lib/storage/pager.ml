@@ -564,7 +564,7 @@ let lookup_version b id ~gen =
   if Atomic.get b.retained = 0 then None
   else Mutex.protect b.mvcc_lock (fun () -> find_version b id ~gen)
 
-let read_shared ?(gen = 0) ?scratch t id =
+let read_shared ?(gen = 0) t id =
   let b = base t in
   check_open b "read_shared";
   check_id b "read_shared" id;
@@ -574,16 +574,7 @@ let read_shared ?(gen = 0) ?scratch t id =
     | Faulty _ -> assert false
     | Memory m -> m.pages.(id)
     | File f ->
-        (* A caller-owned scratch buffer keeps hot query loops from
-           allocating a page per uncached read.  The returned buffer is
-           only valid until the caller's next read with the same
-           scratch; version images below are never served through it. *)
-        let buf =
-          match scratch with
-          | Some s when Bytes.length s = b.page_size -> s
-          | Some _ -> invalid_arg "Pager.read_shared: scratch size mismatch"
-          | None -> Bytes.create b.page_size
-        in
+        let buf = Bytes.create b.page_size in
         locked_file_read b f.fd id buf;
         verify_read b id buf;
         buf

@@ -140,7 +140,7 @@ val read_raw : t -> int -> bytes
     scrub/salvage tools that classify damage instead of tripping over
     it.  Counts one read. *)
 
-val read_shared : ?gen:int -> ?scratch:bytes -> t -> int -> bytes
+val read_shared : ?gen:int -> t -> int -> bytes
 (** Domain-safe read-only page fetch for the query serving layer.  On
     the in-memory backend, returns a committed page image without
     copying (writers install fresh buffers rather than mutating in
@@ -155,13 +155,7 @@ val read_shared : ?gen:int -> ?scratch:bytes -> t -> int -> bytes
     (see {!set_retain_gen}): if the page has been overwritten by a
     later transaction, the retained pre-image whose validity interval
     covers [gen] is returned instead of the live page.  [gen <= 0]
-    (the default) reads the live page.
-
-    [~scratch], a caller-owned page-sized buffer, is used for live
-    file-backend reads instead of allocating; the result then aliases
-    [scratch] and is only valid until the caller's next use of it.
-    Retained version images are never copied into [scratch].
-    Raises [Invalid_argument] if [scratch] is not page-sized. *)
+    (the default) reads the live page. *)
 
 val version_probe : t -> int -> gen:int -> bytes option
 (** The retained pre-image of a page serving generation [gen], if the

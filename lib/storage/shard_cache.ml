@@ -1,26 +1,27 @@
-(* Domain-safe sharded cache of decoded pages, the read-side companion
+(* Domain-safe sharded cache of page images, the read-side companion
    of the (single-domain) write-back {!Buffer_pool}.
 
    The buffer pool caches raw page bytes and is deliberately not safe to
-   share across domains; the query serving layer instead keeps *decoded*
-   values (e.g. R-tree nodes) in this cache, so the hot internal levels
-   of an index are decoded once per generation instead of once per
+   share across domains; the batched query executor instead keeps the
+   internal pages of an index in this cache, as the immutable images
+   [Pager.read_shared] returned, and scans them in place — so the hot
+   internal levels are read once per generation instead of once per
    visit, and any number of domains can probe concurrently.  Keys are
    (page id, generation) pairs, spread over N shards by a multiplicative
    hash of the page id; each shard is a small hash table plus FIFO
    eviction queue guarded by its own mutex, so contention is 1/N of a
    single-lock design.
 
-   Generation keying: every cached value is decoded under a commit
-   generation (the index file's superblock commit counter), and the
-   generation is part of the key — entries for several generations of
-   the same page coexist, so snapshot readers pinned to an old
-   generation keep their cache hits while a writer commits new ones.
-   Nothing is invalidated on probe; instead the executor calls {!prune}
-   with the oldest generation any live snapshot still pins, and entries
-   below that floor are dropped (counted as invalidations).  Entries are
-   decoded while holding the shard lock, so a page is decoded exactly
-   once per generation no matter how many domains race for it (this also
+   Generation keying: every cached image is read at a commit generation
+   (the index file's superblock commit counter), and the generation is
+   part of the key — entries for several generations of the same page
+   coexist, so snapshot readers pinned to an old generation keep their
+   cache hits while a writer commits new ones.  Nothing is invalidated
+   on probe; instead the executor calls {!prune} with the oldest
+   generation any live snapshot still pins, and entries below that
+   floor are dropped (counted as invalidations).  A miss runs its
+   loader while holding the shard lock, so a page is read exactly once
+   per generation no matter how many domains race for it (this also
    makes the miss count deterministic for a quiesced tree: one miss per
    distinct page reached, per generation).
 

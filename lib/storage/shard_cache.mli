@@ -1,19 +1,19 @@
-(** Domain-safe sharded cache of decoded pages, keyed by
-    (page id, generation).
+(** Domain-safe sharded cache of page images (or any immutable value
+    read from a page), keyed by (page id, generation).
 
     N mutex-guarded shards (hash table + FIFO queue each), holding
-    decoded values keyed by the page id {e and} the commit generation
-    they were decoded under.  Entries for several generations of the
-    same page coexist — snapshot readers pinned to an old generation
-    keep their hits while a writer commits new generations — and a
-    probe never invalidates anything.  Reclamation is explicit: call
-    {!prune} with the oldest generation any live snapshot still pins.
+    values keyed by the page id {e and} the commit generation they were
+    read at.  Entries for several generations of the same page coexist
+    — snapshot readers pinned to an old generation keep their hits
+    while a writer commits new generations — and a probe never
+    invalidates anything.  Reclamation is explicit: call {!prune} with
+    the oldest generation any live snapshot still pins.
 
-    Decoding runs under the shard lock, so each page is decoded at most
-    once per generation regardless of how many domains race for it.
-    All operations are safe to call from any domain.  This module never
-    touches the {!Prt_obs} registry (which is single-domain); callers
-    mirror {!stats} deltas from one domain if they want them exported. *)
+    A miss runs its loader under the shard lock, so each page is loaded
+    at most once per generation regardless of how many domains race for
+    it.  All operations are safe to call from any domain; hits, misses,
+    invalidations and evictions are also counted in the domain-striped
+    {!Prt_obs.Metrics} registry under [shard_cache.*]. *)
 
 type 'v t
 

@@ -1,57 +1,5 @@
-(* Multicore helpers (OCaml 5 domains) for the CPU-heavy parts of bulk
-   loading: sorting keyed entries and building independent pseudo-PR
-   subtrees.  Parallelism never touches the storage layer (pagers and
-   buffer pools are not thread-safe) — only pure array work is forked,
-   and all results are deterministic: the same comparator produces the
-   same permutation regardless of how the work was split. *)
+(* The domain count that fills this machine: at most 8, at least 1, and
+   one core left for everything else.  The batched query executor takes
+   it as its default job count. *)
 
 let default_domains () = max 1 (min 8 (Domain.recommended_domain_count () - 1))
-
-(* Run two closures, the first on a fresh domain when [parallel]. Any
-   exception is re-raised in the caller. *)
-let both ~parallel f g =
-  if parallel then begin
-    let df = Domain.spawn f in
-    let gv = g () in
-    let fv = Domain.join df in
-    (fv, gv)
-  end
-  else (f (), g ())
-
-(* In-place parallel merge sort: split into [domains] runs, sort each on
-   its own domain, then k-way merge back. Falls back to [Array.sort]
-   when the input is small or domains <= 1. *)
-let sort ?(domains = default_domains ()) ~cmp arr =
-  let n = Array.length arr in
-  if domains <= 1 || n < 4096 then Array.sort cmp arr
-  else begin
-    let parts = min domains (max 2 (n / 2048)) in
-    let base = n / parts and extra = n mod parts in
-    let bounds =
-      Array.init (parts + 1) (fun i -> (i * base) + min i extra)
-    in
-    let runs =
-      Array.init parts (fun i ->
-          let lo = bounds.(i) and hi = bounds.(i + 1) in
-          Array.sub arr lo (hi - lo))
-    in
-    let sorters =
-      Array.map (fun run -> Domain.spawn (fun () -> Array.sort cmp run)) runs
-    in
-    Array.iter Domain.join sorters;
-    (* k-way merge of the sorted runs back into [arr]. *)
-    let heap = Pqueue.create (fun (a, _, _) (b, _, _) -> cmp a b) in
-    Array.iteri (fun i run -> if Array.length run > 0 then Pqueue.add heap (run.(0), i, 0)) runs;
-    let out = ref 0 in
-    let rec drain () =
-      match Pqueue.pop heap with
-      | None -> ()
-      | Some (v, i, j) ->
-          arr.(!out) <- v;
-          incr out;
-          if j + 1 < Array.length runs.(i) then Pqueue.add heap (runs.(i).(j + 1), i, j + 1);
-          drain ()
-    in
-    drain ();
-    assert (!out = n)
-  end

@@ -1,15 +1,5 @@
-(** Multicore helpers (OCaml 5 domains) for CPU-heavy bulk-loading
-    phases. Only pure array work is parallelized; results are
-    deterministic. *)
+(** The default degree of multicore parallelism (OCaml 5 domains). *)
 
 val default_domains : unit -> int
-(** [min 8 (recommended - 1)], at least 1. *)
-
-val both : parallel:bool -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-(** Run two closures, the first on a fresh domain when [parallel];
-    otherwise sequentially. Exceptions propagate to the caller. *)
-
-val sort : ?domains:int -> cmp:('a -> 'a -> int) -> 'a array -> unit
-(** In-place parallel merge sort ([Array.sort] for small inputs or
-    [domains <= 1]). Not stable (neither is [Array.sort]'s contract for
-    heapsort); use a total order. *)
+(** [min 8 (recommended - 1)], at least 1: the default job count of the
+    batched query executor. *)

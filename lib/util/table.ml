@@ -16,7 +16,7 @@ let pad align width s =
     match align with Left -> s ^ fill | Right -> fill ^ s
   end
 
-let render ?title ~header rows =
+let render ~header rows =
   let buf = Buffer.create 256 in
   let all = header :: rows in
   let ncols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
@@ -43,17 +43,10 @@ let render ?title ~header rows =
       row;
     Buffer.add_char buf '\n'
   in
-  (match title with
-  | Some t ->
-      Buffer.add_string buf t;
-      Buffer.add_char buf '\n'
-  | None -> ());
   emit_row header;
-  let rule = List.map (fun _ -> "") header in
-  ignore rule;
   Buffer.add_string buf (String.make (Array.fold_left ( + ) (2 * (ncols - 1)) widths) '-');
   Buffer.add_char buf '\n';
   List.iter emit_row rows;
   Buffer.contents buf
 
-let print ?title ~header rows = print_string (render ?title ~header rows)
+let print ~header rows = print_string (render ~header rows)

@@ -1,9 +1,9 @@
 (** Aligned plain-text tables for benchmark output. *)
 
-val render : ?title:string -> header:string list -> string list list -> string
+val render : header:string list -> string list list -> string
 (** [render ~header rows] lays the cells out in aligned columns
     (numeric-looking columns right-aligned) with a separator line under
     the header, and returns the result. *)
 
-val print : ?title:string -> header:string list -> string list list -> unit
+val print : header:string list -> string list list -> unit
 (** [print] is [render] followed by [print_string]. *)

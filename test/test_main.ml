@@ -2,7 +2,6 @@ let () =
   Alcotest.run "prtree-repro"
     [
       ("util", Test_util.suite);
-      ("parallel", Test_parallel.suite);
       ("geom", Test_geom.suite);
       ("storage", Test_storage.suite);
       ("extsort", Test_extsort.suite);

@@ -108,21 +108,19 @@ let same_entries a b =
        (fun (_, x) (_, y) -> Array.length x = Array.length y && Array.for_all2 ( == ) x y)
        a b
 
-let check_against_oracle ~label ~b ~priority_size ~domains entries =
+let check_against_oracle ~label ~b ~priority_size entries =
   let expected = oracle_leaves ~b ~priority_size entries in
   let tree =
     Pseudo.fold_leaves
-      (Pseudo.build ~b ~priority_size ~domains entries)
+      (Pseudo.build ~b ~priority_size entries)
       ~init:[]
       ~f:(fun acc ~entries ~priority -> (priority, entries) :: acc)
     |> List.rev
   in
   let flat =
-    List.map (fun es -> (None, es)) (Pseudo.build_leaves ~b ~priority_size ~domains entries)
+    List.map (fun es -> (None, es)) (Pseudo.build_leaves ~b ~priority_size entries)
   in
-  let label =
-    Printf.sprintf "%s b=%d priority_size=%d domains=%d" label b priority_size domains
-  in
+  let label = Printf.sprintf "%s b=%d priority_size=%d" label b priority_size in
   Alcotest.(check (list (list int))) (label ^ ": build leaves") (ids expected) (ids tree);
   Alcotest.(check bool) (label ^ ": build entries") true (same_entries expected tree);
   Alcotest.(check (list (option int)))
@@ -138,23 +136,20 @@ let test_small_inputs () =
       List.iter
         (fun b ->
           List.iter
-            (fun priority_size ->
-              List.iter
-                (fun domains -> check_against_oracle ~label ~b ~priority_size ~domains entries)
-                [ 1; 4 ])
+            (fun priority_size -> check_against_oracle ~label ~b ~priority_size entries)
             (priority_sizes b))
         [ 1; 2; 14; 113 ])
     (datasets 700)
 
-(* Large enough that four domains really fork kd subtrees (above 8,192
-   entries per split). *)
-let test_forked_inputs () =
+(* Deep kd recursion: many levels of median splits below the priority
+   leaves. *)
+let test_large_inputs () =
   List.iter
     (fun (label, entries) ->
       List.iter
         (fun b ->
           List.iter
-            (fun priority_size -> check_against_oracle ~label ~b ~priority_size ~domains:4 entries)
+            (fun priority_size -> check_against_oracle ~label ~b ~priority_size entries)
             [ 0; b ])
         [ 2; 113 ])
     (List.filter
@@ -187,6 +182,6 @@ let test_invalid_arguments () =
 let suite =
   [
     Alcotest.test_case "kernel equals the closure build (700 entries)" `Quick test_small_inputs;
-    Alcotest.test_case "kernel equals the closure build (20k, forked)" `Quick test_forked_inputs;
+    Alcotest.test_case "kernel equals the closure build (20k)" `Quick test_large_inputs;
     Alcotest.test_case "kernel rejects invalid arguments" `Quick test_invalid_arguments;
   ]
