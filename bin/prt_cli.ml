@@ -230,9 +230,9 @@ let gen_cmd =
       & opt (some float) None
       & info [ "param"; "p" ] ~docv:"P"
           ~doc:
-            "Family parameter: max_side in [0, 1] for size, a in [1, 1e6] for aspect (the \
-             longer side of a rectangle of area 1e-6 fits the unit square), c >= 1 for skewed \
-             (truncated to an integer).")
+            "Family parameter: max_side in [0, 1] for size, a in [1, 1e5] for aspect (the \
+             paper's largest ratio; rectangles have area 1e-6), c >= 1 for skewed (truncated to \
+             an integer).")
   in
   (* The parameter's range depends on the dataset kind, so it is checked
      on the pair. *)
@@ -241,7 +241,7 @@ let gen_cmd =
       let bad name range = `Error (true, Printf.sprintf "--param (%s) must be in %s" name range) in
       match (dataset, param) with
       | `Size, Some p when not (p >= 0.0 && p <= 1.0) -> bad "max_side" "[0, 1]"
-      | `Aspect, Some a when not (a >= 1.0 && a <= 1e6) -> bad "a" "[1, 1e6]"
+      | `Aspect, Some a when not (a >= 1.0 && a <= Datasets.max_aspect) -> bad "a" "[1, 1e5]"
       | `Skewed, Some c when not (c >= 1.0) -> bad "c" "[1, inf)"
       | _ -> `Ok (dataset, param)
     in
@@ -872,15 +872,22 @@ let validate_cmd =
   let run index =
     with_index index (fun idx ->
         let tree = Index_file.tree idx in
-        let s = Rtree.validate tree in
-        Printf.printf
-          "valid: %d entries in %d leaves / %d nodes, height %d, utilization %.1f%%\n"
-          s.Rtree.entries s.Rtree.leaves s.Rtree.nodes (Rtree.height tree)
-          (100.0 *. s.Rtree.utilization))
+        match Rtree.validate tree with
+        | s ->
+            Printf.printf
+              "valid: %d entries in %d leaves / %d nodes, height %d, utilization %.1f%%\n"
+              s.Rtree.entries s.Rtree.leaves s.Rtree.nodes (Rtree.height tree)
+              (100.0 *. s.Rtree.utilization)
+        | exception Rtree.Invalid reason ->
+            Printf.printf "invalid: %s\n" reason;
+            exit 1)
   in
   Cmd.v
-    (Cmd.info "validate" ~exits:index_exits
-       ~doc:"Check the structural invariants of an index file.")
+    (Cmd.info "validate"
+       ~exits:(Cmd.Exit.info 1 ~doc:"an invariant does not hold." :: index_exits)
+       ~doc:
+         "Check the structural invariants of an index file: leaf depth, exact parent boxes, \
+          capacity, page order and the entry count. Exits 1 on the first violation, named.")
     Term.(const run $ index)
 
 let audit_cmd =
@@ -1177,12 +1184,16 @@ let load_cmd =
   in
   let run (socket, port) host workload queries concurrency batch deadline retries seed drain_after
       =
-    let connect () =
+    let endpoint, connect =
       match (socket, port) with
-      | Some path, _ -> Serve.Client.connect_unix path
-      | None, Some port -> Serve.Client.connect_tcp ~host port
+      | Some path, _ -> (path, fun () -> Serve.Client.connect_unix path)
+      | None, Some port ->
+          (Printf.sprintf "%s:%d" host port, fun () -> Serve.Client.connect_tcp ~host port)
       | None, None -> assert false (* [endpoint_term] refuses it *)
     in
+    (* One connection before the replay: an endpoint nobody listens on
+       is refused by name, not reported as a run with no answers. *)
+    Serve.Client.close (opening "connect to" endpoint connect);
     let windows =
       match workload with
       | `Skewed -> Queries.skewed_squares ~count:queries ~area_fraction:0.0001 ~c:5 ~seed
@@ -1221,7 +1232,8 @@ let load_cmd =
          (usage_exit
             "on command line errors, among them a negative $(b,-n), or a $(b,-c) or $(b,-b) \
              below 1."
-            (Cmd.Exit.info 1 ~doc:"some reply was a protocol error." :: Cmd.Exit.defaults))
+            (Cmd.Exit.info 1 ~doc:"some reply was a protocol error."
+            :: exits_2 "the server could not be reached on the socket or port."))
        ~doc:
          "Replay a query workload against a running $(b,prt serve) instance from concurrent \
           worker domains, with bounded jittered-backoff retries on overload/quota rejections. \

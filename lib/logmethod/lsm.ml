@@ -488,8 +488,8 @@ let build_component t ~seq ~entries =
    step.  Raises Pager.Io_error on injected faults (the caller retries
    under the Retry engine) and Simulated_crash on an exhausted kill
    budget. *)
-let merge_attempt t ~compact_all ~floor_seq =
-  let sealed, tomb, (level, participants) =
+let merge_attempt t ~compact_all =
+  let sealed, tomb, floor_seq, (level, participants) =
     with_lock t (fun () ->
         (* Copy, don't alias: a concurrent seal coalesces the next
            buffer generation into [t.sealed] while this merge runs, and
@@ -497,6 +497,12 @@ let merge_attempt t ~compact_all ~floor_seq =
         let sealed =
           match t.sealed with Some s -> Hashtbl.copy s | None -> Hashtbl.create 1
         in
+        (* Every sealed entry lives below the active segment, so that
+           segment is the new WAL floor — read with the copy: a seal
+           landing between an earlier read and the copy would leave
+           entries this merge absorbs above the floor, and a reopen
+           would replay them beside the component that holds them. *)
+        let floor_seq = t.wal_seq in
         let tomb = t.tombstones in
         let target =
           if compact_all then begin
@@ -523,7 +529,7 @@ let merge_attempt t ~compact_all ~floor_seq =
           end
           else choose_slot t ~sealed_count:(Hashtbl.length sealed)
         in
-        (sealed, tomb, target))
+        (sealed, tomb, floor_seq, target))
   in
   let entries, resolved = collect_entries ~sealed ~participants ~tomb in
   let seq =
@@ -732,7 +738,6 @@ let merge_pending t ~compact_all ~raise_on_error =
         end)
   in
   if proceed then begin
-    let floor_seq = with_lock t (fun () -> t.wal_seq) in
     Flight.begin_span "ingest.merge";
     let finish_abort e =
       with_lock t (fun () ->
@@ -752,7 +757,7 @@ let merge_pending t ~compact_all ~raise_on_error =
     in
     (match
        Retry.run t.retry ~op:"ingest.merge" (fun () ->
-           merge_attempt t ~compact_all ~floor_seq)
+           merge_attempt t ~compact_all)
      with
     | () ->
         with_lock t (fun () ->

@@ -163,7 +163,7 @@ let rec pseudo_leaves pager ~cap ~mem_records ~emit_leaf files n =
   else if n <= mem_records then begin
     let entries = Entry.File.read_all files.(0) in
     Array.iter Entry.File.destroy files;
-    List.iter emit_leaf (Pseudo.build_leaves ~b:cap entries)
+    List.iter (fun (_, leaf) -> emit_leaf leaf) (Pseudo.build_leaves ~b:cap entries)
   end
   else begin
     (* Sample systematically from the xmin-sorted list. *)
@@ -251,7 +251,7 @@ let load ?(mem_records = 18_000) pool file =
               (* Small levels skip the sorted lists entirely. *)
               let entries = Entry.File.read_all level_file in
               if owned then Entry.File.destroy level_file;
-              List.iter emit_leaf (Pseudo.build_leaves ~b:cap entries)
+              List.iter (fun (_, leaf) -> emit_leaf leaf) (Pseudo.build_leaves ~b:cap entries)
             end
             else begin
               let sorted =

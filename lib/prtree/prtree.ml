@@ -19,16 +19,17 @@ module Rtree = Prt_rtree.Rtree
 module Trace = Prt_obs.Trace
 module Json = Prt_obs.Json
 
-let write_level pool ~kind entry_sets =
+(* Write one level's nodes; each leaf comes from the kernel in page
+   order and with its bounding box, which becomes its parent entry. *)
+let write_level pool ~kind leaves =
   let page_size = Pager.page_size (Buffer_pool.pager pool) in
   List.rev
     (List.rev_map
-       (fun entries ->
-         let node = Node.make kind entries in
+       (fun (mbr, entries) ->
          let id = Buffer_pool.alloc pool in
-         Buffer_pool.write pool id (Node.encode ~page_size node);
-         Entry.make (Node.mbr node) id)
-       entry_sets)
+         Buffer_pool.write pool id (Node.encode ~page_size (Node.make kind entries));
+         Entry.make mbr id)
+       leaves)
 
 let load ?priority_size pool entries =
   Trace.with_span "prtree.load"

@@ -24,15 +24,17 @@
    direction: the same pivots and the same Hoare scan, comparing keys
    inline and reading the rest of [Entry.compare_dim]'s order (the
    rectangle, then the id) from the columns only on equal keys.  Every
-   comparison therefore has [Entry.compare_dim]'s outcome, the
+   comparison therefore has [Entry.compare_dim]'s outcome, and the
    permutation moves exactly as [Select.partition_at] moves an entry
-   array under that order, and every leaf — and the entry order inside
-   it — is fixed by that order and the pivot rule.  This is what keeps
-   index files byte-identical to a build with [Entry.compare_dim]
-   closures.  {!build_leaves} hands the leaves straight to the
-   PR-tree's stages; {!build} wraps them in the tree for Lemma 2, the
-   audit and the ablation.  The I/O-efficient external construction
-   lives in {!Ext_build}. *)
+   array under that order: every leaf holds the entries a build with
+   [Entry.compare_dim] closures puts in it.  Inside a leaf the entries
+   are in page order ({!Prt_rtree.Node.page_compare}): the kernel
+   heapsorts the leaf's index range on the columns, and reads the
+   leaf's bounding box from them as it hands the leaf out.
+   {!build_leaves} hands the leaves straight to the PR-tree's stages;
+   {!build} wraps them in the tree for Lemma 2, the audit and the
+   ablation.  The I/O-efficient external construction lives in
+   {!Ext_build}. *)
 
 module Rect = Prt_geom.Rect
 module Select = Prt_util.Select
@@ -139,10 +141,84 @@ let rec partition c key sign perm lo hi n =
     else if n > mid then partition c key sign perm (mid + 1) hi n
   end
 
-(* Run the construction, calling [leaf ~priority entries] for each leaf
-   in construction order and [node children] for each internal node.
-   A leaf's range of [perm] is final when it is handed out: later
-   selections touch only the ranges after it. *)
+(* --- a leaf in page order ---
+
+   Each leaf's range of [perm] is sorted into page order
+   ({!Prt_rtree.Node.page_compare}) before it is handed out, so the
+   node writer's order check passes and no sort over boxed entries
+   follows.  [page_cmp] is that order on the columns: ascending [xmin]
+   with NaN last, then [tie_break], whose first comparison (the
+   [xmin]s again) then returns 0. *)
+let[@inline] page_cmp c x y =
+  let a = Float.Array.unsafe_get c.xmin x and b = Float.Array.unsafe_get c.xmin y in
+  if a < b then -1
+  else if a > b then 1
+  else if a = b || (a <> a && b <> b) then tie_break c x y
+  else if a <> a then 1
+  else -1
+
+(* Sift [perm.(lo + i)] down the max-heap [perm.(lo .. lo + n - 1)]. *)
+let rec sift c perm lo i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let r = l + 1 in
+    let m =
+      if r < n && page_cmp c (Array.unsafe_get perm (lo + r)) (Array.unsafe_get perm (lo + l)) > 0
+      then r
+      else l
+    in
+    if page_cmp c (Array.unsafe_get perm (lo + m)) (Array.unsafe_get perm (lo + i)) > 0 then begin
+      swap perm (lo + i) (lo + m);
+      sift c perm lo m n
+    end
+  end
+
+(* Heapsort of [perm.(lo .. hi - 1)] into page order: in place, with
+   no allocation, in O(n log n) comparisons. *)
+let sort_page c perm lo hi =
+  let n = hi - lo in
+  for i = (n / 2) - 1 downto 0 do
+    sift c perm lo i n
+  done;
+  for k = n - 1 downto 1 do
+    swap perm lo (lo + k);
+    sift c perm lo 0 k
+  done
+
+(* [Float.min] and [Float.max] for floats that are not NaN, inline (a
+   call would box them): they differ from [<] only on equal zeros,
+   where [-0.] is the min and [+0.] the max. *)
+let[@inline] fmin x y = if x < y then x else if y < x then y else if Float.sign_bit x then x else y
+let[@inline] fmax x y = if x > y then x else if y > x then y else if Float.sign_bit x then y else x
+
+(* The bounding box of a leaf's range, read from the columns: the
+   bits [Rect.union_map] gives over the same entries.  A NaN
+   coordinate (no [Rect.make] rectangle has one) falls back to
+   [Rect.union_map] itself, whose [Float.min] propagates it. *)
+let range_mbr c entries perm lo hi =
+  let p = Array.unsafe_get perm lo in
+  let xmin = ref (Float.Array.get c.xmin p) and ymin = ref (Float.Array.get c.ymin p) in
+  let xmax = ref (Float.Array.get c.xmax p) and ymax = ref (Float.Array.get c.ymax p) in
+  let ordered = ref (!xmin <= !xmax && !ymin <= !ymax) in
+  for k = lo + 1 to hi - 1 do
+    let p = Array.unsafe_get perm k in
+    let x0 = Float.Array.unsafe_get c.xmin p and y0 = Float.Array.unsafe_get c.ymin p in
+    let x1 = Float.Array.unsafe_get c.xmax p and y1 = Float.Array.unsafe_get c.ymax p in
+    ordered := !ordered && x0 <= x1 && y0 <= y1;
+    xmin := fmin !xmin x0;
+    ymin := fmin !ymin y0;
+    xmax := fmax !xmax x1;
+    ymax := fmax !ymax y1
+  done;
+  if !ordered then Rect.make ~xmin:!xmin ~ymin:!ymin ~xmax:!xmax ~ymax:!ymax
+  else Rect.union_map ~lo ~hi ~f:(fun p -> Entry.rect entries.(p)) perm
+
+(* Run the construction, calling [leaf ~priority ~mbr entries] for each
+   leaf in construction order — its entries in page order, [mbr] their
+   bounding box — and [node children] for each internal node.  A
+   leaf's range of [perm] is final when it is handed out: later
+   selections touch only the ranges after it, so sorting it changes no
+   other leaf. *)
 let kernel ~b ?priority_size ~leaf ~node entries =
   if b < 1 then invalid_arg "Pseudo.build: b must be >= 1";
   (* Priority leaves default to full size b (the paper's choice); 0
@@ -156,7 +232,9 @@ let kernel ~b ?priority_size ~leaf ~node entries =
   let c = columns entries in
   let perm = Array.init (Array.length entries) Fun.id in
   let leaf ?priority lo hi =
-    leaf ~priority (Array.init (hi - lo) (fun k -> entries.(perm.(lo + k))))
+    sort_page c perm lo hi;
+    leaf ~priority ~mbr:(range_mbr c entries perm lo hi)
+      (Array.init (hi - lo) (fun k -> entries.(perm.(lo + k))))
   in
   (* Peel the priority leaves off [perm.(lo..hi)]: for each direction in
      order, move the [priority_size] most extreme remaining entries to
@@ -198,8 +276,7 @@ let kernel ~b ?priority_size ~leaf ~node entries =
 
 let build ?(b = 113) ?priority_size entries =
   kernel ~b ?priority_size entries
-    ~leaf:(fun ~priority entries ->
-      Leaf { mbr = Rect.union_map ~f:Entry.rect entries; entries; priority })
+    ~leaf:(fun ~priority ~mbr entries -> Leaf { mbr; entries; priority })
     ~node:(fun children ->
       let box =
         List.fold_left (fun acc c -> Rect.union acc (mbr c)) (mbr (List.hd children)) children
@@ -208,7 +285,7 @@ let build ?(b = 113) ?priority_size entries =
 
 let build_leaves ?(b = 113) ?priority_size entries =
   kernel ~b ?priority_size entries
-    ~leaf:(fun ~priority:_ entries -> [ entries ])
+    ~leaf:(fun ~priority:_ ~mbr entries -> [ (mbr, entries) ])
     ~node:List.concat
 
 let rec fold_leaves t ~init ~f =

@@ -10,8 +10,10 @@
 
     One construction kernel serves both forms: quickselect over four
     unboxed coordinate columns and an int permutation, specialised by
-    key dimension and direction. {!build_leaves} returns its leaves as
-    they are; {!build} wraps them in the tree. *)
+    key dimension and direction. It hands out each leaf with its
+    entries in page order ({!Prt_rtree.Node.page_compare}) and its
+    bounding box. {!build_leaves} returns its leaves as they are;
+    {!build} wraps them in the tree. *)
 
 type t =
   | Leaf of {
@@ -27,10 +29,10 @@ val build : ?b:int -> ?priority_size:int -> Prt_rtree.Entry.t array -> t
 (** [build ~b entries] constructs the pseudo-PR-tree with leaf capacity
     [b] (default 113, the 4 KB-page fanout). Expected O(N log N) via
     quickselect over unboxed coordinate columns and an int permutation;
-    the input array is not modified. Every leaf, and the entry order
-    inside it, is determined by {!Prt_rtree.Entry.compare_dim}'s total
-    order and the quickselect's fixed pivot rule. Raises
-    [Invalid_argument] on empty input or [b < 1].
+    the input array is not modified. Every leaf's entries are
+    determined by {!Prt_rtree.Entry.compare_dim}'s total order and the
+    quickselect's fixed pivot rule; inside a leaf they are in page
+    order. Raises [Invalid_argument] on empty input or [b < 1].
 
     [priority_size] (default [b]) sets how many extreme rectangles each
     priority leaf holds: [b] is the paper's choice, [1] the structure of
@@ -39,12 +41,16 @@ val build : ?b:int -> ?priority_size:int -> Prt_rtree.Entry.t array -> t
     [Invalid_argument] outside [0, b]. *)
 
 val build_leaves :
-  ?b:int -> ?priority_size:int -> Prt_rtree.Entry.t array -> Prt_rtree.Entry.t array list
+  ?b:int ->
+  ?priority_size:int ->
+  Prt_rtree.Entry.t array ->
+  (Prt_geom.Rect.t * Prt_rtree.Entry.t array) list
 (** [build_leaves ~b entries] is [leaves (build ~b entries)] — the same
-    leaf entry-sets in the same order — straight from the construction,
-    without the tree or its bounding boxes: what {!Prtree.load} and
-    {!Ext_build} keep of each pseudo-PR-tree. Same arguments and
-    exceptions as {!build}. *)
+    leaves, entries in page order, in the same order — each with its
+    bounding box, straight from the construction, without the tree:
+    what {!Prtree.load} and {!Ext_build} keep of each pseudo-PR-tree.
+    The box is the one [Rect.union_map] gives over the leaf. Same
+    arguments and exceptions as {!build}. *)
 
 val mbr : t -> Prt_geom.Rect.t
 

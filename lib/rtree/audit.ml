@@ -19,6 +19,7 @@ type what =
   | Internal_depth of { depth : int; height : int }
   | Node_overflow of { count : int; capacity : int }
   | Node_underfill of { count : int; minimum : int }
+  | Unsorted_node
   | Empty_node
   | Count_mismatch of { expected : int; actual : int }
   | Page_leaked
@@ -38,6 +39,7 @@ let label = function
   | Internal_depth _ -> "internal-depth"
   | Node_overflow _ -> "node-overflow"
   | Node_underfill _ -> "node-underfill"
+  | Unsorted_node -> "unsorted-node"
   | Empty_node -> "empty-node"
   | Count_mismatch _ -> "count-mismatch"
   | Page_leaked -> "page-leaked"
@@ -59,6 +61,7 @@ let pp_what ppf = function
       Fmt.pf ppf "node holds %d entries, capacity %d" count capacity
   | Node_underfill { count; minimum } ->
       Fmt.pf ppf "node holds %d entries, minimum %d" count minimum
+  | Unsorted_node -> Fmt.pf ppf "entries not in page order (ascending xmin)"
   | Empty_node -> Fmt.pf ppf "empty node"
   | Count_mismatch { expected; actual } ->
       Fmt.pf ppf "tree metadata says %d entries but the leaves hold %d" expected actual
@@ -115,6 +118,7 @@ let check ?(min_leaf_fill = 1) ?(min_fanout = 1) ?(check_leaks = false) ?(reacha
           incr nodes;
           let n = Node.length node in
           if n > cap then add (page_where id) (Node_overflow { count = n; capacity = cap });
+          if not (Node.in_page_order (Node.entries node)) then add (page_where id) Unsorted_node;
           (match recorded with
           | Some r when n > 0 ->
               let exact = Node.mbr node in

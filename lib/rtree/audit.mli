@@ -7,6 +7,8 @@
       bounding box of each child's subtree);
     - uniform leaf depth (all leaves on the level the height claims);
     - fill-factor bounds (opt-in minimums; overflow always checked);
+    - page order: every node's entries in ascending [xmin]
+      ({!Node.page_compare}), which the descent's cut-off relies on;
     - entry-count consistency between tree metadata and the leaves;
     - no page leaks: every allocated page of the pager is reachable
       exactly once from the root (or on the free list), no reachable
@@ -35,6 +37,7 @@ type what =
   | Internal_depth of { depth : int; height : int }
   | Node_overflow of { count : int; capacity : int }
   | Node_underfill of { count : int; minimum : int }
+  | Unsorted_node  (** The node's entries are not in {!Node.page_compare} order. *)
   | Empty_node
   | Count_mismatch of { expected : int; actual : int }
   | Page_leaked  (** Allocated, not free, and unreachable from the root. *)

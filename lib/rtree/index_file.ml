@@ -548,6 +548,11 @@ let fsck ?(page_size = Pager.default_page_size) ?rebuild path =
             match
               Rtree.iter_nodes tree ~f:(fun ~depth:_ ~id node ->
                   Hashtbl.replace pages id ();
+                  (* The descent's cut-off would miss entries on it. *)
+                  if not (Node.in_page_order (Node.entries node)) then
+                    invalid_arg
+                      (Printf.sprintf "%s: page %d's entries are not in page order"
+                         (Audit.label Audit.Unsorted_node) id);
                   if Node.kind node = Node.Leaf then entries := !entries + Node.length node)
             with
             | () -> (true, None, Some !entries, Some (fun id -> Hashtbl.mem pages id))

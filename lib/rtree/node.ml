@@ -1,4 +1,4 @@
-(* On-page R-tree node format (format v3).
+(* On-page R-tree node format (format v4).
 
    A node page of capacity c holds, from byte 0 of the payload:
 
@@ -21,7 +21,16 @@
    view of the file.  The 3-byte header trails the columns because a
    leading one would push them off that boundary, and padding it to 8
    bytes would cost a slot at small page sizes (128-byte pages would
-   hold 2 entries instead of 3). *)
+   hold 2 entries instead of 3).
+
+   Format v4 adds one invariant to v3's layout: the entries of every
+   page are in page order — ascending [xmin], NaN last, ties broken by
+   the rest of [Entry.compare_dim 0]'s order (the rectangle in
+   [Rect.compare] order, then the id).  [encode] enforces it, so no
+   writer decides the bytes of a page, and a query's results come out
+   in page order, not in build order.  The descent kernels in [Rtree]
+   rely on it: an entry whose [xmin] exceeds the query's bound cannot
+   pass, and neither can any entry after it. *)
 
 module Rect = Prt_geom.Rect
 module Page = Prt_storage.Page
@@ -55,9 +64,39 @@ let mbr t =
   if length t = 0 then invalid_arg "Node.mbr: empty node";
   Rect.union_map ~f:Entry.rect t.entries
 
+(* Page order.  [Float.compare] puts NaN first; here it goes last, so
+   that [xmin <= bound] holds on a prefix of the page whatever the
+   bound.  Equal [xmin]s (NaN against NaN included) fall through to
+   [Entry.compare_dim 0], whose first comparison then returns 0. *)
+let page_compare a b =
+  (* Fields, not the [Rect.xmin] accessor: a cross-module call would box
+     the float it returns. *)
+  let x = a.Entry.rect.Rect.xmin and y = b.Entry.rect.Rect.xmin in
+  if x < y then -1
+  else if x > y then 1
+  else if x = y || (x <> x && y <> y) then Entry.compare_dim 0 a b
+  else if x <> x then 1
+  else -1
+
+let in_page_order entries =
+  let rec from i =
+    i >= Array.length entries || (page_compare entries.(i - 1) entries.(i) <= 0 && from (i + 1))
+  in
+  from 1
+
 let encode ~page_size t =
   let cap = capacity ~page_size in
   if length t > cap then invalid_arg "Node.encode: node exceeds page capacity";
+  (* Sort a copy: the caller may go on using its array ([Dynamic]
+     updates the arrays it decoded in place). *)
+  let entries =
+    if in_page_order t.entries then t.entries
+    else begin
+      let a = Array.copy t.entries in
+      Array.stable_sort page_compare a;
+      a
+    end
+  in
   let buf = Page.create page_size in
   Array.iteri
     (fun i e ->
@@ -67,7 +106,7 @@ let encode ~page_size t =
       Page.set_f64 buf (8 * ((2 * cap) + i)) (Rect.xmax r);
       Page.set_f64 buf (8 * ((3 * cap) + i)) (Rect.ymax r);
       Page.set_i32 buf ((32 * cap) + (4 * i)) (Entry.id e))
-    t.entries;
+    entries;
   Page.set_u8 buf (36 * cap) (match t.kind with Leaf -> 0 | Internal -> 1);
   Page.set_u16 buf ((36 * cap) + 1) (length t);
   buf

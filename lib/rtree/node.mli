@@ -1,11 +1,16 @@
-(** On-page R-tree node codec (format v3).
+(** On-page R-tree node codec (format v4).
 
     A node is a kind tag plus {!Entry} records, stored as columns: all
     [xmin]s, then all [ymin]s, [xmax]s and [ymax]s (float64), then the
     int32 ids, then the kind byte and the u16 entry count.  Each
     coordinate sits on an 8-byte boundary, so the mapped descent loads
     it inline.  An entry takes 36 bytes as in the paper, so with the
-    default 4 KB page the capacity is 113 entries. *)
+    default 4 KB page the capacity is 113 entries.
+
+    The entries of a page are in {e page order} ({!page_compare}):
+    {!encode} enforces it and {!decode} returns it, so the descent in
+    {!Rtree} can stop a node's scan at the first entry whose [xmin]
+    exceeds the query's bound. *)
 
 type kind = Leaf | Internal
 
@@ -26,12 +31,25 @@ val mbr : t -> Prt_geom.Rect.t
 (** Bounding box of all entries. Raises [Invalid_argument] on an empty
     node. *)
 
+val page_compare : Entry.t -> Entry.t -> int
+(** The order of entries on a page: ascending [xmin] with NaN last, ties
+    broken by the rest of [Entry.compare_dim 0]'s order (the rectangle
+    in [Rect.compare] order, then the id).  With NaN last, [xmin <= b]
+    holds on a prefix of a page for every bound [b]. *)
+
+val in_page_order : Entry.t array -> bool
+(** Is the array sorted by {!page_compare}?  One O(n) pass. *)
+
 val encode : page_size:int -> t -> bytes
-(** Raises [Invalid_argument] if the node exceeds the page capacity. *)
+(** Writes the entries in page order: as they are when {!in_page_order}
+    holds, else from a sorted copy (the node's own array is never
+    reordered).  Raises [Invalid_argument] if the node exceeds the page
+    capacity. *)
 
 val decode : bytes -> t
-(** Raises [Invalid_argument] on a corrupt kind tag, a count beyond the
-    page's capacity or an inverted rectangle. *)
+(** The entries in the order the page holds them — page order, for a
+    page {!encode} wrote.  Raises [Invalid_argument] on a corrupt kind
+    tag, a count beyond the page's capacity or an inverted rectangle. *)
 
 (** {1 Page layout}
 

@@ -187,6 +187,12 @@ let snapshot_gen = function Some sv -> sv.sv_gen | None -> 0
    it grows only when a node pushes past its end.  Children are pushed
    in reverse entry order, so pages pop in exactly the recursive
    preorder: visit counts and result order do not depend on the source.
+   A page holds its entries in page order (ascending [xmin], see
+   {!Node}), so results come out in page order within each leaf — not
+   in the order a loader built the leaf — and each kernel first
+   binary-searches the entry where its scan can stop (the cut-off,
+   below).  Which entries pass does not depend on their order, so the
+   cut-off changes no visit count and no answer set.
    Under a snapshot, leaf vs internal is decided by depth against the
    pinned height (the kind byte describes the *live* page, which may
    have been reallocated into another role); on the live tree by the
@@ -384,7 +390,7 @@ let set_bounds b form w =
 let[@inline] get_f64 buf off = Int64.float_of_bits (Bytes.get_int64_le buf off)
 
 (* The kernels read a node page's columns in place ({!Node}'s format
-   v3): entry [i]'s [xmin], [ymin], [xmax] and [ymax] sit one column
+   v4): entry [i]'s [xmin], [ymin], [xmax] and [ymax] sit one column
    apart, then its id in the int32 column.  Over a page image the
    stride is [col = 8 * capacity] bytes; over the float64 mapping it is
    [cap = capacity] words, and a coordinate is one inline
@@ -426,6 +432,31 @@ let[@inline] mapped_passes b k (m : View.map) w cap =
   && Float.Array.unsafe_get b (k + 6) <= ylo
   && yhi <= Float.Array.unsafe_get b (k + 7)
 
+(* The cut-off.  A page's entries are in page order ({!Node}: ascending
+   [xmin], NaN last), so [xmin <= b.(k)] — the first comparison of every
+   test — holds on a prefix of the page: an entry past that prefix
+   cannot pass, and neither can any entry after it.  [k] is 0 for a
+   leaf report and 8 for a child push.  The binary search returns the
+   end of the prefix within [lo, hi): an entry index over a page image,
+   a word over the mapping.  The bound is read in place from the
+   bounds array, as the tests read it: a float argument would be boxed
+   on every node. *)
+
+let rec cut_image b k buf lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if get_f64 buf (8 * mid) <= Float.Array.unsafe_get b k then cut_image b k buf (mid + 1) hi
+    else cut_image b k buf lo mid
+
+let rec cut_mapped b k (m : View.map) lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if Bigarray.Array1.unsafe_get m mid <= Float.Array.unsafe_get b k then
+      cut_mapped b k m (mid + 1) hi
+    else cut_mapped b k m lo mid
+
 (* The four kernels: leaf scan and child push, over a page image and
    over the mapping.  They are top-level recursive functions, not local
    closures — a local [let rec] capturing its environment would
@@ -433,7 +464,8 @@ let[@inline] mapped_passes b k (m : View.map) w cap =
    the [xmin] column, and on the mapping [id] walks the id column beside
    it; a leaf scan records hits in [h], a child push lands (page id,
    depth) pairs on the stack from the last entry down to [first], so the
-   first entry pops first.  The caller reserves the stack room. *)
+   first entry pops first.  Each runs over the entries before the
+   cut-off only.  The caller reserves the stack room. *)
 
 let rec scan_image h buf off stop col =
   if off < stop then begin
@@ -485,12 +517,13 @@ let visit_image pol h buf ~leaf_depth depth sp =
   let col = 8 * cap in
   count_visit pol h.h_stats ~leaf depth;
   if leaf then begin
-    scan_image h buf 0 (8 * n) col;
+    scan_image h buf 0 (8 * cut_image h.h_bounds 0 buf 0 n) col;
     sp
   end
   else begin
-    reserve h sp n;
-    push_image h buf (8 * (n - 1)) 0 col (depth + 1) sp
+    let stop = cut_image h.h_bounds 8 buf 0 n in
+    reserve h sp stop;
+    push_image h buf (8 * (stop - 1)) 0 col (depth + 1) sp
   end
 
 let read_image t src ~gen ~leaf_depth id depth =
@@ -539,12 +572,13 @@ let visit_mapped t mm pol h ~gen ~leaf_depth id depth sp =
     let hits0 = h.h_len and matched0 = h.h_stats.matched in
     let sp' =
       if leaf then begin
-        scan_mapped h m w0 (w0 + n) cap ids;
+        scan_mapped h m w0 (cut_mapped h.h_bounds 0 m w0 (w0 + n)) cap ids;
         sp
       end
       else begin
-        reserve h sp n;
-        push_mapped h m (w0 + n - 1) w0 cap (ids + (4 * (n - 1))) (depth + 1) sp
+        let stop = cut_mapped h.h_bounds 8 m w0 (w0 + n) - w0 in
+        reserve h sp stop;
+        push_mapped h m (w0 + stop - 1) w0 cap (ids + (4 * (stop - 1))) (depth + 1) sp
       end
     in
     if overwritten t ~gen id then begin
@@ -763,6 +797,8 @@ let validate t =
     let node = read_node t id in
     let n = Node.length node in
     if n > cap then invalid "node %d holds %d entries, capacity %d" id n cap;
+    if not (Node.in_page_order (Node.entries node)) then
+      invalid "unsorted-node: node %d's entries are not in page order" id;
     match Node.kind node with
     | Node.Leaf ->
         if depth <> t.height then

@@ -210,11 +210,15 @@ val query_count :
     Every query above, {!Query}'s forms, {!Qexec}'s workers and
     {!query_profile} run one explicit-stack preorder descent, given a
     page {!source} and a {!policy}; {!descend_into} is the engine
-    itself, {!descend_iter} its callback form.  Children are pushed in reverse entry order, so pages pop in the
-    recursive preorder and visit counts and result order are the same
-    on every source.  Under a snapshot, leaf vs internal is decided by
-    depth against the pinned height; on the live tree by the page's
-    kind byte. *)
+    itself, {!descend_iter} its callback form.  Children are pushed in
+    reverse entry order, so pages pop in the recursive preorder and
+    visit counts and result order are the same on every source.
+    Within a leaf, results come in page order ({!Node.page_compare}),
+    whatever order the loader built the leaf in: each node's scan
+    binary-searches where it can stop, the first entry whose [xmin]
+    exceeds the query's bound.  Under a snapshot, leaf vs internal is
+    decided by depth against the pinned height; on the live tree by the
+    page's kind byte. *)
 
 type form =
   | Window  (** descend and report on intersection *)
@@ -318,8 +322,10 @@ exception Invalid of string
 val validate : t -> structure
 (** Check the R-tree invariants — all leaves on the same level, every
     parent-recorded MBR exactly the union of its child's entries, fanout
-    within capacity, metadata count consistent — and return structural
-    statistics. Raises {!Invalid} with a description on violation. *)
+    within capacity, every node's entries in page order, metadata count
+    consistent — and return structural statistics. Raises {!Invalid}
+    with a description on violation (an order violation names itself
+    [unsorted-node], {!Audit}'s label). *)
 
 val mbr : t -> Prt_geom.Rect.t option
 (** Bounding box of the whole dataset ([None] when empty). *)

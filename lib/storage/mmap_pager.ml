@@ -3,13 +3,13 @@
    The whole index file is mapped once, as a float64 bigarray
    ([Unix.map_file] → {!View.map}, advised MADV_RANDOM); query descent
    then tests rect predicates directly against the mapping — no
-   syscall, no [shared_lock] mutex, no page copy, no decode.  Format v3
-   node pages keep their coordinates in 8-byte-aligned columns, so the
-   descent kernels load each one inline; every other field is cut out
-   of its 64-bit word ({!View}).  One mapping of one kind serves every
-   reader: a second, byte-typed mapping of the same file would add
-   resident memory only to spare those few loads their word
-   extraction.  All domains share the mapping: the
+   syscall, no [shared_lock] mutex, no page copy, no decode.  Node pages
+   (format v3 onwards) keep their coordinates in 8-byte-aligned
+   columns, so the descent kernels load each one inline; every other
+   field is cut out of its 64-bit word ({!View}).  One mapping of one
+   kind serves every reader: a second, byte-typed mapping of the same
+   file would add resident memory only to spare those few loads their
+   word extraction.  All domains share the mapping: the
    kernel's page cache is the only buffer, and concurrent readers need
    no per-domain state.
 

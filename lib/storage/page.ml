@@ -7,7 +7,7 @@
    Every page ends in a 16-byte trailer:
 
      [page_size-16 .. page_size-9]   page LSN (int64 LE, monotonic per device)
-     [page_size-8  .. page_size-7]   format epoch (u16 LE; 3 = this format)
+     [page_size-8  .. page_size-7]   format epoch (u16 LE; 4 = this format)
      [page_size-6  .. page_size-5]   reserved (zero)
      [page_size-4  .. page_size-1]   CRC-32C over bytes [0, page_size-4)
 
@@ -17,7 +17,8 @@
    a page that was never stamped; such a page is only legitimate when it
    is all zeros (a freshly allocated page).  The epoch names the format
    of everything the payload holds: format 3 replaced format 2's row
-   node pages with columns, and a page of another epoch is refused
+   node pages with columns, format 4 keeps every node page's entries
+   in page order ([Node]), and a page of another epoch is refused
    ([Stale_epoch]) rather than decoded. *)
 
 type t = bytes
@@ -51,7 +52,7 @@ let get_u8 page off = Bytes.get_uint8 page off
 (* --- the integrity trailer --- *)
 
 let trailer_size = 16
-let format_epoch = 3
+let format_epoch = 4
 
 let payload_size page_size =
   if page_size <= trailer_size then

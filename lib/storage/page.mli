@@ -31,15 +31,16 @@ val get_u16 : t -> int -> int
 val set_u8 : t -> int -> int -> unit
 val get_u8 : t -> int -> int
 
-(** {1 Integrity trailer (format v3)} *)
+(** {1 Integrity trailer (format v4)} *)
 
 val trailer_size : int
 (** 16 bytes: LSN (8) + epoch (2) + reserved (2) + CRC-32C (4). *)
 
 val format_epoch : int
-(** The epoch stamped into freshly written pages; 3 for this format
-    (columnar node pages).  Format 2's row node pages carry epoch 2 and
-    are refused, never decoded. *)
+(** The epoch stamped into freshly written pages; 4 for this format
+    (columnar node pages, entries in page order).  Pages of formats 2
+    (row node pages) and 3 (columns in build order) carry their own
+    epoch and are refused, never decoded. *)
 
 val payload_size : int -> int
 (** [payload_size page_size] is the number of bytes available to codecs:

@@ -16,7 +16,7 @@
    shares the inner pager's counters, so with an all-zero policy it is
    observationally identical to the pager it wraps.
 
-   Format v3 integrity: every page written through the public [write]
+   Format v4 integrity: every page written through the public [write]
    path is stamped with the {!Page} trailer (monotonic device LSN,
    format epoch, CRC-32C), and [read] on the file backend verifies the
    trailer, raising {!Corrupt_page} on mismatch.  The stamping/verifying

@@ -7,7 +7,7 @@
     algorithms, not the host filesystem); the file backend persists
     indexes for the CLI.
 
-    Format v3 integrity: {!write} stamps every page with the {!Page}
+    Format v4 integrity: {!write} stamps every page with the {!Page}
     trailer (device LSN, format epoch, CRC-32C) and {!read} verifies the
     trailer on the file backend, raising {!Corrupt_page} on damage.  The
     module also provides the mechanisms {!Superblock} builds atomic

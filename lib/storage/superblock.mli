@@ -48,8 +48,8 @@ exception Unsupported_format of int
     {!Page.format_epoch}. *)
 
 val unsupported_format_message : int -> string
-(** ["index format 2; this build reads format 3: rebuild it from its
-    dataset"] for a format-2 file: what to tell an operator. *)
+(** ["index format 3; this build reads format 4: rebuild it from its
+    dataset"] for a format-3 file: what to tell an operator. *)
 
 val open_ : Pager.t -> t * recovery
 (** Open a formatted device, running crash recovery as needed (see

@@ -7,8 +7,8 @@
    out of the mapping with no syscall, no lock and no copy; everything
    here must therefore be allocation-free.
 
-   The mapping is float64 because format v3 node pages keep their
-   coordinates in 8-byte-aligned columns: a coordinate is one
+   The mapping is float64 because node pages (format v3 onwards) keep
+   their coordinates in 8-byte-aligned columns: a coordinate is one
    [Array1.unsafe_get], which ocamlopt compiles to a single unboxed
    load, and the descent kernels in [Rtree] do that inline.  Every other
    field — header bytes, int32 ids, the trailer the CRC gate checks — is

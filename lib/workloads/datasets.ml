@@ -45,12 +45,17 @@ let size ~n ~max_side ~seed =
 
 let rect_area = 1e-6
 
+(* The accepted ratios, the paper's 10 .. 1e5 among them.  At 1e6 the
+   long side is exactly 1.0, and the redraw below would wait for a
+   centre of exactly 0.5. *)
+let max_aspect = 1e5
+
 let aspect ~n ~a ~seed =
   check_n n;
-  if a < 1.0 then invalid_arg "Datasets.aspect: aspect ratio must be >= 1";
+  if not (a >= 1.0 && a <= max_aspect) then
+    invalid_arg "Datasets.aspect: aspect ratio outside [1, 1e5]";
   let rng = Rng.create seed in
   let long = sqrt (rect_area *. a) and short = sqrt (rect_area /. a) in
-  if long > 1.0 then invalid_arg "Datasets.aspect: aspect ratio too large for the unit square";
   let rec draw () =
     let horizontal = Rng.bool rng in
     let w, h = if horizontal then (long, short) else (short, long) in

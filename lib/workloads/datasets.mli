@@ -9,9 +9,13 @@ val size : n:int -> max_side:float -> seed:int -> Prt_rtree.Entry.t array
 (** SIZE(max_side): uniform centers, sides uniform in [\[0, max_side\]],
     redrawn until fully inside the unit square. *)
 
+val max_aspect : float
+(** 1e5, the largest ratio {!aspect} accepts (the paper's largest). *)
+
 val aspect : n:int -> a:float -> seed:int -> Prt_rtree.Entry.t array
 (** ASPECT(a): fixed area 1e-6, aspect ratio [a], longest side
-    horizontal or vertical with equal probability. *)
+    horizontal or vertical with equal probability. Raises
+    [Invalid_argument] unless [a] is in [\[1, max_aspect\]]. *)
 
 val skewed : n:int -> c:int -> seed:int -> Prt_rtree.Entry.t array
 (** SKEWED(c): uniform points squeezed by [y := y^c]. *)

@@ -222,6 +222,30 @@ let test_mutation_leaf_depth () =
       Bytes.set_int32_le buf (id_off buf 0) (Int32.of_int leaf));
   assert_flags tree "leaf-depth"
 
+(* Page order: the victim's leaves audit clean as built; swapping two
+   entries of one leaf on disk — every column and the id — keeps the
+   same entries and box, so only the order is wrong, and it is named. *)
+let test_mutation_unsorted_node () =
+  let pool, tree = build_victim () in
+  let pristine = Audit.check tree in
+  if not (Audit.ok pristine) then
+    Alcotest.failf "the pristine PR-tree does not audit clean: %a" Audit.pp_report pristine;
+  let leaf = first_leaf tree (Rtree.root tree) in
+  corrupt pool leaf (fun buf ->
+      let swap off width =
+        let a = Bytes.sub buf (off 0) width in
+        Bytes.blit buf (off 1) buf (off 0) width;
+        Bytes.blit a 0 buf (off 1) width
+      in
+      List.iter (fun c -> swap (fun i -> coord_off buf i c) 8) Node.[ Xmin; Ymin; Xmax; Ymax ];
+      swap (id_off buf) 4);
+  let r = Audit.check tree in
+  Alcotest.(check (list string)) "the one violation" [ "unsorted-node" ] (labels r);
+  Alcotest.(check (list string))
+    "on the swapped leaf"
+    [ Printf.sprintf "page %d" leaf ]
+    (List.map (fun v -> v.Audit.where) r.Audit.violations)
+
 let test_mutation_page_leaked () =
   let pool, tree = build_victim () in
   Buffer_pool.drop_clean pool;
@@ -256,6 +280,8 @@ let suite =
     Alcotest.test_case "mutation: duplicated child -> page-shared" `Quick
       test_mutation_page_shared;
     Alcotest.test_case "mutation: shortcut to leaf -> leaf-depth" `Quick test_mutation_leaf_depth;
+    Alcotest.test_case "mutation: swapped leaf entries -> unsorted-node" `Quick
+      test_mutation_unsorted_node;
     Alcotest.test_case "mutation: stray allocation -> page-leaked" `Quick
       test_mutation_page_leaked;
     Alcotest.test_case "mutation: freed leaf -> freed-page-reachable" `Quick

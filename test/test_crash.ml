@@ -357,37 +357,37 @@ let test_older_slot_damage_is_repaired () =
 
 (* --- another on-disk format ---
 
-   A file written by format 2 (row node pages) has intact,
-   checksummed pages of epoch 2.  It is refused by name, not reported
-   as damage, and salvage takes nothing from it: a page of another
-   epoch is never decoded. *)
+   A file written by format 2 (row node pages) or format 3 (columns in
+   build order) has intact, checksummed pages of its own epoch.  It is
+   refused by name, not reported as damage, and salvage takes nothing
+   from it: a page of another epoch is never decoded. *)
 
-let format_2_message =
-  Printf.sprintf "index format 2; this build reads format %d: rebuild it from its dataset"
-    Page.format_epoch
-
-let test_format_2_refused () =
+let test_old_format_refused epoch () =
   let entries = Helpers.random_entries ~n:300 ~seed:12 in
+  let message =
+    Printf.sprintf "index format %d; this build reads format 4: rebuild it from its dataset" epoch
+  in
+  Alcotest.(check int) "this build's format" 4 Page.format_epoch;
   with_temp2 (fun path out ->
       make_pristine path entries;
       let refused what =
         match Index_file.open_ ~page_size path with
         | idx ->
             Index_file.close idx;
-            Alcotest.failf "%s: a format-2 index opened" what
+            Alcotest.failf "%s: a format-%d index opened" what epoch
         | exception Superblock.Unsupported_format found ->
-            Alcotest.(check int) (what ^ ": the format found") 2 found;
-            Alcotest.(check string) (what ^ ": the message") format_2_message
+            Alcotest.(check int) (what ^ ": the format found") epoch found;
+            Alcotest.(check string) (what ^ ": the message") message
               (Superblock.unsupported_format_message found)
       in
-      Helpers.restamp_epoch ~page_size ~only:[ 0; 1 ] path ~epoch:2;
+      Helpers.restamp_epoch ~page_size ~only:[ 0; 1 ] path ~epoch;
       refused "both superblock slots";
-      Helpers.restamp_epoch ~page_size path ~epoch:2;
+      Helpers.restamp_epoch ~page_size path ~epoch;
       refused "every page";
       let report =
         Index_file.fsck ~page_size ~rebuild:(out, fun pool es -> Prtree.load pool es) path
       in
-      Alcotest.(check (option string)) "fsck names the format" (Some format_2_message)
+      Alcotest.(check (option string)) "fsck names the format" (Some message)
         report.Index_file.fsck_error;
       match report.Index_file.fsck_salvaged with
       | Some (n, _) -> Alcotest.(check int) "salvage takes no page" 0 n
@@ -506,7 +506,9 @@ let suite =
       test_bit_flip_never_wrong_answer;
     Helpers.qcheck_case crash_property;
     Alcotest.test_case "format: a format-2 index is refused by name" `Quick
-      test_format_2_refused;
+      (test_old_format_refused 2);
+    Alcotest.test_case "format: a format-3 index is refused by name" `Quick
+      (test_old_format_refused 3);
     Alcotest.test_case "salvage: fsck --rebuild of an intact index takes every entry" `Quick
       test_salvage_intact;
   ]

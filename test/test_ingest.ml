@@ -219,10 +219,10 @@ let test_torn_wal_tail () =
       check_oracle t entries everything;
       Lsm.close t)
 
-(* A store whose components were written by format 2 is refused by
-   name: none of them could be read, so opening it with every component
-   failed would serve nothing. *)
-let test_format_2_store_refused () =
+(* A store whose components were written by format 2 or 3 is refused
+   by name: none of them could be read, so opening it with every
+   component failed would serve nothing. *)
+let test_old_format_store_refused epoch () =
   with_temp_dir (fun dir ->
       let page_size = Helpers.small_page_size in
       let t = Lsm.create ~buffer_capacity:4 ~page_size dir in
@@ -233,14 +233,18 @@ let test_format_2_store_refused () =
       Array.iter
         (fun name ->
           if Filename.check_suffix name ".idx" then
-            Helpers.restamp_epoch ~page_size (Filename.concat dir name) ~epoch:2)
+            Helpers.restamp_epoch ~page_size (Filename.concat dir name) ~epoch)
         (Sys.readdir dir);
       match Lsm.open_ ~page_size dir with
       | t ->
           Lsm.close t;
-          Alcotest.fail "a store of format-2 components opened"
+          Alcotest.failf "a store of format-%d components opened" epoch
       | exception Prt_storage.Superblock.Unsupported_format found ->
-          Alcotest.(check int) "the format found" 2 found)
+          Alcotest.(check int) "the format found" epoch found;
+          Alcotest.(check string) "the message"
+            (Printf.sprintf
+               "index format %d; this build reads format 4: rebuild it from its dataset" epoch)
+            (Prt_storage.Superblock.unsupported_format_message found))
 
 (* --- deletes and tombstones --- *)
 
@@ -929,5 +933,7 @@ let suite =
     Alcotest.test_case "query reads tombstones without a copy" `Quick
       test_query_tombstone_snapshot;
     Alcotest.test_case "a store of format-2 components is refused" `Quick
-      test_format_2_store_refused;
+      (test_old_format_store_refused 2);
+    Alcotest.test_case "a store of format-3 components is refused" `Quick
+      (test_old_format_store_refused 3);
   ]

@@ -1,25 +1,33 @@
 (* The pseudo-PR-tree's columnar selection kernel against a
    closure-based construction, reduced to its leaf list: quickselect
-   over boxed entries, comparing through [Entry.compare_dim] closures.
+   over boxed entries, comparing through [Entry.compare_dim] closures,
+   each leaf then sorted into page order with [Node.page_compare].
    For every input and every parameter the kernel must give the same
-   leaves in the same order, with the same entries in the same order
-   inside each leaf, and the same priority directions; that is what
-   keeps PR-tree files byte-identical to those of the closure-based
-   build. *)
+   leaves in the same order, with the same entries inside each leaf in
+   page order, the same priority directions, and each leaf's bounding
+   box bit for bit as [Rect.union_map] computes it; that is what makes
+   a PR-tree file a function of its input set. *)
 
 module Rect = Prt_geom.Rect
 module Entry = Prt_rtree.Entry
+module Node = Prt_rtree.Node
 module Select = Prt_util.Select
 module Pseudo = Prt_prtree.Pseudo
 
 let extreme_cmp dim =
   if dim < 2 then Entry.compare_dim dim else fun a b -> Entry.compare_dim dim b a
 
-(* (priority, entries) for every leaf, in construction order. *)
+(* (priority, entries) for every leaf, in construction order, the
+   entries of each leaf sorted into page order (a copy: [arr] keeps the
+   order the selections left). *)
 let oracle_leaves ~b ~priority_size entries =
   let arr = Array.copy entries in
   let out = ref [] in
-  let emit ?priority lo hi = out := (priority, Array.sub arr lo (hi - lo)) :: !out in
+  let emit ?priority lo hi =
+    let leaf = Array.sub arr lo (hi - lo) in
+    Array.sort Node.page_compare leaf;
+    out := (priority, leaf) :: !out
+  in
   let rec go lo hi depth =
     if hi - lo <= b then emit lo hi
     else begin
@@ -108,6 +116,17 @@ let same_entries a b =
        (fun (_, x) (_, y) -> Array.length x = Array.length y && Array.for_all2 ( == ) x y)
        a b
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The box [build_leaves] gives, against [Rect.union_map] over the
+   leaf, bit for bit (signed zeros included). *)
+let exact_mbr (mbr, entries) =
+  let r = Rect.union_map ~f:Entry.rect entries in
+  same_bits (Rect.xmin mbr) (Rect.xmin r)
+  && same_bits (Rect.ymin mbr) (Rect.ymin r)
+  && same_bits (Rect.xmax mbr) (Rect.xmax r)
+  && same_bits (Rect.ymax mbr) (Rect.ymax r)
+
 let check_against_oracle ~label ~b ~priority_size entries =
   let expected = oracle_leaves ~b ~priority_size entries in
   let tree =
@@ -117,16 +136,19 @@ let check_against_oracle ~label ~b ~priority_size entries =
       ~f:(fun acc ~entries ~priority -> (priority, entries) :: acc)
     |> List.rev
   in
-  let flat =
-    List.map (fun es -> (None, es)) (Pseudo.build_leaves ~b ~priority_size entries)
-  in
+  let boxed = Pseudo.build_leaves ~b ~priority_size entries in
+  let flat = List.map (fun (_, es) -> (None, es)) boxed in
   let label = Printf.sprintf "%s b=%d priority_size=%d" label b priority_size in
   Alcotest.(check (list (list int))) (label ^ ": build leaves") (ids expected) (ids tree);
   Alcotest.(check bool) (label ^ ": build entries") true (same_entries expected tree);
+  Alcotest.(check bool)
+    (label ^ ": build leaves in page order") true
+    (List.for_all (fun (_, es) -> Node.in_page_order es) tree);
   Alcotest.(check (list (option int)))
     (label ^ ": priority directions") (List.map fst expected) (List.map fst tree);
   Alcotest.(check (list (list int))) (label ^ ": build_leaves") (ids expected) (ids flat);
-  Alcotest.(check bool) (label ^ ": build_leaves entries") true (same_entries expected flat)
+  Alcotest.(check bool) (label ^ ": build_leaves entries") true (same_entries expected flat);
+  Alcotest.(check bool) (label ^ ": build_leaves boxes") true (List.for_all exact_mbr boxed)
 
 let priority_sizes b = List.sort_uniq Int.compare [ 0; 1; b / 2; b ]
 

@@ -125,16 +125,17 @@ let test_iter_rects_matches_decode () =
   in
   let windows = Helpers.random_queries ~n:30 ~seed:8 in
   let batch = Qexec.run ~jobs:1 (Qexec.create two) windows in
+  let in_page_order = List.sort Node.page_compare (Array.to_list entries) in
+  Alcotest.(check bool) "leaf decodes in page order" true
+    (Array.to_list (Node.entries (Node.decode buf)) = in_page_order);
   Array.iteri
     (fun i w ->
-      let expected =
-        Array.to_list entries |> List.filter (fun e -> Rect.intersects (Entry.rect e) w)
-      in
+      let expected = List.filter (fun e -> Rect.intersects (Entry.rect e) w) in_page_order in
       let got, stats = Rtree.query_list one w in
       Alcotest.(check int) "hit count" (List.length expected) stats.Rtree.matched;
       Alcotest.(check bool) "same entries in page order" true (got = expected);
       let got, stats = Rtree.query_list two w in
-      Alcotest.(check bool) "children pop in entry order" true (got = expected);
+      Alcotest.(check bool) "children pop in page order" true (got = expected);
       Alcotest.(check int)
         "one leaf per intersecting child" (List.length expected) stats.Rtree.leaf_visited;
       Alcotest.(check bool) "cached page images agree" true (fst batch.(i) = expected))

@@ -5,6 +5,7 @@
 
 module Rect = Prt_geom.Rect
 module Pager = Prt_storage.Pager
+module Buffer_pool = Prt_storage.Buffer_pool
 module Entry = Prt_rtree.Entry
 module Node = Prt_rtree.Node
 module Rtree = Prt_rtree.Rtree
@@ -37,16 +38,41 @@ let test_entry_compare_dim () =
   let c = Entry.make (Entry.rect a) 9 in
   Alcotest.(check bool) "id tiebreak" true (Entry.compare_dim 0 a c < 0)
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Equal ids and coordinates bit for bit ([Entry.equal] takes -0.0 for
+   0.0). *)
+let same_entry a b =
+  let r = Entry.rect a and r' = Entry.rect b in
+  Entry.id a = Entry.id b
+  && same_bits (Rect.xmin r) (Rect.xmin r')
+  && same_bits (Rect.ymin r) (Rect.ymin r')
+  && same_bits (Rect.xmax r) (Rect.xmax r')
+  && same_bits (Rect.ymax r) (Rect.ymax r')
+
+(* The entries [encode] writes: a page-ordered copy (stable, so an
+   array already in page order is written as it is). *)
+let page_ordered entries =
+  let sorted = Array.copy entries in
+  Array.stable_sort Node.page_compare sorted;
+  sorted
+
 let test_node_codec_roundtrip () =
   let cap = Node.capacity ~page_size:Helpers.small_page_size in
   let entries = Helpers.random_entries ~n:cap ~seed:5 in
+  let given = Array.copy entries in
+  Alcotest.(check bool) "input not in page order" false (Node.in_page_order entries);
   let node = Node.make Node.Leaf entries in
   let decoded = Node.decode (Node.encode ~page_size:Helpers.small_page_size node) in
   Alcotest.(check int) "count" cap (Node.length decoded);
   Alcotest.(check bool) "kind" true (Node.kind decoded = Node.Leaf);
+  Alcotest.(check bool) "decoded in page order" true (Node.in_page_order (Node.entries decoded));
+  Alcotest.(check bool)
+    "the node's array is not reordered" true
+    (Array.for_all2 ( == ) given entries);
   Array.iteri
     (fun i e -> Alcotest.(check bool) "entry" true (Entry.equal e (Node.entries decoded).(i)))
-    entries
+    (page_ordered entries)
 
 let test_node_overflow () =
   let entries = Helpers.random_entries ~n:15 ~seed:5 in
@@ -64,12 +90,13 @@ let test_node_bad_kind () =
        false
      with Invalid_argument _ -> true)
 
-(* Format v3's codec at every page size the suites use: the capacity
+(* Format v4's codec at every page size the suites use: the capacity
    is (payload - 3) / 36 (113 at 4 KB, 3 at 128 bytes), [decode]
-   returns the encoded node bit for bit — signed zeros, infinities and
-   subnormals included, ids over the whole int32 range — nothing lands
-   in the integrity trailer, and the payload after the header is zero
-   (what salvage tells a node page by). *)
+   returns the encoded node's entries in page order, each bit for bit
+   — signed zeros, infinities and subnormals included, ids over the
+   whole int32 range — nothing lands in the integrity trailer, and the
+   payload after the header is zero (what salvage tells a node page
+   by). *)
 let prop_node_codec =
   let page_sizes = [ 64; 128; 512; 4096 ] in
   let special = [| 0.0; -0.0; infinity; neg_infinity; 5e-324; -1e300 |] in
@@ -96,16 +123,7 @@ let prop_node_codec =
   let print (page_size, _, entries) =
     Printf.sprintf "page_size %d, %d entries" page_size (Array.length entries)
   in
-  let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  let same_entry a b =
-    let r = Entry.rect a and r' = Entry.rect b in
-    Entry.id a = Entry.id b
-    && same_bits (Rect.xmin r) (Rect.xmin r')
-    && same_bits (Rect.ymin r) (Rect.ymin r')
-    && same_bits (Rect.xmax r) (Rect.xmax r')
-    && same_bits (Rect.ymax r) (Rect.ymax r')
-  in
-  QCheck.Test.make ~count:300 ~name:"node: v3 codec round-trips at every page size"
+  QCheck.Test.make ~count:300 ~name:"node: v4 codec round-trips at every page size"
     (QCheck.make ~print gen) (fun (page_size, kind, entries) ->
       let payload = Prt_storage.Page.payload_size page_size in
       if Node.capacity ~page_size <> (payload - 3) / 36 then
@@ -122,7 +140,8 @@ let prop_node_codec =
       && (not (Node.page_tail_zero poked))
       && Node.kind node = kind
       && Node.length node = Array.length entries
-      && Array.for_all2 same_entry entries (Node.entries node)
+      && Node.in_page_order (Node.entries node)
+      && Array.for_all2 same_entry (page_ordered entries) (Node.entries node)
       && Node.page_kind buf = kind
       && Node.page_length buf = Array.length entries)
 
@@ -221,6 +240,163 @@ let prop_loader_query_correct =
           Helpers.ids_of result = expected)
         loaders)
 
+(* --- the cut-off ---
+
+   Random trees written straight through [Node]: a lone leaf root, or
+   a root over up to a node's worth of leaves.  Leaves hold 0 to
+   capacity entries whose coordinates come from a coarse grid (so
+   [xmin]s repeat), with NaN, infinities and signed zeros mixed in, and
+   ids that may repeat.  The root's boxes are drawn the same way, not
+   taken from the children, so the child push meets every case the
+   leaf scan does.  For each form, the answer on every source — the
+   pool; pread live (the file's pool) and pinned ([read_shared]); the
+   mapping live and pinned — must be, entry for entry and bit for bit
+   and in order, a [Rect] brute force over the same structure: enter a
+   child when its box passes the form's child test, report an entry
+   when it passes the report test, both in page order.  The visit
+   counts must match too, and [Query.exists] must agree on the live
+   sources. *)
+
+module Index_file = Prt_rtree.Index_file
+module Query = Prt_rtree.Query
+
+let cut_coord rng =
+  match Random.State.int rng 14 with
+  | 0 -> Float.nan
+  | 1 -> infinity
+  | 2 -> neg_infinity
+  | 3 -> -0.0
+  | _ -> float_of_int (Random.State.int rng 9) /. 8.0
+
+(* [Rect.of_corners] accepts NaN (and spreads it over the axis). *)
+let cut_rect rng =
+  Rect.of_corners (cut_coord rng, cut_coord rng) (cut_coord rng, cut_coord rng)
+
+let cut_entries rng n = Array.init n (fun _ -> Entry.make (cut_rect rng) (Random.State.int rng 50))
+
+type cut_tree = { ct_root : Entry.t array; ct_leaves : Entry.t array array }
+(* [ct_leaves] empty: [ct_root] is a lone leaf root; else it holds one
+   box per leaf, whose id is the leaf's index. *)
+
+let gen_cut_tree rng ~cap =
+  let fill () =
+    match Random.State.int rng 4 with 0 -> 0 | 1 -> cap | _ -> Random.State.int rng (cap + 1)
+  in
+  if Random.State.int rng 4 = 0 then { ct_root = cut_entries rng (fill ()); ct_leaves = [||] }
+  else
+    let k = 1 + Random.State.int rng cap in
+    {
+      ct_root = Array.init k (fun i -> Entry.make (cut_rect rng) i);
+      ct_leaves = Array.init k (fun _ -> cut_entries rng (fill ()));
+    }
+
+let write_cut_tree ct pool =
+  let scratch = Rtree.create_empty pool in
+  let count = Array.fold_left (fun n l -> n + Array.length l) 0 ct.ct_leaves in
+  if ct.ct_leaves = [||] then
+    Rtree.of_root ~pool
+      ~root:(Rtree.alloc_node scratch (Node.make Node.Leaf ct.ct_root))
+      ~height:1 ~count:(Array.length ct.ct_root)
+  else
+    let ids = Array.map (fun l -> Rtree.alloc_node scratch (Node.make Node.Leaf l)) ct.ct_leaves in
+    let root = Array.map (fun e -> Entry.make (Entry.rect e) ids.(Entry.id e)) ct.ct_root in
+    let root = Rtree.alloc_node scratch (Node.make Node.Internal root) in
+    Rtree.of_root ~pool ~root ~height:2 ~count
+
+let child_passes form box w =
+  match form with
+  | Rtree.Window | Rtree.Enclosed -> Rect.intersects box w
+  | Rtree.Covering -> Rect.contains box w
+
+let reported form r w =
+  match form with
+  | Rtree.Window -> Rect.intersects r w
+  | Rtree.Enclosed -> Rect.contains w r
+  | Rtree.Covering -> Rect.contains r w
+
+(* The expected answer (entries in delivery order) and leaf visits. *)
+let cut_brute_force ct form w =
+  let sorted a =
+    let a = Array.copy a in
+    Array.stable_sort Node.page_compare a;
+    Array.to_list a
+  in
+  let scan leaf = List.filter (fun e -> reported form (Entry.rect e) w) (sorted leaf) in
+  if ct.ct_leaves = [||] then (scan ct.ct_root, 1)
+  else
+    let entered = List.filter (fun e -> child_passes form (Entry.rect e) w) (sorted ct.ct_root) in
+    (List.concat_map (fun e -> scan ct.ct_leaves.(Entry.id e)) entered, List.length entered)
+
+let prop_cutoff_every_source =
+  QCheck.Test.make ~count:100 ~name:"engine: page-order cut-off matches Rect on every source"
+    (Helpers.arbitrary_scenario ~max_size:1 ())
+    (fun sc ->
+      let rng = Random.State.make [| sc.Helpers.sc_seed |] in
+      let page_size = [| 256; 512; 4096 |].(Random.State.int rng 3) in
+      let ct = gen_cut_tree rng ~cap:(Node.capacity ~page_size) in
+      let windows =
+        Array.init 12 (fun i ->
+            match i with
+            | 0 -> Rect.of_corners (neg_infinity, neg_infinity) (infinity, infinity)
+            | 1 -> Rect.point (cut_coord rng) (cut_coord rng)
+            | _ -> cut_rect rng)
+      in
+      let check ~source tree snapshot =
+        Array.iter
+          (fun w ->
+            List.iter
+              (fun form ->
+                let expected, leaves = cut_brute_force ct form w in
+                let got = ref [] in
+                let stats =
+                  Rtree.descend_iter tree (Rtree.page_source tree snapshot) (Rtree.policy form)
+                    snapshot w ~f:(fun e -> got := e :: !got)
+                in
+                let got = List.rev !got in
+                if
+                  not
+                    (List.length got = List.length expected
+                    && List.for_all2 same_entry got expected
+                    && stats.Rtree.leaf_visited = leaves)
+                then
+                  QCheck.Test.fail_reportf
+                    "%s, page size %d, window %a: %d hits (%d leaves), want %d (%d)" source
+                    page_size Rect.pp w (List.length got) stats.Rtree.leaf_visited
+                    (List.length expected) leaves)
+              [ Rtree.Window; Rtree.Enclosed; Rtree.Covering ];
+            let any = fst (cut_brute_force ct Rtree.Window w) <> [] in
+            if Option.is_none snapshot && Query.exists tree w <> any then
+              QCheck.Test.fail_reportf "%s: Query.exists disagrees on %a" source Rect.pp w)
+          windows
+      in
+      let pool = Buffer_pool.create ~capacity:512 (Pager.create_memory ~page_size ()) in
+      check ~source:"pool" (write_cut_tree ct pool) None;
+      let path = Filename.temp_file "prt_cutoff" ".idx" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Index_file.close
+            (Index_file.create ~page_size ~backend:`Pread path ~build:(write_cut_tree ct));
+          List.iter
+            (fun backend ->
+              let idx = Index_file.open_ ~page_size ~backend path in
+              Fun.protect
+                ~finally:(fun () -> Index_file.close idx)
+                (fun () ->
+                  let name = Index_file.read_backend idx in
+                  check ~source:(name ^ " live") (Index_file.tree idx) None;
+                  Index_file.with_snapshot idx (fun view ->
+                      check ~source:(name ^ " pinned") (Index_file.tree idx) (Some view));
+                  (* The mapped kernels ran, on every page. *)
+                  match Index_file.mmap_counters idx with
+                  | Some { c_windows_served = served; c_fallbacks = fallbacks; _ }
+                    when served = 0 || fallbacks > 0 ->
+                      QCheck.Test.fail_reportf "mmap: %d pages served in place, %d fallbacks"
+                        served fallbacks
+                  | _ -> ()))
+            [ `Pread; `Mmap ]);
+      true)
+
 let test_tgs_beats_random_order () =
   (* Sanity check that TGS produces a genuinely clustered tree: on
      uniform data its average query must touch far fewer leaves than a
@@ -285,6 +461,7 @@ let suite =
     Alcotest.test_case "node: overflow" `Quick test_node_overflow;
     Alcotest.test_case "node: bad kind" `Quick test_node_bad_kind;
     Helpers.qcheck_case prop_node_codec;
+    Helpers.qcheck_case prop_cutoff_every_source;
     Alcotest.test_case "tree: empty queries" `Quick test_empty_tree_queries;
     Alcotest.test_case "tree: stats count every node" `Quick test_query_stats_leaf_counts;
     Alcotest.test_case "tree: packed utilization" `Quick test_packed_utilization;

@@ -55,7 +55,14 @@ let test_aspect_dataset () =
           let ratio = Float.max (Rect.width r /. Rect.height r) (Rect.height r /. Rect.width r) in
           Alcotest.(check (float 1e-6)) "aspect ratio" a ratio)
         entries)
-    [ 1.0; 10.0; 1000.0 ]
+    [ 1.0; 10.0; 1000.0; Datasets.max_aspect ];
+  (* Past 1e5 the long side nears the whole square and no centre would
+     fit: refused, not drawn for ever. *)
+  Alcotest.(check bool) "1e6 refused" true
+    (try
+       ignore (Datasets.aspect ~n:1 ~a:1e6 ~seed:2);
+       false
+     with Invalid_argument _ -> true)
 
 let test_skewed_dataset () =
   let entries = Datasets.skewed ~n:500 ~c:5 ~seed:3 in
