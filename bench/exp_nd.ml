@@ -49,7 +49,14 @@ let nd ~scale ~seed =
         let mean = float_of_int !total /. float_of_int q in
         let bound = Float.pow (float_of_int n /. float_of_int cap) (2.0 /. 3.0) in
         Bench_json.(
-          row [ ("n", int n); ("mean_leaves", flt mean); ("ratio", flt (mean /. bound)) ]);
+          row
+            [
+              ("n", int n);
+              ("mean_leaves", flt mean);
+              ("total_leaves", int total_leaves);
+              ("matched", int !matched);
+              ("ratio", flt (mean /. bound));
+            ]);
         [
           commas n;
           f1 mean;
