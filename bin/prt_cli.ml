@@ -116,6 +116,35 @@ let non_negative_ms =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+(* The payload id of [insert] and [delete], stored as an int32. *)
+let id_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= Int32.to_int Int32.min_int && n <= Int32.to_int Int32.max_int -> Ok n
+    | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected an integer in [%ld, %ld]" s
+                Int32.min_int Int32.max_int))
+  in
+  Arg.(
+    required
+    & opt (some (conv (parse, Format.pp_print_int))) None
+    & info [ "id" ] ~docv:"ID" ~doc:"Payload id, a 32-bit signed integer.")
+
+(* Comma-separated coordinates, none of them NaN: a NaN fails every
+   comparison, so a NaN window would match nothing and a NaN rectangle
+   written into a node would hide the entries of its whole subtree.
+   Infinities are legal: -inf,-inf,inf,inf is the whole world. *)
+let parse_coords ~arity ~expected make s =
+  match String.split_on_char ',' s |> List.map float_of_string_opt with
+  | cs when List.length cs = arity && List.for_all Option.is_some cs ->
+      let cs = List.map Option.get cs in
+      if List.exists Float.is_nan cs then
+        Error (`Msg (Printf.sprintf "invalid value '%s', a coordinate is NaN" s))
+      else Ok (make (Array.of_list cs))
+  | _ -> Error (`Msg ("expected " ^ expected))
+
 (* [exits] with cmdliner's default 124 entry replaced by one that names
    the command's own usage errors. *)
 let usage_exit doc exits =
@@ -298,11 +327,16 @@ let build_cmd =
        ~doc:"Bulk-load a persistent index from a dataset file.")
     Term.(const run $ variant $ input $ output $ shadow)
 
+let window_usage = "on command line errors, among them a NaN coordinate in $(b,--window)."
+
+let rect_id_usage =
+  "on command line errors, among them a NaN coordinate in $(b,--rect) or an $(b,--id) outside \
+   the 32-bit signed range."
+
 let window_conv =
-  let parse s =
-    match String.split_on_char ',' s |> List.map float_of_string_opt with
-    | [ Some x0; Some y0; Some x1; Some y1 ] -> Ok (Rect.of_corners (x0, y0) (x1, y1))
-    | _ -> Error (`Msg "expected x0,y0,x1,y1")
+  let parse =
+    parse_coords ~arity:4 ~expected:"x0,y0,x1,y1" (fun c ->
+        Rect.of_corners (c.(0), c.(1)) (c.(2), c.(3)))
   in
   let print ppf r =
     Format.fprintf ppf "%g,%g,%g,%g" (Rect.xmin r) (Rect.ymin r) (Rect.xmax r) (Rect.ymax r)
@@ -317,7 +351,8 @@ let query_cmd =
     Arg.(
       required
       & opt (some window_conv) None
-      & info [ "window"; "w" ] ~docv:"X0,Y0,X1,Y1" ~doc:"Query window corners.")
+      & info [ "window"; "w" ] ~docv:"X0,Y0,X1,Y1"
+          ~doc:"Query window corners; infinities allowed, NaN refused.")
   in
   let quiet =
     Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Print only the count and I/O statistics.")
@@ -377,7 +412,9 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query"
        ~exits:
-         (usage_exit "on command line errors, among them a negative $(b,--deadline-ms)."
+         (usage_exit
+            "on command line errors, among them a negative $(b,--deadline-ms) or a NaN \
+             coordinate in $(b,--window)."
             (Cmd.Exit.info 3 ~doc:"the answer is partial (damage skipped or deadline expired)."
             :: index_exits))
        ~doc:
@@ -398,18 +435,17 @@ let insert_cmd =
     Arg.(
       required
       & opt (some window_conv) None
-      & info [ "rect"; "r" ] ~docv:"X0,Y0,X1,Y1" ~doc:"Rectangle to insert.")
+      & info [ "rect"; "r" ] ~docv:"X0,Y0,X1,Y1" ~doc:"Rectangle to insert; NaN refused.")
   in
-  let id = Arg.(required & opt (some int) None & info [ "id" ] ~docv:"ID" ~doc:"Payload id.") in
   let run index rect id =
     with_index_rw index (fun tree ->
         Dynamic.insert tree (Entry.make rect id);
         Printf.printf "inserted #%d; index now holds %d rectangles\n" id (Rtree.count tree))
   in
   Cmd.v
-    (Cmd.info "insert" ~exits:index_exits
+    (Cmd.info "insert" ~exits:(usage_exit rect_id_usage index_exits)
        ~doc:"Insert a rectangle into an index file (Guttman insertion).")
-    Term.(const run $ index $ window $ id)
+    Term.(const run $ index $ window $ id_arg)
 
 let delete_cmd =
   let index =
@@ -419,9 +455,8 @@ let delete_cmd =
     Arg.(
       required
       & opt (some window_conv) None
-      & info [ "rect"; "r" ] ~docv:"X0,Y0,X1,Y1" ~doc:"Rectangle to delete.")
+      & info [ "rect"; "r" ] ~docv:"X0,Y0,X1,Y1" ~doc:"Rectangle to delete; NaN refused.")
   in
-  let id = Arg.(required & opt (some int) None & info [ "id" ] ~docv:"ID" ~doc:"Payload id.") in
   let run index rect id =
     with_index_rw index (fun tree ->
         if Dynamic.delete tree (Entry.make rect id) then
@@ -429,8 +464,9 @@ let delete_cmd =
         else Printf.printf "no such entry\n")
   in
   Cmd.v
-    (Cmd.info "delete" ~exits:index_exits ~doc:"Delete a rectangle from an index file.")
-    Term.(const run $ index $ window $ id)
+    (Cmd.info "delete" ~exits:(usage_exit rect_id_usage index_exits)
+       ~doc:"Delete a rectangle from an index file.")
+    Term.(const run $ index $ window $ id_arg)
 
 let compare_cmd =
   let input =
@@ -471,16 +507,14 @@ let knn_cmd =
     Arg.(required & opt (some string) None & info [ "i"; "index" ] ~docv:"FILE" ~doc:"Index file.")
   in
   let point_conv =
-    let parse s =
-      match String.split_on_char ',' s |> List.map float_of_string_opt with
-      | [ Some x; Some y ] -> Ok (x, y)
-      | _ -> Error (`Msg "expected x,y")
-    in
+    let parse = parse_coords ~arity:2 ~expected:"x,y" (fun c -> (c.(0), c.(1))) in
     Arg.conv (parse, fun ppf (x, y) -> Format.fprintf ppf "%g,%g" x y)
   in
   let point =
     Arg.(
-      required & opt (some point_conv) None & info [ "at"; "p" ] ~docv:"X,Y" ~doc:"Query point.")
+      required
+      & opt (some point_conv) None
+      & info [ "at"; "p" ] ~docv:"X,Y" ~doc:"Query point; NaN refused.")
   in
   let k =
     Arg.(value & opt (int_at_least 0) 5 & info [ "k" ] ~docv:"K" ~doc:"Number of neighbours.")
@@ -500,7 +534,11 @@ let knn_cmd =
   in
   Cmd.v
     (Cmd.info "knn"
-       ~exits:(usage_exit "on command line errors, among them a negative $(b,-k)." index_exits)
+       ~exits:
+         (usage_exit
+            "on command line errors, among them a negative $(b,-k) or a NaN coordinate in \
+             $(b,--at)."
+            index_exits)
        ~doc:"Find the k nearest rectangles to a point.")
     Term.(const run $ index $ point $ k)
 
@@ -787,7 +825,7 @@ let flightrec_cmd =
         Printf.printf "%d trace event(s) -> %s\n" n out)
   in
   Cmd.v
-    (Cmd.info "flightrec" ~exits:index_exits
+    (Cmd.info "flightrec" ~exits:(usage_exit window_usage index_exits)
        ~doc:
          "Run a multicore query batch and dump the flight recorder's rings as a Chrome trace \
           (the batch span on this domain's track, each worker's query spans and resilience \
@@ -802,7 +840,8 @@ let profile_cmd =
     Arg.(
       required
       & opt (some window_conv) None
-      & info [ "window"; "w" ] ~docv:"X0,Y0,X1,Y1" ~doc:"Query window corners.")
+      & info [ "window"; "w" ] ~docv:"X0,Y0,X1,Y1"
+          ~doc:"Query window corners; infinities allowed, NaN refused.")
   in
   let repeat =
     Arg.(
@@ -859,7 +898,7 @@ let profile_cmd =
             end))
   in
   Cmd.v
-    (Cmd.info "profile" ~exits:index_exits
+    (Cmd.info "profile" ~exits:(usage_exit window_usage index_exits)
        ~doc:
          "Profile a window query: nodes visited per level, pager and buffer-pool activity, \
           wall-clock time, and optionally a Chrome trace.")

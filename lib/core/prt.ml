@@ -84,8 +84,6 @@ module Ndtree = struct
   module Rtree = Prt_ndtree.Rtree_nd
   module Pseudo = Prt_ndtree.Pseudo_nd
   module Prtree = Prt_ndtree.Prtree_nd
-  module Split = Prt_ndtree.Split_nd
-  module Dynamic = Prt_ndtree.Dynamic_nd
   module Audit = Prt_ndtree.Audit_nd
 end
 

@@ -1,8 +1,9 @@
 (* d-dimensional instantiation of the unified audit: the same paranoid
    page walk as the 2-D version (corruption becomes violations, never
-   exceptions; Io_error propagates), with Hyperrect in place of Rect,
-   and the pseudo-tree adapter for Pseudo_nd's 2d-direction priority
-   leaves. *)
+   exceptions; Io_error propagates), with Hyperrect in place of Rect —
+   page order included, which the engine's cut-off relies on in every
+   dimension — and the pseudo-tree adapter for Pseudo_nd's
+   2d-direction priority leaves. *)
 
 module Audit = Prt_rtree.Audit
 module Hyperrect = Prt_geom.Hyperrect
@@ -29,6 +30,8 @@ let check ?(min_leaf_fill = 1) ?(min_fanout = 1) ?(check_leaks = false) ?(reacha
           incr nodes;
           let n = Node_nd.length node in
           if n > cap then add (page_where id) (Audit.Node_overflow { count = n; capacity = cap });
+          if not (Node_nd.in_page_order (Node_nd.entries node)) then
+            add (page_where id) Audit.Unsorted_node;
           (match recorded with
           | Some r when n > 0 ->
               let exact = Node_nd.mbr node in

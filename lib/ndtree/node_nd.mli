@@ -1,10 +1,20 @@
-(** On-page node codec of the d-dimensional R-tree. *)
+(** On-page node codec of the d-dimensional R-tree.
 
-type kind = Leaf | Internal
+    A page holds {!Entry_nd} records in {!Prt_rtree.Node}'s layout for
+    dimension [d] ({!Prt_rtree.Node.section-layout}): [2d] float64
+    columns, the int32 ids, the kind byte and the u16 count.  The
+    entries are in page order ({!page_compare}), which the descent in
+    {!Prt_rtree.Rtree} relies on to stop a node's scan early.  At
+    [d = 2] a page is exactly the one {!Prt_rtree.Node.encode} writes
+    for the same entries. *)
+
+type kind = Prt_rtree.Node.kind = Leaf | Internal
 
 type t
 
 val capacity : page_size:int -> dims:int -> int
+(** [Prt_rtree.Node.capacity_nd]: [(payload - 3) / (16d + 4)]. *)
+
 val make : kind -> Entry_nd.t array -> t
 val kind : t -> kind
 val entries : t -> Entry_nd.t array
@@ -13,29 +23,21 @@ val length : t -> int
 val mbr : t -> Prt_geom.Hyperrect.t
 (** Raises [Invalid_argument] on an empty node. *)
 
+val page_compare : Entry_nd.t -> Entry_nd.t -> int
+(** The order of entries on a page: ascending [lo_0] with NaN last,
+    ties broken by [Entry_nd.compare_dim 0] — {!Prt_rtree.Node.page_compare}'s
+    order, for boxes. *)
+
+val in_page_order : Entry_nd.t array -> bool
+(** Is the array sorted by {!page_compare}?  One O(n) pass. *)
+
 val encode : page_size:int -> dims:int -> t -> bytes
+(** Writes the entries in page order: as they are when {!in_page_order}
+    holds, else from a sorted copy (the node's own array is never
+    reordered).  Raises [Invalid_argument] if the node exceeds the page
+    capacity or an entry is not [dims]-dimensional. *)
+
 val decode : dims:int -> bytes -> t
-
-(** {1 Zero-copy cursors}
-
-    Read-only iteration over an {e encoded} node page, mirroring the 2-D
-    {!Prt_rtree.Node} cursors: the window test runs per dimension
-    directly on the packed coordinate bytes with early exit, and heap
-    values are materialized only for hits. *)
-
-val page_kind : bytes -> kind
-(** Kind tag of an encoded page. Raises [Invalid_argument] like
-    {!decode} on a corrupt tag. *)
-
-val page_length : bytes -> int
-(** Entry count of an encoded page. *)
-
-val iter_rects :
-  dims:int -> bytes -> Prt_geom.Hyperrect.t -> f:(Entry_nd.t -> unit) -> int
-(** Call [f] on each entry whose box intersects the window, in page
-    order, materializing the {!Entry_nd.t} only on a hit; returns the
-    hit count. *)
-
-val iter_children : dims:int -> bytes -> Prt_geom.Hyperrect.t -> f:(int -> unit) -> unit
-(** Call [f] on the child page id of each intersecting entry — the
-    internal descent step, allocation-free. *)
+(** The entries in the order the page holds them.  Raises
+    [Invalid_argument] on a corrupt kind tag, a count beyond the page's
+    capacity or an inverted box. *)

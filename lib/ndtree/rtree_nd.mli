@@ -1,13 +1,18 @@
 (** The paged d-dimensional R-tree: window queries with per-level visit
     counts and structural validation (the d-D analogue of
-    {!Prt_rtree.Rtree}). *)
+    {!Prt_rtree.Rtree}).  Its pages are in {!Prt_rtree.Node}'s layout
+    for its dimension ({!Node_nd}), and its window query runs
+    {!Prt_rtree.Rtree}'s descent engine ({!Prt_rtree.Rtree.descend_box}). *)
 
 type t
 
-type query_stats = {
+type query_stats = Prt_rtree.Rtree.query_stats = {
   mutable internal_visited : int;
   mutable leaf_visited : int;
   mutable matched : int;
+  mutable skipped_subtrees : int;
+  mutable skipped_pages : int list;
+  mutable timed_out : bool;
 }
 
 val create_empty : dims:int -> Prt_storage.Buffer_pool.t -> t
@@ -15,7 +20,6 @@ val create_empty : dims:int -> Prt_storage.Buffer_pool.t -> t
 val of_root :
   pool:Prt_storage.Buffer_pool.t -> dims:int -> root:int -> height:int -> count:int -> t
 
-val pool : t -> Prt_storage.Buffer_pool.t
 val pager : t -> Prt_storage.Pager.t
 val dims : t -> int
 val root : t -> int
@@ -23,27 +27,24 @@ val height : t -> int
 val count : t -> int
 val page_size : t -> int
 val capacity : t -> int
-
-val set_root : t -> root:int -> height:int -> unit
-(** Repoint the tree (used by the update algorithms). *)
-
-val set_count : t -> int -> unit
-
 val read_node : t -> int -> Node_nd.t
-val write_node : t -> int -> Node_nd.t -> unit
-val alloc_node : t -> Node_nd.t -> int
 
 val query : t -> Prt_geom.Hyperrect.t -> f:(Entry_nd.t -> unit) -> query_stats
-(** Raises [Invalid_argument] if the window's dimensionality differs
-    from the tree's. *)
+(** Window query: [f] runs on every entry whose box intersects the
+    window, in delivery order, after the descent has finished — so [f]
+    may query again.  Raises [Invalid_argument] if the window's
+    dimensionality differs from the tree's. *)
 
 val query_list : t -> Prt_geom.Hyperrect.t -> Entry_nd.t list * query_stats
 val query_count : t -> Prt_geom.Hyperrect.t -> query_stats
-val iter : t -> f:(Entry_nd.t -> unit) -> unit
 
 type structure = { nodes : int; leaves : int; entries : int; utilization : float }
 
 exception Invalid of string
 
 val validate : t -> structure
-(** Check the R-tree invariants; raises {!Invalid} on violation. *)
+(** Check the R-tree invariants — leaves on one level, exact parent
+    boxes, capacity, every node's entries in page order, the entry
+    count; raises {!Invalid} on the first violation.  A page that does
+    not decode is named [decode-error] and an order violation
+    [unsorted-node], [Prt_rtree.Audit]'s labels. *)

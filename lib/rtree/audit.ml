@@ -61,7 +61,7 @@ let pp_what ppf = function
       Fmt.pf ppf "node holds %d entries, capacity %d" count capacity
   | Node_underfill { count; minimum } ->
       Fmt.pf ppf "node holds %d entries, minimum %d" count minimum
-  | Unsorted_node -> Fmt.pf ppf "entries not in page order (ascending xmin)"
+  | Unsorted_node -> Fmt.pf ppf "entries not in page order (ascending xmin, or lo_0 in d-D)"
   | Empty_node -> Fmt.pf ppf "empty node"
   | Count_mismatch { expected; actual } ->
       Fmt.pf ppf "tree metadata says %d entries but the leaves hold %d" expected actual

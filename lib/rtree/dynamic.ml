@@ -223,6 +223,13 @@ let insert_at t cfg entry ~above =
   drain_pending t ctx
 
 let insert ?(config = default_config) t entry =
+  (* A rectangle [Node.decode] refuses — a NaN coordinate fails its
+     [xmin <= xmax && ymin <= ymax] — would make its leaf unreadable and
+     spread NaN into every box above it, hiding whole subtrees from
+     queries: refuse it before any page is touched. *)
+  let r = Entry.rect entry in
+  if not (r.Rect.xmin <= r.Rect.xmax && r.Rect.ymin <= r.Rect.ymax) then
+    invalid_arg (Format.asprintf "Dynamic.insert: rectangle %a does not decode" Rect.pp r);
   insert_at t config entry ~above:0;
   Rtree.set_count t (Rtree.count t + 1)
 

@@ -30,7 +30,9 @@ val rstar_config : config
     minimum fill, 30% forced reinsertion. *)
 
 val insert : ?config:config -> Rtree.t -> Entry.t -> unit
-(** Insert a data entry (O(log_B N) node touches plus splits). *)
+(** Insert a data entry (O(log_B N) node touches plus splits).  Raises
+    [Invalid_argument], before any page is touched, on a rectangle that
+    {!Node.decode} would refuse: one with a NaN coordinate. *)
 
 val delete : ?config:config -> Rtree.t -> Entry.t -> bool
 (** Delete the entry matching by rectangle and id; underfull nodes are

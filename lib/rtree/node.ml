@@ -1,20 +1,25 @@
-(* On-page R-tree node format (format v4).
+(* On-page R-tree node format (format v4), for entries of any
+   dimension d.
 
    A node page of capacity c holds, from byte 0 of the payload:
 
-     [0, 8c)        c xmin      float64 LE
-     [8c, 16c)      c ymin
-     [16c, 24c)     c xmax
-     [24c, 32c)     c ymax
-     [32c, 36c)     c ids       int32 LE (child page id or data id)
-     36c            kind        u8 (0 leaf, 1 internal)
-     [36c+1, 36c+3) count       u16 LE
+     [0, 8c)                 c lo_0      float64 LE
+     ...                     one column per coordinate: lo_0 .. lo_{d-1},
+                             then hi_0 .. hi_{d-1}
+     [8(2d-1)c, 16dc)        c hi_{d-1}
+     [16dc, (16d+4)c)        c ids       int32 LE (child page id or data id)
+     (16d+4)c                kind        u8 (0 leaf, 1 internal)
+     [(16d+4)c+1, +3)        count       u16 LE
 
    all within the page payload (the storage layer reserves a 16-byte
    integrity trailer at the end of every page).  Entry [i] is the [i]-th
-   slot of every column.  The capacity is still (payload - 3) / 36 — with
-   the default 4 KB page (4096 - 16 - 3) / 36 = 113 entries, the paper's
-   fanout — since an entry still takes 36 bytes.
+   slot of every column.  An entry takes 16d + 4 bytes, so the capacity
+   is (payload - 3) / (16d + 4).  This module's own entries are 2-D
+   ({!Entry}: the columns are xmin, ymin, xmax, ymax, and the capacity
+   with the default 4 KB page is (4096 - 16 - 3) / 36 = 113 entries, the
+   paper's fanout); [Prt_ndtree.Node_nd] writes the same layout for the
+   d-dimensional tree, and at d = 2 its pages are this module's, byte for
+   byte.
 
    Columns put every coordinate on an 8-byte boundary of the page, so
    the mapped descent kernels in [Rtree] load it inline from a float64
@@ -24,13 +29,13 @@
    hold 2 entries instead of 3).
 
    Format v4 adds one invariant to v3's layout: the entries of every
-   page are in page order — ascending [xmin], NaN last, ties broken by
-   the rest of [Entry.compare_dim 0]'s order (the rectangle in
-   [Rect.compare] order, then the id).  [encode] enforces it, so no
-   writer decides the bytes of a page, and a query's results come out
-   in page order, not in build order.  The descent kernels in [Rtree]
-   rely on it: an entry whose [xmin] exceeds the query's bound cannot
-   pass, and neither can any entry after it. *)
+   page are in page order — ascending first coordinate (xmin, lo_0), NaN
+   last, ties broken by the rest of [Entry.compare_dim 0]'s order (the
+   rectangle in [Rect.compare] order, then the id).  [encode] enforces
+   it, so no writer decides the bytes of a page, and a query's results
+   come out in page order, not in build order.  The descent kernels in
+   [Rtree] rely on it: an entry whose xmin exceeds the query's bound
+   cannot pass, and neither can any entry after it. *)
 
 module Rect = Prt_geom.Rect
 module Page = Prt_storage.Page
@@ -41,6 +46,15 @@ type t = { kind : kind; entries : Entry.t array }
 
 let header_size = 3
 
+let capacity_nd ~page_size ~dims = (Page.payload_size page_size - header_size) / ((16 * dims) + 4)
+let column_offset ~page_size ~dims k i = 8 * ((k * capacity_nd ~page_size ~dims) + i)
+let id_offset_nd ~page_size ~dims i = (16 * dims * capacity_nd ~page_size ~dims) + (4 * i)
+let kind_offset_nd ~page_size ~dims = ((16 * dims) + 4) * capacity_nd ~page_size ~dims
+let count_offset_nd ~page_size ~dims = kind_offset_nd ~page_size ~dims + 1
+
+(* The 2-D page: the offsets above at d = 2, written with the entry
+   size as a constant so that the mapped kernels' per-node header reads
+   divide by a constant. *)
 let capacity ~page_size = (Page.payload_size page_size - header_size) / Entry.size
 
 type coord = Xmin | Ymin | Xmax | Ymax
@@ -127,6 +141,12 @@ let page_kind buf =
   kind_of_byte "page_kind" (Page.get_u8 buf (kind_offset ~page_size:(Bytes.length buf)))
 
 let page_length buf = Page.get_u16 buf (count_offset ~page_size:(Bytes.length buf))
+
+let page_kind_nd ~dims buf =
+  kind_of_byte "page_kind" (Page.get_u8 buf (kind_offset_nd ~page_size:(Bytes.length buf) ~dims))
+
+let page_length_nd ~dims buf =
+  Page.get_u16 buf (count_offset_nd ~page_size:(Bytes.length buf) ~dims)
 
 let page_tail_zero buf =
   let page_size = Bytes.length buf in

@@ -5,7 +5,10 @@
     int32 ids, then the kind byte and the u16 entry count.  Each
     coordinate sits on an 8-byte boundary, so the mapped descent loads
     it inline.  An entry takes 36 bytes as in the paper, so with the
-    default 4 KB page the capacity is 113 entries.
+    default 4 KB page the capacity is 113 entries.  The layout is the
+    [d = 2] case of one layout for entries of any dimension (see
+    {!section:layout}), which [Prt_ndtree.Node_nd] writes for the
+    d-dimensional tree.
 
     The entries of a page are in {e page order} ({!page_compare}):
     {!encode} enforces it and {!decode} returns it, so the descent in
@@ -51,12 +54,38 @@ val decode : bytes -> t
     page {!encode} wrote.  Raises [Invalid_argument] on a corrupt kind
     tag, a count beyond the page's capacity or an inverted rectangle. *)
 
-(** {1 Page layout}
+(** {1:layout Page layout}
 
-    Byte offsets inside an encoded node page of [page_size] bytes.
-    They are the only description of the layout outside this module:
-    anything that reads or patches node bytes in place goes through
-    them. *)
+    Byte offsets inside an encoded node page of [page_size] bytes, for
+    entries of any dimension [dims].  A page of capacity [c] holds
+    [2 * dims] float64 columns of [c] slots — the low sides lo{_0} to
+    lo{_dims-1}, then the high sides hi{_0} to hi{_dims-1} — then [c]
+    int32 ids, then the kind byte and the u16 count.  An entry takes
+    [16 * dims + 4] bytes.  These offsets are the only description of
+    the layout outside this module: anything that reads or patches node
+    bytes in place goes through them. *)
+
+val capacity_nd : page_size:int -> dims:int -> int
+(** [(Page.payload_size page_size - 3) / (16 * dims + 4)]; {!capacity}
+    is [dims = 2]. *)
+
+val column_offset : page_size:int -> dims:int -> int -> int -> int
+(** [column_offset ~page_size ~dims k i]: float64 column [k] of entry
+    [i], [8 * (k * c + i)].  Column [k < dims] holds lo{_k}, column
+    [dims + k] holds hi{_k}. *)
+
+val id_offset_nd : page_size:int -> dims:int -> int -> int
+(** The int32 id of entry [i]: [16 * dims * c + 4 * i]. *)
+
+val kind_offset_nd : page_size:int -> dims:int -> int
+(** The kind byte: [(16 * dims + 4) * c], right after the id column. *)
+
+val count_offset_nd : page_size:int -> dims:int -> int
+(** The u16 entry count, after the kind byte. *)
+
+(** The 2-D page, as {!encode} writes it: the offsets above at
+    [dims = 2], with [xmin], [ymin], [xmax] and [ymax] in columns 0 to
+    3. *)
 
 type coord = Xmin | Ymin | Xmax | Ymax
 
@@ -88,6 +117,11 @@ val page_kind : bytes -> kind
 val page_length : bytes -> int
 (** Entry count of an encoded page (as stored: not clamped to the
     capacity). *)
+
+val page_kind_nd : dims:int -> bytes -> kind
+val page_length_nd : dims:int -> bytes -> int
+(** {!page_kind} and {!page_length} of a page of [dims]-dimensional
+    entries. *)
 
 val page_tail_zero : bytes -> bool
 (** Are the payload bytes after the header zero, as {!encode} leaves

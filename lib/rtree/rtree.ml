@@ -8,6 +8,7 @@
    I/Os with all internal nodes cached") is exactly [leaf_visited]. *)
 
 module Rect = Prt_geom.Rect
+module Hyperrect = Prt_geom.Hyperrect
 module Pager = Prt_storage.Pager
 module Page = Prt_storage.Page
 module Buffer_pool = Prt_storage.Buffer_pool
@@ -168,9 +169,11 @@ let snapshot_gen = function Some sv -> sv.sv_gen | None -> 0
 
 (* --- the descent engine ---
 
-   Every 2-D paged query runs this one explicit-stack preorder descent:
-   the window forms, {!Query}'s forms, {!Qexec}'s workers and
-   [query_profile].  It takes a page source and a policy.
+   Every query over {!Node} pages runs this one explicit-stack preorder
+   descent: the window forms, {!Query}'s forms, {!Qexec}'s workers,
+   [query_profile], and the d-dimensional tree's window query
+   ([descend_box], for [Prt_ndtree.Rtree_nd]).  It takes a page source
+   and a policy.
 
    The source is where pages come from:
    - [Pool]: the live tree through [Buffer_pool.read];
@@ -197,6 +200,12 @@ let snapshot_gen = function Some sv -> sv.sv_gen | None -> 0
    pinned height (the kind byte describes the *live* page, which may
    have been reallocated into another role); on the live tree by the
    kind byte.
+
+   The hits buffer carries the dimension d of the entries it collects.
+   A 2-D buffer runs the four 2-D kernels below; any other d runs one
+   generic kernel over the same layout ({!Node}'s, 2d columns), once
+   per node after one dispatch in [visit_image].  No d-D tree is ever
+   mapped, so d-D descents run on the pool source only.
 
    Per node: one deadline check, then the quarantine skip, then the
    page.  A read raising [Corrupt_page]/[Io_error] quarantines the page
@@ -250,29 +259,36 @@ let page_source t snapshot =
   | Mapped _ as s when snapshot_gen snapshot > 0 || Buffer_pool.is_clean t.pool -> s
   | _ -> if Option.is_none snapshot then Pool else Shared None
 
-(* Hits are stored unboxed — four coordinates in a float array, the id
+(* Hits are stored unboxed — 2d coordinates in a float array, the id
    in an int array — so recording one neither allocates nor runs the
    write barrier (storing a fresh [Entry.t] into a long-lived array
-   costs both); [hits_get] builds the entry, with the same [Rect.make]
-   as [Entry.read]. *)
+   costs both); [hits_get] builds the 2-D entry, with the same
+   [Rect.make] as [Entry.read].  A buffer is made for one dimension
+   [h_dims]: {!hits_make} for 2-D trees, [hits_create] (scratch buffers
+   of [descend_box]) for the others. *)
 type hits = {
-  mutable h_rects : Float.Array.t; (* xmin, ymin, xmax, ymax per hit *)
+  h_dims : int;
+  mutable h_rects : Float.Array.t;
+      (* lo_0 .. lo_{d-1}, hi_0 .. hi_{d-1} per hit: xmin, ymin, xmax, ymax in 2-D *)
   mutable h_ids : int array;
   mutable h_len : int;
   mutable h_stack : int array; (* pending (page id, depth) pairs *)
-  h_bounds : Float.Array.t; (* the query form as per-axis bounds, see [set_bounds] *)
+  h_bounds : Float.Array.t; (* the query form as 8d per-axis bounds, see [set_bounds] *)
   h_stats : query_stats; (* reused across queries; valid until the next one *)
 }
 
-let hits_make () =
+let hits_create dims =
   {
+    h_dims = dims;
     h_rects = Float.Array.create 0;
     h_ids = [||];
     h_len = 0;
     h_stack = Array.make 256 0;
-    h_bounds = Float.Array.make 16 0.0;
+    h_bounds = Float.Array.make (8 * dims) 0.0;
     h_stats = fresh_stats ();
   }
+
+let hits_make () = hits_create 2
 
 let hits_length h = h.h_len
 let hits_stats h = h.h_stats
@@ -295,9 +311,9 @@ let hits_coords h = h.h_rects
 let hits_clear h = h.h_len <- 0
 
 let grow_hits h =
-  let cap = max 16 (2 * h.h_len) in
-  let rects = Float.Array.create (4 * cap) and ids = Array.make cap 0 in
-  Float.Array.blit h.h_rects 0 rects 0 (4 * h.h_len);
+  let cap = max 16 (2 * h.h_len) and w = 2 * h.h_dims in
+  let rects = Float.Array.create (w * cap) and ids = Array.make cap 0 in
+  Float.Array.blit h.h_rects 0 rects 0 (w * h.h_len);
   Array.blit h.h_ids 0 ids 0 h.h_len;
   h.h_rects <- rects;
   h.h_ids <- ids
@@ -366,7 +382,11 @@ let count_visit pol s ~leaf depth =
    and 4 (y), the child test at 8 and 12.  The window bounds are read
    by direct field access on the all-float record ([w.Rect.xmax]), not
    through the [Rect.xmax] accessors: without flambda a cross-module
-   accessor call boxes its float return. *)
+   accessor call boxes its float return.
+
+   In d dimensions ([set_box_bounds], the window form) axis [a]'s
+   report test sits at [4a] and its child test at [4d + 4a]: at d = 2
+   the same places. *)
 let[@inline] set_axis b k lo_max hi_min lo_min hi_max =
   Float.Array.unsafe_set b k lo_max;
   Float.Array.unsafe_set b (k + 1) hi_min;
@@ -386,6 +406,13 @@ let set_bounds b form w =
   | Enclosed ->
       set_axis b 0 infinity neg_infinity w.Rect.xmin w.Rect.xmax;
       set_axis b 4 infinity neg_infinity w.Rect.ymin w.Rect.ymax
+
+let set_box_bounds b w =
+  let d = Hyperrect.dims w in
+  for a = 0 to d - 1 do
+    set_axis b (4 * (d + a)) (Hyperrect.hi w a) (Hyperrect.lo w a) neg_infinity infinity
+  done;
+  Float.Array.blit b (4 * d) b 0 (4 * d)
 
 let[@inline] get_f64 buf off = Int64.float_of_bits (Bytes.get_int64_le buf off)
 
@@ -436,9 +463,9 @@ let[@inline] mapped_passes b k (m : View.map) w cap =
    [xmin], NaN last), so [xmin <= b.(k)] — the first comparison of every
    test — holds on a prefix of the page: an entry past that prefix
    cannot pass, and neither can any entry after it.  [k] is 0 for a
-   leaf report and 8 for a child push.  The binary search returns the
-   end of the prefix within [lo, hi): an entry index over a page image,
-   a word over the mapping.  The bound is read in place from the
+   leaf report and 8 (4d in d dimensions) for a child push.  The binary
+   search returns the end of the prefix within [lo, hi): an entry index
+   over a page image, a word over the mapping.  The bound is read in place from the
    bounds array, as the tests read it: a float argument would be boxed
    on every node. *)
 
@@ -507,23 +534,92 @@ let rec push_mapped h m w first cap id depth sp =
   end
   else push_mapped h m (w - 1) first cap (id - 4) depth sp
 
-(* One node from its page image; returns the new stack pointer. *)
-let visit_image pol h buf ~leaf_depth depth sp =
-  let leaf = if leaf_depth > 0 then depth = leaf_depth else Node.page_kind buf = Node.Leaf in
-  let cap = Node.capacity ~page_size:(Bytes.length buf) and n = Node.page_length buf in
-  (* A verified image whose count overruns its columns is corrupt:
-     fail like [Node.decode] rather than scan the next column. *)
+(* The generic kernel, for a page of d-dimensional entries (d =
+   [h.h_dims], any d but 2): the same scan and push over 2d columns.
+   [image_passes_nd] tests axes [a] to [d - 1] of the entry at [off],
+   lo then hi of each, short-circuiting like [image_passes]; the axis is
+   an int argument and the bounds are read in place, so the recursion
+   boxes nothing — no closure, no functor, no float argument per entry.
+   The id column starts at [2d * col]. *)
+
+let rec image_passes_nd b k buf off col d a =
+  a >= d
+  ||
+  let lo = get_f64 buf (off + (a * col)) in
+  lo <= Float.Array.unsafe_get b (k + (4 * a))
+  && (let hi = get_f64 buf (off + ((d + a) * col)) in
+      Float.Array.unsafe_get b (k + (4 * a) + 1) <= hi
+      && Float.Array.unsafe_get b (k + (4 * a) + 2) <= lo
+      && hi <= Float.Array.unsafe_get b (k + (4 * a) + 3))
+  && image_passes_nd b k buf off col d (a + 1)
+
+let hit_nd h buf off col =
+  if h.h_len = Array.length h.h_ids then grow_hits h;
+  let w = 2 * h.h_dims in
+  let k = w * h.h_len in
+  for c = 0 to w - 1 do
+    Float.Array.unsafe_set h.h_rects (k + c) (get_f64 buf (off + (c * col)))
+  done;
+  Array.unsafe_set h.h_ids h.h_len (Page.get_i32 buf ((w * col) + (off lsr 1)));
+  h.h_len <- h.h_len + 1;
+  h.h_stats.matched <- h.h_stats.matched + 1
+
+let rec scan_image_nd h buf off stop col =
+  if off < stop then begin
+    if image_passes_nd h.h_bounds 0 buf off col h.h_dims 0 then hit_nd h buf off col;
+    scan_image_nd h buf (off + 8) stop col
+  end
+
+let rec push_image_nd h buf off first col depth sp =
+  let d = h.h_dims in
+  if off < first then sp
+  else if image_passes_nd h.h_bounds (4 * d) buf off col d 0 then begin
+    Array.unsafe_set h.h_stack sp (Page.get_i32 buf ((2 * d * col) + (off lsr 1)));
+    Array.unsafe_set h.h_stack (sp + 1) depth;
+    push_image_nd h buf (off - 8) first col depth (sp + 2)
+  end
+  else push_image_nd h buf (off - 8) first col depth sp
+
+let visit_image_nd pol h buf depth sp =
+  let dims = h.h_dims in
+  let leaf = Node.page_kind_nd ~dims buf = Node.Leaf in
+  let cap = Node.capacity_nd ~page_size:(Bytes.length buf) ~dims
+  and n = Node.page_length_nd ~dims buf in
   if n > cap then invalid_arg "Rtree: node count exceeds the page capacity";
   let col = 8 * cap in
   count_visit pol h.h_stats ~leaf depth;
   if leaf then begin
-    scan_image h buf 0 (8 * cut_image h.h_bounds 0 buf 0 n) col;
+    scan_image_nd h buf 0 (8 * cut_image h.h_bounds 0 buf 0 n) col;
     sp
   end
   else begin
-    let stop = cut_image h.h_bounds 8 buf 0 n in
+    let stop = cut_image h.h_bounds (4 * dims) buf 0 n in
     reserve h sp stop;
-    push_image h buf (8 * (stop - 1)) 0 col (depth + 1) sp
+    push_image_nd h buf (8 * (stop - 1)) 0 col (depth + 1) sp
+  end
+
+(* One node from its page image; returns the new stack pointer.  The
+   one dispatch on the dimension: the 2-D kernels, or the generic one
+   (d-D trees are live and on the pool only, so [leaf_depth] is 0). *)
+let visit_image pol h buf ~leaf_depth depth sp =
+  if h.h_dims <> 2 then visit_image_nd pol h buf depth sp
+  else begin
+    let leaf = if leaf_depth > 0 then depth = leaf_depth else Node.page_kind buf = Node.Leaf in
+    let cap = Node.capacity ~page_size:(Bytes.length buf) and n = Node.page_length buf in
+    (* A verified image whose count overruns its columns is corrupt:
+       fail like [Node.decode] rather than scan the next column. *)
+    if n > cap then invalid_arg "Rtree: node count exceeds the page capacity";
+    let col = 8 * cap in
+    count_visit pol h.h_stats ~leaf depth;
+    if leaf then begin
+      scan_image h buf 0 (8 * cut_image h.h_bounds 0 buf 0 n) col;
+      sp
+    end
+    else begin
+      let stop = cut_image h.h_bounds 8 buf 0 n in
+      reserve h sp stop;
+      push_image h buf (8 * (stop - 1)) 0 col (depth + 1) sp
+    end
   end
 
 let read_image t src ~gen ~leaf_depth id depth =
@@ -631,28 +727,53 @@ let descend_into t src pol snapshot window ~into:h =
   let leaf_depth = match snapshot with Some sv -> sv.sv_height | None -> 0 in
   loop t src pol h ~gen:(snapshot_gen snapshot) ~leaf_depth 2
 
-(* The callback form: descend into a scratch buffer of this domain, and
-   only then call [f] on the results.  Each nesting level has its own
-   buffer, so a query [f] issues on this domain descends into the next
-   one and leaves the results being replayed alone. *)
+(* The callback forms: descend into a scratch buffer of this domain,
+   and only then call [f] on the results.  Each nesting level has its
+   own buffer, so a query [f] issues on this domain descends into the
+   next one and leaves the results being replayed alone.  A level's
+   buffer is remade when a query of another dimension takes it. *)
 type scratch = { mutable bufs : hits array; mutable depth : int }
 
 let scratch_key = Domain.DLS.new_key (fun () -> { bufs = [||]; depth = 0 })
 
-let descend_iter t src pol snapshot window ~f =
-  let s = Domain.DLS.get scratch_key in
+let scratch_hits s ~dims =
   let d = s.depth in
-  if d = Array.length s.bufs then s.bufs <- Array.append s.bufs [| hits_make () |];
-  let h = s.bufs.(d) in
-  descend_into t src pol snapshot window ~into:h;
+  if d = Array.length s.bufs then s.bufs <- Array.append s.bufs [| hits_create dims |]
+  else if s.bufs.(d).h_dims <> dims then s.bufs.(d) <- hits_create dims;
+  s.bufs.(d)
+
+(* Call [f] on each result index of [h], the buffer of level [d], with
+   the level taken; then the descent's statistics. *)
+let replay s d h f =
   s.depth <- d + 1;
   Fun.protect
     ~finally:(fun () -> s.depth <- d)
     (fun () ->
       for i = 0 to h.h_len - 1 do
-        f (hits_get h i)
+        f i
       done);
   copy_stats h.h_stats
+
+let descend_iter t src pol snapshot window ~f =
+  let s = Domain.DLS.get scratch_key in
+  let d = s.depth in
+  let h = scratch_hits s ~dims:2 in
+  descend_into t src pol snapshot window ~into:h;
+  replay s d h (fun i -> f (hits_get h i))
+
+(* The d-dimensional window query: the live tree through the pool, into
+   this domain's scratch buffer for the window's dimension. *)
+let descend_box t window ~f =
+  let s = Domain.DLS.get scratch_key in
+  let d = s.depth in
+  let h = scratch_hits s ~dims:(Hyperrect.dims window) in
+  hits_clear h;
+  reset_stats h.h_stats;
+  set_box_bounds h.h_bounds window;
+  h.h_stack.(0) <- t.root;
+  h.h_stack.(1) <- 1;
+  loop t Pool plain_window h ~gen:0 ~leaf_depth:0 2;
+  replay s d h (f h)
 
 (* Caller-supplied-buffer window query: results append into [into]
    and the descent statistics land in [hits_stats into] (both valid
@@ -794,7 +915,12 @@ let validate t =
   (* Returns the exact bounding box of the subtree rooted at [id]. *)
   let rec visit id depth =
     incr nodes;
-    let node = read_node t id in
+    let node =
+      match read_node t id with
+      | node -> node
+      | exception Invalid_argument msg ->
+          invalid "decode-error: page %d does not decode (%s)" id msg
+    in
     let n = Node.length node in
     if n > cap then invalid "node %d holds %d entries, capacity %d" id n cap;
     if not (Node.in_page_order (Node.entries node)) then

@@ -168,8 +168,11 @@ val hits_id : hits -> int -> int
 val hits_coords : hits -> Float.Array.t
 (** The buffer's coordinate column: result [i]'s [xmin], [ymin],
     [xmax] and [ymax] sit at [4i] to [4i + 3], for [i] below
-    {!hits_length}; the array may be longer.  A later query into the
-    buffer may replace the array, so fetch it after the query. *)
+    {!hits_length}; the array may be longer.  (In a buffer of
+    [d]-dimensional results, {!descend_box}'s, result [i]'s [2d]
+    coordinates — lo{_0} to lo{_d-1}, then hi{_0} to hi{_d-1} — sit
+    at [2d i] onward.)  A later query into the buffer may replace the
+    array, so fetch it after the query. *)
 
 val hits_clear : hits -> unit
 
@@ -276,6 +279,17 @@ val descend_iter :
     scratch buffer of this domain, then call [f] on each result in
     delivery order; [f] may query again.  Records no metrics. *)
 
+val descend_box :
+  t -> Prt_geom.Hyperrect.t -> f:(hits -> int -> unit) -> query_stats
+(** The window query over a tree whose pages hold [d]-dimensional
+    entries in {!Node}'s layout for [d] ([Prt_ndtree.Rtree_nd]'s), [d]
+    being the window's dimension: the engine on the live tree through
+    the pool, with no quarantine or deadline, into a scratch buffer of
+    this domain for [d].  Then [f h i] runs on each result [i] in
+    delivery order, reading it through {!hits_coords} and {!hits_id};
+    [f] may query again.  At [d = 2] the descent is exactly
+    {!descend_iter}'s.  Records no metrics. *)
+
 (** Per-query I/O profile, collected by {!query_profile}: the node count
     per level (root = index 0), the classic visit/match counts, the
     backend that served the pages, the mapping, pager and buffer-pool
@@ -324,8 +338,9 @@ val validate : t -> structure
     parent-recorded MBR exactly the union of its child's entries, fanout
     within capacity, every node's entries in page order, metadata count
     consistent — and return structural statistics. Raises {!Invalid}
-    with a description on violation (an order violation names itself
-    [unsorted-node], {!Audit}'s label). *)
+    with a description on violation (a page that does not decode names
+    itself [decode-error] and an order violation [unsorted-node],
+    {!Audit}'s labels). *)
 
 val mbr : t -> Prt_geom.Rect.t option
 (** Bounding box of the whole dataset ([None] when empty). *)

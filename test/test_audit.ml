@@ -246,6 +246,51 @@ let test_mutation_unsorted_node () =
     [ Printf.sprintf "page %d" leaf ]
     (List.map (fun v -> v.Audit.where) r.Audit.violations)
 
+(* The same in three dimensions, where the generic kernel's cut-off
+   relies on the order too: a 3-D PR-tree audits clean as built, and
+   swapping two entries of one leaf — its six columns and the id, found
+   through [Node]'s offsets for d = 3 — is named by the audit, on that
+   page only, and by [Rtree_nd.validate]. *)
+let test_mutation_unsorted_node_nd () =
+  let dims = 3 in
+  let pool = Helpers.small_pool () in
+  let tree = Prt_ndtree.Prtree_nd.load ~dims pool (random_entries_nd ~dims ~n:300 ~seed:43) in
+  Buffer_pool.flush pool;
+  let pristine = Audit_nd.check ~check_leaks:true tree in
+  if not (Audit.ok pristine) then
+    Alcotest.failf "the pristine 3-D PR-tree does not audit clean: %a" Audit.pp_report pristine;
+  let rec first_leaf id =
+    let node = Prt_ndtree.Rtree_nd.read_node tree id in
+    match Prt_ndtree.Node_nd.kind node with
+    | Prt_ndtree.Node_nd.Leaf -> id
+    | Prt_ndtree.Node_nd.Internal ->
+        first_leaf (Prt_ndtree.Entry_nd.id (Prt_ndtree.Node_nd.entries node).(0))
+  in
+  let leaf = first_leaf (Prt_ndtree.Rtree_nd.root tree) in
+  corrupt pool leaf (fun buf ->
+      let page_size = Bytes.length buf in
+      let swap off width =
+        let a = Bytes.sub buf (off 0) width in
+        Bytes.blit buf (off 1) buf (off 0) width;
+        Bytes.blit a 0 buf (off 1) width
+      in
+      for k = 0 to (2 * dims) - 1 do
+        swap (fun i -> Node.column_offset ~page_size ~dims k i) 8
+      done;
+      swap (Node.id_offset_nd ~page_size ~dims) 4);
+  let r = Audit_nd.check ~check_leaks:true tree in
+  Alcotest.(check (list string)) "the one violation" [ "unsorted-node" ] (labels r);
+  Alcotest.(check (list string))
+    "on the swapped leaf"
+    [ Printf.sprintf "page %d" leaf ]
+    (List.map (fun v -> v.Audit.where) r.Audit.violations);
+  match Prt_ndtree.Rtree_nd.validate tree with
+  | _ -> Alcotest.fail "Rtree_nd.validate accepted the unsorted leaf"
+  | exception Prt_ndtree.Rtree_nd.Invalid reason ->
+      Alcotest.(check string)
+        "validate names it" "unsorted-node"
+        (String.sub reason 0 (min (String.length reason) 13))
+
 let test_mutation_page_leaked () =
   let pool, tree = build_victim () in
   Buffer_pool.drop_clean pool;
@@ -282,6 +327,8 @@ let suite =
     Alcotest.test_case "mutation: shortcut to leaf -> leaf-depth" `Quick test_mutation_leaf_depth;
     Alcotest.test_case "mutation: swapped leaf entries -> unsorted-node" `Quick
       test_mutation_unsorted_node;
+    Alcotest.test_case "mutation: swapped 3-d leaf entries -> unsorted-node" `Quick
+      test_mutation_unsorted_node_nd;
     Alcotest.test_case "mutation: stray allocation -> page-leaked" `Quick
       test_mutation_page_leaked;
     Alcotest.test_case "mutation: freed leaf -> freed-page-reachable" `Quick

@@ -12,7 +12,6 @@ let () =
       ("ext", Test_ext.suite);
       ("logmethod", Test_logmethod.suite);
       ("ndtree", Test_ndtree.suite);
-      ("ndtree-dynamic", Test_ndtree_dynamic.suite);
       ("metrics", Test_metrics.suite);
       ("kdbtree", Test_kdbtree.suite);
       ("hilbert-rtree", Test_hilbert_rtree.suite);

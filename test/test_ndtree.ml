@@ -1,9 +1,18 @@
 (* d-dimensional PR-tree tests: codec roundtrips, pseudo-tree structure,
    exact query answers against a brute-force oracle in 3 and 4
-   dimensions, and the (N/B)^(1-1/d) flavour of the worst-case bound. *)
+   dimensions, the (N/B)^(1-1/d) flavour of the worst-case bound, and
+   the one page format and one descent: at d = 2 the d-D tree's pages
+   are the 2-D tree's byte for byte, and in every dimension the engine's
+   answers and visit counts match a brute-force scan and a reference
+   walk over decoded nodes. *)
 
+module Rect = Prt_geom.Rect
 module Hyperrect = Prt_geom.Hyperrect
 module Rng = Prt_util.Rng
+module Pager = Prt_storage.Pager
+module Buffer_pool = Prt_storage.Buffer_pool
+module Entry = Prt_rtree.Entry
+module Node = Prt_rtree.Node
 module Entry_nd = Prt_ndtree.Entry_nd
 module Node_nd = Prt_ndtree.Node_nd
 module Rtree_nd = Prt_ndtree.Rtree_nd
@@ -45,16 +54,45 @@ let test_entry_size_matches_2d () =
   (* And the 4 KB fanout for 3-D. *)
   Alcotest.(check int) "3-D fanout" ((4096 - 16 - 3) / 52) (Node_nd.capacity ~page_size:4096 ~dims:3)
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Equal ids and boxes, bit for bit ([Entry_nd.equal] takes -0.0 for
+   0.0). *)
+let same_entry a b =
+  let x = Entry_nd.box a and y = Entry_nd.box b in
+  let d = Hyperrect.dims x in
+  Entry_nd.id a = Entry_nd.id b
+  && Hyperrect.dims y = d
+  && List.for_all
+       (fun k ->
+         same_bits (Hyperrect.lo x k) (Hyperrect.lo y k)
+         && same_bits (Hyperrect.hi x k) (Hyperrect.hi y k))
+       (List.init d Fun.id)
+
+let by_id l = List.sort (fun a b -> Int.compare (Entry_nd.id a) (Entry_nd.id b)) l
+
+(* The page holds the node's entries, as a multiset, in page order;
+   the node's own array is left as it was. *)
 let test_node_codec () =
   let dims = 3 in
   let entries = random_entries ~dims ~n:9 ~seed:1 in
+  let given = Array.copy entries in
+  Alcotest.(check bool) "input not in page order" false (Node_nd.in_page_order entries);
   let node = Node_nd.make Node_nd.Internal entries in
   let decoded = Node_nd.decode ~dims (Node_nd.encode ~page_size:512 ~dims node) in
   Alcotest.(check int) "count" 9 (Node_nd.length decoded);
-  Array.iteri
-    (fun i e ->
-      Alcotest.(check bool) "entry" true (Entry_nd.equal e (Node_nd.entries decoded).(i)))
-    entries
+  Alcotest.(check bool) "kind" true (Node_nd.kind decoded = Node_nd.Internal);
+  Alcotest.(check bool)
+    "decoded in page order" true
+    (Node_nd.in_page_order (Node_nd.entries decoded));
+  Alcotest.(check bool)
+    "the node's array is not reordered" true
+    (Array.for_all2 ( == ) given entries);
+  Alcotest.(check bool)
+    "the same entries" true
+    (List.for_all2 same_entry
+       (by_id (Array.to_list entries))
+       (by_id (Array.to_list (Node_nd.entries decoded))))
 
 let b = 9 (* 512-byte pages with 3-D entries: (512-3)/52 = 9 *)
 
@@ -181,6 +219,190 @@ let test_reentrant_query () =
       stats.Rtree_nd.internal_visited
   done
 
+(* --- one page format: d = 2 is the 2-D page --- *)
+
+let nd_of_entry e = Entry_nd.make (Hyperrect.of_rect (Entry.rect e)) (Entry.id e)
+
+(* 2-D rectangles with repeated xmins, signed zeros and infinities among
+   the random ones, so ties reach every tie-break of page order. *)
+let tied_entries ~n ~seed =
+  let rng = Rng.create seed in
+  let special = [| 0.0; -0.0; 0.5; infinity; neg_infinity |] in
+  let coord () =
+    if Rng.float rng 1.0 < 0.3 then special.(Rng.int rng (Array.length special))
+    else Rng.float rng 1.0
+  in
+  Array.init n (fun i -> Entry.make (Rect.of_corners (coord (), coord ()) (coord (), coord ())) i)
+
+let test_node_codec_d2_identity () =
+  List.iter
+    (fun page_size ->
+      let cap = Node.capacity ~page_size in
+      Alcotest.(check int) "capacity" cap (Node_nd.capacity ~page_size ~dims:2);
+      Alcotest.(check (list int))
+        "offsets of the last slot: four columns, id, kind, count"
+        (List.map (Node.coord_offset ~page_size (cap - 1)) Node.[ Xmin; Ymin; Xmax; Ymax ]
+        @ [ Node.id_offset ~page_size (cap - 1); Node.kind_offset ~page_size;
+            Node.count_offset ~page_size ])
+        (List.map (fun k -> Node.column_offset ~page_size ~dims:2 k (cap - 1)) [ 0; 1; 2; 3 ]
+        @ [ Node.id_offset_nd ~page_size ~dims:2 (cap - 1); Node.kind_offset_nd ~page_size ~dims:2;
+            Node.count_offset_nd ~page_size ~dims:2 ]);
+      List.iter
+        (fun n ->
+          List.iter
+            (fun kind ->
+              let entries = tied_entries ~n ~seed:(page_size + n) in
+              let two = Node.encode ~page_size (Node.make kind (Array.copy entries)) in
+              let nd =
+                Node_nd.encode ~page_size ~dims:2 (Node_nd.make kind (Array.map nd_of_entry entries))
+              in
+              if not (Bytes.equal two nd) then
+                Alcotest.failf "page size %d, %d entries: Node_nd's page differs from Node's"
+                  page_size n)
+            [ Node.Leaf; Node.Internal ])
+        [ 0; 1; cap / 2; cap ])
+    [ 128; 512; 4096 ]
+
+let pool_pages pool =
+  let pager = Buffer_pool.pager pool in
+  Array.init (Pager.num_pages pager) (fun id -> Buffer_pool.read pool id)
+
+(* The d-D PR-tree at d = 2 and the 2-D PR-tree over the same
+   rectangles: the same root, height and count, and every page image
+   the same bytes. *)
+let test_prtree_d2_identity () =
+  List.iter
+    (fun (n, entries) ->
+      let two_pool = Helpers.default_pool () and nd_pool = Helpers.default_pool () in
+      let two = Prt_prtree.Prtree.load two_pool entries in
+      let nd = Prtree_nd.load ~dims:2 nd_pool (Array.map nd_of_entry entries) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "n=%d: root, height, count" n)
+        [ Prt_rtree.Rtree.root two; Prt_rtree.Rtree.height two; Prt_rtree.Rtree.count two ]
+        [ Rtree_nd.root nd; Rtree_nd.height nd; Rtree_nd.count nd ];
+      let a = pool_pages two_pool and b = pool_pages nd_pool in
+      Alcotest.(check int) (Printf.sprintf "n=%d: pages" n) (Array.length a) (Array.length b);
+      Array.iteri
+        (fun id page ->
+          if not (Bytes.equal page b.(id)) then Alcotest.failf "n=%d: page %d differs" n id)
+        a)
+    [
+      (1_000, Helpers.random_entries ~n:1_000 ~seed:1);
+      (1_000, tied_entries ~n:1_000 ~seed:2);
+      (20_000, Helpers.random_entries ~n:20_000 ~seed:3);
+      (100_000, Helpers.random_entries ~n:100_000 ~seed:4);
+    ]
+
+(* --- one descent: the engine against brute force and a reference walk --- *)
+
+(* Every node the descent must visit, in preorder with children in page
+   order: the entries that pass, and the leaf and internal visits. *)
+let reference_walk tree window =
+  let hits = ref [] and leaves = ref 0 and internal = ref 0 in
+  let rec visit id =
+    let node = Rtree_nd.read_node tree id in
+    let passing =
+      List.filter
+        (fun e -> Hyperrect.intersects (Entry_nd.box e) window)
+        (Array.to_list (Node_nd.entries node))
+    in
+    match Node_nd.kind node with
+    | Node_nd.Leaf ->
+        incr leaves;
+        hits := List.rev_append passing !hits
+    | Node_nd.Internal ->
+        incr internal;
+        List.iter (fun e -> visit (Entry_nd.id e)) passing
+  in
+  visit (Rtree_nd.root tree);
+  (List.rev !hits, !leaves, !internal)
+
+let prop_engine_nd =
+  let special = [| 0.0; -0.0; 1.0; infinity; neg_infinity |] in
+  let coord = QCheck.Gen.(frequency [ (3, float_range (-10.0) 10.0); (2, oneofa special) ]) in
+  let box dims =
+    QCheck.Gen.(
+      let* a = array_repeat dims coord and* b = array_repeat dims coord in
+      return (Hyperrect.make ~lo:(Array.map2 Float.min a b) ~hi:(Array.map2 Float.max a b)))
+  in
+  let gen =
+    QCheck.Gen.(
+      let* dims = int_range 1 4 and* page_size = oneofl [ 256; 512; 4096 ] in
+      let cap = Node_nd.capacity ~page_size ~dims in
+      (* Empty, one full node, full leaves under one root, and ragged. *)
+      let* n = oneof [ return 0; return cap; return (cap * cap); int_range 1 400 ] in
+      let* boxes = array_repeat n (box dims) and* windows = list_repeat 6 (box dims) in
+      return (dims, page_size, Array.mapi (fun i b -> Entry_nd.make b i) boxes, windows))
+  in
+  let print (dims, page_size, entries, _) =
+    Printf.sprintf "d=%d, page size %d, %d entries" dims page_size (Array.length entries)
+  in
+  QCheck.Test.make ~count:150 ~name:"engine matches brute force and a reference walk (d = 1..4)"
+    (QCheck.make ~print gen) (fun (dims, page_size, entries, windows) ->
+      let pool = Buffer_pool.create ~capacity:4096 (Pager.create_memory ~page_size ()) in
+      let tree = Prtree_nd.load ~dims pool entries in
+      ignore (Rtree_nd.validate tree);
+      List.for_all
+        (fun w ->
+          let got, stats = Rtree_nd.query_list tree w in
+          let walked, leaves, internal = reference_walk tree w in
+          let brute =
+            List.filter (fun e -> Hyperrect.intersects (Entry_nd.box e) w) (Array.to_list entries)
+          in
+          if List.length got <> List.length walked || not (List.for_all2 same_entry got walked)
+          then QCheck.Test.fail_reportf "answer differs from the reference walk's, in order";
+          if not (List.for_all2 same_entry (by_id got) (by_id brute)) then
+            QCheck.Test.fail_reportf "answer differs from brute force: %d vs %d entries"
+              (List.length got) (List.length brute);
+          stats.Rtree_nd.leaf_visited = leaves
+          && stats.Rtree_nd.internal_visited = internal
+          && stats.Rtree_nd.matched = List.length got)
+        windows)
+
+(* The generic kernel allocates nothing per node or entry: after a
+   warm-up, a zero-output slab query that visits many nodes allocates
+   no more than a query that visits one node does, plus what the
+   buffer pool allocates to serve the extra page reads (measured here
+   on the root page, cached like every page of the tree). *)
+let test_generic_kernel_allocation () =
+  let dims = 3 in
+  let rng = Rng.create 93 in
+  let entries =
+    Array.init 6000 (fun i ->
+        Entry_nd.make (Hyperrect.point (Array.init dims (fun _ -> Rng.float rng 1.0))) i)
+  in
+  let pool = small_pool () in
+  let tree = Prtree_nd.load ~dims pool entries in
+  let words f =
+    ignore (f ());
+    Gc.minor ();
+    let w0 = Gc.minor_words () in
+    let r = f () in
+    Gc.minor ();
+    (Gc.minor_words () -. w0, r)
+  in
+  let per_read, () =
+    words (fun () ->
+        for _ = 1 to 100 do
+          ignore (Buffer_pool.read pool (Rtree_nd.root tree))
+        done)
+  in
+  let query window =
+    let w, s = words (fun () -> Rtree_nd.query_count tree window) in
+    (w, s.Rtree_nd.leaf_visited + s.Rtree_nd.internal_visited, s.Rtree_nd.matched)
+  in
+  let slab_words, slab_nodes, matched =
+    query (Hyperrect.make ~lo:[| 0.0; 0.0; 0.5 |] ~hi:[| 1.0; 1.0; 0.5 |])
+  and miss_words, miss_nodes, _ = query (Hyperrect.point [| 5.0; 5.0; 5.0 |]) in
+  Alcotest.(check bool)
+    (Printf.sprintf "the slab visits many nodes (%d) and matches nothing (%d)" slab_nodes matched)
+    true
+    (slab_nodes > 50 && matched = 0 && miss_nodes = 1);
+  let reads = per_read /. 100.0 *. float_of_int (slab_nodes - miss_nodes) in
+  if slab_words > miss_words +. reads then
+    Alcotest.failf "%.0f words for %d nodes, %.0f for one node, page reads %.0f" slab_words
+      slab_nodes miss_words reads
+
 let suite =
   [
     Alcotest.test_case "entry codec across dims" `Quick test_entry_codec;
@@ -194,4 +416,10 @@ let suite =
     Alcotest.test_case "leaves on one level" `Quick test_leaves_same_level;
     Alcotest.test_case "3d bound flavour" `Quick test_bound_3d_flavour;
     Alcotest.test_case "query from a query callback" `Quick test_reentrant_query;
+    Alcotest.test_case "d=2 node page is the 2-D page" `Quick test_node_codec_d2_identity;
+    Alcotest.test_case "d=2 PR-tree is the 2-D PR-tree, page for page" `Quick
+      test_prtree_d2_identity;
+    Helpers.qcheck_case prop_engine_nd;
+    Alcotest.test_case "generic kernel allocates nothing per node" `Quick
+      test_generic_kernel_allocation;
   ]

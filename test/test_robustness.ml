@@ -67,6 +67,47 @@ let test_corrupt_child_pointer_detected () =
        false
      with Rtree.Invalid _ -> true)
 
+(* A page that does not decode is named by [validate], as [Audit]
+   names it, instead of an [Invalid_argument] escaping: here a leaf
+   holding a NaN entry (which [Rect.make] refuses on decode), written
+   through [alloc_node] below [Dynamic]'s guard. *)
+let test_validate_names_decode_error () =
+  let tree = Rtree.create_empty (Helpers.small_pool ()) in
+  let nan_rect = Rect.of_corners (Float.nan, 0.5) (0.6, 0.6) in
+  let leaf = Rtree.alloc_node tree (Node.make Node.Leaf [| Entry.make nan_rect 7000 |]) in
+  Rtree.set_root tree ~root:leaf ~height:1;
+  Rtree.set_count tree 1;
+  match Rtree.validate tree with
+  | _ -> Alcotest.fail "validate accepted a page that does not decode"
+  | exception Rtree.Invalid reason ->
+      let expected = Printf.sprintf "decode-error: page %d does not decode (" leaf in
+      Alcotest.(check string)
+        "named by Audit's label" expected
+        (String.sub reason 0 (min (String.length reason) (String.length expected)))
+
+(* [Dynamic.insert] refuses such a rectangle before touching a page,
+   also after an ordinary insert (the CLI's reproduction: without the
+   guard, that NaN insert succeeds and a whole-world query then misses
+   entries): the tree answers and validates as before. *)
+let test_insert_refuses_nan () =
+  let pool = Helpers.small_pool () in
+  let entries =
+    Array.append
+      (Helpers.random_entries ~n:300 ~seed:3)
+      [| Entry.make (Rect.make ~xmin:0.0 ~ymin:0.0 ~xmax:1.0 ~ymax:1.0) 5000 |]
+  in
+  let tree = Prt_prtree.Prtree.load pool (Array.sub entries 0 300) in
+  Dynamic.insert tree entries.(300);
+  Buffer_pool.flush pool;
+  (match Dynamic.insert tree (Entry.make (Rect.of_corners (Float.nan, 0.5) (0.6, 0.6)) 7000) with
+  | () -> Alcotest.fail "a NaN rectangle was inserted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "refused by the guard" "Dynamic.insert" (String.sub msg 0 14));
+  Alcotest.(check bool) "no page written" true (Buffer_pool.is_clean pool);
+  Alcotest.(check int) "count unchanged" 301 (Rtree.count tree);
+  ignore (Rtree.validate tree);
+  Helpers.check_tree_queries ~seed:4 tree entries
+
 let test_truncated_index_file () =
   with_temp_file (fun path ->
       let oc = open_out_bin path in
@@ -215,4 +256,7 @@ let suite =
     Alcotest.test_case "file-backed updates persist" `Quick test_file_backed_updates_persist;
     Alcotest.test_case "extsort with page slack" `Quick test_extsort_odd_record_size;
     Alcotest.test_case "corrupt entry count detected" `Quick test_corrupt_count;
+    Alcotest.test_case "validate names a page that does not decode" `Quick
+      test_validate_names_decode_error;
+    Alcotest.test_case "insert refuses a NaN rectangle" `Quick test_insert_refuses_nan;
   ]
