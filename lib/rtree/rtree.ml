@@ -729,8 +729,8 @@ let descend_into t src pol snapshot window ~into:h =
 
 (* The callback forms: descend into a scratch buffer of this domain,
    and only then call [f] on the results.  Each nesting level has its
-   own buffer, so a query [f] issues on this domain descends into the
-   next one and leaves the results being replayed alone.  A level's
+   own buffer, so a query that [f] runs on this domain descends into
+   the next one and leaves the results being replayed alone.  A level's
    buffer is remade when a query of another dimension takes it. *)
 type scratch = { mutable bufs : hits array; mutable depth : int }
 
