@@ -242,20 +242,25 @@ let test_node_codec_d2_identity () =
       Alcotest.(check (list int))
         "offsets of the last slot: four columns, id, kind, count"
         (List.map (Node.coord_offset ~page_size (cap - 1)) Node.[ Xmin; Ymin; Xmax; Ymax ]
-        @ [ Node.id_offset ~page_size (cap - 1); Node.kind_offset ~page_size;
-            Node.count_offset ~page_size ])
+        @ [
+            Node.id_offset ~page_size (cap - 1);
+            Node.kind_offset ~page_size;
+            Node.count_offset ~page_size;
+          ])
         (List.map (fun k -> Node.column_offset ~page_size ~dims:2 k (cap - 1)) [ 0; 1; 2; 3 ]
-        @ [ Node.id_offset_nd ~page_size ~dims:2 (cap - 1); Node.kind_offset_nd ~page_size ~dims:2;
-            Node.count_offset_nd ~page_size ~dims:2 ]);
+        @ [
+            Node.id_offset_nd ~page_size ~dims:2 (cap - 1);
+            Node.kind_offset_nd ~page_size ~dims:2;
+            Node.count_offset_nd ~page_size ~dims:2;
+          ]);
       List.iter
         (fun n ->
           List.iter
             (fun kind ->
               let entries = tied_entries ~n ~seed:(page_size + n) in
               let two = Node.encode ~page_size (Node.make kind (Array.copy entries)) in
-              let nd =
-                Node_nd.encode ~page_size ~dims:2 (Node_nd.make kind (Array.map nd_of_entry entries))
-              in
+              let nd_node = Node_nd.make kind (Array.map nd_of_entry entries) in
+              let nd = Node_nd.encode ~page_size ~dims:2 nd_node in
               if not (Bytes.equal two nd) then
                 Alcotest.failf "page size %d, %d entries: Node_nd's page differs from Node's"
                   page_size n)
