@@ -1,3 +1,7 @@
+(* Alcotest pads each row to the longest suite name (14 characters,
+   "ndtree-unified") and cuts a case name that does not fit 80 columns.
+   A longer or shorter longest name moves that cut, and so changes the
+   printed name of every cut case. *)
 let () =
   Alcotest.run "prtree-repro"
     [
@@ -12,6 +16,7 @@ let () =
       ("ext", Test_ext.suite);
       ("logmethod", Test_logmethod.suite);
       ("ndtree", Test_ndtree.suite);
+      ("ndtree-unified", Test_ndtree.unified_suite);
       ("metrics", Test_metrics.suite);
       ("kdbtree", Test_kdbtree.suite);
       ("hilbert-rtree", Test_hilbert_rtree.suite);

@@ -421,6 +421,11 @@ let suite =
     Alcotest.test_case "leaves on one level" `Quick test_leaves_same_level;
     Alcotest.test_case "3d bound flavour" `Quick test_bound_3d_flavour;
     Alcotest.test_case "query from a query callback" `Quick test_reentrant_query;
+  ]
+
+(* The d-D tree on the 2-D tree's page format and descent engine. *)
+let unified_suite =
+  [
     Alcotest.test_case "d=2 node page is the 2-D page" `Quick test_node_codec_d2_identity;
     Alcotest.test_case "d=2 PR-tree is the 2-D PR-tree, page for page" `Quick
       test_prtree_d2_identity;
