@@ -32,7 +32,17 @@ let query_cost_of_logmethod t queries =
   let n = float_of_int (Array.length queries) in
   let mean_leaves = float_of_int !leaves /. n in
   let ideal = float_of_int !matched /. n /. float_of_int capacity in
-  (mean_leaves, if ideal > 0.0 then mean_leaves /. ideal else Float.nan)
+  {
+    mean_leaves;
+    mean_output = float_of_int !matched /. n;
+    relative = (if ideal > 0.0 then mean_leaves /. ideal else Float.nan);
+    leaves_total = !leaves;
+    matched_total = !matched;
+  }
+
+(* The component ladder as "level:entries,...", like BENCH_ingest's. *)
+let levels_label comps =
+  String.concat "," (List.map (fun (level, n) -> Printf.sprintf "%d:%d" level n) comps)
 
 (* A pool whose cache is small enough that update traffic actually
    reaches the pager — otherwise the 4096-page cache absorbs every
@@ -76,7 +86,7 @@ let logm ~scale ~seed =
         Array.iter (Logmethod.insert lm) stream;
         Logmethod.flush_buffer lm)
   in
-  let lm_leaves, lm_rel = query_cost_of_logmethod lm queries in
+  let lm_cost = query_cost_of_logmethod lm queries in
   (* Strategy 2: Guttman updates on a bulk-loaded PR-tree. *)
   let pool = churn_pool () in
   let tree = Prt_prtree.Prtree.load pool base in
@@ -92,10 +102,28 @@ let logm ~scale ~seed =
     measure_updates pool (fun () -> Prt_prtree.Prtree.load pool (Array.append base stream))
   in
   let rebuilt = measure_queries tree queries in
+  (* Query leaves and matches gate every row; the ladder gates the log
+     method's row through its identity.  Its update I/Os are recorded
+     untracked ([update_ios]): what they count depends on the store the
+     log method runs on, while Guttman's and the rebuild's pool I/Os
+     are tracked. *)
+  let json strategy ios (cost : query_cost) =
+    Bench_json.(
+      row
+        ([ ("strategy", str strategy); ("n", int n) ]
+        @ ios
+        @ [ ("total_leaves", int cost.leaves_total); ("matched", int cost.matched_total) ]))
+  in
+  json "logarithmic method"
+    Bench_json.[ ("levels", str (levels_label (Logmethod.components lm))); ("update_ios", int lm_ios) ]
+    lm_cost;
+  json "guttman" Bench_json.[ ("ios", int gut_ios) ] gut;
+  json "rebuild" Bench_json.[ ("ios", int rebuild_ios) ] rebuilt;
   Table.print
     ~header:[ "strategy"; "update time s"; "update I/Os"; "query leaves"; "query cost" ]
     [
-      [ "logarithmic method"; f2 lm_secs; commas lm_ios; f1 lm_leaves; pct lm_rel ];
+      [ "logarithmic method"; f2 lm_secs; commas lm_ios; f1 lm_cost.mean_leaves;
+        pct lm_cost.relative ];
       [ "Guttman inserts on PR"; f2 gut_secs; commas gut_ios; f1 gut.mean_leaves; pct gut.relative ];
       [ "one final rebuild"; f2 rebuild_secs; commas rebuild_ios; f1 rebuilt.mean_leaves;
         pct rebuilt.relative ];
