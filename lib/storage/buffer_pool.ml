@@ -153,13 +153,17 @@ let free t id =
   | _ -> ());
   Pager.free t.pager id
 
+(* A clean pool returns at once: [Qexec]'s default snapshot provider
+   flushes at every batch start, and a walk over every cached frame
+   would find nothing to write. *)
 let flush t =
-  Lru.iter t.cache (fun id c ->
-      if c.dirty then begin
-        with_retry t "flush" (fun () -> Pager.write t.pager id c.data);
-        c.dirty <- false;
-        t.dirties <- t.dirties - 1
-      end)
+  if t.dirties > 0 then
+    Lru.iter t.cache (fun id c ->
+        if c.dirty then begin
+          with_retry t "flush" (fun () -> Pager.write t.pager id c.data);
+          c.dirty <- false;
+          t.dirties <- t.dirties - 1
+        end)
 
 let is_clean t = t.dirties = 0
 
