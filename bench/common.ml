@@ -230,4 +230,18 @@ let degraded_banner () =
     Printf.printf "   (degraded mode: injecting faults at rate %.1f%%, seed %d)\n%!"
       (100.0 *. fault_rate) fault_seed
 
+let rec rm_rf path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error _ -> ()
+
+(* A fresh directory for an on-disk store, removed afterwards. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "prt_bench" "" in
+  Sys.remove dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
 let note fmt = Printf.ksprintf (fun s -> Printf.printf "%s\n%!" s) fmt

@@ -1,9 +1,9 @@
 (* Dynamic-index experiments beyond the paper's tables: the Section 4
    discussion turned into measurements.
 
-   [logm]: the logarithmic-method PR-tree vs Guttman updates vs full
-   rebuild — update throughput and the query cost each strategy ends up
-   with.
+   [logm]: the logarithmic-method PR-tree (an [Lsm] store) vs Guttman
+   updates vs full rebuild — update cost and the query cost each
+   strategy ends up with.
 
    [degrade]: what the paper warns about — bulk-loaded optimality is
    lost under heuristic updates — quantified per split algorithm. *)
@@ -14,20 +14,20 @@ module Rtree = Prt_rtree.Rtree
 module Entry = Prt_rtree.Entry
 module Dynamic = Prt_rtree.Dynamic
 module Split = Prt_rtree.Split
-module Logmethod = Prt_logmethod.Logmethod
+module Lsm = Prt_logmethod.Lsm
 module Datasets = Prt_workloads.Datasets
 module Queries = Prt_workloads.Queries
 module Tiger = Prt_workloads.Tiger
 
 open Common
 
-let query_cost_of_logmethod t queries =
+let query_cost_of_lsm t queries =
   let leaves = ref 0 and matched = ref 0 in
   Array.iter
     (fun q ->
-      let s = Logmethod.query t q ~f:(fun _ -> ()) in
-      leaves := !leaves + s.Logmethod.leaf_visited;
-      matched := !matched + s.Logmethod.matched)
+      let s = Lsm.query t q ~f:(fun _ -> ()) in
+      leaves := !leaves + s.Rtree.leaf_visited;
+      matched := !matched + s.Rtree.matched)
     queries;
   let n = float_of_int (Array.length queries) in
   let mean_leaves = float_of_int !leaves /. n in
@@ -49,6 +49,24 @@ let levels_label comps =
    write and "update I/Os" reads as zero. *)
 let churn_pool () =
   Prt_storage.Buffer_pool.create ~capacity:64 (Prt_storage.Pager.create_memory ~page_size ())
+
+(* The pager's write counter and the WAL's byte counter, read as deltas
+   around the log method's updates (collection is switched on for the
+   window and restored after). *)
+let m_page_writes = Obs_metrics.counter "pager.writes"
+let m_wal_bytes = Obs_metrics.counter "ingest.wal_bytes"
+
+let counted f =
+  let was = Obs_metrics.collecting () in
+  Obs_metrics.set_collecting true;
+  Fun.protect
+    ~finally:(fun () -> Obs_metrics.set_collecting was)
+    (fun () ->
+      let w0 = Obs_metrics.value m_page_writes and b0 = Obs_metrics.value m_wal_bytes in
+      let t0 = Unix.gettimeofday () in
+      f ();
+      let secs = Unix.gettimeofday () -. t0 in
+      (secs, Obs_metrics.value m_page_writes - w0, Obs_metrics.value m_wal_bytes - b0))
 
 let logm ~scale ~seed =
   section "Logarithmic method: dynamized PR-tree vs alternatives";
@@ -78,15 +96,27 @@ let logm ~scale ~seed =
     in
     (result, secs, ios)
   in
-  (* Strategy 1: logarithmic method. *)
-  let pool = churn_pool () in
-  let lm = Logmethod.of_entries pool base in
-  let (), lm_secs, lm_ios =
-    measure_updates pool (fun () ->
-        Array.iter (Logmethod.insert lm) stream;
-        Logmethod.flush_buffer lm)
+  (* Strategy 1: logarithmic method, on an Lsm store with one leaf's
+     worth of buffer (M0 = 113).  The base goes in before the measured
+     window and is compacted into one component in the smallest slot
+     that holds it.  The window's update I/Os are the component pages
+     its merges write; merges read components through the mapping, so
+     no page reads are counted.  The WAL's bytes are reported apart. *)
+  let lm_secs, lm_pages, lm_wal, lm_levels, lm_cost =
+    with_temp_dir (fun dir ->
+        let t = Lsm.create ~buffer_capacity:capacity ~wal_sync:`Never dir in
+        Fun.protect
+          ~finally:(fun () -> Lsm.close t)
+          (fun () ->
+            Array.iter (Lsm.insert t) base;
+            Lsm.compact t;
+            let secs, pages, wal =
+              counted (fun () ->
+                  Array.iter (Lsm.insert t) stream;
+                  Lsm.flush t)
+            in
+            (secs, pages, wal, levels_label (Lsm.components t), query_cost_of_lsm t queries)))
   in
-  let lm_cost = query_cost_of_logmethod lm queries in
   (* Strategy 2: Guttman updates on a bulk-loaded PR-tree. *)
   let pool = churn_pool () in
   let tree = Prt_prtree.Prtree.load pool base in
@@ -103,10 +133,9 @@ let logm ~scale ~seed =
   in
   let rebuilt = measure_queries tree queries in
   (* Query leaves and matches gate every row; the ladder gates the log
-     method's row through its identity.  Its update I/Os are recorded
-     untracked ([update_ios]): what they count depends on the store the
-     log method runs on, while Guttman's and the rebuild's pool I/Os
-     are tracked. *)
+     method's row through its identity.  Its page writes and WAL bytes
+     are recorded untracked ([update_ios], [wal_bytes]), while
+     Guttman's and the rebuild's pool I/Os are tracked. *)
   let json strategy ios (cost : query_cost) =
     Bench_json.(
       row
@@ -115,17 +144,20 @@ let logm ~scale ~seed =
         @ [ ("total_leaves", int cost.leaves_total); ("matched", int cost.matched_total) ]))
   in
   json "logarithmic method"
-    Bench_json.[ ("levels", str (levels_label (Logmethod.components lm))); ("update_ios", int lm_ios) ]
+    Bench_json.
+      [ ("levels", str lm_levels); ("update_ios", int lm_pages); ("wal_bytes", int lm_wal) ]
     lm_cost;
   json "guttman" Bench_json.[ ("ios", int gut_ios) ] gut;
   json "rebuild" Bench_json.[ ("ios", int rebuild_ios) ] rebuilt;
   Table.print
-    ~header:[ "strategy"; "update time s"; "update I/Os"; "query leaves"; "query cost" ]
+    ~header:
+      [ "strategy"; "update time s"; "update I/Os"; "WAL bytes"; "query leaves"; "query cost" ]
     [
-      [ "logarithmic method"; f2 lm_secs; commas lm_ios; f1 lm_cost.mean_leaves;
+      [ "logarithmic method"; f2 lm_secs; commas lm_pages; commas lm_wal; f1 lm_cost.mean_leaves;
         pct lm_cost.relative ];
-      [ "Guttman inserts on PR"; f2 gut_secs; commas gut_ios; f1 gut.mean_leaves; pct gut.relative ];
-      [ "one final rebuild"; f2 rebuild_secs; commas rebuild_ios; f1 rebuilt.mean_leaves;
+      [ "Guttman inserts on PR"; f2 gut_secs; commas gut_ios; "-"; f1 gut.mean_leaves;
+        pct gut.relative ];
+      [ "one final rebuild"; f2 rebuild_secs; commas rebuild_ios; "-"; f1 rebuilt.mean_leaves;
         pct rebuilt.relative ];
     ];
   note "the logarithmic method pays a bounded (log #components) query factor over";

@@ -38,19 +38,6 @@ module Table = Prt_util.Table
 
 let readers = 2
 
-let rec rm_rf path =
-  match (Unix.lstat path).Unix.st_kind with
-  | Unix.S_DIR ->
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error _ -> ()
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "prt_bench_ingest" "" in
-  Sys.remove dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 let levels_label st =
   match st.Lsm.s_components with
   | [] -> "-"
@@ -107,9 +94,9 @@ let ingest ~scale ~seed =
       ];
     t
   in
-  with_temp_dir (fun dir -> Lsm.close (solo ~sync:`Always dir));
+  Common.with_temp_dir (fun dir -> Lsm.close (solo ~sync:`Always dir));
 
-  with_temp_dir @@ fun dir ->
+  Common.with_temp_dir @@ fun dir ->
   let t = solo ~sync:`Never dir in
 
   (* -- phase 3 setup rides on phase 1's `Never store: close with the
@@ -146,7 +133,7 @@ let ingest ~scale ~seed =
 
   (* -- phase 2: ingest under concurrent query load (background
      merges, reader domains oracle-checking every result) -- *)
-  with_temp_dir @@ fun dir ->
+  Common.with_temp_dir @@ fun dir ->
   let t =
     Lsm.create ~buffer_capacity:buffer ~page_size:Common.page_size
       ~wal_sync:`Never ~background:true dir

@@ -87,13 +87,10 @@ module Ndtree = struct
   module Audit = Prt_ndtree.Audit_nd
 end
 
-(* Dynamization via the logarithmic method. *)
-module Logmethod = Prt_logmethod.Logmethod
-
-(* Its persistent, crash-safe production form: WAL-acknowledged inserts,
-   on-disk PR-tree components, a CRC'd atomic-rename component manifest,
-   fault-injected background merges.  [Fsops]/[Wal]/[Manifest] are the
-   storage substrate it stands on. *)
+(* Dynamization via the logarithmic method, persistent and crash-safe:
+   WAL-acknowledged inserts, on-disk PR-tree components, a CRC'd
+   atomic-rename component manifest, fault-injected background merges.
+   [Fsops]/[Wal]/[Manifest] are the storage substrate it stands on. *)
 module Lsm = Prt_logmethod.Lsm
 module Fsops = Prt_storage.Fsops
 module Wal = Prt_storage.Wal

@@ -868,6 +868,14 @@ let log_record t tag e =
     raise ex
 
 let insert t e =
+  (* A rectangle [Node.decode] refuses — a NaN coordinate fails its
+     [xmin <= xmax && ymin <= ymax] — would be written by the merge that
+     absorbs it into a component page no query, merge or validate could
+     read again: refuse it before the WAL append, so nothing is
+     acknowledged. *)
+  let r = Entry.rect e in
+  if not (r.Rect.xmin <= r.Rect.xmax && r.Rect.ymin <= r.Rect.ymax) then
+    invalid_arg (Format.asprintf "Lsm.insert: rectangle %a does not decode" Rect.pp r);
   let trigger =
     with_lock t (fun () ->
         check_usable t;

@@ -1,7 +1,8 @@
 (** The persistent, crash-safe logarithmic method: LSM-style ingestion
     over on-disk PR-tree components.
 
-    This is {!Logmethod} productionized.  An index is a directory:
+    This is the paper's Section-4 logarithmic method, made durable.  An
+    index is a directory:
 
     - [MANIFEST-%06d] — the CRC'd atomic-rename component manifest
       ({!Prt_storage.Manifest}): the live component set, the WAL floor,
@@ -10,7 +11,7 @@
       per component, bulk-loaded, immutable once published.
     - [wal-%06d.log] — CRC-framed WAL segments ({!Prt_storage.Wal}).
       An insert is acknowledged only after its record is appended (and,
-      with [~wal_sync:true], fsynced); the entry then lives in the
+      with [~wal_sync:`Always], fsynced); the entry then lives in the
       in-memory buffer until a merge absorbs it into a component.
 
     When the buffer fills, it is sealed and merged — together with
@@ -91,10 +92,12 @@ val insert : t -> Prt_rtree.Entry.t -> unit
     Acknowledged (returned) means the record is in the WAL — replayed
     on any subsequent open.  A failed absorb never fails the insert
     (the entry is durable; the merge retries later).  Raises
-    [Invalid_argument] on an id already buffered, or on an id with an
-    unresolved tombstone — a dead copy of that id still lives in a
-    component, and the id-keyed tombstone cannot tell it apart from a
-    re-insert.  A deleted id becomes insertable again once a merge
+    [Invalid_argument], with nothing logged, on a rectangle that
+    {!Prt_rtree.Node.decode} would refuse (one with a NaN coordinate: a
+    component page holding it could not be read again), on an id
+    already buffered, or on an id with an unresolved tombstone — a dead
+    copy of that id still lives in a component, and the id-keyed
+    tombstone cannot tell it apart from a re-insert.  A deleted id becomes insertable again once a merge
     resolves its tombstone ({!flush}/{!compact} forces that). *)
 
 val delete : t -> Prt_rtree.Entry.t -> bool

@@ -20,6 +20,25 @@ let small_pool () = Buffer_pool.create ~capacity:4096 (Pager.create_memory ~page
 
 let default_pool () = Buffer_pool.create ~capacity:4096 (Pager.create_memory ())
 
+(* A fresh directory for an on-disk store (flat: an Lsm store's WAL
+   segments, manifests and component files), removed afterwards. *)
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    if Sys.is_directory dir then begin
+      Array.iter
+        (fun n ->
+          try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ()
+    end
+    else try Sys.remove dir with Sys_error _ -> ()
+  end
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "prt_store" "" in
+  Sys.remove dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
 (* The expensive qcheck runs only fire under `dune build @runtest-long`
    (which sets QCHECK_LONG); plain `dune runtest` stays fast. *)
 let long_run = Sys.getenv_opt "QCHECK_LONG" <> None

@@ -8,7 +8,8 @@
    merge left sealed or that a seal added during a merge, background
    merges, a qcheck differential against an in-memory oracle under
    random insert/delete/query/flush/reopen/fault schedules, one merge
-   past 50k entries, and a query's uncopied tombstone snapshot. *)
+   past 50k entries, a query's uncopied tombstone snapshot, deleting
+   every entry, and the refusal of a NaN rectangle. *)
 
 module Rect = Prt_geom.Rect
 module Rng = Prt_util.Rng
@@ -20,23 +21,6 @@ module Rtree = Prt_rtree.Rtree
 module Lsm = Prt_logmethod.Lsm
 
 let everything = Rect.make ~xmin:(-1e9) ~ymin:(-1e9) ~xmax:1e9 ~ymax:1e9
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    if Sys.is_directory dir then begin
-      Array.iter
-        (fun n ->
-          try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ()
-    end
-    else try Sys.remove dir with Sys_error _ -> ()
-  end
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "prt_ingest" "" in
-  Sys.remove dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let live_ids t = Helpers.ids_of (fst (Lsm.query_list t everything))
 
@@ -68,13 +52,17 @@ let check_slots ~buffer_capacity t =
 (* --- basics --- *)
 
 let test_basic () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let entries = Helpers.random_entries ~n:100 ~seed:11 in
       let t = Lsm.create dir in
       Array.iter (Lsm.insert t) entries;
       Alcotest.(check int) "count" 100 (Lsm.count t);
       Alcotest.(check int) "all buffered" 100 (Lsm.buffer_size t);
       Alcotest.(check (list (pair int int))) "no components yet" [] (Lsm.components t);
+      Alcotest.check_raises "duplicate buffered id rejected"
+        (Invalid_argument "Lsm.insert: duplicate entry id in buffer")
+        (fun () -> Lsm.insert t (Entry.make (Rect.point 0.5 0.5) (Entry.id entries.(7))));
+      Alcotest.(check int) "count after rejected duplicate" 100 (Lsm.count t);
       check_oracle t entries everything;
       Array.iter
         (fun q -> check_oracle t entries q)
@@ -88,22 +76,32 @@ let test_basic () =
       Lsm.close t)
 
 let test_merge_levels () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let n = 100 in
       let entries = Helpers.random_entries ~n ~seed:21 in
       let t =
         Lsm.create ~buffer_capacity:8 ~page_size:Helpers.small_page_size dir
       in
+      (* Logarithmically many components: at most one per doubling of
+         the buffer capacity. *)
+      let max_components = 1 + int_of_float (Float.log2 (float_of_int n /. 8.0)) in
       Array.iteri
         (fun i e ->
           Lsm.insert t e;
+          check_slots ~buffer_capacity:8 t;
+          Alcotest.(check bool) "few components" true
+            (List.length (Lsm.components t) <= max_components);
           if i mod 17 = 0 then
             check_oracle ~msg:"mid-ingest query" t
               (Array.sub entries 0 (i + 1))
               everything)
         entries;
       Alcotest.(check int) "count" n (Lsm.count t);
-      check_slots ~buffer_capacity:8 t;
+      (* Every merge unlinks the components it absorbed. *)
+      Alcotest.(check int) "one file per component" (List.length (Lsm.components t))
+        (Array.fold_left
+           (fun acc name -> if Filename.check_suffix name ".idx" then acc + 1 else acc)
+           0 (Sys.readdir dir));
       check_oracle t entries everything;
       Array.iter
         (fun q -> check_oracle t entries q)
@@ -118,7 +116,7 @@ let test_merge_levels () =
       Lsm.close t)
 
 let test_query_batch () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let entries = Helpers.random_entries ~n:120 ~seed:31 in
       let t =
         Lsm.create ~buffer_capacity:16 ~page_size:Helpers.small_page_size dir
@@ -139,7 +137,7 @@ let test_query_batch () =
 (* --- durability --- *)
 
 let test_reopen_replay () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let entries = Helpers.random_entries ~n:50 ~seed:41 in
       let t = Lsm.create dir in
       Array.iter (Lsm.insert t) entries;
@@ -162,7 +160,7 @@ let test_reopen_replay () =
 let test_abandoned_handle () =
   (* No close at all — the process "died" after the last acknowledged
      insert.  wal_sync:`Always means acknowledged = durable. *)
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let entries = Helpers.random_entries ~n:30 ~seed:51 in
       let t = Lsm.create ~wal_sync:`Always dir in
       Array.iter (Lsm.insert t) entries;
@@ -173,7 +171,7 @@ let test_abandoned_handle () =
       Lsm.close t)
 
 let test_torn_wal_tail () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let entries = Helpers.random_entries ~n:10 ~seed:61 in
       let t = Lsm.create dir in
       Array.iter (Lsm.insert t) entries;
@@ -223,7 +221,7 @@ let test_torn_wal_tail () =
    by name: none of them could be read, so opening it with every
    component failed would serve nothing. *)
 let test_old_format_store_refused epoch () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let page_size = Helpers.small_page_size in
       let t = Lsm.create ~buffer_capacity:4 ~page_size dir in
       Array.iter (Lsm.insert t) (Helpers.random_entries ~n:20 ~seed:72);
@@ -249,7 +247,7 @@ let test_old_format_store_refused epoch () =
 (* --- deletes and tombstones --- *)
 
 let test_deletes_and_compact () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let entries = Helpers.random_entries ~n:20 ~seed:71 in
       let t =
         Lsm.create ~buffer_capacity:4 ~page_size:Helpers.small_page_size dir
@@ -285,12 +283,70 @@ let test_deletes_and_compact () =
       check_oracle t expected everything;
       Lsm.close t)
 
+(* Deleting every entry of a multi-component store leaves nothing to
+   see, before and after the compaction that drops every component and
+   resolves every tombstone, and after a reopen. *)
+let test_delete_all () =
+  Helpers.with_temp_dir (fun dir ->
+      let entries = Helpers.random_entries ~n:30 ~seed:151 in
+      let t =
+        Lsm.create ~buffer_capacity:4 ~page_size:Helpers.small_page_size dir
+      in
+      Array.iter (Lsm.insert t) entries;
+      Alcotest.(check bool) "several components" true
+        (List.length (Lsm.components t) > 1);
+      Array.iter
+        (fun e -> Alcotest.(check bool) "delete succeeds" true (Lsm.delete t e))
+        entries;
+      let check_empty msg t =
+        Alcotest.(check int) (msg ^ ": count") 0 (Lsm.count t);
+        check_oracle ~msg t [||] everything
+      in
+      let check_nothing_stored msg t =
+        Alcotest.(check (list (pair int int))) (msg ^ ": no component") []
+          (Lsm.components t);
+        Alcotest.(check int) (msg ^ ": no tombstone") 0 (Lsm.stats t).Lsm.s_tombstones
+      in
+      check_empty "all deleted" t;
+      Lsm.compact t;
+      check_empty "compacted" t;
+      check_nothing_stored "compacted" t;
+      Lsm.validate t;
+      Lsm.close t;
+      let t = Lsm.open_ ~buffer_capacity:4 ~page_size:Helpers.small_page_size dir in
+      check_empty "reopened" t;
+      check_nothing_stored "reopened" t;
+      Lsm.close t)
+
+(* A rectangle with a NaN coordinate is refused before its WAL record
+   is written: the merge absorbing it would write a component page that
+   no later query, merge or validate could read. *)
+let test_insert_refuses_nan () =
+  Helpers.with_temp_dir (fun dir ->
+      let entries = Helpers.random_entries ~n:300 ~seed:161 in
+      let t = Lsm.create ~buffer_capacity:16 ~wal_sync:`Never dir in
+      Array.iter (Lsm.insert t) (Array.sub entries 0 200);
+      (match
+         Lsm.insert t (Entry.make (Rect.of_corners (Float.nan, 0.5) (0.6, 0.6)) 100_000)
+       with
+      | () -> Alcotest.fail "a NaN rectangle was acknowledged"
+      | exception Invalid_argument _ -> ());
+      Array.iter (Lsm.insert t) (Array.sub entries 200 100);
+      Alcotest.(check int) "count" 300 (Lsm.count t);
+      check_oracle t entries everything;
+      Lsm.validate t;
+      Lsm.close t;
+      let t = Lsm.open_ ~buffer_capacity:16 dir in
+      Alcotest.(check int) "count after reopen" 300 (Lsm.count t);
+      check_oracle ~msg:"reopened" t entries everything;
+      Lsm.close t)
+
 (* Re-inserting a tombstoned id would be silently lost (hidden by the
    id-keyed tombstone, dropped at the next merge while the dead stored
    copy resurrects), so it must be rejected until a merge resolves the
    tombstone — after which the id is insertable again, durably. *)
 let test_tombstone_reinsert () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let entries = Helpers.random_entries ~n:12 ~seed:97 in
       let t =
         Lsm.create ~buffer_capacity:4 ~page_size:Helpers.small_page_size dir
@@ -342,7 +398,7 @@ let test_tombstone_reinsert () =
 (* --- orphan reclamation --- *)
 
 let test_orphan_reclaim () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let entries = Helpers.random_entries ~n:20 ~seed:81 in
       let t =
         Lsm.create ~buffer_capacity:4 ~page_size:Helpers.small_page_size dir
@@ -418,7 +474,7 @@ let test_crash_matrix () =
   let budget = ref 0 in
   let finished = ref false in
   while not !finished do
-    with_temp_dir (fun dir ->
+    Helpers.with_temp_dir (fun dir ->
         let crash = Failpoint.create (Failpoint.crash_after !budget) in
         let t =
           Lsm.create ~buffer_capacity:6 ~page_size:Helpers.small_page_size
@@ -506,7 +562,7 @@ let lossy_backlog dir =
     with
     | t -> t
     | exception Prt_storage.Pager.Io_error _ when tries > 0 ->
-        rm_rf dir;
+        Helpers.rm_rf dir;
         make (tries - 1)
   in
   let t = make 20 in
@@ -526,7 +582,7 @@ let lossy_backlog dir =
   (t, Array.of_list (List.rev !acked))
 
 let test_abort_reopen_retry () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let t, acked = lossy_backlog dir in
       Alcotest.(check int) "every insert eventually acked" 40 (Array.length acked);
       (* Merges aborted under the fault storm, but every acknowledged
@@ -552,7 +608,7 @@ let test_abort_reopen_retry () =
    tombstoned under the lock that finds it sealed, and resolved by the
    merge that absorbs the backlog. *)
 let test_delete_sealed () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let t, acked = lossy_backlog dir in
       let st = Lsm.stats t in
       (* Inline merges absorb the whole sealed set, so the components
@@ -604,7 +660,7 @@ let test_delete_sealed () =
    second domain runs the merge, paused at its first component page
    write while this one seals a second batch and deletes from it. *)
 let test_delete_mid_merge_seal () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let entries = Helpers.random_entries ~n:16 ~seed:141 in
       let first = Array.sub entries 0 8 and second = Array.sub entries 8 8 in
       let victim = second.(3) in
@@ -676,7 +732,7 @@ let test_delete_mid_merge_seal () =
    payload: an external sort's scratch pages left in the file would
    make it several times larger. *)
 let test_large_merge () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let n = 60_000 in
       let entries = Helpers.random_entries ~n ~seed:131 in
       let t = Lsm.create ~wal_sync:`Never dir in
@@ -708,7 +764,7 @@ let test_large_merge () =
    allocates.  A per-query copy allocated ~80 KB here, and its forced
    minor collections made most of ingest-mixed's query time. *)
 let test_query_tombstone_snapshot () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let entries = Helpers.random_entries ~n:3_000 ~seed:141 in
       let t = Lsm.create ~wal_sync:`Never dir in
       Array.iter (Lsm.insert t) entries;
@@ -743,7 +799,7 @@ let test_query_tombstone_snapshot () =
 (* --- background merges --- *)
 
 let test_background () =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let n = 300 in
       let entries = Helpers.random_entries ~n ~seed:111 in
       let t =
@@ -792,7 +848,7 @@ let test_background () =
    faults the retry engine absorbs.  Every query must match the oracle
    exactly, with a Complete label. *)
 let run_differential ~faulty (sc : Helpers.scenario) =
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let rng = Rng.create sc.Helpers.sc_seed in
       let faults =
         if faulty then
@@ -936,4 +992,6 @@ let suite =
       (test_old_format_store_refused 2);
     Alcotest.test_case "a store of format-3 components is refused" `Quick
       (test_old_format_store_refused 3);
+    Alcotest.test_case "deleting every entry empties the store" `Quick test_delete_all;
+    Alcotest.test_case "insert refuses a NaN rectangle" `Quick test_insert_refuses_nan;
   ]

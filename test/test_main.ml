@@ -14,7 +14,6 @@ let () =
       ("dynamic", Test_dynamic.suite);
       ("prtree", Test_prtree.suite);
       ("ext", Test_ext.suite);
-      ("logmethod", Test_logmethod.suite);
       ("ndtree", Test_ndtree.suite);
       ("ndtree-unified", Test_ndtree.unified_suite);
       ("metrics", Test_metrics.suite);

@@ -70,13 +70,16 @@ let test_ext_pr_at_paper_fanout () =
   ignore (Helpers.check_structure tree);
   Helpers.check_tree_queries ~nqueries:10 ~seed:9 tree entries
 
-let test_logmethod_at_paper_fanout () =
-  let lm = Prt_logmethod.Logmethod.create (pool ()) in
+(* The logarithmic method at M0 = 113, one leaf's worth of buffer. *)
+let test_lsm_at_paper_fanout () =
+  Helpers.with_temp_dir @@ fun dir ->
+  let t = Prt_logmethod.Lsm.create ~buffer_capacity:113 ~wal_sync:`Never dir in
+  Fun.protect ~finally:(fun () -> Prt_logmethod.Lsm.close t) @@ fun () ->
   let entries = Helpers.random_entries ~n:10_000 ~seed:10 in
-  Array.iter (Prt_logmethod.Logmethod.insert lm) entries;
-  Prt_logmethod.Logmethod.validate lm;
+  Array.iter (Prt_logmethod.Lsm.insert t) entries;
+  Prt_logmethod.Lsm.validate t;
   let q = Helpers.random_rect (Prt_util.Rng.create 11) in
-  let result, _ = Prt_logmethod.Logmethod.query_list lm q in
+  let result, _ = Prt_logmethod.Lsm.query_list t q in
   Alcotest.(check (list int)) "query" (Helpers.brute_force entries q) (Helpers.ids_of result)
 
 let suite =
@@ -86,5 +89,5 @@ let suite =
     Alcotest.test_case "tgs at fanout 113" `Quick test_tgs_at_paper_fanout;
     Alcotest.test_case "lemma 2 constant at fanout 113" `Quick test_sqrt_constant_at_paper_fanout;
     Alcotest.test_case "external pr at fanout 113" `Quick test_ext_pr_at_paper_fanout;
-    Alcotest.test_case "logmethod at fanout 113" `Quick test_logmethod_at_paper_fanout;
+    Alcotest.test_case "lsm at fanout 113" `Quick test_lsm_at_paper_fanout;
   ]

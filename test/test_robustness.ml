@@ -154,18 +154,6 @@ let test_updates_correct_under_tiny_cache () =
   in
   Helpers.check_tree_queries ~seed:6 tree survivors
 
-let test_logmethod_under_tiny_cache () =
-  let pager = Pager.create_memory ~page_size:Helpers.small_page_size () in
-  let pool = Buffer_pool.create ~capacity:2 pager in
-  let t = Prt_logmethod.Logmethod.create ~buffer_capacity:14 pool in
-  let entries = Helpers.random_entries ~n:300 ~seed:7 in
-  Array.iter (Prt_logmethod.Logmethod.insert t) entries;
-  Prt_logmethod.Logmethod.validate t;
-  let q = Helpers.random_rect (Prt_util.Rng.create 8) in
-  let result, _ = Prt_logmethod.Logmethod.query_list t q in
-  Alcotest.(check (list int)) "query under pressure" (Helpers.brute_force entries q)
-    (Helpers.ids_of result)
-
 (* --- file-backed persistence --- *)
 
 let test_file_backed_tree_roundtrip () =
@@ -250,8 +238,6 @@ let suite =
       test_query_correct_under_tiny_cache;
     Alcotest.test_case "updates correct under 2-page cache" `Quick
       test_updates_correct_under_tiny_cache;
-    Alcotest.test_case "logmethod correct under 2-page cache" `Quick
-      test_logmethod_under_tiny_cache;
     Alcotest.test_case "file-backed tree roundtrip" `Quick test_file_backed_tree_roundtrip;
     Alcotest.test_case "file-backed updates persist" `Quick test_file_backed_updates_persist;
     Alcotest.test_case "extsort with page slack" `Quick test_extsort_odd_record_size;
