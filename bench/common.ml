@@ -165,7 +165,9 @@ type query_cost = {
   matched_total : int;
 }
 
-let measure_queries tree queries =
+(* [query] runs one window and returns its stats: a tree's, or a
+   multi-component index's summed over its components. *)
+let measure_queries_by query queries =
   let n = Array.length queries in
   if n = 0 then invalid_arg "Common.measure_queries: no queries";
   let leaves = ref 0 and matched = ref 0 in
@@ -174,7 +176,7 @@ let measure_queries tree queries =
     (fun () ->
       Array.iter
         (fun q ->
-          let s = Rtree.query_count tree q in
+          let s : Rtree.query_stats = query q in
           Obs_metrics.observe h_query_leaves s.Rtree.leaf_visited;
           Obs_metrics.observe h_query_matched s.Rtree.matched;
           leaves := !leaves + s.Rtree.leaf_visited;
@@ -190,6 +192,8 @@ let measure_queries tree queries =
     leaves_total = !leaves;
     matched_total = !matched;
   }
+
+let measure_queries tree queries = measure_queries_by (Rtree.query_count tree) queries
 
 (* Build each variant on [entries] (in memory) and report the relative
    query cost per variant for each query batch in [batches]; the

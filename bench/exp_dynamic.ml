@@ -21,25 +21,6 @@ module Tiger = Prt_workloads.Tiger
 
 open Common
 
-let query_cost_of_lsm t queries =
-  let leaves = ref 0 and matched = ref 0 in
-  Array.iter
-    (fun q ->
-      let s = Lsm.query t q ~f:(fun _ -> ()) in
-      leaves := !leaves + s.Rtree.leaf_visited;
-      matched := !matched + s.Rtree.matched)
-    queries;
-  let n = float_of_int (Array.length queries) in
-  let mean_leaves = float_of_int !leaves /. n in
-  let ideal = float_of_int !matched /. n /. float_of_int capacity in
-  {
-    mean_leaves;
-    mean_output = float_of_int !matched /. n;
-    relative = (if ideal > 0.0 then mean_leaves /. ideal else Float.nan);
-    leaves_total = !leaves;
-    matched_total = !matched;
-  }
-
 (* The component ladder as "level:entries,...", like BENCH_ingest's. *)
 let levels_label comps =
   String.concat "," (List.map (fun (level, n) -> Printf.sprintf "%d:%d" level n) comps)
@@ -56,7 +37,7 @@ let churn_pool () =
 let m_page_writes = Obs_metrics.counter "pager.writes"
 let m_wal_bytes = Obs_metrics.counter "ingest.wal_bytes"
 
-let counted f =
+let measure_store_updates f =
   let was = Obs_metrics.collecting () in
   Obs_metrics.set_collecting true;
   Fun.protect
@@ -111,11 +92,15 @@ let logm ~scale ~seed =
             Array.iter (Lsm.insert t) base;
             Lsm.compact t;
             let secs, pages, wal =
-              counted (fun () ->
+              measure_store_updates (fun () ->
                   Array.iter (Lsm.insert t) stream;
                   Lsm.flush t)
             in
-            (secs, pages, wal, levels_label (Lsm.components t), query_cost_of_lsm t queries)))
+            ( secs,
+              pages,
+              wal,
+              levels_label (Lsm.components t),
+              measure_queries_by (fun q -> Lsm.query t q ~f:ignore) queries )))
   in
   (* Strategy 2: Guttman updates on a bulk-loaded PR-tree. *)
   let pool = churn_pool () in
