@@ -97,8 +97,9 @@ val insert : t -> Prt_rtree.Entry.t -> unit
     component page holding it could not be read again), on an id
     already buffered, or on an id with an unresolved tombstone — a dead
     copy of that id still lives in a component, and the id-keyed
-    tombstone cannot tell it apart from a re-insert.  A deleted id becomes insertable again once a merge
-    resolves its tombstone ({!flush}/{!compact} forces that). *)
+    tombstone cannot tell it apart from a re-insert.  A deleted id
+    becomes insertable again once a merge resolves its tombstone
+    ({!flush}/{!compact} forces that). *)
 
 val delete : t -> Prt_rtree.Entry.t -> bool
 (** Remove a buffered entry or tombstone a sealed or component-resident

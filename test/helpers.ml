@@ -20,8 +20,8 @@ let small_pool () = Buffer_pool.create ~capacity:4096 (Pager.create_memory ~page
 
 let default_pool () = Buffer_pool.create ~capacity:4096 (Pager.create_memory ())
 
-(* A fresh directory for an on-disk store (flat: an Lsm store's WAL
-   segments, manifests and component files), removed afterwards. *)
+(* Removes a flat directory: an Lsm store's WAL segments, manifests and
+   component files. *)
 let rm_rf dir =
   if Sys.file_exists dir then begin
     if Sys.is_directory dir then begin
@@ -34,6 +34,7 @@ let rm_rf dir =
     else try Sys.remove dir with Sys_error _ -> ()
   end
 
+(* A fresh directory for an on-disk store, removed afterwards. *)
 let with_temp_dir f =
   let dir = Filename.temp_file "prt_store" "" in
   Sys.remove dir;
