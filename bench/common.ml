@@ -234,6 +234,15 @@ let degraded_banner () =
     Printf.printf "   (degraded mode: injecting faults at rate %.1f%%, seed %d)\n%!"
       (100.0 *. fault_rate) fault_seed
 
+(* An Lsm store's component ladder as "level:entries,..." ("-" when
+   empty), the [levels] field of the BENCH_ingest and BENCH_logm rows. *)
+let levels_label st =
+  match st.Prt_logmethod.Lsm.s_components with
+  | [] -> "-"
+  | comps ->
+      String.concat ","
+        (List.map (fun (lvl, n, _) -> Printf.sprintf "%d:%d" lvl n) comps)
+
 let rec rm_rf path =
   match (Unix.lstat path).Unix.st_kind with
   | Unix.S_DIR ->

@@ -21,10 +21,6 @@ module Tiger = Prt_workloads.Tiger
 
 open Common
 
-(* The component ladder as "level:entries,...", like BENCH_ingest's. *)
-let levels_label comps =
-  String.concat "," (List.map (fun (level, n) -> Printf.sprintf "%d:%d" level n) comps)
-
 (* A pool whose cache is small enough that update traffic actually
    reaches the pager — otherwise the 4096-page cache absorbs every
    write and "update I/Os" reads as zero. *)
@@ -99,7 +95,7 @@ let logm ~scale ~seed =
             ( secs,
               pages,
               wal,
-              levels_label (Lsm.components t),
+              levels_label (Lsm.stats t),
               measure_queries_by (fun q -> Lsm.query t q ~f:ignore) queries )))
   in
   (* Strategy 2: Guttman updates on a bulk-loaded PR-tree. *)

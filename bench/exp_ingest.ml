@@ -38,13 +38,6 @@ module Table = Prt_util.Table
 
 let readers = 2
 
-let levels_label st =
-  match st.Lsm.s_components with
-  | [] -> "-"
-  | comps ->
-      String.concat ","
-        (List.map (fun (lvl, n, _) -> Printf.sprintf "%d:%d" lvl n) comps)
-
 let write_amp st =
   float_of_int st.Lsm.s_bytes_written /. float_of_int (max 1 st.Lsm.s_bytes_acked)
 
@@ -77,7 +70,7 @@ let ingest ~scale ~seed =
           ("sync", str label);
           ("n", int n);
           ("buffer", int buffer);
-          ("levels", str (levels_label st));
+          ("levels", str (Common.levels_label st));
           ("entries", int count);
           ("components", int (List.length st.Lsm.s_components));
           ("merges", int st.Lsm.s_merges);
@@ -90,7 +83,7 @@ let ingest ~scale ~seed =
         string_of_int (List.length st.Lsm.s_components);
         string_of_int st.Lsm.s_merges;
         Printf.sprintf "%.2f" (write_amp st);
-        levels_label st;
+        Common.levels_label st;
       ];
     t
   in
@@ -115,7 +108,7 @@ let ingest ~scale ~seed =
         ("phase", str "replay");
         ("n", int n);
         ("buffer", int buffer);
-        ("levels", str (levels_label st));
+        ("levels", str (Common.levels_label st));
         ("replayed", int st.Lsm.s_replayed);
         ("orphans", int st.Lsm.s_orphans_reclaimed);
         ("entries", int count);
