@@ -10,6 +10,7 @@ module Pager = Prt_storage.Pager
 module Buffer_pool = Prt_storage.Buffer_pool
 module Entry = Prt_rtree.Entry
 module Rtree = Prt_rtree.Rtree
+module Audit = Prt_rtree.Audit
 module Ext_load = Prt_rtree.Ext_load
 module Ext_build = Prt_prtree.Ext_build
 module Table = Prt_util.Table

@@ -50,7 +50,7 @@ let priority_leaf_sweep ~scale ~seed =
           | s -> string_of_int s
         in
         let pole_tree = Prt_prtree.Prtree.load ~priority_size (fresh_pool ()) poles in
-        let pole_leaves = (Rtree.validate pole_tree).Rtree.leaves in
+        let pole_leaves = (Audit.validate pole_tree).Audit.leaves in
         let pole_cost = measure_queries pole_tree pole_queries in
         let uni_tree = Prt_prtree.Prtree.load ~priority_size (fresh_pool ()) uniform in
         let uni_cost = measure_queries uni_tree uniform_queries in
@@ -87,7 +87,7 @@ let memory_sweep ~scale ~seed =
           let before = Pager.snapshot pager in
           let tree = build_ext variant pool ~mem_records file in
           Buffer_pool.flush pool;
-          ignore (Rtree.validate tree);
+          ignore (Audit.validate tree);
           Pager.total_io (Pager.diff ~before ~after:(Pager.snapshot pager))
         in
         [
@@ -114,8 +114,8 @@ let cache_sweep ~scale ~seed =
         let pool = Buffer_pool.create ~capacity:cache_pages (Pager.create_memory ~page_size ()) in
         let tree = Prt_prtree.Prtree.load pool entries in
         let internal =
-          let s = Rtree.validate tree in
-          s.Rtree.nodes - s.Rtree.leaves
+          let s = Audit.validate tree in
+          s.Audit.nodes - s.Audit.leaves
         in
         (* Measure physical reads only: reset after the build+validate
            warm-up, then drop the cache to a fresh state of the chosen

@@ -248,7 +248,7 @@ let checksum ~scale ~seed =
         let pager = Index_file.pager idx in
         let before = Pager.snapshot pager in
         let t0 = Unix.gettimeofday () in
-        ignore (Rtree.validate (Index_file.tree idx));
+        ignore (Audit.validate (Index_file.tree idx));
         let s = Unix.gettimeofday () -. t0 in
         let d = Pager.diff ~before ~after:(Pager.snapshot pager) in
         Index_file.close idx;

@@ -183,13 +183,13 @@ let degrade ~scale ~seed =
             Dynamic.insert ~config tree (Entry.make moved (n + k))
           end
         done;
-        let s = Rtree.validate tree in
+        let s = Audit.validate tree in
         let c = measure_queries tree queries in
         [
           alg_name;
           pct c.relative;
           f1 c.mean_leaves;
-          Printf.sprintf "%.0f%%" (100.0 *. s.Rtree.utilization);
+          Printf.sprintf "%.0f%%" (100.0 *. s.Audit.utilization);
         ])
       configs
   in

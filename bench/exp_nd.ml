@@ -31,7 +31,7 @@ let nd ~scale ~seed =
         let pool = fresh_pool () in
         let tree = Prtree_nd.load ~dims pool entries in
         let cap = Rtree_nd.capacity tree in
-        let total_leaves = (Rtree_nd.validate tree).Rtree_nd.leaves in
+        let total_leaves = (Rtree_nd.validate tree).Audit.leaves in
         (* Zero-volume axis-parallel slabs in each orientation. *)
         let rng = Rng.create (seed + 1) in
         let q = 30 in

@@ -215,15 +215,35 @@ let report_recovery r =
 
 let cannot_open path reason = refuse "open index" path reason
 
-let index_exits =
-  exits_2
-    "the index file could not be opened: missing, unreadable, not an index, or written by \
-     another format."
+let open_failure =
+  "the index file could not be opened: missing, unreadable, not an index, or written by another \
+   format"
 
+(* [validate], [audit], [stats], [scrub] and [fsck] report a damaged
+   page as a finding, exit 1; the other index subcommands refuse it. *)
+let checking_exits = exits_2 (open_failure ^ ".")
+
+let index_exits =
+  exits_2 (open_failure ^ "; or a page the command read fails its checksum (torn or stale).")
+
+(* A page the pager refuses while the command runs is named the way an
+   index that cannot be opened is: "prt: cannot read index FILE:
+   <reason>", exit 2. *)
 let with_index ?backend path f =
   let idx = opening "open index" path (fun () -> Index_file.open_ ?backend path) in
   report_recovery (Index_file.recovery idx);
-  Fun.protect ~finally:(fun () -> Index_file.close idx) (fun () -> f idx)
+  match Fun.protect ~finally:(fun () -> Index_file.close idx) (fun () -> f idx) with
+  | v -> v
+  | exception Pager.Corrupt_page reason -> refuse "read index" path reason
+
+(* The audit figures of an index's tree; on a violation, the first one
+   named on stdout and exit 1. *)
+let validated tree =
+  match Audit.validate tree with
+  | report -> report
+  | exception Audit.Invalid v ->
+      Printf.printf "invalid: %s\n" (Format.asprintf "%a" Audit.pp_violation v);
+      exit 1
 
 (* Read-backend selector shared by the serving commands.  [auto] maps
    the file when the platform allows and falls back to pread. *)
@@ -482,13 +502,13 @@ let compare_cmd =
           let t0 = Unix.gettimeofday () in
           let tree = load pool entries in
           let secs = Unix.gettimeofday () -. t0 in
-          let s = Rtree.validate tree in
+          let s = Audit.validate tree in
           let m = Metrics.analyze tree in
           [
             vname;
             Printf.sprintf "%.2f" secs;
-            string_of_int s.Rtree.leaves;
-            Printf.sprintf "%.0f%%" (100.0 *. s.Rtree.utilization);
+            string_of_int s.Audit.leaves;
+            Printf.sprintf "%.0f%%" (100.0 *. s.Audit.utilization);
             Printf.sprintf "%.6f" m.Metrics.leaf_overlap;
           ])
         variant_loaders
@@ -707,13 +727,13 @@ let stats_cmd =
            the probe batch below fills the latency histogram. *)
         Obs.Metrics.set_collecting true;
         let tree = Index_file.tree idx in
-        let s = Rtree.validate tree in
+        let s = validated tree in
         let m = Metrics.analyze tree in
         Printf.printf "height %d, %d entries, fanout %d\n" (Rtree.height tree) (Rtree.count tree)
           (Rtree.capacity tree);
         Printf.printf "%s\n" (Format.asprintf "%a" Metrics.pp m);
         Printf.printf "utilization %.1f%%, min leaf fill %d, min fanout %d\n"
-          (100.0 *. s.Rtree.utilization) s.Rtree.min_leaf_fill s.Rtree.min_internal_fanout;
+          (100.0 *. s.Audit.utilization) s.Audit.min_leaf_fill s.Audit.min_internal_fanout;
         (* Storage-side statistics accumulated while computing the above
            (validate + analyze read every node once, modulo caching). *)
         let pool = Index_file.pool idx in
@@ -769,7 +789,9 @@ let stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats"
-       ~exits:(exits_2 "the index file or LSM store could not be opened.")
+       ~exits:
+         (Cmd.Exit.info 1 ~doc:"an invariant of the index does not hold, a damaged page included."
+         :: exits_2 "the index file or LSM store could not be opened.")
        ~doc:
          "Print per-level structure and quality metrics of an index — or, given an LSM \
           store directory, its ingestion health: components per level, WAL bytes pending \
@@ -911,22 +933,20 @@ let validate_cmd =
   let run index =
     with_index index (fun idx ->
         let tree = Index_file.tree idx in
-        match Rtree.validate tree with
-        | s ->
-            Printf.printf
-              "valid: %d entries in %d leaves / %d nodes, height %d, utilization %.1f%%\n"
-              s.Rtree.entries s.Rtree.leaves s.Rtree.nodes (Rtree.height tree)
-              (100.0 *. s.Rtree.utilization)
-        | exception Rtree.Invalid reason ->
-            Printf.printf "invalid: %s\n" reason;
-            exit 1)
+        let s = validated tree in
+        Printf.printf "valid: %d entries in %d leaves / %d nodes, height %d, utilization %.1f%%\n"
+          s.Audit.entries s.Audit.leaves s.Audit.nodes (Rtree.height tree)
+          (100.0 *. s.Audit.utilization))
   in
   Cmd.v
     (Cmd.info "validate"
-       ~exits:(Cmd.Exit.info 1 ~doc:"an invariant does not hold." :: index_exits)
+       ~exits:
+         (Cmd.Exit.info 1 ~doc:"an invariant does not hold, a damaged page included."
+         :: checking_exits)
        ~doc:
-         "Check the structural invariants of an index file: leaf depth, exact parent boxes, \
-          capacity, page order and the entry count. Exits 1 on the first violation, named.")
+         "Check the structural invariants of an index file: pages that decode, leaf depth, \
+          exact parent boxes, page order and the entry count. Exits 1 on a violation, naming \
+          the first.")
     Term.(const run $ index)
 
 let audit_cmd =
@@ -953,7 +973,10 @@ let audit_cmd =
         if not (Audit.ok report) then exit 1)
   in
   Cmd.v
-    (Cmd.info "audit" ~exits:(Cmd.Exit.info 1 ~doc:"the audit found violations." :: index_exits)
+    (Cmd.info "audit"
+       ~exits:
+         (Cmd.Exit.info 1 ~doc:"the audit found violations, a damaged page included."
+         :: checking_exits)
        ~doc:
          "Run the full invariant audit on an index file: MBR containment and tightness, uniform \
           leaf depth, fill bounds, entry counts, and page leaks. Exits 1 on any violation.")
@@ -1013,7 +1036,7 @@ let scrub_cmd =
     (Cmd.info "scrub"
        ~exits:
          (usage_exit "on command line errors, among them a $(b,--pages) below 1."
-            (Cmd.Exit.info 1 ~doc:"unrepaired damage remains." :: index_exits))
+            (Cmd.Exit.info 1 ~doc:"unrepaired damage remains." :: checking_exits))
        ~doc:
          "Verify every page checksum of an index file. With $(b,--online), additionally heal \
           damaged pages in place from the post-image shadow chain and maintain the quarantine — \
@@ -1046,7 +1069,7 @@ let fsck_cmd =
     if not (Index_file.fsck_clean report) then exit 1
   in
   Cmd.v
-    (Cmd.info "fsck" ~exits:(Cmd.Exit.info 1 ~doc:"the check reported a finding." :: index_exits)
+    (Cmd.info "fsck" ~exits:(Cmd.Exit.info 1 ~doc:"the check reported a finding." :: checking_exits)
        ~doc:
          "Check and repair an index file: tolerate a torn final write, pick the newest valid \
           superblock, roll back an interrupted transaction from the pre-image journal, repair a \

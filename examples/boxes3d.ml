@@ -29,8 +29,8 @@ let () =
   let tree = Ndtree.Prtree.load ~dims pool parts in
   let s = Ndtree.Rtree.validate tree in
   Printf.printf "indexed %d parts: height %d, %d nodes, fanout %d, utilization %.0f%%\n" n
-    (Ndtree.Rtree.height tree) s.Prt_ndtree.Rtree_nd.nodes (Ndtree.Rtree.capacity tree)
-    (100.0 *. s.Prt_ndtree.Rtree_nd.utilization);
+    (Ndtree.Rtree.height tree) s.Audit.nodes (Ndtree.Rtree.capacity tree)
+    (100.0 *. s.Audit.utilization);
 
   (* The tool sweep: a thin beam moving across the cell. *)
   let sweep =
@@ -38,7 +38,7 @@ let () =
   in
   let hits, stats = Ndtree.Rtree.query_list tree sweep in
   Printf.printf "tool sweep intersects %d parts (visited %d of %d leaves)\n" (List.length hits)
-    stats.Prt_ndtree.Rtree_nd.leaf_visited s.Prt_ndtree.Rtree_nd.leaves;
+    stats.Prt_ndtree.Rtree_nd.leaf_visited s.Audit.leaves;
 
   (* Verify against brute force, because collisions are safety-critical. *)
   let expected =

@@ -40,7 +40,7 @@ let () =
   Printf.printf "after insert: %d hits\n" (List.length hits);
 
   (* ...and validate its structural invariants at any time. *)
-  let s = Rtree.validate tree in
-  Printf.printf "validated: %d nodes, %d leaves, utilization %.0f%%\n" s.Rtree.nodes
-    s.Rtree.leaves
-    (100.0 *. s.Rtree.utilization)
+  let s = Audit.validate tree in
+  Printf.printf "validated: %d nodes, %d leaves, utilization %.0f%%\n" s.Audit.nodes
+    s.Audit.leaves
+    (100.0 *. s.Audit.utilization)

@@ -25,7 +25,7 @@ let () =
   let run name load =
     let pool = memory_pool () in
     let tree = load pool entries in
-    let total_leaves = (Rtree.validate tree).Rtree.leaves in
+    let total_leaves = (Audit.validate tree).Audit.leaves in
     let stats = Rtree.query_count tree query in
     assert (stats.Rtree.matched = 0);
     Printf.printf "  %-4s reads %4d of %4d leaves (%5.1f%%) for 0 results\n" name

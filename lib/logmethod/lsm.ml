@@ -1204,7 +1204,7 @@ let validate t =
       | Failed _ -> ()
       | Live idx ->
           let tree = Index_file.tree idx in
-          ignore (Rtree.validate tree);
+          ignore (Prt_rtree.Audit.validate tree);
           if Rtree.count tree <> c.c_count then
             failwith
               (Printf.sprintf

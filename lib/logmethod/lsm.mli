@@ -184,8 +184,10 @@ val wait_merges : t -> unit
     waited on only once — the abort clears the in-flight flag. *)
 
 val validate : t -> unit
-(** Structurally validate every healthy component and the count
-    bookkeeping.  Call it quiescently (no concurrent merge). *)
+(** Structurally validate every healthy component
+    ([Prt_rtree.Audit.validate], which raises [Prt_rtree.Audit.Invalid])
+    and the count bookkeeping.  Call it quiescently (no concurrent
+    merge). *)
 
 val close : t -> unit
 (** Sync the WAL, stop the merge domain, close every component.

@@ -1,81 +1,10 @@
-(* d-dimensional instantiation of the unified audit: the same paranoid
-   page walk as the 2-D version (corruption becomes violations, never
-   exceptions; Io_error propagates), with Hyperrect in place of Rect —
-   page order included, which the engine's cut-off relies on in every
-   dimension — and the pseudo-tree adapter for Pseudo_nd's
-   2d-direction priority leaves. *)
+(* The d-dimensional pseudo-tree adapter of the unified audit: it
+   flattens a [Pseudo_nd] tree, with its 2d-direction priority leaves,
+   into [Audit]'s neutral descriptors.  Paged d-D trees need no adapter:
+   [Rtree_nd.audit] runs [Audit.check] at their dimension. *)
 
 module Audit = Prt_rtree.Audit
 module Hyperrect = Prt_geom.Hyperrect
-module Pager = Prt_storage.Pager
-
-let page_where id = Printf.sprintf "page %d" id
-
-let check ?(min_leaf_fill = 1) ?(min_fanout = 1) ?(check_leaks = false) ?(reachable = []) tree =
-  let cap = Rtree_nd.capacity tree in
-  let height = Rtree_nd.height tree in
-  let pager = Rtree_nd.pager tree in
-  let violations = ref [] in
-  let add where what = violations := { Audit.where; what } :: !violations in
-  let visited = Hashtbl.create 64 in
-  let nodes = ref 0 and leaves = ref 0 and entries = ref 0 in
-  let rec visit ~recorded id depth =
-    if Hashtbl.mem visited id then add (page_where id) Audit.Page_shared
-    else begin
-      Hashtbl.replace visited id ();
-      if Pager.is_free pager id then add (page_where id) Audit.Freed_page_reachable;
-      match Rtree_nd.read_node tree id with
-      | exception Invalid_argument msg -> add (page_where id) (Audit.Decode_error msg)
-      | node -> (
-          incr nodes;
-          let n = Node_nd.length node in
-          if n > cap then add (page_where id) (Audit.Node_overflow { count = n; capacity = cap });
-          if not (Node_nd.in_page_order (Node_nd.entries node)) then
-            add (page_where id) Audit.Unsorted_node;
-          (match recorded with
-          | Some r when n > 0 ->
-              let exact = Node_nd.mbr node in
-              if not (Hyperrect.contains r exact) then add (page_where id) Audit.Mbr_not_contained
-              else if not (Hyperrect.equal r exact) then add (page_where id) Audit.Mbr_not_tight
-          | _ -> ());
-          match Node_nd.kind node with
-          | Node_nd.Leaf ->
-              incr leaves;
-              entries := !entries + n;
-              if depth <> height then add (page_where id) (Audit.Leaf_depth { depth; height });
-              if n = 0 then begin
-                if Rtree_nd.count tree > 0 then add (page_where id) Audit.Empty_node
-              end
-              else if depth > 1 && n < min_leaf_fill then
-                add (page_where id) (Audit.Node_underfill { count = n; minimum = min_leaf_fill })
-          | Node_nd.Internal ->
-              if depth >= height then
-                add (page_where id) (Audit.Internal_depth { depth; height });
-              if n = 0 then add (page_where id) Audit.Empty_node
-              else if depth > 1 && n < min_fanout then
-                add (page_where id) (Audit.Node_underfill { count = n; minimum = min_fanout });
-              Array.iter
-                (fun e -> visit ~recorded:(Some (Entry_nd.box e)) (Entry_nd.id e) (depth + 1))
-                (Node_nd.entries node))
-    end
-  in
-  visit ~recorded:None (Rtree_nd.root tree) 1;
-  if !entries <> Rtree_nd.count tree then
-    add "tree" (Audit.Count_mismatch { expected = Rtree_nd.count tree; actual = !entries });
-  if check_leaks then begin
-    List.iter (fun p -> Hashtbl.replace visited p ()) reachable;
-    for p = 0 to Pager.num_pages pager - 1 do
-      if (not (Hashtbl.mem visited p)) && not (Pager.is_free pager p) then
-        add (page_where p) Audit.Page_leaked
-    done
-  end;
-  {
-    Audit.violations = List.rev !violations;
-    nodes = !nodes;
-    leaves = !leaves;
-    entries = !entries;
-    pages_visited = Hashtbl.length visited;
-  }
 
 let check_pseudo ?(b = 113) ~dims t =
   let descs = ref [] in

@@ -1,20 +1,8 @@
-(** The d-dimensional mirror of [Prt_rtree.Audit]: same violation
-    vocabulary and report type, applied to paged {!Rtree_nd} trees and
-    in-memory {!Pseudo_nd} trees. *)
+(** The d-dimensional pseudo-tree adapter of [Prt_rtree.Audit]: same
+    violation vocabulary, applied to in-memory {!Pseudo_nd} trees.
+    Paged {!Rtree_nd} trees are audited by {!Rtree_nd.audit}. *)
 
-module Audit := Prt_rtree.Audit
-
-val check :
-  ?min_leaf_fill:int ->
-  ?min_fanout:int ->
-  ?check_leaks:bool ->
-  ?reachable:int list ->
-  Rtree_nd.t ->
-  Audit.report
-(** Audit a paged d-dimensional R-tree; see [Prt_rtree.Audit.check] for
-    the parameters and the invariant catalogue. *)
-
-val check_pseudo : ?b:int -> dims:int -> Pseudo_nd.t -> Audit.violation list
+val check_pseudo : ?b:int -> dims:int -> Pseudo_nd.t -> Prt_rtree.Audit.violation list
 (** Audit an in-memory d-dimensional pseudo-PR-tree: degree at most
     [2d + 2], leaf occupancy in [1, b], exact boxes, and priority-leaf
     extremeness in each of the [2d] directions. *)

@@ -76,23 +76,3 @@ let rec size t =
   match t with
   | Leaf { entries; _ } -> Array.length entries
   | Node { children; _ } -> List.fold_left (fun acc c -> acc + size c) 0 children
-
-let validate ?(b = 113) ~dims t =
-  let check cond fmt =
-    Format.kasprintf (fun s -> if not cond then failwith ("Pseudo_nd.validate: " ^ s)) fmt
-  in
-  let rec go t =
-    match t with
-    | Leaf { entries; _ } ->
-        check (Array.length entries > 0) "empty leaf";
-        check (Array.length entries <= b) "leaf overflows b"
-    | Node { children; mbr = box } ->
-        check (children <> []) "childless node";
-        check (List.length children <= (2 * dims) + 2) "node degree exceeds 2d+2";
-        let union =
-          List.fold_left (fun acc c -> Hyperrect.union acc (mbr c)) (mbr (List.hd children)) children
-        in
-        check (Hyperrect.equal box union) "node MBR does not match its children";
-        List.iter go children
-  in
-  go t

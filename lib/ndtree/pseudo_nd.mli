@@ -26,7 +26,3 @@ val size : t -> int
 val extreme_cmp : dims:int -> int -> Entry_nd.t -> Entry_nd.t -> int
 (** Total order putting the most extreme entry of a priority direction
     first. *)
-
-val validate : ?b:int -> dims:int -> t -> unit
-(** Structural invariants (degree at most 2d+2, leaf bounds, exact
-    MBRs); raises [Failure] on violation. *)

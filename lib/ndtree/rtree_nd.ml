@@ -1,9 +1,9 @@
 (* The paged d-dimensional R-tree: window queries with per-level visit
-   counts and structural validation, mirroring the 2-D Rtree.  Its pages
-   are in [Prt_rtree.Node]'s layout for its dimension ([Node_nd]), so
-   its window query is the 2-D tree's descent engine
-   ([Rtree.descend_box]), run over a plain [Rtree.t] handle on the same
-   pool and root. *)
+   counts, mirroring the 2-D Rtree.  Its pages are in [Prt_rtree.Node]'s
+   layout for its dimension ([Node_nd]), so its window query is the 2-D
+   tree's descent engine ([Rtree.descend_box]) and its audit is
+   [Prt_rtree.Audit]'s walk, each run over a plain [Rtree.t] handle on
+   the same pool and root. *)
 
 module Hyperrect = Prt_geom.Hyperrect
 module Buffer_pool = Prt_storage.Buffer_pool
@@ -20,7 +20,6 @@ type query_stats = Rtree.query_stats = {
   mutable timed_out : bool;
 }
 
-let pager t = Rtree.pager t.base
 let dims t = t.dims
 let root t = Rtree.root t.base
 let height t = Rtree.height t.base
@@ -58,55 +57,5 @@ let query_list t window =
 
 let query_count t window = query t window ~f:(fun _ -> ())
 
-type structure = { nodes : int; leaves : int; entries : int; utilization : float }
-
-exception Invalid of string
-
-let invalid fmt = Format.kasprintf (fun s -> raise (Invalid s)) fmt
-
-let validate t =
-  let cap = capacity t and height = height t and count = count t in
-  let nodes = ref 0 and leaves = ref 0 and entries = ref 0 in
-  let rec visit id depth =
-    incr nodes;
-    let node =
-      match read_node t id with
-      | node -> node
-      | exception Invalid_argument msg ->
-          invalid "decode-error: page %d does not decode (%s)" id msg
-    in
-    let n = Node_nd.length node in
-    if n > cap then invalid "node %d holds %d entries, capacity %d" id n cap;
-    if not (Node_nd.in_page_order (Node_nd.entries node)) then
-      invalid "unsorted-node: node %d's entries are not in page order" id;
-    match Node_nd.kind node with
-    | Node_nd.Leaf ->
-        if depth <> height then invalid "leaf %d at depth %d but tree height is %d" id depth height;
-        incr leaves;
-        entries := !entries + n;
-        if n = 0 && count > 0 then invalid "empty leaf %d in non-empty tree" id;
-        if n = 0 then None else Some (Node_nd.mbr node)
-    | Node_nd.Internal ->
-        if depth >= height then
-          invalid "internal node %d at depth %d but tree height is %d" id depth height;
-        if n = 0 then invalid "empty internal node %d" id;
-        Array.iter
-          (fun e ->
-            match visit (Entry_nd.id e) (depth + 1) with
-            | Some child_mbr ->
-                if not (Hyperrect.equal child_mbr (Entry_nd.box e)) then
-                  invalid "node %d records a stale MBR for child %d" id (Entry_nd.id e)
-            | None -> invalid "node %d points at empty subtree %d" id (Entry_nd.id e))
-          (Node_nd.entries node);
-        Some (Node_nd.mbr node)
-  in
-  ignore (visit (root t) 1);
-  if !entries <> count then
-    invalid "tree metadata says %d entries but leaves hold %d" count !entries;
-  {
-    nodes = !nodes;
-    leaves = !leaves;
-    entries = !entries;
-    utilization =
-      (if !leaves = 0 then 0.0 else float_of_int !entries /. float_of_int (!leaves * cap));
-  }
+let audit ?check_leaks t = Prt_rtree.Audit.check ?check_leaks ~dims:t.dims t.base
+let validate t = Prt_rtree.Audit.validate ~dims:t.dims t.base

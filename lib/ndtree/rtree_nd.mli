@@ -1,8 +1,9 @@
 (** The paged d-dimensional R-tree: window queries with per-level visit
-    counts and structural validation (the d-D analogue of
-    {!Prt_rtree.Rtree}).  Its pages are in {!Prt_rtree.Node}'s layout
-    for its dimension ({!Node_nd}), and its window query runs
-    {!Prt_rtree.Rtree}'s descent engine ({!Prt_rtree.Rtree.descend_box}). *)
+    counts (the d-D analogue of {!Prt_rtree.Rtree}).  Its pages are in
+    {!Prt_rtree.Node}'s layout for its dimension ({!Node_nd}), its window
+    query runs {!Prt_rtree.Rtree}'s descent engine
+    ({!Prt_rtree.Rtree.descend_box}) and its audit
+    {!Prt_rtree.Audit.check}. *)
 
 type t
 
@@ -20,7 +21,6 @@ val create_empty : dims:int -> Prt_storage.Buffer_pool.t -> t
 val of_root :
   pool:Prt_storage.Buffer_pool.t -> dims:int -> root:int -> height:int -> count:int -> t
 
-val pager : t -> Prt_storage.Pager.t
 val dims : t -> int
 val root : t -> int
 val height : t -> int
@@ -38,13 +38,9 @@ val query : t -> Prt_geom.Hyperrect.t -> f:(Entry_nd.t -> unit) -> query_stats
 val query_list : t -> Prt_geom.Hyperrect.t -> Entry_nd.t list * query_stats
 val query_count : t -> Prt_geom.Hyperrect.t -> query_stats
 
-type structure = { nodes : int; leaves : int; entries : int; utilization : float }
+val audit : ?check_leaks:bool -> t -> Prt_rtree.Audit.report
+(** [Prt_rtree.Audit.check] at the tree's dimension. *)
 
-exception Invalid of string
-
-val validate : t -> structure
-(** Check the R-tree invariants — leaves on one level, exact parent
-    boxes, capacity, every node's entries in page order, the entry
-    count; raises {!Invalid} on the first violation.  A page that does
-    not decode is named [decode-error] and an order violation
-    [unsorted-node], [Prt_rtree.Audit]'s labels. *)
+val validate : t -> Prt_rtree.Audit.report
+(** [Prt_rtree.Audit.validate] at the tree's dimension: raises
+    [Prt_rtree.Audit.Invalid] with the first violation. *)

@@ -408,21 +408,3 @@ let audit ?(b = 113) t =
   in
   go "pseudo" t;
   Prt_rtree.Audit.check_pseudo ~degree_limit:6 ~leaf_capacity:b (List.rev !descs)
-
-let rec validate ?(b = 113) t =
-  let check cond fmt =
-    Format.kasprintf (fun s -> if not cond then failwith ("Pseudo.validate: " ^ s)) fmt
-  in
-  match t with
-  | Leaf { mbr = box; entries; _ } ->
-      check (Array.length entries > 0) "empty leaf";
-      check (Array.length entries <= b) "leaf overflows b";
-      check
-        (Rect.equal box (Rect.union_map ~f:Entry.rect entries))
-        "leaf MBR does not match its entries"
-  | Node { mbr = box; children } ->
-      check (children <> []) "childless node";
-      check (List.length children <= 6) "node degree exceeds six";
-      let union = List.fold_left (fun acc c -> Rect.union acc (mbr c)) (mbr (List.hd children)) children in
-      check (Rect.equal box union) "node MBR does not match its children";
-      List.iter (validate ~b) children

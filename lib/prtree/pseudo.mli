@@ -77,13 +77,10 @@ val query : t -> Prt_geom.Rect.t -> f:(Prt_rtree.Entry.t -> unit) -> query_stats
 (** Window query, counting visited kd-nodes and leaves (for empirical
     Lemma 2 checks). *)
 
-val validate : ?b:int -> t -> unit
-(** Structural invariants: node degree at most six, no empty leaves,
-    leaf capacity [b], exact MBRs. Raises [Failure] on violation. *)
-
 val audit : ?b:int -> t -> Prt_rtree.Audit.violation list
-(** The unified-audit version of {!validate}: degree at most six, leaf
-    occupancy in [1, b], exact boxes, and {e priority-leaf extremeness}
+(** The structural invariants, through the unified audit's
+    [check_pseudo]: degree at most six, leaf occupancy in [1, b], exact
+    boxes, and {e priority-leaf extremeness}
     (every entry of a priority leaf at least as extreme in its direction
     as everything held by the siblings after it).  Returns the violation
     list instead of raising; empty means the invariants hold. *)

@@ -1,15 +1,19 @@
 (* Unified invariant audit (see the interface for the catalogue).
 
-   The walker is deliberately paranoid: it never trusts a page.  Decode
-   failures, out-of-range child pointers and reference cycles all become
+   The walker is deliberately paranoid: it never trusts a page.  It
+   reads each node page once, through the buffer pool, straight from
+   [Node]'s columns for the tree's dimension, so one walk checks trees
+   of every d.  A page the pager refuses, a page that would not decode,
+   an out-of-range child pointer and a reference cycle all become
    violations instead of exceptions, so a corrupted index produces a
-   report naming the broken invariant rather than a crash — the property
+   report naming the broken invariant rather than a crash, the property
    the mutation tests in test/test_audit.ml pin down.  Device-level
    [Pager.Io_error]s are the one exception: they propagate, because a
    disk that cannot be read is not a clean audit. *)
 
-module Rect = Prt_geom.Rect
+module Page = Prt_storage.Page
 module Pager = Prt_storage.Pager
+module Buffer_pool = Prt_storage.Buffer_pool
 
 type what =
   | Decode_error of string
@@ -80,7 +84,10 @@ type report = {
   nodes : int;
   leaves : int;
   entries : int;
-  pages_visited : int;
+  min_leaf_fill : int;
+  min_internal_fanout : int;
+  utilization : float;
+  pages : int list;
 }
 
 let ok r = r.violations = []
@@ -88,7 +95,7 @@ let ok r = r.violations = []
 let pp_report ppf r =
   if ok r then
     Fmt.pf ppf "audit clean: %d nodes (%d leaves), %d entries, %d pages" r.nodes r.leaves
-      r.entries r.pages_visited
+      r.entries (List.length r.pages)
   else
     Fmt.pf ppf "audit found %d violation(s):@.%a"
       (List.length r.violations)
@@ -97,71 +104,159 @@ let pp_report ppf r =
 
 let page_where id = Printf.sprintf "page %d" id
 
-let check ?(min_leaf_fill = 1) ?(min_fanout = 1) ?(check_leaks = false) ?(reachable = []) tree =
-  let cap = Rtree.capacity tree in
-  let height = Rtree.height tree in
-  let pager = Rtree.pager tree in
+(* Node page [id], read through [Node]'s layout offsets for [dims]: its
+   kind, each entry's [2 * dims] coordinates (entry [i]'s lows, then its
+   highs, from [boxes.(2 * dims * i)]) and the ids.  What a decode would
+   refuse is an [Error]: a page the pager refuses or cannot find, a bad
+   kind byte, a count past the capacity, an inverted or NaN box. *)
+let read_page pool ~dims id =
+  match Buffer_pool.read pool id with
+  | exception (Pager.Corrupt_page msg | Invalid_argument msg) -> Error msg
+  | buf -> (
+      match Node.page_kind_nd ~dims buf with
+      | exception Invalid_argument msg -> Error msg
+      | kind ->
+          let page_size = Bytes.length buf in
+          let cap = Node.capacity_nd ~page_size ~dims and n = Node.page_length_nd ~dims buf in
+          if n > cap then Error (Printf.sprintf "count %d exceeds capacity %d" n cap)
+          else begin
+            let width = 2 * dims in
+            let boxes =
+              Array.init (width * n) (fun j ->
+                  Page.get_f64 buf (Node.column_offset ~page_size ~dims (j mod width) (j / width)))
+            and ids =
+              Array.init n (fun i -> Page.get_i32 buf (Node.id_offset_nd ~page_size ~dims i))
+            in
+            let rec inverted i k =
+              if i = n then None
+              else if k = dims then inverted (i + 1) 0
+              else if boxes.((width * i) + k) <= boxes.((width * i) + dims + k) then
+                inverted i (k + 1)
+              else Some i
+            in
+            match inverted 0 0 with
+            | Some i -> Error (Printf.sprintf "entry %d has an inverted or NaN box" i)
+            | None -> Ok (kind, boxes, ids)
+          end)
+
+(* [Node.page_compare] over a page's entries: the columns in order, then
+   the id.  No coordinate is NaN here, so [<] and [=] order them as
+   [Float.compare] does. *)
+let in_page_order ~width boxes ids =
+  let rec le i k =
+    if k = width then ids.(i - 1) <= ids.(i)
+    else
+      let a = boxes.((width * (i - 1)) + k) and b = boxes.((width * i) + k) in
+      a < b || (a = b && le i (k + 1))
+  in
+  let rec from i = i >= Array.length ids || (le i 0 && from (i + 1)) in
+  from 1
+
+(* The box a parent records for a child (slot [slot] of the parent's
+   [recorded] coordinates) against the child's exact box, the union of
+   the child's [n > 0] entries. *)
+let box_violation ~dims recorded slot boxes n =
+  let width = 2 * dims in
+  let contained = ref true and tight = ref true in
+  for k = 0 to dims - 1 do
+    let lo = ref infinity and hi = ref neg_infinity in
+    for i = 0 to n - 1 do
+      lo := Float.min !lo boxes.((width * i) + k);
+      hi := Float.max !hi boxes.((width * i) + dims + k)
+    done;
+    let rlo = recorded.((width * slot) + k) and rhi = recorded.((width * slot) + dims + k) in
+    if rlo > !lo || !hi > rhi then contained := false;
+    if rlo <> !lo || rhi <> !hi then tight := false
+  done;
+  if not !contained then Some Mbr_not_contained
+  else if not !tight then Some Mbr_not_tight
+  else None
+
+let check ?(min_leaf_fill = 1) ?(min_fanout = 1) ?(check_leaks = false) ?(reachable = [])
+    ?(dims = 2) tree =
+  let pool = Rtree.pool tree in
+  let pager = Buffer_pool.pager pool in
+  let cap = Node.capacity_nd ~page_size:(Pager.page_size pager) ~dims in
+  let height = Rtree.height tree and count = Rtree.count tree in
   let violations = ref [] in
-  let add where what = violations := { where; what } :: !violations in
+  let add id what = violations := { where = page_where id; what } :: !violations in
   let visited = Hashtbl.create 64 in
   let nodes = ref 0 and leaves = ref 0 and entries = ref 0 in
-  (* [recorded] is the bounding box the parent stores for this child;
-     [None] at the root. *)
+  let least_fill = ref max_int and least_fanout = ref max_int in
+  (* [recorded] is the parent's coordinates and the slot holding the box
+     it records for this child; [None] at the root. *)
   let rec visit ~recorded id depth =
-    if Hashtbl.mem visited id then add (page_where id) Page_shared
+    if Hashtbl.mem visited id then add id Page_shared
     else begin
       Hashtbl.replace visited id ();
-      if Pager.is_free pager id then add (page_where id) Freed_page_reachable;
-      match Rtree.read_node tree id with
-      | exception Invalid_argument msg -> add (page_where id) (Decode_error msg)
-      | node -> (
+      if Pager.is_free pager id then add id Freed_page_reachable;
+      match read_page pool ~dims id with
+      | Error msg -> add id (Decode_error msg)
+      | Ok (kind, boxes, ids) -> (
           incr nodes;
-          let n = Node.length node in
-          if n > cap then add (page_where id) (Node_overflow { count = n; capacity = cap });
-          if not (Node.in_page_order (Node.entries node)) then add (page_where id) Unsorted_node;
+          let n = Array.length ids in
+          if not (in_page_order ~width:(2 * dims) boxes ids) then add id Unsorted_node;
           (match recorded with
-          | Some r when n > 0 ->
-              let exact = Node.mbr node in
-              if not (Rect.contains r exact) then add (page_where id) Mbr_not_contained
-              else if not (Rect.equal r exact) then add (page_where id) Mbr_not_tight
+          | Some (parent, slot) when n > 0 ->
+              Option.iter (add id) (box_violation ~dims parent slot boxes n)
           | _ -> ());
-          match Node.kind node with
+          match kind with
           | Node.Leaf ->
               incr leaves;
               entries := !entries + n;
-              if depth <> height then add (page_where id) (Leaf_depth { depth; height });
+              least_fill := min !least_fill n;
+              if depth <> height then add id (Leaf_depth { depth; height });
               if n = 0 then begin
-                if Rtree.count tree > 0 then add (page_where id) Empty_node
+                (* An empty root leaf is the empty tree. *)
+                if depth > 1 || count > 0 then add id Empty_node
               end
               else if depth > 1 && n < min_leaf_fill then
-                add (page_where id) (Node_underfill { count = n; minimum = min_leaf_fill })
+                add id (Node_underfill { count = n; minimum = min_leaf_fill })
           | Node.Internal ->
-              if depth >= height then add (page_where id) (Internal_depth { depth; height });
-              if n = 0 then add (page_where id) Empty_node
+              least_fanout := min !least_fanout n;
+              if depth >= height then add id (Internal_depth { depth; height });
+              if n = 0 then add id Empty_node
               else if depth > 1 && n < min_fanout then
-                add (page_where id) (Node_underfill { count = n; minimum = min_fanout });
-              Array.iter
-                (fun e -> visit ~recorded:(Some (Entry.rect e)) (Entry.id e) (depth + 1))
-                (Node.entries node))
+                add id (Node_underfill { count = n; minimum = min_fanout });
+              Array.iteri
+                (fun slot child -> visit ~recorded:(Some (boxes, slot)) child (depth + 1))
+                ids)
     end
   in
   visit ~recorded:None (Rtree.root tree) 1;
-  if !entries <> Rtree.count tree then
-    add "tree" (Count_mismatch { expected = Rtree.count tree; actual = !entries });
+  if !entries <> count then
+    violations :=
+      { where = "tree"; what = Count_mismatch { expected = count; actual = !entries } }
+      :: !violations;
   if check_leaks then begin
     List.iter (fun p -> Hashtbl.replace visited p ()) reachable;
     for p = 0 to Pager.num_pages pager - 1 do
-      if (not (Hashtbl.mem visited p)) && not (Pager.is_free pager p) then
-        add (page_where p) Page_leaked
+      if (not (Hashtbl.mem visited p)) && not (Pager.is_free pager p) then add p Page_leaked
     done
   end;
+  let least r = if !r = max_int then 0 else !r in
   {
     violations = List.rev !violations;
     nodes = !nodes;
     leaves = !leaves;
     entries = !entries;
-    pages_visited = Hashtbl.length visited;
+    min_leaf_fill = least least_fill;
+    min_internal_fanout = least least_fanout;
+    utilization =
+      (if !leaves = 0 then 0.0 else float_of_int !entries /. float_of_int (!leaves * cap));
+    pages = List.sort Int.compare (Hashtbl.fold (fun p () acc -> p :: acc) visited []);
   }
+
+exception Invalid of violation
+
+let () =
+  Printexc.register_printer (function
+    | Invalid v -> Some (Fmt.str "Audit.Invalid: %a" pp_violation v)
+    | _ -> None)
+
+let validate ?dims tree =
+  let r = check ?dims tree in
+  match r.violations with [] -> r | v :: _ -> raise (Invalid v)
 
 (* --- pseudo-tree descriptors --- *)
 

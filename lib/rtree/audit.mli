@@ -6,7 +6,8 @@
     - MBR containment {e and} tightness (a parent records exactly the
       bounding box of each child's subtree);
     - uniform leaf depth (all leaves on the level the height claims);
-    - fill-factor bounds (opt-in minimums; overflow always checked);
+    - fill-factor bounds (opt-in minimums; a page's count past its
+      capacity is a decode error, a pseudo-leaf's an overflow);
     - page order: every node's entries in ascending [xmin]
       ({!Node.page_compare}), which the descent's cut-off relies on;
     - entry-count consistency between tree metadata and the leaves;
@@ -19,13 +20,16 @@
       priority leaf at least as extreme in its direction as everything
       the later siblings hold.
 
-    [check] walks the paged 2-D tree; the d-dimensional mirror lives in
-    [Prt_ndtree.Audit_nd], and [Prt_prtree.Pseudo.audit] /
+    [check] is the one walk that checks a paged tree, of any dimension:
+    it reads each node page once through the buffer pool, straight from
+    {!Node}'s columns for the tree's [d] ([Prt_ndtree.Rtree_nd.audit]
+    passes the d-D tree's).  [Prt_prtree.Pseudo.audit] /
     [Prt_ndtree.Audit_nd.check_pseudo] adapt the in-memory pseudo-trees
-    onto {!check_pseudo}.  Corrupt pages are reported as violations
-    rather than exceptions; a device-level [Pager.Io_error] (faulty
-    pager with retries exhausted) still propagates — failures surface,
-    they are never read as a clean audit. *)
+    onto {!check_pseudo}.  Corrupt pages, the pager's refusals
+    included, are reported as violations rather than exceptions; a
+    device-level [Pager.Io_error] (faulty pager with retries exhausted)
+    still propagates — failures surface, they are never read as a clean
+    audit. *)
 
 (** What went wrong.  {!label} gives each case a stable kebab-case name
     the tests key on. *)
@@ -54,10 +58,15 @@ val pp_violation : Format.formatter -> violation -> unit
 
 type report = {
   violations : violation list;
-  nodes : int;
+  nodes : int;  (** node pages that decode *)
   leaves : int;
-  entries : int;
-  pages_visited : int;
+  entries : int;  (** entries in the leaves *)
+  min_leaf_fill : int;  (** fewest entries in a leaf, the root included; 0 without leaves *)
+  min_internal_fanout : int;  (** fewest entries in an internal node; 0 without one *)
+  utilization : float;  (** entries / (leaves * capacity) *)
+  pages : int list;
+      (** Every page the walk reached, ascending, and with [check_leaks]
+          the [reachable] pages too. *)
 }
 
 val ok : report -> bool
@@ -68,20 +77,31 @@ val check :
   ?min_fanout:int ->
   ?check_leaks:bool ->
   ?reachable:int list ->
+  ?dims:int ->
   Rtree.t ->
   report
-(** Audit a paged 2-D R-tree (any variant: PR, Hilbert, H4, STR, TGS,
-    kd-B on points, dynamically built).
+(** Audit a paged R-tree (any variant: PR, Hilbert, H4, STR, TGS, kd-B
+    on points, dynamically built) whose pages hold [dims]-dimensional
+    entries (default 2) in {!Node}'s layout.
 
-    [min_leaf_fill] / [min_fanout] (default 1) set the fill-factor
-    floors for non-root leaves and internal nodes.  [check_leaks]
-    (default false) additionally sweeps the whole pager for allocated
-    pages that are neither reachable from the root, on the free list,
-    nor listed in [reachable] (extra pages the caller knows about:
-    metadata pages, record files sharing the device).
+    A page the pager refuses ([Pager.Corrupt_page]), a bad kind byte, a
+    count past the capacity and an inverted or NaN box are each a
+    [decode-error] on that page.  [min_leaf_fill] / [min_fanout]
+    (default 1) set the fill-factor floors for non-root leaves and
+    internal nodes.  [check_leaks] (default false) additionally sweeps
+    the whole pager for allocated pages that are neither reachable from
+    the root, on the free list, nor listed in [reachable] (extra pages
+    the caller knows about: metadata pages, record files sharing the
+    device).
 
     Raises nothing on corrupt pages (they become violations); a
     [Pager.Io_error] from a faulty device propagates. *)
+
+exception Invalid of violation
+
+val validate : ?dims:int -> Rtree.t -> report
+(** {!check} with the default floors and no leak sweep, raising
+    {!Invalid} with the first violation. *)
 
 (** {2 Pseudo-tree support}
 

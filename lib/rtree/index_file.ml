@@ -42,15 +42,13 @@ type t = {
 let cache_pages = 4096
 
 (* Tree metadata blob stored in the superblock: magic "PRTR", then
-   root / height / count, and (format extension, PR 5) the head of the
-   post-image shadow chain.  The 16-byte form without the shadow word is
-   still decoded, so files written before the extension open cleanly. *)
+   root / height / count and the head of the post-image shadow chain
+   (-1 when there is none), 20 bytes. *)
 let meta_magic = 0x50525452
-let meta_len = 16
-let meta_len_shadow = 20
+let meta_len = 20
 
 let encode_meta_ext ~shadow_head tree =
-  let b = Bytes.create meta_len_shadow in
+  let b = Bytes.create meta_len in
   Bytes.set_int32_le b 0 (Int32.of_int meta_magic);
   Bytes.set_int32_le b 4 (Int32.of_int (Rtree.root tree));
   Bytes.set_int32_le b 8 (Int32.of_int (Rtree.height tree));
@@ -61,8 +59,7 @@ let encode_meta_ext ~shadow_head tree =
 let encode_meta tree = encode_meta_ext ~shadow_head:(-1) tree
 
 let meta_ok meta =
-  (Bytes.length meta = meta_len || Bytes.length meta = meta_len_shadow)
-  && Int32.to_int (Bytes.get_int32_le meta 0) = meta_magic
+  Bytes.length meta = meta_len && Int32.to_int (Bytes.get_int32_le meta 0) = meta_magic
 
 let decode_meta pool meta =
   if not (meta_ok meta) then
@@ -72,10 +69,7 @@ let decode_meta pool meta =
     ~height:(Int32.to_int (Bytes.get_int32_le meta 8))
     ~count:(Int32.to_int (Bytes.get_int32_le meta 12))
 
-let decode_shadow_head meta =
-  if Bytes.length meta >= meta_len_shadow && meta_ok meta then
-    Int32.to_int (Bytes.get_int32_le meta 16)
-  else -1
+let decode_shadow_head meta = if meta_ok meta then Int32.to_int (Bytes.get_int32_le meta 16) else -1
 
 let tree t = t.tree
 let pool t = t.pool
@@ -524,11 +518,11 @@ let fsck ?(page_size = Pager.default_page_size) ?rebuild path =
               | tree -> Ok tree
               | exception Invalid_argument msg -> Error msg ))
       in
-      (* Walk the tree to count entries and collect the reachable page
-         set; damage encountered on the walk marks the tree bad instead
-         of aborting the whole fsck.  The post-image shadow chain (if the
-         file carries one) is reachable too — directory and copy pages
-         alike — so the orphan check does not flag it. *)
+      (* Audit the tree, counting its entries and collecting the
+         reachable page set; damage found on the walk marks the tree
+         bad instead of aborting the whole fsck.  The post-image shadow
+         chain (if the file carries one) is reachable too — directory
+         and copy pages alike — so the orphan check does not flag it. *)
       let shadow_head =
         match opened with
         | Ok (sb, _) -> decode_shadow_head (Superblock.meta sb)
@@ -538,26 +532,14 @@ let fsck ?(page_size = Pager.default_page_size) ?rebuild path =
         match tree_state with
         | Error msg -> (false, Some msg, None, None)
         | Ok tree -> (
-            let pages = Hashtbl.create 256 in
-            Hashtbl.replace pages 0 ();
-            Hashtbl.replace pages 1 ();
-            List.iter
-              (fun id -> Hashtbl.replace pages id ())
-              (shadow_chain_pages pager ~head:shadow_head);
-            let entries = ref 0 in
-            match
-              Rtree.iter_nodes tree ~f:(fun ~depth:_ ~id node ->
-                  Hashtbl.replace pages id ();
-                  (* The descent's cut-off would miss entries on it. *)
-                  if not (Node.in_page_order (Node.entries node)) then
-                    invalid_arg
-                      (Printf.sprintf "%s: page %d's entries are not in page order"
-                         (Audit.label Audit.Unsorted_node) id);
-                  if Node.kind node = Node.Leaf then entries := !entries + Node.length node)
-            with
-            | () -> (true, None, Some !entries, Some (fun id -> Hashtbl.mem pages id))
-            | exception Pager.Corrupt_page msg -> (false, Some msg, None, None)
-            | exception Invalid_argument msg -> (false, Some msg, None, None)
+            match Audit.validate tree with
+            | report ->
+                let pages = Hashtbl.create 256 in
+                List.iter
+                  (fun id -> Hashtbl.replace pages id ())
+                  ((0 :: 1 :: report.Audit.pages) @ shadow_chain_pages pager ~head:shadow_head);
+                (true, None, Some report.Audit.entries, Some (fun id -> Hashtbl.mem pages id))
+            | exception Audit.Invalid v -> (false, Some (Fmt.str "%a" Audit.pp_violation v), None, None)
             | exception Pager.Io_error msg -> (false, Some msg, None, None))
       in
       let fsck_scrub =

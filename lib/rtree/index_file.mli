@@ -161,9 +161,8 @@ val encode_meta : Rtree.t -> bytes
     chain head — [-1] here; commits write the live head). *)
 
 val decode_meta : Buffer_pool.t -> bytes -> Rtree.t
-(** Rebuild a tree handle from a metadata blob (either the legacy
-    16-byte form or the current one).  Raises [Invalid_argument] on a
-    foreign blob. *)
+(** Rebuild a tree handle from a metadata blob {!encode_meta} or a
+    commit wrote.  Raises [Invalid_argument] on a foreign blob. *)
 
 (** {1 fsck} *)
 

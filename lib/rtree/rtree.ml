@@ -1,5 +1,5 @@
 (* The paged R-tree: a handle over pages in a buffer pool, with the
-   window-query descent engine and a structural validator.
+   window-query descent engine ([Audit] checks its invariants).
 
    The tree itself is bulk-loading-agnostic — every loader (packed
    Hilbert, 4-D Hilbert, STR, TGS, PR) produces this same structure, and
@@ -893,76 +893,6 @@ let iter_nodes t ~f =
   in
   visit t.root 1
 
-(* Structural validation. *)
-
-type structure = {
-  nodes : int;
-  leaves : int;
-  entries : int;
-  min_leaf_fill : int;
-  min_internal_fanout : int;
-  utilization : float; (* entries / (leaves * capacity) *)
-}
-
-exception Invalid of string
-
-let invalid fmt = Format.kasprintf (fun s -> raise (Invalid s)) fmt
-
-let validate t =
-  let cap = capacity t in
-  let nodes = ref 0 and leaves = ref 0 and entries = ref 0 in
-  let min_leaf_fill = ref max_int and min_internal_fanout = ref max_int in
-  (* Returns the exact bounding box of the subtree rooted at [id]. *)
-  let rec visit id depth =
-    incr nodes;
-    let node =
-      match read_node t id with
-      | node -> node
-      | exception Invalid_argument msg ->
-          invalid "decode-error: page %d does not decode (%s)" id msg
-    in
-    let n = Node.length node in
-    if n > cap then invalid "node %d holds %d entries, capacity %d" id n cap;
-    if not (Node.in_page_order (Node.entries node)) then
-      invalid "unsorted-node: node %d's entries are not in page order" id;
-    match Node.kind node with
-    | Node.Leaf ->
-        if depth <> t.height then
-          invalid "leaf %d at depth %d but tree height is %d" id depth t.height;
-        incr leaves;
-        entries := !entries + n;
-        if n < !min_leaf_fill then min_leaf_fill := n;
-        if n = 0 && t.count > 0 then invalid "empty leaf %d in non-empty tree" id;
-        if n = 0 then None else Some (Node.mbr node)
-    | Node.Internal ->
-        if depth >= t.height then
-          invalid "internal node %d at depth %d but tree height is %d" id depth t.height;
-        if n = 0 then invalid "empty internal node %d" id;
-        if n < !min_internal_fanout then min_internal_fanout := n;
-        Array.iter
-          (fun e ->
-            match visit (Entry.id e) (depth + 1) with
-            | Some child_mbr ->
-                if not (Rect.equal child_mbr (Entry.rect e)) then
-                  invalid "node %d records MBR %a for child %d whose exact box is %a" id Rect.pp
-                    (Entry.rect e) (Entry.id e) Rect.pp child_mbr
-            | None -> invalid "node %d points at empty subtree %d" id (Entry.id e))
-          (Node.entries node);
-        Some (Node.mbr node)
-  in
-  ignore (visit t.root 1);
-  if !entries <> t.count then
-    invalid "tree metadata says %d entries but leaves hold %d" t.count !entries;
-  {
-    nodes = !nodes;
-    leaves = !leaves;
-    entries = !entries;
-    min_leaf_fill = (if !min_leaf_fill = max_int then 0 else !min_leaf_fill);
-    min_internal_fanout = (if !min_internal_fanout = max_int then 0 else !min_internal_fanout);
-    utilization =
-      (if !leaves = 0 then 0.0 else float_of_int !entries /. float_of_int (!leaves * cap));
-  }
-
 let mbr t =
   let node = read_node t t.root in
   if Node.length node = 0 then None else Some (Node.mbr node)
@@ -982,28 +912,3 @@ let dump t ppf =
       Array.iter (fun e -> visit (Entry.id e) (depth + 1)) (Node.entries node)
   in
   visit t.root 1
-
-(* Metadata persistence: one page holding magic, root, height, count.
-   Used by the CLI to reopen file-backed indexes. *)
-
-let magic = 0x50525452 (* "PRTR" *)
-
-let save_meta t ~meta_page =
-  let buf = Page.create (page_size t) in
-  Page.set_i32 buf 0 magic;
-  Page.set_i32 buf 4 t.root;
-  Page.set_i32 buf 8 t.height;
-  Page.set_i32 buf 12 t.count;
-  Buffer_pool.write t.pool meta_page buf;
-  Buffer_pool.flush t.pool
-
-let load_meta pool ~meta_page =
-  let buf = Buffer_pool.read pool meta_page in
-  if Page.get_i32 buf 0 <> magic then invalid_arg "Rtree.load_meta: bad magic";
-  {
-    pool;
-    root = Page.get_i32 buf 4;
-    height = Page.get_i32 buf 8;
-    count = Page.get_i32 buf 12;
-    mapped = Pool;
-  }

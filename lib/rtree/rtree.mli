@@ -1,4 +1,4 @@
-(** The paged R-tree: window queries, traversal, validation, metadata.
+(** The paged R-tree: window queries and traversal.
 
     Every bulk loader in the repository (packed Hilbert, 4-D Hilbert,
     STR, TGS, PR-tree) produces this structure; the dynamic update
@@ -322,36 +322,9 @@ val iter : t -> f:(Entry.t -> unit) -> unit
 val iter_nodes : t -> f:(depth:int -> id:int -> Node.t -> unit) -> unit
 (** Visit every node, with its depth (root = 1) and page id. *)
 
-type structure = {
-  nodes : int;
-  leaves : int;
-  entries : int;
-  min_leaf_fill : int;
-  min_internal_fanout : int;
-  utilization : float;  (** entries / (leaves * capacity) *)
-}
-
-exception Invalid of string
-
-val validate : t -> structure
-(** Check the R-tree invariants — all leaves on the same level, every
-    parent-recorded MBR exactly the union of its child's entries, fanout
-    within capacity, every node's entries in page order, metadata count
-    consistent — and return structural statistics. Raises {!Invalid}
-    with a description on violation (a page that does not decode names
-    itself [decode-error] and an order violation [unsorted-node],
-    {!Audit}'s labels). *)
-
 val mbr : t -> Prt_geom.Rect.t option
 (** Bounding box of the whole dataset ([None] when empty). *)
 
 val dump : t -> Format.formatter -> unit
 (** Debug rendering: one line per node (page id, fanout, MBR), indented
     by depth. Intended for small trees. *)
-
-val save_meta : t -> meta_page:int -> unit
-(** Persist root/height/count into the given page and flush the pool. *)
-
-val load_meta : Prt_storage.Buffer_pool.t -> meta_page:int -> t
-(** Reopen a tree persisted with {!save_meta}. Raises [Invalid_argument]
-    on a bad magic number. *)

@@ -10,6 +10,7 @@ module Buffer_pool = Prt_storage.Buffer_pool
 module Failpoint = Prt_storage.Failpoint
 module Entry = Prt_rtree.Entry
 module Rtree = Prt_rtree.Rtree
+module Audit = Prt_rtree.Audit
 
 (* 512-byte pages -> capacity (512-16-3)/36 = 13 (16 bytes go to the
    page integrity trailer): multi-level trees appear at a few dozen
@@ -122,9 +123,9 @@ let check_tree_queries ?(nqueries = 40) ~seed tree entries =
   Array.iter (fun q -> check_query_matches_brute_force tree entries q) queries
 
 let check_structure tree =
-  match Rtree.validate tree with
-  | structure -> structure
-  | exception Rtree.Invalid msg -> Alcotest.failf "invalid tree: %s" msg
+  match Audit.validate tree with
+  | report -> report
+  | exception Audit.Invalid v -> Alcotest.failf "invalid tree: %a" Audit.pp_violation v
 
 (* The shared oracle for differential suites: every named implementation
    must agree with the brute force on a batch of random windows. *)
@@ -148,10 +149,14 @@ let check_impls_agree ?(nqueries = 25) ~seed impls entries =
 
 (* Audit wrapper mirroring [check_structure]. *)
 let check_audit ?check_leaks ?reachable tree =
-  let report = Prt_rtree.Audit.check ?check_leaks ?reachable tree in
-  if not (Prt_rtree.Audit.ok report) then
-    Alcotest.failf "audit failed: %s" (Format.asprintf "%a" Prt_rtree.Audit.pp_report report);
+  let report = Audit.check ?check_leaks ?reachable tree in
+  if not (Audit.ok report) then Alcotest.failf "audit failed: %a" Audit.pp_report report;
   report
+
+(* The same for a pseudo-tree's violation list. *)
+let check_no_violations violations =
+  if violations <> [] then
+    Alcotest.failf "audit failed: %a" (Fmt.list ~sep:Fmt.cut Audit.pp_violation) violations
 
 (* --- seeded scenarios: every qcheck failure prints a one-line repro ---
 

@@ -9,6 +9,7 @@ module Rng = Prt_util.Rng
 module Entry = Prt_rtree.Entry
 module Rtree = Prt_rtree.Rtree
 module Datasets = Prt_workloads.Datasets
+module Audit = Prt_rtree.Audit
 
 (* --- adversarial dataset families --- *)
 
@@ -75,7 +76,7 @@ let test_family (fname, make) (bname, build) () =
       let pool = Helpers.small_pool () in
       let tree = build pool entries in
       let s = Helpers.check_structure tree in
-      Alcotest.(check int) (fname ^ "/" ^ bname ^ " entries") n s.Rtree.entries;
+      Alcotest.(check int) (fname ^ "/" ^ bname ^ " entries") n s.Audit.entries;
       (* Window queries, point queries on exact stored coordinates, and
          a full-world query. *)
       Helpers.check_tree_queries ~nqueries:15 ~seed:(n * 3) tree entries;

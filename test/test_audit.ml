@@ -10,9 +10,12 @@
    the buffer pool, which is dropped first so the cache cannot mask the
    damage) and assert the audit reports the *specific* invariant that
    byte broke, by its stable label — never a crash, never a clean
-   report.  The bytes being poked are found through [Node]'s layout
-   offsets (kind byte, count, coordinate [i] of a column, id [i]), so
-   the mutations follow the page format. *)
+   report.  Each mutation runs on a 2-D and a 3-D tree.  The bytes
+   being poked are found through [Node]'s layout offsets for the tree's
+   dimension (kind byte, count, coordinate [i] of a column, id [i]), so
+   the mutations follow the page format.  One more flips a byte of an
+   index file, below the pager: the page fails its trailer check, and
+   the audit names it too. *)
 
 module Rng = Prt_util.Rng
 module Pager = Prt_storage.Pager
@@ -22,13 +25,10 @@ module Node = Prt_rtree.Node
 module Rtree = Prt_rtree.Rtree
 module Audit = Prt_rtree.Audit
 module Audit_nd = Prt_ndtree.Audit_nd
+module Rtree_nd = Prt_ndtree.Rtree_nd
+module Index_file = Prt_rtree.Index_file
 
 let labels (r : Audit.report) = List.map (fun v -> Audit.label v.Audit.what) r.Audit.violations
-
-let assert_flags ?check_leaks tree expected =
-  let r = Audit.check ?check_leaks tree in
-  if not (List.mem expected (labels r)) then
-    Alcotest.failf "expected a %s violation; audit said: %a" expected Audit.pp_report r
 
 (* --- positive: everything the repo builds audits clean --- *)
 
@@ -99,24 +99,17 @@ let test_ndtree_audits_clean () =
     (fun dims ->
       let entries = random_entries_nd ~dims ~n:150 ~seed:dims in
       let tree = Prt_ndtree.Prtree_nd.load ~dims (Helpers.small_pool ()) entries in
-      let r = Audit_nd.check ~check_leaks:true tree in
+      let r = Rtree_nd.audit ~check_leaks:true tree in
       if not (Audit.ok r) then
         Alcotest.failf "ndtree dims=%d audit failed: %a" dims Audit.pp_report r)
     [ 3; 4 ]
 
 let test_pseudo_trees_audit_clean () =
   let entries = Helpers.random_entries ~n:200 ~seed:9 in
-  (match Prt_prtree.Pseudo.audit ~b:14 (Prt_prtree.Pseudo.build ~b:14 entries) with
-  | [] -> ()
-  | vs ->
-      Alcotest.failf "2-d pseudo-tree audit failed: %a"
-        (Fmt.list ~sep:Fmt.cut Audit.pp_violation) vs);
+  Helpers.check_no_violations (Prt_prtree.Pseudo.audit ~b:14 (Prt_prtree.Pseudo.build ~b:14 entries));
   let entries_nd = random_entries_nd ~dims:3 ~n:200 ~seed:10 in
-  match Audit_nd.check_pseudo ~b:14 ~dims:3 (Prt_ndtree.Pseudo_nd.build ~b:14 ~dims:3 entries_nd) with
-  | [] -> ()
-  | vs ->
-      Alcotest.failf "3-d pseudo-tree audit failed: %a"
-        (Fmt.list ~sep:Fmt.cut Audit.pp_violation) vs
+  Helpers.check_no_violations
+    (Audit_nd.check_pseudo ~b:14 ~dims:3 (Prt_ndtree.Pseudo_nd.build ~b:14 ~dims:3 entries_nd))
 
 (* check_pseudo's catalogue, case by case. *)
 let test_check_pseudo_catalogue () =
@@ -144,165 +137,215 @@ let test_check_pseudo_catalogue () =
 
 (* --- mutation: one corrupted byte, one named violation --- *)
 
-(* A 300-entry PR-tree on 512-byte pages: 22 full-ish leaves, two
-   internal nodes above them, height 3 — the root is internal with at
-   least two children, which the mutations below rely on. *)
-let build_victim () =
+(* A built tree on 512-byte pages, flushed, with its audit and validate
+   at its dimension.  At d = 2, 300 entries make a PR-tree of 22
+   full-ish leaves under two internal nodes; at d = 3 (9 entries a
+   page), one of 34 leaves under four.  Both have height 3 and an
+   internal root with at least two children, which the mutations below
+   rely on. *)
+type victim = {
+  pool : Buffer_pool.t;
+  dims : int;
+  root : int;
+  audit : ?check_leaks:bool -> unit -> Audit.report;
+  validate : unit -> Audit.report;
+}
+
+let victim_2d () =
   let pool = Helpers.small_pool () in
-  let entries = Helpers.random_entries ~n:300 ~seed:42 in
-  let tree = Prt_prtree.Prtree.load pool entries in
+  let tree = Prt_prtree.Prtree.load pool (Helpers.random_entries ~n:300 ~seed:42) in
   Buffer_pool.flush pool;
-  (pool, tree)
+  {
+    pool;
+    dims = 2;
+    root = Rtree.root tree;
+    audit = (fun ?check_leaks () -> Audit.check ?check_leaks tree);
+    validate = (fun () -> Audit.validate tree);
+  }
+
+let victim_3d () =
+  let pool = Helpers.small_pool () in
+  let tree =
+    Prt_ndtree.Prtree_nd.load ~dims:3 pool (random_entries_nd ~dims:3 ~n:300 ~seed:43)
+  in
+  Buffer_pool.flush pool;
+  {
+    pool;
+    dims = 3;
+    root = Rtree_nd.root tree;
+    audit = (fun ?check_leaks () -> Rtree_nd.audit ?check_leaks tree);
+    validate = (fun () -> Rtree_nd.validate tree);
+  }
+
+let each_victim f = List.iter (fun build -> f (build ())) [ victim_2d; victim_3d ]
+
+let assert_flags ?check_leaks v expected =
+  let r = v.audit ?check_leaks () in
+  if not (List.mem expected (labels r)) then
+    Alcotest.failf "d = %d: expected a %s violation; audit said: %a" v.dims expected
+      Audit.pp_report r
 
 (* Mutate page [id] below the buffer pool; the cache is emptied first so
    the audit really reads the corrupted bytes. *)
-let corrupt pool id f =
-  Buffer_pool.drop_clean pool;
-  let pager = Buffer_pool.pager pool in
+let corrupt v id f =
+  Buffer_pool.drop_clean v.pool;
+  let pager = Buffer_pool.pager v.pool in
   let buf = Pager.read pager id in
   f buf;
   Pager.write pager id buf
 
 (* Node bytes are addressed through [Node]'s layout offsets only, so
-   the mutations follow the page format wherever it puts a field. *)
-let coord_off buf i c = Node.coord_offset ~page_size:(Bytes.length buf) i c
-let id_off buf i = Node.id_offset ~page_size:(Bytes.length buf) i
+   the mutations follow the page format wherever it puts a field.
+   Column [dims] holds hi_0 (xmax in 2-D). *)
+let column v buf k i = Node.column_offset ~page_size:(Bytes.length buf) ~dims:v.dims k i
+let id_off v buf i = Node.id_offset_nd ~page_size:(Bytes.length buf) ~dims:v.dims i
 let get_f64 buf off = Int64.float_of_bits (Bytes.get_int64_le buf off)
 let set_f64 buf off v = Bytes.set_int64_le buf off (Int64.bits_of_float v)
 
-let rec first_leaf tree id =
-  let node = Rtree.read_node tree id in
-  match Node.kind node with
+let rec first_leaf ~dims pool id =
+  let buf = Buffer_pool.read pool id in
+  match Node.page_kind_nd ~dims buf with
   | Node.Leaf -> id
-  | Node.Internal -> first_leaf tree (Entry.id (Node.entries node).(0))
+  | Node.Internal ->
+      let off = Node.id_offset_nd ~page_size:(Bytes.length buf) ~dims 0 in
+      first_leaf ~dims pool (Int32.to_int (Bytes.get_int32_le buf off))
+
+let leaf_of v = first_leaf ~dims:v.dims v.pool v.root
 
 let test_mutation_decode_error () =
-  let pool, tree = build_victim () in
-  corrupt pool (Rtree.root tree) (fun buf ->
-      Bytes.set buf (Node.kind_offset ~page_size:(Bytes.length buf)) '\007');
-  assert_flags tree "decode-error"
+  each_victim (fun v ->
+      corrupt v v.root (fun buf ->
+          Bytes.set buf (Node.kind_offset_nd ~page_size:(Bytes.length buf) ~dims:v.dims) '\007');
+      assert_flags v "decode-error")
 
 let test_mutation_count_mismatch () =
-  let pool, tree = build_victim () in
-  let leaf = first_leaf tree (Rtree.root tree) in
-  corrupt pool leaf (fun buf ->
-      let off = Node.count_offset ~page_size:(Bytes.length buf) in
-      Bytes.set_uint16_le buf off (Bytes.get_uint16_le buf off - 1));
-  assert_flags tree "count-mismatch"
+  each_victim (fun v ->
+      corrupt v (leaf_of v) (fun buf ->
+          let off = Node.count_offset_nd ~page_size:(Bytes.length buf) ~dims:v.dims in
+          Bytes.set_uint16_le buf off (Bytes.get_uint16_le buf off - 1));
+      assert_flags v "count-mismatch")
 
 let test_mutation_mbr_not_tight () =
-  let pool, tree = build_victim () in
-  corrupt pool (Rtree.root tree) (fun buf ->
-      let off = coord_off buf 0 Node.Xmax in
-      set_f64 buf off (get_f64 buf off +. 1.0));
-  assert_flags tree "mbr-not-tight"
+  each_victim (fun v ->
+      corrupt v v.root (fun buf ->
+          let off = column v buf v.dims 0 in
+          set_f64 buf off (get_f64 buf off +. 1.0));
+      assert_flags v "mbr-not-tight")
 
 let test_mutation_mbr_not_contained () =
-  let pool, tree = build_victim () in
-  corrupt pool (Rtree.root tree) (fun buf ->
-      let xmin = get_f64 buf (coord_off buf 0 Node.Xmin)
-      and xmax = get_f64 buf (coord_off buf 0 Node.Xmax) in
-      (* Shrink the recorded box: it was tight, so the child's exact box
-         now escapes it. *)
-      set_f64 buf (coord_off buf 0 Node.Xmax) ((xmin +. xmax) /. 2.0));
-  assert_flags tree "mbr-not-contained"
+  each_victim (fun v ->
+      corrupt v v.root (fun buf ->
+          let lo = get_f64 buf (column v buf 0 0) and hi = get_f64 buf (column v buf v.dims 0) in
+          (* Shrink the recorded box: it was tight, so the child's exact
+             box now escapes it. *)
+          set_f64 buf (column v buf v.dims 0) ((lo +. hi) /. 2.0));
+      assert_flags v "mbr-not-contained")
 
 let test_mutation_page_shared () =
-  let pool, tree = build_victim () in
-  corrupt pool (Rtree.root tree) (fun buf ->
-      Bytes.set_int32_le buf (id_off buf 1) (Bytes.get_int32_le buf (id_off buf 0)));
-  assert_flags tree "page-shared"
+  each_victim (fun v ->
+      corrupt v v.root (fun buf ->
+          Bytes.set_int32_le buf (id_off v buf 1) (Bytes.get_int32_le buf (id_off v buf 0)));
+      assert_flags v "page-shared")
 
 let test_mutation_leaf_depth () =
-  let pool, tree = build_victim () in
-  let leaf = first_leaf tree (Rtree.root tree) in
-  (* Point a root entry straight at a grandchild leaf: it now sits at
-     depth 2 in a height-3 tree. *)
-  corrupt pool (Rtree.root tree) (fun buf ->
-      Bytes.set_int32_le buf (id_off buf 0) (Int32.of_int leaf));
-  assert_flags tree "leaf-depth"
+  each_victim (fun v ->
+      let leaf = leaf_of v in
+      (* Point a root entry straight at a grandchild leaf: it now sits at
+         depth 2 in a height-3 tree. *)
+      corrupt v v.root (fun buf -> Bytes.set_int32_le buf (id_off v buf 0) (Int32.of_int leaf));
+      assert_flags v "leaf-depth")
 
 (* Page order: the victim's leaves audit clean as built; swapping two
    entries of one leaf on disk — every column and the id — keeps the
-   same entries and box, so only the order is wrong, and it is named. *)
-let test_mutation_unsorted_node () =
-  let pool, tree = build_victim () in
-  let pristine = Audit.check tree in
+   same entries and box, so only the order is wrong, and it is named,
+   on that page only, by the audit and by validate. *)
+let swapped_leaf_named v =
+  let pristine = v.audit ~check_leaks:true () in
   if not (Audit.ok pristine) then
-    Alcotest.failf "the pristine PR-tree does not audit clean: %a" Audit.pp_report pristine;
-  let leaf = first_leaf tree (Rtree.root tree) in
-  corrupt pool leaf (fun buf ->
+    Alcotest.failf "the pristine d = %d tree does not audit clean: %a" v.dims Audit.pp_report
+      pristine;
+  let leaf = leaf_of v in
+  corrupt v leaf (fun buf ->
       let swap off width =
         let a = Bytes.sub buf (off 0) width in
         Bytes.blit buf (off 1) buf (off 0) width;
         Bytes.blit a 0 buf (off 1) width
       in
-      List.iter (fun c -> swap (fun i -> coord_off buf i c) 8) Node.[ Xmin; Ymin; Xmax; Ymax ];
-      swap (id_off buf) 4);
-  let r = Audit.check tree in
-  Alcotest.(check (list string)) "the one violation" [ "unsorted-node" ] (labels r);
-  Alcotest.(check (list string))
-    "on the swapped leaf"
-    [ Printf.sprintf "page %d" leaf ]
-    (List.map (fun v -> v.Audit.where) r.Audit.violations)
-
-(* The same in three dimensions, where the generic kernel's cut-off
-   relies on the order too: a 3-D PR-tree audits clean as built, and
-   swapping two entries of one leaf — its six columns and the id, found
-   through [Node]'s offsets for d = 3 — is named by the audit, on that
-   page only, and by [Rtree_nd.validate]. *)
-let test_mutation_unsorted_node_nd () =
-  let dims = 3 in
-  let pool = Helpers.small_pool () in
-  let tree = Prt_ndtree.Prtree_nd.load ~dims pool (random_entries_nd ~dims ~n:300 ~seed:43) in
-  Buffer_pool.flush pool;
-  let pristine = Audit_nd.check ~check_leaks:true tree in
-  if not (Audit.ok pristine) then
-    Alcotest.failf "the pristine 3-D PR-tree does not audit clean: %a" Audit.pp_report pristine;
-  let rec first_leaf id =
-    let node = Prt_ndtree.Rtree_nd.read_node tree id in
-    match Prt_ndtree.Node_nd.kind node with
-    | Prt_ndtree.Node_nd.Leaf -> id
-    | Prt_ndtree.Node_nd.Internal ->
-        first_leaf (Prt_ndtree.Entry_nd.id (Prt_ndtree.Node_nd.entries node).(0))
-  in
-  let leaf = first_leaf (Prt_ndtree.Rtree_nd.root tree) in
-  corrupt pool leaf (fun buf ->
-      let page_size = Bytes.length buf in
-      let swap off width =
-        let a = Bytes.sub buf (off 0) width in
-        Bytes.blit buf (off 1) buf (off 0) width;
-        Bytes.blit a 0 buf (off 1) width
-      in
-      for k = 0 to (2 * dims) - 1 do
-        swap (fun i -> Node.column_offset ~page_size ~dims k i) 8
+      for k = 0 to (2 * v.dims) - 1 do
+        swap (column v buf k) 8
       done;
-      swap (Node.id_offset_nd ~page_size ~dims) 4);
-  let r = Audit_nd.check ~check_leaks:true tree in
+      swap (id_off v buf) 4);
+  let r = v.audit ~check_leaks:true () in
   Alcotest.(check (list string)) "the one violation" [ "unsorted-node" ] (labels r);
   Alcotest.(check (list string))
     "on the swapped leaf"
     [ Printf.sprintf "page %d" leaf ]
     (List.map (fun v -> v.Audit.where) r.Audit.violations);
-  match Prt_ndtree.Rtree_nd.validate tree with
-  | _ -> Alcotest.fail "Rtree_nd.validate accepted the unsorted leaf"
-  | exception Prt_ndtree.Rtree_nd.Invalid reason ->
-      Alcotest.(check string)
-        "validate names it" "unsorted-node"
-        (String.sub reason 0 (min (String.length reason) 13))
+  match v.validate () with
+  | _ -> Alcotest.failf "d = %d: validate accepted the unsorted leaf" v.dims
+  | exception Audit.Invalid bad ->
+      Alcotest.(check string) "validate names it" "unsorted-node" (Audit.label bad.Audit.what)
+
+let test_mutation_unsorted_node () = swapped_leaf_named (victim_2d ())
+
+(* The same in three dimensions, where the generic kernel's cut-off
+   relies on the order too. *)
+let test_mutation_unsorted_node_nd () = swapped_leaf_named (victim_3d ())
 
 let test_mutation_page_leaked () =
-  let pool, tree = build_victim () in
-  Buffer_pool.drop_clean pool;
-  ignore (Pager.alloc (Buffer_pool.pager pool));
-  assert_flags ~check_leaks:true tree "page-leaked"
+  each_victim (fun v ->
+      Buffer_pool.drop_clean v.pool;
+      ignore (Pager.alloc (Buffer_pool.pager v.pool));
+      assert_flags ~check_leaks:true v "page-leaked")
 
 let test_mutation_freed_page_reachable () =
-  let pool, tree = build_victim () in
-  let leaf = first_leaf tree (Rtree.root tree) in
-  Buffer_pool.drop_clean pool;
-  Pager.free (Buffer_pool.pager pool) leaf;
-  assert_flags tree "freed-page-reachable"
+  each_victim (fun v ->
+      let leaf = leaf_of v in
+      Buffer_pool.drop_clean v.pool;
+      Pager.free (Buffer_pool.pager v.pool) leaf;
+      assert_flags v "freed-page-reachable")
+
+(* A page the pager refuses: one payload byte of a leaf of an index file
+   flipped on disk, so the page fails its trailer check on read.  The
+   audit names that page [decode-error] instead of letting
+   [Pager.Corrupt_page] escape, and validate raises naming it. *)
+let test_mutation_torn_page () =
+  let path = Filename.temp_file "prt_audit" ".idx" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let page_size = Helpers.small_page_size in
+      let idx =
+        Index_file.create ~page_size path ~build:(fun pool ->
+            Prt_prtree.Prtree.load pool (Helpers.random_entries ~n:300 ~seed:42))
+      in
+      let leaf = first_leaf ~dims:2 (Index_file.pool idx) (Rtree.root (Index_file.tree idx)) in
+      Index_file.close idx;
+      let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+      let byte = Bytes.create 1 in
+      ignore (Unix.lseek fd (leaf * page_size) Unix.SEEK_SET);
+      ignore (Unix.read fd byte 0 1);
+      Bytes.set_uint8 byte 0 (Bytes.get_uint8 byte 0 lxor 0xff);
+      ignore (Unix.lseek fd (leaf * page_size) Unix.SEEK_SET);
+      ignore (Unix.write fd byte 0 1);
+      Unix.close fd;
+      let idx = Index_file.open_ ~page_size path in
+      Fun.protect
+        ~finally:(fun () -> Index_file.close idx)
+        (fun () ->
+          let named = ("decode-error", Printf.sprintf "page %d" leaf) in
+          let r = Audit.check (Index_file.tree idx) in
+          let found =
+            List.map (fun v -> (Audit.label v.Audit.what, v.Audit.where)) r.Audit.violations
+          in
+          if not (List.mem named found) then
+            Alcotest.failf "the audit did not name torn page %d: %a" leaf Audit.pp_report r;
+          match Audit.validate (Index_file.tree idx) with
+          | _ -> Alcotest.fail "validate accepted a torn page"
+          | exception Audit.Invalid bad ->
+              Alcotest.(check (pair string string))
+                "validate names it" named
+                (Audit.label bad.Audit.what, bad.Audit.where)))
 
 let suite =
   [
@@ -333,4 +376,5 @@ let suite =
       test_mutation_page_leaked;
     Alcotest.test_case "mutation: freed leaf -> freed-page-reachable" `Quick
       test_mutation_freed_page_reachable;
+    Alcotest.test_case "mutation: torn page -> decode-error" `Quick test_mutation_torn_page;
   ]

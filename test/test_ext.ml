@@ -10,6 +10,7 @@ module Entry = Prt_rtree.Entry
 module Rtree = Prt_rtree.Rtree
 module Ext_load = Prt_rtree.Ext_load
 module Ext_build = Prt_prtree.Ext_build
+module Audit = Prt_rtree.Audit
 
 let cap = Prt_rtree.Node.capacity ~page_size:Helpers.small_page_size (* 13 *)
 
@@ -36,7 +37,7 @@ let test_ext_loader_correct (name, load) () =
       Buffer_pool.flush (Rtree.pool tree);
       Alcotest.(check int) (name ^ " count") n (Rtree.count tree);
       let s = Helpers.check_structure tree in
-      Alcotest.(check int) (name ^ " entries") n s.Rtree.entries;
+      Alcotest.(check int) (name ^ " entries") n s.Audit.entries;
       Helpers.check_tree_queries ~seed:(n * 13) tree entries)
     [ (0, 400); (1, 400); (30, 400); (500, 8 * cap); (1500, 200); (1500, 2000) ]
 
@@ -49,8 +50,8 @@ let test_ext_matches_in_memory_h () =
   let mem_tree = Prt_rtree.Bulk_hilbert.load_h (Helpers.small_pool ()) entries in
   Alcotest.(check int) "height agrees" (Rtree.height mem_tree) (Rtree.height ext_tree);
   let leaves tree =
-    let s = Rtree.validate tree in
-    s.Rtree.leaves
+    let s = Audit.validate tree in
+    s.Audit.leaves
   in
   Alcotest.(check int) "leaf count agrees" (leaves mem_tree) (leaves ext_tree)
 

@@ -12,6 +12,7 @@ module Query = Prt_rtree.Query
 module Dynamic = Prt_rtree.Dynamic
 module Ext_load = Prt_rtree.Ext_load
 module Datasets = Prt_workloads.Datasets
+module Audit = Prt_rtree.Audit
 
 (* --- k-NN --- *)
 
@@ -82,12 +83,12 @@ let test_knn_nodes_read_bounded () =
   (* Small k on a big tree must not read the whole tree. *)
   let entries = Datasets.uniform_points ~n:3000 ~seed:5 in
   let tree = Prt_prtree.Prtree.load (Helpers.small_pool ()) entries in
-  let s = Rtree.validate tree in
+  let s = Audit.validate tree in
   let _, stats = Knn.nearest tree ~x:0.5 ~y:0.5 ~k:5 in
   Alcotest.(check bool)
-    (Printf.sprintf "read %d of %d nodes" stats.Knn.nodes_read s.Rtree.nodes)
+    (Printf.sprintf "read %d of %d nodes" stats.Knn.nodes_read s.Audit.nodes)
     true
-    (stats.Knn.nodes_read * 4 < s.Rtree.nodes)
+    (stats.Knn.nodes_read * 4 < s.Audit.nodes)
 
 (* --- spatial join --- *)
 
@@ -288,7 +289,7 @@ let test_ext_str () =
       let tree = Ext_load.load_str pool ~mem_records file in
       Prt_storage.Buffer_pool.flush pool;
       let s = Helpers.check_structure tree in
-      Alcotest.(check int) "entries" n s.Rtree.entries;
+      Alcotest.(check int) "entries" n s.Audit.entries;
       Helpers.check_tree_queries ~seed:(n * 5) tree entries)
     [ (0, 400); (40, 400); (900, 200); (900, 3000) ]
 

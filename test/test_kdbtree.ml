@@ -8,6 +8,7 @@ module Entry = Prt_rtree.Entry
 module Rtree = Prt_rtree.Rtree
 module Kdbtree = Prt_rtree.Kdbtree
 module Datasets = Prt_workloads.Datasets
+module Audit = Prt_rtree.Audit
 
 let test_queries_match_oracle () =
   List.iter
@@ -16,7 +17,7 @@ let test_queries_match_oracle () =
       let pool = Helpers.small_pool () in
       let tree = Kdbtree.load pool entries in
       let s = Helpers.check_structure tree in
-      Alcotest.(check int) "entries" n s.Rtree.entries;
+      Alcotest.(check int) "entries" n s.Audit.entries;
       Helpers.check_tree_queries ~seed:(n * 11) tree entries)
     [ 0; 1; 14; 100; 800 ]
 

@@ -5,18 +5,19 @@ module Rect = Prt_geom.Rect
 module Entry = Prt_rtree.Entry
 module Rtree = Prt_rtree.Rtree
 module Metrics = Prt_rtree.Metrics
+module Audit = Prt_rtree.Audit
 
 let test_counts_match_validate () =
   let entries = Helpers.random_entries ~n:500 ~seed:1 in
   let tree = Prt_prtree.Prtree.load (Helpers.small_pool ()) entries in
-  let s = Rtree.validate tree in
+  let s = Audit.validate tree in
   let m = Metrics.analyze tree in
   Alcotest.(check int) "height" (Rtree.height tree) m.Metrics.height;
   Alcotest.(check int) "levels" (Rtree.height tree) (List.length m.Metrics.levels);
   let total_nodes = List.fold_left (fun acc l -> acc + l.Metrics.nodes) 0 m.Metrics.levels in
-  Alcotest.(check int) "nodes" s.Rtree.nodes total_nodes;
+  Alcotest.(check int) "nodes" s.Audit.nodes total_nodes;
   let leaf = List.nth m.Metrics.levels (m.Metrics.height - 1) in
-  Alcotest.(check int) "leaf nodes" s.Rtree.leaves leaf.Metrics.nodes;
+  Alcotest.(check int) "leaf nodes" s.Audit.leaves leaf.Metrics.nodes;
   Alcotest.(check int) "leaf entries" 500 leaf.Metrics.entries
 
 let test_disjoint_tiling_zero_overlap () =

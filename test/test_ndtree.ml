@@ -18,6 +18,7 @@ module Node_nd = Prt_ndtree.Node_nd
 module Rtree_nd = Prt_ndtree.Rtree_nd
 module Pseudo_nd = Prt_ndtree.Pseudo_nd
 module Prtree_nd = Prt_ndtree.Prtree_nd
+module Audit = Prt_rtree.Audit
 
 let random_box ~dims rng =
   let lo = Array.init dims (fun _ -> Rng.float rng 1.0) in
@@ -102,7 +103,7 @@ let test_pseudo_nd_structure () =
     (fun n ->
       let entries = random_entries ~dims ~n ~seed:n in
       let t = Pseudo_nd.build ~b ~dims entries in
-      Pseudo_nd.validate ~b ~dims t;
+      Helpers.check_no_violations (Prt_ndtree.Audit_nd.check_pseudo ~b ~dims t);
       Alcotest.(check int) "size" n (Pseudo_nd.size t);
       let ids =
         Pseudo_nd.leaves t
@@ -130,7 +131,7 @@ let test_prtree_nd_3d () =
       let entries = random_entries ~dims ~n ~seed:(n + 5) in
       let tree = Prtree_nd.load ~dims (small_pool ()) entries in
       let s = Rtree_nd.validate tree in
-      Alcotest.(check int) "entries" n s.Rtree_nd.entries;
+      Alcotest.(check int) "entries" n s.Audit.entries;
       check_tree_queries ~dims tree entries ~seed:(n * 3))
     [ 0; 1; 9; 10; 200; 800 ]
 
@@ -163,7 +164,7 @@ let test_leaves_same_level () =
   let tree = Prtree_nd.load ~dims (small_pool ()) entries in
   (* validate already checks leaf depths; make sure it runs deep. *)
   let s = Rtree_nd.validate tree in
-  Alcotest.(check bool) "multi-level" true (s.Rtree_nd.nodes > s.Rtree_nd.leaves)
+  Alcotest.(check bool) "multi-level" true (s.Audit.nodes > s.Audit.leaves)
 
 (* In 3-D the guarantee is O((N/B)^(2/3) + T/B): slab queries with tiny
    output must visit far fewer leaves than the whole tree as N grows. *)
@@ -176,7 +177,7 @@ let test_bound_3d_flavour () =
           Entry_nd.make (Hyperrect.point (Array.init dims (fun _ -> Rng.float rng 1.0))) i)
     in
     let tree = Prtree_nd.load ~dims (small_pool ()) entries in
-    let total_leaves = (Rtree_nd.validate tree).Rtree_nd.leaves in
+    let total_leaves = (Rtree_nd.validate tree).Audit.leaves in
     (* A thin slab: zero-volume plane through the cube. *)
     let window =
       Hyperrect.make ~lo:[| 0.0; 0.0; 0.5 |] ~hi:[| 1.0; 1.0; 0.5 |]

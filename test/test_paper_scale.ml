@@ -8,6 +8,7 @@ module Buffer_pool = Prt_storage.Buffer_pool
 module Entry = Prt_rtree.Entry
 module Rtree = Prt_rtree.Rtree
 module Datasets = Prt_workloads.Datasets
+module Audit = Prt_rtree.Audit
 
 let pool () = Buffer_pool.create ~capacity:8192 (Pager.create_memory ())
 
@@ -20,8 +21,8 @@ let test_pr_at_paper_fanout () =
   Alcotest.(check int) "height" 3 (Rtree.height tree);
   let s = Helpers.check_structure tree in
   Alcotest.(check bool)
-    (Printf.sprintf "utilization %.2f reasonable" s.Rtree.utilization)
-    true (s.Rtree.utilization > 0.85);
+    (Printf.sprintf "utilization %.2f reasonable" s.Audit.utilization)
+    true (s.Audit.utilization > 0.85);
   Helpers.check_tree_queries ~nqueries:15 ~seed:2 tree entries
 
 let test_packed_utilization_99 () =
@@ -32,8 +33,8 @@ let test_packed_utilization_99 () =
       let tree = load (pool ()) entries in
       let s = Helpers.check_structure tree in
       Alcotest.(check bool)
-        (Printf.sprintf "%s utilization %.3f > 0.99" name s.Rtree.utilization)
-        true (s.Rtree.utilization > 0.99))
+        (Printf.sprintf "%s utilization %.3f > 0.99" name s.Audit.utilization)
+        true (s.Audit.utilization > 0.99))
     [
       ("h", fun p e -> Prt_rtree.Bulk_hilbert.load_h p e);
       ("h4", fun p e -> Prt_rtree.Bulk_hilbert.load_h4 p e);

@@ -14,6 +14,7 @@ module Prtree = Prt_prtree.Prtree
 module Bulk_hilbert = Prt_rtree.Bulk_hilbert
 module Bulk_tgs = Prt_rtree.Bulk_tgs
 module Datasets = Prt_workloads.Datasets
+module Audit = Prt_rtree.Audit
 
 let b = 14 (* matches the small-page capacity used elsewhere in tests *)
 
@@ -24,7 +25,7 @@ let test_pseudo_validate_and_size () =
     (fun n ->
       let entries = Helpers.random_entries ~n ~seed:(2 * n) in
       let t = Pseudo.build ~b entries in
-      Pseudo.validate ~b t;
+      Helpers.check_no_violations (Pseudo.audit ~b t);
       Alcotest.(check int) "size" n (Pseudo.size t))
     [ 1; 5; 14; 15; 100; 500 ]
 
@@ -104,7 +105,7 @@ let test_prtree_structure_and_queries () =
       let pool = Helpers.small_pool () in
       let tree = Prtree.load pool entries in
       let s = Helpers.check_structure tree in
-      Alcotest.(check int) "entries" n s.Rtree.entries;
+      Alcotest.(check int) "entries" n s.Audit.entries;
       Helpers.check_tree_queries ~seed:(n * 7) tree entries)
     [ 0; 1; 13; 14; 15; 100; 700 ]
 
@@ -156,15 +157,15 @@ let test_worst_case_guarantee () =
   Alcotest.(check int) "PR reports nothing" 0 pr_stats.Rtree.matched;
   (* H visits more than half of all leaves... *)
   Alcotest.(check bool)
-    (Printf.sprintf "H visits most leaves (%d of %d)" h_stats.Rtree.leaf_visited h_struct.Rtree.leaves)
+    (Printf.sprintf "H visits most leaves (%d of %d)" h_stats.Rtree.leaf_visited h_struct.Audit.leaves)
     true
-    (2 * h_stats.Rtree.leaf_visited > h_struct.Rtree.leaves);
+    (2 * h_stats.Rtree.leaf_visited > h_struct.Audit.leaves);
   (* ...while the PR-tree stays within a small multiple of sqrt(N/B). *)
   let n = Array.length wc.Datasets.entries in
   let bound = 8.0 *. sqrt (float_of_int n /. float_of_int b) in
   Alcotest.(check bool)
     (Printf.sprintf "PR visits %d <= %.0f leaves (of %d)" pr_stats.Rtree.leaf_visited bound
-       pr_struct.Rtree.leaves)
+       pr_struct.Audit.leaves)
     true
     (float_of_int pr_stats.Rtree.leaf_visited <= bound)
 

@@ -383,15 +383,6 @@ let test_scrub_without_shadow_quarantines () =
       Alcotest.(check bool) "queries degrade around it" false (Rtree.complete stats);
       Index_file.close idx)
 
-let test_legacy_meta_still_decodes () =
-  (* Files written before the shadow extension carry a 16-byte blob. *)
-  let pool = Helpers.small_pool () in
-  let tree = Prtree.load pool (Helpers.random_entries ~n:50 ~seed:5) in
-  let legacy = Bytes.sub (Index_file.encode_meta tree) 0 16 in
-  let reopened = Index_file.decode_meta pool legacy in
-  Alcotest.(check int) "root" (Rtree.root tree) (Rtree.root reopened);
-  Alcotest.(check int) "count" (Rtree.count tree) (Rtree.count reopened)
-
 (* --- the batched executor: poisoned pages and admission control --- *)
 
 let test_qexec_poisoned_batch () =
@@ -482,7 +473,6 @@ let suite =
     Alcotest.test_case "corrupt -> degrade -> scrub -> heal" `Quick test_corrupt_degrade_scrub_heal;
     Alcotest.test_case "scrub without shadow quarantines" `Quick
       test_scrub_without_shadow_quarantines;
-    Alcotest.test_case "legacy 16-byte metadata decodes" `Quick test_legacy_meta_still_decodes;
     Alcotest.test_case "poisoned page never fails a batch" `Quick test_qexec_poisoned_batch;
     Alcotest.test_case "admission control sheds load" `Quick test_qexec_admission_control;
     Helpers.qcheck_case test_degraded_subset_qcheck;

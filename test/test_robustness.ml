@@ -10,6 +10,8 @@ module Entry = Prt_rtree.Entry
 module Node = Prt_rtree.Node
 module Rtree = Prt_rtree.Rtree
 module Dynamic = Prt_rtree.Dynamic
+module Audit = Prt_rtree.Audit
+module Index_file = Prt_rtree.Index_file
 
 let with_temp_file f =
   let path = Filename.temp_file "prt_robust" ".pages" in
@@ -63,9 +65,9 @@ let test_corrupt_child_pointer_detected () =
   Rtree.write_node tree (Rtree.root tree) (Node.make Node.Internal root_entries);
   Alcotest.(check bool) "validate raises" true
     (try
-       ignore (Rtree.validate tree);
+       ignore (Audit.validate tree);
        false
-     with Rtree.Invalid _ -> true)
+     with Audit.Invalid _ -> true)
 
 (* A page that does not decode is named by [validate], as [Audit]
    names it, instead of an [Invalid_argument] escaping: here a leaf
@@ -77,13 +79,13 @@ let test_validate_names_decode_error () =
   let leaf = Rtree.alloc_node tree (Node.make Node.Leaf [| Entry.make nan_rect 7000 |]) in
   Rtree.set_root tree ~root:leaf ~height:1;
   Rtree.set_count tree 1;
-  match Rtree.validate tree with
+  match Audit.validate tree with
   | _ -> Alcotest.fail "validate accepted a page that does not decode"
-  | exception Rtree.Invalid reason ->
-      let expected = Printf.sprintf "decode-error: page %d does not decode (" leaf in
-      Alcotest.(check string)
-        "named by Audit's label" expected
-        (String.sub reason 0 (min (String.length reason) (String.length expected)))
+  | exception Audit.Invalid v ->
+      Alcotest.(check (pair string string))
+        "named by Audit's label"
+        ("decode-error", Printf.sprintf "page %d" leaf)
+        (Audit.label v.Audit.what, v.Audit.where)
 
 (* [Dynamic.insert] refuses such a rectangle before touching a page,
    also after an ordinary insert (the CLI's reproduction: without the
@@ -105,7 +107,7 @@ let test_insert_refuses_nan () =
       Alcotest.(check string) "refused by the guard" "Dynamic.insert" (String.sub msg 0 14));
   Alcotest.(check bool) "no page written" true (Buffer_pool.is_clean pool);
   Alcotest.(check int) "count unchanged" 301 (Rtree.count tree);
-  ignore (Rtree.validate tree);
+  ignore (Audit.validate tree);
   Helpers.check_tree_queries ~seed:4 tree entries
 
 let test_truncated_index_file () =
@@ -121,11 +123,9 @@ let test_truncated_index_file () =
 
 let test_load_meta_garbage () =
   let pool = Helpers.small_pool () in
-  let page = Buffer_pool.alloc pool in
-  Buffer_pool.write pool page (Bytes.make Helpers.small_page_size '\042');
   Alcotest.(check bool) "bad magic raises" true
     (try
-       ignore (Rtree.load_meta pool ~meta_page:page);
+       ignore (Index_file.decode_meta pool (Bytes.make 20 '\042'));
        false
      with Invalid_argument _ -> true)
 
@@ -160,38 +160,31 @@ let test_file_backed_tree_roundtrip () =
   with_temp_file (fun path ->
       let entries = Helpers.random_entries ~n:300 ~seed:9 in
       (* Build and persist. *)
-      let pager = Pager.create_file ~page_size:Helpers.small_page_size path in
-      let pool = Buffer_pool.create ~capacity:64 pager in
-      let meta = Buffer_pool.alloc pool in
-      let tree = Prt_prtree.Prtree.load pool entries in
-      Rtree.save_meta tree ~meta_page:meta;
-      Buffer_pool.flush pool;
-      Pager.close pager;
+      Index_file.close
+        (Index_file.create ~page_size:Helpers.small_page_size path ~build:(fun pool ->
+             Prt_prtree.Prtree.load pool entries));
       (* Reopen cold and verify. *)
-      let pager = Pager.open_file ~page_size:Helpers.small_page_size path in
-      let pool = Buffer_pool.create ~capacity:64 pager in
-      let tree = Rtree.load_meta pool ~meta_page:meta in
+      let idx = Index_file.open_ ~page_size:Helpers.small_page_size path in
+      let tree = Index_file.tree idx in
       Alcotest.(check int) "count" 300 (Rtree.count tree);
       ignore (Helpers.check_structure tree);
       Helpers.check_tree_queries ~seed:10 tree entries;
-      Pager.close pager)
+      Index_file.close idx)
 
 let test_file_backed_updates_persist () =
   with_temp_file (fun path ->
       let entries = Helpers.random_entries ~n:100 ~seed:11 in
       let extra = Entry.make (Rect.point 0.123 0.456) 999 in
-      let pager = Pager.create_file ~page_size:Helpers.small_page_size path in
-      let pool = Buffer_pool.create ~capacity:64 pager in
-      let meta = Buffer_pool.alloc pool in
-      let tree = Prt_rtree.Bulk_hilbert.load_h pool entries in
-      Dynamic.insert tree extra;
-      ignore (Dynamic.delete tree entries.(0));
-      Rtree.save_meta tree ~meta_page:meta;
-      Buffer_pool.flush pool;
-      Pager.close pager;
-      let pager = Pager.open_file ~page_size:Helpers.small_page_size path in
-      let pool = Buffer_pool.create ~capacity:64 pager in
-      let tree = Rtree.load_meta pool ~meta_page:meta in
+      let idx =
+        Index_file.create ~page_size:Helpers.small_page_size path ~build:(fun pool ->
+            Prt_rtree.Bulk_hilbert.load_h pool entries)
+      in
+      Index_file.update idx (fun tree ->
+          Dynamic.insert tree extra;
+          ignore (Dynamic.delete tree entries.(0)));
+      Index_file.close idx;
+      let idx = Index_file.open_ ~page_size:Helpers.small_page_size path in
+      let tree = Index_file.tree idx in
       Alcotest.(check int) "count survived" 100 (Rtree.count tree);
       let hits, _ = Rtree.query_list tree (Rect.point 0.123 0.456) in
       Alcotest.(check bool) "inserted entry present" true
@@ -199,7 +192,7 @@ let test_file_backed_updates_persist () =
       let hits, _ = Rtree.query_list tree (Entry.rect entries.(0)) in
       Alcotest.(check bool) "deleted entry gone" false
         (List.exists (fun e -> Entry.id e = Entry.id entries.(0)) hits);
-      Pager.close pager)
+      Index_file.close idx)
 
 (* --- odd record geometries in the extsort layer --- *)
 

@@ -13,6 +13,7 @@ module Pack = Prt_rtree.Pack
 module Bulk_hilbert = Prt_rtree.Bulk_hilbert
 module Bulk_str = Prt_rtree.Bulk_str
 module Bulk_tgs = Prt_rtree.Bulk_tgs
+module Audit = Prt_rtree.Audit
 
 (* --- codecs --- *)
 
@@ -163,7 +164,7 @@ let test_loader_queries (name, load) () =
       let tree = load pool entries in
       Alcotest.(check int) (name ^ " count") n (Rtree.count tree);
       let structure = Helpers.check_structure tree in
-      Alcotest.(check int) (name ^ " entries") n structure.Rtree.entries;
+      Alcotest.(check int) (name ^ " entries") n structure.Audit.entries;
       Helpers.check_tree_queries ~seed:(n * 31) tree entries)
     [ 0; 1; 5; 14; 15; 50; 200; 600 ]
 
@@ -202,8 +203,8 @@ let test_packed_utilization () =
       let tree = load pool entries in
       let s = Helpers.check_structure tree in
       Alcotest.(check bool)
-        (Printf.sprintf "%s utilization %.3f > 0.9" name s.Rtree.utilization)
-        true (s.Rtree.utilization > 0.9))
+        (Printf.sprintf "%s utilization %.3f > 0.9" name s.Audit.utilization)
+        true (s.Audit.utilization > 0.9))
     [ ("hilbert2d", fun pool entries -> Bulk_hilbert.load_h pool entries); ("hilbert4d", fun pool entries -> Bulk_hilbert.load_h4 pool entries); ("str", Bulk_str.load) ]
 
 let test_empty_tree_queries () =
@@ -222,8 +223,8 @@ let test_query_stats_leaf_counts () =
   (* A query covering everything must visit every node. *)
   let world = Rect.union_map ~f:Entry.rect entries in
   let stats = Rtree.query_count tree world in
-  Alcotest.(check int) "all leaves visited" s.Rtree.leaves stats.Rtree.leaf_visited;
-  Alcotest.(check int) "all nodes visited" s.Rtree.nodes (Rtree.nodes_visited stats);
+  Alcotest.(check int) "all leaves visited" s.Audit.leaves stats.Rtree.leaf_visited;
+  Alcotest.(check int) "all nodes visited" s.Audit.nodes (Rtree.nodes_visited stats);
   Alcotest.(check int) "all entries matched" 500 stats.Rtree.matched
 
 let prop_loader_query_correct =
@@ -411,18 +412,6 @@ let test_tgs_beats_random_order () =
   let r = leaves random_tree and t = leaves tgs_tree in
   Alcotest.(check bool) (Printf.sprintf "tgs %d < random %d / 2" t r) true (t < r / 2)
 
-let test_meta_roundtrip () =
-  let pool = Helpers.small_pool () in
-  let meta_page = Prt_storage.Buffer_pool.alloc pool in
-  let entries = Helpers.random_entries ~n:100 ~seed:4 in
-  let tree = Bulk_hilbert.load_h pool entries in
-  Rtree.save_meta tree ~meta_page;
-  let reopened = Rtree.load_meta pool ~meta_page in
-  Alcotest.(check int) "root" (Rtree.root tree) (Rtree.root reopened);
-  Alcotest.(check int) "height" (Rtree.height tree) (Rtree.height reopened);
-  Alcotest.(check int) "count" (Rtree.count tree) (Rtree.count reopened);
-  Helpers.check_tree_queries ~seed:44 reopened entries
-
 let test_validate_catches_corruption () =
   let pool = Helpers.small_pool () in
   let entries = Helpers.random_entries ~n:200 ~seed:2 in
@@ -434,9 +423,9 @@ let test_validate_catches_corruption () =
   Rtree.write_node tree (Rtree.root tree) (Node.make (Node.kind root_node) root_entries);
   Alcotest.(check bool) "validation fails" true
     (try
-       ignore (Rtree.validate tree);
+       ignore (Audit.validate tree);
        false
-     with Rtree.Invalid _ -> true)
+     with Audit.Invalid _ -> true)
 
 let suite =
   let loader_cases =
@@ -465,7 +454,6 @@ let suite =
     Alcotest.test_case "tree: empty queries" `Quick test_empty_tree_queries;
     Alcotest.test_case "tree: stats count every node" `Quick test_query_stats_leaf_counts;
     Alcotest.test_case "tree: packed utilization" `Quick test_packed_utilization;
-    Alcotest.test_case "tree: meta roundtrip" `Quick test_meta_roundtrip;
     Alcotest.test_case "tree: validate catches corruption" `Quick test_validate_catches_corruption;
     Alcotest.test_case "tgs: beats random packing" `Quick test_tgs_beats_random_order;
     Helpers.qcheck_case prop_loader_query_correct;
