@@ -49,11 +49,14 @@ let write_chunk t fd buf pos len =
 
 let write t fd buf =
   let len = Bytes.length buf in
-  (* Two chunks, each behind its own kill point, so the crash matrix
-     produces genuinely torn frames mid-record. *)
-  let half = len / 2 in
-  if half > 0 then write_chunk t fd buf 0 half;
-  write_chunk t fd buf half (len - half)
+  match (t.faults, t.crash) with
+  | None, None -> write_all fd buf 0 len
+  | _ ->
+      (* Two chunks, each behind its own kill point, so the crash matrix
+         produces genuinely torn frames mid-record. *)
+      let half = len / 2 in
+      if half > 0 then write_chunk t fd buf 0 half;
+      write_chunk t fd buf half (len - half)
 
 let fsync t fd =
   (match verdict t with

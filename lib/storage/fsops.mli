@@ -51,7 +51,9 @@ val write : t -> Unix.file_descr -> bytes -> unit
     with a kill point before each — so a crash budget can leave a torn
     tail.  Raises {!Pager.Io_error} on an injected fault (a torn-write
     verdict persists a prefix first; the caller must truncate back
-    before retrying). *)
+    before retrying).  With neither a fault policy nor a crash budget
+    set, the bytes go out in one [write(2)] (looping only over short
+    writes). *)
 
 val fsync : t -> Unix.file_descr -> unit
 (** Injected faults raise {!Pager.Io_error}; transient, safe to retry. *)
