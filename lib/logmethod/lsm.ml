@@ -5,13 +5,15 @@
    Concurrency in one paragraph: a single mutex guards the mutable
    state (buffer, sealed buffer, tombstones, component list, WAL
    handle, counters).  Everything that reads component *pages* does so
-   through the snapshot path (Index_file.with_snapshot +
-   Rtree.query ~snapshot -> Pager.read_shared), which never touches the
-   single-domain buffer pool — so reader domains, the merge domain and
-   the insert path coexist without sharing pool state.  Components
-   retired by a merge commit are unlinked immediately (open descriptors
-   keep them readable) but their handles are only closed once no query
-   that might have captured them is still in flight.
+   through the snapshot path (Rtree.query ~snapshot -> the mapping or
+   Pager.read_shared), which never touches the single-domain buffer
+   pool — so reader domains, the merge domain and the insert path
+   coexist without sharing pool state.  A published component is never
+   written again, so its view (generation, root, height) is taken once,
+   when it is opened or built, and no read pins it.  Components retired
+   by a merge commit are unlinked immediately (open descriptors keep
+   them readable) but their handles are only closed once no query that
+   might have captured them is still in flight.
 
    Crash fidelity: an injected Io_error is a transient device fault —
    the process survives, so failure paths may clean up after themselves
@@ -53,10 +55,138 @@ let m_replayed = Metrics.counter "ingest.replayed"
 let m_orphans = Metrics.counter "ingest.orphans_reclaimed"
 let m_tombstones = Metrics.counter "ingest.tombstones"
 
+(* --- the packed in-memory buffer ---
+
+   The active and the sealed buffer hold their entries in columns: the
+   four coordinates in [Float.Array]s, the ids in an int array, dense in
+   slots [0, len), with an id -> slot table.  A removal moves the last
+   slot into the hole.  A window scan runs [Rect.intersects]'
+   comparisons inline on the columns and boxes an [Entry.t] only for a
+   hit, so a scan that finds nothing allocates nothing. *)
+
+module Packed = struct
+  module Slots = Hashtbl.Make (Int)
+
+  type t = {
+    mutable xmin : Float.Array.t;
+    mutable ymin : Float.Array.t;
+    mutable xmax : Float.Array.t;
+    mutable ymax : Float.Array.t;
+    mutable ids : int array;
+    mutable len : int;
+    slots : int Slots.t;  (* id -> slot *)
+  }
+
+  let create capacity =
+    let cap = max 16 capacity in
+    {
+      xmin = Float.Array.create cap;
+      ymin = Float.Array.create cap;
+      xmax = Float.Array.create cap;
+      ymax = Float.Array.create cap;
+      ids = Array.make cap 0;
+      len = 0;
+      slots = Slots.create cap;
+    }
+
+  let length b = b.len
+  let mem b id = Slots.mem b.slots id
+
+  let get b i =
+    Entry.make
+      (Rect.make ~xmin:(Float.Array.get b.xmin i) ~ymin:(Float.Array.get b.ymin i)
+         ~xmax:(Float.Array.get b.xmax i) ~ymax:(Float.Array.get b.ymax i))
+      b.ids.(i)
+
+  let find_opt b id = Option.map (get b) (Slots.find_opt b.slots id)
+
+  let set b i (e : Entry.t) =
+    let r = e.Entry.rect in
+    Float.Array.set b.xmin i r.Rect.xmin;
+    Float.Array.set b.ymin i r.Rect.ymin;
+    Float.Array.set b.xmax i r.Rect.xmax;
+    Float.Array.set b.ymax i r.Rect.ymax;
+    b.ids.(i) <- e.Entry.id
+
+  let grow b =
+    let cap = 2 * Array.length b.ids in
+    let column a =
+      let a' = Float.Array.create cap in
+      Float.Array.blit a 0 a' 0 b.len;
+      a'
+    in
+    b.xmin <- column b.xmin;
+    b.ymin <- column b.ymin;
+    b.xmax <- column b.xmax;
+    b.ymax <- column b.ymax;
+    let ids = Array.make cap 0 in
+    Array.blit b.ids 0 ids 0 b.len;
+    b.ids <- ids
+
+  (* Add [e], or overwrite the entry buffered under its id. *)
+  let replace b e =
+    match Slots.find b.slots e.Entry.id with
+    | i -> set b i e
+    | exception Not_found ->
+        if b.len = Array.length b.ids then grow b;
+        set b b.len e;
+        Slots.add b.slots e.Entry.id b.len;
+        b.len <- b.len + 1
+
+  let remove b id =
+    match Slots.find b.slots id with
+    | exception Not_found -> ()
+    | i ->
+        let last = b.len - 1 in
+        if i < last then begin
+          Float.Array.set b.xmin i (Float.Array.get b.xmin last);
+          Float.Array.set b.ymin i (Float.Array.get b.ymin last);
+          Float.Array.set b.xmax i (Float.Array.get b.xmax last);
+          Float.Array.set b.ymax i (Float.Array.get b.ymax last);
+          b.ids.(i) <- b.ids.(last);
+          Slots.replace b.slots b.ids.(i) i
+        end;
+        Slots.remove b.slots id;
+        b.len <- last
+
+  let iter f b =
+    for i = 0 to b.len - 1 do
+      f (get b i)
+    done
+
+  let copy b =
+    {
+      xmin = Float.Array.copy b.xmin;
+      ymin = Float.Array.copy b.ymin;
+      xmax = Float.Array.copy b.xmax;
+      ymax = Float.Array.copy b.ymax;
+      ids = Array.copy b.ids;
+      len = b.len;
+      slots = Slots.copy b.slots;
+    }
+
+  (* The entries whose rectangle meets [w] (closed intervals), consed
+     onto [acc]. *)
+  let scan b (w : Rect.t) acc =
+    let acc = ref acc in
+    for i = 0 to b.len - 1 do
+      if
+        Float.Array.unsafe_get b.xmin i <= w.Rect.xmax
+        && w.Rect.xmin <= Float.Array.unsafe_get b.xmax i
+        && Float.Array.unsafe_get b.ymin i <= w.Rect.ymax
+        && w.Rect.ymin <= Float.Array.unsafe_get b.ymax i
+      then acc := get b i :: !acc
+    done;
+    !acc
+end
+
 (* --- components --- *)
 
+(* A live component's file and its tree as published: never written
+   again, so the view taken when it was opened or built serves every
+   read without a pin. *)
 type comp_state =
-  | Live of Index_file.t
+  | Live of Index_file.t * Rtree.snapshot_view
   | Failed of string  (* open/read failed: degrades only its own slice *)
 
 type comp = {
@@ -77,8 +207,8 @@ type t = {
   retry : Retry.t;
   mu : Mutex.t;
   cond : Condition.t;
-  buffer : (int, Entry.t) Hashtbl.t;
-  mutable sealed : (int, Entry.t) Hashtbl.t option;
+  mutable buffer : Packed.t;
+  mutable sealed : Packed.t option;
   mutable tombstones : Ids.t;
       (* immutable: a query snapshots it by reading the field, no copy *)
   mutable comps : comp list;  (* sorted by c_level ascending *)
@@ -159,7 +289,7 @@ let open_component ~page_size ~dir (mc : Manifest.component) =
   let path = Filename.concat dir mc.Manifest.mc_file in
   let state =
     match Index_file.open_ ~page_size path with
-    | idx -> Live idx
+    | idx -> Live (idx, Index_file.with_snapshot idx Fun.id)
     | exception (Superblock.Unsupported_format _ as e) -> raise e
     | exception e ->
         Flight.failure ~note:mc.Manifest.mc_file "ingest.component_failed";
@@ -184,11 +314,11 @@ let apply_record ~buffer ~deletes ~replayed payload =
   match decode_record payload with
   | None -> ()  (* CRC-valid but foreign: version skew; skip *)
   | Some (0, e) ->
-      Hashtbl.replace buffer (Entry.id e) e;
+      Packed.replace buffer e;
       incr replayed
   | Some (_, e) ->
       let id = Entry.id e in
-      if Hashtbl.mem buffer id then Hashtbl.remove buffer id
+      if Packed.mem buffer id then Packed.remove buffer id
       else Hashtbl.replace deletes id e;
       incr replayed
 
@@ -200,15 +330,12 @@ let stored_in_comps ~unreadable comps e =
     (fun c ->
       match c.c_state with
       | Failed _ -> unreadable
-      | Live idx ->
-          let tree = Index_file.tree idx in
+      | Live (idx, view) ->
           let found = ref false in
-          Index_file.with_snapshot idx (fun view ->
-              ignore
-                (Rtree.query_unrecorded ~snapshot:view tree (Entry.rect e)
-                   ~f:(fun hit ->
-                     if Entry.id hit = Entry.id e && Entry.equal hit e then
-                       found := true)));
+          ignore
+            (Rtree.query_unrecorded ~snapshot:view (Index_file.tree idx) (Entry.rect e)
+               ~f:(fun hit ->
+                 if Entry.id hit = Entry.id e && Entry.equal hit e then found := true));
           !found)
     comps
 
@@ -280,7 +407,7 @@ let make ?(buffer_capacity = 1024) ?(page_size = Pager.default_page_size)
       | Some (m, name) -> (m, name)
       | None -> failwith ("Lsm.open_: no valid manifest in " ^ dirname)
   in
-  let buffer = Hashtbl.create (2 * buffer_capacity) in
+  let buffer = Packed.create buffer_capacity in
   let tombstones = ref (Ids.of_list manifest.Manifest.m_tombstones) in
   let comps =
     let opened = ref [] in
@@ -292,7 +419,7 @@ let make ?(buffer_capacity = 1024) ?(page_size = Pager.default_page_size)
     | () -> List.sort (fun a b -> compare a.c_level b.c_level) (List.rev !opened)
     | exception e ->
         List.iter
-          (fun c -> match c.c_state with Live idx -> Index_file.close idx | Failed _ -> ())
+          (fun c -> match c.c_state with Live (idx, _) -> Index_file.close idx | Failed _ -> ())
           !opened;
         raise e
   in
@@ -339,7 +466,7 @@ let make ?(buffer_capacity = 1024) ?(page_size = Pager.default_page_size)
   (* Resolve the deferred deletes against the opened components. *)
   Hashtbl.iter
     (fun id e ->
-      if not (Hashtbl.mem buffer id) && stored_in_comps ~unreadable:true comps e
+      if not (Packed.mem buffer id) && stored_in_comps ~unreadable:true comps e
       then tombstones := Ids.add id !tombstones)
     deletes;
   if !replayed > 0 then begin
@@ -394,16 +521,16 @@ let make ?(buffer_capacity = 1024) ?(page_size = Pager.default_page_size)
 
 let count_locked t =
   List.fold_left (fun acc c -> acc + c.c_count) 0 t.comps
-  + Hashtbl.length t.buffer
-  + (match t.sealed with Some s -> Hashtbl.length s | None -> 0)
+  + Packed.length t.buffer
+  + (match t.sealed with Some s -> Packed.length s | None -> 0)
   - Ids.cardinal t.tombstones
 
 let count t = with_lock t (fun () -> count_locked t)
 
 let buffer_size t =
   with_lock t (fun () ->
-      Hashtbl.length t.buffer
-      + match t.sealed with Some s -> Hashtbl.length s | None -> 0)
+      Packed.length t.buffer
+      + match t.sealed with Some s -> Packed.length s | None -> 0)
 
 let components t =
   with_lock t (fun () -> List.map (fun c -> (c.c_level, c.c_count)) t.comps)
@@ -438,25 +565,30 @@ let collect_entries ~sealed ~participants ~tomb =
     if Ids.mem id tomb then resolved := id :: !resolved
     else acc := e :: !acc
   in
-  Hashtbl.iter (fun _ e -> keep e) sealed;
+  Packed.iter keep sealed;
   List.iter
     (fun c ->
       match c.c_state with
       | Failed _ -> ()
-      | Live idx -> (
+      | Live (idx, view) -> (
           let tree = Index_file.tree idx in
           match Rtree.mbr tree with
           | None -> ()
-          | Some window ->
-              Index_file.with_snapshot idx (fun view ->
-                  ignore
-                    (Rtree.query_unrecorded ~snapshot:view tree window ~f:keep))))
+          | Some window -> ignore (Rtree.query_unrecorded ~snapshot:view tree window ~f:keep)))
     participants;
   (Array.of_list !acc, !resolved)
 
+(* fsync through [Fsops], so the sync is a fault site and a kill point
+   like the rename after it. *)
+let sync_file t path =
+  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Fsops.fsync t.fsops fd)
+
 (* In memory however large the merge: [collect_entries] already holds
    every entry in one array, so the external loader would bound no
-   memory here (see lsm.mli). *)
+   memory here (see lsm.mli).  The file is synced before the rename: the
+   manifest that names it moves the WAL floor past the records it
+   absorbed, so its pages must be durable first. *)
 let build_component t ~seq ~entries =
   let tmp = Filename.concat t.dir (comp_file seq ^ ".tmp") in
   let final = Filename.concat t.dir (comp_file seq) in
@@ -466,6 +598,7 @@ let build_component t ~seq ~entries =
   in
   let pages = (Pager.snapshot (Index_file.pager idx)).Pager.s_writes in
   (try
+     sync_file t tmp;
      Fsops.rename t.fsops ~src:tmp ~dst:final;
      Fsops.fsync_dir t.fsops t.dir
    with e ->
@@ -481,7 +614,7 @@ let build_component t ~seq ~entries =
          (try Unix.unlink final with Unix.Unix_error _ -> ())
      | _ -> ());
      raise e);
-  (idx, pages)
+  (idx, Index_file.with_snapshot idx Fun.id, pages)
 
 (* One full merge attempt: collect, build, publish, swap in memory.
    Runs with no lock held except for the slot choice and the publish
@@ -495,7 +628,7 @@ let merge_attempt t ~compact_all =
            buffer generation into [t.sealed] while this merge runs, and
            those entries belong to the NEXT merge. *)
         let sealed =
-          match t.sealed with Some s -> Hashtbl.copy s | None -> Hashtbl.create 1
+          match t.sealed with Some s -> Packed.copy s | None -> Packed.create 0
         in
         (* Every sealed entry lives below the active segment, so that
            segment is the new WAL floor — read with the copy: a seal
@@ -512,7 +645,7 @@ let merge_attempt t ~compact_all =
                 t.comps
             in
             let total =
-              Hashtbl.length sealed
+              Packed.length sealed
               + List.fold_left (fun a c -> a + c.c_count) 0 live
             in
             let blocked j =
@@ -527,7 +660,7 @@ let merge_attempt t ~compact_all =
             in
             (fit 0, live)
           end
-          else choose_slot t ~sealed_count:(Hashtbl.length sealed)
+          else choose_slot t ~sealed_count:(Packed.length sealed)
         in
         (sealed, tomb, floor_seq, target))
   in
@@ -557,13 +690,13 @@ let merge_attempt t ~compact_all =
       let keep = List.filter (fun c -> not (List.memq c participants)) t.comps in
       let new_comp =
         Option.map
-          (fun (idx, _) ->
+          (fun (idx, view, _) ->
             {
               c_level = level;
               c_seq = seq;
               c_file = comp_file seq;
               c_count = Array.length entries;
-              c_state = Live idx;
+              c_state = Live (idx, view);
               c_exec = None;
             })
           built
@@ -580,7 +713,7 @@ let merge_attempt t ~compact_all =
          outlive both and tombstone nothing. *)
       let still_sealed id =
         match t.sealed with
-        | Some s -> Hashtbl.mem s id && not (Hashtbl.mem sealed id)
+        | Some s -> Packed.mem s id && not (Packed.mem sealed id)
         | None -> false
       in
       let m =
@@ -629,7 +762,7 @@ let merge_attempt t ~compact_all =
               t.tombstones <-
                 List.fold_left (fun s id -> Ids.add id s) t.tombstones resolved;
               match built with
-              | Some (idx, _) ->
+              | Some (idx, _, _) ->
                   Index_file.close idx;
                   (try Unix.unlink (Filename.concat t.dir (comp_file seq))
                    with Unix.Unix_error _ -> ())
@@ -641,20 +774,22 @@ let merge_attempt t ~compact_all =
       t.retired <-
         List.fold_left
           (fun acc c ->
-            match c.c_state with Live idx -> idx :: acc | Failed _ -> acc)
+            match c.c_state with Live (idx, _) -> idx :: acc | Failed _ -> acc)
           t.retired participants;
       t.comps <- comps';
       (* Remove exactly the entries this merge absorbed; anything a
          mid-merge seal coalesced in stays sealed for the next one. *)
       (match t.sealed with
       | Some s ->
-          Hashtbl.iter (fun id _ -> Hashtbl.remove s id) sealed;
-          if Hashtbl.length s = 0 then t.sealed <- None
+          for i = 0 to Packed.length sealed - 1 do
+            Packed.remove s sealed.Packed.ids.(i)
+          done;
+          if Packed.length s = 0 then t.sealed <- None
       | None -> ());
       t.merges <- t.merges + 1;
       t.last_merge <- outcome;
       (match built with
-      | Some (_, pages) -> t.comp_pages_written <- t.comp_pages_written + pages
+      | Some (_, _, pages) -> t.comp_pages_written <- t.comp_pages_written + pages
       | None -> ());
       Metrics.tick m_merges;
       Metrics.add m_merge_entries (Array.length entries));
@@ -691,12 +826,9 @@ let seal_locked_body t =
   in
   t.next_seq <- seq + 1;
   (match t.sealed with
-  | None ->
-      t.sealed <- Some (Hashtbl.copy t.buffer);
-      Hashtbl.reset t.buffer
-  | Some s ->
-      Hashtbl.iter (fun id e -> Hashtbl.replace s id e) t.buffer;
-      Hashtbl.reset t.buffer);
+  | None -> t.sealed <- Some t.buffer
+  | Some s -> Packed.iter (Packed.replace s) t.buffer);
+  t.buffer <- Packed.create t.buffer_capacity;
   let old = t.wal in
   let old_path = Wal.path old and old_seq = t.wal_seq in
   (* Make the rotated-out segment durable even under `Never; a
@@ -881,8 +1013,8 @@ let insert t e =
         check_usable t;
         let id = Entry.id e in
         if
-          Hashtbl.mem t.buffer id
-          || match t.sealed with Some s -> Hashtbl.mem s id | None -> false
+          Packed.mem t.buffer id
+          || match t.sealed with Some s -> Packed.mem s id | None -> false
         then invalid_arg "Lsm.insert: duplicate entry id in buffer";
         (* An unresolved tombstone means a dead copy of this id still
            lives in some component; the id-keyed tombstone cannot tell
@@ -896,7 +1028,7 @@ let insert t e =
            waits here rather than growing without bound. *)
         if t.background then
           while
-            Hashtbl.length t.buffer >= t.buffer_capacity
+            Packed.length t.buffer >= t.buffer_capacity
             && t.sealed <> None
             && t.merge_wanted  (* after an abort, coalesce instead *)
             && t.fatal = None
@@ -906,10 +1038,10 @@ let insert t e =
           done;
         check_usable t;
         log_record t 0 e;
-        Hashtbl.replace t.buffer id e;
+        Packed.replace t.buffer e;
         t.bytes_acked <- t.bytes_acked + record_size;
         Metrics.tick m_inserts;
-        if Hashtbl.length t.buffer >= t.buffer_capacity then begin
+        if Packed.length t.buffer >= t.buffer_capacity then begin
           (* This insert is already acknowledged (logged + buffered): a
              transient rotation failure defers the seal to the next
              trigger rather than failing a durable insert. *)
@@ -966,13 +1098,13 @@ let delete t e =
     with_lock t (fun () ->
         check_usable t;
         let sealed_hit () =
-          match Option.bind t.sealed (fun s -> Hashtbl.find_opt s id) with
+          match Option.bind t.sealed (fun s -> Packed.find_opt s id) with
           | Some e' -> Entry.equal e e'
           | None -> false
         in
-        if Hashtbl.mem t.buffer id then begin
+        if Packed.mem t.buffer id then begin
           log_record t 1 e;
-          Hashtbl.remove t.buffer id;
+          Packed.remove t.buffer id;
           Metrics.tick m_deletes;
           `Deleted
         end
@@ -994,13 +1126,13 @@ let delete t e =
 let flush t =
   with_lock t (fun () ->
       check_usable t;
-      if Hashtbl.length t.buffer > 0 then seal_locked t);
+      if Packed.length t.buffer > 0 then seal_locked t);
   run_now t ~compact_all:false
 
 let compact t =
   with_lock t (fun () ->
       check_usable t;
-      if Hashtbl.length t.buffer > 0 then seal_locked t);
+      if Packed.length t.buffer > 0 then seal_locked t);
   run_now t ~compact_all:true
 
 let wait_merges t =
@@ -1015,6 +1147,11 @@ let wait_merges t =
 
 let is_dead tomb e = Ids.mem (Entry.id e) tomb
 
+(* The buffered and sealed hits of [window].  Caller holds the lock. *)
+let scan_memory t window =
+  Packed.scan t.buffer window
+    (match t.sealed with Some s -> Packed.scan s window [] | None -> [])
+
 let query ?deadline t window ~f =
   (* Capture a consistent view for the fan-out: buffer/sealed matches,
      the component list and a tombstone snapshot, all under the lock;
@@ -1023,17 +1160,7 @@ let query ?deadline t window ~f =
     with_lock t (fun () ->
         check_usable t;
         t.active_queries <- t.active_queries + 1;
-        let tomb = t.tombstones in
-        let acc = ref [] in
-        let scan tbl =
-          Hashtbl.iter
-            (fun _ e ->
-              if Rect.intersects (Entry.rect e) window then acc := e :: !acc)
-            tbl
-        in
-        scan t.buffer;
-        (match t.sealed with Some s -> scan s | None -> ());
-        (!acc, t.comps, tomb))
+        (scan_memory t window, t.comps, t.tombstones))
   in
   Fun.protect
     ~finally:(fun () -> finish_query t)
@@ -1052,17 +1179,14 @@ let query ?deadline t window ~f =
           match c.c_state with
           | Failed _ ->
               stats.Rtree.skipped_subtrees <- stats.Rtree.skipped_subtrees + 1
-          | Live idx -> (
-              let tree = Index_file.tree idx in
+          | Live (idx, view) -> (
               match
-                Index_file.with_snapshot idx (fun view ->
-                    Rtree.query_unrecorded
-                      ~quarantine:(Index_file.quarantine idx) ?deadline
-                      ~snapshot:view tree window ~f:(fun e ->
-                        if not (is_dead tomb e) then begin
-                          incr matched;
-                          f e
-                        end))
+                Rtree.query_unrecorded ~quarantine:(Index_file.quarantine idx) ?deadline
+                  ~snapshot:view (Index_file.tree idx) window ~f:(fun e ->
+                    if not (is_dead tomb e) then begin
+                      incr matched;
+                      f e
+                    end)
               with
               | s -> Rtree.merge_stats stats s
               | exception _ ->
@@ -1082,32 +1206,23 @@ let query_list ?deadline t window =
   (List.rev !acc, stats)
 
 let query_batch ?jobs ?deadline t windows =
+  (* The buffer scans run under the lock, as in [query]: a few
+     nanoseconds per buffered entry and window. *)
   let memory, comps, tomb =
     with_lock t (fun () ->
         check_usable t;
         t.active_queries <- t.active_queries + 1;
-        let tomb = t.tombstones in
-        let acc = ref [] in
-        Hashtbl.iter (fun _ e -> acc := e :: !acc) t.buffer;
-        (match t.sealed with
-        | Some s -> Hashtbl.iter (fun _ e -> acc := e :: !acc) s
-        | None -> ());
-        (!acc, t.comps, tomb))
+        (Array.map (scan_memory t) windows, t.comps, t.tombstones))
   in
   Fun.protect
     ~finally:(fun () -> finish_query t)
     (fun () ->
       let results =
         Array.map
-          (fun w ->
-            let hits =
-              List.filter
-                (fun e ->
-                  Rect.intersects (Entry.rect e) w && not (is_dead tomb e))
-                memory
-            in
+          (fun hits ->
+            let hits = List.filter (fun e -> not (is_dead tomb e)) hits in
             (ref (List.rev hits), Rtree.fresh_stats (), ref (List.length hits)))
-          windows
+          memory
       in
       List.iter
         (fun c ->
@@ -1117,7 +1232,7 @@ let query_batch ?jobs ?deadline t windows =
                 (fun (_, s, _) ->
                   s.Rtree.skipped_subtrees <- s.Rtree.skipped_subtrees + 1)
                 results
-          | Live idx ->
+          | Live (idx, _) ->
               let exec =
                 with_lock t (fun () ->
                     match c.c_exec with
@@ -1175,8 +1290,8 @@ let stats t =
                 c.c_count,
                 match c.c_state with Live _ -> true | Failed _ -> false ))
             t.comps;
-        s_buffer = Hashtbl.length t.buffer;
-        s_sealed = (match t.sealed with Some s -> Hashtbl.length s | None -> 0);
+        s_buffer = Packed.length t.buffer;
+        s_sealed = (match t.sealed with Some s -> Packed.length s | None -> 0);
         s_tombstones = Ids.cardinal t.tombstones;
         s_wal_bytes =
           Wal.size t.wal
@@ -1202,7 +1317,7 @@ let validate t =
     (fun c ->
       match c.c_state with
       | Failed _ -> ()
-      | Live idx ->
+      | Live (idx, _) ->
           let tree = Index_file.tree idx in
           ignore (Prt_rtree.Audit.validate tree);
           if Rtree.count tree <> c.c_count then
@@ -1236,7 +1351,7 @@ let close t =
         List.iter
           (fun c ->
             match c.c_state with
-            | Live idx -> Index_file.close idx
+            | Live (idx, _) -> Index_file.close idx
             | Failed _ -> ())
           t.comps;
         List.iter Index_file.close t.retired;

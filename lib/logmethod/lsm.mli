@@ -12,7 +12,10 @@
     - [wal-%06d.log] — CRC-framed WAL segments ({!Prt_storage.Wal}).
       An insert is acknowledged only after its record is appended (and,
       with [~wal_sync:`Always], fsynced); the entry then lives in the
-      in-memory buffer until a merge absorbs it into a component.
+      in-memory buffer until a merge absorbs it into a component.  The
+      buffer is packed: coordinate columns and an id column, dense in
+      slots, with an id -> slot table (a delete moves the last slot
+      into the hole).
 
     When the buffer fills, it is sealed and merged — together with
     every live component below the first slot that fits — into a fresh
@@ -20,25 +23,33 @@
     every entry it absorbs in one array and bulk-loads the component
     from it in memory: the external loader would bound no memory there,
     and its sort scratch pages would only inflate the component file.
+    The component file is fsynced before it is renamed into place, so
+    the manifest that names it (and moves the WAL floor past the
+    records it absorbed) never names pages a power loss could drop.
     Merges run under the shared {!Prt_storage.Retry} engine: transient
     faults are retried with backoff, a breaker guards against a broken
     device, and an exhausted budget aborts cleanly — the half-built
     file is deleted, the sealed buffer stays queryable and durable in
     its WAL segments, and the next trigger retries.  A crash at any
-    kill point (WAL append, component build, manifest swap, post-merge
-    cleanup) reopens to exactly the pre-merge or post-merge component
-    set with every acknowledged insert intact: WAL segments at or above
-    the manifest floor are replayed, and anything else in the directory
-    (half-built components, stale WAL segments, [.tmp] manifests) is an
-    orphan, reclaimed and counted.
+    kill point (WAL append, component build and sync, manifest swap,
+    post-merge cleanup) reopens to exactly the pre-merge or post-merge
+    component set with every acknowledged insert intact: WAL segments at
+    or above the manifest floor are replayed, and anything else in the
+    directory (half-built components, stale WAL segments, [.tmp]
+    manifests) is an orphan, reclaimed and counted.
 
     Queries fan out across the buffer, the sealed buffer and every
-    component — snapshot-pinned per component, so reader domains never
-    touch the single-domain buffer pool — filter the tombstone set as
-    it stood when they started (an immutable set, captured without a
-    copy), and merge per-component completeness labels into one honest
-    combined label: a component that fails to open degrades only its
-    own contribution ([Partial]), never the store. *)
+    component.  The buffers are scanned column by column with
+    {!Prt_geom.Rect.intersects}' closed-interval test, boxing an entry
+    only for a hit.  Each component is read at the view (generation,
+    root, height) taken once when it was opened or built — a published
+    component is never written again, so no read pins it — through the
+    snapshot path, so reader domains never touch the single-domain
+    buffer pool.  Queries filter the tombstone set as it stood when
+    they started (an immutable set, captured without a copy), and merge
+    per-component completeness labels into one honest combined label: a
+    component that fails to open degrades only its own contribution
+    ([Partial]), never the store. *)
 
 type t
 

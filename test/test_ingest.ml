@@ -9,7 +9,10 @@
    merges, a qcheck differential against an in-memory oracle under
    random insert/delete/query/flush/reopen/fault schedules, one merge
    past 50k entries, a query's uncopied tombstone snapshot, deleting
-   every entry, and the refusal of a NaN rectangle. *)
+   every entry, the refusal of a NaN rectangle, and the packed buffer:
+   exact answers on edge-case geometry through deletes, an aborted
+   merge's coalesce and a replay, a scan that allocates nothing per
+   buffered entry, and a compacted component equal to a direct build. *)
 
 module Rect = Prt_geom.Rect
 module Rng = Prt_util.Rng
@@ -18,6 +21,8 @@ module Failpoint = Prt_storage.Failpoint
 module Retry = Prt_storage.Retry
 module Entry = Prt_rtree.Entry
 module Rtree = Prt_rtree.Rtree
+module Index_file = Prt_rtree.Index_file
+module Prtree = Prt_prtree.Prtree
 module Lsm = Prt_logmethod.Lsm
 
 let everything = Rect.make ~xmin:(-1e9) ~ymin:(-1e9) ~xmax:1e9 ~ymax:1e9
@@ -963,6 +968,199 @@ let qcheck_differential_faulty =
     (Helpers.arbitrary_scenario ~min_size:10 ~max_size:40 ())
     (run_differential ~faulty:true)
 
+(* --- the packed buffer --- *)
+
+(* Nothing merges here (M0 = 4,096), so every answer comes from the
+   buffer scans: closed intervals on rectangles that share edges or
+   corners, points, zero-width rectangles, signed zeros and infinite
+   coordinates, checked against brute force after deletes from the
+   last and the first slot, of the entry moved into the first, and from
+   a middle slot, after aborted merges leave a sealed buffer and a
+   second seal coalesces into it, and after reopens that replay an
+   insert, a delete and a re-insert of one id. *)
+let test_packed_buffer_edges () =
+  Helpers.with_temp_dir (fun dir ->
+      let page_size = Helpers.small_page_size in
+      let r x0 y0 x1 y1 = Rect.make ~xmin:x0 ~ymin:y0 ~xmax:x1 ~ymax:y1 in
+      let inf = Float.infinity in
+      let rects =
+        [|
+          r 0. 0. 1. 1.; r 1. 0. 2. 1.; r 0. 1. 1. 2.; r 1. 1. 2. 2.;
+          r 0.5 0.5 0.5 0.5; r 2. 0. 2. 3.; r 0. 3. 3. 3.;
+          r (-0.) (-0.) (-0.) (-0.); r 0. 0. 0. 0.; r (-1.) (-0.) (-0.) 1.;
+          r (-.inf) 0. 0. 1.; r 5. 5. inf inf; r (-.inf) (-.inf) inf inf;
+          r (-.inf) 4. (-.inf) 4.; r 3. (-.inf) 3. inf;
+        |]
+      in
+      let first = Array.mapi (fun i rc -> Entry.make rc i) rects in
+      let second = Array.mapi (fun i rc -> Entry.make rc (100 + i)) rects in
+      let windows =
+        Array.append
+          [|
+            r 1. 1. 1. 1.; r 1. 0. 1. 2.; r 2. 3. 2. 3.; r 0.5 0.5 0.5 0.5;
+            r (-0.) (-0.) (-0.) (-0.); r 0. 0. 0. 0.; r (-0.5) 0.5 (-0.) 0.5;
+            r (-.inf) (-.inf) inf inf; r (-.inf) 4. (-.inf) 4.; r 6. 6. inf inf;
+            r 3. 3. 3. 3.; r 2.5 2.5 2.9 2.9; r (-2.) 5. (-1.5) 6.;
+          |]
+          rects
+      in
+      let model = Hashtbl.create 64 in
+      let check msg t =
+        let live = Array.of_seq (Hashtbl.to_seq_values model) in
+        let batch = Lsm.query_batch t windows in
+        Array.iteri
+          (fun i w ->
+            let want = Helpers.brute_force live w in
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s: window %d" msg i)
+              want
+              (Helpers.ids_of (fst (Lsm.query_list t w)));
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s: batch slot %d" msg i)
+              want
+              (Helpers.ids_of (fst batch.(i))))
+          windows;
+        Alcotest.(check int) (msg ^ ": count") (Hashtbl.length model) (Lsm.count t)
+      in
+      let insert t e =
+        Lsm.insert t e;
+        Hashtbl.replace model (Entry.id e) e
+      in
+      let delete t e =
+        Alcotest.(check bool) "delete acknowledged" true (Lsm.delete t e);
+        Hashtbl.remove model (Entry.id e)
+      in
+      (* While armed, every page write of a component build fails, so
+         each merge attempt fails and the merge aborts; a build is
+         recognised by a .tmp file newer than the arming. *)
+      let armed = ref None in
+      let tmps () =
+        Array.fold_left
+          (fun n f -> if Filename.check_suffix f ".idx.tmp" then n + 1 else n)
+          0 (Sys.readdir dir)
+      in
+      let hook _ =
+        match !armed with
+        | Some n when tmps () > n -> raise (Pager.Io_error "test: component build fails")
+        | _ -> ()
+      in
+      let crash = Failpoint.create { Failpoint.default with phys_write_hook = Some hook } in
+      let aborted_flush t =
+        armed := Some (tmps ());
+        (match Lsm.flush t with
+        | () -> Alcotest.fail "a merge committed while every build fails"
+        | exception Pager.Io_error _ -> ());
+        armed := None
+      in
+      let t = Lsm.create ~buffer_capacity:4096 ~page_size ~wal_sync:`Never ~crash dir in
+      Array.iter (insert t) first;
+      check "buffered" t;
+      let n = Array.length first in
+      delete t first.(n - 1);
+      check "last slot deleted" t;
+      delete t first.(0);
+      check "first slot deleted" t;
+      (* The first slot's hole took the last entry; delete it from there. *)
+      delete t first.(n - 2);
+      check "moved entry deleted" t;
+      delete t first.(n / 2);
+      check "middle slot deleted" t;
+      aborted_flush t;
+      Alcotest.(check (pair int int)) "all sealed, none buffered"
+        (Hashtbl.length model, 0)
+        ((Lsm.stats t).Lsm.s_sealed, (Lsm.stats t).Lsm.s_buffer);
+      check "sealed after an aborted merge" t;
+      Array.iter (insert t) second;
+      delete t first.(3);
+      check "sealed beside a buffer" t;
+      aborted_flush t;
+      Alcotest.(check (pair int int)) "coalesced into the sealed buffer"
+        (Hashtbl.length model + 1, 0)
+        ((Lsm.stats t).Lsm.s_sealed, (Lsm.stats t).Lsm.s_buffer);
+      Alcotest.(check (list (pair int int))) "no component" [] (Lsm.components t);
+      check "coalesced" t;
+      Lsm.close t;
+      let reopen () = Lsm.open_ ~buffer_capacity:4096 ~page_size ~wal_sync:`Never dir in
+      let t = reopen () in
+      check "replayed" t;
+      let id = 500 in
+      insert t (Entry.make (r 7. 7. 8. 8.) id);
+      delete t (Entry.make (r 7. 7. 8. 8.) id);
+      insert t (Entry.make (r 1. 1. 1. 1.) id);
+      check "insert, delete and insert of one id" t;
+      Lsm.close t;
+      let t = reopen () in
+      check "replayed insert, delete and insert" t;
+      Lsm.close t)
+
+(* A query that hits nothing allocates no more with 1,000 entries
+   buffered than with 10: the scan boxes an entry only for a hit. *)
+let test_packed_scan_allocation () =
+  Helpers.with_temp_dir (fun dir ->
+      let entries = Helpers.random_entries ~n:1_000 ~seed:171 in
+      let t = Lsm.create ~buffer_capacity:4096 ~wal_sync:`Never dir in
+      let miss = Rect.make ~xmin:10.0 ~ymin:10.0 ~xmax:11.0 ~ymax:11.0 in
+      let words_per_query () =
+        let queries = 100 in
+        (* Counters are exact only with the minor heap empty. *)
+        Gc.minor ();
+        let w0 = Gc.minor_words () in
+        for _ = 1 to queries do
+          ignore (Lsm.query t miss ~f:ignore)
+        done;
+        Gc.minor ();
+        (Gc.minor_words () -. w0) /. float_of_int queries
+      in
+      Array.iter (Lsm.insert t) (Array.sub entries 0 10);
+      ignore (words_per_query ());
+      let ten = words_per_query () in
+      Array.iter (Lsm.insert t) (Array.sub entries 10 990);
+      let thousand = words_per_query () in
+      Alcotest.(check int) "all buffered" 1_000 (Lsm.buffer_size t);
+      Alcotest.(check bool)
+        (Printf.sprintf "minor words per query: %.1f with 10 buffered, %.1f with 1,000" ten
+           thousand)
+        true
+        (Float.abs (thousand -. ten) <= 4.0);
+      Lsm.close t)
+
+(* A compacted component is the file a direct build writes over the
+   same live entries in any order: PR-tree files do not depend on input
+   order, so the buffer's slot order cannot change a component. *)
+let test_compact_matches_direct_build () =
+  Helpers.with_temp_dir (fun dir ->
+      let page_size = Helpers.small_page_size in
+      let base = Helpers.random_entries ~n:400 ~seed:181 in
+      (* Duplicated geometry under distinct ids, so ties must break by id. *)
+      let entries =
+        Array.append base (Array.init 40 (fun i -> Entry.make (Entry.rect base.(i)) (1_000 + i)))
+      in
+      let t = Lsm.create ~buffer_capacity:16 ~page_size ~wal_sync:`Never dir in
+      Array.iter (Lsm.insert t) entries;
+      let live = List.filteri (fun i _ -> i mod 7 <> 3) (Array.to_list entries) in
+      Array.iteri
+        (fun i e -> if i mod 7 = 3 then ignore (Lsm.delete t e))
+        entries;
+      Lsm.compact t;
+      Alcotest.(check (list (pair int int))) "one component"
+        [ (5, List.length live) ]
+        (Lsm.components t);
+      let component =
+        match
+          List.filter (fun f -> Filename.check_suffix f ".idx") (Array.to_list (Sys.readdir dir))
+        with
+        | [ f ] -> Filename.concat dir f
+        | fs -> Alcotest.failf "%d component files" (List.length fs)
+      in
+      Lsm.close t;
+      let shuffled = Array.of_list live in
+      Rng.shuffle (Rng.create 182) shuffled;
+      let direct = Filename.concat dir "direct.bin" in
+      Index_file.close
+        (Index_file.create ~page_size direct ~build:(fun pool -> Prtree.load pool shuffled));
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check bool) "byte-identical files" true (read component = read direct))
+
 let suite =
   [
     Alcotest.test_case "basic insert/query/flush" `Quick test_basic;
@@ -994,4 +1192,10 @@ let suite =
       (test_old_format_store_refused 3);
     Alcotest.test_case "deleting every entry empties the store" `Quick test_delete_all;
     Alcotest.test_case "insert refuses a NaN rectangle" `Quick test_insert_refuses_nan;
+    Alcotest.test_case "packed buffer answers exactly on edge cases" `Quick
+      test_packed_buffer_edges;
+    Alcotest.test_case "a missing scan allocates nothing per entry" `Quick
+      test_packed_scan_allocation;
+    Alcotest.test_case "compaction writes the direct build's file" `Quick
+      test_compact_matches_direct_build;
   ]
