@@ -837,17 +837,23 @@ let flightrec_cmd =
         Obs.Flight.reserve (1 lsl 16);
         let exec = Index_file.executor idx in
         let queries = Array.make (max 1 repeat) window in
-        let results = Qexec.run ~jobs exec queries in
-        let matched = Array.fold_left (fun acc (_, s) -> acc + s.Rtree.matched) 0 results in
+        let stats = Rtree.fresh_stats () in
+        Array.iter (fun (_, s) -> Rtree.merge_stats stats s) (Qexec.run ~jobs exec queries);
         let n = Obs.Flight.dump out in
         Printf.printf "%d queries over %d domain(s): %d matches\n" (Array.length queries) jobs
-          matched;
+          stats.Rtree.matched;
         Printf.printf "flight recorder: %d event(s) recorded, %d dropped\n"
           (Obs.Flight.total_recorded ()) (Obs.Flight.dropped ());
-        Printf.printf "%d trace event(s) -> %s\n" n out)
+        Printf.printf "%d trace event(s) -> %s\n" n out;
+        Printf.printf "status: %s\n"
+          (Format.asprintf "%a" Rtree.pp_completeness (Rtree.completeness stats));
+        if not (Rtree.complete stats) then exit 3)
   in
   Cmd.v
-    (Cmd.info "flightrec" ~exits:(usage_exit window_usage index_exits)
+    (Cmd.info "flightrec"
+       ~exits:
+         (usage_exit window_usage
+            (Cmd.Exit.info 3 ~doc:"the batch's answer is partial (damage skipped)." :: index_exits))
        ~doc:
          "Run a multicore query batch and dump the flight recorder's rings as a Chrome trace \
           (the batch span on this domain's track, each worker's query spans and resilience \
