@@ -19,6 +19,7 @@
      mean_leaves_clean lower     10%
      relative        lower       10%         leaves / ceil(T/B)
      matched         exact       --          result size: correctness
+     mean_output     exact       --          answer size per query
      entries         exact       --          dataset size: run identity
      windows_served  exact       --          mapped node visits per pass
      fallbacks       exact       --          mmap -> pread degradations
@@ -58,6 +59,7 @@ let tracked =
     ("mean_leaves_clean", Lower 0.10);
     ("relative", Lower 0.10);
     ("matched", Exact);
+    ("mean_output", Exact);
     ("entries", Exact);
     (* serving-tier counters: request outcomes are deterministic (fixed
        windows, fixed batching, quotas that never refill), so shed and

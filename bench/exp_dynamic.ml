@@ -153,7 +153,21 @@ let degrade ~scale ~seed =
   let queries = Queries.squares ~count:100 ~area_fraction:0.01 ~world ~seed:(seed + 3) in
   let churn = n * 3 / 10 in
   note "%s TIGER-like rectangles; churn = delete+reinsert %s of them" (commas n) (commas churn);
+  (* Gated rows: no other experiment runs [Split]'s linear and R* paths
+     or R*'s forced reinsertion. *)
+  let json split (c : query_cost) =
+    Bench_json.(
+      row
+        [
+          ("split", str split);
+          ("n", int n);
+          ("mean_leaves", flt c.mean_leaves);
+          ("relative", flt c.relative);
+          ("mean_output", flt c.mean_output);
+        ])
+  in
   let fresh = measure_queries (build_mem PR (fresh_pool ()) entries) queries in
+  json "fresh" fresh;
   let rng = Prt_util.Rng.create (seed + 4) in
   let configs =
     [
@@ -185,6 +199,7 @@ let degrade ~scale ~seed =
         done;
         let s = Audit.validate tree in
         let c = measure_queries tree queries in
+        json alg_name c;
         [
           alg_name;
           pct c.relative;
@@ -193,46 +208,8 @@ let degrade ~scale ~seed =
         ])
       configs
   in
-  (* Reference [16]'s answer to the same problem: a natively dynamic
-     Hilbert R-tree (2-to-3 splits), churned identically. Its fanout is
-     85 rather than 113 (wider entries), so compare its relative cost,
-     not raw leaf counts. *)
-  let hrt_row =
-    let module Hrt = Prt_rtree.Hilbert_rtree in
-    let t = Hrt.create (fresh_pool ()) in
-    Array.iter (fun e -> Hrt.insert t (Entry.rect e) (Entry.id e)) entries;
-    let rng = Prt_util.Rng.create (seed + 4) in
-    for k = 0 to churn - 1 do
-      let victim = entries.(Prt_util.Rng.int rng n) in
-      if Hrt.delete t (Entry.rect victim) (Entry.id victim) then begin
-        let r = Entry.rect victim in
-        let dx = Prt_util.Rng.float rng 0.01 -. 0.005 in
-        let dy = Prt_util.Rng.float rng 0.01 -. 0.005 in
-        let moved =
-          Rect.of_corners
-            (Float.max 0.0 (Rect.xmin r +. dx), Float.max 0.0 (Rect.ymin r +. dy))
-            (Float.min 1.0 (Rect.xmax r +. dx), Float.min 1.0 (Rect.ymax r +. dy))
-        in
-        Hrt.insert t moved (n + k)
-      end
-    done;
-    Hrt.validate t;
-    let leaves = ref 0 and matched = ref 0 in
-    Array.iter
-      (fun q ->
-        let s = Hrt.query t q ~f:(fun _ _ -> ()) in
-        leaves := !leaves + s.Hrt.leaf_visited;
-        matched := !matched + s.Hrt.matched)
-      queries;
-    let nq = float_of_int (Array.length queries) in
-    let mean_leaves = float_of_int !leaves /. nq in
-    let ideal = float_of_int !matched /. nq /. 85.0 in
-    [ "hilbert-rtree [16] (B=85)"; pct (mean_leaves /. ideal); f1 mean_leaves; "~66%+" ]
-  in
   Table.print
     ~header:[ "split algorithm"; "query cost after churn"; "leaves/query"; "utilization" ]
-    ([ [ "(fresh bulk load)"; pct fresh.relative; f1 fresh.mean_leaves; "~100%" ] ]
-    @ rows @ [ hrt_row ]);
+    ([ "(fresh bulk load)"; pct fresh.relative; f1 fresh.mean_leaves; "~100%" ] :: rows);
   note "the paper's caveat quantified: updates erode the bulk-loaded guarantee;";
-  note "  the logarithmic method (see `logm`) avoids this. The natively dynamic";
-  note "  Hilbert R-tree [16] is the classic update-friendly alternative."
+  note "  the logarithmic method (see `logm`) avoids this."
