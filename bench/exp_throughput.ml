@@ -137,7 +137,9 @@ let throughput ~scale ~seed =
   List.iter
     (fun jobs ->
       let results = Qexec.run ~jobs (Qexec.create tree) queries in
-      let matched = (Qexec.total_stats results).Rtree.matched in
+      let total = Rtree.fresh_stats () in
+      Array.iter (fun (_, s) -> Rtree.merge_stats total s) results;
+      let matched = total.Rtree.matched in
       check (Printf.sprintf "qexec(jobs=%d)" jobs) matched;
       Bench_json.(
         row

@@ -69,9 +69,6 @@ module Audit = Prt_rtree.Audit
    pre-image journal) and their fsck. *)
 module Index_file = Prt_rtree.Index_file
 
-(* The fully dynamic Hilbert R-tree (the paper's reference [16]). *)
-module Hilbert_rtree = Prt_rtree.Hilbert_rtree
-
 (* The Priority R-tree — the paper's contribution. *)
 module Pseudo_prtree = Prt_prtree.Pseudo
 module Prtree = Prt_prtree.Prtree

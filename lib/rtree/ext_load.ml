@@ -87,71 +87,6 @@ let load_hilbert ~variant pool ~mem_records file =
 let load_h pool ~mem_records file = load_hilbert ~variant:`H pool ~mem_records file
 let load_h4 pool ~mem_records file = load_hilbert ~variant:`H4 pool ~mem_records file
 
-(* --- external STR --- *)
-
-let center_x_cmp a b =
-  let ax, _ = Rect.center (Entry.rect a) and bx, _ = Rect.center (Entry.rect b) in
-  let c = Float.compare ax bx in
-  if c <> 0 then c else Entry.compare_dim 0 a b
-
-let center_y_cmp a b =
-  let _, ay = Rect.center (Entry.rect a) and _, by = Rect.center (Entry.rect b) in
-  let c = Float.compare ay by in
-  if c <> 0 then c else Entry.compare_dim 1 a b
-
-(* Sort-Tile-Recursive externally: one x-sort, a distribution scan into
-   vertical slab files, one y-sort per slab, then packing in slab order.
-   Upper levels (N/B entries) are re-tiled in memory, matching the
-   in-memory loader. *)
-let load_str pool ~mem_records file =
-  Trace.with_span "ext.load_str"
-    ~args:[ ("n", Json.Int (Entry.File.length file)) ]
-  @@ fun () ->
-  let pager = Buffer_pool.pager pool in
-  let page_size = Pager.page_size pager in
-  let cap = Node.capacity ~page_size in
-  let n = Entry.File.length file in
-  if n = 0 then Rtree.create_empty pool
-  else begin
-    let by_x =
-      Trace.with_span "ext.str.sort_x" (fun () ->
-          Entry.File.sort ~mem_records ~cmp:center_x_cmp file)
-    in
-    let nleaves = (n + cap - 1) / cap in
-    let slabs = int_of_float (Float.ceil (sqrt (float_of_int nleaves))) in
-    let per_slab = slabs * cap in
-    (* Distribute the x-order into consecutive slab files. *)
-    let ordered = Entry.File.create pager in
-    let slab = ref (Entry.File.create pager) in
-    let in_slab = ref 0 in
-    let flush_slab () =
-      if !in_slab > 0 then begin
-        Entry.File.seal !slab;
-        let sorted = Entry.File.sort ~mem_records ~cmp:center_y_cmp !slab in
-        Entry.File.iter sorted (Entry.File.append ordered);
-        Entry.File.destroy sorted;
-        Entry.File.destroy !slab;
-        slab := Entry.File.create pager;
-        in_slab := 0
-      end
-    in
-    Trace.with_span "ext.str.slabs" (fun () ->
-        Entry.File.iter by_x (fun e ->
-            Entry.File.append !slab e;
-            incr in_slab;
-            if !in_slab = per_slab then flush_slab ());
-        flush_slab ());
-    Entry.File.destroy !slab;
-    Entry.File.destroy by_x;
-    Entry.File.seal ordered;
-    (* Pack leaves from the tiled order; upper levels pack sequentially
-       in that same order (the in-memory loader re-tiles each level,
-       a refinement that matters little above the leaves). *)
-    let tree = Trace.with_span "ext.str.pack" (fun () -> pack_sorted_file pool ordered) in
-    Entry.File.destroy ordered;
-    tree
-  end
-
 (* --- external TGS --- *)
 
 let pow_int base e =

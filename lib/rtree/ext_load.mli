@@ -21,11 +21,6 @@ val load_tgs :
     the current subset per binary partition — effectively
     O((N/B) log2 N) I/Os, as the paper observes. *)
 
-val load_str :
-  Prt_storage.Buffer_pool.t -> mem_records:int -> Entry.File.t -> Rtree.t
-(** Sort-Tile-Recursive: an x-sort, a slab distribution, a y-sort per
-    slab, one packing scan. *)
-
 val world_of_file : Entry.File.t -> Prt_geom.Rect.t
 (** Bounding box of a file's entries (one scan). *)
 

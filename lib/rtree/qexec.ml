@@ -243,19 +243,3 @@ let run ?jobs ?deadline t queries =
       in
       results.(i) <- (List.rev !acc, stats));
   results
-
-let total_stats results =
-  let t = Rtree.fresh_stats () in
-  Array.iter
-    (fun (_, s) ->
-      t.Rtree.internal_visited <- t.Rtree.internal_visited + s.Rtree.internal_visited;
-      t.Rtree.leaf_visited <- t.Rtree.leaf_visited + s.Rtree.leaf_visited;
-      t.Rtree.matched <- t.Rtree.matched + s.Rtree.matched;
-      t.Rtree.skipped_subtrees <- t.Rtree.skipped_subtrees + s.Rtree.skipped_subtrees;
-      t.Rtree.skipped_pages <-
-        List.fold_left
-          (fun acc id -> if List.mem id acc then acc else id :: acc)
-          t.Rtree.skipped_pages s.Rtree.skipped_pages;
-      t.Rtree.timed_out <- t.Rtree.timed_out || s.Rtree.timed_out)
-    results;
-  t

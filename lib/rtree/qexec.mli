@@ -110,9 +110,6 @@ val run :
     order {!Rtree.query_list} returns them, and its statistics. Same
     admission, snapshot, telemetry and resilience contract. *)
 
-val total_stats : (Entry.t list * Rtree.query_stats) array -> Rtree.query_stats
-(** Sum the per-query visit counts of a batch result. *)
-
 val cache_stats : t -> Prt_storage.Shard_cache.stats
 val cache_hit_ratio : t -> float
 (** See {!Prt_storage.Shard_cache.hit_ratio}; [nan] before any lookup. *)

@@ -1,9 +1,8 @@
 (* Differential testing across every index implementation in the
    repository: for the same random rectangle set and query batch, all of
-   them — five bulk loaders, the external builders, the dynamically
-   built tree, the dynamic Hilbert R-tree, the logarithmic method (an
-   [Lsm] store), and (on points) the kdB-tree — must return exactly the
-   same answers.
+   them — five bulk loaders, the external PR builder, the dynamically
+   built tree, the logarithmic method (an [Lsm] store), and (on points)
+   the kdB-tree — must return exactly the same answers.
 
    This is the strongest cheap correctness signal the repo has: a bug in
    any one traversal, codec, split or build shows up as a disagreement
@@ -13,7 +12,6 @@
 module Rng = Prt_util.Rng
 module Entry = Prt_rtree.Entry
 module Rtree = Prt_rtree.Rtree
-module Hrt = Prt_rtree.Hilbert_rtree
 module Lsm = Prt_logmethod.Lsm
 
 (* [f] runs while the implementations are open: the Lsm store lives in
@@ -25,8 +23,6 @@ let with_impls entries f =
     Array.iter (Prt_rtree.Dynamic.insert tree) entries;
     tree
   in
-  let hrt = Hrt.create (pool ()) in
-  Array.iter (fun e -> Hrt.insert hrt (Entry.rect e) (Entry.id e)) entries;
   let ext_pr =
     let p = pool () in
     let file = Entry.File.of_array (Prt_storage.Buffer_pool.pager p) entries in
@@ -47,10 +43,6 @@ let with_impls entries f =
       Helpers.rtree_impl "str" (Prt_rtree.Bulk_str.load (pool ()) entries);
       Helpers.rtree_impl "tgs" (Prt_rtree.Bulk_tgs.load (pool ()) entries);
       Helpers.rtree_impl "dynamic" dynamic;
-      {
-        Helpers.impl_name = "hilbert-rtree";
-        impl_query = (fun q -> List.sort Int.compare (fst (Hrt.query_ids hrt q)));
-      };
       {
         Helpers.impl_name = "lsm";
         impl_query = (fun q -> Helpers.ids_of (fst (Lsm.query_list lsm q)));

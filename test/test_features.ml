@@ -1,6 +1,6 @@
 (* Tests for the extended feature set: k-NN search, spatial join,
-   stabbing/enclosure/covering queries, the external STR loader, R*
-   forced reinsertion, and the priority-leaf ablation knob. *)
+   stabbing/enclosure/covering queries, R* forced reinsertion, and the
+   priority-leaf ablation knob. *)
 
 module Rect = Prt_geom.Rect
 module Rng = Prt_util.Rng
@@ -10,7 +10,6 @@ module Knn = Prt_rtree.Knn
 module Join = Prt_rtree.Join
 module Query = Prt_rtree.Query
 module Dynamic = Prt_rtree.Dynamic
-module Ext_load = Prt_rtree.Ext_load
 module Datasets = Prt_workloads.Datasets
 module Audit = Prt_rtree.Audit
 
@@ -278,21 +277,6 @@ let test_reentrant_forms () =
       forms
   done
 
-(* --- external STR --- *)
-
-let test_ext_str () =
-  List.iter
-    (fun (n, mem_records) ->
-      let entries = Helpers.random_entries ~n ~seed:(n + 22) in
-      let pool = Helpers.small_pool () in
-      let file = Entry.File.of_array (Prt_storage.Buffer_pool.pager pool) entries in
-      let tree = Ext_load.load_str pool ~mem_records file in
-      Prt_storage.Buffer_pool.flush pool;
-      let s = Helpers.check_structure tree in
-      Alcotest.(check int) "entries" n s.Audit.entries;
-      Helpers.check_tree_queries ~seed:(n * 5) tree entries)
-    [ (0, 400); (40, 400); (900, 200); (900, 3000) ]
-
 (* --- R* forced reinsertion --- *)
 
 let test_rstar_reinsert_correct () =
@@ -403,7 +387,6 @@ let suite =
     Alcotest.test_case "query: covering" `Quick test_covering;
     Alcotest.test_case "query: exists" `Quick test_exists;
     Alcotest.test_case "query: from a query callback" `Quick test_reentrant_forms;
-    Alcotest.test_case "ext-str: correct" `Quick test_ext_str;
     Alcotest.test_case "rstar reinsert: correct" `Quick test_rstar_reinsert_correct;
     Alcotest.test_case "rstar reinsert: quality" `Quick test_rstar_reinsert_improves_or_matches;
     Alcotest.test_case "rstar reinsert: mixed ops" `Quick test_rstar_reinsert_mixed_ops;

@@ -18,7 +18,6 @@ let () =
       ("ndtree-unified", Test_ndtree.unified_suite);
       ("metrics", Test_metrics.suite);
       ("kdbtree", Test_kdbtree.suite);
-      ("hilbert-rtree", Test_hilbert_rtree.suite);
       ("features", Test_features.suite);
       ("robustness", Test_robustness.suite);
       ("adversarial", Test_adversarial.suite);

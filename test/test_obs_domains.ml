@@ -204,7 +204,9 @@ let test_cross_mode_accounting () =
       let s1 = snap () in
       let results = Qexec.run ~jobs:3 (Qexec.create tree) queries in
       let par = delta s1 (snap ()) in
-      let par_matched = (Qexec.total_stats results).Rtree.matched in
+      let total = Rtree.fresh_stats () in
+      Array.iter (fun (_, s) -> Rtree.merge_stats total s) results;
+      let par_matched = total.Rtree.matched in
       Alcotest.(check int) "matched agree" seq_matched par_matched;
       Alcotest.(check (triple int int int))
         "leaf/internal/matched counters identical across modes" seq par)

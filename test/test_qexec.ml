@@ -209,7 +209,9 @@ let test_executor_deterministic_across_jobs () =
   let seq_matched =
     Array.fold_left (fun acc w -> acc + (Rtree.query_count tree w).Rtree.matched) 0 queries
   in
-  Alcotest.(check int) "total matched" seq_matched (Qexec.total_stats r1).Rtree.matched
+  let total = Rtree.fresh_stats () in
+  Array.iter (fun (_, s) -> Rtree.merge_stats total s) r1;
+  Alcotest.(check int) "total matched" seq_matched total.Rtree.matched
 
 (* After a committed [Index_file.update], the executor's next batch pins
    the new generation: results reflect the new tree, nodes cached under
