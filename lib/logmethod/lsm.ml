@@ -592,29 +592,34 @@ let sync_file t path =
 let build_component t ~seq ~entries =
   let tmp = Filename.concat t.dir (comp_file seq ^ ".tmp") in
   let final = Filename.concat t.dir (comp_file seq) in
-  let idx =
-    Index_file.create ~page_size:t.page_size ?crash:(Fsops.crash t.fsops) tmp
-      ~build:(fun pool -> Prtree.load pool entries)
-  in
-  let pages = (Pager.snapshot (Index_file.pager idx)).Pager.s_writes in
-  (try
-     sync_file t tmp;
-     Fsops.rename t.fsops ~src:tmp ~dst:final;
-     Fsops.fsync_dir t.fsops t.dir
-   with e ->
-     Index_file.close idx;
-     (* Only a transient fault may clean up; at a kill point the
-        half-built file must stay behind for the opener to reclaim.
-        The fault may have hit either side of the rename, so remove
-        whichever name exists — the retry rebuilds under a fresh seq
-        and nothing references this one yet. *)
-     (match e with
-     | Pager.Io_error _ ->
-         (try Unix.unlink tmp with Unix.Unix_error _ -> ());
-         (try Unix.unlink final with Unix.Unix_error _ -> ())
-     | _ -> ());
-     raise e);
-  (idx, Index_file.with_snapshot idx Fun.id, pages)
+  let built = ref None in
+  match
+    let idx =
+      Index_file.create ~page_size:t.page_size ?crash:(Fsops.crash t.fsops) tmp
+        ~build:(fun pool -> Prtree.load pool entries)
+    in
+    built := Some idx;
+    let pages = (Pager.snapshot (Index_file.pager idx)).Pager.s_writes in
+    sync_file t tmp;
+    Fsops.rename t.fsops ~src:tmp ~dst:final;
+    Fsops.fsync_dir t.fsops t.dir;
+    (idx, pages)
+  with
+  | idx, pages -> (idx, Index_file.with_snapshot idx Fun.id, pages)
+  | exception e ->
+      (* A failed create has closed its own pager. *)
+      Option.iter Index_file.close !built;
+      (* Only a transient fault may clean up; at a kill point the
+         half-built file must stay behind for the opener to reclaim.
+         The fault may have hit the build or either side of the rename,
+         so remove whichever name exists — the retry rebuilds under a
+         fresh seq and nothing references this one yet. *)
+      (match e with
+      | Pager.Io_error _ ->
+          (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+          (try Unix.unlink final with Unix.Unix_error _ -> ())
+      | _ -> ());
+      raise e
 
 (* One full merge attempt: collect, build, publish, swap in memory.
    Runs with no lock held except for the slot choice and the publish

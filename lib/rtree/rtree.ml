@@ -112,7 +112,13 @@ let set_root t ~root ~height =
 
 let set_count t count = t.count <- count
 
-let read_node t id = Node.decode (Buffer_pool.read t.pool id)
+(* A page that reads but does not decode (a bad kind byte, a count past
+   the capacity, a NaN box) is as corrupt as a torn one, and named so. *)
+let read_node t id =
+  let page = Buffer_pool.read t.pool id in
+  try Node.decode page
+  with Invalid_argument reason ->
+    raise (Pager.Corrupt_page (Printf.sprintf "page %d does not decode: %s" id reason))
 
 let free_node t id = Buffer_pool.free t.pool id
 

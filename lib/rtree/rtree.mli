@@ -76,6 +76,10 @@ val capacity : t -> int
 (** Node capacity [B] implied by the page size (113 at 4 KB). *)
 
 val read_node : t -> int -> Node.t
+(** Decode a page through the buffer pool.  Raises
+    [Prt_storage.Pager.Corrupt_page "page N does not decode: <reason>"]
+    when the page reads but {!Node.decode} refuses it, as the pager does
+    for a torn page. *)
 
 val write_node : t -> int -> Node.t -> unit
 val alloc_node : t -> Node.t -> int

@@ -1050,7 +1050,8 @@ let test_packed_buffer_edges () =
         (match Lsm.flush t with
         | () -> Alcotest.fail "a merge committed while every build fails"
         | exception Pager.Io_error _ -> ());
-        armed := None
+        armed := None;
+        Alcotest.(check int) "no build left a .tmp behind" 0 (tmps ())
       in
       let t = Lsm.create ~buffer_capacity:4096 ~page_size ~wal_sync:`Never ~crash dir in
       Array.iter (insert t) first;

@@ -69,16 +69,21 @@ let test_corrupt_child_pointer_detected () =
        false
      with Audit.Invalid _ -> true)
 
-(* A page that does not decode is named by [validate], as [Audit]
-   names it, instead of an [Invalid_argument] escaping: here a leaf
-   holding a NaN entry (which [Rect.make] refuses on decode), written
-   through [alloc_node] below [Dynamic]'s guard. *)
-let test_validate_names_decode_error () =
+(* A one-leaf tree whose leaf holds a NaN entry (which [Rect.make]
+   refuses on decode), written through [alloc_node] below [Dynamic]'s
+   guard; returns the tree and the leaf's page. *)
+let nan_leaf_tree () =
   let tree = Rtree.create_empty (Helpers.small_pool ()) in
   let nan_rect = Rect.of_corners (Float.nan, 0.5) (0.6, 0.6) in
   let leaf = Rtree.alloc_node tree (Node.make Node.Leaf [| Entry.make nan_rect 7000 |]) in
   Rtree.set_root tree ~root:leaf ~height:1;
   Rtree.set_count tree 1;
+  (tree, leaf)
+
+(* A page that does not decode is named by [validate], as [Audit]
+   names it, instead of an [Invalid_argument] escaping. *)
+let test_validate_names_decode_error () =
+  let tree, leaf = nan_leaf_tree () in
   match Audit.validate tree with
   | _ -> Alcotest.fail "validate accepted a page that does not decode"
   | exception Audit.Invalid v ->
@@ -86,6 +91,25 @@ let test_validate_names_decode_error () =
         "named by Audit's label"
         ("decode-error", Printf.sprintf "page %d" leaf)
         (Audit.label v.Audit.what, v.Audit.where)
+
+(* The walkers that decode through [Rtree.read_node] name the same
+   page in a [Corrupt_page], as the pager names a torn one, so the CLI's
+   [knn], [insert] and [delete] refuse the index and exit 2. *)
+let test_read_node_names_decode_error () =
+  let tree, leaf = nan_leaf_tree () in
+  let prefix = Printf.sprintf "page %d does not decode: " leaf in
+  let named what f =
+    match f () with
+    | () -> Alcotest.failf "%s read a page that does not decode" what
+    | exception Pager.Corrupt_page msg ->
+        Alcotest.(check string)
+          (what ^ " names the page") prefix
+          (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+  in
+  let point = Entry.make (Rect.point 0.5 0.5) 1 in
+  named "Knn.nearest" (fun () -> ignore (Prt_rtree.Knn.nearest tree ~x:0.5 ~y:0.5 ~k:1));
+  named "Dynamic.insert" (fun () -> Dynamic.insert tree point);
+  named "Dynamic.delete" (fun () -> ignore (Dynamic.delete tree point))
 
 (* [Dynamic.insert] refuses such a rectangle before touching a page,
    also after an ordinary insert (the CLI's reproduction: without the
@@ -237,5 +261,7 @@ let suite =
     Alcotest.test_case "corrupt entry count detected" `Quick test_corrupt_count;
     Alcotest.test_case "validate names a page that does not decode" `Quick
       test_validate_names_decode_error;
+    Alcotest.test_case "knn, insert and delete name a page that does not decode" `Quick
+      test_read_node_names_decode_error;
     Alcotest.test_case "insert refuses a NaN rectangle" `Quick test_insert_refuses_nan;
   ]
