@@ -22,10 +22,6 @@ let kind t = t.kind
 let entries t = t.entries
 let length t = Array.length t.entries
 
-let mbr t =
-  if length t = 0 then invalid_arg "Node_nd.mbr: empty node";
-  Hyperrect.union_map ~f:Entry_nd.box t.entries
-
 (* [Node.page_compare] for boxes: ascending lo_0, NaN last, equal lo_0s
    (NaN against NaN included) ordered by [Entry_nd.compare_dim 0].  At
    d = 2 it orders entries as [Node.page_compare] orders their

@@ -20,9 +20,6 @@ val kind : t -> kind
 val entries : t -> Entry_nd.t array
 val length : t -> int
 
-val mbr : t -> Prt_geom.Hyperrect.t
-(** Raises [Invalid_argument] on an empty node. *)
-
 val page_compare : Entry_nd.t -> Entry_nd.t -> int
 (** The order of entries on a page: ascending [lo_0] with NaN last,
     ties broken by [Entry_nd.compare_dim 0] — {!Prt_rtree.Node.page_compare}'s

@@ -1,19 +1,24 @@
 (** The d-dimensional pseudo-PR-tree (Section 2.3 of the paper): a
-    2d-dimensional kd-tree with 2d priority leaves per node. *)
+    2d-dimensional kd-tree with 2d priority leaves per node —
+    {!Prt_prtree.Pseudo}'s tree and kernel on [Hyperrect] boxes. *)
 
-type t =
-  | Leaf of {
-      mbr : Prt_geom.Hyperrect.t;
-      entries : Entry_nd.t array;
-      priority : int option;
-          (** the direction (0..2d-1) this leaf is extreme in, or [None]
-              for an ordinary kd-leaf *)
-    }
-  | Node of { mbr : Prt_geom.Hyperrect.t; children : t list }
+type t = (Prt_geom.Hyperrect.t, Entry_nd.t) Prt_prtree.Pseudo.tree
+
+val geometry : dims:int -> (Prt_geom.Hyperrect.t, Entry_nd.t) Prt_prtree.Pseudo.geometry
+(** [Entry_nd]s of dimension [dims]: the columns lo_0 .. lo_{d-1},
+    hi_0 .. hi_{d-1}, ordered by {!Entry_nd.compare_dim}. *)
 
 val build : ?b:int -> dims:int -> Entry_nd.t array -> t
-(** Raises [Invalid_argument] on empty input, [b < 1], or entries of the
+(** [Prt_prtree.Pseudo.build_with] over {!geometry}.  Raises
+    [Invalid_argument] on empty input, [b < 1], or entries of the
     wrong dimensionality. *)
+
+val build_leaves :
+  b:int -> dims:int -> Entry_nd.t array -> (Prt_geom.Hyperrect.t * Entry_nd.t array) list
+(** The leaves of [build ~b ~dims], in the same order, each in page
+    order ({!Node_nd.page_compare}) and with the box
+    [Hyperrect.union_map] gives over it: what {!Prtree_nd.load} writes
+    of each stage.  Same exceptions as {!build}. *)
 
 val mbr : t -> Prt_geom.Hyperrect.t
 val leaves : t -> Entry_nd.t array list
@@ -22,7 +27,3 @@ val fold_leaves :
   t -> init:'acc -> f:('acc -> entries:Entry_nd.t array -> priority:int option -> 'acc) -> 'acc
 
 val size : t -> int
-
-val extreme_cmp : dims:int -> int -> Entry_nd.t -> Entry_nd.t -> int
-(** Total order putting the most extreme entry of a priority direction
-    first. *)

@@ -1,33 +1,38 @@
-(* The two-dimensional pseudo-PR-tree (Section 2.1 of the paper).
+(* The pseudo-PR-tree (Sections 2.1 and 2.3 of the paper), in every
+   dimension.
 
-   A pseudo-PR-tree on a set S of rectangles is, conceptually, a 4-D
-   kd-tree on the points (xmin, ymin, xmax, ymax) where every internal
-   node additionally carries four "priority leaves": the B rectangles of
-   its subtree that are extreme in each of the four directions (leftmost
-   left edges, bottommost bottom edges, rightmost right edges, topmost
-   top edges), each drawn from what the earlier priority leaves left
-   behind.  The remainder is median-split on the kd-coordinate cycling
-   xmin, ymin, xmax, ymax.  Internal nodes therefore have degree at most
-   six: four priority leaves and two recursive subtrees.
+   A pseudo-PR-tree on a set S of d-dimensional boxes is, conceptually,
+   a 2d-dimensional kd-tree on the points (lo_0 .. lo_{d-1}, hi_0 ..
+   hi_{d-1}) where every internal node additionally carries 2d
+   "priority leaves": the B boxes of its subtree that are extreme in
+   each direction (smallest low side per dimension, then largest high
+   side per dimension), each drawn from what the earlier priority
+   leaves left behind.  In the plane the four directions are xmin,
+   ymin, xmax and ymax: leftmost left edges, bottommost bottom edges,
+   rightmost right edges, topmost top edges.  The remainder is
+   median-split on the kd-coordinate cycling through the 2d of them.
+   Internal nodes therefore have degree at most 2d + 2 (six in the
+   plane): 2d priority leaves and two recursive subtrees.
 
-   Queries on this structure visit O(sqrt(N/B) + T/B) nodes (Lemma 2);
-   the real PR-tree (see {!Prtree}) uses only the *leaves* of
-   pseudo-PR-trees, stage by stage.
+   Queries on this structure visit O((N/B)^(1-1/d) + T/B) nodes (Lemma
+   2 in the plane); the real PR-tree (see {!Prtree}) uses only the
+   *leaves* of pseudo-PR-trees, stage by stage.
 
    Construction here is in-memory and selection-based: priority leaves
    are peeled off with expected-linear quickselect, and the median split
    is a selection too, so building is O(N log N) expected.  The
-   selection runs over unboxed data: the input's four coordinates are
-   copied once into [Float.Array] columns, and the kernel permutes an
-   int array of indices into them.  Its quickselect is
+   selection runs over unboxed data: the input's 2d coordinates are
+   copied once into [Float.Array] columns, in kd order (lows, then
+   highs: xmin, ymin, xmax, ymax in the plane), and the kernel permutes
+   an int array of indices into them.  Its quickselect is
    {!Prt_util.Select.partition_at} specialised to one key column and a
    direction: the same pivots and the same Hoare scan, comparing keys
-   inline and reading the rest of [Entry.compare_dim]'s order (the
-   rectangle, then the id) from the columns only on equal keys.  Every
-   comparison therefore has [Entry.compare_dim]'s outcome, and the
-   permutation moves exactly as [Select.partition_at] moves an entry
-   array under that order: every leaf holds the entries a build with
-   [Entry.compare_dim] closures puts in it.  Inside a leaf the entries
+   inline and reading the rest of the entry order (every column in kd
+   order, then the id) from the columns only on equal keys.  Every
+   comparison therefore has the geometry's [compare_dim] outcome, and
+   the permutation moves exactly as [Select.partition_at] moves an
+   entry array under that order: every leaf holds the entries a build
+   with [compare_dim] closures puts in it.  Inside a leaf the entries
    are in page order ({!Prt_rtree.Node.page_compare}): the kernel
    heapsorts the leaf's index range on the columns, and reads the
    leaf's bounding box from them as it hands the leaf out.
@@ -40,71 +45,100 @@ module Rect = Prt_geom.Rect
 module Select = Prt_util.Select
 module Entry = Prt_rtree.Entry
 
-type t =
-  | Leaf of { mbr : Rect.t; entries : Entry.t array; priority : int option }
-    (* [priority] is the direction (0..3) the leaf is extreme in, or
+type ('box, 'entry) tree =
+  | Leaf of { mbr : 'box; entries : 'entry array; priority : int option }
+    (* [priority] is the direction (0..2d-1) the leaf is extreme in, or
        [None] for an ordinary kd-leaf. *)
-  | Node of { mbr : Rect.t; children : t list }
+  | Node of { mbr : 'box; children : ('box, 'entry) tree list }
+
+type t = (Rect.t, Entry.t) tree
+
+type ('box, 'entry) geometry = {
+  dims : int;
+  coord : int -> 'entry -> float;
+  id : 'entry -> int;
+  box : 'entry -> 'box;
+  make_box : Float.Array.t -> 'box;
+  union : 'box -> 'box -> 'box;
+  equal : 'box -> 'box -> bool;
+  compare_dim : int -> 'entry -> 'entry -> int;
+}
+
+let planar =
+  {
+    dims = 2;
+    coord =
+      (* The fields in place, not through [Rect.coord]: the column copy
+         calls this once per coordinate. *)
+      (fun k e ->
+        let r = e.Entry.rect in
+        match k with 0 -> r.Rect.xmin | 1 -> r.Rect.ymin | 2 -> r.Rect.xmax | _ -> r.Rect.ymax);
+    id = Entry.id;
+    box = Entry.rect;
+    make_box =
+      (fun a ->
+        Rect.make ~xmin:(Float.Array.get a 0) ~ymin:(Float.Array.get a 1)
+          ~xmax:(Float.Array.get a 2) ~ymax:(Float.Array.get a 3));
+    union = Rect.union;
+    equal = Rect.equal;
+    compare_dim = Entry.compare_dim;
+  }
 
 let mbr = function Leaf { mbr; _ } -> mbr | Node { mbr; _ } -> mbr
 
 (* Comparison that makes "smallest first" mean "most extreme first" for
-   each of the four priority directions: minimal xmin and ymin, maximal
-   xmax and ymax. *)
-let extreme_cmp dim =
-  if dim < 2 then Entry.compare_dim dim else fun a b -> Entry.compare_dim dim b a
+   each of the 2d priority directions: minimal low sides, maximal high
+   sides. *)
+let extreme_cmp_with g dim =
+  if dim < g.dims then g.compare_dim dim else fun a b -> g.compare_dim dim b a
+
+let extreme_cmp = extreme_cmp_with planar
+
+(* [union] over the entries' boxes, left to right. *)
+let union_all g entries =
+  Array.fold_left (fun acc e -> g.union acc (g.box e)) (g.box entries.(0)) entries
 
 (* --- the selection kernel --- *)
 
 type columns = {
-  xmin : Float.Array.t;
-  ymin : Float.Array.t;
-  xmax : Float.Array.t;
-  ymax : Float.Array.t;
+  cols : Float.Array.t array;  (* the 2d kd-coordinates, lows then highs *)
   ids : int array;
 }
 
-let columns entries =
-  let col f = Float.Array.init (Array.length entries) (fun i -> f (Entry.rect entries.(i))) in
-  {
-    xmin = col Rect.xmin;
-    ymin = col Rect.ymin;
-    xmax = col Rect.xmax;
-    ymax = col Rect.ymax;
-    ids = Array.map Entry.id entries;
-  }
-
-let key c dim = match dim with 0 -> c.xmin | 1 -> c.ymin | 2 -> c.xmax | _ -> c.ymax
+let columns g entries =
+  let n = Array.length entries in
+  let column k =
+    let col = Float.Array.create n in
+    for i = 0 to n - 1 do
+      Float.Array.unsafe_set col i (g.coord k (Array.unsafe_get entries i))
+    done;
+    col
+  in
+  { cols = Array.init (2 * g.dims) column; ids = Array.map g.id entries }
 
 let[@inline] fcmp col x y =
   Float.compare (Float.Array.unsafe_get col x) (Float.Array.unsafe_get col y)
 
-(* [Entry.compare_dim]'s tie-break from the columns: the rectangles in
-   [Rect.compare] order (xmin, ymin, xmax, ymax), then the ids. *)
-let tie_break c x y =
-  let r = fcmp c.xmin x y in
-  if r <> 0 then r
+(* [compare_dim]'s tie-break from the columns: the coordinates in kd
+   order from column [k] on (in the plane, [Rect.compare]'s order),
+   then the ids. *)
+let rec tie_from cols ids k x y =
+  if k = Array.length cols then Int.compare (Array.unsafe_get ids x) (Array.unsafe_get ids y)
   else
-    let r = fcmp c.ymin x y in
-    if r <> 0 then r
-    else
-      let r = fcmp c.xmax x y in
-      if r <> 0 then r
-      else
-        let r = fcmp c.ymax x y in
-        if r <> 0 then r else Int.compare (Array.unsafe_get c.ids x) (Array.unsafe_get c.ids y)
+    let r = fcmp (Array.unsafe_get cols k) x y in
+    if r <> 0 then r else tie_from cols ids (k + 1) x y
 
-(* [Entry.compare_dim dim] of element [x] against the pivot [p], whose
-   key in column [key] (that of [dim]) is [kp].  The float comparisons
+(* [compare_dim] of element [x] against the pivot [p], whose key in
+   column [key] (that of the dimension) is [kp].  The float comparisons
    decide unless the keys are equal (or NaN, which [Float.compare]
-   orders as [Entry.compare_dim] does). *)
+   orders as [compare_dim] does). *)
 let[@inline] compare_to c key x p kp =
   let kx = Float.Array.unsafe_get key x in
   if kx < kp then -1
   else if kx > kp then 1
   else
     let r = Float.compare kx kp in
-    if r <> 0 then r else tie_break c x p
+    if r <> 0 then r else tie_from c.cols c.ids 0 x p
 
 let[@inline] swap (perm : int array) i j =
   let tmp = Array.unsafe_get perm i in
@@ -112,7 +146,7 @@ let[@inline] swap (perm : int array) i j =
   Array.unsafe_set perm j tmp
 
 (* [Select.partition_at] on [perm.(lo..hi)] under [sign] times
-   [Entry.compare_dim] on [key]'s dimension ([sign] -1 puts the largest
+   [compare_dim] on [key]'s dimension ([sign] -1 puts the largest
    first): the same pivot rule and the same Hoare scan, so it makes the
    swaps [Select.partition_at] makes on the entries themselves. *)
 let rec partition c key sign perm lo hi n =
@@ -146,43 +180,46 @@ let rec partition c key sign perm lo hi n =
    Each leaf's range of [perm] is sorted into page order
    ({!Prt_rtree.Node.page_compare}) before it is handed out, so the
    node writer's order check passes and no sort over boxed entries
-   follows.  [page_cmp] is that order on the columns: ascending [xmin]
-   with NaN last, then [tie_break], whose first comparison (the
-   [xmin]s again) then returns 0. *)
-let[@inline] page_cmp c x y =
-  let a = Float.Array.unsafe_get c.xmin x and b = Float.Array.unsafe_get c.xmin y in
+   follows.  [page_cmp] is that order on the columns: ascending [lo_0]
+   with NaN last, then the tie-break, whose first comparison (the
+   [lo_0]s again) then returns 0. *)
+let[@inline] page_cmp c lo0 x y =
+  let a = Float.Array.unsafe_get lo0 x and b = Float.Array.unsafe_get lo0 y in
   if a < b then -1
   else if a > b then 1
-  else if a = b || (a <> a && b <> b) then tie_break c x y
+  else if a = b || (a <> a && b <> b) then tie_from c.cols c.ids 0 x y
   else if a <> a then 1
   else -1
 
-(* Sift [perm.(lo + i)] down the max-heap [perm.(lo .. lo + n - 1)]. *)
-let rec sift c perm lo i n =
+(* Sift [perm.(lo + i)] down the max-heap [perm.(lo .. lo + n - 1)];
+   [lo0] is the [lo_0] column. *)
+let rec sift c lo0 perm lo i n =
   let l = (2 * i) + 1 in
   if l < n then begin
     let r = l + 1 in
     let m =
-      if r < n && page_cmp c (Array.unsafe_get perm (lo + r)) (Array.unsafe_get perm (lo + l)) > 0
+      if r < n
+         && page_cmp c lo0 (Array.unsafe_get perm (lo + r)) (Array.unsafe_get perm (lo + l)) > 0
       then r
       else l
     in
-    if page_cmp c (Array.unsafe_get perm (lo + m)) (Array.unsafe_get perm (lo + i)) > 0 then begin
+    if page_cmp c lo0 (Array.unsafe_get perm (lo + m)) (Array.unsafe_get perm (lo + i)) > 0
+    then begin
       swap perm (lo + i) (lo + m);
-      sift c perm lo m n
+      sift c lo0 perm lo m n
     end
   end
 
 (* Heapsort of [perm.(lo .. hi - 1)] into page order: in place, with
    no allocation, in O(n log n) comparisons. *)
 let sort_page c perm lo hi =
-  let n = hi - lo in
+  let n = hi - lo and lo0 = c.cols.(0) in
   for i = (n / 2) - 1 downto 0 do
-    sift c perm lo i n
+    sift c lo0 perm lo i n
   done;
   for k = n - 1 downto 1 do
     swap perm lo (lo + k);
-    sift c perm lo 0 k
+    sift c lo0 perm lo 0 k
   done
 
 (* [Float.min] and [Float.max] for floats that are not NaN, inline (a
@@ -191,27 +228,29 @@ let sort_page c perm lo hi =
 let[@inline] fmin x y = if x < y then x else if y < x then y else if Float.sign_bit x then x else y
 let[@inline] fmax x y = if x > y then x else if y > x then y else if Float.sign_bit x then y else x
 
-(* The bounding box of a leaf's range, read from the columns: the
-   bits [Rect.union_map] gives over the same entries.  A NaN
-   coordinate (no [Rect.make] rectangle has one) falls back to
-   [Rect.union_map] itself, whose [Float.min] propagates it. *)
-let range_mbr c entries perm lo hi =
-  let p = Array.unsafe_get perm lo in
-  let xmin = ref (Float.Array.get c.xmin p) and ymin = ref (Float.Array.get c.ymin p) in
-  let xmax = ref (Float.Array.get c.xmax p) and ymax = ref (Float.Array.get c.ymax p) in
-  let ordered = ref (!xmin <= !xmax && !ymin <= !ymax) in
-  for k = lo + 1 to hi - 1 do
-    let p = Array.unsafe_get perm k in
-    let x0 = Float.Array.unsafe_get c.xmin p and y0 = Float.Array.unsafe_get c.ymin p in
-    let x1 = Float.Array.unsafe_get c.xmax p and y1 = Float.Array.unsafe_get c.ymax p in
-    ordered := !ordered && x0 <= x1 && y0 <= y1;
-    xmin := fmin !xmin x0;
-    ymin := fmin !ymin y0;
-    xmax := fmax !xmax x1;
-    ymax := fmax !ymax y1
+(* The bounding box of a leaf's range, read from the columns into
+   [bounds] (the lows' minima, then the highs' maxima): the bits
+   [union] gives over the same entries.  False unless every low is at
+   most its high, that is, on a NaN coordinate (a point box can hold
+   one), which [union]'s [Float.min] propagates and [fmin] would not:
+   the leaf's box is then [union]'s own. *)
+let range_bounds c perm lo hi bounds =
+  let d = Array.length c.cols / 2 and ok = ref true in
+  for k = 0 to d - 1 do
+    let lows = Array.unsafe_get c.cols k and highs = Array.unsafe_get c.cols (d + k) in
+    let p = Array.unsafe_get perm lo in
+    let l = ref (Float.Array.get lows p) and h = ref (Float.Array.get highs p) in
+    for i = lo to hi - 1 do
+      let p = Array.unsafe_get perm i in
+      let x = Float.Array.unsafe_get lows p and y = Float.Array.unsafe_get highs p in
+      ok := !ok && x <= y;
+      l := fmin !l x;
+      h := fmax !h y
+    done;
+    Float.Array.set bounds k !l;
+    Float.Array.set bounds (d + k) !h
   done;
-  if !ordered then Rect.make ~xmin:!xmin ~ymin:!ymin ~xmax:!xmax ~ymax:!ymax
-  else Rect.union_map ~lo ~hi ~f:(fun p -> Entry.rect entries.(p)) perm
+  !ok
 
 (* Run the construction, calling [leaf ~priority ~mbr entries] for each
    leaf in construction order — its entries in page order, [mbr] their
@@ -219,22 +258,25 @@ let range_mbr c entries perm lo hi =
    leaf's range of [perm] is final when it is handed out: later
    selections touch only the ranges after it, so sorting it changes no
    other leaf. *)
-let kernel ~b ?priority_size ~leaf ~node entries =
+let kernel g ~b ?priority_size ~leaf ~node entries =
   if b < 1 then invalid_arg "Pseudo.build: b must be >= 1";
   (* Priority leaves default to full size b (the paper's choice); 0
-     disables them entirely, degenerating to a plain 4-D kd-tree — the
-     ablation baseline, essentially the structure of reference [2] when
-     set to 1. *)
+     disables them entirely, degenerating to a plain 2d-dimensional
+     kd-tree — the ablation baseline, essentially the structure of
+     reference [2] when set to 1. *)
   let priority_size = match priority_size with Some s -> s | None -> b in
   if priority_size < 0 || priority_size > b then
     invalid_arg "Pseudo.build: priority_size outside [0, b]";
   if Array.length entries = 0 then invalid_arg "Pseudo.build: empty input";
-  let c = columns entries in
+  let c = columns g entries in
+  let directions = 2 * g.dims in
   let perm = Array.init (Array.length entries) Fun.id in
+  let bounds = Float.Array.make directions 0.0 in
   let leaf ?priority lo hi =
     sort_page c perm lo hi;
-    leaf ~priority ~mbr:(range_mbr c entries perm lo hi)
-      (Array.init (hi - lo) (fun k -> entries.(perm.(lo + k))))
+    let entries = Array.init (hi - lo) (fun k -> entries.(perm.(lo + k))) in
+    let mbr = if range_bounds c perm lo hi bounds then g.make_box bounds else union_all g entries in
+    leaf ~priority ~mbr entries
   in
   (* Peel the priority leaves off [perm.(lo..hi)]: for each direction in
      order, move the [priority_size] most extreme remaining entries to
@@ -242,10 +284,10 @@ let kernel ~b ?priority_size ~leaf ~node entries =
      reversed leaf list. *)
   let extract_priority_leaves lo hi =
     let acc = ref [] and lo = ref lo and dim = ref 0 in
-    while !dim < 4 && !lo < hi && priority_size > 0 do
+    while !dim < directions && !lo < hi && priority_size > 0 do
       let k = min priority_size (hi - !lo) in
       if !lo + k < hi then
-        partition c (key c !dim) (if !dim < 2 then 1 else -1) perm !lo hi (!lo + k - 1);
+        partition c c.cols.(!dim) (if !dim < g.dims then 1 else -1) perm !lo hi (!lo + k - 1);
       acc := leaf ~priority:!dim !lo (!lo + k) :: !acc;
       lo := !lo + k;
       incr dim
@@ -262,9 +304,9 @@ let kernel ~b ?priority_size ~leaf ~node entries =
         node (List.rev_append rev_leaves [ leaf lo' hi ])
       else begin
         (* kd median split of the remainder, cycling the dimension. *)
-        let dim = depth mod 4 in
+        let dim = depth mod directions in
         let mid = lo' + ((hi - lo') / 2) in
-        partition c (key c dim) 1 perm lo' hi mid;
+        partition c c.cols.(dim) 1 perm lo' hi mid;
         (* [mid] itself goes right so both sides are non-empty. *)
         let left = go lo' mid (depth + 1) in
         let right = go mid hi (depth + 1) in
@@ -274,19 +316,22 @@ let kernel ~b ?priority_size ~leaf ~node entries =
   in
   go 0 (Array.length entries) 0
 
-let build ?(b = 113) ?priority_size entries =
-  kernel ~b ?priority_size entries
+let build_with g ?(b = 113) ?priority_size entries =
+  kernel g ~b ?priority_size entries
     ~leaf:(fun ~priority ~mbr entries -> Leaf { mbr; entries; priority })
     ~node:(fun children ->
       let box =
-        List.fold_left (fun acc c -> Rect.union acc (mbr c)) (mbr (List.hd children)) children
+        List.fold_left (fun acc c -> g.union acc (mbr c)) (mbr (List.hd children)) children
       in
       Node { mbr = box; children })
 
-let build_leaves ?(b = 113) ?priority_size entries =
-  kernel ~b ?priority_size entries
+let build_leaves_with g ?(b = 113) ?priority_size entries =
+  kernel g ~b ?priority_size entries
     ~leaf:(fun ~priority:_ ~mbr entries -> [ (mbr, entries) ])
     ~node:List.concat
+
+let build = build_with planar
+let build_leaves = build_leaves_with planar
 
 let rec fold_leaves t ~init ~f =
   match t with
@@ -334,7 +379,7 @@ let rec size t =
    be at least as extreme under [extreme_cmp d] as every entry held by
    the siblings that come after it (later priority leaves and the kd
    subtrees), because the build peels the directions in order. *)
-let audit ?(b = 113) t =
+let audit_with g ?(b = 113) ~root t =
   let module Audit = Prt_rtree.Audit in
   let descs = ref [] in
   let add d = descs := d :: !descs in
@@ -343,9 +388,7 @@ let audit ?(b = 113) t =
     | Leaf { entries; _ } -> entries :: acc
     | Node { children; _ } -> List.fold_left (fun acc c -> subtree_entries c acc) acc children
   in
-  let leaf_box_ok box entries =
-    Array.length entries = 0 || Rect.equal box (Rect.union_map ~f:Entry.rect entries)
-  in
+  let leaf_box_ok box entries = Array.length entries = 0 || g.equal box (union_all g entries) in
   let emit_leaf where ~box ~entries ~priority ~extreme =
     add
       {
@@ -360,12 +403,9 @@ let audit ?(b = 113) t =
   let extreme_ok dir entries rest =
     Array.length entries = 0
     ||
-    let worst =
-      Array.fold_left
-        (fun w e -> if extreme_cmp dir e w > 0 then e else w)
-        entries.(0) entries
-    in
-    List.for_all (Array.for_all (fun r -> extreme_cmp dir worst r <= 0)) rest
+    let cmp = extreme_cmp_with g dir in
+    let worst = Array.fold_left (fun w e -> if cmp e w > 0 then e else w) entries.(0) entries in
+    List.for_all (Array.for_all (fun r -> cmp worst r <= 0)) rest
   in
   let rec go where t =
     match t with
@@ -375,9 +415,9 @@ let audit ?(b = 113) t =
     | Node { mbr = box; children } ->
         let box_ok =
           children <> []
-          && Rect.equal box
+          && g.equal box
                (List.fold_left
-                  (fun acc c -> Rect.union acc (mbr c))
+                  (fun acc c -> g.union acc (mbr c))
                   (mbr (List.hd children))
                   children)
         in
@@ -406,5 +446,7 @@ let audit ?(b = 113) t =
             | Node _ -> go where' c)
           children
   in
-  go "pseudo" t;
-  Prt_rtree.Audit.check_pseudo ~degree_limit:6 ~leaf_capacity:b (List.rev !descs)
+  go root t;
+  Audit.check_pseudo ~degree_limit:((2 * g.dims) + 2) ~leaf_capacity:b (List.rev !descs)
+
+let audit ?b t = audit_with planar ?b ~root:"pseudo" t

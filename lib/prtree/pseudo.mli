@@ -1,29 +1,60 @@
-(** The two-dimensional pseudo-PR-tree (Section 2.1 of the paper).
+(** The pseudo-PR-tree (Sections 2.1 and 2.3 of the paper), in every
+    dimension.
 
-    A 4-D kd-tree over rectangles-as-points, where each internal node
-    carries up to four {e priority leaves} holding the [b] rectangles of
-    its subtree most extreme in each direction (minimal xmin, minimal
-    ymin, maximal xmax, maximal ymax), each drawn from what the previous
-    priority leaves left behind. Window queries visit
-    [O(sqrt(N/b) + T/b)] nodes (Lemma 2). The real {!Prtree} is built
-    from the {e leaves} of pseudo-PR-trees, one stage per level.
+    In the plane it is a 4-D kd-tree over rectangles-as-points, where
+    each internal node carries up to four {e priority leaves} holding the
+    [b] rectangles of its subtree most extreme in each direction
+    (minimal xmin, minimal ymin, maximal xmax, maximal ymax), each drawn
+    from what the previous priority leaves left behind.  In d
+    dimensions it is a 2d-dimensional kd-tree with 2d priority leaves
+    per node.  Window queries visit [O((N/b)^(1-1/d) + T/b)] nodes
+    (Lemma 2 in the plane).  The real {!Prtree} is built from the
+    {e leaves} of pseudo-PR-trees, one stage per level.
 
-    One construction kernel serves both forms: quickselect over four
-    unboxed coordinate columns and an int permutation, specialised by
-    key dimension and direction. It hands out each leaf with its
-    entries in page order ({!Prt_rtree.Node.page_compare}) and its
-    bounding box. {!build_leaves} returns its leaves as they are;
-    {!build} wraps them in the tree. *)
+    One construction kernel serves every dimension and both forms:
+    quickselect over 2d unboxed coordinate columns (lows, then highs)
+    and an int permutation, specialised by key column and direction.
+    It hands out each leaf with its entries in page order
+    ({!Prt_rtree.Node.page_compare}) and its bounding box.
+    {!build_leaves} returns its leaves as they are; {!build} wraps them
+    in the tree.  The kernel and the tree are written once over a
+    {!geometry}, the box and entry types of a dimension; {!build},
+    {!build_leaves} and {!audit} are the planar instances. *)
 
-type t =
+type ('box, 'entry) tree =
   | Leaf of {
-      mbr : Prt_geom.Rect.t;
-      entries : Prt_rtree.Entry.t array;
+      mbr : 'box;
+      entries : 'entry array;
       priority : int option;
-          (** direction (0..3 = xmin, ymin, xmax, ymax) this leaf is
-              extreme in, or [None] for an ordinary kd-leaf *)
+          (** direction (0..2d-1: the lows, then the highs; in the
+              plane xmin, ymin, xmax, ymax) this leaf is extreme in, or
+              [None] for an ordinary kd-leaf *)
     }
-  | Node of { mbr : Prt_geom.Rect.t; children : t list }
+  | Node of { mbr : 'box; children : ('box, 'entry) tree list }
+
+type t = (Prt_geom.Rect.t, Prt_rtree.Entry.t) tree
+(** The planar pseudo-PR-tree. *)
+
+(** What the kernel and the tree functions need of a dimension's boxes
+    and entries. *)
+type ('box, 'entry) geometry = {
+  dims : int;  (** d: the kernel works on 2d columns *)
+  coord : int -> 'entry -> float;
+      (** kd-coordinate [k] (0..2d-1: lows, then highs) of an entry's box *)
+  id : 'entry -> int;
+  box : 'entry -> 'box;
+  make_box : Float.Array.t -> 'box;
+      (** the box with the given 2d bounds (lows, then highs), none NaN *)
+  union : 'box -> 'box -> 'box;  (** [Float.min] of the lows, [Float.max] of the highs *)
+  equal : 'box -> 'box -> bool;
+  compare_dim : int -> 'entry -> 'entry -> int;
+      (** total order on kd-coordinate [k], ties broken by every
+          coordinate in kd order, then the id *)
+}
+
+val planar : (Prt_geom.Rect.t, Prt_rtree.Entry.t) geometry
+(** Rectangles and {!Prt_rtree.Entry}: the columns xmin, ymin, xmax,
+    ymax. *)
 
 val build : ?b:int -> ?priority_size:int -> Prt_rtree.Entry.t array -> t
 (** [build ~b entries] constructs the pseudo-PR-tree with leaf capacity
@@ -52,19 +83,34 @@ val build_leaves :
     The box is the one [Rect.union_map] gives over the leaf. Same
     arguments and exceptions as {!build}. *)
 
-val mbr : t -> Prt_geom.Rect.t
+val build_with :
+  ('box, 'entry) geometry -> ?b:int -> ?priority_size:int -> 'entry array -> ('box, 'entry) tree
+(** {!build} in the geometry's dimension: the same kernel on its 2d
+    columns, every leaf the one [compare_dim] closures give.  The
+    entries' boxes must all be of the geometry's dimension. *)
 
-val leaves : t -> Prt_rtree.Entry.t array list
+val build_leaves_with :
+  ('box, 'entry) geometry ->
+  ?b:int ->
+  ?priority_size:int ->
+  'entry array ->
+  ('box * 'entry array) list
+(** {!build_leaves} in the geometry's dimension; each box is the one
+    [union] gives over the leaf, bit for bit. *)
+
+val mbr : ('box, 'entry) tree -> 'box
+
+val leaves : ('box, 'entry) tree -> 'entry array list
 (** All leaf entry-sets (priority and kd leaves), in construction
     order — the node sets of one PR-tree level. *)
 
 val fold_leaves :
-  t ->
+  ('box, 'entry) tree ->
   init:'acc ->
-  f:('acc -> entries:Prt_rtree.Entry.t array -> priority:int option -> 'acc) ->
+  f:('acc -> entries:'entry array -> priority:int option -> 'acc) ->
   'acc
 
-val size : t -> int
+val size : ('box, 'entry) tree -> int
 (** Total entries stored. *)
 
 type query_stats = {
@@ -83,7 +129,18 @@ val audit : ?b:int -> t -> Prt_rtree.Audit.violation list
     boxes, and {e priority-leaf extremeness}
     (every entry of a priority leaf at least as extreme in its direction
     as everything held by the siblings after it).  Returns the violation
-    list instead of raising; empty means the invariants hold. *)
+    list instead of raising; empty means the invariants hold.  Paths
+    start at ["pseudo"]. *)
+
+val audit_with :
+  ('box, 'entry) geometry ->
+  ?b:int ->
+  root:string ->
+  ('box, 'entry) tree ->
+  Prt_rtree.Audit.violation list
+(** {!audit} in the geometry's dimension: degree at most [2d + 2] and
+    extremeness in each of the [2d] directions; paths start at
+    [root]. *)
 
 val extreme_cmp : int -> Prt_rtree.Entry.t -> Prt_rtree.Entry.t -> int
 (** Total order putting the most extreme entry of the given priority

@@ -6,7 +6,9 @@
    leaves in the same order, with the same entries inside each leaf in
    page order, the same priority directions, and each leaf's bounding
    box bit for bit as [Rect.union_map] computes it; that is what makes
-   a PR-tree file a function of its input set. *)
+   a PR-tree file a function of its input set.  The same holds in d =
+   1, 3 and 4 against the boxed d-dimensional construction the kernel
+   replaced there. *)
 
 module Rect = Prt_geom.Rect
 module Entry = Prt_rtree.Entry
@@ -201,9 +203,144 @@ let test_invalid_arguments () =
         fun ~b ?priority_size es -> ignore (Pseudo.build_leaves ~b ?priority_size es) );
     ]
 
+(* --- every other dimension --- *)
+
+module Hyperrect = Prt_geom.Hyperrect
+module Entry_nd = Prt_ndtree.Entry_nd
+module Node_nd = Prt_ndtree.Node_nd
+module Pseudo_nd = Prt_ndtree.Pseudo_nd
+
+(* The boxed d-dimensional construction: quickselect over [Entry_nd.t]s
+   under [Entry_nd.compare_dim] and the extreme order (low sides
+   smallest first, high sides largest first), 2d priority leaves of [b]
+   per node, each leaf then sorted into page order with
+   [Node_nd.page_compare]. *)
+let oracle_leaves_nd ~b ~dims entries =
+  let extreme_cmp dim =
+    if dim < dims then Entry_nd.compare_dim dim else fun x y -> Entry_nd.compare_dim dim y x
+  in
+  let arr = Array.copy entries in
+  let out = ref [] in
+  let emit ?priority lo hi =
+    let leaf = Array.sub arr lo (hi - lo) in
+    Array.sort Node_nd.page_compare leaf;
+    out := (priority, leaf) :: !out
+  in
+  let rec go lo hi depth =
+    if hi - lo <= b then emit lo hi
+    else begin
+      let lo = ref lo and dim = ref 0 in
+      while !dim < 2 * dims && !lo < hi do
+        let k = min b (hi - !lo) in
+        Select.smallest_to_front ~cmp:(extreme_cmp !dim) arr !lo hi k;
+        emit ~priority:!dim !lo (!lo + k);
+        lo := !lo + k;
+        incr dim
+      done;
+      let lo = !lo in
+      if lo >= hi then ()
+      else if hi - lo <= b then emit lo hi
+      else begin
+        let dim = depth mod (2 * dims) in
+        let mid = lo + ((hi - lo) / 2) in
+        Select.partition_at ~cmp:(Entry_nd.compare_dim dim) arr lo hi mid;
+        go lo mid (depth + 1);
+        go mid hi (depth + 1)
+      end
+    end
+  in
+  go 0 (Array.length arr) 0;
+  List.rev !out
+
+let datasets_nd ~dims n =
+  let rng = Random.State.make [| n; dims; 19 |] in
+  let make f = Array.init n (fun i -> Entry_nd.make (f i) i) in
+  let coords f = Array.init dims f in
+  let random =
+    make (fun _ ->
+        let lo = coords (fun _ -> Random.State.float rng 1.0) in
+        Hyperrect.make ~lo ~hi:(Array.map (fun v -> v +. Random.State.float rng 0.3) lo))
+  in
+  (* Every box three times, under distinct ids. *)
+  let repeated = make (fun i -> Entry_nd.box random.(i / 3)) in
+  let shared_lo0 =
+    make (fun i ->
+        let box = Entry_nd.box random.(i) in
+        Hyperrect.make
+          ~lo:(coords (fun k -> if k = 0 then 0.0 else Hyperrect.lo box k))
+          ~hi:(coords (Hyperrect.hi box)))
+  in
+  let points = make (fun _ -> Hyperrect.point (coords (fun _ -> Random.State.float rng 1.0))) in
+  (* -0.0 beside 0.0: equal under every comparison, distinct bits. *)
+  let zeros =
+    make (fun _ ->
+        let z () = if Random.State.bool rng then -0.0 else 0.0 in
+        Hyperrect.make ~lo:(coords (fun _ -> z ()))
+          ~hi:(coords (fun _ -> if Random.State.int rng 4 = 0 then z () else Random.State.float rng 1.0)))
+  in
+  [
+    ("random", random);
+    ("repeated", repeated);
+    ("shared lo0", shared_lo0);
+    ("points", points);
+    ("signed zeros", zeros);
+  ]
+
+let ids_nd leaves = List.map (fun (_, es) -> Array.to_list (Array.map Entry_nd.id es)) leaves
+
+(* The box against [Hyperrect.union_map] over the leaf, bit for bit. *)
+let exact_box_nd (box, entries) =
+  let u = Hyperrect.union_map ~f:Entry_nd.box entries in
+  Hyperrect.dims box = Hyperrect.dims u
+  && List.for_all
+       (fun k ->
+         same_bits (Hyperrect.lo box k) (Hyperrect.lo u k)
+         && same_bits (Hyperrect.hi box k) (Hyperrect.hi u k))
+       (List.init (Hyperrect.dims u) Fun.id)
+
+let rec tree_leaves = function
+  | Pseudo.Leaf { mbr; entries; priority } -> [ (priority, (mbr, entries)) ]
+  | Pseudo.Node { children; _ } -> List.concat_map tree_leaves children
+
+let check_nd_against_oracle ~label ~b ~dims entries =
+  let expected = oracle_leaves_nd ~b ~dims entries in
+  let tree = tree_leaves (Pseudo_nd.build ~b ~dims entries) in
+  let built = List.map (fun (p, (_, es)) -> (p, es)) tree in
+  let flat = List.map (fun (_, es) -> (None, es)) (Pseudo_nd.build_leaves ~b ~dims entries) in
+  let label = Printf.sprintf "%s d=%d b=%d" label dims b in
+  Alcotest.(check (list (list int))) (label ^ ": build leaves") (ids_nd expected) (ids_nd built);
+  Alcotest.(check bool) (label ^ ": build entries") true (same_entries expected built);
+  Alcotest.(check bool)
+    (label ^ ": build leaves in page order") true
+    (List.for_all (fun (_, es) -> Node_nd.in_page_order es) built);
+  Alcotest.(check (list (option int)))
+    (label ^ ": priority directions") (List.map fst expected) (List.map fst built);
+  Alcotest.(check bool)
+    (label ^ ": build leaf boxes") true
+    (List.for_all (fun (_, leaf) -> exact_box_nd leaf) tree);
+  Alcotest.(check (list (list int))) (label ^ ": build_leaves") (ids_nd expected) (ids_nd flat);
+  Alcotest.(check bool) (label ^ ": build_leaves entries") true (same_entries expected flat);
+  Alcotest.(check bool)
+    (label ^ ": build_leaves boxes") true
+    (List.for_all exact_box_nd (Pseudo_nd.build_leaves ~b ~dims entries))
+
+let test_other_dimensions () =
+  List.iter
+    (fun dims ->
+      List.iter
+        (fun (label, entries) ->
+          List.iter (fun b -> check_nd_against_oracle ~label ~b ~dims entries) [ 1; 2; 9; 113 ])
+        (datasets_nd ~dims 700);
+      List.iter
+        (fun (label, entries) ->
+          List.iter (fun b -> check_nd_against_oracle ~label ~b ~dims entries) [ 2; 113 ])
+        (List.filter (fun (l, _) -> l = "random" || l = "signed zeros") (datasets_nd ~dims 5000)))
+    [ 1; 3; 4 ]
+
 let suite =
   [
     Alcotest.test_case "kernel equals the closure build (700 entries)" `Quick test_small_inputs;
     Alcotest.test_case "kernel equals the closure build (20k)" `Quick test_large_inputs;
     Alcotest.test_case "kernel rejects invalid arguments" `Quick test_invalid_arguments;
+    Alcotest.test_case "kernel equals the boxed build (d = 1, 3, 4)" `Quick test_other_dimensions;
   ]
