@@ -1,12 +1,15 @@
 (* Generic LRU map: hash table plus an intrusive doubly-linked recency
    list.  Used by the buffer pool to decide which cached page to evict,
-   and directly testable in isolation. *)
+   and directly testable in isolation.  A hit allocates nothing: each
+   node carries the [Some] of itself that its neighbours link to, and
+   the [Some] of its value that [find] answers with. *)
 
 type ('k, 'v) node = {
   key : 'k;
-  mutable value : 'v;
+  mutable value : 'v option; (* always [Some]: built when the value is set *)
   mutable prev : ('k, 'v) node option;
   mutable next : ('k, 'v) node option;
+  self : ('k, 'v) node option; (* [Some] of this node *)
 }
 
 type ('k, 'v) t = {
@@ -15,6 +18,8 @@ type ('k, 'v) t = {
   mutable head : ('k, 'v) node option; (* most recently used *)
   mutable tail : ('k, 'v) node option; (* least recently used *)
 }
+
+let value_of node = Option.get node.value
 
 let create capacity =
   if capacity < 1 then invalid_arg "Lru.create: capacity must be >= 1";
@@ -36,21 +41,22 @@ let unlink t node =
 let push_front t node =
   node.next <- t.head;
   node.prev <- None;
-  (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
-  t.head <- Some node
+  (match t.head with Some h -> h.prev <- node.self | None -> t.tail <- node.self);
+  t.head <- node.self
 
 let touch t node =
-  if t.head != Some node then begin
-    unlink t node;
-    push_front t node
-  end
+  match t.head with
+  | Some h when h == node -> ()
+  | _ ->
+      unlink t node;
+      push_front t node
 
 let find t key =
-  match Hashtbl.find_opt t.table key with
-  | None -> None
-  | Some node ->
+  match Hashtbl.find t.table key with
+  | node ->
       touch t node;
-      Some node.value
+      node.value
+  | exception Not_found -> None
 
 let mem t key = Hashtbl.mem t.table key
 
@@ -60,16 +66,16 @@ let remove t key =
   | Some node ->
       unlink t node;
       Hashtbl.remove t.table key;
-      Some node.value
+      node.value
 
 let add t key value =
   match Hashtbl.find_opt t.table key with
   | Some node ->
-      node.value <- value;
+      node.value <- Some value;
       touch t node;
       None
   | None ->
-      let node = { key; value; prev = None; next = None } in
+      let rec node = { key; value = Some value; prev = None; next = None; self = Some node } in
       Hashtbl.replace t.table key node;
       push_front t node;
       if Hashtbl.length t.table > t.capacity then begin
@@ -78,11 +84,11 @@ let add t key value =
         | Some lru ->
             unlink t lru;
             Hashtbl.remove t.table lru.key;
-            Some (lru.key, lru.value)
+            Some (lru.key, value_of lru)
       end
       else None
 
-let iter t f = Hashtbl.iter (fun key node -> f key node.value) t.table
+let iter t f = Hashtbl.iter (fun key node -> f key (value_of node)) t.table
 
 let clear t =
   Hashtbl.reset t.table;

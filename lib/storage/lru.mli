@@ -9,7 +9,8 @@ val length : ('k, 'v) t -> int
 val capacity : ('k, 'v) t -> int
 
 val find : ('k, 'v) t -> 'k -> 'v option
-(** Lookup; marks the binding most recently used. *)
+(** Lookup; marks the binding most recently used.  A hit allocates
+    nothing. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
 (** Membership test without touching recency. *)

@@ -254,6 +254,37 @@ let test_pool_free_drops_cache () =
   (* The stale dirty page must not resurface. *)
   Alcotest.(check bytes) "fresh read from pager" (Pager.read pager a2) (Buffer_pool.read pool a2)
 
+(* A cached read allocates nothing: not the LRU lookup, and not moving
+   the page to the front of the recency list.  Measured on 100 reads of
+   one page (each already the most recent) and on 100 reads cycling
+   over three pages (each moved to the front), after a warm-up;
+   [Gc.minor] before each reading keeps the counter exact. *)
+let test_pool_cached_read_allocates_nothing () =
+  let pool = Buffer_pool.create ~capacity:8 (Pager.create_memory ~page_size:64 ()) in
+  let ids = Array.init 3 (fun _ -> Buffer_pool.alloc pool) in
+  Array.iter (fun id -> Buffer_pool.write pool id (Bytes.make 64 'x')) ids;
+  let words f =
+    f ();
+    Gc.minor ();
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor ();
+    Gc.minor_words () -. w0
+  in
+  let one () =
+    for _ = 1 to 100 do
+      ignore (Buffer_pool.read pool ids.(0))
+    done
+  and cycle () =
+    for k = 1 to 100 do
+      ignore (Buffer_pool.read pool ids.(k mod 3))
+    done
+  in
+  let hits = Buffer_pool.hits pool in
+  Alcotest.(check (float 0.0)) "100 reads of one cached page" 0.0 (words one);
+  Alcotest.(check (float 0.0)) "100 reads cycling over three cached pages" 0.0 (words cycle);
+  Alcotest.(check int) "every read a hit" (hits + 400) (Buffer_pool.hits pool)
+
 let suite =
   [
     Alcotest.test_case "page: f64 roundtrip" `Quick test_page_f64_roundtrip;
@@ -279,4 +310,6 @@ let suite =
     Alcotest.test_case "pool: flush" `Quick test_pool_flush;
     Alcotest.test_case "pool: read after write" `Quick test_pool_read_after_write_cached;
     Alcotest.test_case "pool: free drops cache" `Quick test_pool_free_drops_cache;
+    Alcotest.test_case "pool: a cached read allocates nothing" `Quick
+      test_pool_cached_read_allocates_nothing;
   ]
