@@ -40,9 +40,11 @@
    Usage:
      check_regress --baselines DIR [--fresh DIR] [--selftest] NAME...
    where each NAME is a result file (e.g. BENCH_fig9.json) looked up in
-   both directories.  --selftest proves the gate trips: each baseline
-   is perturbed in memory past tolerance and must fail against itself,
-   and must pass unperturbed. *)
+   both directories.  --selftest proves the gate trips: each tracked
+   metric of each baseline row, perturbed in memory past its tolerance
+   in a copy of its own, must fail against the baseline, and the file
+   must pass unperturbed; it prints how many injections each metric
+   got. *)
 
 module Json = Prt_obs.Json
 
@@ -123,7 +125,11 @@ let number k kv = Option.bind (List.assoc_opt k kv) Json.to_number
 
 type verdict = { mutable failures : int; mutable improvements : int; mutable checked : int }
 
-let compare_rows v ~name ~key base fresh =
+(* [quiet] drops the report lines (the selftest's injections fail on
+   purpose); the verdict counts them all the same. *)
+let say ~quiet fmt = if quiet then Printf.ifprintf stdout fmt else Printf.printf fmt
+
+let compare_rows ~quiet v ~name ~key base fresh =
   List.iter
     (fun (metric, dir) ->
       match number metric base with
@@ -132,7 +138,7 @@ let compare_rows v ~name ~key base fresh =
           match number metric fresh with
           | None -> (
               v.failures <- v.failures + 1;
-              Printf.printf "FAIL %s [%s] %s: in baseline (%g) but missing fresh\n" name key
+              say ~quiet "FAIL %s [%s] %s: in baseline (%g) but missing fresh\n" name key
                 metric b)
           | Some f -> (
               v.checked <- v.checked + 1;
@@ -140,25 +146,25 @@ let compare_rows v ~name ~key base fresh =
               | Exact ->
                   if f <> b then begin
                     v.failures <- v.failures + 1;
-                    Printf.printf "FAIL %s [%s] %s: expected %g, got %g\n" name key metric b f
+                    say ~quiet "FAIL %s [%s] %s: expected %g, got %g\n" name key metric b f
                   end
               | Lower tol ->
                   if f > b *. (1. +. tol) then begin
                     v.failures <- v.failures + 1;
-                    Printf.printf "FAIL %s [%s] %s: %g -> %g (+%.1f%%, tolerance %.0f%%)\n" name
+                    say ~quiet "FAIL %s [%s] %s: %g -> %g (+%.1f%%, tolerance %.0f%%)\n" name
                       key metric b f
                       ((f /. b -. 1.) *. 100.)
                       (tol *. 100.)
                   end
                   else if b > 0. && f < b *. (1. -. tol) then begin
                     v.improvements <- v.improvements + 1;
-                    Printf.printf "note %s [%s] %s: %g -> %g (improved; consider refreshing the \
-                                   baseline)\n"
+                    say ~quiet "note %s [%s] %s: %g -> %g (improved; consider refreshing the \
+                              baseline)\n"
                       name key metric b f
                   end)))
     tracked
 
-let compare_files v ~name base_rows fresh_rows =
+let compare_files ?(quiet = false) v ~name base_rows fresh_rows =
   let fresh_tbl = Hashtbl.create 16 in
   List.iter (fun kv -> Hashtbl.replace fresh_tbl (row_key kv) kv) fresh_rows;
   List.iter
@@ -167,59 +173,71 @@ let compare_files v ~name base_rows fresh_rows =
       match Hashtbl.find_opt fresh_tbl key with
       | None ->
           v.failures <- v.failures + 1;
-          Printf.printf "FAIL %s: baseline row [%s] missing from fresh run\n" name key
+          say ~quiet "FAIL %s: baseline row [%s] missing from fresh run\n" name key
       | Some fresh ->
           Hashtbl.remove fresh_tbl key;
-          compare_rows v ~name ~key base fresh)
+          compare_rows ~quiet v ~name ~key base fresh)
     base_rows;
-  Hashtbl.iter (fun key _ -> Printf.printf "note %s: new row [%s] (no baseline)\n" name key)
-    fresh_tbl
+  Hashtbl.iter (fun key _ -> say ~quiet "note %s: new row [%s] (no baseline)\n" name key) fresh_tbl
 
 (* --- selftest --- *)
 
-(* Perturb the first gated Lower metric of each row just past its band
-   (and every Exact metric by one); the gate must trip on every
-   perturbable row, and must pass the file against itself verbatim. *)
-let perturb_row kv =
-  let hit = ref false in
-  let kv' =
-    List.map
-      (fun (k, v) ->
-        match (List.assoc_opt k tracked, v) with
-        | Some (Lower tol), Json.Int i when not !hit && i > 0 ->
-            hit := true;
-            (k, Json.Int (int_of_float (ceil (float_of_int i *. (1. +. (2. *. tol))))))
-        | Some (Lower tol), Json.Float f when not !hit && f > 0. ->
-            hit := true;
-            (k, Json.Float (f *. (1. +. (2. *. tol))))
-        | Some Exact, Json.Int i when not !hit ->
-            hit := true;
-            (k, Json.Int (i + 1))
-        | _ -> (k, v))
-      kv
-  in
-  if !hit then Some kv' else None
+(* A tracked metric's value moved just past its band: a Lower one by
+   twice its tolerance (or from zero or below by one), an Exact one by
+   one, Int or Float alike.  [None] for a value that is not a number. *)
+let perturb dir v =
+  match (dir, v) with
+  | Lower tol, Json.Int i when i > 0 ->
+      Some (Json.Int (int_of_float (ceil (float_of_int i *. (1. +. (2. *. tol))))))
+  | Lower tol, Json.Float f when f > 0. -> Some (Json.Float (f *. (1. +. (2. *. tol))))
+  | (Lower _ | Exact), Json.Int i -> Some (Json.Int (i + 1))
+  | (Lower _ | Exact), Json.Float f -> Some (Json.Float (f +. 1.))
+  | _ -> None
 
+(* One copy of the row per tracked metric it holds, with that metric
+   perturbed and every other field as it was. *)
+let perturbations kv =
+  List.filter_map
+    (fun (k, v) ->
+      match List.assoc_opt k tracked with
+      | None -> None
+      | Some dir ->
+          Option.map
+            (fun v' -> (k, List.map (fun (k', x) -> if k' = k then (k', v') else (k', x)) kv))
+            (perturb dir v))
+    kv
+
+(* The file must pass against itself verbatim, and each copy with one
+   tracked metric perturbed must trip the gate: every metric of every
+   row, so a metric the comparison skipped would show. *)
 let selftest ~name base_rows =
   (* identical rows must pass... *)
   let v = { failures = 0; improvements = 0; checked = 0 } in
   compare_files v ~name base_rows base_rows;
   if v.failures > 0 then fail "selftest %s: clean comparison failed" name;
   if v.checked = 0 then fail "selftest %s: no tracked metrics found" name;
-  (* ...and each perturbed row must trip the gate. *)
-  let perturbed = List.filter_map perturb_row base_rows in
-  if perturbed = [] then fail "selftest %s: no perturbable rows" name;
+  (* ...and each perturbed copy must trip the gate. *)
+  let injections = List.concat_map perturbations base_rows in
   List.iter
-    (fun bad ->
+    (fun (metric, bad) ->
       let v = { failures = 0; improvements = 0; checked = 0 } in
-      compare_files v ~name
+      compare_files ~quiet:true v ~name
         (List.filter (fun b -> row_key b = row_key bad) base_rows)
         [ bad ];
       if v.failures = 0 then
-        fail "selftest %s: injected regression in [%s] not caught" name (row_key bad))
-    perturbed;
-  Printf.printf "%s: selftest ok (%d rows trip the gate when perturbed)\n" name
-    (List.length perturbed)
+        fail "selftest %s: injected regression in %s of [%s] not caught" name metric
+          (row_key bad))
+    injections;
+  let per_metric =
+    List.filter_map
+      (fun (metric, _) ->
+        match List.length (List.filter (fun (m, _) -> m = metric) injections) with
+        | 0 -> None
+        | n -> Some (Printf.sprintf "%s %d" metric n))
+      tracked
+  in
+  Printf.printf "%s: selftest ok (%d rows, %d injections trip the gate: %s)\n" name
+    (List.length base_rows) (List.length injections) (String.concat ", " per_metric)
 
 (* --- driver --- *)
 
