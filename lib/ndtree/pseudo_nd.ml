@@ -44,7 +44,5 @@ let build_leaves ~b ~dims entries =
   check_dims ~dims entries;
   Pseudo.build_leaves_with (geometry ~dims) ~b entries
 
-let mbr = Pseudo.mbr
 let leaves = Pseudo.leaves
-let fold_leaves = Pseudo.fold_leaves
 let size = Pseudo.size

@@ -20,10 +20,5 @@ val build_leaves :
     [Hyperrect.union_map] gives over it: what {!Prtree_nd.load} writes
     of each stage.  Same exceptions as {!build}. *)
 
-val mbr : t -> Prt_geom.Hyperrect.t
 val leaves : t -> Entry_nd.t array list
-
-val fold_leaves :
-  t -> init:'acc -> f:('acc -> entries:Entry_nd.t array -> priority:int option -> 'acc) -> 'acc
-
 val size : t -> int
