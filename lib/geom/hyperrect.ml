@@ -92,6 +92,14 @@ let coord dim b =
   if dim < 0 || dim >= 2 * d then invalid_arg "Hyperrect.coord: dimension out of range";
   if dim < d then b.lo.(dim) else b.hi.(dim - d)
 
+let write_columns b cols i =
+  let d = dims b in
+  if Array.length cols <> 2 * d then invalid_arg "Hyperrect.write_columns: expected 2d columns";
+  for k = 0 to d - 1 do
+    Float.Array.set cols.(k) i b.lo.(k);
+    Float.Array.set cols.(d + k) i b.hi.(k)
+  done
+
 let pp ppf b =
   Fmt.pf ppf "@[<h>{";
   for i = 0 to dims b - 1 do

@@ -37,4 +37,10 @@ val coord : int -> t -> float
     box maps to: dimensions [0..d-1] are low sides, [d..2d-1] high
     sides. *)
 
+val write_columns : t -> Float.Array.t array -> int -> unit
+(** [write_columns b cols i] writes the box's [2d] kd-coordinates, in
+    {!coord}'s order, into slot [i] of [cols.(0)] to [cols.(2d - 1)]:
+    the column copy of the PR-tree's construction kernel, with no float
+    boxed.  Raises [Invalid_argument] unless there are [2d] columns. *)
+
 val pp : Format.formatter -> t -> unit

@@ -16,7 +16,7 @@ type t = (Hyperrect.t, Entry_nd.t) Pseudo.tree
 let geometry ~dims =
   {
     Pseudo.dims;
-    coord = (fun k e -> Hyperrect.coord k (Entry_nd.box e));
+    store = (fun e cols i -> Hyperrect.write_columns e.Entry_nd.box cols i);
     id = Entry_nd.id;
     box = Entry_nd.box;
     make_box =
@@ -43,6 +43,10 @@ let build ?b ~dims entries =
 let build_leaves ~b ~dims entries =
   check_dims ~dims entries;
   Pseudo.build_leaves_with (geometry ~dims) ~b entries
+
+let columns ~dims entries =
+  check_dims ~dims entries;
+  Pseudo.columns (geometry ~dims) entries
 
 let leaves = Pseudo.leaves
 let size = Pseudo.size

@@ -17,8 +17,13 @@ val build_leaves :
   b:int -> dims:int -> Entry_nd.t array -> (Prt_geom.Hyperrect.t * Entry_nd.t array) list
 (** The leaves of [build ~b ~dims], in the same order, each in page
     order ({!Node_nd.page_compare}) and with the box
-    [Hyperrect.union_map] gives over it: what {!Prtree_nd.load} writes
-    of each stage.  Same exceptions as {!build}. *)
+    [Hyperrect.union_map] gives over it.  Same exceptions as
+    {!build}. *)
+
+val columns : dims:int -> Entry_nd.t array -> Prt_prtree.Pseudo.columns
+(** The entries copied into the kernel's columns, as
+    {!Prtree_nd.load} hands them to the staged loader.  Raises
+    [Invalid_argument] on entries of the wrong dimensionality. *)
 
 val leaves : t -> Entry_nd.t array list
 val size : t -> int

@@ -8,58 +8,87 @@
    boxes of level i-1 and keeps its leaves as level i.  The stages stop
    when one node's worth of boxes remains, which becomes the root.
    Theorem 1: windows queries on the result take O(sqrt(N/B) + T/B)
-   I/Os — worst-case optimal. *)
+   I/Os — worst-case optimal.
 
-module Rect = Prt_geom.Rect
+   A level is held as columns ({!Pseudo.columns}) from start to end:
+   the kernel selects on them in place, each leaf's page is encoded
+   straight from them in page order, and the leaves' boxes and page ids
+   are the next level's columns.  No entry record is made.  The loop is
+   the same for every dimension d: the d-dimensional tree
+   ([Prt_ndtree.Prtree_nd]) runs it on 2d columns. *)
+
 module Buffer_pool = Prt_storage.Buffer_pool
 module Pager = Prt_storage.Pager
-module Entry = Prt_rtree.Entry
 module Node = Prt_rtree.Node
 module Rtree = Prt_rtree.Rtree
 module Trace = Prt_obs.Trace
 module Json = Prt_obs.Json
 
-(* Write one level's nodes; each leaf comes from the kernel in page
-   order and with its bounding box, which becomes its parent entry. *)
-let write_level pool ~kind leaves =
+(* Write one level's pages, leaf by leaf from the columns in page order
+   ([ends] from {!Pseudo.leaf_ends}); each leaf's bounding box and page
+   id become its slot in the next level's columns. *)
+let write_level pool ~dims ~kind (c : Pseudo.columns) ends =
   let page_size = Pager.page_size (Buffer_pool.pager pool) in
-  List.rev
-    (List.rev_map
-       (fun (mbr, entries) ->
-         let id = Buffer_pool.alloc pool in
-         Buffer_pool.write pool id (Node.encode ~page_size (Node.make kind entries));
-         Entry.make mbr id)
-       leaves)
+  let m = Array.length ends in
+  let cols = Array.init (2 * dims) (fun _ -> Float.Array.create m) and ids = Array.make m 0 in
+  let cap = Node.capacity_nd ~page_size ~dims in
+  let order = Array.make cap 0 and scratch = Array.make cap 0 in
+  let bounds = Float.Array.create (2 * dims) in
+  (* One page buffer for the level: the pool keeps a copy of each. *)
+  let page = Bytes.create page_size in
+  let lo = ref 0 in
+  for i = 0 to m - 1 do
+    let hi = ends.(i) in
+    ignore (Pseudo.page_leaf c ~lo:!lo ~hi ~order ~scratch ~bounds);
+    Node.encode_columns page ~dims kind c.cols c.ids order (hi - !lo);
+    let id = Buffer_pool.alloc pool in
+    Buffer_pool.write pool id page;
+    for k = 0 to (2 * dims) - 1 do
+      Float.Array.set cols.(k) i (Float.Array.get bounds k)
+    done;
+    ids.(i) <- id;
+    lo := hi
+  done;
+  { Pseudo.cols; ids; origin = [||]; len = m }
+
+let stages ~span ~dims ?priority_size pool (c : Pseudo.columns) =
+  if c.len <= 0 then invalid_arg "Prtree.stages: no entries";
+  let page_size = Pager.page_size (Buffer_pool.pager pool) in
+  let cap = Node.capacity_nd ~page_size ~dims in
+  (* [c] holds the level under construction; [kind] is Leaf for stage
+     0 and Internal afterwards. *)
+  let rec stage (c : Pseudo.columns) ~kind ~height =
+    if c.len <= cap then begin
+      let order = Array.make c.len 0 and scratch = Array.make c.len 0 in
+      let bounds = Float.Array.create (2 * dims) in
+      ignore (Pseudo.page_leaf c ~lo:0 ~hi:c.len ~order ~scratch ~bounds);
+      let page = Bytes.create page_size in
+      Node.encode_columns page ~dims kind c.cols c.ids order c.len;
+      let id = Buffer_pool.alloc pool in
+      Buffer_pool.write pool id page;
+      (id, height)
+    end
+    else begin
+      Trace.with_span (span ^ ".stage")
+        ~args:[ ("level", Json.Int (height - 1)); ("n", Json.Int c.len) ]
+        (fun () ->
+          (* The kernel runs to the end before any page is written. *)
+          let ends =
+            Trace.with_span (span ^ ".pseudo") (fun () ->
+                Pseudo.leaf_ends ~b:cap ?priority_size c)
+          in
+          Trace.with_span (span ^ ".write_level") (fun () -> write_level pool ~dims ~kind c ends))
+      |> fun level -> stage level ~kind:Node.Internal ~height:(height + 1)
+    end
+  in
+  stage c ~kind:Node.Leaf ~height:1
+
+let load_columns ?priority_size pool (c : Pseudo.columns) =
+  Trace.with_span "prtree.load" ~args:[ ("n", Json.Int c.len) ] @@ fun () ->
+  if c.len = 0 then Rtree.create_empty pool
+  else
+    let root, height = stages ~span:"prtree" ~dims:2 ?priority_size pool c in
+    Rtree.of_root ~pool ~root ~height ~count:c.len
 
 let load ?priority_size pool entries =
-  Trace.with_span "prtree.load"
-    ~args:[ ("n", Json.Int (Array.length entries)) ]
-  @@ fun () ->
-  let page_size = Pager.page_size (Buffer_pool.pager pool) in
-  let cap = Node.capacity ~page_size in
-  let count = Array.length entries in
-  if count = 0 then Rtree.create_empty pool
-  else begin
-    (* [current] holds the entries of the level under construction;
-       [kind] is Leaf for stage 0 and Internal afterwards. *)
-    let rec stage current ~kind ~height =
-      if Array.length current <= cap then begin
-        let node = Node.make kind current in
-        let id = Buffer_pool.alloc pool in
-        Buffer_pool.write pool id (Node.encode ~page_size node);
-        Rtree.of_root ~pool ~root:id ~height ~count
-      end
-      else begin
-        Trace.with_span "prtree.stage"
-          ~args:[ ("level", Json.Int (height - 1)); ("n", Json.Int (Array.length current)) ]
-          (fun () ->
-            let leaves =
-              Trace.with_span "prtree.pseudo" (fun () ->
-                  Pseudo.build_leaves ~b:cap ?priority_size current)
-            in
-            Trace.with_span "prtree.write_level" (fun () -> write_level pool ~kind leaves))
-        |> fun level -> stage (Array.of_list level) ~kind:Node.Internal ~height:(height + 1)
-      end
-    in
-    stage entries ~kind:Node.Leaf ~height:1
-  end
+  load_columns ?priority_size pool (Pseudo.columns Pseudo.planar entries)

@@ -19,30 +19,30 @@
    *leaves* of pseudo-PR-trees, stage by stage.
 
    Construction here is in-memory and selection-based: priority leaves
-   are peeled off with expected-linear quickselect, and the median split
-   is a selection too, so building is O(N log N) expected.  The
-   selection runs over unboxed data: the input's 2d coordinates are
-   copied once into [Float.Array] columns, in kd order (lows, then
-   highs: xmin, ymin, xmax, ymax in the plane), and the kernel permutes
-   an int array of indices into them.  Its quickselect is
-   {!Prt_util.Select.partition_at} specialised to one key column and a
-   direction: the same pivots and the same Hoare scan, comparing keys
-   inline and reading the rest of the entry order (every column in kd
-   order, then the id) from the columns only on equal keys.  Every
-   comparison therefore has the geometry's [compare_dim] outcome, and
-   the permutation moves exactly as [Select.partition_at] moves an
-   entry array under that order: every leaf holds the entries a build
-   with [compare_dim] closures puts in it.  Inside a leaf the entries
-   are in page order ({!Prt_rtree.Node.page_compare}): the kernel
-   heapsorts the leaf's index range on the columns, and reads the
-   leaf's bounding box from them as it hands the leaf out.
-   {!build_leaves} hands the leaves straight to the PR-tree's stages;
-   {!build} wraps them in the tree for Lemma 2, the audit and the
+   are peeled off with expected-linear selection, and the median split
+   is a selection too, so building is O(N log N) expected.  The kernel
+   works on {!columns}: the 2d coordinates in unboxed [Float.Array]
+   columns, in kd order (lows, then highs: xmin, ymin, xmax, ymax in
+   the plane), beside an int column of ids and, when the caller holds
+   entries, one of their origins.  Selection is Floyd–Rivest's,
+   specialised to one key column and a direction: it compares keys
+   inline, reads the rest of the entry order (every column in kd order,
+   then the id) only on equal keys, and permutes every column in
+   lockstep.  Every priority leaf and kd half is the set of the most
+   extreme entries under that total order, so no selection algorithm
+   can change the leaves: they are the ones a build with [compare_dim]
+   closures gives.  Each leaf is a position range; inside it the
+   entries go in page order ({!Prt_rtree.Node.page_compare}) by sorting
+   a small index array ({!Prt_rtree.Node.sort_columns}), and its
+   bounding box is read from the columns.  {!leaf_ends} hands the
+   ranges to the PR-tree's stages ({!Prtree.load_columns}), which write
+   each page straight from the columns; {!build_leaves} and {!build},
+   over entry arrays, copy the entries in and hand them back out leaf
+   by leaf, {!build} wrapped in the tree for Lemma 2, the audit and the
    ablation.  The I/O-efficient external construction lives in
    {!Ext_build}. *)
 
 module Rect = Prt_geom.Rect
-module Select = Prt_util.Select
 module Entry = Prt_rtree.Entry
 
 type ('box, 'entry) tree =
@@ -55,7 +55,7 @@ type t = (Rect.t, Entry.t) tree
 
 type ('box, 'entry) geometry = {
   dims : int;
-  coord : int -> 'entry -> float;
+  store : 'entry -> Float.Array.t array -> int -> unit;
   id : 'entry -> int;
   box : 'entry -> 'box;
   make_box : Float.Array.t -> 'box;
@@ -67,12 +67,15 @@ type ('box, 'entry) geometry = {
 let planar =
   {
     dims = 2;
-    coord =
-      (* The fields in place, not through [Rect.coord]: the column copy
-         calls this once per coordinate. *)
-      (fun k e ->
+    store =
+      (* The fields in place, not through accessors: a float returned
+         across modules is boxed. *)
+      (fun e cols i ->
         let r = e.Entry.rect in
-        match k with 0 -> r.Rect.xmin | 1 -> r.Rect.ymin | 2 -> r.Rect.xmax | _ -> r.Rect.ymax);
+        Float.Array.set cols.(0) i r.Rect.xmin;
+        Float.Array.set cols.(1) i r.Rect.ymin;
+        Float.Array.set cols.(2) i r.Rect.xmax;
+        Float.Array.set cols.(3) i r.Rect.ymax);
     id = Entry.id;
     box = Entry.rect;
     make_box =
@@ -101,125 +104,137 @@ let union_all g entries =
 (* --- the selection kernel --- *)
 
 type columns = {
-  cols : Float.Array.t array;  (* the 2d kd-coordinates, lows then highs *)
+  cols : Float.Array.t array;
   ids : int array;
+  origin : int array;
+  len : int;
 }
 
-let columns g entries =
+let copy g ~origin entries =
   let n = Array.length entries in
-  let column k =
-    let col = Float.Array.create n in
-    for i = 0 to n - 1 do
-      Float.Array.unsafe_set col i (g.coord k (Array.unsafe_get entries i))
-    done;
-    col
-  in
-  { cols = Array.init (2 * g.dims) column; ids = Array.map g.id entries }
+  let cols = Array.init (2 * g.dims) (fun _ -> Float.Array.create n) in
+  let ids = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let e = Array.unsafe_get entries i in
+    g.store e cols i;
+    Array.unsafe_set ids i (g.id e)
+  done;
+  { cols; ids; origin = (if origin then Array.init n Fun.id else [||]); len = n }
 
-let[@inline] fcmp col x y =
-  Float.compare (Float.Array.unsafe_get col x) (Float.Array.unsafe_get col y)
+let columns g entries = copy g ~origin:false entries
 
-(* [compare_dim]'s tie-break from the columns: the coordinates in kd
-   order from column [k] on (in the plane, [Rect.compare]'s order),
-   then the ids. *)
-let rec tie_from cols ids k x y =
-  if k = Array.length cols then Int.compare (Array.unsafe_get ids x) (Array.unsafe_get ids y)
+(* Swap positions [i] and [j] of every column in lockstep: the 2d
+   coordinate columns, the ids and the origins. *)
+let[@inline] swap_col col i j =
+  let t = Float.Array.unsafe_get col i in
+  Float.Array.unsafe_set col i (Float.Array.unsafe_get col j);
+  Float.Array.unsafe_set col j t
+
+let swap c i j =
+  let cols = c.cols in
+  if Array.length cols = 4 then begin
+    swap_col (Array.unsafe_get cols 0) i j;
+    swap_col (Array.unsafe_get cols 1) i j;
+    swap_col (Array.unsafe_get cols 2) i j;
+    swap_col (Array.unsafe_get cols 3) i j
+  end
   else
-    let r = fcmp (Array.unsafe_get cols k) x y in
-    if r <> 0 then r else tie_from cols ids (k + 1) x y
+    for k = 0 to Array.length cols - 1 do
+      swap_col (Array.unsafe_get cols k) i j
+    done;
+  let ids = c.ids in
+  let t = Array.unsafe_get ids i in
+  Array.unsafe_set ids i (Array.unsafe_get ids j);
+  Array.unsafe_set ids j t;
+  let o = c.origin in
+  if Array.length o > 0 then begin
+    let t = Array.unsafe_get o i in
+    Array.unsafe_set o i (Array.unsafe_get o j);
+    Array.unsafe_set o j t
+  end
 
-(* [compare_dim] of element [x] against the pivot [p], whose key in
-   column [key] (that of the dimension) is [kp].  The float comparisons
-   decide unless the keys are equal (or NaN, which [Float.compare]
-   orders as [compare_dim] does). *)
-let[@inline] compare_to c key x p kp =
-  let kx = Float.Array.unsafe_get key x in
+(* A selection's pivot, copied out of the columns: the swaps move it. *)
+type pivot = { keys : Float.Array.t; mutable id : int }
+
+let load_pivot c p x =
+  for k = 0 to Array.length c.cols - 1 do
+    Float.Array.unsafe_set p.keys k (Float.Array.unsafe_get (Array.unsafe_get c.cols k) x)
+  done;
+  p.id <- Array.unsafe_get c.ids x
+
+(* [compare_dim]'s tie-break of position [x] against the pivot: the
+   coordinates in kd order from column [k] on (in the plane,
+   [Rect.compare]'s order), then the ids. *)
+let rec tie c p k x =
+  if k = Array.length c.cols then Int.compare (Array.unsafe_get c.ids x) p.id
+  else
+    let r =
+      Float.compare
+        (Float.Array.unsafe_get (Array.unsafe_get c.cols k) x)
+        (Float.Array.unsafe_get p.keys k)
+    in
+    if r <> 0 then r else tie c p (k + 1) x
+
+(* [compare_dim] of position [x] against the pivot on column [key]
+   ([col]).  The float comparisons decide unless the keys are equal (or
+   NaN, which [Float.compare] orders as [compare_dim] does). *)
+let[@inline] compare_to c p col key x =
+  let kx = Float.Array.unsafe_get col x and kp = Float.Array.unsafe_get p.keys key in
   if kx < kp then -1
   else if kx > kp then 1
   else
     let r = Float.compare kx kp in
-    if r <> 0 then r else tie_from c.cols c.ids 0 x p
+    if r <> 0 then r else tie c p 0 x
 
-let[@inline] swap (perm : int array) i j =
-  let tmp = Array.unsafe_get perm i in
-  Array.unsafe_set perm i (Array.unsafe_get perm j);
-  Array.unsafe_set perm j tmp
-
-(* [Select.partition_at] on [perm.(lo..hi)] under [sign] times
-   [compare_dim] on [key]'s dimension ([sign] -1 puts the largest
-   first): the same pivot rule and the same Hoare scan, so it makes the
-   swaps [Select.partition_at] makes on the entries themselves. *)
-let rec partition c key sign perm lo hi n =
-  if hi - lo > 1 then begin
-    swap perm (Select.pivot_index lo hi) lo;
-    let p = perm.(lo) in
-    let kp = Float.Array.get key p in
-    let i = ref (lo + 1) and j = ref (hi - 1) in
-    while !i <= !j do
-      while !i <= !j && sign * compare_to c key (Array.unsafe_get perm !i) p kp < 0 do
+(* Floyd–Rivest selection on positions [left .. right] under [sign]
+   times [compare_dim] on column [key] ([sign] -1 puts the largest
+   first): afterwards position [k] holds the entry of its rank, the
+   entries before it precede it and the entries after it follow it.  A
+   range above 600 entries first selects [k] within a sample around
+   its expected place, so the partition that follows is by a pivot
+   close to the target and leaves a short range to finish: about n +
+   min(k, n - k) comparisons on n entries, against a multiple of n for
+   quickselect.  Every leaf and kd half is the set of the most extreme
+   entries under one total order, so any selection gives the same
+   leaves. *)
+let rec select c p key sign left right k =
+  let col = Array.unsafe_get c.cols key in
+  let left = ref left and right = ref right in
+  while !right > !left do
+    if !right - !left > 600 then begin
+      let n = float_of_int (!right - !left + 1) and i = float_of_int (k - !left + 1) in
+      let z = log n in
+      let s = 0.5 *. exp (2.0 *. z /. 3.0) in
+      let sd = 0.5 *. sqrt (z *. s *. (n -. s) /. n) in
+      let sd = if 2.0 *. i < n then -.sd else if 2.0 *. i > n then sd else 0.0 in
+      let kf = float_of_int k in
+      let lo = max !left (int_of_float (floor (kf -. (i *. s /. n) +. sd))) in
+      let hi = min !right (int_of_float (floor (kf +. ((n -. i) *. s /. n) +. sd))) in
+      select c p key sign lo hi k
+    end;
+    (* Partition [left .. right] around the entry at [k]. *)
+    load_pivot c p k;
+    let i = ref !left and j = ref !right in
+    swap c !left k;
+    if sign * compare_to c p col key !right > 0 then swap c !right !left;
+    while !i < !j do
+      swap c !i !j;
+      incr i;
+      decr j;
+      while sign * compare_to c p col key !i < 0 do
         incr i
       done;
-      while !i <= !j && sign * compare_to c key (Array.unsafe_get perm !j) p kp > 0 do
+      while sign * compare_to c p col key !j > 0 do
         decr j
-      done;
-      if !i < !j then begin
-        swap perm !i !j;
-        incr i;
-        decr j
-      end
-      else if !i = !j then incr i
+      done
     done;
-    let mid = !j in
-    swap perm lo mid;
-    if n < mid then partition c key sign perm lo mid n
-    else if n > mid then partition c key sign perm (mid + 1) hi n
-  end
-
-(* --- a leaf in page order ---
-
-   Each leaf's range of [perm] is sorted into page order
-   ({!Prt_rtree.Node.page_compare}) before it is handed out, so the
-   node writer's order check passes and no sort over boxed entries
-   follows.  [page_cmp] is that order on the columns: ascending [lo_0]
-   with NaN last, then the tie-break, whose first comparison (the
-   [lo_0]s again) then returns 0. *)
-let[@inline] page_cmp c lo0 x y =
-  let a = Float.Array.unsafe_get lo0 x and b = Float.Array.unsafe_get lo0 y in
-  if a < b then -1
-  else if a > b then 1
-  else if a = b || (a <> a && b <> b) then tie_from c.cols c.ids 0 x y
-  else if a <> a then 1
-  else -1
-
-(* Sift [perm.(lo + i)] down the max-heap [perm.(lo .. lo + n - 1)];
-   [lo0] is the [lo_0] column. *)
-let rec sift c lo0 perm lo i n =
-  let l = (2 * i) + 1 in
-  if l < n then begin
-    let r = l + 1 in
-    let m =
-      if r < n
-         && page_cmp c lo0 (Array.unsafe_get perm (lo + r)) (Array.unsafe_get perm (lo + l)) > 0
-      then r
-      else l
-    in
-    if page_cmp c lo0 (Array.unsafe_get perm (lo + m)) (Array.unsafe_get perm (lo + i)) > 0
-    then begin
-      swap perm (lo + i) (lo + m);
-      sift c lo0 perm lo m n
-    end
-  end
-
-(* Heapsort of [perm.(lo .. hi - 1)] into page order: in place, with
-   no allocation, in O(n log n) comparisons. *)
-let sort_page c perm lo hi =
-  let n = hi - lo and lo0 = c.cols.(0) in
-  for i = (n / 2) - 1 downto 0 do
-    sift c lo0 perm lo i n
-  done;
-  for k = n - 1 downto 1 do
-    swap perm lo (lo + k);
-    sift c lo0 perm lo 0 k
+    if compare_to c p col key !left = 0 then swap c !left !j
+    else begin
+      incr j;
+      swap c !j !right
+    end;
+    if !j <= k then left := !j + 1;
+    if k <= !j then right := !j - 1
   done
 
 (* [Float.min] and [Float.max] for floats that are not NaN, inline (a
@@ -228,20 +243,20 @@ let sort_page c perm lo hi =
 let[@inline] fmin x y = if x < y then x else if y < x then y else if Float.sign_bit x then x else y
 let[@inline] fmax x y = if x > y then x else if y > x then y else if Float.sign_bit x then y else x
 
-(* The bounding box of a leaf's range, read from the columns into
-   [bounds] (the lows' minima, then the highs' maxima): the bits
-   [union] gives over the same entries.  False unless every low is at
-   most its high, that is, on a NaN coordinate (a point box can hold
-   one), which [union]'s [Float.min] propagates and [fmin] would not:
-   the leaf's box is then [union]'s own. *)
-let range_bounds c perm lo hi bounds =
+(* The leaf's bounding box, read from the columns into [bounds] (the
+   lows' minima, then the highs' maxima): the bits [union] gives over
+   the leaf's entries in page order.  [fmin] and [fmax] give them
+   unless a low exceeds its high or is NaN (a point box can hold one);
+   then [union]'s own [Float.min] and [Float.max], which propagate the
+   NaN, are folded in page order, and the result is false. *)
+let leaf_bounds c order n bounds =
   let d = Array.length c.cols / 2 and ok = ref true in
   for k = 0 to d - 1 do
     let lows = Array.unsafe_get c.cols k and highs = Array.unsafe_get c.cols (d + k) in
-    let p = Array.unsafe_get perm lo in
+    let p = order.(0) in
     let l = ref (Float.Array.get lows p) and h = ref (Float.Array.get highs p) in
-    for i = lo to hi - 1 do
-      let p = Array.unsafe_get perm i in
+    for i = 0 to n - 1 do
+      let p = Array.unsafe_get order i in
       let x = Float.Array.unsafe_get lows p and y = Float.Array.unsafe_get highs p in
       ok := !ok && x <= y;
       l := fmin !l x;
@@ -250,15 +265,31 @@ let range_bounds c perm lo hi bounds =
     Float.Array.set bounds k !l;
     Float.Array.set bounds (d + k) !h
   done;
+  if not !ok then
+    for k = 0 to (2 * d) - 1 do
+      let col = c.cols.(k) and f = if k < d then Float.min else Float.max in
+      let acc = ref (Float.Array.get col order.(0)) in
+      for i = 1 to n - 1 do
+        acc := f !acc (Float.Array.get col order.(i))
+      done;
+      Float.Array.set bounds k !acc
+    done;
   !ok
 
-(* Run the construction, calling [leaf ~priority ~mbr entries] for each
-   leaf in construction order — its entries in page order, [mbr] their
-   bounding box — and [node children] for each internal node.  A
-   leaf's range of [perm] is final when it is handed out: later
-   selections touch only the ranges after it, so sorting it changes no
-   other leaf. *)
-let kernel g ~b ?priority_size ~leaf ~node entries =
+let page_leaf c ~lo ~hi ~order ~scratch ~bounds =
+  let n = hi - lo in
+  for k = 0 to n - 1 do
+    order.(k) <- lo + k
+  done;
+  Prt_rtree.Node.sort_columns c.cols c.ids order ~scratch n;
+  leaf_bounds c order n bounds
+
+(* Run the construction on [c], calling [leaf ~priority lo hi] for each
+   leaf (positions [lo .. hi - 1]) in construction order and [node
+   children] for each internal node.  Leaves come out left to right: a
+   leaf's range is final when it is handed out, since later selections
+   touch only the positions after it. *)
+let kernel ~b ?priority_size ~leaf ~node c =
   if b < 1 then invalid_arg "Pseudo.build: b must be >= 1";
   (* Priority leaves default to full size b (the paper's choice); 0
      disables them entirely, degenerating to a plain 2d-dimensional
@@ -267,46 +298,44 @@ let kernel g ~b ?priority_size ~leaf ~node entries =
   let priority_size = match priority_size with Some s -> s | None -> b in
   if priority_size < 0 || priority_size > b then
     invalid_arg "Pseudo.build: priority_size outside [0, b]";
-  if Array.length entries = 0 then invalid_arg "Pseudo.build: empty input";
-  let c = columns g entries in
-  let directions = 2 * g.dims in
-  let perm = Array.init (Array.length entries) Fun.id in
-  let bounds = Float.Array.make directions 0.0 in
-  let leaf ?priority lo hi =
-    sort_page c perm lo hi;
-    let entries = Array.init (hi - lo) (fun k -> entries.(perm.(lo + k))) in
-    let mbr = if range_bounds c perm lo hi bounds then g.make_box bounds else union_all g entries in
-    leaf ~priority ~mbr entries
-  in
-  (* Peel the priority leaves off [perm.(lo..hi)]: for each direction in
-     order, move the [priority_size] most extreme remaining entries to
-     the front and emit them as a leaf. Returns the new [lo] and the
-     reversed leaf list. *)
+  if c.len <= 0 then invalid_arg "Pseudo.build: empty input";
+  (* The selection reads and swaps the columns unchecked. *)
+  let directions = Array.length c.cols in
+  if
+    directions = 0 || directions mod 2 <> 0 || Array.length c.ids < c.len
+    || Array.exists (fun col -> Float.Array.length col < c.len) c.cols
+    || (Array.length c.origin > 0 && Array.length c.origin < c.len)
+  then invalid_arg "Pseudo.build: columns shorter than their length or not 2d";
+  let p = { keys = Float.Array.make directions 0.0; id = 0 } in
+  (* Peel the priority leaves off positions [lo .. hi - 1]: for each
+     direction in order, move the [priority_size] most extreme
+     remaining entries to the front and emit them as a leaf. Returns the
+     new [lo] and the reversed leaf list. *)
   let extract_priority_leaves lo hi =
     let acc = ref [] and lo = ref lo and dim = ref 0 in
     while !dim < directions && !lo < hi && priority_size > 0 do
       let k = min priority_size (hi - !lo) in
       if !lo + k < hi then
-        partition c c.cols.(!dim) (if !dim < g.dims then 1 else -1) perm !lo hi (!lo + k - 1);
-      acc := leaf ~priority:!dim !lo (!lo + k) :: !acc;
+        select c p !dim (if 2 * !dim < directions then 1 else -1) !lo (hi - 1) (!lo + k - 1);
+      acc := leaf ~priority:(Some !dim) !lo (!lo + k) :: !acc;
       lo := !lo + k;
       incr dim
     done;
     (!lo, !acc)
   in
   let rec go lo hi depth =
-    if hi - lo <= b then leaf lo hi
+    if hi - lo <= b then leaf ~priority:None lo hi
     else begin
       let lo', rev_leaves = extract_priority_leaves lo hi in
       if lo' >= hi then node (List.rev rev_leaves)
       else if hi - lo' <= b then
         (* The remainder fits a single leaf: no kd split needed. *)
-        node (List.rev_append rev_leaves [ leaf lo' hi ])
+        node (List.rev_append rev_leaves [ leaf ~priority:None lo' hi ])
       else begin
         (* kd median split of the remainder, cycling the dimension. *)
         let dim = depth mod directions in
         let mid = lo' + ((hi - lo') / 2) in
-        partition c c.cols.(dim) 1 perm lo' hi mid;
+        select c p dim 1 lo' (hi - 1) mid;
         (* [mid] itself goes right so both sides are non-empty. *)
         let left = go lo' mid (depth + 1) in
         let right = go mid hi (depth + 1) in
@@ -314,10 +343,28 @@ let kernel g ~b ?priority_size ~leaf ~node entries =
       end
     end
   in
-  go 0 (Array.length entries) 0
+  go 0 c.len 0
+
+let leaf_ends ~b ?priority_size c =
+  let ends = ref [] in
+  kernel ~b ?priority_size c ~node:ignore ~leaf:(fun ~priority:_ _ hi -> ends := hi :: !ends);
+  Array.of_list (List.rev !ends)
+
+(* The kernel over an entry array: the entries copied into columns with
+   their origins, each leaf handed out as its entries in page order and
+   its box. *)
+let kernel_entries g ~b ?priority_size ~leaf ~node entries =
+  let c = copy g ~origin:true entries in
+  let order = Array.make (max 0 (min b c.len)) 0 in
+  let scratch = Array.make (Array.length order) 0 and bounds = Float.Array.make (2 * g.dims) 0.0 in
+  kernel ~b ?priority_size c ~node ~leaf:(fun ~priority lo hi ->
+      let ok = page_leaf c ~lo ~hi ~order ~scratch ~bounds in
+      let leaf_entries = Array.init (hi - lo) (fun k -> entries.(c.origin.(order.(k)))) in
+      let mbr = if ok then g.make_box bounds else union_all g leaf_entries in
+      leaf ~priority ~mbr leaf_entries)
 
 let build_with g ?(b = 113) ?priority_size entries =
-  kernel g ~b ?priority_size entries
+  kernel_entries g ~b ?priority_size entries
     ~leaf:(fun ~priority ~mbr entries -> Leaf { mbr; entries; priority })
     ~node:(fun children ->
       let box =
@@ -326,7 +373,7 @@ let build_with g ?(b = 113) ?priority_size entries =
       Node { mbr = box; children })
 
 let build_leaves_with g ?(b = 113) ?priority_size entries =
-  kernel g ~b ?priority_size entries
+  kernel_entries g ~b ?priority_size entries
     ~leaf:(fun ~priority:_ ~mbr entries -> [ (mbr, entries) ])
     ~node:List.concat
 

@@ -11,15 +11,17 @@
     (Lemma 2 in the plane).  The real {!Prtree} is built from the
     {e leaves} of pseudo-PR-trees, one stage per level.
 
-    One construction kernel serves every dimension and both forms:
-    quickselect over 2d unboxed coordinate columns (lows, then highs)
-    and an int permutation, specialised by key column and direction.
-    It hands out each leaf with its entries in page order
-    ({!Prt_rtree.Node.page_compare}) and its bounding box.
-    {!build_leaves} returns its leaves as they are; {!build} wraps them
-    in the tree.  The kernel and the tree are written once over a
-    {!geometry}, the box and entry types of a dimension; {!build},
-    {!build_leaves} and {!audit} are the planar instances. *)
+    One construction kernel serves every dimension and every caller:
+    Floyd–Rivest selection over {!columns} — 2d unboxed coordinate
+    columns (lows, then highs) and the ids, permuted in lockstep —
+    specialised by key column and direction.  It hands out each leaf as
+    a range of positions; {!page_leaf} puts a leaf in page order
+    ({!Prt_rtree.Node.page_compare}) and reads its bounding box.
+    {!leaf_ends} is the kernel on columns, for {!Prtree.load_columns};
+    {!build_leaves} and {!build} run it over an entry array and hand
+    the leaves back as entries.  The kernel and the tree are written
+    once over a {!geometry}, the box and entry types of a dimension;
+    {!build}, {!build_leaves} and {!audit} are the planar instances. *)
 
 type ('box, 'entry) tree =
   | Leaf of {
@@ -39,8 +41,10 @@ type t = (Prt_geom.Rect.t, Prt_rtree.Entry.t) tree
     and entries. *)
 type ('box, 'entry) geometry = {
   dims : int;  (** d: the kernel works on 2d columns *)
-  coord : int -> 'entry -> float;
-      (** kd-coordinate [k] (0..2d-1: lows, then highs) of an entry's box *)
+  store : 'entry -> Float.Array.t array -> int -> unit;
+      (** [store e cols i] writes the 2d kd-coordinates of [e]'s box
+          (lows, then highs) into slot [i] of [cols.(0)] to
+          [cols.(2d - 1)], without boxing a float *)
   id : 'entry -> int;
   box : 'entry -> 'box;
   make_box : Float.Array.t -> 'box;
@@ -56,14 +60,59 @@ val planar : (Prt_geom.Rect.t, Prt_rtree.Entry.t) geometry
 (** Rectangles and {!Prt_rtree.Entry}: the columns xmin, ymin, xmax,
     ymax. *)
 
+(** {1 The kernel on columns} *)
+
+type columns = {
+  cols : Float.Array.t array;
+      (** the 2d coordinate columns: lo{_0} .. lo{_d-1}, then hi{_0} ..
+          hi{_d-1} (xmin, ymin, xmax, ymax in the plane) *)
+  ids : int array;
+  origin : int array;
+      (** each entry's index in the caller's entry array, or [[||]] when
+          the caller holds no entries *)
+  len : int;  (** the entries are slots [0 .. len - 1] of every column *)
+}
+(** A set of entries held as columns.  The kernel permutes every
+    column in lockstep. *)
+
+val columns : ('box, 'entry) geometry -> 'entry array -> columns
+(** The entries copied into fresh columns, with no origins. *)
+
+val leaf_ends : b:int -> ?priority_size:int -> columns -> int array
+(** Runs the construction on the columns, permuting them, and returns
+    where each leaf ends, in construction order: leaf [i] is positions
+    [ends.(i - 1)] (0 for the first) to [ends.(i) - 1].  Each leaf is
+    then final: the same set of entries as in {!build} over the same
+    entries, whatever their order in the columns.  Same arguments and
+    exceptions as {!build}. *)
+
+val page_leaf :
+  columns ->
+  lo:int ->
+  hi:int ->
+  order:int array ->
+  scratch:int array ->
+  bounds:Float.Array.t ->
+  bool
+(** [page_leaf c ~lo ~hi ~order ~scratch ~bounds] puts positions [lo ..
+    hi - 1] into [order.(0 .. hi - lo - 1)] in page order (through
+    {!Prt_rtree.Node.sort_columns}, with [scratch] as long as [order])
+    and the leaf's
+    bounding box into [bounds] (the 2d bounds, lows then highs): the
+    bits [union] gives over the leaf in page order.  False if a low
+    exceeds its high or is NaN: the box then cannot go through
+    [make_box]. *)
+
+(** {1 Over entry arrays} *)
+
 val build : ?b:int -> ?priority_size:int -> Prt_rtree.Entry.t array -> t
 (** [build ~b entries] constructs the pseudo-PR-tree with leaf capacity
-    [b] (default 113, the 4 KB-page fanout). Expected O(N log N) via
-    quickselect over unboxed coordinate columns and an int permutation;
-    the input array is not modified. Every leaf's entries are
-    determined by {!Prt_rtree.Entry.compare_dim}'s total order and the
-    quickselect's fixed pivot rule; inside a leaf they are in page
-    order. Raises [Invalid_argument] on empty input or [b < 1].
+    [b] (default 113, the 4 KB-page fanout). Expected O(N log N): the
+    entries are copied into {!columns} with their origins, the kernel
+    runs on them, and each leaf's entries come back in page order; the
+    input array is not modified. Every leaf's entries are determined by
+    {!Prt_rtree.Entry.compare_dim}'s total order alone. Raises
+    [Invalid_argument] on empty input or [b < 1].
 
     [priority_size] (default [b]) sets how many extreme rectangles each
     priority leaf holds: [b] is the paper's choice, [1] the structure of
@@ -79,7 +128,7 @@ val build_leaves :
 (** [build_leaves ~b entries] is [leaves (build ~b entries)] — the same
     leaves, entries in page order, in the same order — each with its
     bounding box, straight from the construction, without the tree:
-    what {!Prtree.load} and {!Ext_build} keep of each pseudo-PR-tree.
+    what {!Ext_build}'s in-memory cells keep of each pseudo-PR-tree.
     The box is the one [Rect.union_map] gives over the leaf. Same
     arguments and exceptions as {!build}. *)
 

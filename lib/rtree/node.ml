@@ -125,6 +125,101 @@ let encode ~page_size t =
   Page.set_u16 buf ((36 * cap) + 1) (length t);
   buf
 
+(* --- nodes held as columns ---
+
+   The PR-tree's staged loader holds a level as columns — the 2d
+   coordinate columns in the layout's order (lo_0 .. lo_{d-1}, hi_0 ..
+   hi_{d-1}) and an int array of ids — and writes each page straight
+   from them, with no entry record in between.  [positions] picks a
+   page's entries out of the columns.  The page order on columns is
+   [page_compare]'s: ascending lo_0 with NaN last, equal lo_0s ordered
+   by every column in turn, then the id. *)
+
+let rec column_tie cols ids k x y =
+  if k = Array.length cols then Int.compare ids.(x) ids.(y)
+  else
+    let col = Array.unsafe_get cols k in
+    let r = Float.compare (Float.Array.get col x) (Float.Array.get col y) in
+    if r <> 0 then r else column_tie cols ids (k + 1) x y
+
+let[@inline] column_page_compare cols ids lo0 x y =
+  let a = Float.Array.get lo0 x and b = Float.Array.get lo0 y in
+  if a < b then -1
+  else if a > b then 1
+  else if a = b || (a <> a && b <> b) then column_tie cols ids 0 x y
+  else if a <> a then 1
+  else -1
+
+(* Merge sort of [positions.(lo .. hi - 1)] through [scratch]: runs of
+   up to eight by insertion, and a merge only where two sorted halves
+   overlap.  It makes about half a heapsort's comparisons, each a
+   branch no predictor can learn, and allocates nothing. *)
+let rec merge_sort cols ids lo0 positions scratch lo hi =
+  if hi - lo <= 8 then
+    for i = lo + 1 to hi - 1 do
+      let x = positions.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && column_page_compare cols ids lo0 positions.(!j) x > 0 do
+        positions.(!j + 1) <- positions.(!j);
+        decr j
+      done;
+      positions.(!j + 1) <- x
+    done
+  else begin
+    let mid = (lo + hi) / 2 in
+    merge_sort cols ids lo0 positions scratch lo mid;
+    merge_sort cols ids lo0 positions scratch mid hi;
+    if column_page_compare cols ids lo0 positions.(mid - 1) positions.(mid) > 0 then begin
+      Array.blit positions lo scratch lo (hi - lo);
+      let i = ref lo and j = ref mid in
+      for k = lo to hi - 1 do
+        if
+          !j >= hi
+          || (!i < mid && column_page_compare cols ids lo0 scratch.(!i) scratch.(!j) <= 0)
+        then begin
+          positions.(k) <- scratch.(!i);
+          incr i
+        end
+        else begin
+          positions.(k) <- scratch.(!j);
+          incr j
+        end
+      done
+    end
+  end
+
+let sort_columns cols ids positions ~scratch n =
+  if n > Array.length positions || n > Array.length scratch then
+    invalid_arg "Node.sort_columns: n exceeds the positions or the scratch";
+  merge_sort cols ids cols.(0) positions scratch 0 n
+
+let encode_columns buf ~dims kind cols ids positions n =
+  let page_size = Bytes.length buf in
+  if Array.length cols <> 2 * dims then invalid_arg "Node.encode_columns: expected 2d columns";
+  if n > capacity_nd ~page_size ~dims then
+    invalid_arg "Node.encode_columns: node exceeds page capacity";
+  let lo0 = cols.(0) in
+  for i = 1 to n - 1 do
+    if column_page_compare cols ids lo0 positions.(i - 1) positions.(i) > 0 then
+      invalid_arg "Node.encode_columns: entries not in page order"
+  done;
+  Bytes.fill buf 0 page_size '\000';
+  for k = 0 to (2 * dims) - 1 do
+    let col = cols.(k) and base = column_offset ~page_size ~dims k 0 in
+    for i = 0 to n - 1 do
+      (* [Bytes] and [Int64] are the standard library's, inlined: a
+         [Page.set_f64] call would box each float. *)
+      let x = Float.Array.get col positions.(i) in
+      Bytes.set_int64_le buf (base + (8 * i)) (Int64.bits_of_float x)
+    done
+  done;
+  let base = id_offset_nd ~page_size ~dims 0 in
+  for i = 0 to n - 1 do
+    Page.set_i32 buf (base + (4 * i)) ids.(positions.(i))
+  done;
+  Page.set_u8 buf (kind_offset_nd ~page_size ~dims) (match kind with Leaf -> 0 | Internal -> 1);
+  Page.set_u16 buf (count_offset_nd ~page_size ~dims) n
+
 (* --- in-place page access ---
 
    Accessors for an encoded node page, as bytes or inside the mapped

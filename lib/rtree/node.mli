@@ -54,6 +54,31 @@ val decode : bytes -> t
     page {!encode} wrote.  Raises [Invalid_argument] on a corrupt kind
     tag, a count beyond the page's capacity or an inverted rectangle. *)
 
+(** {1 Nodes held as columns}
+
+    A node's entries picked out of columns: [cols] holds the [2 * dims]
+    coordinate columns in the layout's order (lo{_0} .. lo{_dims-1},
+    then hi{_0} .. hi{_dims-1}), [ids] the ids, and [positions.(0 .. n -
+    1)] the slots of the node's entries.  The PR-tree's staged loader
+    writes every page this way, with no entry record in between. *)
+
+val sort_columns :
+  Float.Array.t array -> int array -> int array -> scratch:int array -> int -> unit
+(** [sort_columns cols ids positions ~scratch n] puts [positions.(0 ..
+    n - 1)] in page order: {!page_compare}'s order on the columns
+    (ascending lo{_0}, NaN last, then every column in turn, then the
+    id).  [scratch] holds at least [n] ints; no allocation. *)
+
+val encode_columns :
+  bytes -> dims:int -> kind -> Float.Array.t array -> int array -> int array -> int -> unit
+(** [encode_columns page ~dims kind cols ids positions n] overwrites
+    [page] (its length is the page size) with the node holding the [n]
+    entries at [positions], in the layout for [dims] dimensions: at
+    [dims = 2], the bytes {!encode} writes for the same entries.
+    Raises [Invalid_argument] unless [positions] is in page order
+    ({!sort_columns}), if the node exceeds the page capacity or an id
+    exceeds 32 bits. *)
+
 (** {1:layout Page layout}
 
     Byte offsets inside an encoded node page of [page_size] bytes, for

@@ -1,8 +1,9 @@
-(* In-place selection (quickselect) used by the kd-style median splits and
-   the priority-leaf extraction of the pseudo-PR-tree.  Selection is the
-   performance-critical primitive of PR-tree construction: extracting the
-   B most extreme rectangles and the median of the remainder must not pay
-   a full sort at every node. *)
+(* In-place selection (quickselect) over boxed arrays: the median
+   splits of the external PR-tree build's sample tree and of the
+   kdB-tree, and the test suite's closure-based pseudo-PR-tree oracle.
+   Selection extracts the B most extreme rectangles and the median of
+   the remainder without a full sort at every node; the pseudo-PR-tree's
+   own kernel does the same on unboxed columns ([Prt_prtree.Pseudo]). *)
 
 let swap arr i j =
   let tmp = arr.(i) in

@@ -1,16 +1,10 @@
 (** In-place selection on array ranges (expected linear time).
 
     All functions operate on the half-open range [\[lo, hi)] of the array
-    and permute elements in place. They are the workhorses of
-    pseudo-PR-tree construction: priority-leaf extraction and kd median
-    splits. *)
-
-val pivot_index : int -> int -> int
-(** [pivot_index lo hi] is the pivot position {!partition_at} picks for
-    the range [\[lo, hi)] (requires [lo < hi]): a deterministic
-    scramble of the bounds, so runs are reproducible and crafted inputs
-    do not go quadratic.  Exposed so a specialised selection can move
-    its array exactly as [partition_at] would. *)
+    and permute elements in place: the median splits of the external
+    PR-tree build's sample tree and of the kdB-tree, and the test suite's
+    closure-based pseudo-PR-tree oracle.  (The pseudo-PR-tree's own
+    kernel selects on unboxed columns, in [Prt_prtree.Pseudo].) *)
 
 val partition_at : cmp:('a -> 'a -> int) -> 'a array -> int -> int -> int -> unit
 (** [partition_at ~cmp arr lo hi n] permutes [\[lo, hi)] so that the

@@ -203,6 +203,78 @@ let test_invalid_arguments () =
         fun ~b ?priority_size es -> ignore (Pseudo.build_leaves ~b ?priority_size es) );
     ]
 
+(* --- input order ---
+
+   Every priority leaf and kd half is a set fixed by one total order, so
+   the leaves cannot depend on the order the entries come in, whatever
+   the selection does with it.  Sorted input is the most biased sample
+   Floyd–Rivest's contiguous sampling can draw: each of the four sorts
+   puts the extremes of one direction at one end of every range. *)
+
+(* Every leaf with its priority direction and box, in construction
+   order. *)
+let rec tree_leaves = function
+  | Pseudo.Leaf { mbr; entries; priority } -> [ (priority, (mbr, entries)) ]
+  | Pseudo.Node { children; _ } -> List.concat_map tree_leaves children
+
+(* Ids in construction order, priority directions and box bits. *)
+let leaf_signature ~b entries =
+  let leaves = tree_leaves (Pseudo.build ~b entries) in
+  ( List.map (fun (p, (_, es)) -> (p, Array.to_list (Array.map Entry.id es))) leaves,
+    List.map
+      (fun (_, (mbr, _)) -> List.map (fun k -> Int64.bits_of_float (Rect.coord k mbr)) [ 0; 1; 2; 3 ])
+      leaves )
+
+let test_input_order () =
+  let n = 20_000 in
+  let inputs = datasets n in
+  List.iter
+    (fun label ->
+      let base = List.assoc label inputs in
+      let sorted dim =
+        let a = Array.copy base in
+        Array.stable_sort (Entry.compare_dim dim) a;
+        a
+      in
+      let reversed = Array.of_list (List.rev (Array.to_list base)) in
+      List.iter
+        (fun b ->
+          let expected = leaf_signature ~b base in
+          let previous_build =
+            Array.concat (List.map snd (Pseudo.build_leaves ~b base))
+          in
+          List.iter
+            (fun (order, entries) ->
+              let got = leaf_signature ~b entries in
+              let name = Printf.sprintf "%s b=%d %s" label b order in
+              Alcotest.(check (list (pair (option int) (list int))))
+                (name ^ ": leaves and directions") (fst expected) (fst got);
+              Alcotest.(check bool) (name ^ ": box bits") true (snd expected = snd got))
+            [
+              ("sorted by xmin", sorted 0);
+              ("sorted by ymin", sorted 1);
+              ("sorted by xmax", sorted 2);
+              ("sorted by ymax", sorted 3);
+              ("reversed", reversed);
+              ("in a previous build's leaf order", previous_build);
+            ])
+        [ 113; 14 ])
+    [ "random"; "segments"; "repeated" ]
+
+(* The entry wrapper copies each entry's coordinates into the kernel's
+   columns without boxing them: what is left is the leaves it hands
+   back (an array and a box per leaf). *)
+let test_build_leaves_allocation () =
+  let entries = List.assoc "random" (datasets 20_000) in
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Pseudo.build_leaves ~b:113 entries));
+  Gc.minor ();
+  let per_entry = (Gc.minor_words () -. w0) /. float_of_int (Array.length entries) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per entry (at most 3)" per_entry)
+    true (per_entry <= 3.0)
+
 (* --- every other dimension --- *)
 
 module Hyperrect = Prt_geom.Hyperrect
@@ -298,10 +370,6 @@ let exact_box_nd (box, entries) =
          && same_bits (Hyperrect.hi box k) (Hyperrect.hi u k))
        (List.init (Hyperrect.dims u) Fun.id)
 
-let rec tree_leaves = function
-  | Pseudo.Leaf { mbr; entries; priority } -> [ (priority, (mbr, entries)) ]
-  | Pseudo.Node { children; _ } -> List.concat_map tree_leaves children
-
 let check_nd_against_oracle ~label ~b ~dims entries =
   let expected = oracle_leaves_nd ~b ~dims entries in
   let tree = tree_leaves (Pseudo_nd.build ~b ~dims entries) in
@@ -343,4 +411,7 @@ let suite =
     Alcotest.test_case "kernel equals the closure build (20k)" `Quick test_large_inputs;
     Alcotest.test_case "kernel rejects invalid arguments" `Quick test_invalid_arguments;
     Alcotest.test_case "kernel equals the boxed build (d = 1, 3, 4)" `Quick test_other_dimensions;
+    Alcotest.test_case "leaves do not depend on input order" `Quick test_input_order;
+    Alcotest.test_case "build_leaves copies entries without boxing" `Quick
+      test_build_leaves_allocation;
   ]
