@@ -36,6 +36,7 @@ module Rtree = Prt_rtree.Rtree
 module Qexec = Prt_rtree.Qexec
 module Index_file = Prt_rtree.Index_file
 module Prtree = Prt_prtree.Prtree
+module Pseudo = Prt_prtree.Pseudo
 module Metrics = Prt_obs.Metrics
 module Flight = Prt_obs.Flight
 module Ids = Set.Make (Int)
@@ -555,28 +556,112 @@ let choose_slot t ~sealed_count =
   in
   go 0 [] sealed_count
 
+(* The tombstones as an open-addressing hash set, at most half full:
+   a merge tests every entry it collects, and a probe here allocates
+   nothing.  Ids are 32-bit, so [min_int] marks a free slot. *)
+let free_slot = min_int
+
+let[@inline] tomb_slot id mask = ((id * 0x9E3779B97F4A7C1) lsr 17) land mask
+
+let tomb_table tomb =
+  let size = ref 16 in
+  while !size < 2 * Ids.cardinal tomb do
+    size := 2 * !size
+  done;
+  let slots = Array.make !size free_slot and mask = !size - 1 in
+  Ids.iter
+    (fun id ->
+      let i = ref (tomb_slot id mask) in
+      while slots.(!i) <> free_slot do
+        i := (!i + 1) land mask
+      done;
+      slots.(!i) <- id)
+    tomb;
+  slots
+
+let tombstoned slots id =
+  let mask = Array.length slots - 1 in
+  let i = ref (tomb_slot id mask) in
+  while Array.unsafe_get slots !i <> free_slot && Array.unsafe_get slots !i <> id do
+    i := (!i + 1) land mask
+  done;
+  Array.unsafe_get slots !i = id
+
 (* Collect the live entries of the sealed buffer plus the participant
-   components, filtering (and resolving) tombstones.  Component reads
-   go through the snapshot path: safe from the merge domain. *)
-let collect_entries ~sealed ~participants ~tomb =
-  let acc = ref [] and resolved = ref [] in
-  let keep e =
-    let id = Entry.id e in
-    if Ids.mem id tomb then resolved := id :: !resolved
-    else acc := e :: !acc
+   components into the kernel's columns, filtering (and resolving)
+   tombstones: the sealed buffer's columns, then each participant's
+   entries as its descent leaves them, unboxed, in a hit buffer.
+   Component reads go through the snapshot path: safe from the merge
+   domain. *)
+let collect_columns ~sealed ~participants ~tomb =
+  let tombs = tomb_table tomb in
+  let live =
+    List.filter_map
+      (fun c -> match c.c_state with Live (idx, view) -> Some (idx, view) | Failed _ -> None)
+      participants
   in
-  Packed.iter keep sealed;
+  let capacity =
+    List.fold_left
+      (fun n (idx, _) -> n + Rtree.count (Index_file.tree idx))
+      (Packed.length sealed) live
+  in
+  let cols = Array.init 4 (fun _ -> Float.Array.create capacity) in
+  let ids = ref (Array.make capacity 0) and len = ref 0 and resolved = ref [] in
+  (* Room for [more] entries: a component holding more entries than its
+     tree counts (it cannot, short of damage) grows the columns rather
+     than overrun them. *)
+  let reserve more =
+    if !len + more > Array.length !ids then begin
+      let cap = !len + more in
+      for c = 0 to 3 do
+        let a = Float.Array.create cap in
+        Float.Array.blit cols.(c) 0 a 0 !len;
+        cols.(c) <- a
+      done;
+      let a = Array.make cap 0 in
+      Array.blit !ids 0 a 0 !len;
+      ids := a
+    end
+  in
+  let packed =
+    Packed.[| sealed.xmin; sealed.ymin; sealed.xmax; sealed.ymax |]
+  in
+  for i = 0 to Packed.length sealed - 1 do
+    let id = sealed.Packed.ids.(i) in
+    if tombstoned tombs id then resolved := id :: !resolved
+    else begin
+      let k = !len in
+      for c = 0 to 3 do
+        Float.Array.unsafe_set cols.(c) k (Float.Array.unsafe_get packed.(c) i)
+      done;
+      Array.unsafe_set !ids k id;
+      len := k + 1
+    end
+  done;
+  let hits = Rtree.hits_make () in
   List.iter
-    (fun c ->
-      match c.c_state with
-      | Failed _ -> ()
-      | Live (idx, view) -> (
-          let tree = Index_file.tree idx in
-          match Rtree.mbr tree with
-          | None -> ()
-          | Some window -> ignore (Rtree.query_unrecorded ~snapshot:view tree window ~f:keep)))
-    participants;
-  (Array.of_list !acc, !resolved)
+    (fun (idx, view) ->
+      let tree = Index_file.tree idx in
+      match Rtree.mbr tree with
+      | None -> ()
+      | Some window ->
+          Rtree.query_into_unrecorded ~snapshot:view tree window ~into:hits;
+          let n = Rtree.hits_length hits and r = Rtree.hits_coords hits in
+          reserve n;
+          for i = 0 to n - 1 do
+            let id = Rtree.hits_id hits i in
+            if tombstoned tombs id then resolved := id :: !resolved
+            else begin
+              let k = !len in
+              for c = 0 to 3 do
+                Float.Array.unsafe_set cols.(c) k (Float.Array.unsafe_get r ((4 * i) + c))
+              done;
+              Array.unsafe_set !ids k id;
+              len := k + 1
+            end
+          done)
+    live;
+  ({ Pseudo.cols; ids = !ids; origin = [||]; len = !len }, !resolved)
 
 (* fsync through [Fsops], so the sync is a fault site and a kill point
    like the rename after it. *)
@@ -584,19 +669,19 @@ let sync_file t path =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
   Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Fsops.fsync t.fsops fd)
 
-(* In memory however large the merge: [collect_entries] already holds
-   every entry in one array, so the external loader would bound no
+(* In memory however large the merge: [collect_columns] already holds
+   every entry in its columns, so the external loader would bound no
    memory here (see lsm.mli).  The file is synced before the rename: the
    manifest that names it moves the WAL floor past the records it
    absorbed, so its pages must be durable first. *)
-let build_component t ~seq ~entries =
+let build_component t ~seq ~columns =
   let tmp = Filename.concat t.dir (comp_file seq ^ ".tmp") in
   let final = Filename.concat t.dir (comp_file seq) in
   let built = ref None in
   match
     let idx =
       Index_file.create ~page_size:t.page_size ?crash:(Fsops.crash t.fsops) tmp
-        ~build:(fun pool -> Prtree.load pool entries)
+        ~build:(fun pool -> Prtree.load_columns pool columns)
     in
     built := Some idx;
     let pages = (Pager.snapshot (Index_file.pager idx)).Pager.s_writes in
@@ -669,7 +754,7 @@ let merge_attempt t ~compact_all =
         in
         (sealed, tomb, floor_seq, target))
   in
-  let entries, resolved = collect_entries ~sealed ~participants ~tomb in
+  let columns, resolved = collect_columns ~sealed ~participants ~tomb in
   let seq =
     with_lock t (fun () ->
         let s = t.next_seq in
@@ -677,14 +762,14 @@ let merge_attempt t ~compact_all =
         s)
   in
   let built =
-    if Array.length entries = 0 then None
-    else Some (build_component t ~seq ~entries)
+    if columns.Pseudo.len = 0 then None
+    else Some (build_component t ~seq ~columns)
   in
   let participant_files = List.map (fun c -> comp_path t c) participants in
   let outcome =
     Printf.sprintf "ok: %s%d entries -> level %d (%d component%s absorbed)"
       (if compact_all then "compacted " else "")
-      (Array.length entries) level
+      columns.Pseudo.len level
       (List.length participants)
       (if List.length participants = 1 then "" else "s")
   in
@@ -700,7 +785,7 @@ let merge_attempt t ~compact_all =
               c_level = level;
               c_seq = seq;
               c_file = comp_file seq;
-              c_count = Array.length entries;
+              c_count = columns.Pseudo.len;
               c_state = Live (idx, view);
               c_exec = None;
             })
@@ -797,7 +882,7 @@ let merge_attempt t ~compact_all =
       | Some (_, _, pages) -> t.comp_pages_written <- t.comp_pages_written + pages
       | None -> ());
       Metrics.tick m_merges;
-      Metrics.add m_merge_entries (Array.length entries));
+      Metrics.add m_merge_entries columns.Pseudo.len);
   (* Post-commit cleanup: every unlink is its own kill point; a crash
      here leaves orphans for the next open to reclaim.  Open snapshot
      descriptors keep the unlinked participants readable until the
@@ -814,7 +899,13 @@ let merge_attempt t ~compact_all =
      segment that a stale write-back would silently drop. *)
   with_lock t (fun () ->
       t.old_segments <-
-        List.filter (fun (s, _, _) -> s >= floor_seq) t.old_segments)
+        List.filter (fun (s, _, _) -> s >= floor_seq) t.old_segments);
+  (* A merge allocates almost nothing on the minor heap, so no minor
+     collection paces the major GC through the columns, hit buffer and
+     pages it left there: without this slice that work falls on the
+     operations after it, and on the query tail (DESIGN.md, the
+     ingestion model). *)
+  ignore (Gc.major_slice 0)
 
 (* Seal the active buffer (coalescing into any sealed leftover from an
    aborted merge) and rotate the WAL.  Caller holds the lock.  After

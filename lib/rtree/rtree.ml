@@ -787,8 +787,11 @@ let descend_box t window ~f =
    live path this is the allocation-free entry point: after warm-up (a
    first query sizes the stack and the hit array), a miss-only query
    allocates zero minor words. *)
+let query_into_unrecorded ?quarantine ?deadline ?snapshot t window ~into =
+  descend_into t (page_source t snapshot) (window_policy quarantine deadline) snapshot window ~into
+
 let query_into ?quarantine ?deadline ?snapshot t window ~into =
-  descend_into t (page_source t snapshot) (window_policy quarantine deadline) snapshot window ~into;
+  query_into_unrecorded ?quarantine ?deadline ?snapshot t window ~into;
   if Prt_obs.Metrics.collecting () then record_query_stats into.h_stats
 
 let query_unrecorded ?quarantine ?deadline ?snapshot t window ~f =

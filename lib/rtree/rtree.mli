@@ -196,6 +196,18 @@ val query_into :
     snapshot behaviour), with results and statistics landing in
     [into].  Records the shared metrics like {!query} does. *)
 
+val query_into_unrecorded :
+  ?quarantine:Prt_storage.Quarantine.t ->
+  ?deadline:Prt_util.Deadline.t ->
+  ?snapshot:snapshot_view ->
+  t ->
+  Prt_geom.Rect.t ->
+  into:hits ->
+  unit
+(** Exactly {!query_into}, but never ticks the shared metrics, as
+    {!query_unrecorded}: how an LSM merge reads a component's entries
+    into columns. *)
+
 val query_list :
   ?quarantine:Prt_storage.Quarantine.t ->
   ?deadline:Prt_util.Deadline.t ->

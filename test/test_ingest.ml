@@ -12,7 +12,8 @@
    every entry, the refusal of a NaN rectangle, and the packed buffer:
    exact answers on edge-case geometry through deletes, an aborted
    merge's coalesce and a replay, a scan that allocates nothing per
-   buffered entry, and a compacted component equal to a direct build. *)
+   buffered entry, a compacted component, and every component merges
+   write, equal to a direct build, and what a merge allocates. *)
 
 module Rect = Prt_geom.Rect
 module Rng = Prt_util.Rng
@@ -1162,6 +1163,95 @@ let test_compact_matches_direct_build () =
       let read path = In_channel.with_open_bin path In_channel.input_all in
       Alcotest.(check bool) "byte-identical files" true (read component = read direct))
 
+(* Every component a merge writes is the file a direct build writes
+   over its own entries.  A 64-entry buffer and a delete of an older
+   entry after every 7th insert make merges past Floyd–Rivest's
+   600-entry sampling threshold that resolve tombstones; the compaction
+   case's 440 entries never reach the sampling branch.  Each new
+   component file is read back from a copy, its entries shuffled and
+   built straight into a file, and the two compared byte for byte. *)
+let test_merges_write_direct_builds () =
+  Helpers.with_temp_dir (fun dir ->
+      let page_size = Helpers.small_page_size in
+      let entries = Helpers.random_entries ~n:5_000 ~seed:191 in
+      let t = Lsm.create ~buffer_capacity:64 ~page_size ~wal_sync:`Never dir in
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      let scratch = Filename.temp_file "prt_direct" ".idx" in
+      let checked = Hashtbl.create 64 and largest = ref 0 and resolved = ref 0 in
+      let rng = Rng.create 192 in
+      let check_new_components () =
+        Array.iter
+          (fun f ->
+            if Filename.check_suffix f ".idx" && not (Hashtbl.mem checked f) then begin
+              Hashtbl.add checked f ();
+              let component = read (Filename.concat dir f) in
+              Out_channel.with_open_bin scratch (fun oc -> Out_channel.output_string oc component);
+              let idx = Index_file.open_ ~page_size scratch in
+              let tree = Index_file.tree idx in
+              let own =
+                match Rtree.mbr tree with
+                | None -> [||]
+                | Some w -> Array.of_list (fst (Rtree.query_list tree w))
+              in
+              Index_file.close idx;
+              largest := max !largest (Array.length own);
+              Rng.shuffle rng own;
+              Index_file.close
+                (Index_file.create ~page_size scratch ~build:(fun pool -> Prtree.load pool own));
+              if read scratch <> component then
+                Alcotest.failf "component %s (%d entries) differs from the direct build" f
+                  (Array.length own)
+            end)
+          (Sys.readdir dir)
+      in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove scratch)
+        (fun () ->
+          Array.iteri
+            (fun i e ->
+              let tombstones = (Lsm.stats t).Lsm.s_tombstones in
+              Lsm.insert t e;
+              if (Lsm.stats t).Lsm.s_tombstones < tombstones then incr resolved;
+              if i mod 7 = 6 && i >= 200 then ignore (Lsm.delete t entries.(i - 200));
+              check_new_components ())
+            entries;
+          Lsm.compact t;
+          check_new_components ());
+      Lsm.close t;
+      Alcotest.(check bool)
+        (Printf.sprintf "a merge past the sampling threshold (largest %d entries)" !largest)
+        true (!largest > 600);
+      Alcotest.(check bool)
+        (Printf.sprintf "merges resolved tombstones (%d)" !resolved)
+        true (!resolved > 0))
+
+(* The merge that folds four full components into the fifth level
+   (15,360 entries, with a 1,024-entry seal) on default settings and
+   TIGER-like entries: it reads the components into columns and writes
+   pages from them, allocating little on the minor heap per entry. *)
+let test_merge_allocation () =
+  Helpers.with_temp_dir (fun dir ->
+      let n = 16_384 in
+      let data = Prt_workloads.Tiger.(generate (default_params ~n ~seed:7)) in
+      let t = Lsm.create ~wal_sync:`Never dir in
+      for i = 0 to n - 2 do
+        Lsm.insert t data.(i)
+      done;
+      Alcotest.(check (list (pair int int)))
+        "four full levels"
+        [ (0, 1_024); (1, 2_048); (2, 4_096); (3, 8_192) ]
+        (Lsm.components t);
+      Gc.minor ();
+      let w0 = Gc.minor_words () in
+      Lsm.insert t data.(n - 1);
+      Gc.minor ();
+      let per_entry = (Gc.minor_words () -. w0) /. float_of_int n in
+      Alcotest.(check (list (pair int int))) "one merged level" [ (4, n) ] (Lsm.components t);
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f minor words per merged entry (at most 12)" per_entry)
+        true (per_entry <= 12.0);
+      Lsm.close t)
+
 let suite =
   [
     Alcotest.test_case "basic insert/query/flush" `Quick test_basic;
@@ -1199,4 +1289,7 @@ let suite =
       test_packed_scan_allocation;
     Alcotest.test_case "compaction writes the direct build's file" `Quick
       test_compact_matches_direct_build;
+    Alcotest.test_case "every merge writes the direct build's file" `Quick
+      test_merges_write_direct_builds;
+    Alcotest.test_case "a merge allocates little per entry" `Quick test_merge_allocation;
   ]
