@@ -272,6 +272,21 @@ let phys_write t id buf =
       Prt_obs.Metrics.tick m_writes;
       locked_file_write t f.fd id buf
 
+(* Zeros to write a fresh page from: one buffer shared by every pager
+   and never written to, grown only for a larger page size.  A page
+   allocation thus allocates no page-sized buffer (4 KB would go
+   straight into the major heap). *)
+let zeros = Atomic.make Bytes.empty
+
+let zeros_for size =
+  let z = Atomic.get zeros in
+  if Bytes.length z >= size then z
+  else begin
+    let z = Bytes.make size '\000' in
+    Atomic.set zeros z;
+    z
+  end
+
 (* Uncounted zero-fill, used when recycling a freed page and when
    extending the file.  Same copy-on-write discipline as [phys_write]:
    the Memory backend installs a fresh buffer rather than clearing the
@@ -280,7 +295,7 @@ let zero_page t id =
   match t.backend with
   | Faulty _ -> assert false
   | Memory m -> m.pages.(id) <- Bytes.make t.page_size '\000'
-  | File f -> locked_file_write t f.fd id (Bytes.make t.page_size '\000')
+  | File f -> locked_file_write t f.fd id (zeros_for t.page_size)
 
 let alloc_base t =
   t.stats.allocs <- t.stats.allocs + 1;

@@ -285,6 +285,27 @@ let test_pool_cached_read_allocates_nothing () =
   Alcotest.(check (float 0.0)) "100 reads cycling over three cached pages" 0.0 (words cycle);
   Alcotest.(check int) "every read a hit" (hits + 400) (Buffer_pool.hits pool)
 
+(* Extending a file by a page writes zeros from one shared buffer:
+   a fresh 4 KB buffer per page (513 words) would go straight into the
+   major heap.  The pages still read back as zeros. *)
+let test_pager_alloc_allocates_no_page () =
+  with_temp_file (fun path ->
+      let pager = Pager.create_file ~page_size:4096 path in
+      ignore (Pager.alloc pager);
+      Gc.minor ();
+      let _, _, major0 = Gc.counters () in
+      let ids = Array.init 100 (fun _ -> Pager.alloc pager) in
+      Gc.minor ();
+      let _, _, major1 = Gc.counters () in
+      let words = major1 -. major0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f major words for 100 page allocations (fewer than 1,000)" words)
+        true (words < 1_000.0);
+      Alcotest.(check int) "allocations counted" 101 (Pager.snapshot pager).Pager.s_allocs;
+      Alcotest.(check bytes) "a fresh page reads as zeros" (Bytes.make 4096 '\000')
+        (Bytes.sub (Pager.read pager ids.(99)) 0 4096);
+      Pager.close pager)
+
 let suite =
   [
     Alcotest.test_case "page: f64 roundtrip" `Quick test_page_f64_roundtrip;
@@ -312,4 +333,6 @@ let suite =
     Alcotest.test_case "pool: free drops cache" `Quick test_pool_free_drops_cache;
     Alcotest.test_case "pool: a cached read allocates nothing" `Quick
       test_pool_cached_read_allocates_nothing;
+    Alcotest.test_case "pager: a page allocation allocates no page" `Quick
+      test_pager_alloc_allocates_no_page;
   ]
