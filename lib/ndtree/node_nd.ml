@@ -8,7 +8,6 @@
    [Prt_rtree.Rtree] reads every dimension's pages. *)
 
 module Hyperrect = Prt_geom.Hyperrect
-module Page = Prt_storage.Page
 module Node = Prt_rtree.Node
 
 type kind = Node.kind = Leaf | Internal
@@ -40,47 +39,31 @@ let in_page_order entries =
   in
   from 1
 
+(* Copied into columns and written by [Node]'s one encoder: the page
+   order decides the bytes, as for the 2-D node. *)
 let encode ~page_size ~dims t =
-  if length t > capacity ~page_size ~dims then
-    invalid_arg "Node_nd.encode: node exceeds page capacity";
-  (* As [Node.encode]: sort a copy, and only when the order fails. *)
-  let entries =
-    if in_page_order t.entries then t.entries
-    else begin
-      let a = Array.copy t.entries in
-      Array.stable_sort page_compare a;
-      a
-    end
-  in
-  let buf = Page.create page_size in
+  let n = length t in
+  let cols = Array.init (2 * dims) (fun _ -> Float.Array.create n) and ids = Array.make n 0 in
   Array.iteri
     (fun i e ->
       let box = Entry_nd.box e in
       if Hyperrect.dims box <> dims then invalid_arg "Node_nd.encode: dimension mismatch";
       for k = 0 to dims - 1 do
-        Page.set_f64 buf (Node.column_offset ~page_size ~dims k i) (Hyperrect.lo box k);
-        Page.set_f64 buf (Node.column_offset ~page_size ~dims (dims + k) i) (Hyperrect.hi box k)
+        Float.Array.set cols.(k) i (Hyperrect.lo box k);
+        Float.Array.set cols.(dims + k) i (Hyperrect.hi box k)
       done;
-      Page.set_i32 buf (Node.id_offset_nd ~page_size ~dims i) (Entry_nd.id e))
-    entries;
-  Page.set_u8 buf (Node.kind_offset_nd ~page_size ~dims)
-    (match t.kind with Leaf -> 0 | Internal -> 1);
-  Page.set_u16 buf (Node.count_offset_nd ~page_size ~dims) (length t);
-  buf
+      ids.(i) <- Entry_nd.id e)
+    t.entries;
+  Node.page_of_columns ~page_size ~dims t.kind cols ids n
 
 let decode ~dims buf =
-  let page_size = Bytes.length buf in
-  let cap = capacity ~page_size ~dims in
-  let kind = Node.page_kind_nd ~dims buf in
-  let count = Node.page_length_nd ~dims buf in
-  if count > cap then
-    invalid_arg (Printf.sprintf "Node_nd.decode: count %d exceeds capacity %d" count cap);
-  let column k i = Page.get_f64 buf (Node.column_offset ~page_size ~dims k i) in
-  let entries =
-    Array.init count (fun i ->
-        let lo = Array.init dims (fun k -> column k i)
-        and hi = Array.init dims (fun k -> column (dims + k) i) in
-        Entry_nd.make (Hyperrect.make ~lo ~hi)
-          (Page.get_i32 buf (Node.id_offset_nd ~page_size ~dims i)))
-  in
-  { kind; entries }
+  match Node.read_columns ~dims buf with
+  | Error reason -> invalid_arg ("Node_nd.decode: " ^ reason)
+  | Ok (kind, cols, ids) ->
+      let entries =
+        Array.init (Array.length ids) (fun i ->
+            let lo = Array.init dims (fun k -> Float.Array.get cols.(k) i)
+            and hi = Array.init dims (fun k -> Float.Array.get cols.(dims + k) i) in
+            Entry_nd.make (Hyperrect.make ~lo ~hi) ids.(i))
+      in
+      { kind; entries }

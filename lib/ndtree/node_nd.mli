@@ -29,12 +29,12 @@ val in_page_order : Entry_nd.t array -> bool
 (** Is the array sorted by {!page_compare}?  One O(n) pass. *)
 
 val encode : page_size:int -> dims:int -> t -> bytes
-(** Writes the entries in page order: as they are when {!in_page_order}
-    holds, else from a sorted copy (the node's own array is never
-    reordered).  Raises [Invalid_argument] if the node exceeds the page
-    capacity or an entry is not [dims]-dimensional. *)
+(** A fresh page holding the entries in page order: copied into [2 *
+    dims] columns, then {!Prt_rtree.Node.page_of_columns} (the node's own
+    array is never reordered).  Raises [Invalid_argument] if the node
+    exceeds the page capacity or an entry is not [dims]-dimensional. *)
 
 val decode : dims:int -> bytes -> t
-(** The entries in the order the page holds them.  Raises
-    [Invalid_argument] on a corrupt kind tag, a count beyond the page's
-    capacity or an inverted box. *)
+(** The entries in the order the page holds them, through
+    {!Prt_rtree.Node.read_columns}.  Raises [Invalid_argument] with its
+    reason on a page it refuses. *)

@@ -33,6 +33,7 @@ module Pqueue = Prt_util.Pqueue
 module Select = Prt_util.Select
 module Entry = Prt_rtree.Entry
 module Node = Prt_rtree.Node
+module Pack = Prt_rtree.Pack
 module Rtree = Prt_rtree.Rtree
 module Trace = Prt_obs.Trace
 module Json = Prt_obs.Json
@@ -219,18 +220,11 @@ let load ?(mem_records = 18_000) pool file =
     ~args:[ ("n", Json.Int (Entry.File.length file)) ]
   @@ fun () ->
   let pager = Buffer_pool.pager pool in
-  let page_size = Pager.page_size pager in
-  let cap = Node.capacity ~page_size in
+  let cap = Node.capacity ~page_size:(Pager.page_size pager) in
   if mem_records < 8 * cap then invalid_arg "Ext_build.load: memory budget below 8 nodes of records";
   let count = Entry.File.length file in
   if count = 0 then Rtree.create_empty pool
   else begin
-    let write_node kind entries =
-      let node = Node.make kind entries in
-      let id = Buffer_pool.alloc pool in
-      Buffer_pool.write pool id (Node.encode ~page_size node);
-      Entry.make (Node.mbr node) id
-    in
     (* One stage: pseudo-PR-tree leaves of [level_file] become the nodes
        of this level; their bounding boxes feed the next stage. *)
     let rec stage level_file ~kind ~height ~owned =
@@ -238,12 +232,12 @@ let load ?(mem_records = 18_000) pool file =
       if n <= cap then begin
         let entries = Entry.File.read_all level_file in
         if owned then Entry.File.destroy level_file;
-        let root = write_node kind entries in
+        let root = Pack.write_node pool ~kind entries in
         Rtree.of_root ~pool ~root:(Entry.id root) ~height ~count
       end
       else begin
         let next = Entry.File.create pager in
-        let emit_leaf entries = Entry.File.append next (write_node kind entries) in
+        let emit_leaf entries = Entry.File.append next (Pack.write_node pool ~kind entries) in
         Trace.with_span "prtree.ext.stage"
           ~args:[ ("level", Json.Int (height - 1)); ("n", Json.Int n) ]
           (fun () ->

@@ -26,7 +26,8 @@ module Json = Prt_obs.Json
 
 (* Write one level's pages, leaf by leaf from the columns in page order
    ([ends] from {!Pseudo.leaf_ends}); each leaf's bounding box and page
-   id become its slot in the next level's columns. *)
+   id become its slot in the next level's columns.  Each page is a fresh
+   buffer, which the pool keeps. *)
 let write_level pool ~dims ~kind (c : Pseudo.columns) ends =
   let page_size = Pager.page_size (Buffer_pool.pager pool) in
   let m = Array.length ends in
@@ -34,12 +35,11 @@ let write_level pool ~dims ~kind (c : Pseudo.columns) ends =
   let cap = Node.capacity_nd ~page_size ~dims in
   let order = Array.make cap 0 and scratch = Array.make cap 0 in
   let bounds = Float.Array.create (2 * dims) in
-  (* One page buffer for the level: the pool keeps a copy of each. *)
-  let page = Bytes.create page_size in
   let lo = ref 0 in
   for i = 0 to m - 1 do
     let hi = ends.(i) in
     ignore (Pseudo.page_leaf c ~lo:!lo ~hi ~order ~scratch ~bounds);
+    let page = Bytes.create page_size in
     Node.encode_columns page ~dims kind c.cols c.ids order (hi - !lo);
     let id = Buffer_pool.alloc pool in
     Buffer_pool.write pool id page;
@@ -56,18 +56,9 @@ let stages ~span ~dims ?priority_size pool (c : Pseudo.columns) =
   let page_size = Pager.page_size (Buffer_pool.pager pool) in
   let cap = Node.capacity_nd ~page_size ~dims in
   (* [c] holds the level under construction; [kind] is Leaf for stage
-     0 and Internal afterwards. *)
+     0 and Internal afterwards.  The root is a level of one page. *)
   let rec stage (c : Pseudo.columns) ~kind ~height =
-    if c.len <= cap then begin
-      let order = Array.make c.len 0 and scratch = Array.make c.len 0 in
-      let bounds = Float.Array.create (2 * dims) in
-      ignore (Pseudo.page_leaf c ~lo:0 ~hi:c.len ~order ~scratch ~bounds);
-      let page = Bytes.create page_size in
-      Node.encode_columns page ~dims kind c.cols c.ids order c.len;
-      let id = Buffer_pool.alloc pool in
-      Buffer_pool.write pool id page;
-      (id, height)
-    end
+    if c.len <= cap then ((write_level pool ~dims ~kind c [| c.len |]).ids.(0), height)
     else begin
       Trace.with_span (span ^ ".stage")
         ~args:[ ("level", Json.Int (height - 1)); ("n", Json.Int c.len) ]

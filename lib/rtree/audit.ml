@@ -1,9 +1,10 @@
 (* Unified invariant audit (see the interface for the catalogue).
 
    The walker is deliberately paranoid: it never trusts a page.  It
-   reads each node page once, through the buffer pool, straight from
-   [Node]'s columns for the tree's dimension, so one walk checks trees
-   of every d.  A page the pager refuses, a page that would not decode,
+   reads each node page once, through the buffer pool, into columns by
+   [Node]'s one checked reader for the tree's dimension, so one walk
+   checks trees of every d, and judges page order by [Node]'s one
+   predicate.  A page the pager refuses, a page that would not decode,
    an out-of-range child pointer and a reference cycle all become
    violations instead of exceptions, so a corrupted index produces a
    report naming the broken invariant rather than a crash, the property
@@ -11,7 +12,6 @@
    [Pager.Io_error]s are the one exception: they propagate, because a
    disk that cannot be read is not a clean audit. *)
 
-module Page = Prt_storage.Page
 module Pager = Prt_storage.Pager
 module Buffer_pool = Prt_storage.Buffer_pool
 
@@ -104,67 +104,27 @@ let pp_report ppf r =
 
 let page_where id = Printf.sprintf "page %d" id
 
-(* Node page [id], read through [Node]'s layout offsets for [dims]: its
-   kind, each entry's [2 * dims] coordinates (entry [i]'s lows, then its
-   highs, from [boxes.(2 * dims * i)]) and the ids.  What a decode would
-   refuse is an [Error]: a page the pager refuses or cannot find, a bad
-   kind byte, a count past the capacity, an inverted or NaN box. *)
+(* Node page [id] through [Node]'s one checked reader: its kind, its
+   [2 * dims] coordinate columns and its ids.  A page the pager refuses
+   or cannot find is an [Error] too. *)
 let read_page pool ~dims id =
   match Buffer_pool.read pool id with
   | exception (Pager.Corrupt_page msg | Invalid_argument msg) -> Error msg
-  | buf -> (
-      match Node.page_kind_nd ~dims buf with
-      | exception Invalid_argument msg -> Error msg
-      | kind ->
-          let page_size = Bytes.length buf in
-          let cap = Node.capacity_nd ~page_size ~dims and n = Node.page_length_nd ~dims buf in
-          if n > cap then Error (Printf.sprintf "count %d exceeds capacity %d" n cap)
-          else begin
-            let width = 2 * dims in
-            let boxes =
-              Array.init (width * n) (fun j ->
-                  Page.get_f64 buf (Node.column_offset ~page_size ~dims (j mod width) (j / width)))
-            and ids =
-              Array.init n (fun i -> Page.get_i32 buf (Node.id_offset_nd ~page_size ~dims i))
-            in
-            let rec inverted i k =
-              if i = n then None
-              else if k = dims then inverted (i + 1) 0
-              else if boxes.((width * i) + k) <= boxes.((width * i) + dims + k) then
-                inverted i (k + 1)
-              else Some i
-            in
-            match inverted 0 0 with
-            | Some i -> Error (Printf.sprintf "entry %d has an inverted or NaN box" i)
-            | None -> Ok (kind, boxes, ids)
-          end)
-
-(* [Node.page_compare] over a page's entries: the columns in order, then
-   the id.  No coordinate is NaN here, so [<] and [=] order them as
-   [Float.compare] does. *)
-let in_page_order ~width boxes ids =
-  let rec le i k =
-    if k = width then ids.(i - 1) <= ids.(i)
-    else
-      let a = boxes.((width * (i - 1)) + k) and b = boxes.((width * i) + k) in
-      a < b || (a = b && le i (k + 1))
-  in
-  let rec from i = i >= Array.length ids || (le i 0 && from (i + 1)) in
-  from 1
+  | buf -> Node.read_columns ~dims buf
 
 (* The box a parent records for a child (slot [slot] of the parent's
-   [recorded] coordinates) against the child's exact box, the union of
-   the child's [n > 0] entries. *)
-let box_violation ~dims recorded slot boxes n =
-  let width = 2 * dims in
+   [recorded] columns) against the child's exact box, the union of the
+   child's [n > 0] entries. *)
+let box_violation ~dims recorded slot cols n =
   let contained = ref true and tight = ref true in
   for k = 0 to dims - 1 do
     let lo = ref infinity and hi = ref neg_infinity in
     for i = 0 to n - 1 do
-      lo := Float.min !lo boxes.((width * i) + k);
-      hi := Float.max !hi boxes.((width * i) + dims + k)
+      lo := Float.min !lo (Float.Array.get cols.(k) i);
+      hi := Float.max !hi (Float.Array.get cols.(dims + k) i)
     done;
-    let rlo = recorded.((width * slot) + k) and rhi = recorded.((width * slot) + dims + k) in
+    let rlo = Float.Array.get recorded.(k) slot
+    and rhi = Float.Array.get recorded.(dims + k) slot in
     if rlo > !lo || !hi > rhi then contained := false;
     if rlo <> !lo || rhi <> !hi then tight := false
   done;
@@ -183,8 +143,8 @@ let check ?(min_leaf_fill = 1) ?(min_fanout = 1) ?(check_leaks = false) ?(reacha
   let visited = Hashtbl.create 64 in
   let nodes = ref 0 and leaves = ref 0 and entries = ref 0 in
   let least_fill = ref max_int and least_fanout = ref max_int in
-  (* [recorded] is the parent's coordinates and the slot holding the box
-     it records for this child; [None] at the root. *)
+  (* [recorded] is the parent's columns and the slot holding the box it
+     records for this child; [None] at the root. *)
   let rec visit ~recorded id depth =
     if Hashtbl.mem visited id then add id Page_shared
     else begin
@@ -192,13 +152,16 @@ let check ?(min_leaf_fill = 1) ?(min_fanout = 1) ?(check_leaks = false) ?(reacha
       if Pager.is_free pager id then add id Freed_page_reachable;
       match read_page pool ~dims id with
       | Error msg -> add id (Decode_error msg)
-      | Ok (kind, boxes, ids) -> (
+      | Ok (kind, cols, ids) -> (
           incr nodes;
           let n = Array.length ids in
-          if not (in_page_order ~width:(2 * dims) boxes ids) then add id Unsorted_node;
+          let rec sorted i =
+            i >= n || (Node.column_page_compare cols ids (i - 1) i <= 0 && sorted (i + 1))
+          in
+          if not (sorted 1) then add id Unsorted_node;
           (match recorded with
           | Some (parent, slot) when n > 0 ->
-              Option.iter (add id) (box_violation ~dims parent slot boxes n)
+              Option.iter (add id) (box_violation ~dims parent slot cols n)
           | _ -> ());
           match kind with
           | Node.Leaf ->
@@ -219,7 +182,7 @@ let check ?(min_leaf_fill = 1) ?(min_fanout = 1) ?(check_leaks = false) ?(reacha
               else if depth > 1 && n < min_fanout then
                 add id (Node_underfill { count = n; minimum = min_fanout });
               Array.iteri
-                (fun slot child -> visit ~recorded:(Some (boxes, slot)) child (depth + 1))
+                (fun slot child -> visit ~recorded:(Some (cols, slot)) child (depth + 1))
                 ids)
     end
   in

@@ -11,7 +11,9 @@
    sum of the two resulting bounding-box areas.  Every child is built to
    the same target height so all leaves share a level; a group smaller
    than its sibling subtrees becomes a thin chain of single-child
-   nodes. *)
+   nodes.  A cut is chosen from the bounding boxes of each ordering's
+   consecutive [unit]-entry runs ([best_cut]); the external loader
+   ([Ext_load.load_tgs]) chooses its cuts with the same function. *)
 
 module Rect = Prt_geom.Rect
 module Buffer_pool = Prt_storage.Buffer_pool
@@ -27,73 +29,73 @@ let height_for ~cap n =
   let rec go h reach = if reach >= n then h else go (h + 1) (reach * cap) in
   go 1 cap
 
-(* Bounding boxes of the ordered prefixes/suffixes at cut positions
-   [unit, 2*unit, ...]: one O(n) sweep each. *)
-let cut_costs ~unit sorted =
-  let n = Array.length sorted in
-  let ncuts = (n - 1) / unit in
-  let prefix = Array.make ncuts (Entry.rect sorted.(0)) in
-  let acc = ref (Entry.rect sorted.(0)) in
-  for i = 1 to (ncuts * unit) - 1 do
-    acc := Rect.union !acc (Entry.rect sorted.(i));
-    if (i + 1) mod unit = 0 then prefix.((i + 1) / unit - 1) <- !acc
-  done;
-  let suffix = Array.make ncuts (Entry.rect sorted.(n - 1)) in
-  let acc = ref (Entry.rect sorted.(n - 1)) in
-  for i = n - 2 downto unit do
-    acc := Rect.union !acc (Entry.rect sorted.(i));
-    if i mod unit = 0 && i / unit <= ncuts then suffix.((i / unit) - 1) <- !acc
-  done;
-  (prefix, suffix)
+let run_boxes ~unit n iter =
+  let runs = Array.make ((n + unit - 1) / unit) (Rect.point 0.0 0.0) and i = ref 0 in
+  iter (fun e ->
+      let s = !i / unit in
+      runs.(s) <- (if !i mod unit = 0 then Entry.rect e else Rect.union runs.(s) (Entry.rect e));
+      incr i);
+  runs
+
+(* The two sides of every cut are unions of runs, one O(n / unit) sweep
+   each way per ordering.  A strictly cheaper cut replaces the best, so
+   the first of equal costs wins, in ordering then position order. *)
+let best_cut ~unit orderings =
+  let best = ref None in
+  Array.iteri
+    (fun dim runs ->
+      let m = Array.length runs in
+      let prefix = Array.copy runs and suffix = Array.copy runs in
+      for i = 1 to m - 1 do
+        prefix.(i) <- Rect.union prefix.(i - 1) runs.(i)
+      done;
+      for i = m - 2 downto 0 do
+        suffix.(i) <- Rect.union suffix.(i + 1) runs.(i)
+      done;
+      for c = 1 to m - 1 do
+        let cost = Rect.area prefix.(c - 1) +. Rect.area suffix.(c) in
+        match !best with
+        | Some (best_cost, _, _) when best_cost <= cost -> ()
+        | _ -> best := Some (cost, dim, c * unit)
+      done)
+    orderings;
+  match !best with
+  | Some (_, dim, cut) -> (dim, cut)
+  | None -> invalid_arg "Bulk_tgs.best_cut: no ordering has two runs"
 
 (* Greedily bisect [set] into groups of at most [unit] entries. *)
 let rec partition ~unit set groups =
   let n = Array.length set in
   if n <= unit then set :: groups
   else begin
-    let best = ref None in
-    for dim = 0 to 3 do
-      let sorted = Array.copy set in
-      Array.sort (Entry.compare_dim dim) sorted;
-      let prefix, suffix = cut_costs ~unit sorted in
-      Array.iteri
-        (fun c pre ->
-          let cost = Rect.area pre +. Rect.area suffix.(c) in
-          match !best with
-          | Some (best_cost, _, _) when best_cost <= cost -> ()
-          | _ -> best := Some (cost, sorted, (c + 1) * unit))
-        prefix
-    done;
-    match !best with
-    | None -> assert false (* n > unit implies at least one cut *)
-    | Some (_, sorted, cut) ->
-        let left = Array.sub sorted 0 cut in
-        let right = Array.sub sorted cut (n - cut) in
-        partition ~unit left (partition ~unit right groups)
+    let sorted =
+      Array.init 4 (fun dim ->
+          let s = Array.copy set in
+          Array.sort (Entry.compare_dim dim) s;
+          s)
+    in
+    let dim, cut =
+      best_cut ~unit (Array.map (fun s -> run_boxes ~unit n (fun f -> Array.iter f s)) sorted)
+    in
+    let left = Array.sub sorted.(dim) 0 cut and right = Array.sub sorted.(dim) cut (n - cut) in
+    partition ~unit left (partition ~unit right groups)
   end
 
 let load pool entries =
   Prt_obs.Trace.with_span "tgs.build"
     ~args:[ ("n", Prt_obs.Json.Int (Array.length entries)) ]
   @@ fun () ->
-  let page_size = Pager.page_size (Buffer_pool.pager pool) in
-  let cap = Node.capacity ~page_size in
+  let cap = Node.capacity ~page_size:(Pager.page_size (Buffer_pool.pager pool)) in
   if Array.length entries = 0 then Rtree.create_empty pool
   else begin
-    let write kind node_entries =
-      let node = Node.make kind node_entries in
-      let id = Buffer_pool.alloc pool in
-      Buffer_pool.write pool id (Node.encode ~page_size node);
-      Entry.make (Node.mbr node) id
-    in
     (* Build a subtree of exactly [height] levels over [set]. *)
     let rec build set ~height =
-      if height = 1 then write Node.Leaf set
+      if height = 1 then Pack.write_node pool ~kind:Node.Leaf set
       else begin
         let unit = pow_int cap (height - 1) in
         let groups = partition ~unit set [] in
         let children = List.map (fun g -> build g ~height:(height - 1)) groups in
-        write Node.Internal (Array.of_list children)
+        Pack.write_node pool ~kind:Node.Internal (Array.of_list children)
       end
     in
     let height = height_for ~cap (Array.length entries) in

@@ -32,8 +32,7 @@ let world_of_file file =
 (* Pack a sorted entry file into leaves, then build the upper levels
    from the (in-memory) parent entries. *)
 let pack_sorted_file pool sorted =
-  let page_size = Pager.page_size (Buffer_pool.pager pool) in
-  let cap = Node.capacity ~page_size in
+  let cap = Node.capacity ~page_size:(Pager.page_size (Buffer_pool.pager pool)) in
   let n = Entry.File.length sorted in
   if n = 0 then Rtree.create_empty pool
   else begin
@@ -42,10 +41,7 @@ let pack_sorted_file pool sorted =
     let filled = ref 0 in
     let flush () =
       if !filled > 0 then begin
-        let node = Node.make Node.Leaf (Array.sub chunk 0 !filled) in
-        let id = Buffer_pool.alloc pool in
-        Buffer_pool.write pool id (Node.encode ~page_size node);
-        parents := Entry.make (Node.mbr node) id :: !parents;
+        parents := Pack.write_node pool ~kind:Node.Leaf (Array.sub chunk 0 !filled) :: !parents;
         filled := 0
       end
     in
@@ -54,13 +50,7 @@ let pack_sorted_file pool sorted =
         incr filled;
         if !filled = cap then flush ());
     flush ();
-    let leaves = Array.of_list (List.rev !parents) in
-    let rec up level height =
-      if Array.length level = 1 then (Entry.id level.(0), height)
-      else up (Pack.pack_level pool ~kind:Node.Internal level) (height + 1)
-    in
-    let root, height = up leaves 1 in
-    Rtree.of_root ~pool ~root ~height ~count:n
+    Pack.pack_up pool ~order:ignore ~count:n (Array.of_list (List.rev !parents))
   end
 
 let hilbert_cmp key world a b =
@@ -88,55 +78,6 @@ let load_h pool ~mem_records file = load_hilbert ~variant:`H pool ~mem_records f
 let load_h4 pool ~mem_records file = load_hilbert ~variant:`H4 pool ~mem_records file
 
 (* --- external TGS --- *)
-
-let pow_int base e =
-  let rec go acc e = if e = 0 then acc else go (acc * base) (e - 1) in
-  go 1 e
-
-let height_for ~cap n =
-  let rec go h reach = if reach >= n then h else go (h + 1) (reach * cap) in
-  go 1 cap
-
-(* Per-unit segment MBRs of a sorted file: one scan, O(n/unit) memory. *)
-let segment_mbrs ~unit file =
-  let n = Entry.File.length file in
-  let nsegs = (n + unit - 1) / unit in
-  let segs = Array.make nsegs None in
-  let idx = ref 0 in
-  Entry.File.iter file (fun e ->
-      let s = !idx / unit in
-      segs.(s) <-
-        Some (match segs.(s) with None -> Entry.rect e | Some m -> Rect.union m (Entry.rect e));
-      incr idx);
-  Array.map (function Some m -> m | None -> assert false) segs
-
-(* Best binary cut over the four orderings: minimizes the sum of the two
-   bounding-box areas; cuts fall on multiples of [unit]. Returns
-   (dimension, records in the left part). *)
-let best_cut ~unit files =
-  let best = ref None in
-  Array.iteri
-    (fun dim file ->
-      let segs = segment_mbrs ~unit file in
-      let nsegs = Array.length segs in
-      if nsegs >= 2 then begin
-        let prefix = Array.make nsegs segs.(0) in
-        for i = 1 to nsegs - 1 do
-          prefix.(i) <- Rect.union prefix.(i - 1) segs.(i)
-        done;
-        let suffix = Array.make nsegs segs.(nsegs - 1) in
-        for i = nsegs - 2 downto 0 do
-          suffix.(i) <- Rect.union suffix.(i + 1) segs.(i)
-        done;
-        for c = 1 to nsegs - 1 do
-          let cost = Rect.area prefix.(c - 1) +. Rect.area suffix.(c) in
-          match !best with
-          | Some (best_cost, _, _) when best_cost <= cost -> ()
-          | _ -> best := Some (cost, dim, c * unit)
-        done
-      end)
-    files;
-  match !best with Some (_, dim, cut) -> (dim, cut) | None -> invalid_arg "Ext_load.best_cut"
 
 (* Split all four sorted files at the cut: the winning dimension's file
    splits positionally; the others are routed by comparison with the
@@ -170,22 +111,20 @@ let load_tgs pool ~mem_records file =
     ~args:[ ("n", Json.Int (Entry.File.length file)) ]
   @@ fun () ->
   let pager = Buffer_pool.pager pool in
-  let page_size = Pager.page_size pager in
-  let cap = Node.capacity ~page_size in
+  let cap = Node.capacity ~page_size:(Pager.page_size pager) in
   let n = Entry.File.length file in
   if n = 0 then Rtree.create_empty pool
   else begin
-    let write kind node_entries =
-      let node = Node.make kind node_entries in
-      let id = Buffer_pool.alloc pool in
-      Buffer_pool.write pool id (Node.encode ~page_size node);
-      Entry.make (Node.mbr node) id
-    in
-    (* Greedy binary partitioning down to groups of at most [unit]. *)
+    (* Greedy binary partitioning down to groups of at most [unit]: each
+       cut is [Bulk_tgs]'s, over the runs of the four sorted files, one
+       scan each. *)
     let rec partition ~unit files n groups =
       if n <= unit then (files, n) :: groups
       else begin
-        let dim, cut = best_cut ~unit files in
+        let dim, cut =
+          Bulk_tgs.best_cut ~unit
+            (Array.map (fun f -> Bulk_tgs.run_boxes ~unit n (Entry.File.iter f)) files)
+        in
         let left, right = split_files pager ~dim ~cut files in
         partition ~unit left cut (partition ~unit right (n - cut) groups)
       end
@@ -194,13 +133,13 @@ let load_tgs pool ~mem_records file =
       if height = 1 then begin
         let entries = Entry.File.read_all files.(0) in
         Array.iter Entry.File.destroy files;
-        write Node.Leaf entries
+        Pack.write_node pool ~kind:Node.Leaf entries
       end
       else begin
-        let unit = pow_int cap (height - 1) in
+        let unit = Bulk_tgs.pow_int cap (height - 1) in
         let groups = partition ~unit files n [] in
         let children = List.map (fun (fs, gn) -> build fs gn ~height:(height - 1)) groups in
-        write Node.Internal (Array.of_list children)
+        Pack.write_node pool ~kind:Node.Internal (Array.of_list children)
       end
     in
     (* Four initial sorted copies; the input file is left intact. *)
@@ -208,7 +147,7 @@ let load_tgs pool ~mem_records file =
       Trace.with_span "ext.tgs.sort" (fun () ->
           Array.init 4 (fun d -> Entry.File.sort ~mem_records ~cmp:(Entry.compare_dim d) file))
     in
-    let height = height_for ~cap n in
+    let height = Bulk_tgs.height_for ~cap n in
     let root = Trace.with_span "ext.tgs.build" (fun () -> build sorted n ~height) in
     Rtree.of_root ~pool ~root:(Entry.id root) ~height ~count:n
   end

@@ -51,25 +51,10 @@ let load pool entries =
       let r = Entry.rect e in
       if Rect.width r > 0.0 || Rect.height r > 0.0 then raise Not_points)
     entries;
-  let page_size = Pager.page_size (Buffer_pool.pager pool) in
-  let cap = Node.capacity ~page_size in
+  let cap = Node.capacity ~page_size:(Pager.page_size (Buffer_pool.pager pool)) in
   if Array.length entries = 0 then Rtree.create_empty pool
-  else begin
-    let leaves =
-      List.map
-        (fun cell ->
-          let node = Node.make Node.Leaf cell in
-          let id = Buffer_pool.alloc pool in
-          Buffer_pool.write pool id (Node.encode ~page_size node);
-          Entry.make (Node.mbr node) id)
-        (kd_cells ~cap entries)
-    in
+  else
+    let leaves = List.map (Pack.write_node pool ~kind:Node.Leaf) (kd_cells ~cap entries) in
     (* Upper levels group consecutive kd subtrees: cells come in kd
        order, so sequential packing keeps regions (nearly) disjoint. *)
-    let rec up level height =
-      if Array.length level = 1 then (Entry.id level.(0), height)
-      else up (Pack.pack_level pool ~kind:Node.Internal level) (height + 1)
-    in
-    let root, height = up (Array.of_list leaves) 1 in
-    Rtree.of_root ~pool ~root ~height ~count:(Array.length entries)
-  end
+    Pack.pack_up pool ~order:ignore ~count:(Array.length entries) (Array.of_list leaves)

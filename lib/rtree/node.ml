@@ -31,9 +31,10 @@
    Format v4 adds one invariant to v3's layout: the entries of every
    page are in page order — ascending first coordinate (xmin, lo_0), NaN
    last, ties broken by the rest of [Entry.compare_dim 0]'s order (the
-   rectangle in [Rect.compare] order, then the id).  [encode] enforces
-   it, so no writer decides the bytes of a page, and a query's results
-   come out in page order, not in build order.  The descent kernels in
+   rectangle in [Rect.compare] order, then the id).  [encode_columns],
+   through which every page is written, enforces it, so no writer
+   decides the bytes of a page, and a query's results come out in page
+   order, not in build order.  The descent kernels in
    [Rtree] rely on it: an entry whose xmin exceeds the query's bound
    cannot pass, and neither can any entry after it. *)
 
@@ -98,42 +99,18 @@ let in_page_order entries =
   in
   from 1
 
-let encode ~page_size t =
-  let cap = capacity ~page_size in
-  if length t > cap then invalid_arg "Node.encode: node exceeds page capacity";
-  (* Sort a copy: the caller may go on using its array ([Dynamic]
-     updates the arrays it decoded in place). *)
-  let entries =
-    if in_page_order t.entries then t.entries
-    else begin
-      let a = Array.copy t.entries in
-      Array.stable_sort page_compare a;
-      a
-    end
-  in
-  let buf = Page.create page_size in
-  Array.iteri
-    (fun i e ->
-      let r = Entry.rect e in
-      Page.set_f64 buf (8 * i) (Rect.xmin r);
-      Page.set_f64 buf (8 * (cap + i)) (Rect.ymin r);
-      Page.set_f64 buf (8 * ((2 * cap) + i)) (Rect.xmax r);
-      Page.set_f64 buf (8 * ((3 * cap) + i)) (Rect.ymax r);
-      Page.set_i32 buf ((32 * cap) + (4 * i)) (Entry.id e))
-    entries;
-  Page.set_u8 buf (36 * cap) (match t.kind with Leaf -> 0 | Internal -> 1);
-  Page.set_u16 buf ((36 * cap) + 1) (length t);
-  buf
-
 (* --- nodes held as columns ---
 
-   The PR-tree's staged loader holds a level as columns — the 2d
-   coordinate columns in the layout's order (lo_0 .. lo_{d-1}, hi_0 ..
-   hi_{d-1}) and an int array of ids — and writes each page straight
-   from them, with no entry record in between.  [positions] picks a
-   page's entries out of the columns.  The page order on columns is
-   [page_compare]'s: ascending lo_0 with NaN last, equal lo_0s ordered
-   by every column in turn, then the id. *)
+   Every page is written from columns — the 2d coordinate columns in
+   the layout's order (lo_0 .. lo_{d-1}, hi_0 .. hi_{d-1}) and an int
+   array of ids — and read back into them.  The PR-tree's staged loader
+   holds each level as columns and writes its pages straight from them;
+   [encode] and [Node_nd.encode] copy a node's entries into columns
+   first.  [positions] picks a page's entries out of the columns.  The page
+   order on columns is [page_compare]'s: ascending lo_0 with NaN last,
+   equal lo_0s ordered by every column in turn, then the id.  It is
+   decided here once, by [compare_slots]: the sort, the encoder's check
+   and the audit's all call it. *)
 
 let rec column_tie cols ids k x y =
   if k = Array.length cols then Int.compare ids.(x) ids.(y)
@@ -142,7 +119,8 @@ let rec column_tie cols ids k x y =
     let r = Float.compare (Float.Array.get col x) (Float.Array.get col y) in
     if r <> 0 then r else column_tie cols ids (k + 1) x y
 
-let[@inline] column_page_compare cols ids lo0 x y =
+(* [lo0] is [cols.(0)], hoisted out of the sort's loops. *)
+let[@inline] compare_slots cols ids lo0 x y =
   let a = Float.Array.get lo0 x and b = Float.Array.get lo0 y in
   if a < b then -1
   else if a > b then 1
@@ -159,7 +137,7 @@ let rec merge_sort cols ids lo0 positions scratch lo hi =
     for i = lo + 1 to hi - 1 do
       let x = positions.(i) in
       let j = ref (i - 1) in
-      while !j >= lo && column_page_compare cols ids lo0 positions.(!j) x > 0 do
+      while !j >= lo && compare_slots cols ids lo0 positions.(!j) x > 0 do
         positions.(!j + 1) <- positions.(!j);
         decr j
       done;
@@ -169,13 +147,13 @@ let rec merge_sort cols ids lo0 positions scratch lo hi =
     let mid = (lo + hi) / 2 in
     merge_sort cols ids lo0 positions scratch lo mid;
     merge_sort cols ids lo0 positions scratch mid hi;
-    if column_page_compare cols ids lo0 positions.(mid - 1) positions.(mid) > 0 then begin
+    if compare_slots cols ids lo0 positions.(mid - 1) positions.(mid) > 0 then begin
       Array.blit positions lo scratch lo (hi - lo);
       let i = ref lo and j = ref mid in
       for k = lo to hi - 1 do
         if
           !j >= hi
-          || (!i < mid && column_page_compare cols ids lo0 scratch.(!i) scratch.(!j) <= 0)
+          || (!i < mid && compare_slots cols ids lo0 scratch.(!i) scratch.(!j) <= 0)
         then begin
           positions.(k) <- scratch.(!i);
           incr i
@@ -187,6 +165,8 @@ let rec merge_sort cols ids lo0 positions scratch lo hi =
       done
     end
   end
+
+let column_page_compare cols ids x y = compare_slots cols ids cols.(0) x y
 
 let sort_columns cols ids positions ~scratch n =
   if n > Array.length positions || n > Array.length scratch then
@@ -200,7 +180,7 @@ let encode_columns buf ~dims kind cols ids positions n =
     invalid_arg "Node.encode_columns: node exceeds page capacity";
   let lo0 = cols.(0) in
   for i = 1 to n - 1 do
-    if column_page_compare cols ids lo0 positions.(i - 1) positions.(i) > 0 then
+    if compare_slots cols ids lo0 positions.(i - 1) positions.(i) > 0 then
       invalid_arg "Node.encode_columns: entries not in page order"
   done;
   Bytes.fill buf 0 page_size '\000';
@@ -219,6 +199,34 @@ let encode_columns buf ~dims kind cols ids positions n =
   done;
   Page.set_u8 buf (kind_offset_nd ~page_size ~dims) (match kind with Leaf -> 0 | Internal -> 1);
   Page.set_u16 buf (count_offset_nd ~page_size ~dims) n
+
+(* A fresh page for the [n] entries in slots [0 .. n - 1] of the
+   columns, put in page order first: how a writer that holds its
+   entries in no particular order encodes them. *)
+let page_of_columns ~page_size ~dims kind cols ids n =
+  let positions = Array.init n Fun.id and scratch = Array.make n 0 in
+  sort_columns cols ids positions ~scratch n;
+  let buf = Bytes.create page_size in
+  encode_columns buf ~dims kind cols ids positions n;
+  buf
+
+(* The entries copied into columns, whose positions [page_of_columns]
+   sorts: the node's own array is never reordered ([Dynamic] updates
+   the arrays it decoded in place). *)
+let encode ~page_size t =
+  let n = length t in
+  let cols = Array.init 4 (fun _ -> Float.Array.create n) and ids = Array.make n 0 in
+  for i = 0 to n - 1 do
+    (* Fields, not accessors, for the reason [page_compare] gives. *)
+    let e = t.entries.(i) in
+    let r = e.Entry.rect in
+    Float.Array.set cols.(0) i r.Rect.xmin;
+    Float.Array.set cols.(1) i r.Rect.ymin;
+    Float.Array.set cols.(2) i r.Rect.xmax;
+    Float.Array.set cols.(3) i r.Rect.ymax;
+    ids.(i) <- e.Entry.id
+  done;
+  page_of_columns ~page_size ~dims:2 t.kind cols ids n
 
 (* --- in-place page access ---
 
@@ -248,22 +256,48 @@ let page_tail_zero buf =
   let rec zero i = i >= Page.payload_size page_size || (Bytes.get buf i = '\000' && zero (i + 1)) in
   zero (count_offset ~page_size + 2)
 
-let decode buf =
+(* The one checked reader: a page of [dims]-dimensional entries into
+   its kind, its columns and its ids, or the reason it is not a node
+   page — a bad kind byte, a count past the capacity, an inverted or
+   NaN box (lo_k <= hi_k fails). *)
+let read_columns ~dims buf =
   let page_size = Bytes.length buf in
-  let cap = capacity ~page_size in
-  let kind = kind_of_byte "decode" (Page.get_u8 buf (kind_offset ~page_size)) in
-  let count = page_length buf in
-  if count > cap then
-    invalid_arg (Printf.sprintf "Node.decode: count %d exceeds capacity %d" count cap);
-  let entries =
-    Array.init count (fun i ->
-        let xmin = Page.get_f64 buf (8 * i)
-        and ymin = Page.get_f64 buf (8 * (cap + i))
-        and xmax = Page.get_f64 buf (8 * ((2 * cap) + i))
-        and ymax = Page.get_f64 buf (8 * ((3 * cap) + i)) in
-        Entry.make (Rect.make ~xmin ~ymin ~xmax ~ymax) (Page.get_i32 buf ((32 * cap) + (4 * i))))
-  in
-  { kind; entries }
+  let cap = capacity_nd ~page_size ~dims in
+  let byte = Page.get_u8 buf (kind_offset_nd ~page_size ~dims)
+  and n = Page.get_u16 buf (count_offset_nd ~page_size ~dims) in
+  if byte > 1 then Error (Printf.sprintf "bad node kind %d" byte)
+  else if n > cap then Error (Printf.sprintf "count %d exceeds capacity %d" n cap)
+  else begin
+    let cols =
+      Array.init (2 * dims) (fun k ->
+          let col = Float.Array.create n and base = column_offset ~page_size ~dims k 0 in
+          for i = 0 to n - 1 do
+            Float.Array.set col i (Int64.float_of_bits (Bytes.get_int64_le buf (base + (8 * i))))
+          done;
+          col)
+    and ids = Array.init n (fun i -> Page.get_i32 buf (id_offset_nd ~page_size ~dims i)) in
+    let rec inverted i k =
+      if i = n then None
+      else if k = dims then inverted (i + 1) 0
+      else if Float.Array.get cols.(k) i <= Float.Array.get cols.(dims + k) i then
+        inverted i (k + 1)
+      else Some i
+    in
+    match inverted 0 0 with
+    | Some i -> Error (Printf.sprintf "entry %d has an inverted or NaN box" i)
+    | None -> Ok ((if byte = 0 then Leaf else Internal), cols, ids)
+  end
+
+let decode buf =
+  match read_columns ~dims:2 buf with
+  | Error reason -> invalid_arg ("Node.decode: " ^ reason)
+  | Ok (kind, cols, ids) ->
+      let entries =
+        Array.init (Array.length ids) (fun i ->
+            let c k = Float.Array.get cols.(k) i in
+            Entry.make (Rect.make ~xmin:(c 0) ~ymin:(c 1) ~xmax:(c 2) ~ymax:(c 3)) ids.(i))
+      in
+      { kind; entries }
 
 module View = Prt_storage.View
 

@@ -11,9 +11,12 @@
     d-dimensional tree.
 
     The entries of a page are in {e page order} ({!page_compare}):
-    {!encode} enforces it and {!decode} returns it, so the descent in
-    {!Rtree} can stop a node's scan at the first entry whose [xmin]
-    exceeds the query's bound. *)
+    {!encode_columns}, through which every page is written, enforces it
+    and {!decode} returns it, so the descent in {!Rtree} can stop a
+    node's scan at the first entry whose [xmin] exceeds the query's
+    bound.  This module is the only owner of the format: one encoder
+    ({!encode_columns}), one checked reader ({!read_columns}) and one
+    page order on columns ({!column_page_compare}). *)
 
 type kind = Leaf | Internal
 
@@ -44,40 +47,63 @@ val in_page_order : Entry.t array -> bool
 (** Is the array sorted by {!page_compare}?  One O(n) pass. *)
 
 val encode : page_size:int -> t -> bytes
-(** Writes the entries in page order: as they are when {!in_page_order}
-    holds, else from a sorted copy (the node's own array is never
-    reordered).  Raises [Invalid_argument] if the node exceeds the page
-    capacity. *)
+(** A fresh page holding the entries in page order: copied into columns,
+    then {!page_of_columns} (the node's own array is never reordered).
+    Raises [Invalid_argument] if the node exceeds the page capacity. *)
 
 val decode : bytes -> t
 (** The entries in the order the page holds them — page order, for a
-    page {!encode} wrote.  Raises [Invalid_argument] on a corrupt kind
-    tag, a count beyond the page's capacity or an inverted rectangle. *)
+    page {!encode} wrote — through {!read_columns}.  Raises
+    [Invalid_argument] with its reason, after ["Node.decode: "], on a
+    page it refuses. *)
 
 (** {1 Nodes held as columns}
 
     A node's entries picked out of columns: [cols] holds the [2 * dims]
     coordinate columns in the layout's order (lo{_0} .. lo{_dims-1},
     then hi{_0} .. hi{_dims-1}), [ids] the ids, and [positions.(0 .. n -
-    1)] the slots of the node's entries.  The PR-tree's staged loader
-    writes every page this way, with no entry record in between. *)
+    1)] the slots of the node's entries.  Every page is written this
+    way: the PR-tree's staged loader straight from the level it holds,
+    {!encode} and [Prt_ndtree.Node_nd.encode] from a copy. *)
+
+val column_page_compare : Float.Array.t array -> int array -> int -> int -> int
+(** [column_page_compare cols ids x y] orders slots [x] and [y] of the
+    columns in page order: {!page_compare}'s order (ascending
+    lo{_0}, NaN last, then every column in turn, then the id).  The one
+    page order: {!sort_columns} sorts by it, {!encode_columns} refuses a
+    page that breaks it and [Audit] flags such a page with it. *)
 
 val sort_columns :
   Float.Array.t array -> int array -> int array -> scratch:int array -> int -> unit
 (** [sort_columns cols ids positions ~scratch n] puts [positions.(0 ..
-    n - 1)] in page order: {!page_compare}'s order on the columns
-    (ascending lo{_0}, NaN last, then every column in turn, then the
-    id).  [scratch] holds at least [n] ints; no allocation. *)
+    n - 1)] in page order ({!column_page_compare}), stably.  [scratch]
+    holds at least [n] ints; no allocation. *)
 
 val encode_columns :
   bytes -> dims:int -> kind -> Float.Array.t array -> int array -> int array -> int -> unit
 (** [encode_columns page ~dims kind cols ids positions n] overwrites
     [page] (its length is the page size) with the node holding the [n]
-    entries at [positions], in the layout for [dims] dimensions: at
-    [dims = 2], the bytes {!encode} writes for the same entries.
-    Raises [Invalid_argument] unless [positions] is in page order
-    ({!sort_columns}), if the node exceeds the page capacity or an id
-    exceeds 32 bits. *)
+    entries at [positions], in the layout for [dims] dimensions.  The
+    only code that lays out node bytes.  Raises [Invalid_argument]
+    unless [positions] is in page order ({!sort_columns}), if the node
+    exceeds the page capacity or an id exceeds 32 bits. *)
+
+val page_of_columns :
+  page_size:int -> dims:int -> kind -> Float.Array.t array -> int array -> int -> bytes
+(** [page_of_columns ~page_size ~dims kind cols ids n]: a fresh page
+    holding the [n] entries in slots [0 .. n - 1] of the columns, sorted
+    into page order ({!sort_columns}) and written by {!encode_columns}.
+    The columns are not reordered. *)
+
+val read_columns :
+  dims:int -> bytes -> (kind * Float.Array.t array * int array, string) result
+(** The one checked reader: a page of [dims]-dimensional entries as its
+    kind, its [2 * dims] coordinate columns (in the layout's order, one
+    slot per entry) and its ids.  [Error] names what makes it no node
+    page: ["bad node kind K"], ["count N exceeds capacity C"] or
+    ["entry I has an inverted or NaN box"] (lo{_k} <= hi{_k} fails for
+    some [k]).  {!decode}, [Prt_ndtree.Node_nd.decode] and [Audit]'s
+    walk read pages through it. *)
 
 (** {1:layout Page layout}
 
@@ -108,7 +134,7 @@ val kind_offset_nd : page_size:int -> dims:int -> int
 val count_offset_nd : page_size:int -> dims:int -> int
 (** The u16 entry count, after the kind byte. *)
 
-(** The 2-D page, as {!encode} writes it: the offsets above at
+(** The 2-D page: the offsets above at
     [dims = 2], with [xmin], [ymin], [xmax] and [ymax] in columns 0 to
     3. *)
 

@@ -64,17 +64,11 @@ let observe = function
   | Retry.Rejected -> Prt_obs.Metrics.tick m_rejected
   | Retry.Tripped -> Prt_obs.Metrics.tick m_trips
 
-let create ?(capacity = 1024) ?(retry = default_retry) ?breaker pager =
+let create ?(capacity = 1024) ?(retry = default_retry) pager =
   if retry.attempts < 1 then invalid_arg "Buffer_pool.create: retry attempts must be >= 1";
   if retry.backoff_base < 0 then invalid_arg "Buffer_pool.create: backoff must be non-negative";
   let policy =
-    let base =
-      { Retry.default_policy with attempts = retry.attempts; backoff_base = retry.backoff_base }
-    in
-    match breaker with
-    | None -> base
-    | Some (threshold, cooldown) ->
-        { base with breaker_threshold = threshold; breaker_cooldown = cooldown }
+    { Retry.default_policy with attempts = retry.attempts; backoff_base = retry.backoff_base }
   in
   {
     pager;
@@ -142,8 +136,10 @@ let write t id data =
       if not c.dirty then t.dirties <- t.dirties + 1;
       c.dirty <- true
   | None ->
+      (* The caller gave the buffer up: keep it, do not copy it (a 4 KB
+         copy would go straight into the major heap). *)
       t.dirties <- t.dirties + 1;
-      evicted t (Lru.add t.cache id { data = Bytes.copy data; dirty = true })
+      evicted t (Lru.add t.cache id { data; dirty = true })
 
 let alloc t = with_retry t "alloc" (fun () -> Pager.alloc t.pager)
 

@@ -36,12 +36,13 @@ type degraded = Retry.stats = {
 
 type t
 
-val create : ?capacity:int -> ?retry:retry -> ?breaker:int * int -> Pager.t -> t
+val create : ?capacity:int -> ?retry:retry -> Pager.t -> t
 (** [create ~capacity ~retry pager]: pool holding at most [capacity]
     pages (default 1024), retrying faulted pager operations per [retry]
-    (default {!default_retry}) through a shared {!Retry} engine.
-    [breaker = (threshold, cooldown)] arms the engine's circuit breaker
-    (disabled by default). *)
+    (default {!default_retry}) through a shared {!Retry} engine.  The
+    engine's circuit breaker is disabled ({!Retry.default_policy}), so a
+    pool's breaker always reads closed; a breaker is armed through a
+    {!Retry.policy}, as [Lsm]'s [?retry_policy] passes one. *)
 
 val pager : t -> Pager.t
 
@@ -51,7 +52,10 @@ val read : t -> int -> bytes
 
 val write : t -> int -> bytes -> unit
 (** Stage a full-page write in the cache (written back on eviction or
-    {!flush}). *)
+    {!flush}).  The caller gives the buffer up: a page not cached is
+    cached as that very buffer, not a copy ({!read} returns it), so the
+    caller must not write to it afterwards.  A page already cached has
+    its cached buffer overwritten. *)
 
 val alloc : t -> int
 (** Allocate a page in the underlying pager. *)

@@ -7,12 +7,13 @@ module Rect = Prt_geom.Rect
 module Pager = Prt_storage.Pager
 module Buffer_pool = Prt_storage.Buffer_pool
 module Entry = Prt_rtree.Entry
+module Node = Prt_rtree.Node
 module Rtree = Prt_rtree.Rtree
 module Ext_load = Prt_rtree.Ext_load
 module Ext_build = Prt_prtree.Ext_build
 module Audit = Prt_rtree.Audit
 
-let cap = Prt_rtree.Node.capacity ~page_size:Helpers.small_page_size (* 13 *)
+let cap = Node.capacity ~page_size:Helpers.small_page_size (* 13 *)
 
 (* A fresh pool plus the input entries written to a record file in it. *)
 let setup entries =
@@ -41,19 +42,58 @@ let test_ext_loader_correct (name, load) () =
       Helpers.check_tree_queries ~seed:(n * 13) tree entries)
     [ (0, 400); (1, 400); (30, 400); (500, 8 * cap); (1500, 200); (1500, 2000) ]
 
-let test_ext_matches_in_memory_h () =
-  (* The external H loader must produce the same leaf order as the
-     in-memory one (same sort key): counts per level must agree. *)
-  let entries = Helpers.random_entries ~n:800 ~seed:9 in
-  let pool1, file = setup entries in
-  let ext_tree = Ext_load.load_h pool1 ~mem_records:200 file in
-  let mem_tree = Prt_rtree.Bulk_hilbert.load_h (Helpers.small_pool ()) entries in
-  Alcotest.(check int) "height agrees" (Rtree.height mem_tree) (Rtree.height ext_tree);
-  let leaves tree =
-    let s = Audit.validate tree in
-    s.Audit.leaves
+(* A tree level by level from the root: each level's nodes in order,
+   each node as its entries' boxes in page order, with the data ids in
+   the leaves (a child's page id depends on where its loader's pages
+   fell, so internal entries keep only their boxes). *)
+let levels tree =
+  let rec from ids acc =
+    if ids = [] then List.rev acc
+    else begin
+      let nodes = List.map (Rtree.read_node tree) ids in
+      let entry kind e = (Entry.rect e, if kind = Node.Leaf then Entry.id e else -1) in
+      let level = List.map (fun n -> Array.map (entry (Node.kind n)) (Node.entries n)) nodes
+      and children =
+        List.concat_map
+          (fun n ->
+            match Node.kind n with
+            | Node.Internal -> Array.to_list (Array.map Entry.id (Node.entries n))
+            | Node.Leaf -> [])
+          nodes
+      in
+      from children (level :: acc)
+    end
   in
-  Alcotest.(check int) "leaf count agrees" (leaves mem_tree) (leaves ext_tree)
+  from [ Rtree.root tree ] []
+
+(* An external loader, under a budget that forces external sorts (800
+   entries, 200 in memory), must build the in-memory loader's tree:
+   level by level, the same leaf ids and node boxes in the same
+   order. *)
+let check_matches_in_memory name ~ext ~mem =
+  let entries = Helpers.random_entries ~n:800 ~seed:9 in
+  let pool, file = setup entries in
+  let ext_tree = ext pool ~mem_records:200 file in
+  let mem_tree = mem (Helpers.small_pool ()) entries in
+  Alcotest.(check int) (name ^ ": height agrees") (Rtree.height mem_tree) (Rtree.height ext_tree);
+  let leaves tree = (Audit.validate tree).Audit.leaves in
+  Alcotest.(check int) (name ^ ": leaf count agrees") (leaves mem_tree) (leaves ext_tree);
+  List.iteri
+    (fun depth (m, e) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: nodes at depth %d" name depth)
+        (List.length m) (List.length e);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: same boxes and leaf ids at depth %d" name depth)
+        true (m = e))
+    (List.combine (levels mem_tree) (levels ext_tree))
+
+let test_ext_matches_in_memory_h () =
+  check_matches_in_memory "ext-h" ~ext:Ext_load.load_h ~mem:Prt_rtree.Bulk_hilbert.load_h
+
+let test_ext_matches_in_memory_h4_tgs () =
+  check_matches_in_memory "ext-h4" ~ext:Ext_load.load_h4 ~mem:Prt_rtree.Bulk_hilbert.load_h4;
+  check_matches_in_memory "ext-tgs" ~ext:Ext_load.load_tgs ~mem:Prt_rtree.Bulk_tgs.load
 
 let test_ext_pr_worst_case_bound () =
   (* The externally-built PR-tree must keep the worst-case query
@@ -128,6 +168,8 @@ let suite =
     ext_loaders
   @ [
       Alcotest.test_case "ext-h matches in-memory shape" `Quick test_ext_matches_in_memory_h;
+      Alcotest.test_case "ext-h4 and ext-tgs match in-memory shape" `Quick
+        test_ext_matches_in_memory_h4_tgs;
       Alcotest.test_case "ext-pr keeps worst-case bound" `Quick test_ext_pr_worst_case_bound;
       Alcotest.test_case "construction I/O ordering (Fig 9 shape)" `Quick
         test_io_ordering_matches_paper;
