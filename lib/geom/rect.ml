@@ -5,10 +5,25 @@
 
 type t = { xmin : float; ymin : float; xmax : float; ymax : float }
 
+let inverted xmin ymin xmax ymax =
+  invalid_arg (Printf.sprintf "Rect.make: inverted rectangle (%g,%g)-(%g,%g)" xmin ymin xmax ymax)
+
 let make ~xmin ~ymin ~xmax ~ymax =
-  if not (xmin <= xmax && ymin <= ymax) then
-    invalid_arg
-      (Printf.sprintf "Rect.make: inverted rectangle (%g,%g)-(%g,%g)" xmin ymin xmax ymax);
+  if not (xmin <= xmax && ymin <= ymax) then inverted xmin ymin xmax ymax;
+  { xmin; ymin; xmax; ymax }
+
+(* The 32-byte little-endian layout — xmin, ymin, xmax, ymax as float64
+   — that records, dataset files and wire frames share.  [make]'s check
+   is written out here: a call to [make] would box its four arguments,
+   so only the raising path boxes. *)
+let[@inline] get_f64 buf off = Int64.float_of_bits (Bytes.get_int64_le buf off)
+
+let read buf off =
+  let xmin = get_f64 buf off in
+  let ymin = get_f64 buf (off + 8) in
+  let xmax = get_f64 buf (off + 16) in
+  let ymax = get_f64 buf (off + 24) in
+  if not (xmin <= xmax && ymin <= ymax) then inverted xmin ymin xmax ymax;
   { xmin; ymin; xmax; ymax }
 
 let of_corners (x0, y0) (x1, y1) =

@@ -9,6 +9,14 @@ type t = private { xmin : float; ymin : float; xmax : float; ymax : float }
 val make : xmin:float -> ymin:float -> xmax:float -> ymax:float -> t
 (** Raises [Invalid_argument] if [xmin > xmax] or [ymin > ymax]. *)
 
+val read : bytes -> int -> t
+(** [read buf off]: the rectangle stored in the 32 bytes at [off] as
+    four little-endian float64s, xmin, ymin, xmax, ymax — the one reader
+    of the layout that entry records and wire frames share.  No
+    coordinate is boxed on the way.  Raises [Invalid_argument] exactly
+    as {!make} does for an inverted or NaN box, and if the 32 bytes are
+    not inside [buf]. *)
+
 val of_corners : float * float -> float * float -> t
 (** Bounding box of two arbitrary corner points. *)
 

@@ -40,12 +40,8 @@ let write buf off e =
   Page.set_i32 buf (off + 32) e.id
 
 let read buf off =
-  let xmin = Page.get_f64 buf off in
-  let ymin = Page.get_f64 buf (off + 8) in
-  let xmax = Page.get_f64 buf (off + 16) in
-  let ymax = Page.get_f64 buf (off + 24) in
   let id = Page.get_i32 buf (off + 32) in
-  { rect = Rect.make ~xmin ~ymin ~xmax ~ymax; id }
+  { rect = Rect.read buf off; id }
 
 let pp ppf e = Fmt.pf ppf "#%d:%a" e.id Rect.pp e.rect
 

@@ -79,18 +79,26 @@ let load_h4 pool ~mem_records file = load_hilbert ~variant:`H4 pool ~mem_records
 
 (* --- external TGS --- *)
 
-(* Split all four sorted files at the cut: the winning dimension's file
-   splits positionally; the others are routed by comparison with the
-   boundary entry (total order, so the two sides are exactly the same
-   sets). Consumes the input files. *)
-let split_files pager ~dim ~cut files =
-  let boundary = ref None in
-  let idx = ref 0 in
-  (* Fetch the boundary = last entry of the left part in [dim] order. *)
-  Entry.File.iter files.(dim) (fun e ->
-      if !idx = cut - 1 then boundary := Some e;
-      incr idx);
-  let boundary = match !boundary with Some b -> b | None -> assert false in
+(* The run boxes of one sorted file ([Bulk_tgs.run_boxes], one scan),
+   and each run's last entry: a cut falls between runs, so the entry
+   before it is one of these, and no second scan has to find it. *)
+let file_runs ~unit n file =
+  let last = Array.make ((n + unit - 1) / unit) (Entry.make (Rect.point 0.0 0.0) 0) in
+  let i = ref 0 in
+  let boxes =
+    Bulk_tgs.run_boxes ~unit n (fun f ->
+        Entry.File.iter file (fun e ->
+            last.(!i / unit) <- e;
+            incr i;
+            f e))
+  in
+  (boxes, last)
+
+(* Split all four sorted files at the cut, whose left part ends with
+   [boundary] in [dim] order: every file is routed by comparison with
+   it (a total order, so the two sides are exactly the same sets).
+   Consumes the input files. *)
+let split_files pager ~dim ~boundary files =
   let goes_left e = Entry.compare_dim dim e boundary <= 0 in
   let pair =
     Array.map
@@ -121,11 +129,10 @@ let load_tgs pool ~mem_records file =
     let rec partition ~unit files n groups =
       if n <= unit then (files, n) :: groups
       else begin
-        let dim, cut =
-          Bulk_tgs.best_cut ~unit
-            (Array.map (fun f -> Bulk_tgs.run_boxes ~unit n (Entry.File.iter f)) files)
-        in
-        let left, right = split_files pager ~dim ~cut files in
+        let runs = Array.map (file_runs ~unit n) files in
+        let dim, cut = Bulk_tgs.best_cut ~unit (Array.map fst runs) in
+        let boundary = (snd runs.(dim)).((cut / unit) - 1) in
+        let left, right = split_files pager ~dim ~boundary files in
         partition ~unit left cut (partition ~unit right (n - cut) groups)
       end
     in

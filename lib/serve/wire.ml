@@ -374,18 +374,46 @@ let get_f64 c =
   c.off <- c.off + 8;
   v
 
-let get_finite c =
-  let v = get_f64 c in
-  if not (Float.is_finite v) then raise (Bad "non-finite coordinate");
-  v
+(* The rectangle at [off], known to lie in the payload, checked as a
+   window or hit must be: a non-finite coordinate first, then an
+   inverted box.  Direct loads, so no coordinate is boxed. *)
+let[@inline] finite x = x -. x = 0.0
+let[@inline] f64_at buf off = Int64.float_of_bits (Bytes.get_int64_le buf off)
+
+let check_rect buf off =
+  let xmin = f64_at buf off in
+  let ymin = f64_at buf (off + 8) in
+  let xmax = f64_at buf (off + 16) in
+  let ymax = f64_at buf (off + 24) in
+  if not (finite xmin && finite ymin && finite xmax && finite ymax) then
+    raise (Bad "non-finite coordinate");
+  if xmin > xmax || ymin > ymax then raise (Bad "inverted rectangle")
 
 let get_rect c =
-  let xmin = get_finite c in
-  let ymin = get_finite c in
-  let xmax = get_finite c in
-  let ymax = get_finite c in
-  if xmin > xmax || ymin > ymax then raise (Bad "inverted rectangle");
-  Rect.make ~xmin ~ymin ~xmax ~ymax
+  need c 32;
+  check_rect c.buf c.off;
+  let r = Rect.read c.buf c.off in
+  c.off <- c.off + 32;
+  r
+
+(* A slot's [n] hits, 40 bytes each from the cursor on (an int64 id,
+   then the rectangle), which [get_count] has checked lie in the
+   payload.  One pass checks them in wire order, so the first bad hit
+   names the error [get_rect] would; a second builds the list from the
+   last hit back to the first.  No closure, no per-field call. *)
+let get_hits c n =
+  let base = c.off in
+  for j = 0 to n - 1 do
+    check_rect c.buf (base + (hit_size * j) + 8)
+  done;
+  let hits = ref [] in
+  for j = n - 1 downto 0 do
+    let p = base + (hit_size * j) in
+    let id = Int64.to_int (Bytes.get_int64_le c.buf p) in
+    hits := { Entry.rect = Rect.read c.buf (p + 8); id } :: !hits
+  done;
+  c.off <- base + (hit_size * n);
+  !hits
 
 let get_string16 c =
   let n = get_u16 c in
@@ -428,14 +456,8 @@ let msg_of_payload ~kind c =
       let results =
         Array.init n (fun _ ->
             let qr_completeness = get_completeness c in
-            let hits = get_count c ~unit_size:40 in
-            let qr_hits =
-              List.init hits (fun _ ->
-                  let eid = get_i64 c in
-                  let rect = get_rect c in
-                  Entry.make rect eid)
-            in
-            { qr_completeness; qr_hits })
+            let hits = get_count c ~unit_size:hit_size in
+            { qr_completeness; qr_hits = get_hits c hits })
       in
       Reply (Results { id; results })
     end

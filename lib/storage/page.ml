@@ -60,60 +60,27 @@ let payload_size page_size =
   page_size - trailer_size
 
 (* CRC-32C (Castagnoli), reflected polynomial 0x82F63B78 — the checksum
-   used by iSCSI and ext4 metadata — computed slicing-by-8: table [k]
-   (entries [256k .. 256k+255]) advances a byte's contribution past [k]
-   further bytes, so one step folds 8 bytes, read as two little-endian
-   32-bit words, with eight lookups; a tail of fewer than 8 bytes goes
-   bytewise through table 0, the classic one-byte table.  Plain OCaml
-   ints hold the 32-bit state on 64-bit platforms.  The tables are built
-   eagerly and shared with {!View}: pread workers and mapped readers
-   verify pages from several domains at once. *)
-let crc_tables =
-  let t = Array.make (8 * 256) 0 in
-  for n = 0 to 255 do
-    let c = ref n in
-    for _ = 0 to 7 do
-      c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
-    done;
-    t.(n) <- !c
-  done;
-  for i = 256 to (8 * 256) - 1 do
-    let prev = t.(i - 256) in
-    t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
-  done;
-  t
+   used by iSCSI and ext4 metadata — computed by the C kernel in
+   [crc32c_stubs.c]: the CPU's CRC-32C instruction where there is one,
+   slicing-by-8 over one table otherwise, the same value either way.
+   The kernel checks no bounds, so the range is checked here; it is a
+   [noalloc] call, so no GC moves the buffer under it. *)
+external crc32c_unchecked : bytes -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "prt_crc32c_bytes_byte" "prt_crc32c_bytes"
+[@@noalloc]
 
-external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
-external swap32 : int32 -> int32 = "%bswap_int32"
-external big_endian : unit -> bool = "%big_endian"
-
-let[@inline] word buf i =
-  let w = get32u buf i in
-  Int32.to_int (if big_endian () then swap32 w else w) land 0xFFFFFFFF
+external crc32c_table_unchecked :
+  bytes -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "prt_crc32c_bytes_table_byte" "prt_crc32c_bytes_table"
+[@@noalloc]
 
 let crc32c buf ~pos ~len =
   if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg "Page.crc32c";
-  let t = crc_tables in
-  let c = ref 0xFFFFFFFF and i = ref pos in
-  let stop8 = pos + (len land lnot 7) in
-  while !i < stop8 do
-    let lo = word buf !i lxor !c and hi = word buf (!i + 4) in
-    c :=
-      Array.unsafe_get t (1792 + (lo land 0xFF))
-      lxor Array.unsafe_get t (1536 + ((lo lsr 8) land 0xFF))
-      lxor Array.unsafe_get t (1280 + ((lo lsr 16) land 0xFF))
-      lxor Array.unsafe_get t (1024 + (lo lsr 24))
-      lxor Array.unsafe_get t (768 + (hi land 0xFF))
-      lxor Array.unsafe_get t (512 + ((hi lsr 8) land 0xFF))
-      lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xFF))
-      lxor Array.unsafe_get t (hi lsr 24);
-    i := !i + 8
-  done;
-  for j = stop8 to pos + len - 1 do
-    c :=
-      Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get buf j)) land 0xFF) lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
+  crc32c_unchecked buf pos len
+
+let crc32c_table buf ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg "Page.crc32c_table";
+  crc32c_table_unchecked buf pos len
 
 let set_crc page off v = Bytes.set_int32_le page off (Int32.of_int (v land 0xFFFFFFFF))
 let get_crc page off = Int32.to_int (Bytes.get_int32_le page off) land 0xFFFFFFFF

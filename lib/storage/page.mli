@@ -49,13 +49,16 @@ val payload_size : int -> int
 
 val crc32c : bytes -> pos:int -> len:int -> int
 (** CRC-32C (Castagnoli polynomial, reflected 0x82F63B78) of the byte
-    range, as a non-negative int below [2^32]. Computed slicing-by-8.
-    Raises [Invalid_argument] if the range is not inside the buffer. *)
+    range, as a non-negative int below [2^32]. Computed by one C kernel,
+    shared with {!View.crc32c}: the CPU's CRC-32C instruction (SSE4.2)
+    when CPUID reports it, slicing-by-8 over one table otherwise, with
+    the same value on either path.  Raises [Invalid_argument] if the
+    range is not inside the buffer. *)
 
-val crc_tables : int array
-(** The slicing-by-8 tables behind {!crc32c}: [8 * 256] entries, table
-    [k] at [256 * k]; table 0 is the one-byte CRC-32C table. Shared with
-    {!View.crc32c}; never written after initialisation. *)
+val crc32c_table : bytes -> pos:int -> len:int -> int
+(** {!crc32c} through the kernel's table path whatever the CPU, so the
+    tests check that path on hosts that take the instruction; the same
+    value and range check. *)
 
 val stamp : t -> lsn:int -> unit
 (** Fill in the trailer: record [lsn] and {!format_epoch}, zero the

@@ -11,11 +11,13 @@
    their coordinates in 8-byte-aligned columns: a coordinate is one
    [Array1.unsafe_get], which ocamlopt compiles to a single unboxed
    load, and the descent kernels in [Rtree] do that inline.  Every other
-   field — header bytes, int32 ids, the trailer the CRC gate checks — is
-   cut out of the 64-bit word that holds it: [Int64.bits_of_float]
+   field — header bytes, int32 ids, the trailer's epoch and stored CRC —
+   is cut out of the 64-bit word that holds it: [Int64.bits_of_float]
    returns the word's bits untouched (a NaN payload included), and the
-   shifts and masks stay on unboxed int64s.  The format is
-   little-endian; {!Mmap_pager} refuses to map on a big-endian host. *)
+   shifts and masks stay on unboxed int64s.  The CRC gate itself reads
+   no word here: it hands the mapping's memory to the C kernel behind
+   {!Page.crc32c}.  The format is little-endian; {!Mmap_pager} refuses
+   to map on a big-endian host. *)
 
 type map = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -50,44 +52,18 @@ let get_i32 m off =
   let s = Sys.int_size - 32 in
   (w lsl s) asr s
 
-(* CRC-32C over a mapped window, bit-identical to {!Page.crc32c} —
-   verified against a bytewise reference in the test suite — and
-   computed the same way, slicing-by-8 over {!Page.crc_tables}: one
-   mapped word is the step's two little-endian 32-bit halves.  A range
-   that does not start on a word boundary goes bytewise up to the first
-   one.  Used to validate a mapped page once per (page, generation);
-   after that the mapping is trusted. *)
-let[@inline] crc_byte t c b = Array.unsafe_get t ((c lxor b) land 0xFF) lxor (c lsr 8)
+(* CRC-32C over a mapped window: the kernel behind {!Page.crc32c}, over
+   the mapping's memory, so bit-identical to it over the same bytes.
+   The range is checked here, as the kernel checks none.  Used to
+   validate a mapped page once per (page, generation); after that the
+   mapping is trusted. *)
+external crc32c_unchecked : map -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "prt_crc32c_map_byte" "prt_crc32c_map"
+[@@noalloc]
 
 let crc32c (m : map) ~pos ~len =
   if pos < 0 || len < 0 || pos > length m - len then invalid_arg "View.crc32c";
-  let t = Page.crc_tables in
-  let stop = pos + len in
-  let c = ref 0xFFFFFFFF and i = ref pos in
-  while !i < stop && !i land 7 <> 0 do
-    c := crc_byte t !c (get_u8 m !i);
-    incr i
-  done;
-  while !i + 8 <= stop do
-    let w = word m !i in
-    let lo = Int64.to_int w land 0xFFFFFFFF lxor !c
-    and hi = Int64.to_int (Int64.shift_right_logical w 32) in
-    c :=
-      Array.unsafe_get t (1792 + (lo land 0xFF))
-      lxor Array.unsafe_get t (1536 + ((lo lsr 8) land 0xFF))
-      lxor Array.unsafe_get t (1280 + ((lo lsr 16) land 0xFF))
-      lxor Array.unsafe_get t (1024 + (lo lsr 24))
-      lxor Array.unsafe_get t (768 + (hi land 0xFF))
-      lxor Array.unsafe_get t (512 + ((hi lsr 8) land 0xFF))
-      lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xFF))
-      lxor Array.unsafe_get t (hi lsr 24);
-    i := !i + 8
-  done;
-  while !i < stop do
-    c := crc_byte t !c (get_u8 m !i);
-    incr i
-  done;
-  !c lxor 0xFFFFFFFF
+  crc32c_unchecked m pos len
 
 (* Trailer check over a mapped page at absolute offset [base], the
    mapped analogue of {!Page.check}: epoch 0 means never stamped

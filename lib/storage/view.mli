@@ -26,9 +26,9 @@ val get_i32 : map -> int -> int
 
 val crc32c : map -> pos:int -> len:int -> int
 (** CRC-32C (Castagnoli) over [len] bytes at [pos]; bit-identical to
-    {!Page.crc32c} over the same bytes, and computed the same way
-    (slicing-by-8 over {!Page.crc_tables}). Raises [Invalid_argument]
-    if the range is not inside the mapping. *)
+    {!Page.crc32c} over the same bytes, computed by the same C kernel
+    over the mapping's memory. Raises [Invalid_argument] if the range
+    is not inside the mapping. *)
 
 val page_valid : map -> base:int -> page_size:int -> bool
 (** Integrity check of the mapped page at absolute offset [base]: the

@@ -46,7 +46,7 @@ let results_of tree window =
    the page codec wrote --- *)
 
 (* Bitwise CRC-32C (reflected 0x82F63B78), one byte at a time: the
-   reference both slicing-by-8 implementations must match. *)
+   reference the kernel must match on both of its paths. *)
 let reference_crc32c b ~pos ~len =
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
@@ -67,25 +67,41 @@ let map_of_bytes b =
 
 let test_crc_parity () =
   let rng = Random.State.make [| 987 |] in
-  let b = Bytes.init 4096 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let b = Bytes.init (65_536 + 8) (fun _ -> Char.chr (Random.State.int rng 256)) in
   let m = map_of_bytes b in
+  (* Over bytes and over the mapping, and through the kernel's table
+     path, which a host with the CRC-32C instruction takes only here. *)
   let check ~pos ~len =
     let expected = reference_crc32c b ~pos ~len in
-    Alcotest.(check int)
-      (Printf.sprintf "Page.crc32c pos %d len %d" pos len)
-      expected (Page.crc32c b ~pos ~len);
-    Alcotest.(check int)
-      (Printf.sprintf "View.crc32c pos %d len %d" pos len)
-      expected (View.crc32c m ~pos ~len)
+    let name what = Printf.sprintf "%s pos %d len %d" what pos len in
+    Alcotest.(check int) (name "Page.crc32c") expected (Page.crc32c b ~pos ~len);
+    Alcotest.(check int) (name "View.crc32c") expected (View.crc32c m ~pos ~len);
+    Alcotest.(check int) (name "table path") expected (Page.crc32c_table b ~pos ~len)
   in
-  (* Every alignment of the 8-byte steps, with every tail length. *)
+  (* Every alignment of the 8-byte steps, with every tail length; then
+     a page's payload (the range the trailer covers), a whole page and
+     sixteen pages at every alignment. *)
   for pos = 0 to 7 do
     for len = 0 to 100 do
       check ~pos ~len
-    done
+    done;
+    List.iter (fun len -> check ~pos ~len) [ 4092; 4096; 65_536 ]
   done;
-  (* A full page payload, the range the trailer covers. *)
-  check ~pos:0 ~len:4092;
+  (* The kernel checks no bounds; the OCaml wrappers refuse a range
+     that is not inside the buffer. *)
+  let n = Bytes.length b in
+  List.iter
+    (fun (pos, len) ->
+      let refused what f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s refuses pos %d len %d" what pos len)
+          (Invalid_argument what)
+          (fun () -> ignore (f ~pos ~len))
+      in
+      refused "Page.crc32c" (Page.crc32c b);
+      refused "Page.crc32c_table" (Page.crc32c_table b);
+      refused "View.crc32c" (View.crc32c m))
+    [ (n - 3, 4); (0, n + 1); (n + 1, 0); (-1, 4); (0, -1); (max_int, 8) ];
   (* Integer-load parity over sign/top-bit boundaries.  0x40000000 is
      the regression that motivated this: on 63-bit native ints a
      32-place shift parks bit 30 on the sign bit, so a u32 with bit 30

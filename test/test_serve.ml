@@ -399,6 +399,66 @@ let test_wire_adversarial () =
   | Error (Wire.Bad_payload _) -> ()
   | r -> check_error "unknown error code" (Wire.Bad_payload "unknown error code") r)
 
+(* A results reply's hits are checked in wire order: within a hit a
+   non-finite coordinate before an inverted box, and the first bad hit
+   names the error.  Hit [j] of the first slot starts at byte
+   [25 + 40j] (8 bytes of header, 8 of id and count, 9 of completeness
+   and count); its ymin is 16 bytes in. *)
+let test_wire_bad_hits () =
+  let msg =
+    Wire.(
+      Reply
+        (Results
+           {
+             id = 5;
+             results =
+               [|
+                 {
+                   qr_completeness = C_complete;
+                   qr_hits = List.init 6 (fun i -> Entry.make sample_rect i);
+                 };
+               |];
+           }))
+  in
+  let hit j = 25 + (40 * j) in
+  let with_edits edits =
+    let f = Wire.encode msg in
+    List.iter (fun (off, v) -> Bytes.set_int64_le f off (Int64.bits_of_float v)) edits;
+    Wire.decode_all (reseal f)
+  in
+  (* xmin 0.9 is past [sample_rect]'s xmax. *)
+  let nan_ymin j = (hit j + 16, Float.nan) and inverted j = (hit j + 8, 0.9) in
+  check_error "NaN hit before an inverted one" (Wire.Bad_payload "non-finite coordinate")
+    (with_edits [ nan_ymin 2; inverted 4 ]);
+  check_error "inverted hit alone" (Wire.Bad_payload "inverted rectangle")
+    (with_edits [ inverted 4 ]);
+  check_error "inverted hit before a NaN one" (Wire.Bad_payload "inverted rectangle")
+    (with_edits [ inverted 2; nan_ymin 4 ]);
+  match with_edits [] with
+  | Ok m -> Alcotest.(check bool) "unedited frame decodes back" true (m = msg)
+  | Error e -> Alcotest.failf "unedited frame: %a" Wire.pp_proto_error e
+
+(* A decoded hit costs its list cell, entry and rectangle (3 + 3 + 5
+   words) and nothing more: no closure, no boxed coordinate. *)
+let test_wire_hit_words () =
+  let hits = List.init 1000 (fun i -> Entry.make sample_rect i) in
+  let frame =
+    Wire.(
+      encode
+        (Reply (Results { id = 1; results = [| { qr_completeness = C_complete; qr_hits = hits } |] })))
+  in
+  ignore (Wire.decode_all frame);
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let decoded = Wire.decode_all frame in
+  Gc.minor ();
+  let per_hit = (Gc.minor_words () -. w0) /. 1000.0 in
+  (match decoded with
+  | Ok (Wire.Reply (Wire.Results { results = [| { Wire.qr_hits; _ } |]; _ })) ->
+      Alcotest.(check bool) "all hits decoded" true (List.equal Entry.equal qr_hits hits)
+  | _ -> Alcotest.fail "the frame must decode to its one slot");
+  if per_hit > 12.0 then Alcotest.failf "%.1f minor words per decoded hit (at most 12)" per_hit
+
 let test_wire_reader () =
   let m1 = List.nth sample_msgs 1 and m2 = List.nth sample_msgs 5 in
   let stream = Bytes.cat (Wire.encode m1) (Wire.encode m2) in
@@ -994,6 +1054,8 @@ let suite =
     Helpers.qcheck_case qcheck_wire_roundtrip;
     Helpers.qcheck_case qcheck_wire_corruption;
     Alcotest.test_case "wire: adversarial frames yield typed errors" `Quick test_wire_adversarial;
+    Alcotest.test_case "wire: reply hits are checked in wire order" `Quick test_wire_bad_hits;
+    Alcotest.test_case "wire: a decoded hit allocates at most 12 words" `Quick test_wire_hit_words;
     Alcotest.test_case "wire: reader reassembles fragments, errors stick" `Quick test_wire_reader;
     Alcotest.test_case "quota: token bucket arithmetic" `Quick test_quota;
     Alcotest.test_case "retry: typed breaker health through its lifecycle" `Quick
